@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import documents
-from .ensembles import validate_ensemble
+from .ensembles import _weighted_projector_sum, validate_ensemble
 from .errors import DocumentError, NumericalFailure, RhokitError
 from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, max_abs
 from .purification import (
@@ -141,13 +141,7 @@ def _cmd_verify(args) -> int:
                         f"({ensemble.dim}, {ensemble.dim})"
                     )
                 else:
-                    summed = np.einsum(
-                        "s,si,sj->ij",
-                        ensemble.weights,
-                        ensemble.kets,
-                        np.conj(ensemble.kets),
-                    )
-                    deviation = max_abs(summed - rho)
+                    deviation = max_abs(_weighted_projector_sum(ensemble) - rho)
                     if deviation > args.tol:
                         violations.append(
                             f"ensemble misses the given density matrix by {deviation:.3e}"

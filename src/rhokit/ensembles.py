@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidEnsemble
+from .errors import DimensionMismatch, InvalidArgument, InvalidEnsemble
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
@@ -73,7 +73,7 @@ class RhoEnsemble:
         if kets.shape[0] == 0:
             raise InvalidEnsemble("ensemble must contain at least one element")
         if not np.all(np.isfinite(weights)):
-            raise ValueError("weights contain non-finite entries")
+            raise InvalidArgument("weights contain non-finite entries")
         if np.any(weights <= 0.0):
             bad = int(np.argmax(weights <= 0.0))
             raise InvalidEnsemble(
@@ -107,7 +107,7 @@ class RhoEnsemble:
 
 
 def _weighted_projector_sum(e: RhoEnsemble) -> np.ndarray:
-    return np.einsum("s,si,sj->ij", e.weights, e.kets, np.conj(e.kets))
+    return e.kets.T @ (e.weights[:, None] * np.conj(e.kets))
 
 
 def ensemble_to_density(
@@ -142,17 +142,17 @@ def density_from_matrix(
 ) -> DensityMatrix:
     """Validate an explicit matrix as a density matrix and cache eigendata.
 
-    Raises NotHermitian for asymmetric input and ValueError when the
+    Raises NotHermitian for asymmetric input and InvalidArgument when the
     spectrum dips below ``-tol`` or the trace is not 1 within ``tol``.
     """
     spectrum, eigenkets = eig_hermitian(matrix, tol)
     if spectrum[-1] < -tol:
-        raise ValueError(
+        raise InvalidArgument(
             f"matrix has negative eigenvalue {spectrum[-1]!r} (tol {tol:.3e})"
         )
     trace = float(np.sum(spectrum))
     if abs(trace - 1.0) > max(tol * len(spectrum), tol):
-        raise ValueError(f"matrix has trace {trace!r}, expected 1")
+        raise InvalidArgument(f"matrix has trace {trace!r}, expected 1")
     arr = np.asarray(matrix, dtype=complex)
     return DensityMatrix(
         dim=arr.shape[0],

@@ -15,6 +15,10 @@ class DocumentError(RhokitError):
     """A JSON document is malformed or does not match its declared kind."""
 
 
+class InvalidArgument(RhokitError, ValueError):
+    """An argument value is out of range: non-finite, negative, or not a density."""
+
+
 class DimensionMismatch(RhokitError):
     """Operands have incompatible shapes or dimensions."""
 

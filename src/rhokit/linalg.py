@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     NotHermitian,
     NotNormalized,
     NotOrthonormal,
@@ -37,8 +38,8 @@ def as_ket(v) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1 or arr.size < 1:
         raise DimensionMismatch(f"expected a 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise ValueError("vector contains non-finite entries")
+    if not np.isfinite(arr).all():
+        raise InvalidArgument("vector contains non-finite entries")
     return arr
 
 
@@ -47,8 +48,8 @@ def as_operator(m) -> np.ndarray:
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.size < 1:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(float))):
-        raise ValueError("matrix contains non-finite entries")
+    if not np.isfinite(arr).all():
+        raise InvalidArgument("matrix contains non-finite entries")
     return arr
 
 
@@ -63,8 +64,8 @@ def as_ket_list(kets, dim: int | None = None) -> np.ndarray:
                 raise DimensionMismatch("cannot infer dimension of an empty ket list")
             return np.zeros((0, dim), dtype=complex)
         arr = np.stack(rows)
-    if not np.all(np.isfinite(arr.view(float))):
-        raise ValueError("ket list contains non-finite entries")
+    if not np.isfinite(arr).all():
+        raise InvalidArgument("ket list contains non-finite entries")
     if dim is not None and arr.shape[1] != dim:
         raise DimensionMismatch(
             f"ket list has dimension {arr.shape[1]}, expected {dim}"

@@ -28,6 +28,7 @@ from .errors import (
     NotOrthonormal,
     NotOrthonormalBasis,
     NotUnitary,
+    NumericalFailure,
     OrderExceedsAncillaDim,
     TracesDiffer,
 )
@@ -39,10 +40,9 @@ from .linalg import (
     as_operator,
     complete_orthonormal,
     dagger,
-    eig_hermitian,
+    eig_hermitian,  # noqa: F401 -- perfbench's alias-rebinding test reads it here
     gram_matrix,
     max_abs,
-    numerical_rank,
     partial_trace_m,
     schmidt_decompose,
 )
@@ -51,9 +51,9 @@ from .linalg import (
 # per-operation tolerances so that round-tripped values are never rejected.
 _CONSTRUCT_TOL = 1e-8
 
-# Vector lists derived inside the rotation construction pick up error scaled
-# by the inverse smallest supported weight; their orthonormality is re-checked
-# at this internal tolerance before basis completion.
+# The first ancilla ket in ``ensemble_containing`` is normalized from ratios
+# over Schmidt coefficients; its orthonormality is checked at this looser
+# tolerance before basis completion.
 _INTERNAL_ORTH_TOL = 1e-7
 
 
@@ -187,44 +187,52 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
     return report
 
 
+def _amplitude_block(e: RhoEnsemble, dim_m: int) -> np.ndarray:
+    """(dim, dim_m) matrix of ``sum_j sqrt(w_j) phi_j (x) e_j``; zero past the order."""
+    block = np.zeros((e.dim, dim_m), dtype=complex)
+    block[:, : e.order] = (np.sqrt(e.weights)[:, None] * e.kets).T
+    return block
+
+
+def _procrustes(a_from: np.ndarray, a_to: np.ndarray) -> np.ndarray:
+    """Unitary U minimizing ``||a_from U^T - a_to||_F`` (orthogonal Procrustes).
+
+    With ``W S V^dag = svd(a_from^dag a_to)`` the minimizer is
+    ``U^T = W V^dag``, the polar factor. When both blocks have the same
+    ``a a^dag`` the minimum is zero, so ``(1 (x) U)`` carries the first
+    joint ket onto the second.
+    """
+    try:
+        w, _, vh = np.linalg.svd(dagger(a_from) @ a_to)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD failed: {exc}") from exc
+    return (w @ vh).T
+
+
 def lemma_unitary(
     chi: JointState,
     phi: JointState,
     tol: float = DEFAULT_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> np.ndarray:
     """Ancilla-side unitary U with ``(1 (x) U) phi = chi``.
 
     Requires both joint kets to share the same reduced system state within
-    ``tol`` (max norm), else TracesDiffer. The construction eigendecomposes
-    the shared reduced state, normalizes each ket's ancilla-side partner
-    vectors on the supported eigenkets into two orthonormal lists, completes
-    both to full bases, and pairs them off.
+    ``tol`` (max norm), else TracesDiffer. U is the orthogonal-Procrustes
+    polar factor of the two kets' (dim_s, dim_m) coefficient matrices, one
+    SVD; it stays unitary to working precision however small the reduced
+    state's weights are.
     """
     if (chi.dim_s, chi.dim_m) != (phi.dim_s, phi.dim_m):
         raise DimensionMismatch(
             f"joint states have different factor dimensions: "
             f"({chi.dim_s}, {chi.dim_m}) vs ({phi.dim_s}, {phi.dim_m})"
         )
-    x = chi.reduced_system()
-    deviation = max_abs(x - phi.reduced_system())
+    deviation = max_abs(chi.reduced_system() - phi.reduced_system())
     if deviation > tol:
         raise TracesDiffer(
             f"reduced system states differ by {deviation:.3e} (tol {tol:.3e})"
         )
-    weights, system_kets = eig_hermitian(x, max(tol, _INTERNAL_ORTH_TOL))
-    n = numerical_rank(weights, rank_tol)
-
-    a_chi = chi.as_matrix()
-    a_phi = phi.as_matrix()
-    supported = np.conj(system_kets[:n])
-    inv_amp = 1.0 / np.sqrt(weights[:n])
-    b_kets = (supported @ a_chi) * inv_amp[:, None]
-    c_kets = (supported @ a_phi) * inv_amp[:, None]
-
-    b_full = complete_orthonormal(b_kets, chi.dim_m, _INTERNAL_ORTH_TOL)
-    c_full = complete_orthonormal(c_kets, chi.dim_m, _INTERNAL_ORTH_TOL)
-    return b_full.T @ np.conj(c_full)
+    return _procrustes(phi.as_matrix(), chi.as_matrix())
 
 
 def purify(
@@ -246,9 +254,7 @@ def purify(
         raise OrderExceedsAncillaDim(
             f"ensemble order {e.order} exceeds ancilla dimension {dim_m}"
         )
-    amplitudes = np.sqrt(e.weights)
-    block = np.zeros((e.dim, dim_m), dtype=complex)
-    block[:, : e.order] = (amplitudes[:, None] * e.kets).T
+    block = _amplitude_block(e, dim_m)
     joint = JointState(dim_s=e.dim, dim_m=dim_m, vec=block.reshape(-1))
     ancilla = Ancilla(dim_m=dim_m, kets=np.eye(dim_m, dtype=complex)[: e.order])
     return joint, ancilla
@@ -263,9 +269,9 @@ def match_purification(
     """Find the ancilla realizing an ensemble inside a given joint state.
 
     The ensemble's density matrix must equal the target's reduced system
-    state within ``tol`` (else TracesDiffer). The canonical purification is
-    rotated onto the target with ``lemma_unitary``; the rotated canonical
-    kets are the ancilla, satisfying
+    state within ``tol`` (else TracesDiffer). The Procrustes polar factor U
+    carrying the ensemble's canonical purification onto the target is one
+    SVD; ancilla ket j is ``U e_j``, so that
     ``target.vec = sum_j sqrt(w_j) phi_j (x) b_j`` up to the rotation
     residual, with all phases carried by the ancilla kets.
     """
@@ -280,9 +286,8 @@ def match_purification(
         raise OrderExceedsAncillaDim(
             f"ensemble order {e.order} exceeds ancilla dimension {target.dim_m}"
         )
-    base_joint, base_ancilla = purify(e, target.dim_m, tol, rank_tol)
-    rotation = lemma_unitary(target, base_joint, tol, rank_tol)
-    return Ancilla(dim_m=target.dim_m, kets=base_ancilla.kets @ rotation.T)
+    rotation = _procrustes(_amplitude_block(e, target.dim_m), target.as_matrix())
+    return Ancilla(dim_m=target.dim_m, kets=rotation.T[: e.order])
 
 
 def ensemble_from_basis(
@@ -336,12 +341,12 @@ def umap_between(
     """Construct a coefficient map carrying one decomposition into another.
 
     Both ensembles must decompose the same density matrix within ``tol``
-    (else DensitiesDiffer). They are purified against canonical ancillae in
-    a common ancilla space of dimension ``max(order_from, order_to)``, the
-    source purification is rotated onto the target one, and the rotation is
-    returned as the generator; its first ``order_from`` columns are the
-    coefficients. Row j pairs with target element j for ``j < order_to``;
-    for larger j the mapped combination is zero.
+    (else DensitiesDiffer). Their amplitude-weighted kets, padded to a common
+    ancilla dimension ``max(order_from, order_to)``, are the coefficient
+    matrices of two purifications; the Procrustes polar factor of the pair
+    (one SVD) is returned as the generator, and its first ``order_from``
+    columns are the coefficients. Row j pairs with target element j for
+    ``j < order_to``; for larger j the mapped combination is zero.
     """
     rho_from = ensemble_to_density(from_e, tol, rank_tol)
     rho_to = ensemble_to_density(to_e, tol, rank_tol)
@@ -351,9 +356,9 @@ def umap_between(
             f"ensemble densities differ by {deviation:.3e} (tol {tol:.3e})"
         )
     dim_m = max(from_e.order, to_e.order)
-    joint_from, _ = purify(from_e, dim_m, tol, rank_tol)
-    joint_to, _ = purify(to_e, dim_m, tol, rank_tol)
-    rotation = lemma_unitary(joint_to, joint_from, tol, rank_tol)
+    rotation = _procrustes(
+        _amplitude_block(from_e, dim_m), _amplitude_block(to_e, dim_m)
+    )
     return UMap(
         coeffs=rotation[:, : from_e.order],
         generator=rotation,

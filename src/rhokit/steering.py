@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WeightsNotNormalized
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, tensor_ket
+from .ensembles import RhoEnsemble, _weighted_projector_sum
+from .errors import InvalidArgument, WeightsNotNormalized
+from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL
 from .purification import JointState, ensemble_from_basis
 
 Mixture = list[tuple[float, np.ndarray, np.ndarray]]
@@ -62,14 +63,15 @@ def measure_ancilla(
     the measurement does not disturb the system side.
     """
     ensemble, ancilla, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
-    mixture: Mixture = []
-    dim = joint.dim_s * joint.dim_m
-    post_density_sm = np.zeros((dim, dim), dtype=complex)
-    for (s_ket, weight), m_ket in zip(ensemble.elements(), ancilla.kets):
-        mixture.append((float(weight), s_ket, m_ket))
-        pair = tensor_ket(s_ket, m_ket)
-        post_density_sm += weight * np.outer(pair, np.conj(pair))
-    return mixture, post_density_sm
+    mixture: Mixture = [
+        (float(weight), s_ket, m_ket)
+        for (s_ket, weight), m_ket in zip(ensemble.elements(), ancilla.kets)
+    ]
+    pairs = ensemble.kets[:, :, None] * ancilla.kets[:, None, :]
+    pair_ensemble = RhoEnsemble(
+        kets=pairs.reshape(ensemble.order, -1), weights=ensemble.weights
+    )
+    return mixture, _weighted_projector_sum(pair_ensemble)
 
 
 def sample_outcomes(
@@ -93,7 +95,9 @@ def sample_outcomes(
             f"weights sum to {total!r}, expected 1 (tol {tol:.3e})"
         )
     if shots < 1:
-        raise ValueError("shots must be a positive integer")
+        raise InvalidArgument(f"shots must be a positive integer, got {shots!r}")
+    if seed < 0:
+        raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     draws = rng.choice(probs.size, size=shots, p=probs / total)
     return np.bincount(draws, minlength=probs.size)
@@ -119,15 +123,11 @@ def steer(
     post-measurement mixture, i.e. the weighted projector sum over realized
     system kets, which coincides with the reduced state of the joint ket.
     """
-    mixture, _ = measure_ancilla(joint, basis, rank_tol, tol)
-    weights = np.array([w for w, _, _ in mixture], dtype=float)
-    counts = sample_outcomes(weights, shots, seed)
-    post_density = np.zeros((joint.dim_s, joint.dim_s), dtype=complex)
-    for weight, s_ket, _ in mixture:
-        post_density += weight * np.outer(s_ket, np.conj(s_ket))
+    ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
+    counts = sample_outcomes(ensemble.weights, shots, seed)
     return SteeringReport(
         shots=int(shots),
         counts=[int(c) for c in counts],
-        expected_weights=weights,
-        post_density=post_density,
+        expected_weights=ensemble.weights,
+        post_density=_weighted_projector_sum(ensemble),
     )

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from rhokit import JointState, RhoEnsemble, documents as docs
 from rhokit.cli import main
@@ -143,6 +144,22 @@ def test_steer_is_byte_identical_across_runs(tmp_path):
     assert main(args + ["--out", str(first)]) == 0
     assert main(args + ["--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [("--shots", "0"), ("--seed", "-1")])
+def test_steer_rejects_bad_shots_or_seed_with_exit_3(tmp_path, flag, value):
+    joint = write(tmp_path / "j.json", docs.joint_document(bell_joint()))
+    basis = write(tmp_path / "b.json", plus_minus_basis_doc())
+    result = subprocess.run(
+        [sys.executable, "-m", "rhokit.cli", "steer", joint, basis, flag, value],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 3
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvalidArgument"
 
 
 def test_contains_out_of_support_exits_3(tmp_path, capsys):

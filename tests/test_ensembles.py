@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rhokit import (
+    InvalidArgument,
     InvalidEnsemble,
     RhoEnsemble,
     densities_match,
@@ -122,6 +123,15 @@ def test_density_from_matrix_roundtrip():
 def test_density_from_matrix_rejects_bad_trace():
     with pytest.raises(ValueError):
         density_from_matrix(np.eye(2, dtype=complex))
+
+
+def test_bad_values_raise_typed_invalid_argument():
+    with pytest.raises(InvalidArgument):
+        density_from_matrix(np.diag([1.5, -0.5]).astype(complex))
+    with pytest.raises(InvalidArgument):
+        RhoEnsemble(kets=[[1.0, np.nan]], weights=[1.0])
+    with pytest.raises(InvalidArgument):
+        RhoEnsemble(kets=[[1.0, 0.0]], weights=[np.inf])
 
 
 def test_eigen_ensemble_decomposes_density():

@@ -11,9 +11,11 @@ from rhokit import (
     OrderExceedsAncillaDim,
     RhoEnsemble,
     TracesDiffer,
+    UMap,
     apply_unitary_umap,
     check_umap,
     complete_orthonormal,
+    eig_hermitian,
     ensemble_containing,
     ensemble_from_basis,
     ensemble_to_density,
@@ -33,6 +35,7 @@ from helpers import (
     plus_ket,
     random_basis,
     random_ensemble,
+    random_hermitian,
     random_joint,
     random_ket,
     random_unitary,
@@ -343,6 +346,26 @@ def test_umap_unique_for_independent_pairs_up_to_labels_and_phases():
             assert overlap > norms - 1e-8
 
 
+@pytest.mark.parametrize("dim", [4, 16])
+@pytest.mark.parametrize("smallest", [1e-5, 1e-7, 1e-9])
+def test_skewed_spectrum_maps_are_clean(dim, smallest):
+    rng = np.random.default_rng(50)
+    weights = np.geomspace(1.0, smallest, dim)
+    weights[:-1] *= (1.0 - smallest) / weights[:-1].sum()
+    eigen = RhoEnsemble(kets=random_unitary(rng, dim), weights=weights)
+    joint, _ = purify(eigen, dim)
+    other, _, _ = ensemble_from_basis(joint, random_basis(rng, dim))
+
+    u = umap_between(eigen, other)
+    assert check_umap(u) == []
+    assert mapping_residual(u, eigen, other) <= 1e-8
+
+    target = apply_on_ancilla(random_unitary(rng, dim), joint)
+    ancilla = match_purification(eigen, target)
+    rebuilt = reconstruct_joint(eigen, ancilla.kets, dim)
+    assert np.linalg.norm(rebuilt - target.vec) <= 1e-8
+
+
 # ---------------------------------------------------------------------------
 # apply_unitary_umap
 
@@ -466,3 +489,29 @@ def test_containing_covers_random_support_vectors():
         ) < 1e-9
         hits += 1
     assert hits == 25
+
+
+# ---------------------------------------------------------------------------
+# non-contiguous inputs
+
+
+def test_fortran_order_and_strided_inputs_are_accepted():
+    rng = np.random.default_rng(31)
+    coeffs = np.asfortranarray(random_unitary(rng, 3)[:, :2])
+    assert check_umap(UMap(coeffs=coeffs)) == []
+
+    padded = np.zeros(8, dtype=complex)
+    padded[::2] = bell_joint().vec
+    strided = JointState(dim_s=2, dim_m=2, vec=padded[::2])
+    np.testing.assert_array_equal(strided.vec, bell_joint().vec)
+
+    m = random_hermitian(rng, 3)
+    w, v = eig_hermitian(m.T)
+    np.testing.assert_allclose(v.T @ np.diag(w) @ np.conj(v), m.T, atol=1e-12)
+
+    joint = random_joint(rng, 3, 3)
+    basis = random_basis(rng, 3)
+    fortran = ensemble_from_basis(joint, np.asfortranarray(basis))
+    contiguous = ensemble_from_basis(joint, basis)
+    np.testing.assert_allclose(fortran[0].kets, contiguous[0].kets, atol=1e-14)
+    assert fortran[2] == contiguous[2]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rhokit import (
+    InvalidArgument,
     JointState,
     WeightsNotNormalized,
     ensemble_from_basis,
@@ -144,6 +145,11 @@ def test_sample_rejects_negative_weights():
 def test_sample_rejects_zero_shots():
     with pytest.raises(ValueError):
         sample_outcomes([1.0], shots=0, seed=0)
+
+
+def test_sample_rejects_negative_seed_with_typed_error():
+    with pytest.raises(InvalidArgument):
+        sample_outcomes([1.0], shots=1, seed=-1)
 
 
 # ---------------------------------------------------------------------------
