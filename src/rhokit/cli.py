@@ -71,7 +71,7 @@ def _add_tolerances(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_purify(args) -> int:
     ensemble = documents.to_ensemble(_load(args.ensemble))
-    joint, ancilla = purify(ensemble, args.dim_m, args.tol, args.rank_tol)
+    joint, ancilla = purify(ensemble, args.dim_m, args.tol)
     _write_document(args.out, documents.joint_document(joint))
     if args.ancilla_out is not None:
         _write_document(args.ancilla_out, documents.ancilla_basis_document(ancilla))
@@ -89,7 +89,7 @@ def _cmd_ensemble_from_basis(args) -> int:
 def _cmd_umap(args) -> int:
     from_e = documents.to_ensemble(_load(args.from_ensemble))
     to_e = documents.to_ensemble(_load(args.to_ensemble))
-    u = umap_between(from_e, to_e, args.tol, args.rank_tol)
+    u = umap_between(from_e, to_e, args.tol)
     _write_document(args.out, documents.umap_document(u))
     return EXIT_OK
 
@@ -132,7 +132,7 @@ def _cmd_verify(args) -> int:
             violations.append(str(exc))
             ensemble = None
         if ensemble is not None:
-            violations.extend(validate_ensemble(ensemble, args.tol, args.rank_tol))
+            violations.extend(validate_ensemble(ensemble, args.tol))
             if args.rho is not None:
                 rho = documents.to_matrix(_load(args.rho))
                 if rho.shape != (ensemble.dim, ensemble.dim):

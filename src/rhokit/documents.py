@@ -29,8 +29,10 @@ KINDS = ("ket", "matrix", "ensemble", "joint", "umap", "basis", "report")
 # scalar / array payload pieces
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _complex_payload(arr) -> list:
+    """Nested lists of the array's entries, each as a ``[re, im]`` pair."""
+    a = np.asarray(arr, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _unpair(value, where: str) -> complex:
@@ -47,10 +49,6 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _vector_payload(vec) -> list:
-    return [_pair(complex(z)) for z in np.asarray(vec, dtype=complex)]
-
-
 def _parse_vector(value, dim: int, where: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != dim:
         raise DocumentError(f"{where}: expected {dim} entries")
@@ -62,7 +60,7 @@ def _matrix_payload(m) -> dict:
     return {
         "rows": int(arr.shape[0]),
         "cols": int(arr.shape[1]),
-        "entries": [[_pair(complex(z)) for z in row] for row in arr],
+        "entries": _complex_payload(arr),
     }
 
 
@@ -133,7 +131,7 @@ def _payload(doc: dict, kind: str) -> dict:
 
 def ket_document(vec) -> dict:
     arr = np.asarray(vec, dtype=complex)
-    return _envelope("ket", {"dim": int(arr.shape[0]), "entries": _vector_payload(arr)})
+    return _envelope("ket", {"dim": int(arr.shape[0]), "entries": _complex_payload(arr)})
 
 
 def matrix_document(m) -> dict:
@@ -146,8 +144,8 @@ def ensemble_document(e: RhoEnsemble) -> dict:
         {
             "dim": e.dim,
             "elements": [
-                {"weight": float(w), "ket": _vector_payload(k)}
-                for k, w in e.elements()
+                {"weight": float(w), "ket": ket}
+                for ket, w in zip(_complex_payload(e.kets), e.weights)
             ],
         },
     )
@@ -159,7 +157,7 @@ def joint_document(state: JointState) -> dict:
         {
             "dim_s": state.dim_s,
             "dim_m": state.dim_m,
-            "vec": _vector_payload(state.vec),
+            "vec": _complex_payload(state.vec),
         },
     )
 
@@ -170,7 +168,7 @@ def basis_document(kets, dim: int | None = None) -> dict:
         dim = int(arr.shape[1])
     return _envelope(
         "basis",
-        {"dim": int(dim), "kets": [_vector_payload(k) for k in arr]},
+        {"dim": int(dim), "kets": _complex_payload(arr)},
     )
 
 
@@ -180,7 +178,7 @@ def umap_document(u: UMap) -> dict:
         "cols": u.cols,
         "coeffs": _matrix_payload(u.coeffs),
         "generator": None if u.generator is None else _matrix_payload(u.generator),
-        "basis": None if u.basis is None else [_vector_payload(k) for k in u.basis],
+        "basis": None if u.basis is None else _complex_payload(u.basis),
     }
     return _envelope("umap", payload)
 

@@ -3,9 +3,10 @@
 A decomposition is a finite list of (normalized ket, positive weight) pairs
 whose weighted projector sum reproduces a density matrix. Structural
 requirements beyond positive weights (weight normalization, unit norms,
-pairwise noncollinearity, order at least the support rank) are *reported* by
-``validate_ensemble`` rather than enforced at construction, so that invalid
-data can be inspected instead of rejected outright.
+pairwise noncollinearity) are *reported* by ``validate_ensemble`` rather than
+enforced at construction, so that invalid data can be inspected instead of
+rejected outright. The order is never below the support rank, as n projectors
+sum to rank at most n.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .linalg import (
     DEFAULT_TOL,
     as_ket_list,
     eig_hermitian,
+    gram_matrix,
     max_abs,
     numerical_rank,
 )
@@ -110,6 +112,18 @@ def _weighted_projector_sum(e: RhoEnsemble) -> np.ndarray:
     return e.kets.T @ (e.weights[:, None] * np.conj(e.kets))
 
 
+def _valid_projector_sum(
+    e: RhoEnsemble,
+    tol: float,
+    collinearity_tol: float = DEFAULT_COLLINEARITY_TOL,
+) -> np.ndarray:
+    """Weighted projector sum; InvalidEnsemble(report) if ``validate_ensemble`` fails."""
+    report = validate_ensemble(e, tol, collinearity_tol=collinearity_tol)
+    if report:
+        raise InvalidEnsemble(report)
+    return _weighted_projector_sum(e)
+
+
 def ensemble_to_density(
     e: RhoEnsemble,
     tol: float = DEFAULT_TOL,
@@ -119,12 +133,9 @@ def ensemble_to_density(
     """Sum the weighted projectors of a valid ensemble into a DensityMatrix.
 
     Raises InvalidEnsemble (carrying the violation report) if the ensemble
-    fails ``validate_ensemble``.
+    fails ``validate_ensemble``. ``rank_tol`` sets ``support_rank``.
     """
-    report = validate_ensemble(e, tol, rank_tol, collinearity_tol)
-    if report:
-        raise InvalidEnsemble(report)
-    matrix = _weighted_projector_sum(e)
+    matrix = _valid_projector_sum(e, tol, collinearity_tol)
     spectrum, eigenkets = eig_hermitian(matrix, tol)
     return DensityMatrix(
         dim=e.dim,
@@ -172,40 +183,31 @@ def eigen_ensemble(rho: DensityMatrix) -> RhoEnsemble:
 def validate_ensemble(
     e: RhoEnsemble,
     tol: float = DEFAULT_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    *,
     collinearity_tol: float = DEFAULT_COLLINEARITY_TOL,
 ) -> list[str]:
     """Check every ensemble invariant; return a report of violations.
 
     An empty list means the ensemble is valid at the given tolerances.
     Violations are data, not errors: each entry names the failed invariant
-    and the offending element indices.
+    and the offending element indices, pairs in row-major ``(i, j)`` order.
+    Order >= support rank is not checked: n projectors sum to rank at most n.
     """
     report: list[str] = []
     weight_sum = float(np.sum(e.weights))
     if abs(weight_sum - 1.0) > max(tol, tol * e.order):
         report.append(f"weights sum to {weight_sum!r}, expected 1")
-    for j, w in enumerate(e.weights):
-        if w <= 0.0:
-            report.append(f"element {j} has non-positive weight {w!r}")
+    for j in np.flatnonzero(e.weights <= 0.0):
+        report.append(f"element {j} has non-positive weight {e.weights[j]!r}")
     norms = np.linalg.norm(e.kets, axis=1)
-    for j, norm in enumerate(norms):
-        if abs(float(norm) - 1.0) > tol:
-            report.append(f"element {j} has norm {float(norm)!r}, expected 1")
-    for i in range(e.order):
-        for j in range(i + 1, e.order):
-            overlap = abs(np.vdot(e.kets[i], e.kets[j]))
-            if overlap >= 1.0 - collinearity_tol:
-                report.append(
-                    f"elements ({i}, {j}) are collinear (|overlap| = {overlap!r})"
-                )
-    if not report:
-        spectrum = np.linalg.eigvalsh(_weighted_projector_sum(e))
-        support = numerical_rank(np.sort(spectrum)[::-1], rank_tol)
-        if e.order < support:
-            report.append(
-                f"order {e.order} is below the support rank {support}"
-            )
+    for j in np.flatnonzero(np.abs(norms - 1.0) > tol):
+        report.append(f"element {j} has norm {float(norms[j])!r}, expected 1")
+    overlaps = np.abs(gram_matrix(e.kets))
+    collinear = np.triu(overlaps >= 1.0 - collinearity_tol, k=1)
+    for i, j in zip(*np.nonzero(collinear)):
+        report.append(
+            f"elements ({i}, {j}) are collinear (|overlap| = {overlaps[i, j]!r})"
+        )
     return report
 
 

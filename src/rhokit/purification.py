@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import RhoEnsemble, ensemble_to_density
+from .ensembles import RhoEnsemble, _valid_projector_sum
 from .errors import (
     DensitiesDiffer,
     DimensionMismatch,
@@ -239,7 +239,6 @@ def purify(
     e: RhoEnsemble,
     dim_m: int,
     tol: float = DEFAULT_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> tuple[JointState, Ancilla]:
     """Purify an ensemble against the canonical ancilla kets.
 
@@ -249,7 +248,7 @@ def purify(
     Raises OrderExceedsAncillaDim when the ensemble has more elements than
     the ancilla space has dimensions.
     """
-    ensemble_to_density(e, tol, rank_tol)  # raises InvalidEnsemble
+    _valid_projector_sum(e, tol)  # raises InvalidEnsemble
     if e.order > dim_m:
         raise OrderExceedsAncillaDim(
             f"ensemble order {e.order} exceeds ancilla dimension {dim_m}"
@@ -264,7 +263,6 @@ def match_purification(
     e: RhoEnsemble,
     target: JointState,
     tol: float = DEFAULT_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> Ancilla:
     """Find the ancilla realizing an ensemble inside a given joint state.
 
@@ -275,8 +273,7 @@ def match_purification(
     ``target.vec = sum_j sqrt(w_j) phi_j (x) b_j`` up to the rotation
     residual, with all phases carried by the ancilla kets.
     """
-    density = ensemble_to_density(e, tol, rank_tol)
-    deviation = max_abs(density.matrix - target.reduced_system())
+    deviation = max_abs(_valid_projector_sum(e, tol) - target.reduced_system())
     if deviation > tol:
         raise TracesDiffer(
             f"ensemble density and reduced target state differ by {deviation:.3e}"
@@ -336,7 +333,6 @@ def umap_between(
     from_e: RhoEnsemble,
     to_e: RhoEnsemble,
     tol: float = DEFAULT_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> UMap:
     """Construct a coefficient map carrying one decomposition into another.
 
@@ -348,9 +344,9 @@ def umap_between(
     columns are the coefficients. Row j pairs with target element j for
     ``j < order_to``; for larger j the mapped combination is zero.
     """
-    rho_from = ensemble_to_density(from_e, tol, rank_tol)
-    rho_to = ensemble_to_density(to_e, tol, rank_tol)
-    deviation = max_abs(rho_from.matrix - rho_to.matrix)
+    deviation = max_abs(
+        _valid_projector_sum(from_e, tol) - _valid_projector_sum(to_e, tol)
+    )
     if deviation > tol:
         raise DensitiesDiffer(
             f"ensemble densities differ by {deviation:.3e} (tol {tol:.3e})"

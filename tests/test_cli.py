@@ -103,6 +103,13 @@ def test_verify_dirty_ensemble_reports_and_exits_3(tmp_path, capsys):
     assert report["violations"]
 
 
+def test_verify_ignores_rank_tol_for_order_below_dim(tmp_path, capsys):
+    e = random_ensemble(np.random.default_rng(0), 4, 2)
+    ens = write(tmp_path / "e.json", docs.ensemble_document(e))
+    assert main(["verify", "--ensemble", ens, "--rank-tol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"clean": True, "violations": []}
+
+
 def test_verify_joint(tmp_path):
     joint = write(tmp_path / "j.json", docs.joint_document(bell_joint()))
     assert main(["verify", "--joint", joint]) == 0

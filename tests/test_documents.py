@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rhokit import DocumentError, RhoEnsemble, UMap, steer
+from rhokit import DocumentError, JointState, RhoEnsemble, UMap, steer
 from rhokit import documents as docs
 from helpers import bell_joint, minus_ket, plus_ket, random_ket, random_unitary
 
@@ -74,6 +74,71 @@ def test_report_roundtrip_exact():
     assert out.counts == report.counts
     np.testing.assert_array_equal(out.expected_weights, report.expected_weights)
     np.testing.assert_array_equal(out.post_density, report.post_density)
+
+
+def _pairs(arr):
+    """Per-entry oracle for the ``[re, im]`` payload of an array of any rank."""
+    arr = np.asarray(arr, dtype=complex)
+    if arr.ndim == 0:
+        z = complex(arr)
+        return [float(z.real), float(z.imag)]
+    return [_pairs(a) for a in arr]
+
+
+def test_dumps_match_a_per_entry_oracle_on_extreme_values():
+    edge = np.empty(9, dtype=complex)
+    edge.real = [-0.0, 5e-324, 1e308, -1e308, 0.5, -5e-324, 0.0, 1.0, -2.5]
+    edge.imag = [1e308, -0.0, 5e-324, 0.0, -5e-324, -1e308, -0.0, 3.0, 1e-300]
+    square = edge.reshape(3, 3)
+    weights = [0.25, 0.5, 0.25]
+    joint_vec = np.array([1.0, -0.0, 5e-324, -0.0], dtype=complex)
+    umap = UMap(coeffs=square[:, :2], generator=square, basis=square.T)
+
+    def envelope(kind, payload):
+        return {"kind": kind, "version": 1, "payload": payload}
+
+    def matrix(m):
+        return {"rows": m.shape[0], "cols": m.shape[1], "entries": _pairs(m)}
+
+    cases = [
+        (docs.ket_document(edge), envelope("ket", {"dim": 9, "entries": _pairs(edge)})),
+        (docs.matrix_document(square.T), envelope("matrix", matrix(square.T))),
+        (
+            docs.basis_document(np.asfortranarray(square)[::2]),
+            envelope("basis", {"dim": 3, "kets": _pairs(square[::2])}),
+        ),
+        (
+            docs.ensemble_document(RhoEnsemble(kets=square, weights=weights)),
+            envelope(
+                "ensemble",
+                {
+                    "dim": 3,
+                    "elements": [
+                        {"weight": w, "ket": _pairs(k)} for k, w in zip(square, weights)
+                    ],
+                },
+            ),
+        ),
+        (
+            docs.joint_document(JointState(dim_s=2, dim_m=2, vec=joint_vec)),
+            envelope("joint", {"dim_s": 2, "dim_m": 2, "vec": _pairs(joint_vec)}),
+        ),
+        (
+            docs.umap_document(umap),
+            envelope(
+                "umap",
+                {
+                    "rows": 3,
+                    "cols": 2,
+                    "coeffs": matrix(square[:, :2]),
+                    "generator": matrix(square),
+                    "basis": _pairs(square.T),
+                },
+            ),
+        ),
+    ]
+    for built, expected in cases:
+        assert docs.dump_document(built) == docs.dump_document(expected)
 
 
 def test_dump_is_deterministic():

@@ -1,7 +1,11 @@
 """Ensemble data model: density construction, validation, equality."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhokit import (
     InvalidArgument,
@@ -107,6 +111,14 @@ def test_each_ket_lies_in_support():
             assert np.linalg.norm(projector @ ket - ket) < 1e-8
 
 
+def test_density_with_zero_rank_tol_accepts_order_below_dim():
+    # Round-off leaves the exactly-zero eigenvalues of this rank-2 sum
+    # slightly positive; that must not read as a support larger than the order.
+    e = random_ensemble(np.random.default_rng(0), 4, 2)
+    rho = ensemble_to_density(e, rank_tol=0.0)
+    assert np.max(np.abs(rho.matrix - weighted_projector_sum(e))) < 1e-12
+
+
 def test_density_rejects_invalid_ensemble():
     bad = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.6, 0.6])
     with pytest.raises(InvalidEnsemble):
@@ -163,6 +175,19 @@ def test_validate_reports_collinear_pair_with_indices():
     report = validate_ensemble(e)
     assert any("(0, 2)" in line and "collinear" in line for line in report)
 
+    several = RhoEnsemble(kets=[e1, e2, e1, 1j * e2, -e1], weights=[0.2] * 5)
+    one = f"{np.float64(1.0)!r}"
+    assert validate_ensemble(several) == [
+        f"elements ({i}, {j}) are collinear (|overlap| = {one})"
+        for i, j in [(0, 2), (0, 4), (1, 3), (2, 4)]
+    ]
+    every_pair = validate_ensemble(several, collinearity_tol=1.0)
+    assert [line.split(")")[0] for line in every_pair] == [
+        f"elements ({i}, {j}" for i in range(5) for j in range(i + 1, 5)
+    ]
+    with pytest.raises(TypeError):
+        validate_ensemble(several, 1e-10, 1e-10, 1e-8)
+
 
 def test_validate_reports_non_unit_norm():
     e = RhoEnsemble(
@@ -192,6 +217,100 @@ def test_validate_fuzzed_single_violations_always_reported():
             kets[-1] = kets[0]
             broken = RhoEnsemble(kets=kets, weights=e.weights)
         assert validate_ensemble(broken) != []
+
+
+_COLLINEAR = re.compile(
+    r"elements \((\d+), (\d+)\) are collinear "
+    r"\(\|overlap\| = (?:np\.float64\()?([^()]*)\)?\)"
+)
+
+
+def pair_loop_report(e, tol=1e-10, collinearity_tol=1e-8):
+    """Reference: validation element by element and pair by pair."""
+    report = []
+    weight_sum = float(np.sum(e.weights))
+    if abs(weight_sum - 1.0) > max(tol, tol * e.order):
+        report.append(f"weights sum to {weight_sum!r}, expected 1")
+    for j, w in enumerate(e.weights):
+        if w <= 0.0:
+            report.append(f"element {j} has non-positive weight {w!r}")
+    for j, norm in enumerate(np.linalg.norm(e.kets, axis=1)):
+        if abs(float(norm) - 1.0) > tol:
+            report.append(f"element {j} has norm {float(norm)!r}, expected 1")
+    for i in range(e.order):
+        for j in range(i + 1, e.order):
+            overlap = abs(np.vdot(e.kets[i], e.kets[j]))
+            if overlap >= 1.0 - collinearity_tol:
+                report.append(
+                    f"elements ({i}, {j}) are collinear (|overlap| = {overlap!r})"
+                )
+    return report
+
+
+def split_collinear(report):
+    """Report lines other than collinear pairs, and the pairs as (i, j, overlap)."""
+    plain, pairs = [], []
+    for line in report:
+        match = _COLLINEAR.fullmatch(line)
+        if match:
+            pairs.append((int(match[1]), int(match[2]), float(match[3])))
+        else:
+            plain.append(line)
+    return plain, pairs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 8),
+    order=st.integers(1, 10),
+    duplicates=st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9), st.booleans()), max_size=4
+    ),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    smallest_weight=st.sampled_from([None, 1e-4, 1e-7, 1e-10]),
+    norm_error=st.sampled_from([0.0, 1e-2, 5e-10, 5e-11]),
+    flaw=st.sampled_from([None, "weight_sum", "negative_weight"]),
+)
+def test_validate_matches_pair_loop_oracle(
+    seed, dim, order, duplicates, layout, smallest_weight, norm_error, flaw
+):
+    rng = np.random.default_rng(seed)
+    kets = np.stack([random_ket(rng, dim) for _ in range(order)])
+    for src, dst, phased in duplicates:
+        phase = np.exp(2j * np.pi * rng.random()) if phased else 1.0
+        kets[dst % order] = phase * kets[src % order]
+    weights = rng.random(order) + 0.1
+    if smallest_weight is not None and order > 1:
+        k = rng.integers(order)
+        weights[k] = 0.0
+        weights *= (1.0 - smallest_weight) / weights.sum()
+        weights[k] = smallest_weight
+    weights /= weights.sum()
+    if flaw == "weight_sum":
+        weights *= 1.1
+    kets[rng.integers(order)] *= 1.0 + norm_error
+    if layout == "F":
+        kets = np.asfortranarray(kets)
+    elif layout == "strided":
+        padded = np.zeros((2 * order, 3 * dim), dtype=complex)
+        padded[::2, ::3] = kets
+        kets = padded[::2, ::3]
+    e = RhoEnsemble(kets=kets, weights=weights)
+    if flaw == "negative_weight":
+        # Construction rejects non-positive weights; reach the check directly.
+        negated = e.weights.copy()
+        negated[rng.integers(order)] *= -1.0
+        object.__setattr__(e, "weights", negated)
+
+    plain, pairs = split_collinear(validate_ensemble(e))
+    expected_plain, expected_pairs = split_collinear(pair_loop_report(e))
+    assert plain == expected_plain
+    assert [p[:2] for p in pairs] == [p[:2] for p in expected_pairs]
+    # vdot and the Gram matrix sum in different orders.
+    overlap_tol = 8 * dim * np.finfo(float).eps
+    for (_, _, got), (_, _, want) in zip(pairs, expected_pairs):
+        assert abs(got - want) <= overlap_tol
 
 
 # ---------------------------------------------------------------------------
