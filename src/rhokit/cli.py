@@ -5,7 +5,8 @@ Every command reads and writes the JSON documents defined in
 JSON object on stderr and mapped onto a fixed exit-code contract:
 
 * 0 -- success (for ``verify``: the report is clean)
-* 2 -- unreadable or malformed input document
+* 2 -- usage error, unreadable or malformed input document, or unwritable
+  output
 * 3 -- violated precondition (including a dirty ``verify`` report)
 * 4 -- numerical failure
 """
@@ -52,8 +53,11 @@ def _write_text(path: str, text: str) -> None:
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from exc
 
 
 def _load(path: str) -> dict:
@@ -174,8 +178,19 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not violations else EXIT_PRECONDITION
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors keep the JSON stderr contract.
+
+    ``add_subparsers`` builds subcommand parsers of the same class.
+    """
+
+    def error(self, message):
+        _emit_error("UsageError", message)
+        sys.exit(EXIT_DOCUMENT)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rhokit",
         description=(
             "Purify weighted-ket ensembles, convert between decompositions of "
@@ -259,21 +274,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
-        _emit_error(exc)
-        return EXIT_DOCUMENT
-    except NumericalFailure as exc:
-        _emit_error(exc)
-        return EXIT_NUMERICAL
     except RhokitError as exc:
-        _emit_error(exc)
+        _emit_error(type(exc).__name__, str(exc))
+        if isinstance(exc, DocumentError):
+            return EXIT_DOCUMENT
+        if isinstance(exc, NumericalFailure):
+            return EXIT_NUMERICAL
         return EXIT_PRECONDITION
 
 
-def _emit_error(exc: RhokitError) -> None:
-    sys.stderr.write(
-        json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-    )
+def _emit_error(error: str, message: str) -> None:
+    sys.stderr.write(json.dumps({"error": error, "message": message}) + "\n")
 
 
 if __name__ == "__main__":

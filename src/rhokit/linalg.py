@@ -28,10 +28,6 @@ from .errors import (
 DEFAULT_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
 
-# Gram-Schmidt candidates whose residual is shorter than this are considered
-# linearly dependent on the accepted set and skipped.
-_GS_REJECT_NORM = 1e-6
-
 
 def as_ket(v) -> np.ndarray:
     """Coerce to a 1-D complex array, rejecting non-finite entries."""
@@ -127,64 +123,42 @@ def numerical_rank(eigenvalues, rank_tol: float = DEFAULT_RANK_TOL) -> int:
 
 
 def complete_orthonormal(
-    partial, target_dim: int, tol: float = DEFAULT_TOL, prefer=None
+    partial, target_dim: int, tol: float = DEFAULT_TOL
 ) -> np.ndarray:
     """Extend an orthonormal ket list to a full orthonormal basis.
 
     The first ``len(partial)`` rows of the result are the input vectors
-    verbatim. Completion vectors come from Gram-Schmidt against candidate
-    vectors taken in order -- the rows of ``prefer`` first, when given, then
-    the canonical basis vectors by index -- skipping candidates whose
-    residual norm falls below an internal dependence cutoff; the result is
-    therefore deterministic.
+    verbatim. The rest are Gram-Schmidt of the canonical basis vectors,
+    taken by index, against the input, computed as one Householder QR of
+    ``[partial^T | I]``: the first ``target_dim - len(partial)`` candidates
+    are used, none is skipped, and each completion vector overlaps its
+    candidate positively. The result is deterministic and unitary to working
+    precision; a canonical prefix ``e_0..e_{k-1}`` (or no input) completes
+    to exactly the identity. A candidate (nearly) in the span of the input
+    and the earlier candidates gets a direction set by rounding, so callers
+    that care put the candidates least aligned with the input first (as
+    ``ensemble_containing`` does).
 
     Raises NotOrthonormal if the input is not pairwise orthonormal at ``tol``
-    and DimensionMismatch if it already has more than ``target_dim`` vectors.
+    and DimensionMismatch if its vectors are not of dimension ``target_dim``
+    or it already has more than ``target_dim`` of them.
     """
-    kets = as_ket_list(partial, dim=target_dim if _is_empty(partial) else None)
-    if kets.shape[0] > 0 and kets.shape[1] != target_dim:
+    kets = as_ket_list(partial, dim=target_dim)
+    count = kets.shape[0]
+    if count > target_dim:
         raise DimensionMismatch(
-            f"partial vectors have dimension {kets.shape[1]}, expected {target_dim}"
+            f"{count} vectors cannot be orthonormal in dimension {target_dim}"
         )
-    if kets.shape[0] > target_dim:
-        raise DimensionMismatch(
-            f"{kets.shape[0]} vectors cannot be orthonormal in dimension {target_dim}"
+    deviation = max_abs(gram_matrix(kets) - np.eye(count))
+    if deviation > tol:
+        raise NotOrthonormal(
+            f"input vectors deviate from orthonormality by {deviation:.3e}"
+            f" (tol {tol:.3e})"
         )
-    if kets.shape[0] > 0:
-        deviation = max_abs(gram_matrix(kets) - np.eye(kets.shape[0]))
-        if deviation > tol:
-            raise NotOrthonormal(
-                f"input vectors deviate from orthonormality by {deviation:.3e}"
-                f" (tol {tol:.3e})"
-            )
-
-    candidates = [] if prefer is None else list(as_ket_list(prefer, dim=target_dim))
-    candidates.extend(np.eye(target_dim, dtype=complex))
-    rows = [kets[i] for i in range(kets.shape[0])]
-    for candidate in candidates:
-        if len(rows) == target_dim:
-            break
-        # Two projection passes keep the completion orthogonal to working
-        # precision even when the accepted set is nearly parallel to the
-        # candidate.
-        for _ in range(2):
-            for q in rows:
-                candidate = candidate - np.vdot(q, candidate) * q
-        norm = float(np.linalg.norm(candidate))
-        if norm < _GS_REJECT_NORM:
-            continue
-        rows.append(candidate / norm)
-    if len(rows) != target_dim:
-        raise NumericalFailure(
-            "could not complete the orthonormal set from the candidate vectors"
-        )
-    return np.stack(rows)
-
-
-def _is_empty(kets) -> bool:
-    if isinstance(kets, np.ndarray):
-        return kets.size == 0
-    return len(kets) == 0
+    q, r = np.linalg.qr(np.concatenate([kets.T, np.eye(target_dim)], axis=1))
+    # Householder QR may flip a column's sign; undo that to match Gram-Schmidt.
+    signs = np.where(np.diag(r)[count:].real < 0, -1.0, 1.0)
+    return np.concatenate([kets, (q[:, count:] * signs).T])
 
 
 def tensor_ket(s, m) -> np.ndarray:
@@ -271,9 +245,4 @@ def schmidt_decompose(
 
 def schmidt_reconstruct(form: SchmidtForm) -> np.ndarray:
     """Rebuild the joint ket sum_s c_s (p_s (x) a_s) from a SchmidtForm."""
-    dim_s = form.left_kets.shape[1]
-    dim_m = form.right_kets.shape[1]
-    out = np.zeros(dim_s * dim_m, dtype=complex)
-    for c, p, a in zip(form.coefficients, form.left_kets, form.right_kets):
-        out += c * np.kron(p, a)
-    return out
+    return ((form.left_kets.T * form.coefficients) @ form.right_kets).reshape(-1)

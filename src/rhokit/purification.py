@@ -51,11 +51,6 @@ from .linalg import (
 # per-operation tolerances so that round-tripped values are never rejected.
 _CONSTRUCT_TOL = 1e-8
 
-# The first ancilla ket in ``ensemble_containing`` is normalized from ratios
-# over Schmidt coefficients; its orthonormality is checked at this looser
-# tolerance before basis completion.
-_INTERNAL_ORTH_TOL = 1e-7
-
 
 @dataclass(frozen=True, eq=False)
 class JointState:
@@ -441,14 +436,17 @@ def ensemble_containing(
             f" (tol {rank_tol:.3e})"
         )
     ratios = overlaps / form.coefficients
-    column = ratios / np.linalg.norm(ratios)
-    first_ket = np.conj(column) @ form.right_kets
+    first = np.conj(ratios) / np.linalg.norm(ratios)
     # Complete inside the reduced-state support first: out-of-support
     # directions carry zero weight, and mixing them in can strand several
     # completion kets on one residual support direction, which would make
-    # their conditional elements collinear.
-    basis = complete_orthonormal(
-        [first_ket], joint.dim_m, _INTERNAL_ORTH_TOL, prefer=form.right_kets
-    )
+    # their conditional elements collinear. Inside the support, the right
+    # Schmidt kets are candidates in order of rising overlap with the first
+    # ancilla ket: the one it leans on most goes last and is never used, so
+    # every used candidate keeps a residual of at least 1/sqrt(2). Row 0 of
+    # ``support`` is the first ancilla ket.
+    order = np.argsort(np.abs(first), kind="stable")
+    support = complete_orthonormal([first[order]], form.rank) @ form.right_kets[order]
+    basis = complete_orthonormal(support, joint.dim_m)
     ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
     return ensemble, basis

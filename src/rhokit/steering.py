@@ -80,9 +80,11 @@ def sample_outcomes(
     """Draw categorical outcome counts with a deterministic seeded generator.
 
     ``weights`` must sum to 1 within ``tol`` (else WeightsNotNormalized);
-    they are renormalized exactly before sampling. Identical
-    (weights, shots, seed) triples give identical counts on every platform
-    because the generator algorithm (PCG64) and the seeding path are fixed.
+    they are renormalized exactly before sampling. The counts are one
+    multinomial draw, so memory is O(outcomes) whatever ``shots`` is;
+    ``shots`` must fit in a 64-bit integer. Identical (weights, shots, seed)
+    triples give identical counts on every platform because the generator
+    algorithm (PCG64) and the seeding path are fixed.
     """
     probs = np.asarray(weights, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
@@ -96,11 +98,12 @@ def sample_outcomes(
         )
     if shots < 1:
         raise InvalidArgument(f"shots must be a positive integer, got {shots!r}")
+    if shots > np.iinfo(np.int64).max:
+        raise InvalidArgument(f"shots must fit in a 64-bit integer, got {shots!r}")
     if seed < 0:
         raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
-    draws = rng.choice(probs.size, size=shots, p=probs / total)
-    return np.bincount(draws, minlength=probs.size)
+    return rng.multinomial(shots, probs / total)
 
 
 def realize(mixture: Mixture, outcome_index: int) -> MeasurementRecord:

@@ -153,20 +153,55 @@ def test_steer_is_byte_identical_across_runs(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-@pytest.mark.parametrize("flag, value", [("--shots", "0"), ("--seed", "-1")])
+def run_cli(*args):
+    return subprocess.run(
+        [sys.executable, "-m", "rhokit.cli", *args], capture_output=True, text=True
+    )
+
+
+def single_json_error(stderr):
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--shots", "0"), ("--seed", "-1"), ("--shots", str(10**20))],
+)
 def test_steer_rejects_bad_shots_or_seed_with_exit_3(tmp_path, flag, value):
     joint = write(tmp_path / "j.json", docs.joint_document(bell_joint()))
     basis = write(tmp_path / "b.json", plus_minus_basis_doc())
-    result = subprocess.run(
-        [sys.executable, "-m", "rhokit.cli", "steer", joint, basis, flag, value],
-        capture_output=True,
-        text=True,
-    )
+    result = run_cli("steer", joint, basis, flag, value)
     assert result.returncode == 3
     assert result.stdout == ""
-    lines = result.stderr.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "InvalidArgument"
+    assert single_json_error(result.stderr)["error"] == "InvalidArgument"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [[], ["steer", "j.json", "b.json", "--shots", "abc"], ["purify", "e.json"]],
+    ids=["no-command", "shots-not-int", "missing-dim-m"],
+)
+def test_usage_errors_exit_2_with_one_json_line(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    error = single_json_error(result.stderr)
+    assert error["error"] == "UsageError"
+    assert error["message"]
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    ens = write(tmp_path / "e.json", equal_mixture_doc())
+    out = tmp_path / "absent" / "x.json"
+    rc = main(["purify", ens, "--dim-m", "2", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = single_json_error(captured.err)
+    assert error["error"] == "DocumentError"
+    assert str(out) in error["message"]
 
 
 def test_contains_out_of_support_exits_3(tmp_path, capsys):

@@ -114,16 +114,31 @@ def test_complete_empty_gives_canonical():
 
 
 def test_complete_prefix_and_gram_random():
-    for seed in range(10):
+    for seed in range(40):
         rng = np.random.default_rng(seed)
-        dim = int(rng.integers(2, 7))
+        dim = int(rng.integers(2, 97))
         count = int(rng.integers(0, dim + 1))
-        partial = random_unitary(rng, dim)[:count]
-        basis = complete_orthonormal(partial, dim)
-        assert basis.shape == (dim, dim)
-        np.testing.assert_array_equal(basis[:count], partial)
-        gram = np.conj(basis) @ basis.T
-        assert np.max(np.abs(gram - np.eye(dim))) < 1e-10
+        unitary = random_unitary(rng, dim)
+        padded = np.zeros((dim, 2 * dim), dtype=complex)
+        padded[:, ::2] = unitary
+        layouts = [
+            unitary[:count],
+            np.asfortranarray(unitary[:count]),
+            padded[:count, ::2],
+        ]
+        for partial in layouts:
+            basis = complete_orthonormal(partial, dim)
+            assert basis.shape == (dim, dim)
+            np.testing.assert_array_equal(basis[:count], partial)
+            gram = np.conj(basis) @ basis.T
+            assert np.max(np.abs(gram - np.eye(dim))) <= 1e-12
+    # Every canonical prefix completes to exactly the identity.
+    for dim in (1, 2, 3, 7, 16, 48, 96):
+        identity = np.eye(dim, dtype=complex)
+        for count in range(dim + 1):
+            np.testing.assert_array_equal(
+                complete_orthonormal(identity[:count], dim), identity
+            )
 
 
 def test_complete_rejects_overfull():

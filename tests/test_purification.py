@@ -491,6 +491,43 @@ def test_containing_covers_random_support_vectors():
     assert hits == 25
 
 
+@pytest.mark.parametrize(
+    "dim_s, dim_m, rank, smallest",
+    [(4, 16, 2, 0.1), (6, 48, 4, 0.1), (16, 40, 16, 3e-5)],
+)
+def test_containing_rank_deficient_joint_is_clean(dim_s, dim_m, rank, smallest):
+    # Most ancilla directions lie outside the reduced-state support here; a
+    # completion that mixes them in strands several conditional elements on
+    # one support direction and makes them collinear. The geometric spectrum
+    # down to ``smallest`` (squared: about 7e-10 in the last case) punishes
+    # a completion that leaks the largest Schmidt directions into kets meant
+    # for the smallest ones.
+    coefficients = smallest ** np.linspace(0.0, 1.0, rank)
+    coefficients /= np.linalg.norm(coefficients)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        left = random_unitary(rng, dim_s)[:rank]
+        right = random_unitary(rng, dim_m)[:rank]
+        vec = ((left.T * coefficients) @ right).reshape(-1)
+        joint = JointState(dim_s=dim_s, dim_m=dim_m, vec=vec)
+        target = left.T @ (rng.normal(size=rank) + 1j * rng.normal(size=rank))
+        target /= np.linalg.norm(target)
+        e, basis = ensemble_containing(joint, target)
+        assert validate_ensemble(e) == []
+        assert np.max(np.abs(np.conj(basis) @ basis.T - np.eye(dim_m))) < 1e-12
+        assert abs(np.vdot(e.kets[0], target)) > 1 - 1e-9
+        gamma = np.conj(left) @ target
+        forced = 1.0 / np.sum(np.abs(gamma / coefficients) ** 2)
+        assert e.weights[0] == pytest.approx(forced, abs=1e-9)
+        assert np.max(
+            np.abs(weighted_projector_sum(e) - joint.reduced_system())
+        ) < 1e-9
+        # A left Schmidt ket as target gives back the Schmidt decomposition.
+        e, _ = ensemble_containing(joint, left[seed % rank])
+        overlaps = np.abs(np.conj(e.kets) @ e.kets.T - np.eye(e.order))
+        assert e.order == rank and np.max(overlaps) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # non-contiguous inputs
 

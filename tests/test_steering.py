@@ -145,6 +145,18 @@ def test_sample_rejects_negative_weights():
 def test_sample_rejects_zero_shots():
     with pytest.raises(ValueError):
         sample_outcomes([1.0], shots=0, seed=0)
+    with pytest.raises(InvalidArgument):
+        sample_outcomes([1.0], shots=10**20, seed=0)
+
+
+def test_sample_huge_shots_sum_exactly():
+    shots = 10**15
+    counts = sample_outcomes([0.2, 0.3, 0.5], shots=shots, seed=4)
+    assert int(np.sum(counts)) == shots
+    assert np.max(np.abs(counts / shots - [0.2, 0.3, 0.5])) < 1e-6
+    np.testing.assert_array_equal(
+        counts, sample_outcomes([0.2, 0.3, 0.5], shots=shots, seed=4)
+    )
 
 
 def test_sample_rejects_negative_seed_with_typed_error():
