@@ -4,13 +4,15 @@ Every document is an envelope ``{"kind": ..., "version": 1, "payload": ...}``.
 Complex numbers serialize as two-element ``[re, im]`` arrays, kets as arrays
 of those, matrices as arrays of row arrays. Dimensions are always explicit in
 the payload and checked against the data on parse; they are never inferred.
-Floats are emitted with Python's shortest round-trip representation, so
-``parse(dump(x))`` reproduces ``x`` bit-for-bit and equal inputs produce
-byte-identical documents.
+Documents are dumped as one compact line with sorted keys; any JSON layout
+loads, the older indented one included. Floats are emitted with Python's
+shortest round-trip representation, so ``parse(dump(x))`` reproduces ``x``
+bit-for-bit and equal inputs produce byte-identical documents.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 
@@ -35,24 +37,40 @@ def _complex_payload(arr) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _unpair(value, where: str) -> complex:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(_is_number(x) for x in value)
-    ):
-        raise DocumentError(f"{where}: expected a [re, im] pair, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
-
-
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A number that converts to a finite float: not a bool, ``1e400`` or ``10**400``."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
-def _parse_vector(value, dim: int, where: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != dim:
-        raise DocumentError(f"{where}: expected {dim} entries")
-    return np.array([_unpair(z, where) for z in value], dtype=complex)
+def _complex_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """The complex array of ``shape`` encoded as ``[re, im]`` pairs, in one array pass.
+
+    Leaf types are checked, not the dtype, which a bool beside a float passes.
+    Viewing the floats as complex keeps every bit. ``where`` holds ``{}`` for
+    the row index of a matrix. A rejected array is walked to raise the error
+    of its first malformed entry.
+    """
+    a = np.asarray(value, dtype=object)
+    leaf_types = set(map(type, a.ravel().tolist()))
+    if a.shape == (*shape, 2) and all(
+        issubclass(t, (int, float)) and t is not bool for t in leaf_types
+    ):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            f = a.astype(float)
+            if np.isfinite(f).all():
+                return f.view(complex).reshape(shape)
+    for i, row in enumerate([value] if len(shape) == 1 else value):
+        path = where.format(i)
+        if not isinstance(row, list) or len(row) != shape[-1]:
+            raise DocumentError(f"{path}: expected {shape[-1]} entries")
+        for z in row:
+            if not isinstance(z, list) or len(z) != 2 or not all(map(_is_number, z)):
+                raise DocumentError(f"{path}: expected a [re, im] pair, got {z!r}")
+    # Callers check the row count, so the walk above raises for every rejection.
+    raise DocumentError(f"{where}: expected [re, im] pairs of shape {shape}")
 
 
 def _matrix_payload(m) -> dict:
@@ -72,10 +90,7 @@ def _parse_matrix(value, where: str) -> np.ndarray:
     entries = value.get("entries")
     if not isinstance(entries, list) or len(entries) != rows:
         raise DocumentError(f"{where}: expected {rows} rows")
-    return np.array(
-        [_parse_vector(row, cols, f"{where}.entries[{i}]") for i, row in enumerate(entries)],
-        dtype=complex,
-    ).reshape(rows, cols)
+    return _complex_array(entries, (rows, cols), f"{where}.entries[{{}}]")
 
 
 def _parse_dim(value, where: str) -> int:
@@ -93,8 +108,8 @@ def _envelope(kind: str, payload: dict) -> dict:
 
 
 def dump_document(doc: dict) -> str:
-    """Serialize an envelope deterministically (sorted keys, trailing newline)."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Serialize an envelope deterministically: one compact line, sorted keys, newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def load_document(text: str) -> dict:
@@ -202,7 +217,7 @@ def report_document(report: SteeringReport) -> dict:
 def to_ket(doc: dict) -> np.ndarray:
     payload = _payload(doc, "ket")
     dim = _parse_dim(payload.get("dim"), "ket.dim")
-    return _parse_vector(payload.get("entries"), dim, "ket.entries")
+    return _complex_array(payload.get("entries"), (dim,), "ket.entries")
 
 
 def to_matrix(doc: dict) -> np.ndarray:
@@ -215,26 +230,25 @@ def to_ensemble(doc: dict) -> RhoEnsemble:
     elements = payload.get("elements")
     if not isinstance(elements, list) or not elements:
         raise DocumentError("ensemble.elements: expected a non-empty array")
-    kets = []
-    weights = []
-    for i, element in enumerate(elements):
-        if not isinstance(element, dict):
-            raise DocumentError(f"ensemble.elements[{i}]: expected an object")
-        weight = element.get("weight")
-        if not _is_number(weight):
-            raise DocumentError(f"ensemble.elements[{i}].weight: expected a number")
-        weights.append(float(weight))
-        kets.append(
-            _parse_vector(element.get("ket"), dim, f"ensemble.elements[{i}].ket")
-        )
-    return RhoEnsemble(kets=np.stack(kets), weights=np.array(weights))
+    # A bad ket is reported before any bad object or weight that follows it.
+    ok = [isinstance(e, dict) and _is_number(e.get("weight")) for e in elements]
+    n = ok.index(False) if False in ok else len(elements)
+    if n:
+        kets = [e.get("ket") for e in elements[:n]]
+        kets = _complex_array(kets, (n, dim), "ensemble.elements[{}].ket")
+    if n < len(elements):
+        if not isinstance(elements[n], dict):
+            raise DocumentError(f"ensemble.elements[{n}]: expected an object")
+        raise DocumentError(f"ensemble.elements[{n}].weight: expected a number")
+    weights = np.array([e["weight"] for e in elements], dtype=float)
+    return RhoEnsemble(kets=kets, weights=weights)
 
 
 def to_joint(doc: dict) -> JointState:
     payload = _payload(doc, "joint")
     dim_s = _parse_dim(payload.get("dim_s"), "joint.dim_s")
     dim_m = _parse_dim(payload.get("dim_m"), "joint.dim_m")
-    vec = _parse_vector(payload.get("vec"), dim_s * dim_m, "joint.vec")
+    vec = _complex_array(payload.get("vec"), (dim_s * dim_m,), "joint.vec")
     return JointState(dim_s=dim_s, dim_m=dim_m, vec=vec)
 
 
@@ -244,9 +258,7 @@ def to_basis(doc: dict) -> np.ndarray:
     kets = payload.get("kets")
     if not isinstance(kets, list) or not kets:
         raise DocumentError("basis.kets: expected a non-empty array")
-    return np.stack(
-        [_parse_vector(k, dim, f"basis.kets[{i}]") for i, k in enumerate(kets)]
-    )
+    return _complex_array(kets, (len(kets), dim), "basis.kets[{}]")
 
 
 def to_umap(doc: dict) -> UMap:
@@ -265,9 +277,7 @@ def to_umap(doc: dict) -> UMap:
     if basis is not None:
         if not isinstance(basis, list) or len(basis) != rows:
             raise DocumentError(f"umap.basis: expected {rows} kets")
-        basis = np.stack(
-            [_parse_vector(k, rows, f"umap.basis[{i}]") for i, k in enumerate(basis)]
-        )
+        basis = _complex_array(basis, (rows, rows), "umap.basis[{}]")
     return UMap(coeffs=coeffs, generator=generator, basis=basis)
 
 

@@ -92,7 +92,7 @@ def sample_outcomes(
     if np.any(probs < 0.0):
         raise WeightsNotNormalized("weights must be non-negative")
     total = float(np.sum(probs))
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:  # a NaN total fails too
         raise WeightsNotNormalized(
             f"weights sum to {total!r}, expected 1 (tol {tol:.3e})"
         )

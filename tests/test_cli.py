@@ -192,6 +192,24 @@ def test_usage_errors_exit_2_with_one_json_line(args):
     assert error["message"]
 
 
+@pytest.mark.parametrize("slot", ["ket", "weight"])
+def test_huge_integer_in_ensemble_exits_2(tmp_path, slot):
+    doc = equal_mixture_doc()
+    element = doc["payload"]["elements"][0]
+    if slot == "ket":
+        element["ket"][0][0] = 10**400
+    else:
+        element["weight"] = 10**400
+    ens = tmp_path / "e.json"
+    ens.write_text(json.dumps(doc))
+    result = run_cli("verify", "--ensemble", str(ens))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    error = single_json_error(result.stderr)
+    assert error["error"] == "DocumentError"
+    assert error["message"].startswith(f"ensemble.elements[0].{slot}")
+
+
 def test_unwritable_out_exits_2(tmp_path, capsys):
     ens = write(tmp_path / "e.json", equal_mixture_doc())
     out = tmp_path / "absent" / "x.json"

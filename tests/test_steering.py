@@ -142,6 +142,12 @@ def test_sample_rejects_negative_weights():
         sample_outcomes([1.5, -0.5], shots=10, seed=0)
 
 
+@pytest.mark.parametrize("weights", [[float("nan")], [0.5, float("nan")]])
+def test_sample_rejects_nan_weights_with_typed_error(weights):
+    with pytest.raises(WeightsNotNormalized):
+        sample_outcomes(weights, shots=5, seed=0)
+
+
 def test_sample_rejects_zero_shots():
     with pytest.raises(ValueError):
         sample_outcomes([1.0], shots=0, seed=0)
