@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -68,9 +69,24 @@ def _write_document(path: str, doc: dict) -> None:
     _write_text(path, documents.dump_document(doc))
 
 
-def _add_tolerances(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    parser.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
+def _tolerance(text: str) -> float:
+    """Argparse type for tolerances: a finite, non-negative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite non-negative tolerance, got {text!r}"
+        )
+    return value
+
+
+def _add_tolerances(parser: argparse.ArgumentParser, rank_tol: bool) -> None:
+    """Add ``--tol``, and ``--rank-tol`` for the commands that read it."""
+    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    if rank_tol:
+        parser.add_argument("--rank-tol", type=_tolerance, default=DEFAULT_RANK_TOL)
 
 
 def _cmd_purify(args) -> int:
@@ -125,16 +141,21 @@ def _cmd_steer(args) -> int:
     return EXIT_OK
 
 
+def _load_or_report(path: str, extract, violations: list[str]):
+    """The document's value, or None after recording a violated precondition."""
+    try:
+        return extract(_load(path))
+    except DocumentError:
+        raise
+    except RhokitError as exc:
+        violations.append(str(exc))
+        return None
+
+
 def _cmd_verify(args) -> int:
     violations: list[str] = []
     if args.ensemble is not None:
-        try:
-            ensemble = documents.to_ensemble(_load(args.ensemble))
-        except RhokitError as exc:
-            if isinstance(exc, DocumentError):
-                raise
-            violations.append(str(exc))
-            ensemble = None
+        ensemble = _load_or_report(args.ensemble, documents.to_ensemble, violations)
         if ensemble is not None:
             violations.extend(validate_ensemble(ensemble, args.tol))
             if args.rho is not None:
@@ -151,22 +172,12 @@ def _cmd_verify(args) -> int:
                             f"ensemble misses the given density matrix by {deviation:.3e}"
                         )
     elif args.umap is not None:
-        try:
-            umap = documents.to_umap(_load(args.umap))
-        except RhokitError as exc:
-            if isinstance(exc, DocumentError):
-                raise
-            violations.append(str(exc))
-        else:
+        umap = _load_or_report(args.umap, documents.to_umap, violations)
+        if umap is not None:
             violations.extend(check_umap(umap, args.tol))
     else:
-        try:
-            joint = documents.to_joint(_load(args.joint))
-        except RhokitError as exc:
-            if isinstance(exc, DocumentError):
-                raise
-            violations.append(str(exc))
-        else:
+        joint = _load_or_report(args.joint, documents.to_joint, violations)
+        if joint is not None:
             norm = float(np.linalg.norm(joint.vec))
             if abs(norm - 1.0) > args.tol:
                 violations.append(f"joint ket has norm {norm!r}, expected 1")
@@ -206,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim-m", type=int, required=True, help="ancilla dimension")
     p.add_argument("--out", default="-", help="joint document destination")
     p.add_argument("--ancilla-out", default=None, help="ancilla (basis document) destination")
-    _add_tolerances(p)
+    _add_tolerances(p, rank_tol=False)
     p.set_defaults(func=_cmd_purify)
 
     p = sub.add_parser(
@@ -216,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("joint", help="joint document")
     p.add_argument("basis", help="basis document")
     p.add_argument("--out", default="-")
-    _add_tolerances(p)
+    _add_tolerances(p, rank_tol=True)
     p.set_defaults(func=_cmd_ensemble_from_basis)
 
     p = sub.add_parser("umap", help="coefficient map between two same-density ensembles")
     p.add_argument("from_ensemble", metavar="from-ensemble", help="source ensemble document")
     p.add_argument("to_ensemble", metavar="to-ensemble", help="target ensemble document")
     p.add_argument("--out", default="-")
-    _add_tolerances(p)
+    _add_tolerances(p, rank_tol=False)
     p.set_defaults(func=_cmd_umap)
 
     p = sub.add_parser(
@@ -235,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("unitary", help="matrix document")
     p.add_argument("--out", default="-", help="ensemble document destination")
     p.add_argument("--umap-out", default=None, help="umap document destination")
-    _add_tolerances(p)
+    _add_tolerances(p, rank_tol=True)
     p.set_defaults(func=_cmd_apply_u)
 
     p = sub.add_parser(
@@ -245,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("joint", help="joint document")
     p.add_argument("ket", help="ket document")
     p.add_argument("--out", default="-")
-    _add_tolerances(p)
+    _add_tolerances(p, rank_tol=True)
     p.set_defaults(func=_cmd_contains)
 
     p = sub.add_parser("steer", help="measure the ancilla and sample outcome counts")
@@ -254,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0, help="PCG64 stream seed")
     p.add_argument("--out", default="-")
-    _add_tolerances(p)
+    _add_tolerances(p, rank_tol=True)
     p.set_defaults(func=_cmd_steer)
 
     p = sub.add_parser("verify", help="validate a document; exit 0 iff clean")
@@ -263,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--umap", help="umap document")
     group.add_argument("--joint", help="joint document")
     p.add_argument("--rho", default=None, help="density matrix document to check against")
-    _add_tolerances(p)
+    _add_tolerances(p, rank_tol=False)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -273,7 +284,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # numpy warns on overflow from finite entries near the float limit;
+        # that would break the one-line stderr contract, and the inf or NaN
+        # it leaves still fails the checks that follow.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except RhokitError as exc:
         _emit_error(type(exc).__name__, str(exc))
         if isinstance(exc, DocumentError):

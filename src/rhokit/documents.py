@@ -177,14 +177,9 @@ def joint_document(state: JointState) -> dict:
     )
 
 
-def basis_document(kets, dim: int | None = None) -> dict:
+def basis_document(kets) -> dict:
     arr = np.asarray(kets, dtype=complex)
-    if dim is None:
-        dim = int(arr.shape[1])
-    return _envelope(
-        "basis",
-        {"dim": int(dim), "kets": _complex_payload(arr)},
-    )
+    return _envelope("basis", {"dim": int(arr.shape[1]), "kets": _complex_payload(arr)})
 
 
 def umap_document(u: UMap) -> dict:
@@ -290,12 +285,16 @@ def to_report(doc: dict) -> SteeringReport:
         isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in counts
     ):
         raise DocumentError("report.counts: expected an array of non-negative integers")
+    if sum(counts) != shots:
+        raise DocumentError(f"report.counts: sum {sum(counts)} differs from shots {shots}")
     if (
         not isinstance(weights, list)
         or len(weights) != len(counts)
         or not all(_is_number(w) for w in weights)
     ):
         raise DocumentError("report.expected_weights: expected numbers matching counts")
+    if any(w < 0 for w in weights):
+        raise DocumentError("report.expected_weights: expected non-negative weights")
     return SteeringReport(
         shots=shots,
         counts=[int(c) for c in counts],
@@ -306,4 +305,4 @@ def to_report(doc: dict) -> SteeringReport:
 
 def ancilla_basis_document(ancilla: Ancilla) -> dict:
     """Serialize ancilla kets as a basis document (possibly a partial set)."""
-    return basis_document(ancilla.kets, dim=ancilla.dim_m)
+    return basis_document(ancilla.kets)

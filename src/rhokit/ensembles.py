@@ -47,11 +47,6 @@ class DensityMatrix:
     eigenkets: np.ndarray
     support_rank: int
 
-    def support_projector(self) -> np.ndarray:
-        """Orthogonal projector onto the span of the supported eigenkets."""
-        kets = self.eigenkets[: self.support_rank]
-        return kets.T @ np.conj(kets)
-
 
 @dataclass(frozen=True, eq=False)
 class RhoEnsemble:
@@ -95,17 +90,6 @@ class RhoEnsemble:
     def elements(self):
         """Iterate (ket, weight) pairs in stored order."""
         return zip(self.kets, self.weights)
-
-    @classmethod
-    def from_elements(cls, elements) -> "RhoEnsemble":
-        """Build from an iterable of (ket, weight) pairs."""
-        pairs = list(elements)
-        if not pairs:
-            raise InvalidEnsemble("ensemble must contain at least one element")
-        return cls(
-            kets=[k for k, _ in pairs],
-            weights=[w for _, w in pairs],
-        )
 
 
 def _weighted_projector_sum(e: RhoEnsemble) -> np.ndarray:
@@ -195,12 +179,13 @@ def validate_ensemble(
     """
     report: list[str] = []
     weight_sum = float(np.sum(e.weights))
-    if abs(weight_sum - 1.0) > max(tol, tol * e.order):
+    # Written as ``not (x <= bound)`` so that a NaN value or tolerance fails.
+    if not abs(weight_sum - 1.0) <= max(tol, tol * e.order):
         report.append(f"weights sum to {weight_sum!r}, expected 1")
     for j in np.flatnonzero(e.weights <= 0.0):
         report.append(f"element {j} has non-positive weight {e.weights[j]!r}")
     norms = np.linalg.norm(e.kets, axis=1)
-    for j in np.flatnonzero(np.abs(norms - 1.0) > tol):
+    for j in np.flatnonzero(~(np.abs(norms - 1.0) <= tol)):
         report.append(f"element {j} has norm {float(norms[j])!r}, expected 1")
     overlaps = np.abs(gram_matrix(e.kets))
     collinear = np.triu(overlaps >= 1.0 - collinearity_tol, k=1)

@@ -75,14 +75,23 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def max_abs(x) -> float:
-    """Largest entry magnitude; zero for empty input."""
-    arr = np.asarray(x)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    """Largest entry magnitude; zero for empty input.
+
+    A NaN entry (overflow inside a residual) counts as infinite, so every
+    ``max_abs(...) > tol`` check fails on it.
+    """
+    peak = float(np.max(np.abs(np.asarray(x)), initial=0.0))
+    return np.inf if np.isnan(peak) else peak
 
 
 def gram_matrix(kets: np.ndarray) -> np.ndarray:
     """Pairwise inner products G[i, j] = <k_i|k_j> for a row-stacked ket list."""
     return np.conj(kets) @ kets.T
+
+
+def orthonormality_deviation(kets: np.ndarray) -> float:
+    """Max-norm distance of a ket list's Gram matrix from the identity; 0 when empty."""
+    return max_abs(gram_matrix(kets) - np.eye(kets.shape[0]))
 
 
 def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -149,7 +158,7 @@ def complete_orthonormal(
         raise DimensionMismatch(
             f"{count} vectors cannot be orthonormal in dimension {target_dim}"
         )
-    deviation = max_abs(gram_matrix(kets) - np.eye(count))
+    deviation = orthonormality_deviation(kets)
     if deviation > tol:
         raise NotOrthonormal(
             f"input vectors deviate from orthonormality by {deviation:.3e}"

@@ -20,21 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import RhoEnsemble, _weighted_projector_sum
+from .ensembles import _weighted_projector_sum
 from .errors import InvalidArgument, WeightsNotNormalized
 from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL
 from .purification import JointState, ensemble_from_basis
 
 Mixture = list[tuple[float, np.ndarray, np.ndarray]]
-
-
-@dataclass(frozen=True, eq=False)
-class MeasurementRecord:
-    """One realized outcome: which element fired and the pair of kets found."""
-
-    outcome_index: int
-    s_ket: np.ndarray
-    m_ket: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,10 +59,8 @@ def measure_ancilla(
         for (s_ket, weight), m_ket in zip(ensemble.elements(), ancilla.kets)
     ]
     pairs = ensemble.kets[:, :, None] * ancilla.kets[:, None, :]
-    pair_ensemble = RhoEnsemble(
-        kets=pairs.reshape(ensemble.order, -1), weights=ensemble.weights
-    )
-    return mixture, _weighted_projector_sum(pair_ensemble)
+    pairs = pairs.reshape(ensemble.order, -1)
+    return mixture, pairs.T @ (ensemble.weights[:, None] * np.conj(pairs))
 
 
 def sample_outcomes(
@@ -104,12 +93,6 @@ def sample_outcomes(
         raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots, probs / total)
-
-
-def realize(mixture: Mixture, outcome_index: int) -> MeasurementRecord:
-    """Package one sampled outcome of a mixture as a MeasurementRecord."""
-    _, s_ket, m_ket = mixture[outcome_index]
-    return MeasurementRecord(outcome_index=outcome_index, s_ket=s_ket, m_ket=m_ket)
 
 
 def steer(

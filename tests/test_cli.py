@@ -106,8 +106,13 @@ def test_verify_dirty_ensemble_reports_and_exits_3(tmp_path, capsys):
 def test_verify_ignores_rank_tol_for_order_below_dim(tmp_path, capsys):
     e = random_ensemble(np.random.default_rng(0), 4, 2)
     ens = write(tmp_path / "e.json", docs.ensemble_document(e))
-    assert main(["verify", "--ensemble", ens, "--rank-tol", "0"]) == 0
+    assert main(["verify", "--ensemble", ens]) == 0
     assert json.loads(capsys.readouterr().out) == {"clean": True, "violations": []}
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--ensemble", ens, "--rank-tol", "0"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "UsageError"
 
 
 def test_verify_joint(tmp_path):
@@ -190,6 +195,51 @@ def test_usage_errors_exit_2_with_one_json_line(args):
     error = single_json_error(result.stderr)
     assert error["error"] == "UsageError"
     assert error["message"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("flag", ["--tol", "--rank-tol"])
+def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, flag, value):
+    joint = write(tmp_path / "j.json", docs.joint_document(bell_joint()))
+    basis = write(tmp_path / "b.json", plus_minus_basis_doc())
+    with pytest.raises(SystemExit) as exit_info:
+        main(["steer", joint, basis, f"{flag}={value}"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = single_json_error(captured.err)
+    assert error["error"] == "UsageError" and flag in error["message"]
+
+
+# Products of these entries overflow to inf, and inf - inf to NaN.
+HUGE = [[1e308, 1e308], [1e308, 1e308]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["joint", "umap"])
+def test_verify_overflowing_entries_exits_3_with_empty_stderr(tmp_path, capsys, kind):
+    if kind == "joint":
+        payload = {"dim_s": 1, "dim_m": 2, "vec": HUGE}
+    else:
+        coeffs = {"rows": 2, "cols": 2, "entries": [HUGE, HUGE]}
+        payload = {"rows": 2, "cols": 2, "coeffs": coeffs, "generator": None, "basis": None}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": kind, "version": 1, "payload": payload}))
+    assert main(["verify", f"--{kind}", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["clean"] is False
+
+
+@pytest.mark.filterwarnings("error")
+def test_purify_overflowing_ket_exits_3_with_one_json_line(tmp_path, capsys):
+    payload = {"dim": 2, "elements": [{"weight": 1.0, "ket": HUGE}]}
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({"kind": "ensemble", "version": 1, "payload": payload}))
+    assert main(["purify", str(path), "--dim-m", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert single_json_error(captured.err)["error"] == "InvalidEnsemble"
 
 
 @pytest.mark.parametrize("slot", ["ket", "weight"])

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,21 @@ def test_report_roundtrip_exact():
     assert out.counts == report.counts
     np.testing.assert_array_equal(out.expected_weights, report.expected_weights)
     np.testing.assert_array_equal(out.post_density, report.post_density)
+
+
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("counts", [1, 2], "report.counts"),
+        ("expected_weights", [-3.0, 7.0], "report.expected_weights"),
+    ],
+)
+def test_report_rejects_inconsistent_statistics(field, value, path):
+    report = steer(bell_joint(), np.eye(2, dtype=complex), shots=100, seed=9)
+    doc = docs.report_document(report)
+    doc["payload"][field] = value
+    with pytest.raises(DocumentError, match=f"^{re.escape(path)}:"):
+        docs.to_report(doc)
 
 
 def _pairs(arr):

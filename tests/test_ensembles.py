@@ -53,7 +53,7 @@ def test_construction_rejects_negative_weight():
 
 def test_construction_rejects_empty():
     with pytest.raises(InvalidEnsemble):
-        RhoEnsemble.from_elements([])
+        RhoEnsemble(kets=np.zeros((0, 2), dtype=complex), weights=[])
 
 
 def test_element_iteration_preserves_order():
@@ -106,7 +106,8 @@ def test_each_ket_lies_in_support():
         rng = np.random.default_rng(seed)
         e = random_ensemble(rng, 3, int(rng.integers(1, 5)))
         rho = ensemble_to_density(e)
-        projector = rho.support_projector()
+        support = rho.eigenkets[: rho.support_rank]
+        projector = support.T @ np.conj(support)
         for ket, _ in e.elements():
             assert np.linalg.norm(projector @ ket - ket) < 1e-8
 
@@ -166,6 +167,15 @@ def test_validate_reports_weight_sum():
     e = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.6, 0.6])
     report = validate_ensemble(e)
     assert any("sum" in line for line in report)
+
+
+def test_validate_fails_every_check_at_nan_tolerance():
+    e = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.45, 0.45])
+    assert validate_ensemble(e, tol=float("nan")) == [
+        "weights sum to 0.9, expected 1",
+        "element 0 has norm 1.0, expected 1",
+        "element 1 has norm 1.0, expected 1",
+    ]
 
 
 def test_validate_reports_collinear_pair_with_indices():

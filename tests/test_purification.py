@@ -552,3 +552,20 @@ def test_fortran_order_and_strided_inputs_are_accepted():
     contiguous = ensemble_from_basis(joint, basis)
     np.testing.assert_allclose(fortran[0].kets, contiguous[0].kets, atol=1e-14)
     assert fortran[2] == contiguous[2]
+
+
+# ---------------------------------------------------------------------------
+# overflowing entries
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_check_umap_reports_a_residual_that_overflows_to_nan():
+    # (1e308 + 1e308j) * conj(...) computes inf - inf = NaN in the Gram matrix.
+    big = np.full((2, 2), 1e308 + 1e308j)
+    generator = np.eye(2) * (1e308 + 1e308j)
+    report = check_umap(UMap(coeffs=big, generator=generator, basis=big))
+    assert report == [
+        "coefficient columns deviate from orthonormality by inf",
+        "generator deviates from unitarity by inf",
+        "row basis deviates from orthonormality by inf",
+    ]

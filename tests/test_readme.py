@@ -1,0 +1,40 @@
+"""README examples run as written: the Python quickstart and the worked CLI pipeline."""
+
+import re
+import shlex
+from pathlib import Path
+
+import numpy as np
+
+from rhokit import RhoEnsemble, documents as docs
+from rhokit.cli import main
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def code_block(heading, language):
+    """The first fenced ``language`` block after ``## heading``."""
+    section = README.split(f"\n## {heading}\n", 1)[1]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def test_quickstart_runs():
+    exec(compile(code_block("Library quickstart", "python"), "README.md", "exec"), {})
+
+
+def test_worked_pipeline_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    ensemble = RhoEnsemble(
+        kets=np.array([[1, 0], [1, 1]], dtype=complex) / [[1], [np.sqrt(2)]],
+        weights=[0.25, 0.75],
+    )
+    Path("ensemble.json").write_text(docs.dump_document(docs.ensemble_document(ensemble)))
+    commands = [
+        shlex.split(line, comments=True)
+        for line in code_block("Worked pipeline", "sh").splitlines()
+    ]
+    assert len(commands) == 4
+    for argv in commands:
+        assert argv[0] == "rhokit"
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()

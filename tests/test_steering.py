@@ -10,7 +10,6 @@ from rhokit import (
     ensemble_from_basis,
     measure_ancilla,
     partial_trace_m,
-    realize,
     sample_outcomes,
     steer,
     tensor_ket,
@@ -206,7 +205,8 @@ def test_steer_post_density_equals_reduced_state():
 
 
 def test_realize_packages_outcome():
+    # Outcome 1 of the mixture pairs the system ket it steers to with its ancilla ket.
     mixture, _ = measure_ancilla(bell_joint(), np.eye(2, dtype=complex))
-    record = realize(mixture, 1)
-    assert record.outcome_index == 1
-    np.testing.assert_array_equal(record.m_ket, computational(2, 1))
+    _, s_ket, m_ket = mixture[1]
+    np.testing.assert_allclose(s_ket, computational(2, 1), atol=1e-12)
+    np.testing.assert_array_equal(m_ket, computational(2, 1))
