@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from . import documents
 from .ensembles import _weighted_projector_sum, validate_ensemble
 from .errors import DocumentError, NumericalFailure, RhokitError
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, max_abs
+from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_tolerances, max_abs
 from .purification import (
     apply_unitary_umap,
     check_umap,
@@ -73,12 +72,11 @@ def _tolerance(text: str) -> float:
     """Argparse type for tolerances: a finite, non-negative float."""
     try:
         value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 <= value < math.inf:
+        _check_tolerances(tolerance=value)
+    except ValueError as exc:  # InvalidArgument is a ValueError too
         raise argparse.ArgumentTypeError(
             f"expected a finite non-negative tolerance, got {text!r}"
-        )
+        ) from exc
     return value
 
 
@@ -166,7 +164,9 @@ def _cmd_verify(args) -> int:
                         f"({ensemble.dim}, {ensemble.dim})"
                     )
                 else:
-                    deviation = max_abs(_weighted_projector_sum(ensemble) - rho)
+                    deviation = max_abs(
+                        _weighted_projector_sum(ensemble.kets, ensemble.weights) - rho
+                    )
                     if deviation > args.tol:
                         violations.append(
                             f"ensemble misses the given density matrix by {deviation:.3e}"

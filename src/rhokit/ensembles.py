@@ -19,6 +19,7 @@ from .errors import DimensionMismatch, InvalidArgument, InvalidEnsemble
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
+    _check_tolerances,
     as_ket_list,
     eig_hermitian,
     gram_matrix,
@@ -92,8 +93,9 @@ class RhoEnsemble:
         return zip(self.kets, self.weights)
 
 
-def _weighted_projector_sum(e: RhoEnsemble) -> np.ndarray:
-    return e.kets.T @ (e.weights[:, None] * np.conj(e.kets))
+def _weighted_projector_sum(kets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_j w_j |k_j><k_j|`` for a row-stacked ket list."""
+    return kets.T @ (weights[:, None] * np.conj(kets))
 
 
 def _valid_projector_sum(
@@ -105,7 +107,7 @@ def _valid_projector_sum(
     report = validate_ensemble(e, tol, collinearity_tol=collinearity_tol)
     if report:
         raise InvalidEnsemble(report)
-    return _weighted_projector_sum(e)
+    return _weighted_projector_sum(e.kets, e.weights)
 
 
 def ensemble_to_density(
@@ -119,6 +121,7 @@ def ensemble_to_density(
     Raises InvalidEnsemble (carrying the violation report) if the ensemble
     fails ``validate_ensemble``. ``rank_tol`` sets ``support_rank``.
     """
+    _check_tolerances(tol=tol, rank_tol=rank_tol, collinearity_tol=collinearity_tol)
     matrix = _valid_projector_sum(e, tol, collinearity_tol)
     spectrum, eigenkets = eig_hermitian(matrix, tol)
     return DensityMatrix(
@@ -140,6 +143,7 @@ def density_from_matrix(
     Raises NotHermitian for asymmetric input and InvalidArgument when the
     spectrum dips below ``-tol`` or the trace is not 1 within ``tol``.
     """
+    _check_tolerances(tol=tol, rank_tol=rank_tol)
     spectrum, eigenkets = eig_hermitian(matrix, tol)
     if spectrum[-1] < -tol:
         raise InvalidArgument(
@@ -235,4 +239,7 @@ def densities_match(a: RhoEnsemble, b: RhoEnsemble, tol: float = DEFAULT_TOL) ->
     """True iff both ensembles sum to the same matrix within ``tol`` (max norm)."""
     if a.dim != b.dim:
         return False
-    return max_abs(_weighted_projector_sum(a) - _weighted_projector_sum(b)) <= tol
+    return max_abs(
+        _weighted_projector_sum(a.kets, a.weights)
+        - _weighted_projector_sum(b.kets, b.weights)
+    ) <= tol

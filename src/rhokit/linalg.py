@@ -12,6 +12,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,39 @@ from .errors import (
 
 DEFAULT_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
+
+
+def _check_tolerances(**named) -> None:
+    """Raise InvalidArgument unless every named tolerance is a finite real >= 0.
+
+    ``0 <= value < inf`` is False for NaN and raises for values that are not
+    real scalars (strings, complex numbers, arrays), all without a warning.
+    """
+    for name, value in named.items():
+        try:
+            valid = bool(0.0 <= value < math.inf)
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise InvalidArgument(
+                f"{name} must be a finite non-negative number, got {value!r}"
+            )
+
+
+def _check_integer(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """``value`` as an int; InvalidArgument unless it is an integer in bounds.
+
+    Integers are whatever ``operator.index`` accepts, bools excluded, so
+    ``10.5`` is rejected rather than truncated.
+    """
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < minimum or (maximum is not None and number > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise InvalidArgument(f"{name} must be an integer {bound}, got {value!r}")
+    return number
 
 
 def as_ket(v) -> np.ndarray:
@@ -110,6 +145,7 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     Raises NotHermitian if the symmetry check fails at ``tol``, and
     NumericalFailure if the eigensolver does not converge.
     """
+    _check_tolerances(tol=tol)
     arr = as_operator(m)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"matrix is not square: {arr.shape}")
@@ -152,6 +188,8 @@ def complete_orthonormal(
     and DimensionMismatch if its vectors are not of dimension ``target_dim``
     or it already has more than ``target_dim`` of them.
     """
+    _check_tolerances(tol=tol)
+    target_dim = _check_integer("target_dim", target_dim, 1)
     kets = as_ket_list(partial, dim=target_dim)
     count = kets.shape[0]
     if count > target_dim:
@@ -228,6 +266,7 @@ def schmidt_decompose(
     zero and dropped, so the returned rank equals the numerical rank of the
     squared-coefficient spectrum.
     """
+    _check_tolerances(rank_tol=rank_tol, tol=tol)
     vec = as_ket(joint)
     total = dim_s * dim_m
     if vec.shape[0] != total:

@@ -35,6 +35,8 @@ from .errors import (
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
+    _check_integer,
+    _check_tolerances,
     as_ket,
     as_ket_list,
     as_operator,
@@ -52,6 +54,18 @@ from .linalg import (
 _CONSTRUCT_TOL = 1e-8
 
 
+def _trusted(cls, **fields):
+    """An instance of a frozen dataclass built without running ``__post_init__``.
+
+    Only for values whose invariants already follow from checks that passed
+    on the inputs they were built from; each call site says which.
+    """
+    value = object.__new__(cls)
+    for name, field_value in fields.items():
+        object.__setattr__(value, name, field_value)
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class JointState:
     """A normalized ket on the system-major product of two factors."""
@@ -62,8 +76,8 @@ class JointState:
 
     def __post_init__(self):
         vec = as_ket(self.vec)
-        if self.dim_s < 1 or self.dim_m < 1:
-            raise DimensionMismatch("factor dimensions must be positive")
+        object.__setattr__(self, "dim_s", _check_integer("dim_s", self.dim_s, 1))
+        object.__setattr__(self, "dim_m", _check_integer("dim_m", self.dim_m, 1))
         if vec.shape[0] != self.dim_s * self.dim_m:
             raise DimensionMismatch(
                 f"joint ket has length {vec.shape[0]}, expected "
@@ -216,6 +230,7 @@ def lemma_unitary(
     SVD; it stays unitary to working precision however small the reduced
     state's weights are.
     """
+    _check_tolerances(tol=tol)
     if (chi.dim_s, chi.dim_m) != (phi.dim_s, phi.dim_m):
         raise DimensionMismatch(
             f"joint states have different factor dimensions: "
@@ -242,6 +257,8 @@ def purify(
     Raises OrderExceedsAncillaDim when the ensemble has more elements than
     the ancilla space has dimensions.
     """
+    _check_tolerances(tol=tol)
+    dim_m = _check_integer("dim_m", dim_m, 1)
     _valid_projector_sum(e, tol)  # raises InvalidEnsemble
     if e.order > dim_m:
         raise OrderExceedsAncillaDim(
@@ -249,7 +266,9 @@ def purify(
         )
     block = _amplitude_block(e, dim_m)
     joint = JointState(dim_s=e.dim, dim_m=dim_m, vec=block.reshape(-1))
-    ancilla = Ancilla(dim_m=dim_m, kets=np.eye(dim_m, dtype=complex)[: e.order])
+    # Canonical kets are exactly orthonormal, and there are at most dim_m.
+    canonical = np.eye(dim_m, dtype=complex)[: e.order]
+    ancilla = _trusted(Ancilla, dim_m=dim_m, kets=canonical)
     return joint, ancilla
 
 
@@ -267,6 +286,11 @@ def match_purification(
     ``target.vec = sum_j sqrt(w_j) phi_j (x) b_j`` up to the rotation
     residual, with all phases carried by the ancilla kets.
     """
+    _check_tolerances(tol=tol)
+    if e.dim != target.dim_s:
+        raise DimensionMismatch(
+            f"ensemble has dimension {e.dim}, joint system factor {target.dim_s}"
+        )
     deviation = max_abs(_valid_projector_sum(e, tol) - target.reduced_system())
     if deviation > tol:
         raise TracesDiffer(
@@ -279,6 +303,41 @@ def match_purification(
         )
     rotation = _procrustes(_amplitude_block(e, target.dim_m), target.as_matrix())
     return Ancilla(dim_m=target.dim_m, kets=rotation.T[: e.order])
+
+
+def _checked_basis(basis, dim_m: int, tol: float) -> tuple[np.ndarray, float]:
+    """Coerce a complete ancilla basis and check it is orthonormal.
+
+    Returns the kets and their orthonormality deviation, which is at most
+    ``max(tol, _CONSTRUCT_TOL)``.
+    """
+    kets = as_ket_list(basis, dim=dim_m)
+    if kets.shape[0] != dim_m:
+        raise NotOrthonormalBasis(f"basis has {kets.shape[0]} kets, expected {dim_m}")
+    deviation = orthonormality_deviation(kets)
+    if deviation > max(tol, _CONSTRUCT_TOL):
+        raise NotOrthonormalBasis(
+            f"basis deviates from orthonormality by {deviation:.3e}"
+        )
+    return kets, deviation
+
+
+def _condition(
+    a: np.ndarray, kets: np.ndarray, rank_tol: float
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Condition a (dim_s, dim_m) joint matrix on each ket of a checked basis.
+
+    Returns the basis positions whose weight is above ``rank_tol``, their
+    weights, and their normalized conditional system kets as rows.
+    """
+    conditionals = a @ np.conj(kets).T
+    weights = np.sum(np.abs(conditionals) ** 2, axis=0)
+    member_indices = [int(k) for k in np.nonzero(weights > rank_tol)[0]]
+    if not member_indices:
+        raise NotNormalized("joint ket has no weight above the rank cutoff")
+    member_weights = weights[member_indices]
+    member_kets = (conditionals[:, member_indices] / np.sqrt(member_weights)).T
+    return member_indices, member_weights, member_kets
 
 
 def ensemble_from_basis(
@@ -301,26 +360,22 @@ def ensemble_from_basis(
     the returned ensemble then fails ``validate_ensemble``, which callers
     should apply when they need a strictly valid ensemble.
     """
-    kets = as_ket_list(basis, dim=joint.dim_m)
-    if kets.shape[0] != joint.dim_m:
-        raise NotOrthonormalBasis(
-            f"basis has {kets.shape[0]} kets, expected {joint.dim_m}"
-        )
-    deviation = orthonormality_deviation(kets)
-    if deviation > max(tol, _CONSTRUCT_TOL):
-        raise NotOrthonormalBasis(
-            f"basis deviates from orthonormality by {deviation:.3e}"
-        )
-    conditionals = joint.as_matrix() @ np.conj(kets).T
-    weights = np.sum(np.abs(conditionals) ** 2, axis=0)
-    member_indices = [int(k) for k in np.nonzero(weights > rank_tol)[0]]
-    if not member_indices:
-        raise NotNormalized("joint ket has no weight above the rank cutoff")
-    member_weights = weights[member_indices]
-    member_kets = (conditionals[:, member_indices] / np.sqrt(member_weights)).T
-    ensemble = RhoEnsemble(kets=member_kets, weights=member_weights)
-    ancilla = Ancilla(dim_m=joint.dim_m, kets=kets[member_indices])
-    return ensemble, ancilla, member_indices
+    _check_tolerances(rank_tol=rank_tol, tol=tol)
+    kets, deviation = _checked_basis(basis, joint.dim_m, tol)
+    members, weights, member_kets = _condition(joint.as_matrix(), kets, rank_tol)
+    if deviation > _CONSTRUCT_TOL:
+        # A ``tol`` looser than _CONSTRUCT_TOL admits bases whose member kets
+        # the Ancilla check may reject, and bounds the weights only by tol:
+        # build both through the checked constructors, as before.
+        ensemble = RhoEnsemble(kets=member_kets, weights=weights)
+        ancilla = Ancilla(dim_m=joint.dim_m, kets=kets[members])
+        return ensemble, ancilla, members
+    # Each weight is finite and above rank_tol >= 0, each member-ket entry is
+    # at most 1 in magnitude (|c_i| <= sqrt(w)), and the members' Gram matrix
+    # is a principal submatrix of the basis Gram matrix checked above.
+    ensemble = _trusted(RhoEnsemble, kets=member_kets, weights=weights)
+    ancilla = _trusted(Ancilla, dim_m=joint.dim_m, kets=kets[members])
+    return ensemble, ancilla, members
 
 
 def umap_between(
@@ -338,6 +393,11 @@ def umap_between(
     columns are the coefficients. Row j pairs with target element j for
     ``j < order_to``; for larger j the mapped combination is zero.
     """
+    _check_tolerances(tol=tol)
+    if from_e.dim != to_e.dim:
+        raise DimensionMismatch(
+            f"ensembles have different dimensions: {from_e.dim} vs {to_e.dim}"
+        )
     deviation = max_abs(
         _valid_projector_sum(from_e, tol) - _valid_projector_sum(to_e, tol)
     )
@@ -349,7 +409,10 @@ def umap_between(
     rotation = _procrustes(
         _amplitude_block(from_e, dim_m), _amplitude_block(to_e, dim_m)
     )
-    return UMap(
+    # SVD factors of a finite product of validated amplitude blocks, and an
+    # identity basis with one ket per coefficient row.
+    return _trusted(
+        UMap,
         coeffs=rotation[:, : from_e.order],
         generator=rotation,
         basis=np.eye(dim_m, dtype=complex),
@@ -372,6 +435,7 @@ def apply_unitary_umap(
     with target element j below the target order and gives zero beyond it;
     columns run over source elements.
     """
+    _check_tolerances(rank_tol=rank_tol, tol=tol)
     source_kets = as_ket_list(basis, dim=joint.dim_m)
     operator = as_operator(u)
     if operator.shape != (joint.dim_m, joint.dim_m):
@@ -395,7 +459,9 @@ def apply_unitary_umap(
     paired_source = source_kets[col_order]
     coeffs = np.conj(row_kets) @ from_ancilla.kets.T
     generator = paired_source.T @ np.conj(row_kets)
-    return to_e, UMap(coeffs=coeffs, generator=generator, basis=row_kets)
+    # Products of finite kets whose norms the unitarity and basis checks
+    # bound; the row basis has one ket per coefficient row.
+    return to_e, _trusted(UMap, coeffs=coeffs, generator=generator, basis=row_kets)
 
 
 def ensemble_containing(
@@ -417,6 +483,7 @@ def ensemble_containing(
     target has components outside the supported left Schmidt kets beyond
     ``rank_tol``.
     """
+    _check_tolerances(rank_tol=rank_tol, tol=tol)
     target = as_ket(xi)
     if target.shape[0] != joint.dim_s:
         raise DimensionMismatch(

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import _weighted_projector_sum
-from .errors import InvalidArgument, WeightsNotNormalized
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL
-from .purification import JointState, ensemble_from_basis
+from .errors import WeightsNotNormalized
+from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_integer, _check_tolerances
+from .purification import JointState, _checked_basis, _condition, ensemble_from_basis
 
 Mixture = list[tuple[float, np.ndarray, np.ndarray]]
 
@@ -60,7 +60,7 @@ def measure_ancilla(
     ]
     pairs = ensemble.kets[:, :, None] * ancilla.kets[:, None, :]
     pairs = pairs.reshape(ensemble.order, -1)
-    return mixture, pairs.T @ (ensemble.weights[:, None] * np.conj(pairs))
+    return mixture, _weighted_projector_sum(pairs, ensemble.weights)
 
 
 def sample_outcomes(
@@ -75,6 +75,7 @@ def sample_outcomes(
     triples give identical counts on every platform because the generator
     algorithm (PCG64) and the seeding path are fixed.
     """
+    _check_tolerances(tol=tol)
     probs = np.asarray(weights, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
         raise WeightsNotNormalized("weights must be a non-empty 1-D list")
@@ -85,12 +86,8 @@ def sample_outcomes(
         raise WeightsNotNormalized(
             f"weights sum to {total!r}, expected 1 (tol {tol:.3e})"
         )
-    if shots < 1:
-        raise InvalidArgument(f"shots must be a positive integer, got {shots!r}")
-    if shots > np.iinfo(np.int64).max:
-        raise InvalidArgument(f"shots must fit in a 64-bit integer, got {shots!r}")
-    if seed < 0:
-        raise InvalidArgument(f"seed must be a non-negative integer, got {seed!r}")
+    shots = _check_integer("shots", shots, 1, int(np.iinfo(np.int64).max))
+    seed = _check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots, probs / total)
 
@@ -108,12 +105,16 @@ def steer(
     ``post_density`` is the system-side state of the exact (non-sampled)
     post-measurement mixture, i.e. the weighted projector sum over realized
     system kets, which coincides with the reduced state of the joint ket.
+    It conditions on the basis as ``ensemble_from_basis`` does, without
+    building the ensemble and ancilla it would discard.
     """
-    ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
-    counts = sample_outcomes(ensemble.weights, shots, seed)
+    _check_tolerances(rank_tol=rank_tol, tol=tol)
+    kets, _ = _checked_basis(basis, joint.dim_m, tol)
+    _, weights, member_kets = _condition(joint.as_matrix(), kets, rank_tol)
+    counts = sample_outcomes(weights, shots, seed)
     return SteeringReport(
         shots=int(shots),
         counts=[int(c) for c in counts],
-        expected_weights=ensemble.weights,
-        post_density=_weighted_projector_sum(ensemble),
+        expected_weights=weights,
+        post_density=_weighted_projector_sum(member_kets, weights),
     )

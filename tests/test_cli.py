@@ -103,7 +103,7 @@ def test_verify_dirty_ensemble_reports_and_exits_3(tmp_path, capsys):
     assert report["violations"]
 
 
-def test_verify_ignores_rank_tol_for_order_below_dim(tmp_path, capsys):
+def test_verify_rejects_rank_tol(tmp_path, capsys):
     e = random_ensemble(np.random.default_rng(0), 4, 2)
     ens = write(tmp_path / "e.json", docs.ensemble_document(e))
     assert main(["verify", "--ensemble", ens]) == 0
@@ -113,6 +113,17 @@ def test_verify_ignores_rank_tol_for_order_below_dim(tmp_path, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "UsageError"
+
+
+def test_umap_of_unequal_dimensions_exits_3(tmp_path, capsys):
+    rng = np.random.default_rng(38)
+    e2 = write(tmp_path / "e2.json", docs.ensemble_document(random_ensemble(rng, 2, 2)))
+    e3 = write(tmp_path / "e3.json", docs.ensemble_document(random_ensemble(rng, 3, 2)))
+    assert main(["umap", e2, e3]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "DimensionMismatch"
 
 
 def test_verify_joint(tmp_path):

@@ -5,6 +5,8 @@ import pytest
 
 from rhokit import (
     DensitiesDiffer,
+    DimensionMismatch,
+    InvalidArgument,
     JointState,
     NotInSupport,
     NotUnitary,
@@ -122,6 +124,24 @@ def test_purify_rejects_small_ancilla():
         purify(random_ensemble(rng, 2, 3), 2)
 
 
+@pytest.mark.parametrize("dim_m", [2.5, True, 0])
+def test_purify_rejects_non_positive_integer_dim_m(dim_m):
+    e = RhoEnsemble(kets=[computational(2, 0)], weights=[1.0])
+    with pytest.raises(InvalidArgument, match=r"^dim_m must be an integer >= 1"):
+        purify(e, dim_m)
+
+
+@pytest.mark.parametrize("dims", [(2.0, 2), (True, 4), (2, 0)])
+def test_joint_state_rejects_non_integer_dimensions(dims):
+    with pytest.raises(InvalidArgument, match=r"^dim_[sm] must be an integer >= 1"):
+        JointState(dim_s=dims[0], dim_m=dims[1], vec=np.ones(4) / 2)
+
+
+def test_complete_orthonormal_rejects_non_integer_dimension():
+    with pytest.raises(InvalidArgument, match=r"^target_dim must be an integer >= 1"):
+        complete_orthonormal([], 2.5)
+
+
 def test_purify_soundness_random():
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -187,6 +207,12 @@ def test_match_rejects_wrong_density():
 
 # ---------------------------------------------------------------------------
 # ensemble_from_basis
+
+
+def test_match_rejects_unequal_dimensions():
+    e3 = random_ensemble(np.random.default_rng(36), 3, 2)
+    with pytest.raises(DimensionMismatch):
+        match_purification(e3, bell_joint())
 
 
 def test_from_basis_bell_computational():
@@ -300,6 +326,12 @@ def test_umap_rejects_different_densities():
     rng = np.random.default_rng(23)
     with pytest.raises(DensitiesDiffer):
         umap_between(random_ensemble(rng, 2, 2), random_ensemble(rng, 2, 2))
+
+
+def test_umap_rejects_unequal_dimensions():
+    rng = np.random.default_rng(37)
+    with pytest.raises(DimensionMismatch):
+        umap_between(random_ensemble(rng, 2, 2), random_ensemble(rng, 3, 2))
 
 
 def test_umap_mapping_relation_random_pairs():

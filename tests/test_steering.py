@@ -169,6 +169,16 @@ def test_sample_rejects_negative_seed_with_typed_error():
         sample_outcomes([1.0], shots=1, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "shots, seed, name",
+    [(10.5, 1, "shots"), (True, 1, "shots"), (10, 1.5, "seed"), (10, "3", "seed")],
+)
+def test_steer_rejects_non_integer_shots_and_seed(shots, seed, name):
+    # 10.5 shots used to be truncated to 10 draws and reported as 10.
+    with pytest.raises(InvalidArgument, match=f"^{name} must be an integer"):
+        steer(bell_joint(), np.eye(2, dtype=complex), shots, seed)
+
+
 # ---------------------------------------------------------------------------
 # steer
 
@@ -204,7 +214,7 @@ def test_steer_post_density_equals_reduced_state():
     assert np.max(np.abs(report.post_density - joint.reduced_system())) < 1e-9
 
 
-def test_realize_packages_outcome():
+def test_measure_ancilla_mixture_packages_outcome():
     # Outcome 1 of the mixture pairs the system ket it steers to with its ancilla ket.
     mixture, _ = measure_ancilla(bell_joint(), np.eye(2, dtype=complex))
     _, s_ket, m_ket = mixture[1]
