@@ -305,41 +305,6 @@ def match_purification(
     return Ancilla(dim_m=target.dim_m, kets=rotation.T[: e.order])
 
 
-def _checked_basis(basis, dim_m: int, tol: float) -> tuple[np.ndarray, float]:
-    """Coerce a complete ancilla basis and check it is orthonormal.
-
-    Returns the kets and their orthonormality deviation, which is at most
-    ``max(tol, _CONSTRUCT_TOL)``.
-    """
-    kets = as_ket_list(basis, dim=dim_m)
-    if kets.shape[0] != dim_m:
-        raise NotOrthonormalBasis(f"basis has {kets.shape[0]} kets, expected {dim_m}")
-    deviation = orthonormality_deviation(kets)
-    if deviation > max(tol, _CONSTRUCT_TOL):
-        raise NotOrthonormalBasis(
-            f"basis deviates from orthonormality by {deviation:.3e}"
-        )
-    return kets, deviation
-
-
-def _condition(
-    a: np.ndarray, kets: np.ndarray, rank_tol: float
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Condition a (dim_s, dim_m) joint matrix on each ket of a checked basis.
-
-    Returns the basis positions whose weight is above ``rank_tol``, their
-    weights, and their normalized conditional system kets as rows.
-    """
-    conditionals = a @ np.conj(kets).T
-    weights = np.sum(np.abs(conditionals) ** 2, axis=0)
-    member_indices = [int(k) for k in np.nonzero(weights > rank_tol)[0]]
-    if not member_indices:
-        raise NotNormalized("joint ket has no weight above the rank cutoff")
-    member_weights = weights[member_indices]
-    member_kets = (conditionals[:, member_indices] / np.sqrt(member_weights)).T
-    return member_indices, member_weights, member_kets
-
-
 def ensemble_from_basis(
     joint: JointState,
     basis,
@@ -361,21 +326,36 @@ def ensemble_from_basis(
     should apply when they need a strictly valid ensemble.
     """
     _check_tolerances(rank_tol=rank_tol, tol=tol)
-    kets, deviation = _checked_basis(basis, joint.dim_m, tol)
-    members, weights, member_kets = _condition(joint.as_matrix(), kets, rank_tol)
+    kets = as_ket_list(basis, dim=joint.dim_m)
+    if kets.shape[0] != joint.dim_m:
+        raise NotOrthonormalBasis(
+            f"basis has {kets.shape[0]} kets, expected {joint.dim_m}"
+        )
+    deviation = orthonormality_deviation(kets)
+    if deviation > max(tol, _CONSTRUCT_TOL):
+        raise NotOrthonormalBasis(
+            f"basis deviates from orthonormality by {deviation:.3e}"
+        )
+    conditionals = joint.as_matrix() @ np.conj(kets).T
+    weights = np.sum(np.abs(conditionals) ** 2, axis=0)
+    member_indices = [int(k) for k in np.nonzero(weights > rank_tol)[0]]
+    if not member_indices:
+        raise NotNormalized("joint ket has no weight above the rank cutoff")
+    member_weights = weights[member_indices]
+    member_kets = (conditionals[:, member_indices] / np.sqrt(member_weights)).T
     if deviation > _CONSTRUCT_TOL:
         # A ``tol`` looser than _CONSTRUCT_TOL admits bases whose member kets
         # the Ancilla check may reject, and bounds the weights only by tol:
         # build both through the checked constructors, as before.
-        ensemble = RhoEnsemble(kets=member_kets, weights=weights)
-        ancilla = Ancilla(dim_m=joint.dim_m, kets=kets[members])
-        return ensemble, ancilla, members
+        ensemble = RhoEnsemble(kets=member_kets, weights=member_weights)
+        ancilla = Ancilla(dim_m=joint.dim_m, kets=kets[member_indices])
+        return ensemble, ancilla, member_indices
     # Each weight is finite and above rank_tol >= 0, each member-ket entry is
     # at most 1 in magnitude (|c_i| <= sqrt(w)), and the members' Gram matrix
     # is a principal submatrix of the basis Gram matrix checked above.
-    ensemble = _trusted(RhoEnsemble, kets=member_kets, weights=weights)
-    ancilla = _trusted(Ancilla, dim_m=joint.dim_m, kets=kets[members])
-    return ensemble, ancilla, members
+    ensemble = _trusted(RhoEnsemble, kets=member_kets, weights=member_weights)
+    ancilla = _trusted(Ancilla, dim_m=joint.dim_m, kets=kets[member_indices])
+    return ensemble, ancilla, member_indices
 
 
 def umap_between(

@@ -23,7 +23,7 @@ import numpy as np
 from .ensembles import _weighted_projector_sum
 from .errors import WeightsNotNormalized
 from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_integer, _check_tolerances
-from .purification import JointState, _checked_basis, _condition, ensemble_from_basis
+from .purification import JointState, ensemble_from_basis
 
 Mixture = list[tuple[float, np.ndarray, np.ndarray]]
 
@@ -105,16 +105,12 @@ def steer(
     ``post_density`` is the system-side state of the exact (non-sampled)
     post-measurement mixture, i.e. the weighted projector sum over realized
     system kets, which coincides with the reduced state of the joint ket.
-    It conditions on the basis as ``ensemble_from_basis`` does, without
-    building the ensemble and ancilla it would discard.
     """
-    _check_tolerances(rank_tol=rank_tol, tol=tol)
-    kets, _ = _checked_basis(basis, joint.dim_m, tol)
-    _, weights, member_kets = _condition(joint.as_matrix(), kets, rank_tol)
-    counts = sample_outcomes(weights, shots, seed)
+    ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
+    counts = sample_outcomes(ensemble.weights, shots, seed)
     return SteeringReport(
         shots=int(shots),
         counts=[int(c) for c in counts],
-        expected_weights=weights,
-        post_density=_weighted_projector_sum(member_kets, weights),
+        expected_weights=ensemble.weights,
+        post_density=_weighted_projector_sum(ensemble.kets, ensemble.weights),
     )

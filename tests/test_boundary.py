@@ -150,6 +150,8 @@ def test_basis_between_construct_and_given_tol_still_raises():
         ensemble_from_basis(joint, basis, tol=1e-6)
     with pytest.raises(NotOrthonormal):
         measure_ancilla(joint, basis, tol=1e-6)
+    with pytest.raises(NotOrthonormal):
+        steer(joint, basis, 10, 0, tol=1e-6)
     with pytest.raises(NotOrthonormalBasis):
         ensemble_from_basis(joint, basis)
 
