@@ -192,8 +192,9 @@ def validate_ensemble(
     for j in np.flatnonzero(~(np.abs(norms - 1.0) <= tol)):
         report.append(f"element {j} has norm {float(norms[j])!r}, expected 1")
     overlaps = np.abs(gram_matrix(e.kets))
-    collinear = np.triu(overlaps >= 1.0 - collinearity_tol, k=1)
-    for i, j in zip(*np.nonzero(collinear)):
+    rows, cols = np.nonzero(overlaps >= 1.0 - collinearity_tol)
+    upper = rows < cols
+    for i, j in zip(rows[upper], cols[upper]):
         report.append(
             f"elements ({i}, {j}) are collinear (|overlap| = {overlaps[i, j]!r})"
         )
@@ -202,6 +203,7 @@ def validate_ensemble(
 
 def is_linearly_independent(e: RhoEnsemble, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
     """True iff the element kets have full numerical rank (via SVD)."""
+    _check_tolerances(rank_tol=rank_tol)
     singular_values = np.linalg.svd(e.kets, compute_uv=False)
     return numerical_rank(singular_values, rank_tol) == e.order
 
@@ -215,6 +217,7 @@ def ensembles_equal(a: RhoEnsemble, b: RhoEnsemble, tol: float = 1e-8) -> bool:
     adversarial ensembles; it is exact for the well-separated and the
     exactly-degenerate cases that occur in practice.
     """
+    _check_tolerances(tol=tol)
     if a.order != b.order or a.dim != b.dim:
         return False
     order_a = np.argsort(-a.weights, kind="stable")
@@ -237,6 +240,7 @@ def ensembles_equal(a: RhoEnsemble, b: RhoEnsemble, tol: float = 1e-8) -> bool:
 
 def densities_match(a: RhoEnsemble, b: RhoEnsemble, tol: float = DEFAULT_TOL) -> bool:
     """True iff both ensembles sum to the same matrix within ``tol`` (max norm)."""
+    _check_tolerances(tol=tol)
     if a.dim != b.dim:
         return False
     return max_abs(

@@ -115,7 +115,7 @@ def max_abs(x) -> float:
     A NaN entry (overflow inside a residual) counts as infinite, so every
     ``max_abs(...) > tol`` check fails on it.
     """
-    peak = float(np.max(np.abs(np.asarray(x)), initial=0.0))
+    peak = float(np.abs(np.asarray(x)).max(initial=0.0))
     return np.inf if np.isnan(peak) else peak
 
 
@@ -126,11 +126,14 @@ def gram_matrix(kets: np.ndarray) -> np.ndarray:
 
 def orthonormality_deviation(kets: np.ndarray) -> float:
     """Max-norm distance of a ket list's Gram matrix from the identity; 0 when empty."""
-    return max_abs(gram_matrix(kets) - np.eye(kets.shape[0]))
+    gram = gram_matrix(kets)
+    gram.flat[:: kets.shape[0] + 1] -= 1.0
+    return max_abs(gram)
 
 
 def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Max-norm symmetry check ||m - m^dag||_max <= tol."""
+    _check_tolerances(tol=tol)
     return max_abs(m - dagger(m)) <= tol
 
 
@@ -164,6 +167,7 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 
 def numerical_rank(eigenvalues, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count of spectrum entries strictly above the rank cutoff."""
+    _check_tolerances(rank_tol=rank_tol)
     return int(np.sum(np.asarray(eigenvalues, dtype=float) > rank_tol))
 
 
@@ -172,16 +176,18 @@ def complete_orthonormal(
 ) -> np.ndarray:
     """Extend an orthonormal ket list to a full orthonormal basis.
 
-    The first ``len(partial)`` rows of the result are the input vectors
-    verbatim. The rest are Gram-Schmidt of the canonical basis vectors,
-    taken by index, against the input, computed as one Householder QR of
-    ``[partial^T | I]``: the first ``target_dim - len(partial)`` candidates
-    are used, none is skipped, and each completion vector overlaps its
-    candidate positively. The result is deterministic and unitary to working
-    precision; a canonical prefix ``e_0..e_{k-1}`` (or no input) completes
-    to exactly the identity. A candidate (nearly) in the span of the input
-    and the earlier candidates gets a direction set by rounding, so callers
-    that care put the candidates least aligned with the input first (as
+    The first ``k = len(partial)`` rows of the result are the input vectors
+    verbatim. The rest are Gram-Schmidt of the canonical basis vectors
+    ``e_0..e_{d-k-1}`` (``d = target_dim``), in index order, against the
+    input, computed as one Householder QR of the square matrix
+    ``[partial^T | e_0..e_{d-k-1}]``: no candidate is skipped, and each
+    completion vector overlaps its candidate positively. A full input
+    (``k == d``) is returned as a copy without any factorization. The result
+    is deterministic and unitary to working precision; a canonical prefix
+    ``e_0..e_{k-1}`` (or no input) completes to exactly the identity. A
+    candidate (nearly) in the span of the input and the earlier candidates
+    gets a direction set by rounding, so callers that care put the
+    candidates least aligned with the input first (as
     ``ensemble_containing`` does).
 
     Raises NotOrthonormal if the input is not pairwise orthonormal at ``tol``
@@ -202,7 +208,12 @@ def complete_orthonormal(
             f"input vectors deviate from orthonormality by {deviation:.3e}"
             f" (tol {tol:.3e})"
         )
-    q, r = np.linalg.qr(np.concatenate([kets.T, np.eye(target_dim)], axis=1))
+    if count == target_dim:
+        return kets.copy()
+    # Householder column j depends only on input columns 0..j, so candidates
+    # past e_{d-k-1} would never reach Q: leave them out of the factorization.
+    candidates = np.eye(target_dim)[:, : target_dim - count]
+    q, r = np.linalg.qr(np.concatenate([kets.T, candidates], axis=1))
     # Householder QR may flip a column's sign; undo that to match Gram-Schmidt.
     signs = np.where(np.diag(r)[count:].real < 0, -1.0, 1.0)
     return np.concatenate([kets, (q[:, count:] * signs).T])

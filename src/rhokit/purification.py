@@ -338,24 +338,24 @@ def ensemble_from_basis(
         )
     conditionals = joint.as_matrix() @ np.conj(kets).T
     weights = np.sum(np.abs(conditionals) ** 2, axis=0)
-    member_indices = [int(k) for k in np.nonzero(weights > rank_tol)[0]]
-    if not member_indices:
+    members = np.flatnonzero(weights > rank_tol)
+    if members.size == 0:
         raise NotNormalized("joint ket has no weight above the rank cutoff")
-    member_weights = weights[member_indices]
-    member_kets = (conditionals[:, member_indices] / np.sqrt(member_weights)).T
+    member_weights = weights[members]
+    member_kets = (conditionals[:, members] / np.sqrt(member_weights)).T
     if deviation > _CONSTRUCT_TOL:
         # A ``tol`` looser than _CONSTRUCT_TOL admits bases whose member kets
         # the Ancilla check may reject, and bounds the weights only by tol:
         # build both through the checked constructors, as before.
         ensemble = RhoEnsemble(kets=member_kets, weights=member_weights)
-        ancilla = Ancilla(dim_m=joint.dim_m, kets=kets[member_indices])
-        return ensemble, ancilla, member_indices
+        ancilla = Ancilla(dim_m=joint.dim_m, kets=kets[members])
+        return ensemble, ancilla, members.tolist()
     # Each weight is finite and above rank_tol >= 0, each member-ket entry is
     # at most 1 in magnitude (|c_i| <= sqrt(w)), and the members' Gram matrix
     # is a principal submatrix of the basis Gram matrix checked above.
     ensemble = _trusted(RhoEnsemble, kets=member_kets, weights=member_weights)
-    ancilla = _trusted(Ancilla, dim_m=joint.dim_m, kets=kets[member_indices])
-    return ensemble, ancilla, member_indices
+    ancilla = _trusted(Ancilla, dim_m=joint.dim_m, kets=kets[members])
+    return ensemble, ancilla, members.tolist()
 
 
 def umap_between(
@@ -399,6 +399,13 @@ def umap_between(
     )
 
 
+def _members_first(members: list[int], dim: int) -> np.ndarray:
+    """Indices ``0..dim-1`` with ``members`` first, in their order, then the rest."""
+    rest = np.ones(dim, dtype=bool)
+    rest[members] = False
+    return np.concatenate([members, np.flatnonzero(rest)])
+
+
 def apply_unitary_umap(
     joint: JointState,
     basis,
@@ -433,10 +440,8 @@ def apply_unitary_umap(
     )
     to_e, _, to_members = ensemble_from_basis(joint, rotated_kets, rank_tol, tol)
 
-    row_order = to_members + [k for k in range(joint.dim_m) if k not in to_members]
-    col_order = from_members + [k for k in range(joint.dim_m) if k not in from_members]
-    row_kets = rotated_kets[row_order]
-    paired_source = source_kets[col_order]
+    row_kets = rotated_kets[_members_first(to_members, joint.dim_m)]
+    paired_source = source_kets[_members_first(from_members, joint.dim_m)]
     coeffs = np.conj(row_kets) @ from_ancilla.kets.T
     generator = paired_source.T @ np.conj(row_kets)
     # Products of finite kets whose norms the unitarity and basis checks
@@ -492,7 +497,9 @@ def ensemble_containing(
     # every used candidate keeps a residual of at least 1/sqrt(2). Row 0 of
     # ``support`` is the first ancilla ket.
     order = np.argsort(np.abs(first), kind="stable")
-    support = complete_orthonormal([first[order]], form.rank) @ form.right_kets[order]
+    support = (
+        complete_orthonormal(first[order][None, :], form.rank) @ form.right_kets[order]
+    )
     basis = complete_orthonormal(support, joint.dim_m)
     ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
     return ensemble, basis

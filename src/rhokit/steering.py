@@ -23,7 +23,7 @@ import numpy as np
 from .ensembles import _weighted_projector_sum
 from .errors import WeightsNotNormalized
 from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_integer, _check_tolerances
-from .purification import JointState, ensemble_from_basis
+from .purification import _CONSTRUCT_TOL, JointState, ensemble_from_basis
 
 Mixture = list[tuple[float, np.ndarray, np.ndarray]]
 
@@ -107,7 +107,15 @@ def steer(
     system kets, which coincides with the reduced state of the joint ket.
     """
     ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
-    counts = sample_outcomes(ensemble.weights, shots, seed)
+    # How far the weights that ensemble_from_basis admits can miss 1: the
+    # joint's squared norm (within _CONSTRUCT_TOL of 1), the basis deviation
+    # it accepts on each of dim_m kets, and the dropped weights at or below
+    # rank_tol. A huge finite tol must not overflow to a rejected inf.
+    weight_tol = min(
+        2 * _CONSTRUCT_TOL + joint.dim_m * (max(tol, _CONSTRUCT_TOL) + rank_tol),
+        np.finfo(float).max,
+    )
+    counts = sample_outcomes(ensemble.weights, shots, seed, weight_tol)
     return SteeringReport(
         shots=int(shots),
         counts=[int(c) for c in counts],

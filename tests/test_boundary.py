@@ -24,14 +24,18 @@ from rhokit import (
     apply_unitary_umap,
     check_umap,
     complete_orthonormal,
+    densities_match,
     density_from_matrix,
     eig_hermitian,
     ensemble_containing,
     ensemble_from_basis,
     ensemble_to_density,
+    ensembles_equal,
+    is_linearly_independent,
     lemma_unitary,
     match_purification,
     measure_ancilla,
+    numerical_rank,
     purify,
     sample_outcomes,
     schmidt_decompose,
@@ -39,6 +43,7 @@ from rhokit import (
     umap_between,
     validate_ensemble,
 )
+from rhokit.linalg import is_hermitian
 from helpers import bell_joint, computational, random_ensemble, random_unitary
 
 
@@ -184,6 +189,13 @@ def tolerance_calls():
         "eig_hermitian": lambda tol: eig_hermitian(rho, tol),
         "density_from_matrix": lambda **t: density_from_matrix(rho, **t),
         "ensemble_to_density": lambda **t: ensemble_to_density(e, **t),
+        "is_hermitian": lambda tol: is_hermitian(rho, tol),
+        "numerical_rank": lambda rank_tol: numerical_rank([0.5, 0.5], rank_tol),
+        "densities_match": lambda tol: densities_match(e, e, tol),
+        "ensembles_equal": lambda tol: ensembles_equal(e, e, tol),
+        "is_linearly_independent": lambda rank_tol: is_linearly_independent(
+            e, rank_tol
+        ),
     }
 
 
@@ -199,11 +211,19 @@ RANK_TOL_TAKERS = {
 }
 
 
+RANK_TOL_ONLY = {"numerical_rank", "is_linearly_independent"}
+
+
 @pytest.mark.parametrize("name", sorted(tolerance_calls()))
 def test_bad_tolerances_raise_typed_error_without_warning(name):
     call = tolerance_calls()[name]
-    call(tol=1e-10)  # the same call is accepted at a valid tolerance
-    params = ["tol", "rank_tol"] if name in RANK_TOL_TAKERS else ["tol"]
+    if name in RANK_TOL_ONLY:
+        params = ["rank_tol"]
+    elif name in RANK_TOL_TAKERS:
+        params = ["tol", "rank_tol"]
+    else:
+        params = ["tol"]
+    call(**{params[0]: 1e-10})  # the same call is accepted at a valid tolerance
     for param in params:
         for bad in (np.nan, np.inf, -1.0):
             with warnings.catch_warnings(record=True) as caught:

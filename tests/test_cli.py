@@ -349,3 +349,37 @@ def test_stdin_stdout_roundtrip(tmp_path):
     assert result.returncode == 0
     ensemble = docs.to_ensemble(docs.load_document(result.stdout))
     np.testing.assert_allclose(ensemble.weights, [0.5, 0.5], atol=1e-12)
+
+
+FUZZED_FLAGS = {
+    "--tol": ["nan", "inf", "-1", "abc"],
+    "--rank-tol": ["nan", "inf", "-1", "abc"],
+    "--shots": ["-1", "0", "1.5", str(10**20)],
+    "--seed": ["-1", "0", "1.5", str(10**20)],
+    "--dim-m": ["0", "-3", "2.5"],
+}
+
+
+@pytest.mark.parametrize("command", ["purify", "ensemble-from-basis", "contains", "steer"])
+def test_fuzzed_flags_keep_the_exit_code_contract(tmp_path, capsys, command):
+    joint = write(tmp_path / "j.json", docs.joint_document(bell_joint()))
+    basis = write(tmp_path / "b.json", plus_minus_basis_doc())
+    inputs = {
+        "purify": [write(tmp_path / "e.json", equal_mixture_doc()), "--dim-m", "2"],
+        "ensemble-from-basis": [joint, basis],
+        "contains": [joint, write(tmp_path / "k.json", docs.ket_document(plus_ket()))],
+        "steer": [joint, basis],
+    }[command]
+    base = [command, *inputs, "--out", str(tmp_path / "out.json")]
+    assert main(base) == 0
+    for flag, values in FUZZED_FLAGS.items():
+        for value in values:
+            argv = base + [f"{flag}={value}"]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code in (0, 2, 3, 4), argv
+            stderr = capsys.readouterr().err
+            if stderr:
+                assert "error" in single_json_error(stderr), argv

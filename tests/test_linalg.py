@@ -141,6 +141,44 @@ def test_complete_prefix_and_gram_random():
             )
 
 
+def test_complete_full_set_is_a_copy_of_its_rows():
+    unitary = random_unitary(np.random.default_rng(7), 5)
+    padded = np.zeros((10, 10), dtype=complex)
+    padded[::2, ::2] = unitary
+    for full in (unitary.copy(), np.asfortranarray(unitary), padded[::2, ::2]):
+        before = full.copy()
+        basis = complete_orthonormal(full, 5)
+        np.testing.assert_array_equal(basis, before)
+        basis[0, 0] = 7.0
+        np.testing.assert_array_equal(full, before)
+
+
+def wide_qr_completion(partial, dim):
+    """Reference completion: QR of ``[partial^T | I]`` with all d candidates."""
+    count = partial.shape[0]
+    q, r = np.linalg.qr(np.concatenate([partial.T, np.eye(dim)], axis=1))
+    signs = np.where(np.diag(r)[count:].real < 0, -1.0, 1.0)
+    return np.concatenate([partial, (q[:, count:] * signs).T])
+
+
+def test_complete_matches_wide_qr_reference():
+    # Householder column j depends only on columns 0..j, so dropping the
+    # unused candidates changes nothing but rounding: with one BLAS thread
+    # the two agree bit for bit, while a threaded BLAS may round the wider
+    # updates differently, by up to about cond * eps (0.2 cond * eps seen).
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        dim = int(rng.integers(1, 97))
+        count = int(rng.integers(0, dim + 1))
+        partial = random_unitary(rng, dim)[:count]
+        square = np.concatenate([partial.T, np.eye(dim)[:, : dim - count]], axis=1)
+        atol = 1e-14 * np.linalg.cond(square)
+        np.testing.assert_allclose(
+            complete_orthonormal(partial, dim), wide_qr_completion(partial, dim),
+            rtol=0, atol=atol,
+        )
+
+
 def test_complete_rejects_overfull():
     with pytest.raises(DimensionMismatch):
         complete_orthonormal(np.eye(3, dtype=complex), 2)

@@ -444,6 +444,29 @@ def test_apply_mapping_relation_holds():
     assert mapping_residual(umap, from_e, to_e) < 1e-8
 
 
+def test_apply_orders_rows_members_first_when_members_are_not_contiguous():
+    # The joint lives on ancilla kets 1 and 3 of 5, and the unitary mixes
+    # {1, 3} and {0, 2, 4} separately: source and rotated members are [1, 3].
+    rng = np.random.default_rng(27)
+    block = np.zeros((2, 5), dtype=complex)
+    block[:, [1, 3]] = random_unitary(rng, 2) * np.array([0.8, 0.6])
+    joint = JointState(dim_s=2, dim_m=5, vec=block.reshape(-1))
+    basis = np.eye(5, dtype=complex)
+    unitary = np.zeros((5, 5), dtype=complex)
+    unitary[np.ix_([1, 3], [1, 3])] = random_unitary(rng, 2)
+    unitary[np.ix_([0, 2, 4], [0, 2, 4])] = random_unitary(rng, 3)
+    rotated = basis @ unitary.T
+    assert ensemble_from_basis(joint, basis)[2] == [1, 3]
+    assert ensemble_from_basis(joint, rotated)[2] == [1, 3]
+
+    _, umap = apply_unitary_umap(joint, basis, unitary)
+    rows = rotated[[1, 3, 0, 2, 4]]
+    np.testing.assert_array_equal(umap.basis, rows)
+    np.testing.assert_array_equal(umap.coeffs, np.conj(rows) @ basis[[1, 3]].T)
+    np.testing.assert_array_equal(umap.coeffs[2:], 0.0)
+    assert check_umap(umap) == []
+
+
 def test_apply_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         apply_unitary_umap(

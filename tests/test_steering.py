@@ -207,6 +207,46 @@ def test_steer_skewed_frequencies_via_purification():
     assert abs(report.counts[1] - 1000) <= 4 * sigma
 
 
+def admitted_weights_cases():
+    skewed_basis = np.eye(3) + 0.49e-8 * (np.ones((3, 3)) - np.eye(3))
+    uniform = np.ones(3, dtype=complex) / np.sqrt(3)
+    long_joint = computational(4, 0) * (1 + 0.9e-8)
+    tail = np.sqrt(5e-7)
+    tail_joint = np.sqrt(1 - tail**2) * computational(4, 0) + tail * computational(4, 3)
+    return {
+        # Basis deviation 9.8e-9 <= 1e-8: the weights sum to 1 + 1.96e-8.
+        "skewed_basis": (
+            JointState(dim_s=3, dim_m=3, vec=tensor_ket(computational(3, 0), uniform)),
+            skewed_basis,
+            {},
+        ),
+        # The JointState check admits the norm; the weights sum to its square.
+        "joint_norm": (
+            JointState(dim_s=2, dim_m=2, vec=long_joint),
+            np.eye(2, dtype=complex),
+            {},
+        ),
+        # The 5e-7 weight is dropped at rank_tol 1e-6: the rest sums to 0.9999995.
+        "dropped_weight": (
+            JointState(dim_s=2, dim_m=2, vec=tail_joint),
+            np.eye(2, dtype=complex),
+            {"rank_tol": 1e-6},
+        ),
+        # The implied bound overflows a float; it must not become a rejected inf.
+        "huge_tol": (bell_joint(), np.eye(2, dtype=complex), {"tol": 1e308}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(admitted_weights_cases()))
+def test_steer_samples_every_ensemble_its_checks_admit(case):
+    joint, basis, tolerances = admitted_weights_cases()[case]
+    ensemble, _, _ = ensemble_from_basis(joint, basis, **tolerances)
+    report = steer(joint, basis, 1000, 3, **tolerances)
+    assert sum(report.counts) == 1000
+    assert len(report.counts) == ensemble.order
+    np.testing.assert_array_equal(report.expected_weights, ensemble.weights)
+
+
 def test_steer_post_density_equals_reduced_state():
     rng = np.random.default_rng(34)
     joint = random_joint(rng, 3, 2)
