@@ -8,7 +8,9 @@ JSON object on stderr and mapped onto a fixed exit-code contract:
 * 2 -- usage error, unreadable or malformed input document, or unwritable
   output
 * 3 -- violated precondition (including a dirty ``verify`` report)
-* 4 -- numerical failure
+* 4 -- numerical failure, or memory exhausted (``ResourceExhausted``: a
+  dimension such as ``--dim-m`` too large to allocate, or any other
+  ``MemoryError``)
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import documents
 from .ensembles import _weighted_projector_sum, validate_ensemble
-from .errors import DocumentError, NumericalFailure, RhokitError
+from .errors import DocumentError, NumericalFailure, ResourceExhausted, RhokitError
 from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_tolerances, max_abs
 from .purification import (
     apply_unitary_umap,
@@ -293,9 +295,12 @@ def main(argv=None) -> int:
         _emit_error(type(exc).__name__, str(exc))
         if isinstance(exc, DocumentError):
             return EXIT_DOCUMENT
-        if isinstance(exc, NumericalFailure):
+        if isinstance(exc, (NumericalFailure, ResourceExhausted)):
             return EXIT_NUMERICAL
         return EXIT_PRECONDITION
+    except MemoryError as exc:
+        _emit_error(ResourceExhausted.__name__, str(exc) or "out of memory")
+        return EXIT_NUMERICAL
 
 
 def _emit_error(error: str, message: str) -> None:

@@ -75,7 +75,7 @@ class RhoEnsemble:
         if np.any(weights <= 0.0):
             bad = int(np.argmax(weights <= 0.0))
             raise InvalidEnsemble(
-                f"element {bad} has non-positive weight {weights[bad]!r}"
+                f"element {bad} has non-positive weight {float(weights[bad])!r}"
             )
         object.__setattr__(self, "kets", kets)
         object.__setattr__(self, "weights", weights)
@@ -147,7 +147,7 @@ def density_from_matrix(
     spectrum, eigenkets = eig_hermitian(matrix, tol)
     if spectrum[-1] < -tol:
         raise InvalidArgument(
-            f"matrix has negative eigenvalue {spectrum[-1]!r} (tol {tol:.3e})"
+            f"matrix has negative eigenvalue {float(spectrum[-1])!r} (tol {tol:.3e})"
         )
     trace = float(np.sum(spectrum))
     if abs(trace - 1.0) > max(tol * len(spectrum), tol):
@@ -187,7 +187,7 @@ def validate_ensemble(
     if not abs(weight_sum - 1.0) <= max(tol, tol * e.order):
         report.append(f"weights sum to {weight_sum!r}, expected 1")
     for j in np.flatnonzero(e.weights <= 0.0):
-        report.append(f"element {j} has non-positive weight {e.weights[j]!r}")
+        report.append(f"element {j} has non-positive weight {float(e.weights[j])!r}")
     norms = np.linalg.norm(e.kets, axis=1)
     for j in np.flatnonzero(~(np.abs(norms - 1.0) <= tol)):
         report.append(f"element {j} has norm {float(norms[j])!r}, expected 1")
@@ -196,7 +196,7 @@ def validate_ensemble(
     upper = rows < cols
     for i, j in zip(rows[upper], cols[upper]):
         report.append(
-            f"elements ({i}, {j}) are collinear (|overlap| = {overlaps[i, j]!r})"
+            f"elements ({i}, {j}) are collinear (|overlap| = {float(overlaps[i, j])!r})"
         )
     return report
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by every rhokit module.
 
 The CLI maps these onto its exit-code contract: malformed documents exit 2,
-violated preconditions exit 3, solver breakdowns exit 4.
+violated preconditions exit 3, solver breakdowns and failed allocations
+exit 4.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ class NotUnitary(RhokitError):
 
 class NumericalFailure(RhokitError):
     """An underlying numerical routine failed to converge or lost precision."""
+
+
+class ResourceExhausted(RhokitError, MemoryError):
+    """An allocation sized by a caller's dimension could not be made."""
 
 
 class InvalidEnsemble(RhokitError):

@@ -25,6 +25,7 @@ from .errors import (
     NotNormalized,
     NotOrthonormal,
     NumericalFailure,
+    ResourceExhausted,
 )
 
 DEFAULT_TOL = 1e-10
@@ -116,7 +117,7 @@ def max_abs(x) -> float:
     ``max_abs(...) > tol`` check fails on it.
     """
     peak = float(np.abs(np.asarray(x)).max(initial=0.0))
-    return np.inf if np.isnan(peak) else peak
+    return math.inf if math.isnan(peak) else peak
 
 
 def gram_matrix(kets: np.ndarray) -> np.ndarray:
@@ -124,11 +125,15 @@ def gram_matrix(kets: np.ndarray) -> np.ndarray:
     return np.conj(kets) @ kets.T
 
 
+def _identity_deviation(square: np.ndarray) -> float:
+    """Max-norm distance of a square matrix from the identity, subtracted in place."""
+    square.flat[:: square.shape[0] + 1] -= 1.0
+    return max_abs(square)
+
+
 def orthonormality_deviation(kets: np.ndarray) -> float:
     """Max-norm distance of a ket list's Gram matrix from the identity; 0 when empty."""
-    gram = gram_matrix(kets)
-    gram.flat[:: kets.shape[0] + 1] -= 1.0
-    return max_abs(gram)
+    return _identity_deviation(gram_matrix(kets))
 
 
 def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -192,7 +197,8 @@ def complete_orthonormal(
 
     Raises NotOrthonormal if the input is not pairwise orthonormal at ``tol``
     and DimensionMismatch if its vectors are not of dimension ``target_dim``
-    or it already has more than ``target_dim`` of them.
+    or it already has more than ``target_dim`` of them. ResourceExhausted
+    means the ``target_dim``-sized factorization could not be allocated.
     """
     _check_tolerances(tol=tol)
     target_dim = _check_integer("target_dim", target_dim, 1)
@@ -210,10 +216,16 @@ def complete_orthonormal(
         )
     if count == target_dim:
         return kets.copy()
-    # Householder column j depends only on input columns 0..j, so candidates
-    # past e_{d-k-1} would never reach Q: leave them out of the factorization.
-    candidates = np.eye(target_dim)[:, : target_dim - count]
-    q, r = np.linalg.qr(np.concatenate([kets.T, candidates], axis=1))
+    try:
+        # Householder column j depends only on input columns 0..j, so
+        # candidates past e_{d-k-1} would never reach Q: leave them out.
+        candidates = np.eye(target_dim, target_dim - count)
+        q, r = np.linalg.qr(np.concatenate([kets.T, candidates], axis=1))
+    except MemoryError as exc:
+        raise ResourceExhausted(
+            f"completing {count} kets to dimension {target_dim} needs more memory"
+            " than is available"
+        ) from exc
     # Householder QR may flip a column's sign; undo that to match Gram-Schmidt.
     signs = np.where(np.diag(r)[count:].real < 0, -1.0, 1.0)
     return np.concatenate([kets, (q[:, count:] * signs).T])

@@ -30,6 +30,7 @@ from .errors import (
     NotUnitary,
     NumericalFailure,
     OrderExceedsAncillaDim,
+    ResourceExhausted,
     TracesDiffer,
 )
 from .linalg import (
@@ -37,6 +38,7 @@ from .linalg import (
     DEFAULT_TOL,
     _check_integer,
     _check_tolerances,
+    _identity_deviation,
     as_ket,
     as_ket_list,
     as_operator,
@@ -61,8 +63,7 @@ def _trusted(cls, **fields):
     on the inputs they were built from; each call site says which.
     """
     value = object.__new__(cls)
-    for name, field_value in fields.items():
-        object.__setattr__(value, name, field_value)
+    value.__dict__.update(fields)
     return value
 
 
@@ -255,7 +256,8 @@ def purify(
     the ancilla space, giving the joint ket ``sum_j sqrt(w_j) phi_j (x) e_j``
     whose reduced system state is exactly the ensemble's density matrix.
     Raises OrderExceedsAncillaDim when the ensemble has more elements than
-    the ancilla space has dimensions.
+    the ancilla space has dimensions, and ResourceExhausted when the
+    ``dim * dim_m`` joint ket cannot be allocated.
     """
     _check_tolerances(tol=tol)
     dim_m = _check_integer("dim_m", dim_m, 1)
@@ -264,10 +266,16 @@ def purify(
         raise OrderExceedsAncillaDim(
             f"ensemble order {e.order} exceeds ancilla dimension {dim_m}"
         )
-    block = _amplitude_block(e, dim_m)
-    joint = JointState(dim_s=e.dim, dim_m=dim_m, vec=block.reshape(-1))
-    # Canonical kets are exactly orthonormal, and there are at most dim_m.
-    canonical = np.eye(dim_m, dtype=complex)[: e.order]
+    try:
+        block = _amplitude_block(e, dim_m)
+        joint = JointState(dim_s=e.dim, dim_m=dim_m, vec=block.reshape(-1))
+        # Canonical kets are exactly orthonormal, and there are at most dim_m.
+        canonical = np.eye(e.order, dim_m, dtype=complex)
+    except MemoryError as exc:
+        raise ResourceExhausted(
+            f"a joint ket of dimension {e.dim}*{dim_m} needs more memory than"
+            " is available"
+        ) from exc
     ancilla = _trusted(Ancilla, dim_m=dim_m, kets=canonical)
     return joint, ancilla
 
@@ -331,31 +339,35 @@ def ensemble_from_basis(
         raise NotOrthonormalBasis(
             f"basis has {kets.shape[0]} kets, expected {joint.dim_m}"
         )
-    deviation = orthonormality_deviation(kets)
+    bras = np.conj(kets)
+    deviation = _identity_deviation(bras @ kets.T)
     if deviation > max(tol, _CONSTRUCT_TOL):
         raise NotOrthonormalBasis(
             f"basis deviates from orthonormality by {deviation:.3e}"
         )
-    conditionals = joint.as_matrix() @ np.conj(kets).T
-    weights = np.sum(np.abs(conditionals) ** 2, axis=0)
-    members = np.flatnonzero(weights > rank_tol)
-    if members.size == 0:
-        raise NotNormalized("joint ket has no weight above the rank cutoff")
-    member_weights = weights[members]
-    member_kets = (conditionals[:, members] / np.sqrt(member_weights)).T
+    conditionals = joint.as_matrix() @ bras.T
+    weights = (np.abs(conditionals) ** 2).sum(axis=0)
+    kept = weights > rank_tol
+    members = list(range(joint.dim_m))
+    if not kept.all():  # copy out the members only when some ket drops
+        index = np.flatnonzero(kept)
+        if index.size == 0:
+            raise NotNormalized("joint ket has no weight above the rank cutoff")
+        kets, weights = kets[index], weights[index]
+        conditionals, members = conditionals[:, index], index.tolist()
+    member_kets = (conditionals / np.sqrt(weights)).T
     if deviation > _CONSTRUCT_TOL:
-        # A ``tol`` looser than _CONSTRUCT_TOL admits bases whose member kets
-        # the Ancilla check may reject, and bounds the weights only by tol:
-        # build both through the checked constructors, as before.
-        ensemble = RhoEnsemble(kets=member_kets, weights=member_weights)
-        ancilla = Ancilla(dim_m=joint.dim_m, kets=kets[members])
-        return ensemble, ancilla, members.tolist()
-    # Each weight is finite and above rank_tol >= 0, each member-ket entry is
-    # at most 1 in magnitude (|c_i| <= sqrt(w)), and the members' Gram matrix
-    # is a principal submatrix of the basis Gram matrix checked above.
-    ensemble = _trusted(RhoEnsemble, kets=member_kets, weights=member_weights)
-    ancilla = _trusted(Ancilla, dim_m=joint.dim_m, kets=kets[members])
-    return ensemble, ancilla, members.tolist()
+        # A ``tol`` looser than _CONSTRUCT_TOL admits bases whose member kets the
+        # Ancilla check may reject, and bounds the weights only by tol: check both.
+        ensemble = RhoEnsemble(kets=member_kets, weights=weights)
+        ancilla = Ancilla(dim_m=joint.dim_m, kets=kets)
+    else:
+        # Each weight is finite and above rank_tol >= 0, each member-ket entry
+        # is at most 1 in magnitude (|c_i| <= sqrt(w)), and the members' Gram
+        # matrix is a principal submatrix of the basis Gram matrix checked above.
+        ensemble = _trusted(RhoEnsemble, kets=member_kets, weights=weights)
+        ancilla = _trusted(Ancilla, dim_m=joint.dim_m, kets=kets)
+    return ensemble, ancilla, members
 
 
 def umap_between(

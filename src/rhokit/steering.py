@@ -16,6 +16,7 @@ seeds) rather than sharing a generator.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_integer, _check_tolera
 from .purification import _CONSTRUCT_TOL, JointState, ensemble_from_basis
 
 Mixture = list[tuple[float, np.ndarray, np.ndarray]]
+
+_INT64_MAX = 2**63 - 1  # multinomial counts are 64-bit integers
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,10 +57,7 @@ def measure_ancilla(
     the measurement does not disturb the system side.
     """
     ensemble, ancilla, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
-    mixture: Mixture = [
-        (float(weight), s_ket, m_ket)
-        for (s_ket, weight), m_ket in zip(ensemble.elements(), ancilla.kets)
-    ]
+    mixture = list(zip(ensemble.weights.tolist(), ensemble.kets, ancilla.kets))
     pairs = ensemble.kets[:, :, None] * ancilla.kets[:, None, :]
     pairs = pairs.reshape(ensemble.order, -1)
     return mixture, _weighted_projector_sum(pairs, ensemble.weights)
@@ -79,17 +79,16 @@ def sample_outcomes(
     probs = np.asarray(weights, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
         raise WeightsNotNormalized("weights must be a non-empty 1-D list")
-    if np.any(probs < 0.0):
+    if (probs < 0.0).any():
         raise WeightsNotNormalized("weights must be non-negative")
-    total = float(np.sum(probs))
+    total = float(probs.sum())
     if not abs(total - 1.0) <= tol:  # a NaN total fails too
         raise WeightsNotNormalized(
             f"weights sum to {total!r}, expected 1 (tol {tol:.3e})"
         )
-    shots = _check_integer("shots", shots, 1, int(np.iinfo(np.int64).max))
+    shots = _check_integer("shots", shots, 1, _INT64_MAX)
     seed = _check_integer("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, probs / total)
+    return np.random.default_rng(seed).multinomial(shots, probs / total)
 
 
 def steer(
@@ -113,12 +112,12 @@ def steer(
     # rank_tol. A huge finite tol must not overflow to a rejected inf.
     weight_tol = min(
         2 * _CONSTRUCT_TOL + joint.dim_m * (max(tol, _CONSTRUCT_TOL) + rank_tol),
-        np.finfo(float).max,
+        sys.float_info.max,
     )
     counts = sample_outcomes(ensemble.weights, shots, seed, weight_tol)
     return SteeringReport(
         shots=int(shots),
-        counts=[int(c) for c in counts],
+        counts=counts.tolist(),
         expected_weights=ensemble.weights,
         post_density=_weighted_projector_sum(ensemble.kets, ensemble.weights),
     )

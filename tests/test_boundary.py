@@ -161,6 +161,45 @@ def test_basis_between_construct_and_given_tol_still_raises():
         ensemble_from_basis(joint, basis)
 
 
+@pytest.fixture
+def checked_builds(monkeypatch):
+    """Names of the classes whose checked ``__post_init__`` ran, in call order."""
+    built = []
+    for cls in (RhoEnsemble, Ancilla):
+
+        def spy(self, cls=cls, check=cls.__post_init__):
+            built.append(cls.__name__)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    return built
+
+
+@pytest.mark.parametrize(
+    "skew, tol, checked",
+    [
+        (0.0, 1e-10, False),
+        (0.5e-8, 1e-10, False),
+        (1e-7, 1e-6, True),
+        (0.9e-6, 1e-6, True),
+    ],
+)
+def test_basis_deviation_past_construct_tol_takes_the_checked_path(
+    checked_builds, skew, tol, checked
+):
+    # Ket 1 leans on ket 0 by ``skew``. The joint is e0 (x) b0, so only ket 0
+    # carries weight (ket 1's is skew**2 <= rank_tol) and the member ancilla
+    # passes its own check; the deviation alone decides the path.
+    basis = random_unitary(np.random.default_rng(41), 3)
+    basis[1] += skew * basis[0]
+    joint = JointState(dim_s=2, dim_m=3, vec=np.kron(computational(2, 0), basis[0]))
+    ensemble, ancilla, members = ensemble_from_basis(joint, basis, tol=tol)
+    assert members == [0]
+    assert checked_builds == (["RhoEnsemble", "Ancilla"] if checked else [])
+    assert_rebuilds(ensemble)
+    assert_rebuilds(ancilla)
+
+
 def zero_weight_joint():
     """e0 (x) e0: conditioning on the computational basis gives weights 1 and 0."""
     return JointState(dim_s=2, dim_m=2, vec=computational(4, 0))

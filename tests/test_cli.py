@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from rhokit import JointState, RhoEnsemble, documents as docs
+from rhokit import JointState, RhoEnsemble, documents as docs, purification
 from rhokit.cli import main
 from helpers import bell_joint, computational, minus_ket, plus_ket, random_ensemble
 
@@ -20,6 +20,12 @@ def write(path, doc):
 def equal_mixture_doc():
     return docs.ensemble_document(
         RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.5, 0.5])
+    )
+
+
+def plus_minus_mixture_doc():
+    return docs.ensemble_document(
+        RhoEnsemble(kets=[plus_ket(), minus_ket()], weights=[0.5, 0.5])
     )
 
 
@@ -101,6 +107,15 @@ def test_verify_dirty_ensemble_reports_and_exits_3(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["clean"] is False
     assert report["violations"]
+
+
+def test_verify_report_holds_plain_floats(tmp_path, capsys):
+    twice = RhoEnsemble(kets=[computational(2, 0)] * 2, weights=[0.5, 0.5])
+    ens = write(tmp_path / "twice.json", docs.ensemble_document(twice))
+    assert main(["verify", "--ensemble", ens]) == 3
+    assert json.loads(capsys.readouterr().out)["violations"] == [
+        "elements (0, 1) are collinear (|overlap| = 1.0)"
+    ]
 
 
 def test_verify_rejects_rank_tol(tmp_path, capsys):
@@ -360,18 +375,30 @@ FUZZED_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("command", ["purify", "ensemble-from-basis", "contains", "steer"])
+@pytest.mark.parametrize(
+    "command",
+    ["purify", "ensemble-from-basis", "contains", "steer", "umap", "apply-u", "verify"],
+)
 def test_fuzzed_flags_keep_the_exit_code_contract(tmp_path, capsys, command):
     joint = write(tmp_path / "j.json", docs.joint_document(bell_joint()))
     basis = write(tmp_path / "b.json", plus_minus_basis_doc())
-    inputs = {
-        "purify": [write(tmp_path / "e.json", equal_mixture_doc()), "--dim-m", "2"],
-        "ensemble-from-basis": [joint, basis],
-        "contains": [joint, write(tmp_path / "k.json", docs.ket_document(plus_ket()))],
-        "steer": [joint, basis],
+    mixture = write(tmp_path / "e.json", equal_mixture_doc())
+    other = write(tmp_path / "pm.json", plus_minus_mixture_doc())
+    ket = write(tmp_path / "k.json", docs.ket_document(plus_ket()))
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    unitary = write(tmp_path / "u.json", docs.matrix_document(hadamard))
+    out = ["--out", str(tmp_path / "out.json")]
+    base = [command] + {
+        "purify": [mixture, "--dim-m", "2", *out],
+        "ensemble-from-basis": [joint, basis, *out],
+        "contains": [joint, ket, *out],
+        "steer": [joint, basis, *out],
+        "umap": [mixture, other, *out],
+        "apply-u": [joint, basis, unitary, *out],
+        "verify": ["--ensemble", mixture],
     }[command]
-    base = [command, *inputs, "--out", str(tmp_path / "out.json")]
     assert main(base) == 0
+    capsys.readouterr()
     for flag, values in FUZZED_FLAGS.items():
         for value in values:
             argv = base + [f"{flag}={value}"]
@@ -383,3 +410,37 @@ def test_fuzzed_flags_keep_the_exit_code_contract(tmp_path, capsys, command):
             stderr = capsys.readouterr().err
             if stderr:
                 assert "error" in single_json_error(stderr), argv
+
+
+def test_purify_past_available_memory_exits_4_with_one_json_line(
+    tmp_path, capsys, monkeypatch
+):
+    # Stands in for --dim-m 10**12, whose 29.1 TiB joint ket numpy refuses to
+    # allocate; no test asks for that memory.
+    def exhausted(e, dim_m):
+        raise MemoryError("Unable to allocate 29.1 TiB")
+
+    monkeypatch.setattr(purification, "_amplitude_block", exhausted)
+    ensemble = write(tmp_path / "e.json", equal_mixture_doc())
+    out = tmp_path / "j.json"
+    code = main(["purify", ensemble, "--dim-m", str(10**12), "--out", str(out)])
+    assert code == 4
+    error = single_json_error(capsys.readouterr().err)
+    assert error["error"] == "ResourceExhausted"
+    assert "2*1000000000000" in error["message"]
+    assert not out.exists()
+
+
+def test_any_memory_error_exits_4_with_one_json_line(tmp_path, capsys, monkeypatch):
+    def exhausted(text):
+        raise MemoryError()
+
+    monkeypatch.setattr(docs, "load_document", exhausted)
+    ensemble = write(tmp_path / "e.json", equal_mixture_doc())
+    assert main(["verify", "--ensemble", ensemble]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert single_json_error(captured.err) == {
+        "error": "ResourceExhausted",
+        "message": "out of memory",
+    }

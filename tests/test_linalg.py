@@ -8,6 +8,7 @@ from rhokit import (
     NotHermitian,
     NotNormalized,
     NotOrthonormal,
+    ResourceExhausted,
     complete_orthonormal,
     eig_hermitian,
     numerical_rank,
@@ -177,6 +178,30 @@ def test_complete_matches_wide_qr_reference():
             complete_orthonormal(partial, dim), wide_qr_completion(partial, dim),
             rtol=0, atol=atol,
         )
+
+
+def test_complete_equals_the_sliced_identity_square_qr_bit_for_bit():
+    # The candidates are built as a d x (d - k) identity block, not as a slice
+    # of a d x d one; the factored matrix, and so every output bit, is the same.
+    rng = np.random.default_rng(12)
+    for dim, count in [(1, 0), (2, 1), (7, 0), (7, 3), (16, 15), (40, 9)]:
+        partial = random_unitary(rng, dim)[:count]
+        square = np.concatenate([partial.T, np.eye(dim)[:, : dim - count]], axis=1)
+        q, r = np.linalg.qr(square)
+        signs = np.where(np.diag(r)[count:].real < 0, -1.0, 1.0)
+        expected = np.concatenate([partial, (q[:, count:] * signs).T])
+        np.testing.assert_array_equal(complete_orthonormal(partial, dim), expected)
+
+
+def test_complete_reports_a_failed_allocation_as_resource_exhausted(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 39.1 KiB")
+
+    monkeypatch.setattr(np, "eye", exhausted)
+    with pytest.raises(ResourceExhausted, match="dimension 50 ") as info:
+        complete_orthonormal([], 50)
+    assert isinstance(info.value, MemoryError)
+    assert isinstance(info.value.__cause__, MemoryError)
 
 
 def test_complete_rejects_overfull():

@@ -11,6 +11,7 @@ from rhokit import (
     NotInSupport,
     NotUnitary,
     OrderExceedsAncillaDim,
+    ResourceExhausted,
     RhoEnsemble,
     TracesDiffer,
     UMap,
@@ -29,6 +30,7 @@ from rhokit import (
     umap_between,
     validate_ensemble,
 )
+from rhokit import purification
 from helpers import (
     bell_joint,
     computational,
@@ -116,6 +118,28 @@ def test_purify_plus_minus_traces_back():
     e = RhoEnsemble(kets=[plus_ket(), minus_ket()], weights=[0.5, 0.5])
     joint, _ = purify(e, 2)
     np.testing.assert_allclose(joint.reduced_system(), np.eye(2) / 2, atol=1e-12)
+
+
+def test_purify_builds_only_the_member_rows_of_a_large_ancilla():
+    # The canonical ancilla is order x dim_m; a square identity here would need
+    # 149 GiB, while the joint ket holds 3 MiB.
+    dim_m = 10**5
+    e = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.5, 0.5])
+    joint, ancilla = purify(e, dim_m)
+    assert ancilla.kets.shape == (2, dim_m)
+    np.testing.assert_array_equal(ancilla.kets, np.eye(2, dim_m))
+    np.testing.assert_allclose(joint.reduced_system(), np.eye(2) / 2, atol=1e-15)
+
+
+def test_purify_reports_a_failed_allocation_as_resource_exhausted(monkeypatch):
+    def exhausted(e, dim_m):
+        raise MemoryError(f"Unable to allocate the block for dim_m {dim_m}")
+
+    monkeypatch.setattr(purification, "_amplitude_block", exhausted)
+    e = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.5, 0.5])
+    with pytest.raises(ResourceExhausted, match=r"2\*1000000000000 ") as info:
+        purify(e, 10**12)
+    assert isinstance(info.value, MemoryError)
 
 
 def test_purify_rejects_small_ancilla():
@@ -241,6 +265,47 @@ def test_from_basis_product_joint_single_member():
     assert e.weights[0] == pytest.approx(1.0, abs=1e-12)
     assert abs(np.vdot(e.kets[0], psi)) > 1 - 1e-12
     np.testing.assert_array_equal(ancilla.kets[0], m)
+
+
+def fancy_indexed_conditioning(joint, basis, rank_tol=1e-10):
+    """Reference: every conditional, then the members picked by index arrays."""
+    kets = np.asarray(basis, dtype=complex)
+    conditionals = joint.as_matrix() @ np.conj(kets).T
+    weights = np.sum(np.abs(conditionals) ** 2, axis=0)
+    members = np.flatnonzero(weights > rank_tol)
+    member_weights = weights[members]
+    member_kets = (conditionals[:, members] / np.sqrt(member_weights)).T
+    return member_kets, member_weights, kets[members], members.tolist()
+
+
+@pytest.mark.parametrize("rank_deficient", [False, True])
+def test_from_basis_equals_the_fancy_indexed_formula(rank_deficient):
+    rng = np.random.default_rng(19)
+    dim_s, dim_m = 4, 6
+    if rank_deficient:
+        # Amplitudes on ancilla kets 0 and 1 only; a basis that mixes those two
+        # and permutes the rest leaves four zero weights between the members.
+        e = random_ensemble(rng, dim_s, 2)
+        joint, _ = purify(e, dim_m)
+        basis = np.eye(dim_m, dtype=complex)
+        basis[:2, :2] = random_unitary(rng, 2)
+        basis = basis[[2, 0, 4, 5, 1, 3]]
+    else:
+        joint = random_joint(rng, dim_s, dim_m)
+        basis = random_basis(rng, dim_m)
+    ensemble, ancilla, members = ensemble_from_basis(joint, basis)
+    kets, weights, ancilla_kets, expected_members = fancy_indexed_conditioning(
+        joint, basis
+    )
+    assert members == expected_members == ([1, 4] if rank_deficient else list(range(6)))
+    assert all(type(index) is int for index in members)
+    for got, want in [
+        (ensemble.kets, kets),
+        (ensemble.weights, weights),
+        (ancilla.kets, ancilla_kets),
+    ]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
 
 
 def test_from_basis_roundtrips_purification():

@@ -82,7 +82,7 @@ def test_mixture_is_exactly_the_basis_ensemble():
     for (weight, s_ket, m_ket), (ket, w), b in zip(
         mixture, ensemble.elements(), ancilla.kets
     ):
-        assert weight == float(w)
+        assert type(weight) is float and weight == float(w)
         np.testing.assert_array_equal(s_ket, ket)
         np.testing.assert_array_equal(m_ket, b)
 
@@ -144,6 +144,22 @@ def test_sample_rejects_negative_weights():
 @pytest.mark.parametrize("weights", [[float("nan")], [0.5, float("nan")]])
 def test_sample_rejects_nan_weights_with_typed_error(weights):
     with pytest.raises(WeightsNotNormalized):
+        sample_outcomes(weights, shots=5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([float("nan"), 0.5], "weights sum to nan"),
+        ([1.5, -0.5], "weights must be non-negative"),
+        ([], "non-empty 1-D"),
+        ([[0.5, 0.5]], "non-empty 1-D"),
+        ([0.5, 0.6], "weights sum to 1.1"),
+    ],
+    ids=["nan", "negative", "empty", "2-D", "unnormalized"],
+)
+def test_sample_rejects_each_bad_weight_vector_with_its_message(weights, message):
+    with pytest.raises(WeightsNotNormalized, match=message):
         sample_outcomes(weights, shots=5, seed=0)
 
 
@@ -245,6 +261,20 @@ def test_steer_samples_every_ensemble_its_checks_admit(case):
     assert sum(report.counts) == 1000
     assert len(report.counts) == ensemble.order
     np.testing.assert_array_equal(report.expected_weights, ensemble.weights)
+
+
+@pytest.mark.parametrize(
+    "dim_s, dim_m, shots, seed",
+    [(16, 16, 10**4, 7), (4, 4, 10**6, 8), (3, 5, 1, 0), (24, 24, 10**4, 2**40)],
+)
+def test_steer_counts_are_one_seeded_multinomial_draw(dim_s, dim_m, shots, seed):
+    rng = np.random.default_rng(dim_s + dim_m)
+    joint = random_joint(rng, dim_s, dim_m)
+    report = steer(joint, random_basis(rng, dim_m), shots, seed)
+    weights = report.expected_weights
+    expected = np.random.default_rng(seed).multinomial(shots, weights / weights.sum())
+    assert report.counts == expected.tolist()
+    assert all(type(count) is int for count in report.counts)
 
 
 def test_steer_post_density_equals_reduced_state():
