@@ -30,7 +30,7 @@ from .linalg import (
 # The noncollinearity requirement has no intrinsic scale; 1e-8 on
 # 1 - |<phi_i|phi_j>| separates genuinely distinct directions from
 # round-tripped duplicates.
-DEFAULT_COLLINEARITY_TOL = 1e-8
+_COLLINEARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +98,9 @@ def _weighted_projector_sum(kets: np.ndarray, weights: np.ndarray) -> np.ndarray
     return kets.T @ (weights[:, None] * np.conj(kets))
 
 
-def _valid_projector_sum(
-    e: RhoEnsemble,
-    tol: float,
-    collinearity_tol: float = DEFAULT_COLLINEARITY_TOL,
-) -> np.ndarray:
+def _valid_projector_sum(e: RhoEnsemble, tol: float) -> np.ndarray:
     """Weighted projector sum; InvalidEnsemble(report) if ``validate_ensemble`` fails."""
-    report = validate_ensemble(e, tol, collinearity_tol=collinearity_tol)
+    report = validate_ensemble(e, tol)
     if report:
         raise InvalidEnsemble(report)
     return _weighted_projector_sum(e.kets, e.weights)
@@ -114,15 +110,14 @@ def ensemble_to_density(
     e: RhoEnsemble,
     tol: float = DEFAULT_TOL,
     rank_tol: float = DEFAULT_RANK_TOL,
-    collinearity_tol: float = DEFAULT_COLLINEARITY_TOL,
 ) -> DensityMatrix:
     """Sum the weighted projectors of a valid ensemble into a DensityMatrix.
 
     Raises InvalidEnsemble (carrying the violation report) if the ensemble
     fails ``validate_ensemble``. ``rank_tol`` sets ``support_rank``.
     """
-    _check_tolerances(tol=tol, rank_tol=rank_tol, collinearity_tol=collinearity_tol)
-    matrix = _valid_projector_sum(e, tol, collinearity_tol)
+    _check_tolerances(tol=tol, rank_tol=rank_tol)
+    matrix = _valid_projector_sum(e, tol)
     spectrum, eigenkets = eig_hermitian(matrix, tol)
     return DensityMatrix(
         dim=e.dim,
@@ -150,7 +145,7 @@ def density_from_matrix(
             f"matrix has negative eigenvalue {float(spectrum[-1])!r} (tol {tol:.3e})"
         )
     trace = float(np.sum(spectrum))
-    if abs(trace - 1.0) > max(tol * len(spectrum), tol):
+    if abs(trace - 1.0) > tol * len(spectrum):
         raise InvalidArgument(f"matrix has trace {trace!r}, expected 1")
     arr = np.asarray(matrix, dtype=complex)
     return DensityMatrix(
@@ -168,12 +163,7 @@ def eigen_ensemble(rho: DensityMatrix) -> RhoEnsemble:
     return RhoEnsemble(kets=rho.eigenkets[:n], weights=rho.spectrum[:n])
 
 
-def validate_ensemble(
-    e: RhoEnsemble,
-    tol: float = DEFAULT_TOL,
-    *,
-    collinearity_tol: float = DEFAULT_COLLINEARITY_TOL,
-) -> list[str]:
+def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     """Check every ensemble invariant; return a report of violations.
 
     An empty list means the ensemble is valid at the given tolerances.
@@ -184,7 +174,7 @@ def validate_ensemble(
     report: list[str] = []
     weight_sum = float(np.sum(e.weights))
     # Written as ``not (x <= bound)`` so that a NaN value or tolerance fails.
-    if not abs(weight_sum - 1.0) <= max(tol, tol * e.order):
+    if not abs(weight_sum - 1.0) <= tol * e.order:
         report.append(f"weights sum to {weight_sum!r}, expected 1")
     for j in np.flatnonzero(e.weights <= 0.0):
         report.append(f"element {j} has non-positive weight {float(e.weights[j])!r}")
@@ -192,7 +182,7 @@ def validate_ensemble(
     for j in np.flatnonzero(~(np.abs(norms - 1.0) <= tol)):
         report.append(f"element {j} has norm {float(norms[j])!r}, expected 1")
     overlaps = np.abs(gram_matrix(e.kets))
-    rows, cols = np.nonzero(overlaps >= 1.0 - collinearity_tol)
+    rows, cols = np.nonzero(overlaps >= 1.0 - _COLLINEARITY_TOL)
     upper = rows < cols
     for i, j in zip(rows[upper], cols[upper]):
         report.append(

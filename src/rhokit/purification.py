@@ -118,10 +118,6 @@ class Ancilla:
             )
         object.__setattr__(self, "kets", kets)
 
-    @property
-    def count(self) -> int:
-        return int(self.kets.shape[0])
-
 
 @dataclass(frozen=True, eq=False)
 class UMap:
@@ -489,7 +485,10 @@ def ensemble_containing(
     norm = float(np.linalg.norm(target))
     if abs(norm - 1.0) > tol:
         raise NotNormalized(f"target has norm {norm!r}, expected 1 (tol {tol:.3e})")
-    form = schmidt_decompose(joint.vec, joint.dim_s, joint.dim_m, rank_tol, tol)
+    # The joint's norm was checked at construction, within _CONSTRUCT_TOL.
+    form = schmidt_decompose(
+        joint.vec, joint.dim_s, joint.dim_m, rank_tol, _CONSTRUCT_TOL
+    )
     overlaps = np.conj(form.left_kets) @ target
     residual = target - form.left_kets.T @ overlaps
     residual_norm = float(np.linalg.norm(residual))

@@ -16,7 +16,6 @@ seeds) rather than sharing a generator.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +23,7 @@ import numpy as np
 from .ensembles import _weighted_projector_sum
 from .errors import WeightsNotNormalized
 from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_integer, _check_tolerances
-from .purification import _CONSTRUCT_TOL, JointState, ensemble_from_basis
-
-Mixture = list[tuple[float, np.ndarray, np.ndarray]]
+from .purification import JointState, ensemble_from_basis
 
 _INT64_MAX = 2**63 - 1  # multinomial counts are 64-bit integers
 
@@ -46,7 +43,7 @@ def measure_ancilla(
     basis,
     rank_tol: float = DEFAULT_RANK_TOL,
     tol: float = DEFAULT_TOL,
-) -> tuple[Mixture, np.ndarray]:
+) -> tuple[list[tuple[float, np.ndarray, np.ndarray]], np.ndarray]:
     """Mixture produced by measuring the ancilla in the given basis.
 
     Returns the list of ``(weight, system ket, ancilla ket)`` outcomes --
@@ -86,9 +83,14 @@ def sample_outcomes(
         raise WeightsNotNormalized(
             f"weights sum to {total!r}, expected 1 (tol {tol:.3e})"
         )
+    return _multinomial(probs, shots, seed)
+
+
+def _multinomial(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """One seeded multinomial draw of ``shots`` over non-negative ``probs``."""
     shots = _check_integer("shots", shots, 1, _INT64_MAX)
     seed = _check_integer("seed", seed, 0)
-    return np.random.default_rng(seed).multinomial(shots, probs / total)
+    return np.random.default_rng(seed).multinomial(shots, probs / float(probs.sum()))
 
 
 def steer(
@@ -104,17 +106,11 @@ def steer(
     ``post_density`` is the system-side state of the exact (non-sampled)
     post-measurement mixture, i.e. the weighted projector sum over realized
     system kets, which coincides with the reduced state of the joint ket.
+    The conditioned weights are the outcome distribution, so they are
+    sampled as ``ensemble_from_basis`` admitted them, without a second check.
     """
     ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
-    # How far the weights that ensemble_from_basis admits can miss 1: the
-    # joint's squared norm (within _CONSTRUCT_TOL of 1), the basis deviation
-    # it accepts on each of dim_m kets, and the dropped weights at or below
-    # rank_tol. A huge finite tol must not overflow to a rejected inf.
-    weight_tol = min(
-        2 * _CONSTRUCT_TOL + joint.dim_m * (max(tol, _CONSTRUCT_TOL) + rank_tol),
-        sys.float_info.max,
-    )
-    counts = sample_outcomes(ensemble.weights, shots, seed, weight_tol)
+    counts = _multinomial(ensemble.weights, shots, seed)
     return SteeringReport(
         shots=int(shots),
         counts=counts.tolist(),

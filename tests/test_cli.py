@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,54 @@ def test_umap_of_unequal_dimensions_exits_3(tmp_path, capsys):
 def test_verify_joint(tmp_path):
     joint = write(tmp_path / "j.json", docs.joint_document(bell_joint()))
     assert main(["verify", "--joint", joint]) == 0
+
+
+def long_joint():
+    """A joint whose norm, 1 + 5e-9, JointState admits but tol 1e-10 does not."""
+    vec = np.sqrt(0.7) * np.kron(computational(2, 0), computational(2, 0))
+    vec += np.sqrt(0.3) * np.kron(computational(2, 1), computational(2, 1))
+    return JointState(dim_s=2, dim_m=2, vec=vec * (1 + 5e-9))
+
+
+def test_verify_joint_norm_is_held_to_tol(tmp_path, capsys):
+    joint = write(tmp_path / "j.json", docs.joint_document(long_joint()))
+    assert main(["verify", "--joint", joint]) == 3
+    violations = json.loads(capsys.readouterr().out)["violations"]
+    assert violations == ["joint ket has norm 1.000000005, expected 1"]
+    assert main(["verify", "--joint", joint, "--tol", "1e-8"]) == 0
+    capsys.readouterr()
+
+
+def test_verify_rho_of_the_wrong_shape_is_a_violation(tmp_path, capsys):
+    ens = write(tmp_path / "e.json", equal_mixture_doc())
+    rho = write(tmp_path / "rho.json", docs.matrix_document(np.eye(3) / 3))
+    assert main(["verify", "--ensemble", ens, "--rho", rho]) == 3
+    assert json.loads(capsys.readouterr().out)["violations"] == [
+        "density matrix has shape (3, 3), expected (2, 2)"
+    ]
+
+
+def test_rank_tol_flag_sets_the_cutoff(tmp_path):
+    vec = np.sqrt(0.9) * np.kron(computational(2, 0), computational(2, 0))
+    vec += np.sqrt(0.1) * np.kron(computational(2, 1), computational(2, 1))
+    joint = write(tmp_path / "j.json", docs.joint_document(JointState(2, 2, vec)))
+    basis = write(tmp_path / "b.json", docs.basis_document(np.eye(2, dtype=complex)))
+    orders = []
+    for rank_tol in ("1e-10", "0.2"):
+        out = tmp_path / f"e{rank_tol}.json"
+        argv = ["ensemble-from-basis", joint, basis, "--rank-tol", rank_tol]
+        assert main(argv + ["--out", str(out)]) == 0
+        orders.append(docs.to_ensemble(docs.load_document(out.read_text())).order)
+    assert orders == [2, 1]
+
+
+def test_contains_accepts_every_joint_that_steer_accepts(tmp_path, capsys):
+    joint = write(tmp_path / "j.json", docs.joint_document(long_joint()))
+    basis = write(tmp_path / "b.json", docs.basis_document(np.eye(2, dtype=complex)))
+    ket = write(tmp_path / "k.json", docs.ket_document(computational(2, 0)))
+    assert main(["steer", joint, basis, "--out", str(tmp_path / "r.json")]) == 0
+    assert main(["contains", joint, ket, "--out", str(tmp_path / "e.json")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_steer_counts_within_four_sigma(tmp_path):
@@ -444,3 +493,64 @@ def test_any_memory_error_exits_4_with_one_json_line(tmp_path, capsys, monkeypat
         "error": "ResourceExhausted",
         "message": "out of memory",
     }
+
+
+DIMENSION_KEYS = {"dim", "dim_s", "dim_m", "rows", "cols"}
+
+
+def dimension_paths(value, path=()):
+    """Key paths of every declared dimension in a document payload."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key in DIMENSION_KEYS:
+                yield path + (key,)
+            yield from dimension_paths(item, path + (key,))
+
+
+@pytest.mark.parametrize(
+    "kind", ["ket", "matrix", "ensemble", "joint", "basis", "umap"]
+)
+def test_fuzzed_document_dimensions_exit_2_without_allocating(tmp_path, capsys, kind):
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    pm = RhoEnsemble(kets=[plus_ket(), minus_ket()], weights=[0.5, 0.5])
+    valid = {
+        "ket": docs.ket_document(plus_ket()),
+        "matrix": docs.matrix_document(hadamard),
+        "ensemble": equal_mixture_doc(),
+        "joint": docs.joint_document(bell_joint()),
+        "basis": plus_minus_basis_doc(),
+        "umap": docs.umap_document(purification.umap_between(pm, pm)),
+    }
+    paths = {name: write(tmp_path / f"{name}.json", doc) for name, doc in valid.items()}
+    bad = str(tmp_path / "bad.json")
+    out = ["--out", str(tmp_path / "out.json")]
+    argv = {
+        "ket": ["contains", paths["joint"], bad, *out],
+        "matrix": ["apply-u", paths["joint"], paths["basis"], bad, *out],
+        "ensemble": ["purify", bad, "--dim-m", "2", *out],
+        "joint": ["steer", bad, paths["basis"], *out],
+        "basis": ["ensemble-from-basis", paths["joint"], bad, *out],
+        "umap": ["verify", "--umap", bad],
+    }[kind]
+    cases = list(dimension_paths(valid[kind]["payload"]))
+    assert cases
+    tracemalloc.start()
+    try:
+        for path in cases:
+            for value in (10**12, 0, -1):
+                doc = json.loads(json.dumps(valid[kind]))
+                target = doc["payload"]
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = value
+                write(tmp_path / "bad.json", doc)
+                tracemalloc.reset_peak()
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+                captured = capsys.readouterr()
+                assert code == 2, (path, value)
+                assert captured.out == ""
+                assert single_json_error(captured.err)["error"] == "DocumentError"
+                assert peak < 4 * 2**20, (path, value, peak)
+    finally:
+        tracemalloc.stop()

@@ -86,6 +86,11 @@ def test_report_roundtrip_exact():
     [
         ("counts", [1, 2], "report.counts"),
         ("expected_weights", [-3.0, 7.0], "report.expected_weights"),
+        ("counts", [101, -1], "report.counts"),
+        ("expected_weights", [1.0], "report.expected_weights"),
+        ("shots", 0, "report.shots"),
+        ("post_density", "dense", "report.post_density"),
+        ("post_density", {"rows": 10**12, "cols": 2, "entries": []}, "report.post_density"),
     ],
 )
 def test_report_rejects_inconsistent_statistics(field, value, path):
@@ -196,6 +201,42 @@ def test_rejects_dimension_mismatch():
     }
     with pytest.raises(DocumentError):
         docs.to_ket(docs.load_document(json.dumps(doc)))
+
+
+def envelope(kind, payload):
+    return {"kind": kind, "version": 1, "payload": payload}
+
+
+UMAP_PAYLOAD = {
+    "rows": 2,
+    "cols": 2,
+    "coeffs": {"rows": 2, "cols": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]]] * 2},
+    "generator": None,
+    "basis": None,
+}
+
+
+@pytest.mark.parametrize(
+    "extract, doc, message",
+    [
+        (docs.load_document, '{"kind": "ket", "version": 1, "payload": []}',
+         "document payload must be a JSON object"),
+        (docs.to_ensemble, envelope("ensemble", {"dim": 2, "elements": []}),
+         "ensemble.elements: expected a non-empty array"),
+        (docs.to_basis, envelope("basis", {"dim": 2, "kets": []}),
+         "basis.kets: expected a non-empty array"),
+        (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "coeffs": [[1.0, 0.0]]}),
+         "umap.coeffs: expected a matrix object"),
+        (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "rows": 3}),
+         re.escape("umap.coeffs has shape (2, 2), envelope says (3, 2)")),
+        (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "basis": [[[1.0, 0.0]] * 2]}),
+         "umap.basis: expected 2 kets"),
+    ],
+    ids=["payload", "elements", "kets", "coeffs", "envelope_shape", "umap_basis"],
+)
+def test_rejects_malformed_payload_with_its_path(extract, doc, message):
+    with pytest.raises(DocumentError, match=f"^{message}$"):
+        extract(doc)
 
 
 def test_rejects_non_finite_numbers():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhokit import (
+    DimensionMismatch,
     InvalidArgument,
     InvalidEnsemble,
     RhoEnsemble,
@@ -54,6 +55,11 @@ def test_construction_rejects_negative_weight():
 def test_construction_rejects_empty():
     with pytest.raises(InvalidEnsemble):
         RhoEnsemble(kets=np.zeros((0, 2), dtype=complex), weights=[])
+
+
+def test_construction_rejects_count_mismatch():
+    with pytest.raises(DimensionMismatch, match=r"^2 kets but \(1,\) weights"):
+        RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[1.0])
 
 
 def test_element_iteration_preserves_order():
@@ -205,12 +211,17 @@ def test_validate_reports_collinear_pair_with_indices():
         f"elements ({i}, {j}) are collinear (|overlap| = 1.0)"
         for i, j in [(0, 2), (0, 4), (1, 3), (2, 4)]
     ]
-    every_pair = validate_ensemble(several, collinearity_tol=1.0)
+    phases = RhoEnsemble(
+        kets=[p * e1 for p in (1, -1, 1j, -1j, np.exp(0.3j))], weights=[0.2] * 5
+    )
+    every_pair = validate_ensemble(phases)
     assert [line.split(")")[0] for line in every_pair] == [
         f"elements ({i}, {j}" for i in range(5) for j in range(i + 1, 5)
     ]
     with pytest.raises(TypeError):
         validate_ensemble(several, 1e-10, 1e-10, 1e-8)
+    with pytest.raises(TypeError):
+        validate_ensemble(several, collinearity_tol=1e-8)
 
 
 def test_validate_reports_non_unit_norm():

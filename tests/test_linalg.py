@@ -5,12 +5,16 @@ import pytest
 
 from rhokit import (
     DimensionMismatch,
+    InvalidArgument,
     NotHermitian,
     NotNormalized,
     NotOrthonormal,
+    NumericalFailure,
     ResourceExhausted,
+    RhoEnsemble,
     complete_orthonormal,
     eig_hermitian,
+    lemma_unitary,
     numerical_rank,
     partial_trace_m,
     schmidt_decompose,
@@ -353,3 +357,84 @@ def test_schmidt_rejects_unnormalized():
 def test_schmidt_rejects_bad_dims():
     with pytest.raises(DimensionMismatch):
         schmidt_decompose(np.zeros(5, dtype=complex), 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# preconditions: one typed error per violated shape, value or solver
+
+
+@pytest.mark.parametrize("bad", ["1e-3", 1j, np.array([1e-3, 1e-3])])
+def test_non_real_tolerance_is_an_invalid_argument(bad):
+    with pytest.raises(InvalidArgument, match="^tol must be a finite non-negative"):
+        eig_hermitian(np.eye(2), bad)
+    with pytest.raises(InvalidArgument, match="^rank_tol must be a finite non-negative"):
+        numerical_rank([1.0], bad)
+
+
+PRECONDITIONS = {
+    "ket_ndim": (
+        lambda: tensor_ket(np.eye(2), computational(2, 0)),
+        DimensionMismatch,
+        r"expected a 1-D vector, got shape \(2, 2\)",
+    ),
+    "operator_ndim": (
+        lambda: eig_hermitian(np.ones(2)),
+        DimensionMismatch,
+        r"expected a 2-D matrix, got shape \(2,\)",
+    ),
+    "operator_non_finite": (
+        lambda: eig_hermitian(np.diag([np.nan, 1.0])),
+        InvalidArgument,
+        "matrix contains non-finite entries",
+    ),
+    "ket_list_non_finite": (
+        lambda: complete_orthonormal(np.array([[np.inf, 0.0]]), 2),
+        InvalidArgument,
+        "ket list contains non-finite entries",
+    ),
+    "empty_ket_list_without_dim": (
+        lambda: RhoEnsemble(kets=[], weights=[]),
+        DimensionMismatch,
+        "cannot infer dimension of an empty ket list",
+    ),
+    "too_many_kets_to_complete": (
+        lambda: complete_orthonormal(np.ones((3, 2)), 2),
+        DimensionMismatch,
+        "3 vectors cannot be orthonormal in dimension 2",
+    ),
+    "partial_trace_ndim": (
+        lambda: partial_trace_m(np.zeros((2, 2, 2)), 2, 2),
+        DimensionMismatch,
+        "expected a ket or square operator, got ndim=3",
+    ),
+    "rank_tol_above_every_coefficient": (
+        lambda: schmidt_decompose(bell_joint().vec, 2, 2, rank_tol=0.5),
+        NumericalFailure,
+        "normalized ket produced an empty Schmidt spectrum",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRECONDITIONS))
+def test_violated_precondition_raises_its_typed_error(case):
+    call, error, message = PRECONDITIONS[case]
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "solver, call, message",
+    [
+        ("eigh", lambda: eig_hermitian(np.eye(2)), "eigensolver failed"),
+        ("svd", lambda: schmidt_decompose(bell_joint().vec, 2, 2), "SVD failed"),
+        ("svd", lambda: lemma_unitary(bell_joint(), bell_joint()), "SVD failed"),
+    ],
+    ids=["eig_hermitian", "schmidt_decompose", "procrustes"],
+)
+def test_solver_failure_is_a_numerical_failure(monkeypatch, solver, call, message):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, solver, diverge)
+    with pytest.raises(NumericalFailure, match=f"^{message}: did not converge"):
+        call()

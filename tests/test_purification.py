@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from rhokit import (
+    Ancilla,
     DensitiesDiffer,
     DimensionMismatch,
     InvalidArgument,
     JointState,
     NotInSupport,
+    NotNormalized,
+    NotOrthonormalBasis,
     NotUnitary,
     OrderExceedsAncillaDim,
     ResourceExhausted,
@@ -588,6 +591,18 @@ def test_containing_rejects_out_of_support_target():
         ensemble_containing(joint, orthogonal)
 
 
+def test_containing_accepts_every_joint_state_norm():
+    # JointState admits a norm within 1e-8 of 1; conditioning accepts this
+    # joint, so the support-vector construction must accept it too.
+    vec = np.sqrt(0.7) * tensor_ket(computational(2, 0), computational(2, 0))
+    vec += np.sqrt(0.3) * tensor_ket(computational(2, 1), computational(2, 1))
+    joint = JointState(dim_s=2, dim_m=2, vec=vec * (1 + 5e-9))
+    ensemble_from_basis(joint, np.eye(2, dtype=complex))
+    e, _ = ensemble_containing(joint, computational(2, 0))
+    assert abs(np.vdot(e.kets[0], computational(2, 0))) > 1 - 1e-12
+    assert e.weights[0] == pytest.approx(0.7, abs=1e-7)
+
+
 def test_containing_covers_random_support_vectors():
     from rhokit import schmidt_decompose
 
@@ -689,3 +704,95 @@ def test_check_umap_reports_a_residual_that_overflows_to_nan():
         "generator deviates from unitarity by inf",
         "row basis deviates from orthonormality by inf",
     ]
+
+
+# ---------------------------------------------------------------------------
+# preconditions: one typed error per violated shape or count
+
+
+def trine_ensemble():
+    """Three kets at 120 degrees in the real plane, equal weights: rho = I/2."""
+    angles = 2 * np.pi * np.arange(3) / 3
+    kets = np.stack([np.cos(angles), np.sin(angles)], axis=1).astype(complex)
+    return RhoEnsemble(kets=kets, weights=[1 / 3] * 3)
+
+
+PRECONDITIONS = {
+    "joint_length": (
+        lambda: JointState(dim_s=2, dim_m=2, vec=np.ones(3) / np.sqrt(3)),
+        DimensionMismatch,
+        r"joint ket has length 3, expected 2\*2=4",
+    ),
+    "too_many_ancilla_kets": (
+        lambda: Ancilla(dim_m=2, kets=np.ones((3, 2))),
+        DimensionMismatch,
+        "3 ancilla kets cannot fit in dimension 2",
+    ),
+    "lemma_factor_mismatch": (
+        lambda: lemma_unitary(bell_joint(), JointState(1, 4, computational(4, 0))),
+        DimensionMismatch,
+        "joint states have different factor dimensions",
+    ),
+    "match_order_above_dim_m": (
+        lambda: match_purification(trine_ensemble(), bell_joint()),
+        OrderExceedsAncillaDim,
+        "ensemble order 3 exceeds ancilla dimension 2",
+    ),
+    "basis_ket_count": (
+        lambda: ensemble_from_basis(bell_joint(), [computational(2, 0)]),
+        NotOrthonormalBasis,
+        "basis has 1 kets, expected 2",
+    ),
+    "rank_tol_above_every_weight": (
+        lambda: ensemble_from_basis(bell_joint(), np.eye(2), rank_tol=0.5),
+        NotNormalized,
+        "joint ket has no weight above the rank cutoff",
+    ),
+    "unitary_shape": (
+        lambda: apply_unitary_umap(bell_joint(), np.eye(2), np.eye(3)),
+        DimensionMismatch,
+        r"unitary has shape \(3, 3\), expected \(2, 2\)",
+    ),
+    "target_dimension": (
+        lambda: ensemble_containing(bell_joint(), computational(3, 0)),
+        DimensionMismatch,
+        "target has dimension 3, expected 2",
+    ),
+    "target_norm": (
+        lambda: ensemble_containing(bell_joint(), computational(2, 0) * (1 + 1e-9)),
+        NotNormalized,
+        "target has norm 1.000000001, expected 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRECONDITIONS))
+def test_violated_precondition_raises_its_typed_error(case):
+    call, error, message = PRECONDITIONS[case]
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "umap, expected",
+    [
+        (
+            UMap(coeffs=np.eye(2), generator=np.ones((2, 3))),
+            ["generator is not square: (2, 3)"],
+        ),
+        (
+            UMap(coeffs=np.eye(2), basis=np.eye(2)[:1]),
+            ["row basis has 1 kets for 2 coefficient rows"],
+        ),
+        (
+            UMap(coeffs=np.eye(2), generator=PAULI_X, basis=np.eye(2)),
+            ["coefficients deviate from <b_j|U|b_k> by 1.000e+00"],
+        ),
+    ],
+    ids=["non_square_generator", "row_basis_count", "generator_mismatch"],
+)
+def test_check_umap_reports_each_inconsistency(umap, expected):
+    assert check_umap(umap) == expected
