@@ -98,11 +98,16 @@ def _weighted_projector_sum(kets: np.ndarray, weights: np.ndarray) -> np.ndarray
     return kets.T @ (weights[:, None] * np.conj(kets))
 
 
-def _valid_projector_sum(e: RhoEnsemble, tol: float) -> np.ndarray:
-    """Weighted projector sum; InvalidEnsemble(report) if ``validate_ensemble`` fails."""
+def _require_valid(e: RhoEnsemble, tol: float) -> None:
+    """Raise InvalidEnsemble(report) if ``validate_ensemble`` fails."""
     report = validate_ensemble(e, tol)
     if report:
         raise InvalidEnsemble(report)
+
+
+def _valid_projector_sum(e: RhoEnsemble, tol: float) -> np.ndarray:
+    """Weighted projector sum; InvalidEnsemble(report) if ``validate_ensemble`` fails."""
+    _require_valid(e, tol)
     return _weighted_projector_sum(e.kets, e.weights)
 
 
@@ -171,23 +176,31 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     and the offending element indices, pairs in row-major ``(i, j)`` order.
     Order >= support rank is not checked: n projectors sum to rank at most n.
     """
+    weight_sum = float(e.weights.sum())
+    nonpositive = e.weights <= 0.0
+    norms = np.linalg.norm(e.kets, axis=1)
+    unit_norm = np.abs(norms - 1.0) <= tol
+    overlaps = np.abs(gram_matrix(e.kets))
+    collinear = overlaps >= 1.0 - _COLLINEARITY_TOL
     report: list[str] = []
-    weight_sum = float(np.sum(e.weights))
     # Written as ``not (x <= bound)`` so that a NaN value or tolerance fails.
     if not abs(weight_sum - 1.0) <= tol * e.order:
         report.append(f"weights sum to {weight_sum!r}, expected 1")
-    for j in np.flatnonzero(e.weights <= 0.0):
-        report.append(f"element {j} has non-positive weight {float(e.weights[j])!r}")
-    norms = np.linalg.norm(e.kets, axis=1)
-    for j in np.flatnonzero(~(np.abs(norms - 1.0) <= tol)):
-        report.append(f"element {j} has norm {float(norms[j])!r}, expected 1")
-    overlaps = np.abs(gram_matrix(e.kets))
-    rows, cols = np.nonzero(overlaps >= 1.0 - _COLLINEARITY_TOL)
-    upper = rows < cols
-    for i, j in zip(rows[upper], cols[upper]):
-        report.append(
-            f"elements ({i}, {j}) are collinear (|overlap| = {float(overlaps[i, j])!r})"
-        )
+    # Each index pass below runs only for a check that fired.
+    if nonpositive.any():
+        for j in np.flatnonzero(nonpositive):
+            report.append(f"element {j} has non-positive weight {float(e.weights[j])!r}")
+    if not unit_norm.all():
+        for j in np.flatnonzero(~unit_norm):
+            report.append(f"element {j} has norm {float(norms[j])!r}, expected 1")
+    # A diagonal entry pairs a ket with itself; only entries off it are pairs.
+    if np.count_nonzero(collinear) > np.count_nonzero(collinear.diagonal()):
+        rows, cols = np.nonzero(collinear)
+        upper = rows < cols
+        for i, j in zip(rows[upper], cols[upper]):
+            report.append(
+                f"elements ({i}, {j}) are collinear (|overlap| = {float(overlaps[i, j])!r})"
+            )
     return report
 
 

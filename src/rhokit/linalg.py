@@ -116,7 +116,7 @@ def max_abs(x) -> float:
     A NaN entry (overflow inside a residual) counts as infinite, so every
     ``max_abs(...) > tol`` check fails on it.
     """
-    peak = float(np.abs(np.asarray(x)).max(initial=0.0))
+    peak = float(np.abs(x).max(initial=0.0))
     return math.inf if math.isnan(peak) else peak
 
 
@@ -126,9 +126,15 @@ def gram_matrix(kets: np.ndarray) -> np.ndarray:
 
 
 def _identity_deviation(square: np.ndarray) -> float:
-    """Max-norm distance of a square matrix from the identity, subtracted in place."""
-    square.flat[:: square.shape[0] + 1] -= 1.0
-    return max_abs(square)
+    """Max-norm distance of a square matrix from the identity; may overwrite it.
+
+    ``flat`` lists the entries in memory order when ``square`` is contiguous
+    (a view) and in row order otherwise (a copy); either way the diagonal is
+    every ``n + 1``-th entry, and the maximum is taken over ``flat`` itself.
+    """
+    flat = square.ravel(order="A")
+    flat[:: square.shape[0] + 1] -= 1.0
+    return max_abs(flat)
 
 
 def orthonormality_deviation(kets: np.ndarray) -> float:
@@ -227,7 +233,7 @@ def complete_orthonormal(
             " than is available"
         ) from exc
     # Householder QR may flip a column's sign; undo that to match Gram-Schmidt.
-    signs = np.where(np.diag(r)[count:].real < 0, -1.0, 1.0)
+    signs = np.where(r.diagonal()[count:].real < 0, -1.0, 1.0)
     return np.concatenate([kets, (q[:, count:] * signs).T])
 
 

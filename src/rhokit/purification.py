@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import RhoEnsemble, _valid_projector_sum
+from .ensembles import RhoEnsemble, _require_valid, _valid_projector_sum
 from .errors import (
     DensitiesDiffer,
     DimensionMismatch,
@@ -257,7 +257,7 @@ def purify(
     """
     _check_tolerances(tol=tol)
     dim_m = _check_integer("dim_m", dim_m, 1)
-    _valid_projector_sum(e, tol)  # raises InvalidEnsemble
+    _require_valid(e, tol)
     if e.order > dim_m:
         raise OrderExceedsAncillaDim(
             f"ensemble order {e.order} exceeds ancilla dimension {dim_m}"
@@ -323,7 +323,9 @@ def ensemble_from_basis(
     basis order), and ``member_indices`` records which basis positions they
     came from. The member basis kets form the returned ancilla, and
     ``sum_k sqrt(w_k) phi_k (x) b_k`` over members reconstructs the joint
-    ket up to the discarded sub-threshold tails.
+    ket up to the discarded sub-threshold tails. A joint ket whose squared
+    norm misses 1 by more than ``tol`` is normalized first, so the weights
+    sum to 1 up to those tails.
 
     A degenerate basis choice can produce collinear conditional vectors;
     the returned ensemble then fails ``validate_ensemble``, which callers
@@ -341,7 +343,13 @@ def ensemble_from_basis(
         raise NotOrthonormalBasis(
             f"basis deviates from orthonormality by {deviation:.3e}"
         )
-    conditionals = joint.as_matrix() @ bras.T
+    matrix = joint.as_matrix()
+    # JointState admits a norm within _CONSTRUCT_TOL of 1; condition on the
+    # normalized ket when the weights would miss 1 by more than ``tol``.
+    norm_sq = np.vdot(joint.vec, joint.vec).real
+    if abs(norm_sq - 1.0) > tol:
+        matrix = matrix / np.sqrt(norm_sq)
+    conditionals = matrix @ bras.T
     weights = (np.abs(conditionals) ** 2).sum(axis=0)
     kept = weights > rank_tol
     members = list(range(joint.dim_m))

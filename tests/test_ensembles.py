@@ -294,22 +294,8 @@ def split_collinear(report):
     return plain, pairs
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dim=st.integers(1, 8),
-    order=st.integers(1, 10),
-    duplicates=st.lists(
-        st.tuples(st.integers(0, 9), st.integers(0, 9), st.booleans()), max_size=4
-    ),
-    layout=st.sampled_from(["C", "F", "strided"]),
-    smallest_weight=st.sampled_from([None, 1e-4, 1e-7, 1e-10]),
-    norm_error=st.sampled_from([0.0, 1e-2, 5e-10, 5e-11]),
-    flaw=st.sampled_from([None, "weight_sum", "negative_weight"]),
-)
-def test_validate_matches_pair_loop_oracle(
-    seed, dim, order, duplicates, layout, smallest_weight, norm_error, flaw
-):
+def oracle_case(seed, dim, order, duplicates, layout, smallest_weight, norm_error, flaw):
+    """A random ensemble with the requested flaws, in the requested layout."""
     rng = np.random.default_rng(seed)
     kets = np.stack([random_ket(rng, dim) for _ in range(order)])
     for src, dst, phased in duplicates:
@@ -332,20 +318,90 @@ def test_validate_matches_pair_loop_oracle(
         padded[::2, ::3] = kets
         kets = padded[::2, ::3]
     e = RhoEnsemble(kets=kets, weights=weights)
+    # Construction rejects non-positive weights; reach the check directly.
     if flaw == "negative_weight":
-        # Construction rejects non-positive weights; reach the check directly.
         negated = e.weights.copy()
         negated[rng.integers(order)] *= -1.0
         object.__setattr__(e, "weights", negated)
+    elif flaw == "zero_weight" and order > 1:  # moved to a neighbour: the sum holds
+        zeroed = e.weights.copy()
+        k = rng.integers(order)
+        zeroed[(k + 1) % order] += zeroed[k]
+        zeroed[k] = 0.0
+        object.__setattr__(e, "weights", zeroed)
+    return e
 
+
+def assert_matches_oracle(e):
     plain, pairs = split_collinear(validate_ensemble(e))
     expected_plain, expected_pairs = split_collinear(pair_loop_report(e))
     assert plain == expected_plain
     assert [p[:2] for p in pairs] == [p[:2] for p in expected_pairs]
     # vdot and the Gram matrix sum in different orders.
-    overlap_tol = 8 * dim * np.finfo(float).eps
+    overlap_tol = 8 * e.dim * np.finfo(float).eps
     for (_, _, got), (_, _, want) in zip(pairs, expected_pairs):
         assert abs(got - want) <= overlap_tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 8),
+    order=st.integers(1, 10),
+    duplicates=st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9), st.booleans()), max_size=4
+    ),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    smallest_weight=st.sampled_from([None, 1e-4, 1e-7, 1e-10]),
+    norm_error=st.sampled_from([0.0, 1e-2, 5e-10, 5e-11]),
+    flaw=st.sampled_from([None, "weight_sum", "negative_weight", "zero_weight"]),
+)
+def test_validate_matches_pair_loop_oracle(
+    seed, dim, order, duplicates, layout, smallest_weight, norm_error, flaw
+):
+    assert_matches_oracle(
+        oracle_case(seed, dim, order, duplicates, layout, smallest_weight, norm_error, flaw)
+    )
+
+
+_REPORT_KINDS = {
+    "weights sum": "weight_sum",
+    "non-positive weight": "nonpositive",
+    "has norm": "norm",
+    "collinear": "collinear",
+}
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize(
+    "fired, duplicates, norm_error, flaw",
+    [
+        (set(), [], 0.0, None),
+        ({"weight_sum"}, [], 0.0, "weight_sum"),
+        ({"nonpositive"}, [], 0.0, "zero_weight"),
+        ({"norm"}, [], 1e-2, None),
+        ({"collinear"}, [(0, 2, True), (1, 3, False)], 0.0, None),
+        (
+            {"weight_sum", "nonpositive", "norm", "collinear"},
+            [(0, 2, True), (1, 3, False)],
+            1e-2,
+            "negative_weight",
+        ),
+    ],
+    ids=["none", "weight_sum", "nonpositive", "norm", "collinear", "all_four"],
+)
+def test_validate_matches_oracle_when_none_one_or_all_checks_fire(
+    fired, duplicates, norm_error, flaw, layout
+):
+    e = oracle_case(7, 3, 5, duplicates, layout, None, norm_error, flaw)
+    kinds = {
+        kind
+        for line in pair_loop_report(e)
+        for text, kind in _REPORT_KINDS.items()
+        if text in line
+    }
+    assert kinds == fired
+    assert_matches_oracle(e)
 
 
 # ---------------------------------------------------------------------------

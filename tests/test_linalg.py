@@ -21,6 +21,7 @@ from rhokit import (
     schmidt_reconstruct,
     tensor_ket,
 )
+from rhokit import linalg
 from helpers import bell_joint, computational, random_hermitian, random_ket, random_unitary
 
 
@@ -156,6 +157,23 @@ def test_complete_full_set_is_a_copy_of_its_rows():
         np.testing.assert_array_equal(basis, before)
         basis[0, 0] = 7.0
         np.testing.assert_array_equal(full, before)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_identity_deviation_is_max_distance_from_identity_in_any_layout(layout):
+    # The diagonal sits near 1 and the rest near 1e-3, so a subtraction that
+    # misses the array the maximum is taken over reads about 1, not 1e-3.
+    rng = np.random.default_rng(8)
+    noise = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    square = np.eye(5) + 1e-3 * noise
+    expected = np.max(np.abs(square - np.eye(5)))
+    if layout == "F":
+        square = np.asfortranarray(square)
+    elif layout == "strided":
+        padded = np.zeros((10, 15), dtype=complex)
+        padded[::2, ::3] = square
+        square = padded[::2, ::3]
+    assert linalg._identity_deviation(square) == expected
 
 
 def wide_qr_completion(partial, dim):

@@ -28,7 +28,9 @@ from rhokit import (
     ensembles_equal,
     lemma_unitary,
     match_purification,
+    measure_ancilla,
     purify,
+    steer,
     tensor_ket,
     umap_between,
     validate_ensemble,
@@ -601,6 +603,33 @@ def test_containing_accepts_every_joint_state_norm():
     e, _ = ensemble_containing(joint, computational(2, 0))
     assert abs(np.vdot(e.kets[0], computational(2, 0))) > 1 - 1e-12
     assert e.weights[0] == pytest.approx(0.7, abs=1e-7)
+
+
+def _near_unit_outputs():
+    """Ensembles built by each construction from a joint of norm 1 + 5e-9."""
+    vec = np.sqrt(0.7) * tensor_ket(computational(2, 0), computational(2, 0))
+    vec += np.sqrt(0.3) * tensor_ket(computational(2, 1), computational(2, 1))
+    joint = JointState(dim_s=2, dim_m=2, vec=vec * (1 + 5e-9))
+    basis = np.eye(2, dtype=complex)
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    conditioned, _, _ = ensemble_from_basis(joint, basis)
+    report = steer(joint, basis, 100, 0)
+    mixture, _ = measure_ancilla(joint, basis)
+    return {
+        "ensemble_from_basis": conditioned,
+        "steer": RhoEnsemble(kets=conditioned.kets, weights=report.expected_weights),
+        "measure_ancilla": RhoEnsemble(
+            kets=[ket for _, ket, _ in mixture], weights=[w for w, _, _ in mixture]
+        ),
+        "ensemble_containing": ensemble_containing(joint, computational(2, 0))[0],
+        "apply_unitary_umap": apply_unitary_umap(joint, basis, hadamard)[0],
+    }
+
+
+@pytest.mark.parametrize("construction", sorted(_near_unit_outputs()))
+def test_near_unit_joint_outputs_pass_validation(construction):
+    # The joint's norm is admitted, so the outputs built from it must validate.
+    assert validate_ensemble(_near_unit_outputs()[construction]) == []
 
 
 def test_containing_covers_random_support_vectors():

@@ -236,7 +236,8 @@ def admitted_weights_cases():
             skewed_basis,
             {},
         ),
-        # The JointState check admits the norm; the weights sum to its square.
+        # The JointState check admits the norm; conditioning normalizes the
+        # joint, so the weights sum to 1.
         "joint_norm": (
             JointState(dim_s=2, dim_m=2, vec=long_joint),
             np.eye(2, dtype=complex),
