@@ -197,9 +197,7 @@ def complete_orthonormal(
     is deterministic and unitary to working precision; a canonical prefix
     ``e_0..e_{k-1}`` (or no input) completes to exactly the identity. A
     candidate (nearly) in the span of the input and the earlier candidates
-    gets a direction set by rounding, so callers that care put the
-    candidates least aligned with the input first (as
-    ``ensemble_containing`` does).
+    gets a direction set by rounding.
 
     Raises NotOrthonormal if the input is not pairwise orthonormal at ``tol``
     and DimensionMismatch if its vectors are not of dimension ``target_dim``

@@ -94,8 +94,10 @@ class JointState:
         return self.vec.reshape(self.dim_s, self.dim_m)
 
     def reduced_system(self) -> np.ndarray:
-        """Reduced density matrix on the system factor."""
-        return partial_trace_m(self.vec, self.dim_s, self.dim_m)
+        """Reduced density matrix on the system factor, divided by the ket's
+        squared norm (held to 1 only within the construction bound)."""
+        vec = self.vec
+        return partial_trace_m(vec, self.dim_s, self.dim_m) / np.vdot(vec, vec).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,23 +194,36 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
     return report
 
 
+def _amplitudes(e: RhoEnsemble) -> np.ndarray:
+    """(order, dim) rows ``sqrt(w_j) phi_j``."""
+    return np.sqrt(e.weights)[:, None] * e.kets
+
+
 def _amplitude_block(e: RhoEnsemble, dim_m: int) -> np.ndarray:
     """(dim, dim_m) matrix of ``sum_j sqrt(w_j) phi_j (x) e_j``; zero past the order."""
     block = np.zeros((e.dim, dim_m), dtype=complex)
-    block[:, : e.order] = (np.sqrt(e.weights)[:, None] * e.kets).T
+    block[:, : e.order] = _amplitudes(e).T
     return block
 
 
-def _procrustes(a_from: np.ndarray, a_to: np.ndarray) -> np.ndarray:
+def _procrustes(cross: np.ndarray, dim_m: int) -> np.ndarray:
     """Unitary U minimizing ``||a_from U^T - a_to||_F`` (orthogonal Procrustes).
 
-    With ``W S V^dag = svd(a_from^dag a_to)`` the minimizer is
-    ``U^T = W V^dag``, the polar factor. When both blocks have the same
-    ``a a^dag`` the minimum is zero, so ``(1 (x) U)`` carries the first
-    joint ket onto the second.
+    ``cross`` is ``a_from^dag a_to`` for two (dim_s, dim_m) coefficient
+    matrices. Callers leave out the ancilla columns past an ensemble's order,
+    where its amplitude matrix is zero, so the block is padded with zeros to
+    ``dim_m x dim_m`` only when a side is shorter. With
+    ``W S V^dag = svd(cross)`` the minimizer is
+    ``U^T = W V^dag``, the polar factor. When both matrices have the same
+    ``a a^dag`` the minimum is zero, so ``(1 (x) U)`` carries the first joint
+    ket onto the second.
     """
+    if cross.shape != (dim_m, dim_m):
+        padded = np.zeros((dim_m, dim_m), dtype=complex)
+        padded[: cross.shape[0], : cross.shape[1]] = cross
+        cross = padded
     try:
-        w, _, vh = np.linalg.svd(dagger(a_from) @ a_to)
+        w, _, vh = np.linalg.svd(cross)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD failed: {exc}") from exc
     return (w @ vh).T
@@ -238,7 +253,7 @@ def lemma_unitary(
         raise TracesDiffer(
             f"reduced system states differ by {deviation:.3e} (tol {tol:.3e})"
         )
-    return _procrustes(phi.as_matrix(), chi.as_matrix())
+    return _procrustes(dagger(phi.as_matrix()) @ chi.as_matrix(), chi.dim_m)
 
 
 def purify(
@@ -305,7 +320,7 @@ def match_purification(
         raise OrderExceedsAncillaDim(
             f"ensemble order {e.order} exceeds ancilla dimension {target.dim_m}"
         )
-    rotation = _procrustes(_amplitude_block(e, target.dim_m), target.as_matrix())
+    rotation = _procrustes(np.conj(_amplitudes(e)) @ target.as_matrix(), target.dim_m)
     return Ancilla(dim_m=target.dim_m, kets=rotation.T[: e.order])
 
 
@@ -382,12 +397,13 @@ def umap_between(
     """Construct a coefficient map carrying one decomposition into another.
 
     Both ensembles must decompose the same density matrix within ``tol``
-    (else DensitiesDiffer). Their amplitude-weighted kets, padded to a common
-    ancilla dimension ``max(order_from, order_to)``, are the coefficient
-    matrices of two purifications; the Procrustes polar factor of the pair
-    (one SVD) is returned as the generator, and its first ``order_from``
-    columns are the coefficients. Row j pairs with target element j for
-    ``j < order_to``; for larger j the mapped combination is zero.
+    (else DensitiesDiffer). Their amplitude-weighted kets are the coefficient
+    matrices of two purifications on an ancilla of dimension
+    ``max(order_from, order_to)``; the Procrustes polar factor of their
+    cross block (one SVD) is returned as the generator, and its first
+    ``order_from`` columns are the coefficients. Row j pairs with target
+    element j for ``j < order_to``; for larger j the mapped combination is
+    zero.
     """
     _check_tolerances(tol=tol)
     if from_e.dim != to_e.dim:
@@ -403,7 +419,7 @@ def umap_between(
         )
     dim_m = max(from_e.order, to_e.order)
     rotation = _procrustes(
-        _amplitude_block(from_e, dim_m), _amplitude_block(to_e, dim_m)
+        np.conj(_amplitudes(from_e)) @ _amplitudes(to_e).T, dim_m
     )
     # SVD factors of a finite product of validated amplitude blocks, and an
     # identity basis with one ket per coefficient row.
@@ -476,9 +492,12 @@ def ensemble_containing(
     The joint ket is Schmidt-decomposed; expanding the target in the left
     Schmidt kets gives overlaps gamma_s, and the first ancilla ket is formed
     with column coefficients ``(gamma_s / c_s) / sqrt(sum_t |gamma_t/c_t|^2)``
-    against the right Schmidt kets. Completing that ket to a full basis and
-    conditioning on it yields an ensemble whose first element is the target
-    (same phase) with weight ``1 / sum_t |gamma_t/c_t|^2``.
+    against the right Schmidt kets. One Householder reflector completes that
+    ket to a basis of the right Schmidt span, and one ``complete_orthonormal``
+    call extends it to the whole ancilla space. Conditioning on that basis
+    yields an ensemble whose first element is the target (same phase) with
+    weight ``1 / sum_t |gamma_t/c_t|^2``; the other elements are one valid
+    choice among many.
 
     Raises NotNormalized for a non-unit target and NotInSupport when the
     target has components outside the supported left Schmidt kets beyond
@@ -507,18 +526,21 @@ def ensemble_containing(
         )
     ratios = overlaps / form.coefficients
     first = np.conj(ratios) / np.linalg.norm(ratios)
-    # Complete inside the reduced-state support first: out-of-support
-    # directions carry zero weight, and mixing them in can strand several
-    # completion kets on one residual support direction, which would make
-    # their conditional elements collinear. Inside the support, the right
-    # Schmidt kets are candidates in order of rising overlap with the first
-    # ancilla ket: the one it leans on most goes last and is never used, so
-    # every used candidate keeps a residual of at least 1/sqrt(2). Row 0 of
-    # ``support`` is the first ancilla ket.
-    order = np.argsort(np.abs(first), kind="stable")
-    support = (
-        complete_orthonormal(first[order][None, :], form.rank) @ form.right_kets[order]
-    )
+    # One Householder reflector H = I - 2 v v^dag / |v|^2, v = first + s e_k
+    # with s the phase of first's largest coordinate k, maps first to -s e_k,
+    # so its columns other than k are orthonormal and orthogonal to first.
+    # Row k of H^T (column k of H, a multiple of first) takes row 0's place
+    # and first takes row 0. Completing inside the reduced-state support first
+    # keeps the zero-weight directions out of the kets that carry weight, so
+    # no two conditional elements share one leftover support direction.
+    k = int(np.argmax(np.abs(first)))
+    v = first.copy()
+    v[k] += first[k] / abs(first[k])
+    reflector = np.eye(form.rank, dtype=complex)
+    reflector -= np.outer(np.conj(v), v) * (2.0 / np.vdot(v, v).real)
+    reflector[k] = reflector[0]
+    reflector[0] = first
+    support = reflector @ form.right_kets
     basis = complete_orthonormal(support, joint.dim_m)
     ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
     return ensemble, basis

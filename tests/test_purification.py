@@ -632,6 +632,33 @@ def test_near_unit_joint_outputs_pass_validation(construction):
     assert validate_ensemble(_near_unit_outputs()[construction]) == []
 
 
+def _near_unit_joint_and_unit_copy():
+    vec = np.sqrt(0.7) * tensor_ket(computational(2, 0), computational(2, 0))
+    vec += np.sqrt(0.3) * tensor_ket(computational(2, 1), computational(2, 1))
+    return (
+        JointState(dim_s=2, dim_m=2, vec=vec * (1 + 5e-9)),
+        JointState(dim_s=2, dim_m=2, vec=vec),
+    )
+
+
+def test_near_unit_joint_passes_match_purification():
+    # An admitted joint of norm 1 + 5e-9 has a unit-trace reduced state, so
+    # it matches the ensemble's density.
+    joint, _ = _near_unit_joint_and_unit_copy()
+    assert np.trace(joint.reduced_system()).real == pytest.approx(1.0, abs=1e-15)
+    e = RhoEnsemble(kets=[computational(2, 0), computational(2, 1)], weights=[0.7, 0.3])
+    ancilla = match_purification(e, joint)
+    assert np.max(np.abs(reconstruct_joint(e, ancilla.kets, 2) - joint.vec)) < 1e-8
+
+
+def test_near_unit_joint_passes_lemma_unitary():
+    joint, unit = _near_unit_joint_and_unit_copy()
+    for chi, phi in ((joint, unit), (unit, joint)):
+        u = lemma_unitary(chi, phi)
+        assert np.max(np.abs(np.conj(u).T @ u - np.eye(2))) < 1e-12
+        assert np.max(np.abs(apply_on_ancilla(u, phi).vec - chi.vec)) < 1e-8
+
+
 def test_containing_covers_random_support_vectors():
     from rhokit import schmidt_decompose
 
@@ -690,6 +717,111 @@ def test_containing_rank_deficient_joint_is_clean(dim_s, dim_m, rank, smallest):
         e, _ = ensemble_containing(joint, left[seed % rank])
         overlaps = np.abs(np.conj(e.kets) @ e.kets.T - np.eye(e.order))
         assert e.order == rank and np.max(overlaps) < 1e-6
+
+
+def _schmidt_joint(left, coefficients, right):
+    """Joint ket ``sum_s c_s left_s (x) right_s`` from orthonormal ket rows."""
+    vec = ((left.T * coefficients) @ right).reshape(-1)
+    return JointState(dim_s=left.shape[1], dim_m=right.shape[1], vec=vec)
+
+
+def _assert_contains(joint, target, left, coefficients):
+    """Element 0 is the target, phase included, with its forced weight; the
+    ensemble validates and the basis is unitary."""
+    e, basis = ensemble_containing(joint, target)
+    assert np.max(np.abs(e.kets[0] - target)) < 1e-9
+    forced = 1.0 / np.sum(np.abs((np.conj(left) @ target) / coefficients) ** 2)
+    assert e.weights[0] == pytest.approx(forced, rel=1e-9)
+    assert validate_ensemble(e) == []
+    assert np.max(np.abs(np.conj(basis) @ basis.T - np.eye(joint.dim_m))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "dim_s, dim_m, rank, smallest",
+    [
+        (3, 5, 1, 1.0),
+        (4, 4, 4, 0.2),
+        (3, 9, 3, 0.5),
+        (5, 3, 3, 0.1),
+        (6, 12, 5, 1e-4),
+        (16, 40, 16, 3e-5),
+    ],
+)
+def test_containing_pins_target_weight_and_basis(dim_s, dim_m, rank, smallest):
+    # Rank 1, rank == dim_m and rank < dim_m, with geometric Schmidt spectra
+    # down to ``smallest``. Targets: a random support vector, each left
+    # Schmidt ket (the first ancilla ket lies along one axis), and the vector
+    # whose Schmidt ratios share one magnitude (a tie for the largest).
+    coefficients = smallest ** np.linspace(0.0, 1.0, rank)
+    coefficients /= np.linalg.norm(coefficients)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        left = random_unitary(rng, dim_s)[:rank]
+        joint = _schmidt_joint(left, coefficients, random_unitary(rng, dim_m)[:rank])
+        phases = np.exp(2j * np.pi * rng.random(rank))
+        targets = [left.T @ (rng.normal(size=rank) + 1j * rng.normal(size=rank))]
+        targets += [phases[s] * left[s] for s in range(rank)]
+        targets.append(left.T @ (coefficients * phases))
+        for target in targets:
+            _assert_contains(joint, target / np.linalg.norm(target), left, coefficients)
+
+
+def test_containing_exact_ties_and_axis_targets():
+    # Canonical Schmidt kets make the ties exact: the Bell state with |+>,
+    # and equal coefficients with a target whose coordinates share one
+    # magnitude; each canonical ket puts the first ancilla ket on one axis.
+    _assert_contains(bell_joint(), plus_ket(), np.eye(2), np.full(2, np.sqrt(0.5)))
+    coefficients = np.full(4, 0.5)
+    joint = _schmidt_joint(np.eye(4), coefficients, np.eye(4, 6))
+    _assert_contains(joint, np.array([1, 1j, -1, -1j]) / 2.0, np.eye(4), coefficients)
+    for s in range(4):
+        _assert_contains(joint, computational(4, s), np.eye(4), coefficients)
+
+
+# ---------------------------------------------------------------------------
+# Procrustes on the cross block
+
+
+def _decomposition(rng, base, order):
+    """A decomposition of ``base``'s density with ``order`` elements."""
+    joint, _ = purify(base, order)
+    e, _, _ = ensemble_from_basis(joint, random_basis(rng, order))
+    assert e.order == order
+    return e
+
+
+@pytest.mark.parametrize("from_order, to_order", [(3, 3), (2, 5), (5, 2), (3, 7)])
+def test_umap_between_orders_that_differ(from_order, to_order):
+    # The cross block is from_order x to_order, padded to the larger order.
+    rng = np.random.default_rng(10 * from_order + to_order)
+    base = random_ensemble(rng, 2, 2)
+    from_e = _decomposition(rng, base, from_order)
+    to_e = _decomposition(rng, base, to_order)
+    u = umap_between(from_e, to_e)
+    assert (u.rows, u.cols) == (max(from_order, to_order), from_order)
+    assert check_umap(u) == []
+    assert mapping_residual(u, from_e, to_e) < 1e-8
+
+
+@pytest.mark.parametrize("dim, order, dim_m", [(3, 2, 5), (3, 1, 4), (3, 4, 4)])
+def test_match_purification_padded_and_square_blocks(dim, order, dim_m):
+    # order < dim_m pads the order x dim_m cross block; order == dim_m does not.
+    rng = np.random.default_rng(dim * 100 + order * 10 + dim_m)
+    e = random_ensemble(rng, dim, order)
+    joint = apply_on_ancilla(random_unitary(rng, dim_m), purify(e, dim_m)[0])
+    ancilla = match_purification(e, joint)
+    assert ancilla.kets.shape == (order, dim_m)
+    assert np.max(np.abs(reconstruct_joint(e, ancilla.kets, dim_m) - joint.vec)) < 1e-8
+
+
+@pytest.mark.parametrize("dim_s, dim_m", [(2, 5), (5, 2), (4, 4)])
+def test_lemma_unitary_carries_phi_onto_chi(dim_s, dim_m):
+    rng = np.random.default_rng(dim_s * 10 + dim_m)
+    phi = random_joint(rng, dim_s, dim_m)
+    chi = apply_on_ancilla(random_unitary(rng, dim_m), phi)
+    u = lemma_unitary(chi, phi)
+    assert np.max(np.abs(np.conj(u).T @ u - np.eye(dim_m))) < 1e-12
+    assert np.max(np.abs(apply_on_ancilla(u, phi).vec - chi.vec)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
