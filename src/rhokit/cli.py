@@ -285,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.rho is not None and args.ensemble is None:
+        parser.error("--rho requires --ensemble")
     try:
         # numpy warns on overflow from finite entries near the float limit;
         # that would break the one-line stderr contract, and the inf or NaN

@@ -178,7 +178,7 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     """
     weight_sum = float(e.weights.sum())
     nonpositive = e.weights <= 0.0
-    norms = np.linalg.norm(e.kets, axis=1)
+    norms = np.sqrt((e.kets.conj() * e.kets).real.sum(axis=1))
     unit_norm = np.abs(norms - 1.0) <= tol
     overlaps = np.abs(gram_matrix(e.kets))
     collinear = overlaps >= 1.0 - _COLLINEARITY_TOL

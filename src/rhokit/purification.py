@@ -38,11 +38,11 @@ from .linalg import (
     DEFAULT_TOL,
     _check_integer,
     _check_tolerances,
+    _complete,
     _identity_deviation,
     as_ket,
     as_ket_list,
     as_operator,
-    complete_orthonormal,
     dagger,
     eig_hermitian,  # noqa: F401 -- perfbench's alias-rebinding test reads it here
     max_abs,
@@ -321,7 +321,9 @@ def match_purification(
             f"ensemble order {e.order} exceeds ancilla dimension {target.dim_m}"
         )
     rotation = _procrustes(np.conj(_amplitudes(e)) @ target.as_matrix(), target.dim_m)
-    return Ancilla(dim_m=target.dim_m, kets=rotation.T[: e.order])
+    # Rows of an SVD polar factor of a finite product, as in umap_between,
+    # and at most dim_m of them (checked above).
+    return _trusted(Ancilla, dim_m=target.dim_m, kets=rotation.T[: e.order])
 
 
 def ensemble_from_basis(
@@ -348,6 +350,17 @@ def ensemble_from_basis(
     """
     _check_tolerances(rank_tol=rank_tol, tol=tol)
     kets = as_ket_list(basis, dim=joint.dim_m)
+    return _checked_condition(joint, kets, rank_tol, tol)
+
+
+def _checked_condition(
+    joint: JointState, kets: np.ndarray, rank_tol: float, tol: float
+) -> tuple[RhoEnsemble, Ancilla, list[int]]:
+    """``ensemble_from_basis`` for a coerced basis ``kets``.
+
+    Raises NotOrthonormalBasis unless it has ``dim_m`` rows whose Gram matrix
+    is within ``max(tol, _CONSTRUCT_TOL)`` of the identity, then conditions.
+    """
     if kets.shape[0] != joint.dim_m:
         raise NotOrthonormalBasis(
             f"basis has {kets.shape[0]} kets, expected {joint.dim_m}"
@@ -358,6 +371,20 @@ def ensemble_from_basis(
         raise NotOrthonormalBasis(
             f"basis deviates from orthonormality by {deviation:.3e}"
         )
+    return _condition(joint, kets, bras, rank_tol, tol, deviation)
+
+
+def _condition(
+    joint: JointState,
+    kets: np.ndarray,
+    bras: np.ndarray,
+    rank_tol: float,
+    tol: float,
+    deviation: float,
+) -> tuple[RhoEnsemble, Ancilla, list[int]]:
+    """``ensemble_from_basis`` after its checks: ``kets`` is a complete basis,
+    ``bras`` its conjugate, and ``deviation`` (at most ``max(tol,
+    _CONSTRUCT_TOL)``) its distance from orthonormality."""
     matrix = joint.as_matrix()
     # JointState admits a norm within _CONSTRUCT_TOL of 1; condition on the
     # normalized ket when the weights would miss 1 by more than ``tol``.
@@ -383,7 +410,8 @@ def ensemble_from_basis(
     else:
         # Each weight is finite and above rank_tol >= 0, each member-ket entry
         # is at most 1 in magnitude (|c_i| <= sqrt(w)), and the members' Gram
-        # matrix is a principal submatrix of the basis Gram matrix checked above.
+        # matrix is a principal submatrix of the basis Gram matrix, which
+        # ``deviation`` bounds.
         ensemble = _trusted(RhoEnsemble, kets=member_kets, weights=weights)
         ancilla = _trusted(Ancilla, dim_m=joint.dim_m, kets=kets)
     return ensemble, ancilla, members
@@ -467,10 +495,12 @@ def apply_unitary_umap(
         raise NotUnitary(f"matrix deviates from unitarity by {unit_dev:.3e}")
     rotated_kets = source_kets @ operator.T
 
-    from_e, from_ancilla, from_members = ensemble_from_basis(
+    from_e, from_ancilla, from_members = _checked_condition(
         joint, source_kets, rank_tol, tol
     )
-    to_e, _, to_members = ensemble_from_basis(joint, rotated_kets, rank_tol, tol)
+    # Each check admits deviations up to max(tol, _CONSTRUCT_TOL), so the
+    # rotated basis can miss that bound although basis and unitary both pass.
+    to_e, _, to_members = _checked_condition(joint, rotated_kets, rank_tol, tol)
 
     row_kets = rotated_kets[_members_first(to_members, joint.dim_m)]
     paired_source = source_kets[_members_first(from_members, joint.dim_m)]
@@ -493,11 +523,13 @@ def ensemble_containing(
     Schmidt kets gives overlaps gamma_s, and the first ancilla ket is formed
     with column coefficients ``(gamma_s / c_s) / sqrt(sum_t |gamma_t/c_t|^2)``
     against the right Schmidt kets. One Householder reflector completes that
-    ket to a basis of the right Schmidt span, and one ``complete_orthonormal``
-    call extends it to the whole ancilla space. Conditioning on that basis
-    yields an ensemble whose first element is the target (same phase) with
-    weight ``1 / sum_t |gamma_t/c_t|^2``; the other elements are one valid
-    choice among many.
+    ket to a basis of the right Schmidt span, and the QR of
+    ``complete_orthonormal`` extends it to the whole ancilla space.
+    Conditioning on that basis as ``ensemble_from_basis`` does, without
+    checking again a basis orthonormal by construction, yields an ensemble
+    whose first element is the target (same phase) with weight
+    ``1 / sum_t |gamma_t/c_t|^2``; the other elements are one valid choice
+    among many.
 
     Raises NotNormalized for a non-unit target and NotInSupport when the
     target has components outside the supported left Schmidt kets beyond
@@ -540,7 +572,8 @@ def ensemble_containing(
     reflector -= np.outer(np.conj(v), v) * (2.0 / np.vdot(v, v).real)
     reflector[k] = reflector[0]
     reflector[0] = first
-    support = reflector @ form.right_kets
-    basis = complete_orthonormal(support, joint.dim_m)
-    ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
+    # SVD right kets under a reflector, completed by one QR: a complete basis
+    # unitary to working precision, far inside the bounds both checks apply.
+    basis = _complete(reflector @ form.right_kets, joint.dim_m)
+    ensemble, _, _ = _condition(joint, basis, np.conj(basis), rank_tol, tol, 0.0)
     return ensemble, basis

@@ -130,13 +130,27 @@ def test_outputs_rebuild_through_checked_constructors(
     assert_rebuilds(umap)
 
     target = support @ (rng.normal(size=rank) + 1j * rng.normal(size=rank))
-    containing, _ = ensemble_containing(joint, target / np.linalg.norm(target))
+    containing, containing_basis = ensemble_containing(
+        joint, target / np.linalg.norm(target)
+    )
     assert_rebuilds(containing)
+    # The basis skipped both checks inside; the checked functions accept it and
+    # compute the same values from it.
+    np.testing.assert_array_equal(
+        complete_orthonormal(containing_basis, dim_m), containing_basis
+    )
+    assert_same_fields(
+        containing,
+        ensemble_from_basis(joint, containing_basis)[0],
+        ["kets", "weights"],
+    )
 
     # Collinear conditionals (always, when dim_s is 1) are reported, not rejected,
-    # by ensemble_from_basis; purify and umap_between take valid ensembles only.
+    # by ensemble_from_basis; purify, match_purification and umap_between take
+    # valid ensembles only.
     if not validate_ensemble(ensemble):
         assert_rebuilds(purify(ensemble, dim_m)[1])
+        assert_rebuilds(match_purification(ensemble, joint))
         if not validate_ensemble(to_e):
             assert_rebuilds(umap_between(ensemble, to_e))
 

@@ -172,6 +172,25 @@ def test_verify_rho_of_the_wrong_shape_is_a_violation(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("kind", ["joint", "umap"])
+def test_verify_rho_without_ensemble_is_a_usage_error(tmp_path, capsys, kind):
+    if kind == "joint":
+        doc = write(tmp_path / "j.json", docs.joint_document(bell_joint()))
+    else:
+        doc = str(tmp_path / "u.json")
+        mixture = write(tmp_path / "e.json", equal_mixture_doc())
+        assert main(["umap", mixture, mixture, "--out", doc]) == 0
+    assert main(["verify", f"--{kind}", doc]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", f"--{kind}", doc, "--rho", str(tmp_path / "absent.json")])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = single_json_error(captured.err)
+    assert error["error"] == "UsageError" and "--rho" in error["message"]
+
+
 def test_rank_tol_flag_sets_the_cutoff(tmp_path):
     vec = np.sqrt(0.9) * np.kron(computational(2, 0), computational(2, 0))
     vec += np.sqrt(0.1) * np.kron(computational(2, 1), computational(2, 1))
