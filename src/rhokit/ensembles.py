@@ -20,7 +20,9 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
     _check_tolerances,
+    _convert,
     as_ket_list,
+    as_operator,
     eig_hermitian,
     gram_matrix,
     max_abs,
@@ -63,7 +65,7 @@ class RhoEnsemble:
 
     def __post_init__(self):
         kets = as_ket_list(self.kets)
-        weights = np.asarray(self.weights, dtype=float)
+        weights = _convert(self.weights, float)
         if weights.ndim != 1 or weights.shape[0] != kets.shape[0]:
             raise DimensionMismatch(
                 f"{kets.shape[0]} kets but {weights.shape} weights"
@@ -144,7 +146,8 @@ def density_from_matrix(
     spectrum dips below ``-tol`` or the trace is not 1 within ``tol``.
     """
     _check_tolerances(tol=tol, rank_tol=rank_tol)
-    spectrum, eigenkets = eig_hermitian(matrix, tol)
+    arr = as_operator(matrix)
+    spectrum, eigenkets = eig_hermitian(arr, tol)
     if spectrum[-1] < -tol:
         raise InvalidArgument(
             f"matrix has negative eigenvalue {float(spectrum[-1])!r} (tol {tol:.3e})"
@@ -152,7 +155,6 @@ def density_from_matrix(
     trace = float(np.sum(spectrum))
     if abs(trace - 1.0) > tol * len(spectrum):
         raise InvalidArgument(f"matrix has trace {trace!r}, expected 1")
-    arr = np.asarray(matrix, dtype=complex)
     return DensityMatrix(
         dim=arr.shape[0],
         matrix=arr,
@@ -176,6 +178,7 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     and the offending element indices, pairs in row-major ``(i, j)`` order.
     Order >= support rank is not checked: n projectors sum to rank at most n.
     """
+    _check_tolerances(reporting=True, tol=tol)
     weight_sum = float(e.weights.sum())
     nonpositive = e.weights <= 0.0
     norms = np.sqrt((e.kets.conj() * e.kets).real.sum(axis=1))

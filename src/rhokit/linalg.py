@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,21 +34,21 @@ DEFAULT_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
 
 
-def _check_tolerances(**named) -> None:
-    """Raise InvalidArgument unless every named tolerance is a finite real >= 0.
+def _check_tolerances(reporting: bool = False, **named) -> None:
+    """Raise InvalidArgument unless every named tolerance is a finite real >= 0,
+    or, when ``reporting``, any real: a reporter reports the checks it fails.
 
     ``0 <= value < inf`` is False for NaN and raises for values that are not
     real scalars (strings, complex numbers, arrays), all without a warning.
     """
     for name, value in named.items():
         try:
-            valid = bool(0.0 <= value < math.inf)
+            valid = bool(0.0 <= value < math.inf) or reporting
         except (TypeError, ValueError):
             valid = False
         if not valid:
-            raise InvalidArgument(
-                f"{name} must be a finite non-negative number, got {value!r}"
-            )
+            kind = "real" if reporting else "finite non-negative"
+            raise InvalidArgument(f"{name} must be a {kind} number, got {value!r}")
 
 
 def _check_integer(name: str, value, minimum: int, maximum: int | None = None) -> int:
@@ -65,43 +67,59 @@ def _check_integer(name: str, value, minimum: int, maximum: int | None = None) -
     return number
 
 
+def _convert(value, dtype=complex) -> np.ndarray:
+    """``value`` as an array of ``dtype``, reading an iterator into a list first:
+    the one ``np.asarray`` on caller data. Ragged rows raise DimensionMismatch,
+    anything else numpy cannot convert raises InvalidArgument."""
+    try:
+        return np.asarray(list(value) if isinstance(value, Iterator) else value, dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        error = DimensionMismatch if "inhomogeneous" in str(exc) else InvalidArgument
+        raise error(f"cannot convert to an array of {np.dtype(dtype)}: {exc}") from exc
+
+
+def _checked(arr: np.ndarray, ndim: int, noun: str, empty: bool = False) -> np.ndarray:
+    """``arr`` once it has ``ndim`` axes, entries unless ``empty``, all finite."""
+    if arr.ndim != ndim or not (empty or arr.size):
+        raise DimensionMismatch(f"expected a {ndim}-D {noun}, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidArgument(f"{noun} contains non-finite entries")
+    return arr
+
+
+@contextmanager
+def _allocating(what: str):
+    """ResourceExhausted for numpy's MemoryError (the host refuses the memory)
+    or ValueError (a size it cannot represent); InvalidArgument passes."""
+    try:
+        yield
+    except InvalidArgument:
+        raise
+    except (MemoryError, ValueError) as exc:
+        raise ResourceExhausted(f"{what} needs more memory than is available") from exc
+
+
 def as_ket(v) -> np.ndarray:
     """Coerce to a 1-D complex array, rejecting non-finite entries."""
-    arr = np.asarray(v, dtype=complex)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidArgument("vector contains non-finite entries")
-    return arr
+    return _checked(_convert(v), 1, "vector")
 
 
 def as_operator(m) -> np.ndarray:
     """Coerce to a 2-D complex array, rejecting non-finite entries."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.size < 1:
-        raise DimensionMismatch(f"expected a 2-D matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidArgument("matrix contains non-finite entries")
-    return arr
+    return _checked(_convert(m), 2, "matrix")
 
 
 def as_ket_list(kets, dim: int | None = None) -> np.ndarray:
     """Coerce a sequence of kets to a (count, dim) array; may be empty."""
-    if isinstance(kets, np.ndarray) and kets.ndim == 2:
-        arr = np.asarray(kets, dtype=complex)
-    else:
-        rows = [as_ket(k) for k in kets]
-        if not rows:
-            if dim is None:
-                raise DimensionMismatch("cannot infer dimension of an empty ket list")
-            return np.zeros((0, dim), dtype=complex)
-        arr = np.stack(rows)
-    if not np.isfinite(arr).all():
-        raise InvalidArgument("ket list contains non-finite entries")
+    arr = _convert(kets)
+    if arr.shape == (0,):
+        if dim is None:
+            raise DimensionMismatch("cannot infer dimension of an empty ket list")
+        with _allocating(f"an empty ket list of dimension {dim}"):
+            arr = arr.reshape(0, dim)
+    _checked(arr, 2, "ket list", empty=True)
     if dim is not None and arr.shape[1] != dim:
-        raise DimensionMismatch(
-            f"ket list has dimension {arr.shape[1]}, expected {dim}"
-        )
+        raise DimensionMismatch(f"ket list has dimension {arr.shape[1]}, expected {dim}")
     return arr
 
 
@@ -179,7 +197,7 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 def numerical_rank(eigenvalues, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count of spectrum entries strictly above the rank cutoff."""
     _check_tolerances(rank_tol=rank_tol)
-    return int(np.sum(np.asarray(eigenvalues, dtype=float) > rank_tol))
+    return int(np.sum(_convert(eigenvalues, float) > rank_tol))
 
 
 def complete_orthonormal(
@@ -202,7 +220,7 @@ def complete_orthonormal(
     Raises NotOrthonormal if the input is not pairwise orthonormal at ``tol``
     and DimensionMismatch if its vectors are not of dimension ``target_dim``
     or it already has more than ``target_dim`` of them. ResourceExhausted
-    means the ``target_dim``-sized factorization could not be allocated.
+    means a ``target_dim``-sized array could not be allocated or represented.
     """
     _check_tolerances(tol=tol)
     target_dim = _check_integer("target_dim", target_dim, 1)
@@ -227,16 +245,11 @@ def _complete(kets: np.ndarray, target_dim: int) -> np.ndarray:
     count = kets.shape[0]
     if count == target_dim:
         return kets.copy()
-    try:
+    with _allocating(f"completing {count} kets to dimension {target_dim}"):
         # Householder column j depends only on input columns 0..j, so
         # candidates past e_{d-k-1} would never reach Q: leave them out.
         candidates = np.eye(target_dim, target_dim - count)
         q, r = np.linalg.qr(np.concatenate([kets.T, candidates], axis=1))
-    except MemoryError as exc:
-        raise ResourceExhausted(
-            f"completing {count} kets to dimension {target_dim} needs more memory"
-            " than is available"
-        ) from exc
     # Householder QR may flip a column's sign; undo that to match Gram-Schmidt.
     signs = np.where(r.diagonal()[count:].real < 0, -1.0, 1.0)
     return np.concatenate([kets, (q[:, count:] * signs).T])
@@ -254,7 +267,8 @@ def partial_trace_m(joint, dim_s: int, dim_m: int) -> np.ndarray:
     operator on the product space; returns the ``dim_s x dim_s`` reduced
     operator. For a ket input this is the reduced state of ``|v><v|``.
     """
-    arr = np.asarray(joint, dtype=complex)
+    dim_s, dim_m = _check_integer("dim_s", dim_s, 1), _check_integer("dim_m", dim_m, 1)
+    arr = _convert(joint)
     total = dim_s * dim_m
     if arr.ndim == 1:
         if arr.shape[0] != total:
@@ -301,6 +315,7 @@ def schmidt_decompose(
     squared-coefficient spectrum.
     """
     _check_tolerances(rank_tol=rank_tol, tol=tol)
+    dim_s, dim_m = _check_integer("dim_s", dim_s, 1), _check_integer("dim_m", dim_m, 1)
     vec = as_ket(joint)
     total = dim_s * dim_m
     if vec.shape[0] != total:

@@ -30,12 +30,12 @@ from .errors import (
     NotUnitary,
     NumericalFailure,
     OrderExceedsAncillaDim,
-    ResourceExhausted,
     TracesDiffer,
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
+    _allocating,
     _check_integer,
     _check_tolerances,
     _complete,
@@ -108,6 +108,7 @@ class Ancilla:
     kets: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "dim_m", _check_integer("dim_m", self.dim_m, 1))
         kets = as_ket_list(self.kets, dim=self.dim_m)
         if kets.shape[0] > self.dim_m:
             raise DimensionMismatch(
@@ -164,9 +165,11 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
     present, and the consistency ``coeffs[j, k] = <b_j|U|b_k>`` whenever both
     generator and basis are recorded.
     """
+    _check_tolerances(reporting=True, tol=tol)
     report: list[str] = []
     col_dev = orthonormality_deviation(u.coeffs.T)
-    if col_dev > tol:
+    # Written as ``not x <= bound`` so that a NaN tolerance fails every check.
+    if not col_dev <= tol:
         report.append(f"coefficient columns deviate from orthonormality by {col_dev:.3e}")
     if u.generator is not None:
         gen = u.generator
@@ -174,11 +177,11 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
             report.append(f"generator is not square: {gen.shape}")
         else:
             unit_dev = orthonormality_deviation(gen.T)
-            if unit_dev > tol:
+            if not unit_dev <= tol:
                 report.append(f"generator deviates from unitarity by {unit_dev:.3e}")
     if u.basis is not None:
         basis_dev = orthonormality_deviation(u.basis)
-        if basis_dev > tol:
+        if not basis_dev <= tol:
             report.append(f"row basis deviates from orthonormality by {basis_dev:.3e}")
         if u.basis.shape[0] != u.rows:
             report.append(
@@ -187,10 +190,8 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
     if u.generator is not None and u.basis is not None and not report:
         expected = np.conj(u.basis) @ u.generator @ u.basis.T
         gen_dev = max_abs(expected[:, : u.cols] - u.coeffs)
-        if gen_dev > max(10 * tol, 1e-12):
-            report.append(
-                f"coefficients deviate from <b_j|U|b_k> by {gen_dev:.3e}"
-            )
+        if not gen_dev <= max(10 * tol, 1e-12):
+            report.append(f"coefficients deviate from <b_j|U|b_k> by {gen_dev:.3e}")
     return report
 
 
@@ -277,16 +278,11 @@ def purify(
         raise OrderExceedsAncillaDim(
             f"ensemble order {e.order} exceeds ancilla dimension {dim_m}"
         )
-    try:
+    with _allocating(f"a joint ket of dimension {e.dim}*{dim_m}"):
         block = _amplitude_block(e, dim_m)
         joint = JointState(dim_s=e.dim, dim_m=dim_m, vec=block.reshape(-1))
         # Canonical kets are exactly orthonormal, and there are at most dim_m.
         canonical = np.eye(e.order, dim_m, dtype=complex)
-    except MemoryError as exc:
-        raise ResourceExhausted(
-            f"a joint ket of dimension {e.dim}*{dim_m} needs more memory than"
-            " is available"
-        ) from exc
     ancilla = _trusted(Ancilla, dim_m=dim_m, kets=canonical)
     return joint, ancilla
 

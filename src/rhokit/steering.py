@@ -22,7 +22,7 @@ import numpy as np
 
 from .ensembles import _weighted_projector_sum
 from .errors import WeightsNotNormalized
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_integer, _check_tolerances
+from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_integer, _check_tolerances, _convert
 from .purification import JointState, ensemble_from_basis
 
 _INT64_MAX = 2**63 - 1  # multinomial counts are 64-bit integers
@@ -73,7 +73,7 @@ def sample_outcomes(
     algorithm (PCG64) and the seeding path are fixed.
     """
     _check_tolerances(tol=tol)
-    probs = np.asarray(weights, dtype=float)
+    probs = _convert(weights, float)
     if probs.ndim != 1 or probs.size == 0:
         raise WeightsNotNormalized("weights must be a non-empty 1-D list")
     if (probs < 0.0).any():

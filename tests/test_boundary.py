@@ -3,9 +3,12 @@
 Public constructions check their arguments once and build what they return
 without re-running the value types' own checks. These tests rebuild each
 output through the checked constructors, which must accept it unchanged, and
-show that bad tolerances are rejected before any arithmetic runs.
+show that bad tolerances are rejected before any arithmetic runs. A catalogue
+of malformed arguments shows that every public callable answers each of them
+with a result or a typed error.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,13 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rhokit
 from rhokit import (
     Ancilla,
+    DimensionMismatch,
     InvalidArgument,
     JointState,
     NotOrthonormal,
     NotOrthonormalBasis,
+    ResourceExhausted,
     RhoEnsemble,
+    RhokitError,
     UMap,
     apply_unitary_umap,
     check_umap,
@@ -36,14 +43,17 @@ from rhokit import (
     match_purification,
     measure_ancilla,
     numerical_rank,
+    partial_trace_m,
     purify,
+    purification,
     sample_outcomes,
     schmidt_decompose,
     steer,
+    tensor_ket,
     umap_between,
     validate_ensemble,
 )
-from rhokit.linalg import is_hermitian
+from rhokit.linalg import as_ket_list, is_hermitian
 from helpers import bell_joint, computational, random_ensemble, random_unitary
 
 
@@ -284,3 +294,235 @@ def test_bad_tolerances_raise_typed_error_without_warning(name):
                 with pytest.raises(InvalidArgument, match=f"^{param} must be"):
                     call(**{param: bad})
             assert caught == [], (param, bad)
+
+
+# ---------------------------------------------------------------------------
+# The catalogue: every array, number or integer argument of the public API,
+# replaced in turn by each malformed value.
+
+MALFORMED = [
+    None,
+    "ab",
+    [[1, 0], [0, 1, 0]],
+    [object(), 1],
+    0.5 + 1j,
+    True,
+    -1,
+    0,
+    2.5,
+    # Huge, but numpy refuses any array it sizes before allocating: 2**40
+    # could map a 32 TiB joint ket on a host that overcommits.
+    2**62,
+]
+
+# Plain records that store what they are given, and functions whose only
+# parameters are value objects: nothing in them to replace.
+NO_CHECKED_ARGUMENT = {
+    "DensityMatrix",
+    "SchmidtForm",
+    "SteeringReport",
+    "eigen_ensemble",
+    "schmidt_reconstruct",
+}
+
+
+def catalogue():
+    """Name -> (callable, value-object arguments, replaceable valid arguments)."""
+    e = random_ensemble(np.random.default_rng(7), 2, 2)
+    joint = bell_joint()
+    eye = np.eye(2, dtype=complex)
+    ket = computational(2, 0)
+    tols = {"rank_tol": 1e-10, "tol": 1e-10}
+    return {
+        "Ancilla": (Ancilla, {}, {"dim_m": 2, "kets": eye}),
+        "JointState": (JointState, {}, {"dim_s": 2, "dim_m": 2, "vec": joint.vec}),
+        "RhoEnsemble": (RhoEnsemble, {}, {"kets": e.kets, "weights": e.weights}),
+        "UMap": (UMap, {}, {"coeffs": eye, "generator": eye, "basis": eye}),
+        "apply_unitary_umap": (
+            apply_unitary_umap, {"joint": joint}, {"basis": eye, "u": eye, **tols}
+        ),
+        "check_umap": (check_umap, {"u": UMap(eye, eye, eye)}, {"tol": 1e-10}),
+        "complete_orthonormal": (
+            complete_orthonormal, {}, {"partial": [ket], "target_dim": 2, "tol": 1e-10}
+        ),
+        "densities_match": (densities_match, {"a": e, "b": e}, {"tol": 1e-10}),
+        "density_from_matrix": (density_from_matrix, {}, {"matrix": eye / 2, **tols}),
+        "eig_hermitian": (eig_hermitian, {}, {"m": eye / 2, "tol": 1e-10}),
+        "ensemble_containing": (
+            ensemble_containing, {"joint": joint}, {"xi": ket, **tols}
+        ),
+        "ensemble_from_basis": (
+            ensemble_from_basis, {"joint": joint}, {"basis": eye, **tols}
+        ),
+        "ensemble_to_density": (ensemble_to_density, {"e": e}, dict(tols)),
+        "ensembles_equal": (ensembles_equal, {"a": e, "b": e}, {"tol": 1e-8}),
+        "is_linearly_independent": (
+            is_linearly_independent, {"e": e}, {"rank_tol": 1e-10}
+        ),
+        "lemma_unitary": (lemma_unitary, {"chi": joint, "phi": joint}, {"tol": 1e-10}),
+        "match_purification": (
+            match_purification, {"e": e, "target": purify(e, 2)[0]}, {"tol": 1e-10}
+        ),
+        "measure_ancilla": (measure_ancilla, {"joint": joint}, {"basis": eye, **tols}),
+        "numerical_rank": (
+            numerical_rank, {}, {"eigenvalues": [0.5, 0.5], "rank_tol": 1e-10}
+        ),
+        "partial_trace_m": (
+            partial_trace_m, {}, {"joint": joint.vec, "dim_s": 2, "dim_m": 2}
+        ),
+        "purify": (purify, {"e": e}, {"dim_m": 2, "tol": 1e-10}),
+        "sample_outcomes": (
+            sample_outcomes,
+            {},
+            {"weights": [0.5, 0.5], "shots": 10, "seed": 0, "tol": 1e-8},
+        ),
+        "schmidt_decompose": (
+            schmidt_decompose, {}, {"joint": joint.vec, "dim_s": 2, "dim_m": 2, **tols}
+        ),
+        "steer": (
+            steer, {"joint": joint}, {"basis": eye, "shots": 10, "seed": 0, **tols}
+        ),
+        "tensor_ket": (tensor_ket, {}, {"s": ket, "m": ket}),
+        "umap_between": (umap_between, {"from_e": e, "to_e": e}, {"tol": 1e-10}),
+        "validate_ensemble": (validate_ensemble, {"e": e}, {"tol": 1e-10}),
+    }
+
+
+def test_catalogue_covers_every_public_callable():
+    public = {
+        name
+        for name in rhokit.__all__
+        if callable(value := getattr(rhokit, name))
+        and not (isinstance(value, type) and issubclass(value, Exception))
+    }
+    assert public == set(catalogue()) | NO_CHECKED_ARGUMENT
+
+
+@pytest.mark.parametrize("name", sorted(catalogue()))
+def test_every_malformed_argument_returns_or_raises_a_typed_error(name):
+    call, objects, valid = catalogue()[name]
+    call(**objects, **valid)  # the valid call is accepted
+    untyped, peak = [], 0
+    tracemalloc.start()
+    try:
+        for arg in valid:
+            for bad in MALFORMED:
+                tracemalloc.reset_peak()
+                try:
+                    call(**objects, **{**valid, arg: bad})
+                except RhokitError:
+                    pass
+                except Exception as exc:  # an untyped error: what this test looks for
+                    untyped.append((arg, repr(bad), type(exc).__name__, str(exc)))
+                peak = max(peak, tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert untyped == []
+    assert peak < 4 * 2**20
+
+
+def test_ket_list_accepts_every_layout_and_sequence_alike():
+    kets = random_unitary(np.random.default_rng(43), 3)[:2]
+    forms = [
+        kets,
+        laid_out(kets, "F"),
+        laid_out(kets, "strided"),
+        kets.tolist(),
+        tuple(tuple(row) for row in kets.tolist()),
+        (row for row in kets),
+    ]
+    for form in forms:
+        converted = as_ket_list(form, dim=3)
+        assert converted.dtype == complex
+        np.testing.assert_array_equal(converted, kets)
+    empty = as_ket_list([], dim=3)
+    assert empty.shape == (0, 3) and empty.dtype == complex
+
+
+@pytest.mark.parametrize(
+    "kets, error",
+    [
+        ([[1, 0], [0, 1, 0]], DimensionMismatch),
+        ([np.ones(2), np.ones(3)], DimensionMismatch),
+        ([1, 0], DimensionMismatch),
+        ("ab", InvalidArgument),
+        ([[object(), 1]], InvalidArgument),
+        (None, DimensionMismatch),
+    ],
+    ids=["ragged", "ragged-arrays", "flat", "string", "object", "none"],
+)
+def test_malformed_ket_list_raises_its_typed_error(kets, error):
+    with pytest.raises(error):
+        as_ket_list(kets)
+
+
+def test_complex_or_string_weights_are_invalid_arguments():
+    for weights in (["ab", 0.5], [0.5 + 1j, 0.5]):
+        with pytest.raises(InvalidArgument, match="^cannot convert to an array of float64"):
+            RhoEnsemble(kets=np.eye(2, dtype=complex), weights=weights)
+        with pytest.raises(InvalidArgument):
+            sample_outcomes(weights, 10, 0)
+        with pytest.raises(InvalidArgument):
+            numerical_rank(weights)
+
+
+@pytest.mark.parametrize("dim", [2**59, 2**64, 10**30], ids=["2^59", "2^64", "10^30"])
+def test_sizes_numpy_cannot_represent_are_resource_exhausted(dim):
+    e = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.5, 0.5])
+    for call in (lambda: purify(e, dim), lambda: complete_orthonormal([], dim)):
+        with pytest.raises(ResourceExhausted, match=f"[ *]{dim} needs more memory") as info:
+            call()
+        assert isinstance(info.value, MemoryError)
+        assert type(info.value.__cause__) is ValueError
+
+
+def test_invalid_argument_inside_an_allocation_is_not_resource_exhausted(monkeypatch):
+    def invalid(e, dim_m):
+        raise InvalidArgument("vector contains non-finite entries")
+
+    monkeypatch.setattr(purification, "_amplitude_block", invalid)
+    e = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.5, 0.5])
+    with pytest.raises(InvalidArgument, match="^vector contains"):
+        purify(e, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: schmidt_decompose(np.ones(4) / 2, -2, -2),
+        lambda: schmidt_decompose(np.ones(4) / 2, 2.5, 1.6),
+        lambda: schmidt_decompose(np.ones(4) / 2, True, 4),
+        lambda: partial_trace_m(np.ones(4), -2, -2),
+        lambda: partial_trace_m(np.ones(4), None, 2),
+        lambda: Ancilla(None, np.eye(2)),
+        lambda: Ancilla(0, []),
+    ],
+)
+def test_every_dimension_is_a_checked_integer(call):
+    with pytest.raises(InvalidArgument, match=r"^dim_[sm] must be an integer >= 1"):
+        call()
+
+
+def test_reporters_reject_a_tolerance_that_is_not_a_real_number():
+    e = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.5, 0.5])
+    u = UMap(coeffs=np.eye(2))
+    for tol in ("ab", None, 1j, [1e-10]):
+        with pytest.raises(InvalidArgument, match="^tol must be a real number"):
+            validate_ensemble(e, tol)
+        with pytest.raises(InvalidArgument, match="^tol must be a real number"):
+            check_umap(u, tol)
+
+
+def test_reporters_report_every_check_a_nan_tolerance_cannot_pass():
+    e = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.5, 0.5])
+    eye = np.eye(2, dtype=complex)
+    assert len(validate_ensemble(e, np.nan)) == 3
+    assert validate_ensemble(e, np.inf) == []
+    assert check_umap(UMap(coeffs=eye, generator=eye, basis=eye), np.nan) == [
+        "coefficient columns deviate from orthonormality by 0.000e+00",
+        "generator deviates from unitarity by 0.000e+00",
+        "row basis deviates from orthonormality by 0.000e+00",
+    ]
+    assert check_umap(UMap(coeffs=2 * eye), -1.0) == [
+        "coefficient columns deviate from orthonormality by 3.000e+00"
+    ]

@@ -499,6 +499,22 @@ def test_purify_past_available_memory_exits_4_with_one_json_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dim_m", [2**59, 2**64, 10**30])
+def test_purify_past_what_numpy_can_represent_exits_4_with_one_json_line(
+    tmp_path, capsys, dim_m
+):
+    # numpy refuses these sizes before it allocates anything.
+    ensemble = write(tmp_path / "e.json", equal_mixture_doc())
+    out = tmp_path / "j.json"
+    assert main(["purify", ensemble, "--dim-m", str(dim_m), "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = single_json_error(captured.err)
+    assert error["error"] == "ResourceExhausted"
+    assert f"2*{dim_m} " in error["message"]
+    assert not out.exists()
+
+
 def test_any_memory_error_exits_4_with_one_json_line(tmp_path, capsys, monkeypatch):
     def exhausted(text):
         raise MemoryError()
