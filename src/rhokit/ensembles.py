@@ -5,8 +5,10 @@ whose weighted projector sum reproduces a density matrix. Structural
 requirements beyond positive weights (weight normalization, unit norms,
 pairwise noncollinearity) are *reported* by ``validate_ensemble`` rather than
 enforced at construction, so that invalid data can be inspected instead of
-rejected outright. The order is never below the support rank, as n projectors
-sum to rank at most n.
+rejected outright. Two elements are collinear when their pair density
+``p_i |phi_i><phi_i| + p_j |phi_j><phi_j|`` has rank 1 at the default
+``rank_tol``, the one cutoff that also decides which weights count. The order
+is never below the support rank, as n projectors sum to rank at most n.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import DimensionMismatch, InvalidArgument, InvalidEnsemble
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
+    _check_instance,
     _check_tolerances,
     _convert,
     as_ket_list,
@@ -28,11 +31,6 @@ from .linalg import (
     max_abs,
     numerical_rank,
 )
-
-# The noncollinearity requirement has no intrinsic scale; 1e-8 on
-# 1 - |<phi_i|phi_j>| separates genuinely distinct directions from
-# round-tripped duplicates.
-_COLLINEARITY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +122,7 @@ def ensemble_to_density(
     fails ``validate_ensemble``. ``rank_tol`` sets ``support_rank``.
     """
     _check_tolerances(tol=tol, rank_tol=rank_tol)
+    _check_instance("e", e, RhoEnsemble)
     matrix = _valid_projector_sum(e, tol)
     spectrum, eigenkets = eig_hermitian(matrix, tol)
     return DensityMatrix(
@@ -166,6 +165,7 @@ def density_from_matrix(
 
 def eigen_ensemble(rho: DensityMatrix) -> RhoEnsemble:
     """The spectral decomposition of a density matrix as an ensemble."""
+    _check_instance("rho", rho, DensityMatrix)
     n = rho.support_rank
     return RhoEnsemble(kets=rho.eigenkets[:n], weights=rho.spectrum[:n])
 
@@ -177,28 +177,38 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     Violations are data, not errors: each entry names the failed invariant
     and the offending element indices, pairs in row-major ``(i, j)`` order.
     Order >= support rank is not checked: n projectors sum to rank at most n.
+
+    A pair (i, j) is collinear when its density ``p_i P_i + p_j P_j``, with
+    ``P = |phi><phi|``, has rank 1 at ``c = DEFAULT_RANK_TOL``: its smaller
+    eigenvalue is at most c. For unit kets that is exactly
+    ``|<phi_i|phi_j>| >= r_i r_j`` with ``r = sqrt(1 - c / max(p, c))``; a
+    non-positive weight takes ``r = 1``, so only near-duplicates of it count.
+    Pairs are screened with ``min(r)^2``; ``r_i r_j`` is formed only past it.
     """
     _check_tolerances(reporting=True, tol=tol)
+    _check_instance("e", e, RhoEnsemble)
     weight_sum = float(e.weights.sum())
-    nonpositive = e.weights <= 0.0
+    smallest = float(e.weights.min())
     norms = np.sqrt((e.kets.conj() * e.kets).real.sum(axis=1))
     unit_norm = np.abs(norms - 1.0) <= tol
     overlaps = np.abs(gram_matrix(e.kets))
-    collinear = overlaps >= 1.0 - _COLLINEARITY_TOL
+    c = DEFAULT_RANK_TOL
+    collinear = overlaps >= 1.0 - c / max(smallest, c)  # the screen min(r)^2
     report: list[str] = []
     # Written as ``not (x <= bound)`` so that a NaN value or tolerance fails.
     if not abs(weight_sum - 1.0) <= tol * e.order:
         report.append(f"weights sum to {weight_sum!r}, expected 1")
     # Each index pass below runs only for a check that fired.
-    if nonpositive.any():
-        for j in np.flatnonzero(nonpositive):
+    if smallest <= 0.0:
+        for j in np.flatnonzero(e.weights <= 0.0):
             report.append(f"element {j} has non-positive weight {float(e.weights[j])!r}")
     if not unit_norm.all():
         for j in np.flatnonzero(~unit_norm):
             report.append(f"element {j} has norm {float(norms[j])!r}, expected 1")
     # A diagonal entry pairs a ket with itself; only entries off it are pairs.
     if np.count_nonzero(collinear) > np.count_nonzero(collinear.diagonal()):
-        rows, cols = np.nonzero(collinear)
+        r = np.sqrt(np.where(e.weights > 0.0, 1.0 - c / np.maximum(e.weights, c), 1.0))
+        rows, cols = np.nonzero(collinear & (overlaps >= np.outer(r, r)))
         upper = rows < cols
         for i, j in zip(rows[upper], cols[upper]):
             report.append(
@@ -210,6 +220,7 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
 def is_linearly_independent(e: RhoEnsemble, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
     """True iff the element kets have full numerical rank (via SVD)."""
     _check_tolerances(rank_tol=rank_tol)
+    _check_instance("e", e, RhoEnsemble)
     singular_values = np.linalg.svd(e.kets, compute_uv=False)
     return numerical_rank(singular_values, rank_tol) == e.order
 
@@ -224,6 +235,8 @@ def ensembles_equal(a: RhoEnsemble, b: RhoEnsemble, tol: float = 1e-8) -> bool:
     exactly-degenerate cases that occur in practice.
     """
     _check_tolerances(tol=tol)
+    _check_instance("a", a, RhoEnsemble)
+    _check_instance("b", b, RhoEnsemble)
     if a.order != b.order or a.dim != b.dim:
         return False
     order_a = np.argsort(-a.weights, kind="stable")
@@ -247,6 +260,8 @@ def ensembles_equal(a: RhoEnsemble, b: RhoEnsemble, tol: float = 1e-8) -> bool:
 def densities_match(a: RhoEnsemble, b: RhoEnsemble, tol: float = DEFAULT_TOL) -> bool:
     """True iff both ensembles sum to the same matrix within ``tol`` (max norm)."""
     _check_tolerances(tol=tol)
+    _check_instance("a", a, RhoEnsemble)
+    _check_instance("b", b, RhoEnsemble)
     if a.dim != b.dim:
         return False
     return max_abs(

@@ -39,13 +39,18 @@ def _check_tolerances(reporting: bool = False, **named) -> None:
     or, when ``reporting``, any real: a reporter reports the checks it fails.
 
     ``0 <= value < inf`` is False for NaN and raises for values that are not
-    real scalars (strings, complex numbers, arrays), all without a warning.
+    real scalars (strings, Python complex numbers, arrays), all without a
+    warning. numpy orders its complex numbers, so a type test rejects those.
     """
     for name, value in named.items():
         try:
             valid = bool(0.0 <= value < math.inf) or reporting
         except (TypeError, ValueError):
             valid = False
+        if valid and not isinstance(value, float):
+            valid = not isinstance(value, (complex, np.complexfloating)) and not (
+                isinstance(value, np.ndarray) and value.dtype.kind == "c"
+            )
         if not valid:
             kind = "real" if reporting else "finite non-negative"
             raise InvalidArgument(f"{name} must be a {kind} number, got {value!r}")
@@ -67,12 +72,25 @@ def _check_integer(name: str, value, minimum: int, maximum: int | None = None) -
     return number
 
 
+def _check_instance(name: str, value, cls: type) -> None:
+    """Raise InvalidArgument unless ``value`` is an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise InvalidArgument(
+            f"{name} must be a {cls.__name__}, got {type(value).__name__}"
+        )
+
+
 def _convert(value, dtype=complex) -> np.ndarray:
     """``value`` as an array of ``dtype``, reading an iterator into a list first:
     the one ``np.asarray`` on caller data. Ragged rows raise DimensionMismatch,
-    anything else numpy cannot convert raises InvalidArgument."""
+    anything else numpy cannot convert raises InvalidArgument, and so do
+    complex values where ``dtype`` is real, whose imaginary part numpy would
+    drop with only a warning."""
     try:
-        return np.asarray(list(value) if isinstance(value, Iterator) else value, dtype)
+        source = list(value) if isinstance(value, Iterator) else value
+        if dtype is float and np.iscomplexobj(source):
+            raise TypeError("complex values where reals are expected")
+        return np.asarray(source, dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         error = DimensionMismatch if "inhomogeneous" in str(exc) else InvalidArgument
         raise error(f"cannot convert to an array of {np.dtype(dtype)}: {exc}") from exc
@@ -342,4 +360,5 @@ def schmidt_decompose(
 
 def schmidt_reconstruct(form: SchmidtForm) -> np.ndarray:
     """Rebuild the joint ket sum_s c_s (p_s (x) a_s) from a SchmidtForm."""
+    _check_instance("form", form, SchmidtForm)
     return ((form.left_kets.T * form.coefficients) @ form.right_kets).reshape(-1)

@@ -36,6 +36,7 @@ from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
     _allocating,
+    _check_instance,
     _check_integer,
     _check_tolerances,
     _complete,
@@ -166,6 +167,7 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
     generator and basis are recorded.
     """
     _check_tolerances(reporting=True, tol=tol)
+    _check_instance("u", u, UMap)
     report: list[str] = []
     col_dev = orthonormality_deviation(u.coeffs.T)
     # Written as ``not x <= bound`` so that a NaN tolerance fails every check.
@@ -244,6 +246,8 @@ def lemma_unitary(
     state's weights are.
     """
     _check_tolerances(tol=tol)
+    _check_instance("chi", chi, JointState)
+    _check_instance("phi", phi, JointState)
     if (chi.dim_s, chi.dim_m) != (phi.dim_s, phi.dim_m):
         raise DimensionMismatch(
             f"joint states have different factor dimensions: "
@@ -272,6 +276,7 @@ def purify(
     ``dim * dim_m`` joint ket cannot be allocated.
     """
     _check_tolerances(tol=tol)
+    _check_instance("e", e, RhoEnsemble)
     dim_m = _check_integer("dim_m", dim_m, 1)
     _require_valid(e, tol)
     if e.order > dim_m:
@@ -302,6 +307,8 @@ def match_purification(
     residual, with all phases carried by the ancilla kets.
     """
     _check_tolerances(tol=tol)
+    _check_instance("e", e, RhoEnsemble)
+    _check_instance("target", target, JointState)
     if e.dim != target.dim_s:
         raise DimensionMismatch(
             f"ensemble has dimension {e.dim}, joint system factor {target.dim_s}"
@@ -345,6 +352,7 @@ def ensemble_from_basis(
     should apply when they need a strictly valid ensemble.
     """
     _check_tolerances(rank_tol=rank_tol, tol=tol)
+    _check_instance("joint", joint, JointState)
     kets = as_ket_list(basis, dim=joint.dim_m)
     return _checked_condition(joint, kets, rank_tol, tol)
 
@@ -430,6 +438,8 @@ def umap_between(
     zero.
     """
     _check_tolerances(tol=tol)
+    _check_instance("from_e", from_e, RhoEnsemble)
+    _check_instance("to_e", to_e, RhoEnsemble)
     if from_e.dim != to_e.dim:
         raise DimensionMismatch(
             f"ensembles have different dimensions: {from_e.dim} vs {to_e.dim}"
@@ -479,6 +489,7 @@ def apply_unitary_umap(
     columns run over source elements.
     """
     _check_tolerances(rank_tol=rank_tol, tol=tol)
+    _check_instance("joint", joint, JointState)
     source_kets = as_ket_list(basis, dim=joint.dim_m)
     operator = as_operator(u)
     if operator.shape != (joint.dim_m, joint.dim_m):
@@ -532,6 +543,7 @@ def ensemble_containing(
     ``rank_tol``.
     """
     _check_tolerances(rank_tol=rank_tol, tol=tol)
+    _check_instance("joint", joint, JointState)
     target = as_ket(xi)
     if target.shape[0] != joint.dim_s:
         raise DimensionMismatch(

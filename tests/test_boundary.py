@@ -34,6 +34,7 @@ from rhokit import (
     densities_match,
     density_from_matrix,
     eig_hermitian,
+    eigen_ensemble,
     ensemble_containing,
     ensemble_from_basis,
     ensemble_to_density,
@@ -48,6 +49,7 @@ from rhokit import (
     purification,
     sample_outcomes,
     schmidt_decompose,
+    schmidt_reconstruct,
     steer,
     tensor_ket,
     umap_between,
@@ -165,6 +167,46 @@ def test_outputs_rebuild_through_checked_constructors(
             assert_rebuilds(umap_between(ensemble, to_e))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim_s=st.integers(2, 7),
+    rank_share=st.floats(0.0, 1.0),
+    extra=st.integers(0, 3),
+    exponent=st.floats(-9.9, -1.0),
+)
+def test_outputs_are_clean_for_spectra_down_to_rank_tol(
+    seed, dim_s, rank_share, extra, exponent
+):
+    # One weight, 10**exponent, reaches down to rank_tol. Every pair
+    # density below is the reduced state compressed to directions inside its
+    # support, so its smaller eigenvalue is at least that weight: no pair has
+    # rank 1 at rank_tol. A two-dimensional ancilla keeps ensemble_from_basis
+    # inside the support; past it a basis may give collinear members.
+    rng = np.random.default_rng(seed)
+    rank = 2 + int(rank_share * (dim_s - 2))
+    smallest = 10.0**exponent
+    weights = rng.random(rank) + 0.05
+    weights *= (1.0 - smallest) / weights[1:].sum()
+    weights[0] = smallest
+    kets = random_unitary(rng, dim_s)[:rank]
+    spectral = RhoEnsemble(kets=kets, weights=weights)
+    joint, _ = purify(spectral, rank + extra)
+    target = kets.T @ (rng.normal(size=rank) + 1j * rng.normal(size=rank))
+    containing, _ = ensemble_containing(joint, target / np.linalg.norm(target))
+
+    pair = RhoEnsemble(kets=kets[:2], weights=[smallest, 1.0 - smallest])
+    pair_joint, _ = purify(pair, 2)
+    conditioned, _, _ = ensemble_from_basis(pair_joint, random_unitary(rng, 2))
+
+    for e in (spectral, containing, pair, conditioned):
+        assert validate_ensemble(e) == []
+    for from_e, to_e in ((spectral, containing), (conditioned, pair)):
+        assert check_umap(umap_between(from_e, to_e)) == []
+    assert_rebuilds(match_purification(containing, joint))
+    assert_rebuilds(match_purification(conditioned, pair_joint))
+
+
 def skewed_basis(deviation):
     """A basis of dimension 3 whose kets 0 and 1 overlap by ``deviation``."""
     basis = random_unitary(np.random.default_rng(39), 3)
@@ -276,6 +318,14 @@ RANK_TOL_TAKERS = {
 
 RANK_TOL_ONLY = {"numerical_rank", "is_linearly_independent"}
 
+# numpy orders its complex numbers, so a comparison alone would accept these.
+COMPLEX_TOLERANCES = (
+    1e-10 + 0j,
+    np.complex128(1e-10),
+    np.complex64(1e-10),
+    np.array(1e-10 + 0j),
+)
+
 
 @pytest.mark.parametrize("name", sorted(tolerance_calls()))
 def test_bad_tolerances_raise_typed_error_without_warning(name):
@@ -288,7 +338,7 @@ def test_bad_tolerances_raise_typed_error_without_warning(name):
         params = ["tol"]
     call(**{params[0]: 1e-10})  # the same call is accepted at a valid tolerance
     for param in params:
-        for bad in (np.nan, np.inf, -1.0):
+        for bad in COMPLEX_TOLERANCES + (np.nan, np.inf, -1.0):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with pytest.raises(InvalidArgument, match=f"^{param} must be"):
@@ -306,6 +356,10 @@ MALFORMED = [
     [[1, 0], [0, 1, 0]],
     [object(), 1],
     0.5 + 1j,
+    # numpy would drop these imaginary parts with only a warning.
+    np.array([0.5 + 0.3j, 0.5]),
+    [np.complex128(0.5 + 0.3j), 0.5],
+    np.complex128(1e-10),
     True,
     -1,
     0,
@@ -317,13 +371,7 @@ MALFORMED = [
 
 # Plain records that store what they are given, and functions whose only
 # parameters are value objects: nothing in them to replace.
-NO_CHECKED_ARGUMENT = {
-    "DensityMatrix",
-    "SchmidtForm",
-    "SteeringReport",
-    "eigen_ensemble",
-    "schmidt_reconstruct",
-}
+NO_CHECKED_ARGUMENT = {"DensityMatrix", "SchmidtForm", "SteeringReport"}
 
 
 def catalogue():
@@ -354,6 +402,7 @@ def catalogue():
         "ensemble_from_basis": (
             ensemble_from_basis, {"joint": joint}, {"basis": eye, **tols}
         ),
+        "eigen_ensemble": (eigen_ensemble, {"rho": ensemble_to_density(e)}, {}),
         "ensemble_to_density": (ensemble_to_density, {"e": e}, dict(tols)),
         "ensembles_equal": (ensembles_equal, {"a": e, "b": e}, {"tol": 1e-8}),
         "is_linearly_independent": (
@@ -378,6 +427,9 @@ def catalogue():
         ),
         "schmidt_decompose": (
             schmidt_decompose, {}, {"joint": joint.vec, "dim_s": 2, "dim_m": 2, **tols}
+        ),
+        "schmidt_reconstruct": (
+            schmidt_reconstruct, {"form": schmidt_decompose(joint.vec, 2, 2)}, {}
         ),
         "steer": (
             steer, {"joint": joint}, {"basis": eye, "shots": 10, "seed": 0, **tols}
@@ -421,6 +473,17 @@ def test_every_malformed_argument_returns_or_raises_a_typed_error(name):
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize(
+    "name", sorted(name for name, (_, objects, _) in catalogue().items() if objects)
+)
+def test_every_value_object_parameter_rejects_none(name):
+    call, objects, valid = catalogue()[name]
+    for arg, value in objects.items():
+        expected = f"^{arg} must be a {type(value).__name__}, got NoneType$"
+        with pytest.raises(InvalidArgument, match=expected):
+            call(**{**objects, arg: None}, **valid)
+
+
 def test_ket_list_accepts_every_layout_and_sequence_alike():
     kets = random_unitary(np.random.default_rng(43), 3)[:2]
     forms = [
@@ -457,7 +520,13 @@ def test_malformed_ket_list_raises_its_typed_error(kets, error):
 
 
 def test_complex_or_string_weights_are_invalid_arguments():
-    for weights in (["ab", 0.5], [0.5 + 1j, 0.5]):
+    complex_forms = (
+        [0.5 + 1j, 0.5],
+        np.array([0.5 + 0.3j, 0.5]),
+        [np.complex128(0.5 + 0.3j), 0.5],
+        np.array([0.5 + 0j, 0.5]),
+    )
+    for weights in (["ab", 0.5], *complex_forms):
         with pytest.raises(InvalidArgument, match="^cannot convert to an array of float64"):
             RhoEnsemble(kets=np.eye(2, dtype=complex), weights=weights)
         with pytest.raises(InvalidArgument):
@@ -506,7 +575,7 @@ def test_every_dimension_is_a_checked_integer(call):
 def test_reporters_reject_a_tolerance_that_is_not_a_real_number():
     e = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.5, 0.5])
     u = UMap(coeffs=np.eye(2))
-    for tol in ("ab", None, 1j, [1e-10]):
+    for tol in ("ab", None, 1j, [1e-10], *COMPLEX_TOLERANCES):
         with pytest.raises(InvalidArgument, match="^tol must be a real number"):
             validate_ensemble(e, tol)
         with pytest.raises(InvalidArgument, match="^tol must be a real number"):

@@ -1,5 +1,6 @@
 """Ensemble data model: density construction, validation, equality."""
 
+import math
 import re
 
 import numpy as np
@@ -224,6 +225,33 @@ def test_validate_reports_collinear_pair_with_indices():
         validate_ensemble(several, collinearity_tol=1e-8)
 
 
+def test_collinear_exactly_when_the_pair_density_has_rank_one_at_the_cutoff():
+    # Two unit kets at angle theta with weights from below rank_tol to about
+    # 1/2, checked against the smaller eigenvalue of their pair density (that
+    # of the 2x2 matrix sqrt(p_i p_j) <phi_i|phi_j>, which shares its spectrum).
+    rng = np.random.default_rng(61)
+    flagged = clean = 0
+    for _ in range(600):
+        dim = int(rng.integers(2, 5))
+        weights = 10.0 ** rng.uniform(-10.3, -0.3, size=2)
+        first = random_ket(rng, dim)
+        other = random_ket(rng, dim)
+        other -= np.vdot(first, other) * first
+        sin = 10.0 ** rng.uniform(-8.0, 0.0)
+        second = np.sqrt(1.0 - sin**2) * first + sin * other / np.linalg.norm(other)
+        kets = np.stack([first, second])
+        amplitudes = np.sqrt(weights)
+        pair = amplitudes[:, None] * (np.conj(kets) @ kets.T) * amplitudes
+        smallest = np.linalg.eigvalsh(pair)[0]
+        if abs(smallest / 1e-10 - 1.0) < 1e-4:  # rounding decides at the boundary
+            continue
+        e = RhoEnsemble(kets=kets, weights=weights)
+        collinear = any("collinear" in line for line in validate_ensemble(e))
+        assert collinear == (smallest <= 1e-10), (weights, sin, smallest)
+        flagged, clean = flagged + collinear, clean + (not collinear)
+    assert flagged > 100 and clean > 100
+
+
 def test_validate_reports_non_unit_norm():
     e = RhoEnsemble(
         kets=[computational(2, 0) * 0.9, computational(2, 1)], weights=[0.5, 0.5]
@@ -260,7 +288,16 @@ _COLLINEAR = re.compile(
 )
 
 
-def pair_loop_report(e, tol=1e-10, collinearity_tol=1e-8):
+def rank_one_bound(weight, rank_tol=1e-10):
+    """``r`` with ``|<phi_i|phi_j>| >= r_i r_j`` exactly when the pair density of
+    two unit kets has its smaller eigenvalue at or below ``rank_tol``; 1 for a
+    non-positive weight, whose pairs are flagged only as near-duplicates."""
+    if weight <= 0.0:
+        return 1.0
+    return math.sqrt(1.0 - rank_tol / max(weight, rank_tol))
+
+
+def pair_loop_report(e, tol=1e-10):
     """Reference: validation element by element and pair by pair."""
     report = []
     weight_sum = float(np.sum(e.weights))
@@ -275,7 +312,7 @@ def pair_loop_report(e, tol=1e-10, collinearity_tol=1e-8):
     for i in range(e.order):
         for j in range(i + 1, e.order):
             overlap = abs(np.vdot(e.kets[i], e.kets[j]))
-            if overlap >= 1.0 - collinearity_tol:
+            if overlap >= rank_one_bound(e.weights[i]) * rank_one_bound(e.weights[j]):
                 report.append(
                     f"elements ({i}, {j}) are collinear (|overlap| = {float(overlap)!r})"
                 )

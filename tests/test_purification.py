@@ -725,6 +725,23 @@ def _schmidt_joint(left, coefficients, right):
     return JointState(dim_s=left.shape[1], dim_m=right.shape[1], vec=vec)
 
 
+@pytest.mark.parametrize("epsilon", [1e-7, 1e-8, 1e-9, 2.7e-10, 1.5e-10, 1.01e-10])
+def test_containing_is_clean_down_to_the_rank_cutoff(epsilon):
+    # A rank-2 joint whose smaller squared Schmidt coefficient is epsilon, and
+    # the target sum_s c_s p_s: both elements get weight 1/2 and overlap by
+    # about 1 - 2 epsilon. Their pair density is the reduced state, whose
+    # smaller eigenvalue epsilon is above rank_tol, so they are not collinear.
+    rng = np.random.default_rng(5)
+    coefficients = np.sqrt([1.0 - epsilon, epsilon])
+    left = random_unitary(rng, 7)[:2]
+    joint = _schmidt_joint(left, coefficients, random_unitary(rng, 27)[:2])
+    e, _ = ensemble_containing(joint, coefficients @ left)
+    np.testing.assert_allclose(e.weights, [0.5, 0.5], rtol=1e-9)
+    overlap = abs(np.vdot(e.kets[0], e.kets[1]))
+    assert overlap == pytest.approx(1.0 - 2.0 * epsilon, abs=1e-12)
+    assert validate_ensemble(e) == []
+
+
 def _assert_contains(joint, target, left, coefficients):
     """Element 0 is the target, phase included, with its forced weight; the
     ensemble validates and the basis is unitary."""
