@@ -20,6 +20,7 @@ import numpy as np
 
 from .ensembles import RhoEnsemble
 from .errors import DocumentError
+from .linalg import _check_instance, as_ket, as_ket_list, as_operator
 from .purification import Ancilla, JointState, UMap
 from .steering import SteeringReport
 
@@ -74,7 +75,7 @@ def _complex_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
 
 
 def _matrix_payload(m) -> dict:
-    arr = np.asarray(m, dtype=complex)
+    arr = as_operator(m)
     return {
         "rows": int(arr.shape[0]),
         "cols": int(arr.shape[1]),
@@ -109,7 +110,11 @@ def _envelope(kind: str, payload: dict) -> dict:
 
 def dump_document(doc: dict) -> str:
     """Serialize an envelope deterministically: one compact line, sorted keys, newline."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    try:
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:  # a non-finite float, or a circular reference
+        raise DocumentError(f"cannot serialize document: {exc}") from exc
+    return text + "\n"
 
 
 def load_document(text: str) -> dict:
@@ -145,7 +150,7 @@ def _payload(doc: dict, kind: str) -> dict:
 
 
 def ket_document(vec) -> dict:
-    arr = np.asarray(vec, dtype=complex)
+    arr = as_ket(vec)
     return _envelope("ket", {"dim": int(arr.shape[0]), "entries": _complex_payload(arr)})
 
 
@@ -154,6 +159,7 @@ def matrix_document(m) -> dict:
 
 
 def ensemble_document(e: RhoEnsemble) -> dict:
+    _check_instance("e", e, RhoEnsemble)
     return _envelope(
         "ensemble",
         {
@@ -167,6 +173,7 @@ def ensemble_document(e: RhoEnsemble) -> dict:
 
 
 def joint_document(state: JointState) -> dict:
+    _check_instance("state", state, JointState)
     return _envelope(
         "joint",
         {
@@ -178,11 +185,12 @@ def joint_document(state: JointState) -> dict:
 
 
 def basis_document(kets) -> dict:
-    arr = np.asarray(kets, dtype=complex)
+    arr = as_ket_list(kets)
     return _envelope("basis", {"dim": int(arr.shape[1]), "kets": _complex_payload(arr)})
 
 
 def umap_document(u: UMap) -> dict:
+    _check_instance("u", u, UMap)
     payload = {
         "rows": u.rows,
         "cols": u.cols,
@@ -194,6 +202,7 @@ def umap_document(u: UMap) -> dict:
 
 
 def report_document(report: SteeringReport) -> dict:
+    _check_instance("report", report, SteeringReport)
     return _envelope(
         "report",
         {
@@ -305,4 +314,5 @@ def to_report(doc: dict) -> SteeringReport:
 
 def ancilla_basis_document(ancilla: Ancilla) -> dict:
     """Serialize ancilla kets as a basis document (possibly a partial set)."""
+    _check_instance("ancilla", ancilla, Ancilla)
     return basis_document(ancilla.kets)

@@ -213,9 +213,10 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
 
 
 def numerical_rank(eigenvalues, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count of spectrum entries strictly above the rank cutoff."""
+    """Count of the entries of a 1-D real spectrum strictly above the rank cutoff."""
     _check_tolerances(rank_tol=rank_tol)
-    return int(np.sum(_convert(eigenvalues, float) > rank_tol))
+    spectrum = _checked(_convert(eigenvalues, float), 1, "spectrum", empty=True)
+    return int(np.sum(spectrum > rank_tol))
 
 
 def complete_orthonormal(

@@ -40,7 +40,6 @@ from .linalg import (
     _check_integer,
     _check_tolerances,
     _complete,
-    _identity_deviation,
     as_ket,
     as_ket_list,
     as_operator,
@@ -161,10 +160,12 @@ class UMap:
 def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
     """Report every violated UMap invariant (empty list when clean).
 
-    Checks column orthonormality of the coefficients, unitarity of the
-    generator when present, orthonormality of the recorded row basis when
-    present, and the consistency ``coeffs[j, k] = <b_j|U|b_k>`` whenever both
-    generator and basis are recorded.
+    Checks column orthonormality of the coefficients and that they have no
+    more columns than rows, unitarity of the generator and its size (one row
+    and column per coefficient row) when present, orthonormality of the
+    recorded row basis when present, and, when every other check passes, the
+    consistency ``coeffs[j, k] = <b_j|U|b_k>`` whenever both generator and
+    basis are recorded.
     """
     _check_tolerances(reporting=True, tol=tol)
     _check_instance("u", u, UMap)
@@ -173,10 +174,16 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
     # Written as ``not x <= bound`` so that a NaN tolerance fails every check.
     if not col_dev <= tol:
         report.append(f"coefficient columns deviate from orthonormality by {col_dev:.3e}")
+    if u.cols > u.rows:
+        report.append(f"coefficients have {u.cols} columns, more than their {u.rows} rows")
     if u.generator is not None:
         gen = u.generator
         if gen.shape[0] != gen.shape[1]:
             report.append(f"generator is not square: {gen.shape}")
+        elif gen.shape[0] != u.rows:
+            report.append(
+                f"generator has dimension {gen.shape[0]} for {u.rows} coefficient rows"
+            )
         else:
             unit_dev = orthonormality_deviation(gen.T)
             if not unit_dev <= tol:
@@ -347,55 +354,45 @@ def ensemble_from_basis(
     norm misses 1 by more than ``tol`` is normalized first, so the weights
     sum to 1 up to those tails.
 
-    A degenerate basis choice can produce collinear conditional vectors;
-    the returned ensemble then fails ``validate_ensemble``, which callers
-    should apply when they need a strictly valid ensemble.
+    Raises NotOrthonormalBasis unless the basis has ``dim_m`` kets whose Gram
+    matrix is within ``max(tol, 1e-8)`` of the identity. A
+    degenerate basis choice can produce collinear conditional vectors; the
+    returned ensemble then fails ``validate_ensemble``, which callers should
+    apply when they need a strictly valid ensemble.
     """
     _check_tolerances(rank_tol=rank_tol, tol=tol)
     _check_instance("joint", joint, JointState)
     kets = as_ket_list(basis, dim=joint.dim_m)
-    return _checked_condition(joint, kets, rank_tol, tol)
-
-
-def _checked_condition(
-    joint: JointState, kets: np.ndarray, rank_tol: float, tol: float
-) -> tuple[RhoEnsemble, Ancilla, list[int]]:
-    """``ensemble_from_basis`` for a coerced basis ``kets``.
-
-    Raises NotOrthonormalBasis unless it has ``dim_m`` rows whose Gram matrix
-    is within ``max(tol, _CONSTRUCT_TOL)`` of the identity, then conditions.
-    """
     if kets.shape[0] != joint.dim_m:
         raise NotOrthonormalBasis(
             f"basis has {kets.shape[0]} kets, expected {joint.dim_m}"
         )
-    bras = np.conj(kets)
-    deviation = _identity_deviation(bras @ kets.T)
+    deviation = orthonormality_deviation(kets)
     if deviation > max(tol, _CONSTRUCT_TOL):
         raise NotOrthonormalBasis(
             f"basis deviates from orthonormality by {deviation:.3e}"
         )
-    return _condition(joint, kets, bras, rank_tol, tol, deviation)
+    ensemble, ancilla, members = _condition(joint, kets, rank_tol, tol)
+    if deviation > _CONSTRUCT_TOL:
+        # A ``tol`` looser than _CONSTRUCT_TOL admits bases whose member kets the
+        # Ancilla check may reject, and bounds the weights only by tol: check both.
+        ensemble = RhoEnsemble(kets=ensemble.kets, weights=ensemble.weights)
+        ancilla = Ancilla(dim_m=joint.dim_m, kets=ancilla.kets)
+    return ensemble, ancilla, members
 
 
 def _condition(
-    joint: JointState,
-    kets: np.ndarray,
-    bras: np.ndarray,
-    rank_tol: float,
-    tol: float,
-    deviation: float,
+    joint: JointState, kets: np.ndarray, rank_tol: float, tol: float
 ) -> tuple[RhoEnsemble, Ancilla, list[int]]:
-    """``ensemble_from_basis`` after its checks: ``kets`` is a complete basis,
-    ``bras`` its conjugate, and ``deviation`` (at most ``max(tol,
-    _CONSTRUCT_TOL)``) its distance from orthonormality."""
+    """``ensemble_from_basis`` after its checks, building its outputs unchecked:
+    sound for a complete basis ``kets`` within ``_CONSTRUCT_TOL`` of orthonormal."""
     matrix = joint.as_matrix()
     # JointState admits a norm within _CONSTRUCT_TOL of 1; condition on the
     # normalized ket when the weights would miss 1 by more than ``tol``.
     norm_sq = np.vdot(joint.vec, joint.vec).real
     if abs(norm_sq - 1.0) > tol:
         matrix = matrix / np.sqrt(norm_sq)
-    conditionals = matrix @ bras.T
+    conditionals = matrix @ np.conj(kets).T
     weights = (np.abs(conditionals) ** 2).sum(axis=0)
     kept = weights > rank_tol
     members = list(range(joint.dim_m))
@@ -406,18 +403,11 @@ def _condition(
         kets, weights = kets[index], weights[index]
         conditionals, members = conditionals[:, index], index.tolist()
     member_kets = (conditionals / np.sqrt(weights)).T
-    if deviation > _CONSTRUCT_TOL:
-        # A ``tol`` looser than _CONSTRUCT_TOL admits bases whose member kets the
-        # Ancilla check may reject, and bounds the weights only by tol: check both.
-        ensemble = RhoEnsemble(kets=member_kets, weights=weights)
-        ancilla = Ancilla(dim_m=joint.dim_m, kets=kets)
-    else:
-        # Each weight is finite and above rank_tol >= 0, each member-ket entry
-        # is at most 1 in magnitude (|c_i| <= sqrt(w)), and the members' Gram
-        # matrix is a principal submatrix of the basis Gram matrix, which
-        # ``deviation`` bounds.
-        ensemble = _trusted(RhoEnsemble, kets=member_kets, weights=weights)
-        ancilla = _trusted(Ancilla, dim_m=joint.dim_m, kets=kets)
+    # Each weight is finite and above rank_tol >= 0, each member-ket entry is
+    # at most 1 in magnitude (|c_i| <= sqrt(w)), and the members' Gram matrix
+    # is a principal submatrix of the basis Gram matrix.
+    ensemble = _trusted(RhoEnsemble, kets=member_kets, weights=weights)
+    ancilla = _trusted(Ancilla, dim_m=joint.dim_m, kets=kets)
     return ensemble, ancilla, members
 
 
@@ -502,12 +492,12 @@ def apply_unitary_umap(
         raise NotUnitary(f"matrix deviates from unitarity by {unit_dev:.3e}")
     rotated_kets = source_kets @ operator.T
 
-    from_e, from_ancilla, from_members = _checked_condition(
+    from_e, from_ancilla, from_members = ensemble_from_basis(
         joint, source_kets, rank_tol, tol
     )
     # Each check admits deviations up to max(tol, _CONSTRUCT_TOL), so the
     # rotated basis can miss that bound although basis and unitary both pass.
-    to_e, _, to_members = _checked_condition(joint, rotated_kets, rank_tol, tol)
+    to_e, _, to_members = ensemble_from_basis(joint, rotated_kets, rank_tol, tol)
 
     row_kets = rotated_kets[_members_first(to_members, joint.dim_m)]
     paired_source = source_kets[_members_first(from_members, joint.dim_m)]
@@ -583,5 +573,5 @@ def ensemble_containing(
     # SVD right kets under a reflector, completed by one QR: a complete basis
     # unitary to working precision, far inside the bounds both checks apply.
     basis = _complete(reflector @ form.right_kets, joint.dim_m)
-    ensemble, _, _ = _condition(joint, basis, np.conj(basis), rank_tol, tol, 0.0)
+    ensemble, _, _ = _condition(joint, basis, rank_tol, tol)
     return ensemble, basis

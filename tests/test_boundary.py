@@ -223,6 +223,8 @@ def test_basis_between_construct_and_given_tol_still_raises():
         measure_ancilla(joint, basis, tol=1e-6)
     with pytest.raises(NotOrthonormal):
         steer(joint, basis, 10, 0, tol=1e-6)
+    with pytest.raises(NotOrthonormal):
+        apply_unitary_umap(joint, basis, np.eye(3), tol=1e-6)
     with pytest.raises(NotOrthonormalBasis):
         ensemble_from_basis(joint, basis)
 
@@ -517,6 +519,23 @@ def test_ket_list_accepts_every_layout_and_sequence_alike():
 def test_malformed_ket_list_raises_its_typed_error(kets, error):
     with pytest.raises(error):
         as_ket_list(kets)
+
+
+@pytest.mark.parametrize(
+    "spectrum, error",
+    [
+        (None, DimensionMismatch),
+        (0.5, DimensionMismatch),
+        ([[0.5, 0.5], [0.2, 0.0]], DimensionMismatch),
+        ([np.nan, 1.0], InvalidArgument),
+        ([np.inf], InvalidArgument),
+    ],
+    ids=["none", "scalar", "matrix", "nan", "inf"],
+)
+def test_malformed_spectrum_raises_its_typed_error(spectrum, error):
+    with pytest.raises(error):
+        numerical_rank(spectrum)
+    assert numerical_rank([]) == 0
 
 
 def test_complex_or_string_weights_are_invalid_arguments():

@@ -100,6 +100,24 @@ def test_verify_ensemble_against_density(tmp_path):
     assert main(["verify", "--ensemble", ens, "--rho", wrong]) == 3
 
 
+@pytest.mark.parametrize(
+    "coeffs, generator, tol",
+    [(np.eye(2), np.eye(3), "1e-10"), (np.eye(2, 3), np.eye(2), "10")],
+    ids=["generator_size", "more_columns_than_rows"],
+)
+def test_verify_umap_of_mismatched_shapes_reports_and_exits_3(
+    tmp_path, coeffs, generator, tol
+):
+    doc = docs.umap_document(
+        purification.UMap(coeffs=coeffs, generator=generator, basis=np.eye(2))
+    )
+    result = run_cli("verify", "--umap", write(tmp_path / "u.json", doc), "--tol", tol)
+    assert result.returncode == 3
+    assert result.stderr == ""
+    report = json.loads(result.stdout)
+    assert report["clean"] is False and len(report["violations"]) == 1
+
+
 def test_verify_dirty_ensemble_reports_and_exits_3(tmp_path, capsys):
     bad = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.6, 0.6])
     ens = write(tmp_path / "bad.json", docs.ensemble_document(bad))

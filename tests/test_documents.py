@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhokit import DocumentError, JointState, RhoEnsemble, RhokitError, UMap, steer
+from rhokit import (
+    DimensionMismatch,
+    DocumentError,
+    InvalidArgument,
+    JointState,
+    RhoEnsemble,
+    RhokitError,
+    UMap,
+    steer,
+)
 from rhokit import documents as docs
 from helpers import bell_joint, minus_ket, plus_ket, random_ket, random_unitary
 
@@ -171,6 +180,30 @@ def test_dump_is_deterministic():
     assert docs.dump_document(docs.joint_document(joint)) == docs.dump_document(
         docs.joint_document(joint)
     )
+
+
+WRITER_CATALOGUE = [
+    (docs.ket_document, [[1, 2]], DimensionMismatch),
+    (docs.ket_document, "ab", InvalidArgument),
+    (docs.matrix_document, [1, 2], DimensionMismatch),
+    (docs.basis_document, [1, 2], DimensionMismatch),
+    (docs.dump_document, {"x": math.nan}, DocumentError),
+    (docs.ensemble_document, None, InvalidArgument),
+    (docs.joint_document, None, InvalidArgument),
+    (docs.umap_document, None, InvalidArgument),
+    (docs.report_document, None, InvalidArgument),
+    (docs.ancilla_basis_document, None, InvalidArgument),
+]
+
+
+@pytest.mark.parametrize(
+    "write, value, error",
+    WRITER_CATALOGUE,
+    ids=[f"{w.__name__}-{v!r}" for w, v, _ in WRITER_CATALOGUE],
+)
+def test_writers_raise_typed_errors_for_malformed_values(write, value, error):
+    with pytest.raises(error):
+        write(value)
 
 
 def test_rejects_unknown_kind():

@@ -969,8 +969,24 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
             UMap(coeffs=np.eye(2), generator=PAULI_X, basis=np.eye(2)),
             ["coefficients deviate from <b_j|U|b_k> by 1.000e+00"],
         ),
+        (
+            UMap(coeffs=np.eye(2), generator=np.eye(3), basis=np.eye(2)),
+            ["generator has dimension 3 for 2 coefficient rows"],
+        ),
     ],
-    ids=["non_square_generator", "row_basis_count", "generator_mismatch"],
+    ids=[
+        "non_square_generator",
+        "row_basis_count",
+        "generator_mismatch",
+        "generator_size",
+    ],
 )
 def test_check_umap_reports_each_inconsistency(umap, expected):
     assert check_umap(umap) == expected
+
+
+def test_check_umap_reports_more_columns_than_rows_at_any_tolerance():
+    # At tol 10 the column check passes, so only the count stops the
+    # <b_j|U|b_k> comparison from broadcasting a 2x2 block against 2x3 coeffs.
+    umap = UMap(coeffs=np.eye(2, 3), generator=np.eye(2), basis=np.eye(2))
+    assert check_umap(umap, 10.0) == ["coefficients have 3 columns, more than their 2 rows"]
