@@ -110,9 +110,11 @@ def _envelope(kind: str, payload: dict) -> dict:
 
 def dump_document(doc: dict) -> str:
     """Serialize an envelope deterministically: one compact line, sorted keys, newline."""
+    # json raises ValueError for a non-finite float or a cycle, and TypeError
+    # for a value it has no type for (a numpy scalar) or keys it cannot sort.
     try:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    except ValueError as exc:  # a non-finite float, or a circular reference
+    except (TypeError, ValueError) as exc:
         raise DocumentError(f"cannot serialize document: {exc}") from exc
     return text + "\n"
 
@@ -304,11 +306,14 @@ def to_report(doc: dict) -> SteeringReport:
         raise DocumentError("report.expected_weights: expected numbers matching counts")
     if any(w < 0 for w in weights):
         raise DocumentError("report.expected_weights: expected non-negative weights")
+    post_density = _parse_matrix(payload.get("post_density"), "report.post_density")
+    if post_density.shape[0] != post_density.shape[1]:
+        raise DocumentError("report.post_density: expected a square matrix")
     return SteeringReport(
         shots=shots,
         counts=[int(c) for c in counts],
         expected_weights=np.array([float(w) for w in weights]),
-        post_density=_parse_matrix(payload.get("post_density"), "report.post_density"),
+        post_density=post_density,
     )
 
 

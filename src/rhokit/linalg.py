@@ -178,10 +178,19 @@ def orthonormality_deviation(kets: np.ndarray) -> float:
     return _identity_deviation(gram_matrix(kets))
 
 
-def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Max-norm symmetry check ||m - m^dag||_max <= tol."""
+def _square(m) -> np.ndarray:
+    """``as_operator(m)``, raising DimensionMismatch unless it is square."""
+    arr = as_operator(m)
+    if arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"matrix is not square: {arr.shape}")
+    return arr
+
+
+def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
+    """Max-norm symmetry check ||m - m^dag||_max <= tol on a square matrix."""
     _check_tolerances(tol=tol)
-    return max_abs(m - dagger(m)) <= tol
+    arr = _square(m)
+    return max_abs(arr - dagger(arr)) <= tol
 
 
 def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -196,13 +205,11 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     NumericalFailure if the eigensolver does not converge.
     """
     _check_tolerances(tol=tol)
-    arr = as_operator(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"matrix is not square: {arr.shape}")
-    if not is_hermitian(arr, tol):
+    arr = _square(m)
+    asymmetry = max_abs(arr - dagger(arr))
+    if asymmetry > tol:
         raise NotHermitian(
-            f"matrix deviates from Hermitian symmetry by {max_abs(arr - dagger(arr)):.3e}"
-            f" (tol {tol:.3e})"
+            f"matrix deviates from Hermitian symmetry by {asymmetry:.3e} (tol {tol:.3e})"
         )
     try:
         w, v = np.linalg.eigh((arr + dagger(arr)) / 2.0)
@@ -290,14 +297,14 @@ def partial_trace_m(joint, dim_s: int, dim_m: int) -> np.ndarray:
     arr = _convert(joint)
     total = dim_s * dim_m
     if arr.ndim == 1:
-        if arr.shape[0] != total:
+        if _checked(arr, 1, "joint ket").shape[0] != total:
             raise DimensionMismatch(
                 f"joint ket has length {arr.shape[0]}, expected {dim_s}*{dim_m}={total}"
             )
         a = arr.reshape(dim_s, dim_m)
         return a @ dagger(a)
     if arr.ndim == 2:
-        if arr.shape != (total, total):
+        if _checked(arr, 2, "joint operator").shape != (total, total):
             raise DimensionMismatch(
                 f"joint operator has shape {arr.shape}, expected ({total}, {total})"
             )

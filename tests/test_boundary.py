@@ -538,6 +538,12 @@ def test_malformed_spectrum_raises_its_typed_error(spectrum, error):
     assert numerical_rank([]) == 0
 
 
+def test_is_hermitian_raises_a_typed_error_for_a_malformed_matrix():
+    for bad in [*MALFORMED, [1, 2], np.ones((2, 3))]:
+        with pytest.raises(RhokitError):
+            is_hermitian(bad)
+
+
 def test_complex_or_string_weights_are_invalid_arguments():
     complex_forms = (
         [0.5 + 1j, 0.5],

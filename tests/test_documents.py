@@ -100,6 +100,11 @@ def test_report_roundtrip_exact():
         ("shots", 0, "report.shots"),
         ("post_density", "dense", "report.post_density"),
         ("post_density", {"rows": 10**12, "cols": 2, "entries": []}, "report.post_density"),
+        (
+            "post_density",
+            {"rows": 1, "cols": 3, "entries": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]},
+            "report.post_density",
+        ),
     ],
 )
 def test_report_rejects_inconsistent_statistics(field, value, path):
@@ -188,6 +193,8 @@ WRITER_CATALOGUE = [
     (docs.matrix_document, [1, 2], DimensionMismatch),
     (docs.basis_document, [1, 2], DimensionMismatch),
     (docs.dump_document, {"x": math.nan}, DocumentError),
+    (docs.dump_document, {"x": np.float32(1)}, DocumentError),
+    (docs.dump_document, {1: 2, "a": 3}, DocumentError),
     (docs.ensemble_document, None, InvalidArgument),
     (docs.joint_document, None, InvalidArgument),
     (docs.umap_document, None, InvalidArgument),

@@ -1,4 +1,4 @@
-"""Every name a rhokit module imports is used in that module.
+"""Every name a rhokit module or a tool imports is used in that module.
 
 A name listed in the module's ``__all__`` counts as used (a re-export), and
 so does an import whose own line carries ``# noqa: F401`` with its reason.
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "rhokit"
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "rhokit").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
 
 
 def unused_imports(text):
@@ -33,7 +34,7 @@ def unused_imports(text):
     return sorted(imported - used - exported)
 
 
-@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -420,6 +420,16 @@ PRECONDITIONS = {
         DimensionMismatch,
         "3 vectors cannot be orthonormal in dimension 2",
     ),
+    "partial_trace_non_finite_ket": (
+        lambda: partial_trace_m([np.nan, 0, 0, 1], 2, 2),
+        InvalidArgument,
+        "joint ket contains non-finite entries",
+    ),
+    "partial_trace_non_finite_operator": (
+        lambda: partial_trace_m(np.full((4, 4), np.inf), 2, 2),
+        InvalidArgument,
+        "joint operator contains non-finite entries",
+    ),
     "partial_trace_ndim": (
         lambda: partial_trace_m(np.zeros((2, 2, 2)), 2, 2),
         DimensionMismatch,

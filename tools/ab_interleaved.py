@@ -14,16 +14,24 @@ OpenMP run single-threaded.
 
 Prints one JSON line: each side's median round time, the parent's
 interquartile range, the ratio of the medians (change over parent), the
-share of pairs the change won, and each side's failed operations in its
-warm-up round. Timing both sides in one process removes the spread between
-worker processes that ``perfbench/run.py`` carries; it is not the
-benchmark's metric and changes none.
+share of pairs the change won, each side's failed operations in its first
+warm-up round, and ``changed_outputs``. Timing both sides in one process
+removes the spread between worker processes that ``perfbench/run.py``
+carries; it is not the benchmark's metric and changes none.
+
+``changed_outputs`` lists, in round order, the case classes (an operation
+name's part before ``/``: ``purify``, ``steer``, ...) whose outputs in that
+first round, errors included, differ bit for bit between the two sides.
+``[]`` means the change computes the same numbers; ``--pairs 2`` checks just
+that.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
+import hashlib
 import importlib.util
 import json
 import os
@@ -63,6 +71,45 @@ def load_side(name: str, src: Path):
     return module
 
 
+def feed(h, value) -> None:
+    """Add a canonical byte encoding of ``value`` to the hash ``h``.
+
+    Raises TypeError for a value it has no encoding for, so no part of an
+    output is silently left out.
+    """
+    import numpy as np
+
+    if value is None or isinstance(value, (bool, int, float, complex, str)):
+        h.update(f"{type(value).__name__}:{value!r};".encode())
+    elif isinstance(value, BaseException):
+        h.update(f"raised {type(value).__name__}:{value};".encode())
+    elif isinstance(value, (np.ndarray, np.generic)):
+        arr = np.ascontiguousarray(value)
+        h.update(f"array {arr.dtype.str} {arr.shape};".encode())
+        h.update(arr.tobytes())
+    elif isinstance(value, (tuple, list)):
+        h.update(f"{type(value).__name__} {len(value)};".encode())
+        for item in value:
+            feed(h, item)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        h.update(f"{type(value).__name__};".encode())
+        for f in dataclasses.fields(value):
+            h.update(f"{f.name}=".encode())
+            feed(h, getattr(value, f.name))
+    else:
+        raise TypeError(f"no digest encoding for {type(value).__name__}")
+
+
+def digests(ops, outs) -> dict[str, str]:
+    """Case class -> hex SHA-256 over its outputs, in first-seen order."""
+    hashes: dict[str, object] = {}
+    for op, out in zip(ops, outs):
+        h = hashes.setdefault(op.cls.split("/")[0], hashlib.sha256())
+        h.update(f"{op.cls};".encode())
+        feed(h, out)
+    return {cls: h.hexdigest() for cls, h in hashes.items()}
+
+
 def timed_round(workloads, ops) -> float:
     gc.collect()
     t0 = time.perf_counter()
@@ -88,10 +135,11 @@ def main(argv=None) -> int:
     }
     # Neither workload writes files, so the work directory is never used.
     rounds = {k: wl.build(args.workload, args.seed, ROOT).ops(0) for k, wl in sides.items()}
-    failed = {}
+    failed, digested = {}, {}
     for side, wl in sides.items():
         outs = wl.run_ops(rounds[side])
         failed[side] = sum(wl.judge(op, out) is not None for op, out in zip(rounds[side], outs))
+        digested[side] = digests(rounds[side], outs)
         for _ in range(WARMUP_ROUNDS - 1):
             wl.run_ops(rounds[side])
 
@@ -115,6 +163,9 @@ def main(argv=None) -> int:
                 "ratio": round(median["change"] / median["parent"], 4),
                 "change_faster_share": round(wins / args.pairs, 4),
                 "failed": failed,
+                "changed_outputs": [
+                    cls for cls, h in digested["change"].items() if digested["parent"][cls] != h
+                ],
             }
         )
     )
