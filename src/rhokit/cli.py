@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -52,14 +53,14 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        return
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise DocumentError(f"cannot write {path}: {exc}") from exc
+        if path == "-":
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except OSError as exc:  # stdout too: a closed pipe, a full device
+        raise DocumentError(f"cannot write {'stdout' if path == '-' else path}: {exc}") from exc
 
 
 def _load(path: str) -> dict:
@@ -305,9 +306,35 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
+def run(argv=None) -> None:
+    """Process entry point: ``main``, then exit without interpreter teardown.
+
+    When ``main`` returns it has closed every file it wrote; only stdout and
+    stderr may still hold buffered text. Both are flushed and ``os._exit``
+    ends the process with the exit code, skipping a teardown that has no
+    work left to do. A stdout that cannot take the flush exits 2 with one
+    JSON error line, as a failed write in ``main`` does. Exceptions other
+    than ``SystemExit`` propagate.
+    """
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: --help, usage errors
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # Every exit 2 has written its one error line already; after a failed
+        # stdout write the text left in the buffer fails here again.
+        if code != EXIT_DOCUMENT:
+            _emit_error(DocumentError.__name__, f"cannot write stdout: {exc}")
+        code = EXIT_DOCUMENT
+    sys.stderr.flush()
+    os._exit(code)
+
+
 def _emit_error(error: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": error, "message": message}) + "\n")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

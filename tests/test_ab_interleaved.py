@@ -1,4 +1,4 @@
-"""``tools/ab_interleaved.py`` times a parent tree against this one in one process."""
+"""``tools/ab_interleaved.py`` times a parent tree against this one."""
 
 import json
 import shutil
@@ -22,10 +22,10 @@ def copy_src(parent):
     )
 
 
-def ab_line(parent, pairs):
+def ab_line(parent, pairs, workload="steer_sweep", seed=5):
     done = subprocess.run(
         [sys.executable, str(TOOL), "--parent", str(parent), "--workload",
-         "steer_sweep", "--seed", "5", "--pairs", str(pairs)],
+         workload, "--seed", str(seed), "--pairs", str(pairs)],
         capture_output=True,
         text=True,
         timeout=120,
@@ -50,6 +50,18 @@ def test_tree_against_itself_prints_one_json_line_and_leaves_no_files(tmp_path):
     assert result["parent_iqr_ms"] >= 0
     assert result["ratio"] > 0
     assert result["change_faster_share"] in (0, 0.25, 0.5, 0.75, 1)
+
+
+def test_cli_pipeline_against_itself_changes_no_output_and_leaves_no_files(tmp_path):
+    parent = tmp_path / "parent"
+    copy_src(parent)
+    watched = (parent, ROOT / "src", ROOT / "perfbench", ROOT / "tools")
+    before = tree(*watched)
+    result = ab_line(parent, 2, "cli_pipeline", 201)
+    assert tree(*watched) == before
+    assert result["workload"] == "cli_pipeline" and result["pairs"] == 2
+    assert result["failed"] == {"parent": 0, "change": 0}
+    assert result["changed_outputs"] == []
 
 
 def test_a_parent_whose_steer_output_differs_in_the_last_bits_is_named(tmp_path):

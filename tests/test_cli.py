@@ -1,6 +1,7 @@
 """Command-line contract: pipelines, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -270,10 +271,25 @@ def test_steer_is_byte_identical_across_runs(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def run_cli(*args):
+def run_cli(*args, stdout=subprocess.PIPE, env=None):
     return subprocess.run(
-        [sys.executable, "-m", "rhokit.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "rhokit.cli", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
     )
+
+
+def stdout_env(buffered):
+    """This environment, with the CLI's stdout buffered or not.
+
+    Buffered, small output reaches stdout only at the flush before exit.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
 
 
 def single_json_error(stderr):
@@ -307,6 +323,73 @@ def test_usage_errors_exit_2_with_one_json_line(args):
     error = single_json_error(result.stderr)
     assert error["error"] == "UsageError"
     assert error["message"]
+
+
+def test_help_exits_0_with_the_help_text_on_stdout():
+    result = run_cli("--help", env=stdout_env(buffered=True))
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout.startswith("usage: rhokit")
+    assert "ensemble-from-basis" in result.stdout
+
+
+@pytest.fixture(params=["closed-pipe", "dev-full"])
+def unwritable_stdout(request):
+    """A file object whose every write fails: a pipe without a reader, or a
+    device that is always full."""
+    if request.param == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "w") as handle:
+            yield handle
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        with os.fdopen(write, "w") as handle:
+            yield handle
+
+
+STDOUT_OUTPUTS = ["small", "large", "small-then-large"]
+
+
+def stdout_args(tmp_path, output):
+    """Arguments of a command that writes the given output to stdout."""
+    if output == "small":
+        return ["verify", "--ensemble", write(tmp_path / "e.json", equal_mixture_doc())]
+    if output == "large":
+        e = random_ensemble(np.random.default_rng(96), 96, 96)
+        ens = write(tmp_path / "e96.json", docs.ensemble_document(e))
+        return ["purify", ens, "--dim-m", "96", "--out", "-"]
+    # A joint document of about 3 kB, which the stdout buffer holds, then an
+    # ancilla document of about 10 kB, whose write fails to flush the first;
+    # the joint stays in the buffer and fails again at the flush before exit.
+    e = random_ensemble(np.random.default_rng(32), 2, 32)
+    ens = write(tmp_path / "e32.json", docs.ensemble_document(e))
+    return ["purify", ens, "--dim-m", "32", "--out", "-", "--ancilla-out", "-"]
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("output", STDOUT_OUTPUTS)
+def test_unwritable_stdout_exits_2_with_one_json_line(
+    tmp_path, unwritable_stdout, output, buffered
+):
+    args = stdout_args(tmp_path, output)
+    result = run_cli(*args, stdout=unwritable_stdout, env=stdout_env(buffered))
+    assert result.returncode == 2
+    error = single_json_error(result.stderr)
+    assert error["error"] == "DocumentError"
+    assert error["message"].startswith("cannot write stdout: ")
+
+
+@pytest.mark.parametrize("output", STDOUT_OUTPUTS)
+def test_stdout_matches_main_in_process(tmp_path, capsys, output):
+    args = stdout_args(tmp_path, output)
+    assert main(args) == 0
+    expected = capsys.readouterr().out
+    result = run_cli(*args, env=stdout_env(buffered=True))
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout == expected
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

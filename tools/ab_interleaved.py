@@ -1,4 +1,4 @@
-"""Interleaved in-process A/B of one workload round: a parent tree against this one.
+"""Interleaved A/B of one workload round: a parent tree against this one.
 
     git archive <rev> src | tar -x -C DIR
     python3 tools/ab_interleaved.py --parent DIR --workload construct --seed 201 --pairs 400
@@ -6,11 +6,19 @@
 Loads two copies of rhokit in one process, the parent's from ``DIR/src`` and
 this tree's from the ``src/`` next to this directory, and gives each its own
 module built from this tree's ``perfbench/workloads.py`` (read only; nothing
-under ``perfbench/`` or ``DIR`` is changed, and no bytecode is written). Each
-side builds the workload's first round from the same seed, then both run a
-few untimed warm-up rounds. Each of the ``--pairs`` pairs times one round per
-side, after ``gc.collect()``, and alternates which side runs first. BLAS and
-OpenMP run single-threaded.
+under ``perfbench/``, ``DIR`` or ``src/`` is changed, and no bytecode is
+written there). Each side builds the workload from the same seed in its own
+temporary work directory, then runs untimed warm-up rounds: three, or one for
+``cli_pipeline``. Pair ``i`` times round ``i`` of the workload's cycle once
+per side, after ``gc.collect()``, and alternates which side runs first. BLAS
+and OpenMP run single-threaded.
+
+``construct`` and ``steer_sweep`` call each side's library in this process.
+``cli_pipeline`` starts each command as ``python -m rhokit.cli`` with the
+side's ``src/`` first on ``PYTHONPATH``, so its rounds include interpreter
+start, import and exit, which ``perfbench``'s traced run (the CLI in process)
+cannot see. Those processes keep their bytecode in the side's work
+directory, so both sides start from a cold cache and warm it alike.
 
 Prints one JSON line: each side's median round time, the parent's
 interquartile range, the ratio of the medians (change over parent), the
@@ -20,10 +28,12 @@ removes the spread between worker processes that ``perfbench/run.py``
 carries; it is not the benchmark's metric and changes none.
 
 ``changed_outputs`` lists, in round order, the case classes (an operation
-name's part before ``/``: ``purify``, ``steer``, ...) whose outputs in that
-first round, errors included, differ bit for bit between the two sides.
-``[]`` means the change computes the same numbers; ``--pairs 2`` checks just
-that.
+name's part before ``/``: ``purify``, ``steer``, ``cli``, ...) whose outputs
+in any round run, errors included, differ bit for bit between the two sides.
+``files`` stands for the files a round writes (``cli_pipeline``: the
+documents its commands write). ``[]`` means the change computes the same
+numbers; ``--pairs 2`` checks just that. A ``cli_pipeline`` cycle is five
+rounds, one per error case, so ``--pairs 5`` covers all of them.
 """
 
 from __future__ import annotations
@@ -36,14 +46,16 @@ import importlib.util
 import json
 import os
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-WORKLOADS = ("construct", "steer_sweep")
-WARMUP_ROUNDS = 3
+WORKLOADS = ("construct", "steer_sweep", "cli_pipeline")
+WARMUP_ROUNDS = 3  # one for a workload of CLI processes
 
 
 def load_side(name: str, src: Path):
@@ -100,21 +112,47 @@ def feed(h, value) -> None:
         raise TypeError(f"no digest encoding for {type(value).__name__}")
 
 
-def digests(ops, outs) -> dict[str, str]:
-    """Case class -> hex SHA-256 over its outputs, in first-seen order."""
-    hashes: dict[str, object] = {}
+def cli_runner(workloads, src: Path, workdir: Path):
+    """``runner(argv)`` for ``workloads.build``: one CLI command as a process
+    of the rhokit under ``src``."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(workdir / "pycache"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)  # the cache above is outside every tree
+
+    def run(argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "rhokit.cli", *argv], capture_output=True, text=True,
+            env=env, timeout=workloads.CLI_TIMEOUT_S, check=False,
+        )
+        return workloads.CliResult(done.returncode, done.stdout, done.stderr)
+
+    return run
+
+
+def digest_round(hashes: dict, wl, ops, outs) -> None:
+    """Add a round's outputs, then the files it wrote, to ``hashes``: case
+    class -> SHA-256, in first-seen order."""
     for op, out in zip(ops, outs):
         h = hashes.setdefault(op.cls.split("/")[0], hashlib.sha256())
         h.update(f"{op.cls};".encode())
         feed(h, out)
-    return {cls: h.hexdigest() for cls, h in hashes.items()}
+    for path in wl.outputs:
+        h = hashes.setdefault("files", hashlib.sha256())
+        data = path.read_bytes() if path.exists() else None
+        h.update(f"{path.name} {None if data is None else len(data)};".encode())
+        h.update(data or b"")
 
 
-def timed_round(workloads, ops) -> float:
+def run_round(workloads, wl, i: int, hashes: dict) -> tuple[float, list]:
+    """Round ``i``: its time in ms and its outputs, which go into ``hashes``
+    after the timer stops. The caller judges them, then calls ``wl.clean()``."""
+    ops = wl.ops(i)
     gc.collect()
     t0 = time.perf_counter()
-    workloads.run_ops(ops)
-    return (time.perf_counter() - t0) * 1e3
+    outs = workloads.run_ops(ops)
+    ms = (time.perf_counter() - t0) * 1e3
+    digest_round(hashes, wl, ops, outs)
+    return ms, outs
 
 
 def main(argv=None) -> int:
@@ -129,24 +167,31 @@ def main(argv=None) -> int:
 
     os.environ.update(THREAD_ENV)  # read when numpy first loads, below
     sys.dont_write_bytecode = True  # leave perfbench/ and both src/ trees as they are
-    sides = {
-        "parent": load_side("workloads_parent", args.parent.resolve() / "src"),
-        "change": load_side("workloads_change", ROOT / "src"),
-    }
-    # Neither workload writes files, so the work directory is never used.
-    rounds = {k: wl.build(args.workload, args.seed, ROOT).ops(0) for k, wl in sides.items()}
-    failed, digested = {}, {}
-    for side, wl in sides.items():
-        outs = wl.run_ops(rounds[side])
-        failed[side] = sum(wl.judge(op, out) is not None for op, out in zip(rounds[side], outs))
-        digested[side] = digests(rounds[side], outs)
-        for _ in range(WARMUP_ROUNDS - 1):
-            wl.run_ops(rounds[side])
-
+    srcs = {"parent": args.parent.resolve() / "src", "change": ROOT / "src"}
+    sides = {side: load_side(f"workloads_{side}", src) for side, src in srcs.items()}
+    hashes = {side: {} for side in sides}
     times = {side: [] for side in sides}
-    for i in range(args.pairs):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            times[side].append(timed_round(sides[side], rounds[side]))
+    failed = {}
+    with tempfile.TemporaryDirectory(prefix="ab_interleaved-") as tmp:
+        built = {}
+        for side, workloads in sides.items():
+            workdir = Path(tmp) / side
+            workdir.mkdir()
+            runner = cli_runner(workloads, srcs[side], workdir)
+            built[side] = workloads.build(args.workload, args.seed, workdir, runner)
+        for side, workloads in sides.items():
+            wl = built[side]
+            _, outs = run_round(workloads, wl, 0, hashes[side])
+            failed[side] = sum(workloads.judge(op, out) is not None for op, out in zip(wl.ops(0), outs))
+            wl.clean()
+            for _ in range(0 if wl.processes else WARMUP_ROUNDS - 1):
+                run_round(workloads, wl, 0, hashes[side])
+
+        for i in range(args.pairs):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                ms, _ = run_round(sides[side], built[side], i, hashes[side])
+                built[side].clean()
+                times[side].append(ms)
 
     median = {side: statistics.median(t) for side, t in times.items()}
     q1, _, q3 = statistics.quantiles(times["parent"], n=4)
@@ -164,7 +209,8 @@ def main(argv=None) -> int:
                 "change_faster_share": round(wins / args.pairs, 4),
                 "failed": failed,
                 "changed_outputs": [
-                    cls for cls, h in digested["change"].items() if digested["parent"][cls] != h
+                    cls for cls, h in hashes["change"].items()
+                    if hashes["parent"][cls].digest() != h.digest()
                 ],
             }
         )
