@@ -198,6 +198,12 @@ class _Parser(argparse.ArgumentParser):
     ``add_subparsers`` builds subcommand parsers of the same class.
     """
 
+    def _print_message(self, message, file=None):
+        # argparse would drop a failed write; _write_text raises DocumentError.
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        _write_text("-", message)
+
     def error(self, message):
         _emit_error("UsageError", message)
         sys.exit(EXIT_DOCUMENT)
@@ -285,10 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify" and args.rho is not None and args.ensemble is None:
-        parser.error("--rho requires --ensemble")
     try:
+        args = parser.parse_args(argv)
+        if args.command == "verify" and args.rho is not None and args.ensemble is None:
+            parser.error("--rho requires --ensemble")
         # numpy warns on overflow from finite entries near the float limit;
         # that would break the one-line stderr contract, and the inf or NaN
         # it leaves still fails the checks that follow.

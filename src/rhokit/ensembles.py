@@ -228,32 +228,34 @@ def is_linearly_independent(e: RhoEnsemble, rank_tol: float = DEFAULT_RANK_TOL) 
 def ensembles_equal(a: RhoEnsemble, b: RhoEnsemble, tol: float = 1e-8) -> bool:
     """Equality up to element permutation and per-element phase.
 
-    Elements are matched greedily: descending by weight, then by fidelity
-    ``|<phi|psi>|`` among candidates whose weights agree within ``tol``. The
-    greedy pass can in principle miss a matching between near-degenerate
-    adversarial ensembles; it is exact for the well-separated and the
-    exactly-degenerate cases that occur in practice.
+    True iff the elements pair up one-to-one with weights within ``tol`` and
+    fidelity ``|<phi|psi>| >= 1 - tol`` in every pair: an exact bipartite
+    matching over those pairs, grown along breadth-first augmenting paths.
     """
     _check_tolerances(tol=tol)
     _check_instance("a", a, RhoEnsemble)
     _check_instance("b", b, RhoEnsemble)
     if a.order != b.order or a.dim != b.dim:
         return False
-    order_a = np.argsort(-a.weights, kind="stable")
-    unmatched = list(np.argsort(-b.weights, kind="stable"))
-    for i in order_a:
-        best_j = None
-        best_fid = -1.0
-        for j in unmatched:
-            if abs(a.weights[i] - b.weights[j]) > tol:
-                continue
-            fid = abs(np.vdot(a.kets[i], b.kets[j]))
-            if fid > best_fid:
-                best_fid = fid
-                best_j = j
-        if best_j is None or best_fid < 1.0 - tol:
+    same_weight = np.abs(a.weights[:, None] - b.weights[None, :]) <= tol
+    admissible = same_weight & (np.abs(np.conj(a.kets) @ b.kets.T) >= 1.0 - tol)
+    partner_of_a, partner_of_b = np.full(a.order, -1), np.full(b.order, -1)
+    for start in range(a.order):
+        reached_from = np.full(b.order, -1)  # the a element each b was reached from
+        queue, free = [start], -1
+        while queue and free < 0:
+            i = queue.pop(0)
+            for j in np.flatnonzero(admissible[i] & (reached_from < 0)):
+                reached_from[j] = i
+                if partner_of_b[j] < 0:
+                    free = j
+                    break
+                queue.append(partner_of_b[j])
+        if free < 0:
             return False
-        unmatched.remove(best_j)
+        while free >= 0:  # flip the path: each a element on it takes its new b
+            i = reached_from[free]
+            partner_of_b[free], partner_of_a[i], free = i, free, partner_of_a[i]
     return True
 
 

@@ -262,13 +262,6 @@ def complete_orthonormal(
             f"input vectors deviate from orthonormality by {deviation:.3e}"
             f" (tol {tol:.3e})"
         )
-    return _complete(kets, target_dim)
-
-
-def _complete(kets: np.ndarray, target_dim: int) -> np.ndarray:
-    """``complete_orthonormal`` after its checks, for a (count, target_dim)
-    complex ket list already orthonormal to working precision."""
-    count = kets.shape[0]
     if count == target_dim:
         return kets.copy()
     with _allocating(f"completing {count} kets to dimension {target_dim}"):

@@ -39,7 +39,6 @@ from .linalg import (
     _check_instance,
     _check_integer,
     _check_tolerances,
-    _complete,
     as_ket,
     as_ket_list,
     as_operator,
@@ -47,7 +46,6 @@ from .linalg import (
     eig_hermitian,  # noqa: F401 -- perfbench's alias-rebinding test reads it here
     max_abs,
     orthonormality_deviation,
-    schmidt_decompose,
 )
 
 # Construction-time sanity checks on value types are looser than the
@@ -515,21 +513,17 @@ def ensemble_containing(
 ) -> tuple[RhoEnsemble, np.ndarray]:
     """Build a decomposition whose first element is a chosen support vector.
 
-    The joint ket is Schmidt-decomposed; expanding the target in the left
-    Schmidt kets gives overlaps gamma_s, and the first ancilla ket is formed
-    with column coefficients ``(gamma_s / c_s) / sqrt(sum_t |gamma_t/c_t|^2)``
-    against the right Schmidt kets. One Householder reflector completes that
-    ket to a basis of the right Schmidt span, and the QR of
-    ``complete_orthonormal`` extends it to the whole ancilla space.
-    Conditioning on that basis as ``ensemble_from_basis`` does, without
-    checking again a basis orthonormal by construction, yields an ensemble
-    whose first element is the target (same phase) with weight
-    ``1 / sum_t |gamma_t/c_t|^2``; the other elements are one valid choice
-    among many.
-
-    Raises NotNormalized for a non-unit target and NotInSupport when the
-    target has components outside the supported left Schmidt kets beyond
-    ``rank_tol``.
+    One SVD ``sum_s sigma_s u_s (x) v_s`` of the joint ket decides and builds.
+    The target xi is admitted iff its largest weight in any decomposition,
+    ``W = 1 / sum_s |<u_s|xi>|^2 / sigma_s^2`` (sigma_s floored at
+    ``floor = sigma_0 * max(dim_s, dim_m) * eps``, and so is xi's component
+    outside the left kets), exceeds ``t = max(rank_tol, floor)`` and the
+    share ``L`` of xi outside the kept support (``sigma_s^2 > rank_tol``) is at
+    most ``sqrt(t)``; else NotInSupport is raised. Element 0 is xi's
+    normalized projection onto the kept support, phase included, within
+    ``sqrt(2 L)`` of xi, where ``L <= lambda / W`` with ``lambda`` the largest
+    dropped ``sigma_s^2``; the other elements are one valid choice among many.
+    A non-unit target raises NotNormalized.
     """
     _check_tolerances(rank_tol=rank_tol, tol=tol)
     _check_instance("joint", joint, JointState)
@@ -541,36 +535,40 @@ def ensemble_containing(
     norm = float(np.linalg.norm(target))
     if abs(norm - 1.0) > tol:
         raise NotNormalized(f"target has norm {norm!r}, expected 1 (tol {tol:.3e})")
-    # The joint's norm was checked at construction, within _CONSTRUCT_TOL.
-    form = schmidt_decompose(
-        joint.vec, joint.dim_s, joint.dim_m, rank_tol, _CONSTRUCT_TOL
-    )
-    overlaps = np.conj(form.left_kets) @ target
-    residual = target - form.left_kets.T @ overlaps
-    residual_norm = float(np.linalg.norm(residual))
-    if residual_norm > max(rank_tol, 1e-12):
+    with _allocating(f"the SVD of a {joint.dim_s}x{joint.dim_m} joint matrix"):
+        try:
+            u, sv, vh = np.linalg.svd(
+                joint.as_matrix(), full_matrices=joint.dim_s < joint.dim_m
+            )
+        except np.linalg.LinAlgError as exc:  # a ValueError: catch it first
+            raise NumericalFailure(f"SVD failed: {exc}") from exc
+    floor = sv[0] * max(joint.dim_s, joint.dim_m) * np.finfo(float).eps
+    cutoff = max(rank_tol, floor)
+    overlaps = dagger(u) @ target
+    ratios = overlaps / np.maximum(sv, floor)
+    rank = np.count_nonzero(sv**2 > rank_tol)
+    outside = float(np.linalg.norm(target - u @ overlaps))
+    weight = 1.0 / (np.vdot(ratios, ratios).real + (outside / floor) ** 2)
+    share = 1.0 - np.vdot(overlaps[:rank], overlaps[:rank]).real / norm**2
+    if not (weight > cutoff and share <= np.sqrt(cutoff)):
         raise NotInSupport(
-            f"target sticks out of the support by {residual_norm:.3e}"
-            f" (tol {rank_tol:.3e})"
+            f"target has largest weight {weight:.3e} and share {share:.3e} outside"
+            f" the kept support, against cutoffs {cutoff:.3e} and {np.sqrt(cutoff):.3e}"
         )
-    ratios = overlaps / form.coefficients
-    first = np.conj(ratios) / np.linalg.norm(ratios)
-    # One Householder reflector H = I - 2 v v^dag / |v|^2, v = first + s e_k
-    # with s the phase of first's largest coordinate k, maps first to -s e_k,
-    # so its columns other than k are orthonormal and orthogonal to first.
-    # Row k of H^T (column k of H, a multiple of first) takes row 0's place
-    # and first takes row 0. Completing inside the reduced-state support first
-    # keeps the zero-weight directions out of the kets that carry weight, so
-    # no two conditional elements share one leftover support direction.
+    first = np.conj(ratios[:rank]) / np.linalg.norm(ratios[:rank])
+    # The Householder reflector H = I - 2 v v^dag / |v|^2, v = first + s e_k,
+    # s the phase of first's largest coordinate k, maps first to -s e_k: its
+    # other columns are orthonormal and orthogonal to first. Row k of H^T
+    # takes row 0's place and first row 0. Completing inside the kept right
+    # kets keeps the zero-weight directions out of the weighted kets.
     k = int(np.argmax(np.abs(first)))
     v = first.copy()
     v[k] += first[k] / abs(first[k])
-    reflector = np.eye(form.rank, dtype=complex)
+    reflector = np.eye(rank, dtype=complex)
     reflector -= np.outer(np.conj(v), v) * (2.0 / np.vdot(v, v).real)
     reflector[k] = reflector[0]
     reflector[0] = first
-    # SVD right kets under a reflector, completed by one QR: a complete basis
-    # unitary to working precision, far inside the bounds both checks apply.
-    basis = _complete(reflector @ form.right_kets, joint.dim_m)
+    # Unitary to working precision, far inside the bounds both checks apply.
+    basis = np.concatenate([reflector @ vh[:rank], vh[rank:]])
     ensemble, _, _ = _condition(joint, basis, rank_tol, tol)
     return ensemble, basis

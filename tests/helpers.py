@@ -45,6 +45,26 @@ def random_ensemble(rng, dim, order):
             return RhoEnsemble(kets=kets, weights=random_weights(rng, order))
 
 
+def squeezed_ensemble(seed):
+    """Ensemble of order = dim (3 to 6) whose last ket lies within 10**-6.5 to
+    10**-4.5 of the span of the others; weights U(0.05, 1), normalized. Its
+    density's smallest eigenvalue is mostly at or below 1e-10."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(3, 7))
+    kets = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    span, _ = np.linalg.qr(kets[:-1].T)
+    inside = span @ (np.conj(span).T @ kets[-1])
+    outside = kets[-1] - inside
+    distance = 10.0 ** rng.uniform(-6.5, -4.5)
+    kets[-1] = inside / np.linalg.norm(inside) * np.sqrt(1.0 - distance**2)
+    kets[-1] += outside / np.linalg.norm(outside) * distance
+    weights = rng.uniform(0.05, 1.0, dim)
+    return RhoEnsemble(
+        kets=kets / np.linalg.norm(kets, axis=1)[:, None],
+        weights=weights / weights.sum(),
+    )
+
+
 def random_joint(rng, dim_s, dim_m):
     return JointState(dim_s=dim_s, dim_m=dim_m, vec=random_ket(rng, dim_s * dim_m))
 

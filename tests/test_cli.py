@@ -9,9 +9,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rhokit import JointState, RhoEnsemble, documents as docs, purification
+from rhokit import JointState, RhoEnsemble, documents as docs, purification, purify
 from rhokit.cli import main
-from helpers import bell_joint, computational, minus_ket, plus_ket, random_ensemble
+from helpers import (
+    bell_joint,
+    computational,
+    minus_ket,
+    plus_ket,
+    random_ensemble,
+    squeezed_ensemble,
+    weighted_projector_sum,
+)
 
 
 def write(path, doc):
@@ -360,6 +368,8 @@ def stdout_args(tmp_path, output):
         e = random_ensemble(np.random.default_rng(96), 96, 96)
         ens = write(tmp_path / "e96.json", docs.ensemble_document(e))
         return ["purify", ens, "--dim-m", "96", "--out", "-"]
+    if output == "help":
+        return ["--help"]
     # A joint document of about 3 kB, which the stdout buffer holds, then an
     # ancilla document of about 10 kB, whose write fails to flush the first;
     # the joint stays in the buffer and fails again at the flush before exit.
@@ -369,7 +379,7 @@ def stdout_args(tmp_path, output):
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("output", STDOUT_OUTPUTS)
+@pytest.mark.parametrize("output", STDOUT_OUTPUTS + ["help"])
 def test_unwritable_stdout_exits_2_with_one_json_line(
     tmp_path, unwritable_stdout, output, buffered
 ):
@@ -478,6 +488,23 @@ def test_contains_out_of_support_exits_3(tmp_path, capsys):
     assert rc == 3
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "NotInSupport"
+
+
+def test_contains_admits_a_member_of_a_nearly_singular_ensemble(tmp_path, capsys):
+    # The density's smallest eigenvalue, 6.6e-13, is dropped; the member still
+    # has a largest weight above rank_tol, so it is admitted.
+    e = squeezed_ensemble(1)
+    assert np.linalg.eigvalsh(weighted_projector_sum(e))[0] < 1e-10
+    joint = write(tmp_path / "j.json", docs.joint_document(purify(e, e.dim)[0]))
+    ket = write(tmp_path / "k.json", docs.ket_document(e.kets[0]))
+    out = tmp_path / "e.json"
+    assert main(["contains", joint, ket, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    ensemble = docs.to_ensemble(docs.load_document(out.read_text()))
+    assert main(["verify", "--ensemble", str(out)]) == 0
+    assert np.max(np.abs(ensemble.kets[0] - e.kets[0])) <= 1e-4
+    assert ensemble.weights[0] >= e.weights[0] * (1 - 1e-9)
+    capsys.readouterr()
 
 
 def test_contains_first_element_is_target(tmp_path, capsys):

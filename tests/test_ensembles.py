@@ -505,6 +505,20 @@ def test_equal_reflexive_symmetric_random():
         assert ensembles_equal(a, b) == ensembles_equal(b, a)
 
 
+def test_equal_finds_a_matching_a_greedy_pass_misses():
+    # Fidelity |cos(s - t)| between r(s) and r(t) is at least 1 - 1e-8 for
+    # |s - t| <= 1.4e-4. a0 is nearest b0, but a1 matches only b0, so the one
+    # matching within tol pairs a0 with b1 and a1 with b0.
+    def r(t):
+        return [np.cos(t), np.sin(t)]
+
+    a = RhoEnsemble(kets=[r(4e-5), r(-1e-4)], weights=[0.5, 0.5])
+    b = RhoEnsemble(kets=[r(0.0), r(1e-4)], weights=[0.5, 0.5])
+    assert ensembles_equal(a, b) and ensembles_equal(b, a)
+    c = RhoEnsemble(kets=[r(0.0), r(3e-4)], weights=[0.5, 0.5])
+    assert not ensembles_equal(a, c)
+
+
 def test_equal_rejects_different_orders():
     single = RhoEnsemble(kets=[computational(2, 0)], weights=[1.0])
     assert not ensembles_equal(single, equal_mixture_computational())

@@ -49,6 +49,7 @@ from helpers import (
     random_ket,
     random_unitary,
     reconstruct_joint,
+    squeezed_ensemble,
     weighted_projector_sum,
 )
 
@@ -742,6 +743,85 @@ def test_containing_is_clean_down_to_the_rank_cutoff(epsilon):
     assert validate_ensemble(e) == []
 
 
+def test_containing_admits_every_member_of_a_nearly_singular_ensemble():
+    # rho's smallest eigenvalue is at or below rank_tol, so its eigenvector is
+    # dropped, yet a member of weight p keeps a component of up to
+    # sqrt(lambda / p) along it. Its largest weight, at least p, admits it;
+    # element 0 is its normalized projection onto the kept support.
+    nearly_singular = members = 0
+    for seed in range(200):
+        e = squeezed_ensemble(seed)
+        smallest = np.linalg.eigvalsh(weighted_projector_sum(e))[0]
+        if validate_ensemble(e) or smallest > 1e-10:
+            continue
+        nearly_singular += 1
+        joint, _ = purify(e, e.dim)
+        for ket, weight in zip(e.kets, e.weights):
+            out, _ = ensemble_containing(joint, ket)
+            assert validate_ensemble(out) == []
+            assert out.weights[0] >= weight * (1 - 1e-9)
+            assert np.max(np.abs(out.kets[0] - ket)) <= 1e-4
+            # Within sqrt(2 lambda / W), with lambda <= rank_tol and W >= p.
+            assert np.linalg.norm(out.kets[0] - ket) <= np.sqrt(2e-10 / weight)
+            members += 1
+    assert nearly_singular > 190 and members > 800
+
+
+def test_containing_decides_membership_of_a_wide_joint_by_its_range():
+    # dim_s = 4 > dim_m = 2: a target's component outside the two left kets
+    # counts at the floor, so a target orthogonal to the range has largest
+    # weight near 1e-31. A rule over the nonzero singular values alone would
+    # admit it. At rank_tol = 0 rounding leaves it components near 1e-16 on
+    # the kept left kets; the floored cutoff still refuses it.
+    rng = np.random.default_rng(31)
+    left = random_unitary(rng, 4)
+    joint = _schmidt_joint(left[:2], np.sqrt([0.7, 0.3]), random_unitary(rng, 2))
+    inside = left[:2].T @ np.array([0.6, 0.8j])
+    for rank_tol in (1e-10, 0.0):
+        e, _ = ensemble_containing(joint, inside, rank_tol=rank_tol)
+        assert validate_ensemble(e) == []
+        assert np.max(np.abs(e.kets[0] - inside)) < 1e-12
+        for target in (left[3], np.sqrt(1.0 - 1e-6) * inside + 1e-3 * left[3]):
+            with pytest.raises(NotInSupport, match="^target has largest weight"):
+                ensemble_containing(joint, target, rank_tol=rank_tol)
+
+
+def test_containing_refuses_a_rounding_level_direction_at_rank_tol_0():
+    # A rank-2 3x3 joint: the SVD leaves a singular value near 1e-17 on the
+    # null direction, which rank_tol = 0 keeps. Its largest weight, about the
+    # squared floor, is below the cutoff, which is then the floor itself.
+    rng = np.random.default_rng(5)
+    left = random_unitary(rng, 3)
+    joint = _schmidt_joint(left, np.sqrt([0.5, 0.5, 0.0]), random_unitary(rng, 3))
+    assert 0.0 < np.linalg.svd(joint.as_matrix(), compute_uv=False)[2] < 1e-15
+    with pytest.raises(NotInSupport, match="^target has largest weight"):
+        ensemble_containing(joint, left[2], rank_tol=0.0)
+
+
+def test_containing_bounds_the_distance_of_element_0_from_the_target():
+    # Squared Schmidt coefficients (0.5, 0.5 - lam, lam), lam below rank_tol.
+    # A target with share L = 1e-6 along the dropped direction has largest
+    # weight W = 1 / (2 (1 - L) + L / lam) ~ 1e-4: admitted, and element 0,
+    # its projection e_0, lies within sqrt(2 L) and sqrt(2 lam / W) of it.
+    # With 95% along that direction W = 1.04e-10 still exceeds rank_tol, but
+    # the share exceeds sqrt(rank_tol): refused, as is the direction itself.
+    lam = 0.99e-10
+    joint = _schmidt_joint(np.eye(3), np.sqrt([0.5, 0.5 - lam, lam]), np.eye(3))
+    share = 1e-6
+    xi = np.sqrt([1.0 - share, 0.0, share]).astype(complex)
+    e, _ = ensemble_containing(joint, xi)
+    assert validate_ensemble(e) == []
+    np.testing.assert_allclose(e.kets[0], computational(3, 0), atol=1e-15)
+    assert e.weights[0] == pytest.approx(0.5, rel=1e-12)
+    weight = 1.0 / (2.0 * (1.0 - share) + share / lam)
+    distance = np.linalg.norm(e.kets[0] - xi)
+    assert distance <= np.sqrt(2.0 * share)
+    assert distance <= np.sqrt(2.0 * lam / weight)
+    for target in (np.sqrt([0.05, 0.0, 0.95]), computational(3, 2)):
+        with pytest.raises(NotInSupport, match="^target has largest weight"):
+            ensemble_containing(joint, target.astype(complex))
+
+
 def _assert_contains(joint, target, left, coefficients):
     """Element 0 is the target, phase included, with its forced weight; the
     ensemble validates and the basis is unitary."""
@@ -935,6 +1015,14 @@ PRECONDITIONS = {
         lambda: ensemble_containing(bell_joint(), computational(3, 0)),
         DimensionMismatch,
         "target has dimension 3, expected 2",
+    ),
+    "target_outside_support": (
+        lambda: ensemble_containing(
+            JointState(4, 2, (np.eye(8)[0] + np.eye(8)[3]) / np.sqrt(2.0)),
+            computational(4, 3),
+        ),
+        NotInSupport,
+        r"target has largest weight \S+ and share 1\.000e\+00 outside",
     ),
     "target_norm": (
         lambda: ensemble_containing(bell_joint(), computational(2, 0) * (1 + 1e-9)),
