@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,16 +104,23 @@ def _checked(arr: np.ndarray, ndim: int, noun: str, empty: bool = False) -> np.n
     return arr
 
 
-@contextmanager
-def _allocating(what: str):
+class _allocating:
     """ResourceExhausted for numpy's MemoryError (the host refuses the memory)
-    or ValueError (a size it cannot represent); InvalidArgument passes."""
-    try:
-        yield
-    except InvalidArgument:
-        raise
-    except (MemoryError, ValueError) as exc:
-        raise ResourceExhausted(f"{what} needs more memory than is available") from exc
+    or ValueError (a size it cannot represent); InvalidArgument passes. A
+    class, not a generator: it guards small products on hot paths."""
+
+    __slots__ = ("what",)
+
+    def __init__(self, what: str):
+        self.what = what
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, InvalidArgument) or not isinstance(exc, (MemoryError, ValueError)):
+            return False
+        raise ResourceExhausted(f"{self.what} needs more memory than is available") from exc
 
 
 def as_ket(v) -> np.ndarray:

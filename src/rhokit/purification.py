@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import RhoEnsemble, _require_valid, _valid_projector_sum
+from .ensembles import (
+    RhoEnsemble, _require_valid, _valid_projector_sum, _weighted_projector_sum
+)
 from .errors import (
     DensitiesDiffer,
     DimensionMismatch,
@@ -94,7 +96,8 @@ class JointState:
         """Reduced density matrix on the system factor, divided by the ket's
         squared norm (held to 1 only within the construction bound)."""
         m = self.as_matrix()
-        return m @ dagger(m) / np.vdot(self.vec, self.vec).real
+        with _allocating(f"a reduced system state of dimension {self.dim_s}"):
+            return m @ dagger(m) / np.vdot(self.vec, self.vec).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,36 +204,30 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
     return report
 
 
-def _amplitudes(e: RhoEnsemble) -> np.ndarray:
-    """(order, dim) rows ``sqrt(w_j) phi_j``."""
-    return np.sqrt(e.weights)[:, None] * e.kets
-
-
 def _amplitude_block(e: RhoEnsemble, dim_m: int) -> np.ndarray:
-    """(dim, dim_m) matrix of ``sum_j sqrt(w_j) phi_j (x) e_j``; zero past the order."""
-    block = np.zeros((e.dim, dim_m), dtype=complex)
-    block[:, : e.order] = _amplitudes(e).T
-    return block
+    """(dim, dim_m) matrix of ``sum_j sqrt(w_j) phi_j (x) e_j``, zero past the
+    order: the transpose of contiguous rows ``sqrt(w_j) phi_j``."""
+    rows = np.zeros((dim_m, e.dim), dtype=complex)
+    np.multiply(np.sqrt(e.weights)[:, None], e.kets, out=rows[: e.order])
+    return rows.T
 
 
-def _procrustes(cross: np.ndarray, dim_m: int) -> np.ndarray:
-    """Unitary U minimizing ``||a_from U^T - a_to||_F`` (orthogonal Procrustes).
+def _lemma(a_from, a_to, difference, tol, error, what) -> np.ndarray:
+    """The purification lemma: the unitary U with ``a_from U^T = a_to``.
 
-    ``cross`` is ``a_from^dag a_to`` for two (dim_s, dim_m) coefficient
-    matrices. Callers leave out the ancilla columns past an ensemble's order,
-    where its amplitude matrix is zero, so the block is padded with zeros to
-    ``dim_m x dim_m`` only when a side is shorter. With
-    ``W S V^dag = svd(cross)`` the minimizer is
-    ``U^T = W V^dag``, the polar factor. When both matrices have the same
-    ``a a^dag`` the minimum is zero, so ``(1 (x) U)`` carries the first joint
-    ket onto the second.
+    ``a_from``, ``a_to``: (dim_s, dim_m) coefficient matrices of two joint
+    kets (``as_matrix()`` or ``_amplitude_block``); ``difference``: their
+    reduced states' difference, raising ``error`` past ``tol`` (max norm).
+    With ``W S V^dag = svd(a_from^dag a_to)``, ``U^T = W V^dag`` minimizes
+    ``||a_from U^T - a_to||_F`` (orthogonal Procrustes), to zero when the
+    reduced states are equal. One SVD, unitary to working precision.
     """
-    if cross.shape != (dim_m, dim_m):
-        padded = np.zeros((dim_m, dim_m), dtype=complex)
-        padded[: cross.shape[0], : cross.shape[1]] = cross
-        cross = padded
+    deviation = max_abs(difference)
+    del difference  # free the dim_s x dim_s array before the SVD allocates
+    if deviation > tol:
+        raise error(f"{what} differ by {deviation:.3e} (tol {tol:.3e})")
     try:
-        w, _, vh = np.linalg.svd(cross)
+        w, _, vh = np.linalg.svd(dagger(a_from) @ a_to)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD failed: {exc}") from exc
     return (w @ vh).T
@@ -244,10 +241,9 @@ def lemma_unitary(
     """Ancilla-side unitary U with ``(1 (x) U) phi = chi``.
 
     Requires both joint kets to share the same reduced system state within
-    ``tol`` (max norm), else TracesDiffer. U is the orthogonal-Procrustes
-    polar factor of the two kets' (dim_s, dim_m) coefficient matrices, one
-    SVD; it stays unitary to working precision however small the reduced
-    state's weights are.
+    ``tol`` (max norm), else TracesDiffer. U is ``_lemma``'s polar factor of
+    the two kets' (dim_s, dim_m) coefficient matrices: one SVD, unitary to
+    working precision however small the reduced state's weights are.
     """
     _check_tolerances(tol=tol)
     _check_instance("chi", chi, JointState)
@@ -257,12 +253,10 @@ def lemma_unitary(
             f"joint states have different factor dimensions: "
             f"({chi.dim_s}, {chi.dim_m}) vs ({phi.dim_s}, {phi.dim_m})"
         )
-    deviation = max_abs(chi.reduced_system() - phi.reduced_system())
-    if deviation > tol:
-        raise TracesDiffer(
-            f"reduced system states differ by {deviation:.3e} (tol {tol:.3e})"
-        )
-    return _procrustes(dagger(phi.as_matrix()) @ chi.as_matrix(), chi.dim_m)
+    return _lemma(
+        phi.as_matrix(), chi.as_matrix(), chi.reduced_system() - phi.reduced_system(),
+        tol, TracesDiffer, "reduced system states"
+    )
 
 
 def purify(
@@ -303,10 +297,11 @@ def match_purification(
 ) -> Ancilla:
     """Find the ancilla realizing an ensemble inside a given joint state.
 
-    The ensemble's density matrix must equal the target's reduced system
-    state within ``tol`` (else TracesDiffer). The Procrustes polar factor U
-    carrying the ensemble's canonical purification onto the target is one
-    SVD; ancilla ket j is ``U e_j``, so that
+    The ensemble must have at most ``target.dim_m`` elements (else
+    OrderExceedsAncillaDim), and its density matrix must equal the target's
+    reduced system state within ``tol`` (else TracesDiffer). ``_lemma``'s
+    polar factor U carrying the ensemble's canonical purification onto the
+    target is one SVD; ancilla ket j is ``U e_j``, so that
     ``target.vec = sum_j sqrt(w_j) phi_j (x) b_j`` up to the rotation
     residual, with all phases carried by the ancilla kets.
     """
@@ -317,17 +312,16 @@ def match_purification(
         raise DimensionMismatch(
             f"ensemble has dimension {e.dim}, joint system factor {target.dim_s}"
         )
-    deviation = max_abs(_valid_projector_sum(e, tol) - target.reduced_system())
-    if deviation > tol:
-        raise TracesDiffer(
-            f"ensemble density and reduced target state differ by {deviation:.3e}"
-            f" (tol {tol:.3e})"
-        )
+    _require_valid(e, tol)
     if e.order > target.dim_m:
         raise OrderExceedsAncillaDim(
             f"ensemble order {e.order} exceeds ancilla dimension {target.dim_m}"
         )
-    rotation = _procrustes(np.conj(_amplitudes(e)) @ target.as_matrix(), target.dim_m)
+    rotation = _lemma(
+        _amplitude_block(e, target.dim_m), target.as_matrix(),
+        _weighted_projector_sum(e.kets, e.weights) - target.reduced_system(),
+        tol, TracesDiffer, "ensemble density and reduced target state"
+    )
     # Rows of an SVD polar factor of a finite product, as in umap_between,
     # and at most dim_m of them (checked above).
     return _trusted(Ancilla, dim_m=target.dim_m, kets=rotation.T[: e.order])
@@ -416,10 +410,10 @@ def umap_between(
     """Construct a coefficient map carrying one decomposition into another.
 
     Both ensembles must decompose the same density matrix within ``tol``
-    (else DensitiesDiffer). Their amplitude-weighted kets are the coefficient
+    (else DensitiesDiffer). Their amplitude blocks are the coefficient
     matrices of two purifications on an ancilla of dimension
-    ``max(order_from, order_to)``; the Procrustes polar factor of their
-    cross block (one SVD) is returned as the generator, and its first
+    ``max(order_from, order_to)``; ``_lemma``'s polar factor carrying one
+    onto the other (one SVD) is returned as the generator, and its first
     ``order_from`` columns are the coefficients. Row j pairs with target
     element j for ``j < order_to``; for larger j the mapped combination is
     zero.
@@ -431,16 +425,11 @@ def umap_between(
         raise DimensionMismatch(
             f"ensembles have different dimensions: {from_e.dim} vs {to_e.dim}"
         )
-    deviation = max_abs(
-        _valid_projector_sum(from_e, tol) - _valid_projector_sum(to_e, tol)
-    )
-    if deviation > tol:
-        raise DensitiesDiffer(
-            f"ensemble densities differ by {deviation:.3e} (tol {tol:.3e})"
-        )
     dim_m = max(from_e.order, to_e.order)
-    rotation = _procrustes(
-        np.conj(_amplitudes(from_e)) @ _amplitudes(to_e).T, dim_m
+    rotation = _lemma(
+        _amplitude_block(from_e, dim_m), _amplitude_block(to_e, dim_m),
+        _valid_projector_sum(from_e, tol) - _valid_projector_sum(to_e, tol),
+        tol, DensitiesDiffer, "ensemble densities"
     )
     # SVD factors of a finite product of validated amplitude blocks, and an
     # identity basis with one ket per coefficient row.

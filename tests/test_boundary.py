@@ -8,6 +8,9 @@ of malformed arguments shows that every public callable answers each of them
 with a result or a typed error.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -568,6 +571,54 @@ def test_sizes_numpy_cannot_represent_are_resource_exhausted(dim):
             call()
         assert isinstance(info.value, MemoryError)
         assert type(info.value.__cause__) is ValueError
+
+
+# Each call builds a dense product of 64 GiB (measure_ancilla's joint
+# density) or 256 GiB (a system density) from a joint ket of at most 2 MiB.
+# The child first lowers its own address-space limit to its current size
+# plus 512 MiB, so numpy's allocation fails at once and nothing is asked of
+# the host.
+DENSE_PRODUCTS_PAST_THE_LIMIT = """
+import resource
+import numpy as np
+import rhokit as rk
+
+def joint(dim_s):
+    vec = np.zeros(dim_s, dtype=complex)
+    vec[0] = 1.0
+    return rk.JointState(dim_s, 1, vec)
+
+small, large = joint(2**16), joint(2**17)
+calls = {
+    "measure_ancilla": lambda: rk.measure_ancilla(small, [[1.0]]),
+    "steer": lambda: rk.steer(large, [[1.0]], shots=1, seed=0),
+    "lemma_unitary": lambda: rk.lemma_unitary(large, large),
+}
+with open("/proc/self/statm") as statm:
+    size = int(statm.read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + 2**29, hard))
+for name, call in calls.items():
+    try:
+        call()
+        print(name, "returned")
+    except MemoryError as exc:
+        print(name, type(exc).__name__)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_dense_products_past_the_address_space_limit_are_resource_exhausted():
+    done = subprocess.run(
+        [sys.executable, "-c", DENSE_PRODUCTS_PAST_THE_LIMIT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    names = ["measure_ancilla", "steer", "lemma_unitary"]
+    assert done.stdout.splitlines() == [f"{name} ResourceExhausted" for name in names]
 
 
 def test_invalid_argument_inside_an_allocation_is_not_resource_exhausted(monkeypatch):
