@@ -24,6 +24,8 @@ from .linalg import (
     _check_instance,
     _check_tolerances,
     _convert,
+    _out_of_memory,
+    _svd,
     as_ket_list,
     as_operator,
     eig_hermitian,
@@ -95,7 +97,10 @@ class RhoEnsemble:
 
 def _weighted_projector_sum(kets: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``sum_j w_j |k_j><k_j|`` for a row-stacked ket list."""
-    return kets.T @ (weights[:, None] * np.conj(kets))
+    try:
+        return kets.T @ (weights[:, None] * np.conj(kets))
+    except MemoryError as exc:
+        raise _out_of_memory(f"a density of dimension {kets.shape[1]}") from exc
 
 
 def _require_valid(e: RhoEnsemble, tol: float) -> None:
@@ -191,9 +196,17 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     smallest = float(e.weights.min())
     norms = np.sqrt((e.kets.conj() * e.kets).real.sum(axis=1))
     unit_norm = np.abs(norms - 1.0) <= tol
-    overlaps = np.abs(gram_matrix(e.kets))
     c = DEFAULT_RANK_TOL
-    collinear = overlaps >= 1.0 - c / max(smallest, c)  # the screen min(r)^2
+    pairs = ()
+    try:  # the order x order arrays, the Gram matrix first
+        overlaps = np.abs(gram_matrix(e.kets))
+        collinear = overlaps >= 1.0 - c / max(smallest, c)  # the screen min(r)^2
+        # A diagonal entry pairs a ket with itself; only entries off it are pairs.
+        if np.count_nonzero(collinear) > np.count_nonzero(collinear.diagonal()):
+            r = np.sqrt(np.where(e.weights > 0.0, 1.0 - c / np.maximum(e.weights, c), 1.0))
+            pairs = np.argwhere(np.triu(collinear & (overlaps >= np.outer(r, r)), 1))
+    except MemoryError as exc:
+        raise _out_of_memory(f"the Gram matrix of {e.order} kets") from exc
     report: list[str] = []
     # Written as ``not (x <= bound)`` so that a NaN value or tolerance fails.
     if not abs(weight_sum - 1.0) <= tol * e.order:
@@ -205,23 +218,17 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     if not unit_norm.all():
         for j in np.flatnonzero(~unit_norm):
             report.append(f"element {j} has norm {float(norms[j])!r}, expected 1")
-    # A diagonal entry pairs a ket with itself; only entries off it are pairs.
-    if np.count_nonzero(collinear) > np.count_nonzero(collinear.diagonal()):
-        r = np.sqrt(np.where(e.weights > 0.0, 1.0 - c / np.maximum(e.weights, c), 1.0))
-        rows, cols = np.nonzero(collinear & (overlaps >= np.outer(r, r)))
-        upper = rows < cols
-        for i, j in zip(rows[upper], cols[upper]):
-            report.append(
-                f"elements ({i}, {j}) are collinear (|overlap| = {float(overlaps[i, j])!r})"
-            )
+    for i, j in pairs:
+        overlap = float(overlaps[i, j])
+        report.append(f"elements ({i}, {j}) are collinear (|overlap| = {overlap!r})")
     return report
 
 
 def is_linearly_independent(e: RhoEnsemble, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
-    """True iff the element kets have full numerical rank (via SVD)."""
+    """True iff the kets have full numerical rank by SVD; NumericalFailure if it fails."""
     _check_tolerances(rank_tol=rank_tol)
     _check_instance("e", e, RhoEnsemble)
-    singular_values = np.linalg.svd(e.kets, compute_uv=False)
+    singular_values = _svd(e.kets, compute_uv=False)
     return numerical_rank(singular_values, rank_tol) == e.order
 
 

@@ -104,6 +104,11 @@ def _checked(arr: np.ndarray, ndim: int, noun: str, empty: bool = False) -> np.n
     return arr
 
 
+def _out_of_memory(what: str) -> ResourceExhausted:
+    """The error for an allocation of ``what`` that cannot be made."""
+    return ResourceExhausted(f"{what} needs more memory than is available")
+
+
 class _allocating:
     """ResourceExhausted for numpy's MemoryError (the host refuses the memory)
     or ValueError (a size it cannot represent); InvalidArgument passes. A
@@ -120,7 +125,7 @@ class _allocating:
     def __exit__(self, kind, exc, traceback):
         if isinstance(exc, InvalidArgument) or not isinstance(exc, (MemoryError, ValueError)):
             return False
-        raise ResourceExhausted(f"{self.what} needs more memory than is available") from exc
+        raise _out_of_memory(self.what) from exc
 
 
 def as_ket(v) -> np.ndarray:
@@ -164,7 +169,10 @@ def max_abs(x) -> float:
 
 def gram_matrix(kets: np.ndarray) -> np.ndarray:
     """Pairwise inner products G[i, j] = <k_i|k_j> for a row-stacked ket list."""
-    return np.conj(kets) @ kets.T
+    try:
+        return np.conj(kets) @ kets.T
+    except MemoryError as exc:
+        raise _out_of_memory(f"the Gram matrix of {len(kets)} kets") from exc
 
 
 def _identity_deviation(square: np.ndarray) -> float:
@@ -280,6 +288,14 @@ def complete_orthonormal(
     return np.concatenate([kets, (q[:, count:] * signs).T])
 
 
+def _svd(m: np.ndarray, **options):
+    """numpy's SVD of ``m`` with ``options``; NumericalFailure if it does not converge."""
+    try:
+        return np.linalg.svd(m, **options)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD failed: {exc}") from exc
+
+
 def tensor_ket(s, m) -> np.ndarray:
     """System-major tensor product: entry (i*dim_m + k) equals s[i]*m[k]."""
     return np.kron(as_ket(s), as_ket(m))
@@ -350,10 +366,7 @@ def schmidt_decompose(
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > tol:
         raise NotNormalized(f"joint ket has norm {norm!r}, expected 1 (tol {tol:.3e})")
-    try:
-        u, sv, vh = np.linalg.svd(vec.reshape(dim_s, dim_m), full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD failed: {exc}") from exc
+    u, sv, vh = _svd(vec.reshape(dim_s, dim_m), full_matrices=False)
     rank = numerical_rank(sv**2, rank_tol)
     if rank == 0:
         raise NumericalFailure("normalized ket produced an empty Schmidt spectrum")

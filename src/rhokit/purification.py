@@ -30,7 +30,6 @@ from .errors import (
     NotOrthonormal,
     NotOrthonormalBasis,
     NotUnitary,
-    NumericalFailure,
     OrderExceedsAncillaDim,
     TracesDiffer,
 )
@@ -41,6 +40,7 @@ from .linalg import (
     _check_instance,
     _check_integer,
     _check_tolerances,
+    _svd,
     as_ket,
     as_ket_list,
     as_operator,
@@ -226,10 +226,7 @@ def _lemma(a_from, a_to, difference, tol, error, what) -> np.ndarray:
     del difference  # free the dim_s x dim_s array before the SVD allocates
     if deviation > tol:
         raise error(f"{what} differ by {deviation:.3e} (tol {tol:.3e})")
-    try:
-        w, _, vh = np.linalg.svd(dagger(a_from) @ a_to)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD failed: {exc}") from exc
+    w, _, vh = _svd(dagger(a_from) @ a_to)
     return (w @ vh).T
 
 
@@ -512,7 +509,7 @@ def ensemble_containing(
     normalized projection onto the kept support, phase included, within
     ``sqrt(2 L)`` of xi, where ``L <= lambda / W`` with ``lambda`` the largest
     dropped ``sigma_s^2``; the other elements are one valid choice among many.
-    A non-unit target raises NotNormalized.
+    A non-unit target raises NotNormalized, a failed SVD NumericalFailure.
     """
     _check_tolerances(rank_tol=rank_tol, tol=tol)
     _check_instance("joint", joint, JointState)
@@ -525,12 +522,7 @@ def ensemble_containing(
     if abs(norm - 1.0) > tol:
         raise NotNormalized(f"target has norm {norm!r}, expected 1 (tol {tol:.3e})")
     with _allocating(f"the SVD of a {joint.dim_s}x{joint.dim_m} joint matrix"):
-        try:
-            u, sv, vh = np.linalg.svd(
-                joint.as_matrix(), full_matrices=joint.dim_s < joint.dim_m
-            )
-        except np.linalg.LinAlgError as exc:  # a ValueError: catch it first
-            raise NumericalFailure(f"SVD failed: {exc}") from exc
+        u, sv, vh = _svd(joint.as_matrix(), full_matrices=joint.dim_s < joint.dim_m)
     floor = sv[0] * max(joint.dim_s, joint.dim_m) * np.finfo(float).eps
     cutoff = max(rank_tol, floor)
     overlaps = dagger(u) @ target
@@ -545,19 +537,11 @@ def ensemble_containing(
             f" the kept support, against cutoffs {cutoff:.3e} and {np.sqrt(cutoff):.3e}"
         )
     first = np.conj(ratios[:rank]) / np.linalg.norm(ratios[:rank])
-    # The Householder reflector H = I - 2 v v^dag / |v|^2, v = first + s e_k,
-    # s the phase of first's largest coordinate k, maps first to -s e_k: its
-    # other columns are orthonormal and orthogonal to first. Row k of H^T
-    # takes row 0's place and first row 0. Completing inside the kept right
-    # kets keeps the zero-weight directions out of the weighted kets.
-    k = int(np.argmax(np.abs(first)))
-    v = first.copy()
-    v[k] += first[k] / abs(first[k])
-    reflector = np.eye(rank, dtype=complex)
-    reflector -= np.outer(np.conj(v), v) * (2.0 / np.vdot(v, v).real)
-    reflector[k] = reflector[0]
-    reflector[0] = first
+    # first's right singular kets, row 0 rephased to first, complete it within
+    # the kept right kets, so no zero-weight direction enters the weighted kets.
+    rotation = _svd(first[None])[2]
+    rotation[0] = first
     # Unitary to working precision, far inside the bounds both checks apply.
-    basis = np.concatenate([reflector @ vh[:rank], vh[rank:]])
+    basis = np.concatenate([rotation @ vh[:rank], vh[rank:]])
     ensemble, _, _ = _condition(joint, basis, rank_tol, tol)
     return ensemble, basis

@@ -22,9 +22,7 @@ import numpy as np
 
 from .ensembles import _weighted_projector_sum
 from .errors import WeightsNotNormalized
-from .linalg import (
-    DEFAULT_RANK_TOL, DEFAULT_TOL, _allocating, _check_integer, _check_tolerances, _convert
-)
+from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_integer, _check_tolerances, _convert
 from .purification import JointState, ensemble_from_basis
 
 _INT64_MAX = 2**63 - 1  # multinomial counts are 64-bit integers
@@ -57,10 +55,8 @@ def measure_ancilla(
     """
     ensemble, ancilla, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
     mixture = list(zip(ensemble.weights.tolist(), ensemble.kets, ancilla.kets))
-    pairs = ensemble.kets[:, :, None] * ancilla.kets[:, None, :]
-    pairs = pairs.reshape(ensemble.order, -1)
-    with _allocating(f"a joint density of dimension {joint.dim_s}*{joint.dim_m}"):
-        return mixture, _weighted_projector_sum(pairs, ensemble.weights)
+    pairs = (ensemble.kets[:, :, None] * ancilla.kets[:, None, :]).reshape(ensemble.order, -1)
+    return mixture, _weighted_projector_sum(pairs, ensemble.weights)
 
 
 def sample_outcomes(
@@ -114,10 +110,9 @@ def steer(
     """
     ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
     counts = _multinomial(ensemble.weights, shots, seed)
-    with _allocating(f"a system density of dimension {joint.dim_s}"):
-        return SteeringReport(
-            shots=int(shots),
-            counts=counts.tolist(),
-            expected_weights=ensemble.weights,
-            post_density=_weighted_projector_sum(ensemble.kets, ensemble.weights),
-        )
+    return SteeringReport(
+        shots=int(shots),
+        counts=counts.tolist(),
+        expected_weights=ensemble.weights,
+        post_density=_weighted_projector_sum(ensemble.kets, ensemble.weights),
+    )

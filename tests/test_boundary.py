@@ -574,12 +574,16 @@ def test_sizes_numpy_cannot_represent_are_resource_exhausted(dim):
 
 
 # Each call builds a dense product of 64 GiB (measure_ancilla's joint
-# density) or 256 GiB (a system density) from a joint ket of at most 2 MiB.
-# The child first lowers its own address-space limit to its current size
-# plus 512 MiB, so numpy's allocation fails at once and nothing is asked of
-# the host.
+# density) or 256 GiB (a system density, or the Gram matrix of 2**17 kets)
+# from a joint ket or ket list of at most 2 MiB. The call "validate_ensemble
+# after its Gram matrix" builds a Gram matrix of 48 MiB that fits, then its
+# 24 MiB of magnitudes, which do not. The child first lowers its own
+# address-space limit to its current size plus the margin its first argument
+# gives (512 MiB, or 64 MiB for that call), so nothing more is asked of the
+# host.
 DENSE_PRODUCTS_PAST_THE_LIMIT = """
 import resource
+import sys
 import numpy as np
 import rhokit as rk
 
@@ -588,37 +592,67 @@ def joint(dim_s):
     vec[0] = 1.0
     return rk.JointState(dim_s, 1, vec)
 
+def ket(dim):
+    return rk.RhoEnsemble(joint(dim).vec[None], [1.0])
+
 small, large = joint(2**16), joint(2**17)
 calls = {
     "measure_ancilla": lambda: rk.measure_ancilla(small, [[1.0]]),
     "steer": lambda: rk.steer(large, [[1.0]], shots=1, seed=0),
     "lemma_unitary": lambda: rk.lemma_unitary(large, large),
+    "validate_ensemble": lambda: rk.validate_ensemble(
+        rk.RhoEnsemble(np.ones((2**17, 1)), np.full(2**17, 2.0**-17))
+    ),
+    "ensemble_to_density": lambda: rk.ensemble_to_density(ket(2**17)),
+    "densities_match": lambda: rk.densities_match(ket(2**17), ket(2**17)),
+    "validate_ensemble after its Gram matrix": lambda: rk.validate_ensemble(
+        rk.RhoEnsemble(np.ones((1774, 1)), np.full(1774, 1 / 1774))
+    ),
 }
+np.ones((2, 2), dtype=complex) @ np.ones((2, 2), dtype=complex)  # BLAS buffers first
 with open("/proc/self/statm") as statm:
     size = int(statm.read().split()[0]) * resource.getpagesize()
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-resource.setrlimit(resource.RLIMIT_AS, (size + 2**29, hard))
-for name, call in calls.items():
+resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), hard))
+for name in sys.argv[2:]:
     try:
-        call()
+        calls[name]()
         print(name, "returned")
     except MemoryError as exc:
         print(name, type(exc).__name__)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
-def test_dense_products_past_the_address_space_limit_are_resource_exhausted():
+def outcomes_under_the_limit(margin, names):
     done = subprocess.run(
-        [sys.executable, "-c", DENSE_PRODUCTS_PAST_THE_LIMIT],
+        [sys.executable, "-c", DENSE_PRODUCTS_PAST_THE_LIMIT, str(margin), *names],
         capture_output=True,
         text=True,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    names = ["measure_ancilla", "steer", "lemma_unitary"]
-    assert done.stdout.splitlines() == [f"{name} ResourceExhausted" for name in names]
+    return done.stdout.splitlines()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_dense_products_past_the_address_space_limit_are_resource_exhausted():
+    names = [
+        "measure_ancilla",
+        "steer",
+        "lemma_unitary",
+        "validate_ensemble",
+        "ensemble_to_density",
+        "densities_match",
+    ]
+    outcomes = outcomes_under_the_limit(2**29, names)
+    assert outcomes == [f"{name} ResourceExhausted" for name in names]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_temporaries_after_the_gram_matrix_are_resource_exhausted():
+    name = "validate_ensemble after its Gram matrix"
+    assert outcomes_under_the_limit(2**26, [name]) == [f"{name} ResourceExhausted"]
 
 
 def test_invalid_argument_inside_an_allocation_is_not_resource_exhausted(monkeypatch):

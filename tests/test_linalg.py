@@ -14,6 +14,8 @@ from rhokit import (
     RhoEnsemble,
     complete_orthonormal,
     eig_hermitian,
+    ensemble_containing,
+    is_linearly_independent,
     lemma_unitary,
     numerical_rank,
     partial_trace_m,
@@ -456,8 +458,20 @@ def test_violated_precondition_raises_its_typed_error(case):
         ("eigh", lambda: eig_hermitian(np.eye(2)), "eigensolver failed"),
         ("svd", lambda: schmidt_decompose(bell_joint().vec, 2, 2), "SVD failed"),
         ("svd", lambda: lemma_unitary(bell_joint(), bell_joint()), "SVD failed"),
+        ("svd", lambda: ensemble_containing(bell_joint(), computational(2, 0)), "SVD failed"),
+        (
+            "svd",
+            lambda: is_linearly_independent(RhoEnsemble(np.eye(2), [0.5, 0.5])),
+            "SVD failed",
+        ),
     ],
-    ids=["eig_hermitian", "schmidt_decompose", "procrustes"],
+    ids=[
+        "eig_hermitian",
+        "schmidt_decompose",
+        "procrustes",
+        "ensemble_containing",
+        "is_linearly_independent",
+    ],
 )
 def test_solver_failure_is_a_numerical_failure(monkeypatch, solver, call, message):
     def diverge(*args, **kwargs):
