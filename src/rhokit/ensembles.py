@@ -5,10 +5,14 @@ whose weighted projector sum reproduces a density matrix. Structural
 requirements beyond positive weights (weight normalization, unit norms,
 pairwise noncollinearity) are *reported* by ``validate_ensemble`` rather than
 enforced at construction, so that invalid data can be inspected instead of
-rejected outright. Two elements are collinear when their pair density
-``p_i |phi_i><phi_i| + p_j |phi_j><phi_j|`` has rank 1 at the default
-``rank_tol``, the one cutoff that also decides which weights count. The order
-is never below the support rank, as n projectors sum to rank at most n.
+rejected outright. What is built from an ensemble (``ensemble_to_density``,
+and ``purify``, ``match_purification`` and ``umap_between``) requires only
+the Schrödinger-HJW theorem's hypotheses: positive weights summing to 1 and
+unit-norm kets, repeated or collinear kets included. Two elements are
+collinear when their pair density ``p_i |phi_i><phi_i| + p_j |phi_j><phi_j|``
+has rank 1 at the default ``rank_tol``, the one cutoff that also decides
+which weights count; that is reported, never refused. The order is never
+below the support rank, as n projectors sum to rank at most n.
 """
 
 from __future__ import annotations
@@ -103,15 +107,44 @@ def _weighted_projector_sum(kets: np.ndarray, weights: np.ndarray) -> np.ndarray
         raise _out_of_memory(f"a density of dimension {kets.shape[1]}") from exc
 
 
+def _unmet_hypotheses(e: RhoEnsemble, tol: float) -> list[str]:
+    """The theorem's hypotheses ``e`` fails, one report line each: weights that
+    sum to 1 within ``tol * order``, every weight positive, every ket of unit
+    norm within ``tol``. Only O(order * dim) work: no pair of elements is read.
+    """
+    weight_sum = float(e.weights.sum())
+    try:
+        norms = np.sqrt((e.kets.conj() * e.kets).real.sum(axis=1))
+    except MemoryError as exc:
+        raise _out_of_memory(f"checking the norms of {e.order} kets") from exc
+    unit_norm = np.abs(norms - 1.0) <= tol
+    report: list[str] = []
+    # Written as ``not (x <= bound)`` so that a NaN value or tolerance fails.
+    if not abs(weight_sum - 1.0) <= tol * e.order:
+        report.append(f"weights sum to {weight_sum!r}, expected 1")
+    # Each index pass below runs only for a check that fired.
+    if e.weights.min() <= 0.0:
+        for j in np.flatnonzero(e.weights <= 0.0):
+            report.append(f"element {j} has non-positive weight {float(e.weights[j])!r}")
+    if not unit_norm.all():
+        for j in np.flatnonzero(~unit_norm):
+            report.append(f"element {j} has norm {float(norms[j])!r}, expected 1")
+    return report
+
+
 def _require_valid(e: RhoEnsemble, tol: float) -> None:
-    """Raise InvalidEnsemble(report) if ``validate_ensemble`` fails."""
-    report = validate_ensemble(e, tol)
+    """Raise InvalidEnsemble(report) unless ``e`` meets the theorem's hypotheses.
+
+    The one precondition of every construction that takes an ensemble.
+    Collinear elements are accepted: the theorem holds for repeated kets.
+    """
+    report = _unmet_hypotheses(e, tol)
     if report:
         raise InvalidEnsemble(report)
 
 
 def _valid_projector_sum(e: RhoEnsemble, tol: float) -> np.ndarray:
-    """Weighted projector sum; InvalidEnsemble(report) if ``validate_ensemble`` fails."""
+    """Weighted projector sum; InvalidEnsemble(report) unless ``_require_valid`` passes."""
     _require_valid(e, tol)
     return _weighted_projector_sum(e.kets, e.weights)
 
@@ -121,10 +154,11 @@ def ensemble_to_density(
     tol: float = DEFAULT_TOL,
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> DensityMatrix:
-    """Sum the weighted projectors of a valid ensemble into a DensityMatrix.
+    """Sum the weighted projectors of an ensemble into a DensityMatrix.
 
-    Raises InvalidEnsemble (carrying the violation report) if the ensemble
-    fails ``validate_ensemble``. ``rank_tol`` sets ``support_rank``.
+    Raises InvalidEnsemble (carrying the violation report) unless the weights
+    are positive and sum to 1 and the kets have unit norm; collinear
+    elements are summed like any others. ``rank_tol`` sets ``support_rank``.
     """
     _check_tolerances(tol=tol, rank_tol=rank_tol)
     _check_instance("e", e, RhoEnsemble)
@@ -181,7 +215,11 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     An empty list means the ensemble is valid at the given tolerances.
     Violations are data, not errors: each entry names the failed invariant
     and the offending element indices, pairs in row-major ``(i, j)`` order.
-    Order >= support rank is not checked: n projectors sum to rank at most n.
+    The lines for the weight sum, the weights and the norms come first: they
+    are the theorem's hypotheses, the one precondition the constructions
+    raise InvalidEnsemble on. The collinear pairs follow; they are reported,
+    never refused. Order >= support rank is not checked: n projectors sum to
+    rank at most n.
 
     A pair (i, j) is collinear when its density ``p_i P_i + p_j P_j``, with
     ``P = |phi><phi|``, has rank 1 at ``c = DEFAULT_RANK_TOL``: its smaller
@@ -192,32 +230,18 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     """
     _check_tolerances(reporting=True, tol=tol)
     _check_instance("e", e, RhoEnsemble)
-    weight_sum = float(e.weights.sum())
-    smallest = float(e.weights.min())
-    norms = np.sqrt((e.kets.conj() * e.kets).real.sum(axis=1))
-    unit_norm = np.abs(norms - 1.0) <= tol
+    report = _unmet_hypotheses(e, tol)
     c = DEFAULT_RANK_TOL
     pairs = ()
     try:  # the order x order arrays, the Gram matrix first
         overlaps = np.abs(gram_matrix(e.kets))
-        collinear = overlaps >= 1.0 - c / max(smallest, c)  # the screen min(r)^2
+        collinear = overlaps >= 1.0 - c / max(float(e.weights.min()), c)  # the screen min(r)^2
         # A diagonal entry pairs a ket with itself; only entries off it are pairs.
         if np.count_nonzero(collinear) > np.count_nonzero(collinear.diagonal()):
             r = np.sqrt(np.where(e.weights > 0.0, 1.0 - c / np.maximum(e.weights, c), 1.0))
             pairs = np.argwhere(np.triu(collinear & (overlaps >= np.outer(r, r)), 1))
     except MemoryError as exc:
         raise _out_of_memory(f"the Gram matrix of {e.order} kets") from exc
-    report: list[str] = []
-    # Written as ``not (x <= bound)`` so that a NaN value or tolerance fails.
-    if not abs(weight_sum - 1.0) <= tol * e.order:
-        report.append(f"weights sum to {weight_sum!r}, expected 1")
-    # Each index pass below runs only for a check that fired.
-    if smallest <= 0.0:
-        for j in np.flatnonzero(e.weights <= 0.0):
-            report.append(f"element {j} has non-positive weight {float(e.weights[j])!r}")
-    if not unit_norm.all():
-        for j in np.flatnonzero(~unit_norm):
-            report.append(f"element {j} has norm {float(norms[j])!r}, expected 1")
     for i, j in pairs:
         overlap = float(overlaps[i, j])
         report.append(f"elements ({i}, {j}) are collinear (|overlap| = {overlap!r})")

@@ -215,22 +215,25 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     ``m = sum_s w[s] |v_s><v_s|``. Ties keep the solver's deterministic
     ordering; vectors within a degenerate eigenspace are basis-arbitrary.
 
-    Raises NotHermitian if the symmetry check fails at ``tol``, and
-    NumericalFailure if the eigensolver does not converge.
+    Raises NotHermitian if the symmetry check fails at ``tol``,
+    NumericalFailure if the eigensolver does not converge, and
+    ResourceExhausted if one of its n x n arrays cannot be allocated.
     """
     _check_tolerances(tol=tol)
     arr = _square(m)
-    asymmetry = max_abs(arr - dagger(arr))
-    if asymmetry > tol:
-        raise NotHermitian(
-            f"matrix deviates from Hermitian symmetry by {asymmetry:.3e} (tol {tol:.3e})"
-        )
-    try:
+    try:  # every n x n array: the asymmetry, the symmetrized copy, eigh's
+        asymmetry = max_abs(arr - dagger(arr))
+        if asymmetry > tol:
+            raise NotHermitian(
+                f"matrix deviates from Hermitian symmetry by {asymmetry:.3e} (tol {tol:.3e})"
+            )
         w, v = np.linalg.eigh((arr + dagger(arr)) / 2.0)
+        order = np.argsort(-w, kind="stable")
+        return w[order].astype(float), v[:, order].T.copy()
+    except MemoryError as exc:
+        raise _out_of_memory(f"the eigendecomposition of dimension {len(arr)}") from exc
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    order = np.argsort(-w, kind="stable")
-    return w[order].astype(float), v[:, order].T.copy()
 
 
 def numerical_rank(eigenvalues, rank_tol: float = DEFAULT_RANK_TOL) -> int:

@@ -40,6 +40,7 @@ from .linalg import (
     _check_instance,
     _check_integer,
     _check_tolerances,
+    _out_of_memory,
     _svd,
     as_ket,
     as_ket_list,
@@ -226,8 +227,11 @@ def _lemma(a_from, a_to, difference, tol, error, what) -> np.ndarray:
     del difference  # free the dim_s x dim_s array before the SVD allocates
     if deviation > tol:
         raise error(f"{what} differ by {deviation:.3e} (tol {tol:.3e})")
-    w, _, vh = _svd(dagger(a_from) @ a_to)
-    return (w @ vh).T
+    try:  # the dim_m x dim_m product, its SVD and the polar factor
+        w, _, vh = _svd(dagger(a_from) @ a_to)
+        return (w @ vh).T
+    except MemoryError as exc:
+        raise _out_of_memory(f"a unitary of dimension {a_from.shape[1]}") from exc
 
 
 def lemma_unitary(
@@ -343,10 +347,10 @@ def ensemble_from_basis(
     sum to 1 up to those tails.
 
     Raises NotOrthonormalBasis unless the basis has ``dim_m`` kets whose Gram
-    matrix is within ``max(tol, 1e-8)`` of the identity. A
-    degenerate basis choice can produce collinear conditional vectors; the
-    returned ensemble then fails ``validate_ensemble``, which callers should
-    apply when they need a strictly valid ensemble.
+    matrix is within ``max(tol, 1e-8)`` of the identity. A basis larger than
+    the density's rank can condition two elements onto (nearly) one
+    direction; ``validate_ensemble`` reports them as collinear, and every
+    construction takes the ensemble as it is.
     """
     _check_tolerances(rank_tol=rank_tol, tol=tol)
     _check_instance("joint", joint, JointState)
@@ -406,9 +410,10 @@ def umap_between(
 ) -> UMap:
     """Construct a coefficient map carrying one decomposition into another.
 
-    Both ensembles must decompose the same density matrix within ``tol``
-    (else DensitiesDiffer). Their amplitude blocks are the coefficient
-    matrices of two purifications on an ancilla of dimension
+    Both ensembles must meet the theorem's hypotheses (else InvalidEnsemble;
+    collinear elements are accepted) and decompose the same density matrix
+    within ``tol`` (else DensitiesDiffer). Their amplitude blocks are the
+    coefficient matrices of two purifications on an ancilla of dimension
     ``max(order_from, order_to)``; ``_lemma``'s polar factor carrying one
     onto the other (one SVD) is returned as the generator, and its first
     ``order_from`` columns are the coefficients. Row j pairs with target

@@ -160,14 +160,12 @@ def test_outputs_rebuild_through_checked_constructors(
         ["kets", "weights"],
     )
 
-    # Collinear conditionals (always, when dim_s is 1) are reported, not rejected,
-    # by ensemble_from_basis; purify, match_purification and umap_between take
-    # valid ensembles only.
-    if not validate_ensemble(ensemble):
-        assert_rebuilds(purify(ensemble, dim_m)[1])
-        assert_rebuilds(match_purification(ensemble, joint))
-        if not validate_ensemble(to_e):
-            assert_rebuilds(umap_between(ensemble, to_e))
+    # Collinear conditionals (always, when dim_s is 1) are reported by
+    # validate_ensemble, and purify, match_purification and umap_between take
+    # them as they are.
+    assert_rebuilds(purify(ensemble, dim_m)[1])
+    assert_rebuilds(match_purification(ensemble, joint))
+    assert_rebuilds(umap_between(ensemble, to_e))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -574,32 +572,42 @@ def test_sizes_numpy_cannot_represent_are_resource_exhausted(dim):
 
 
 # Each call builds a dense product of 64 GiB (measure_ancilla's joint
-# density) or 256 GiB (a system density, or the Gram matrix of 2**17 kets)
-# from a joint ket or ket list of at most 2 MiB. The call "validate_ensemble
-# after its Gram matrix" builds a Gram matrix of 48 MiB that fits, then its
-# 24 MiB of magnitudes, which do not. The child first lowers its own
+# density) or 256 GiB (a system density, the Gram matrix of 2**17 kets, or
+# the lemma's product of two joints on an ancilla of 2**17) from a joint ket
+# or ket list of at most 2 MiB. The call "validate_ensemble after its Gram
+# matrix" builds a Gram matrix of 48 MiB that fits, then its 24 MiB of
+# magnitudes, which do not. "ensemble_to_density of 3000 kets" takes an
+# ensemble of 3000 orthonormal kets (144 MiB, built before the limit) and
+# fails at its eigendecomposition with 512 MiB of room, or at the temporaries
+# of the kets' norms with 128 MiB. The child first lowers its own
 # address-space limit to its current size plus the margin its first argument
-# gives (512 MiB, or 64 MiB for that call), so nothing more is asked of the
-# host.
+# gives (512 MiB unless a test says otherwise), so nothing more is asked of
+# the host.
 DENSE_PRODUCTS_PAST_THE_LIMIT = """
 import resource
 import sys
 import numpy as np
 import rhokit as rk
 
-def joint(dim_s):
-    vec = np.zeros(dim_s, dtype=complex)
+def joint(dim_s, dim_m=1):
+    vec = np.zeros(dim_s * dim_m, dtype=complex)
     vec[0] = 1.0
-    return rk.JointState(dim_s, 1, vec)
+    return rk.JointState(dim_s, dim_m, vec)
 
 def ket(dim):
     return rk.RhoEnsemble(joint(dim).vec[None], [1.0])
 
-small, large = joint(2**16), joint(2**17)
+small, large, wide = joint(2**16), joint(2**17), joint(1, 2**17)
+orthonormal = rk.RhoEnsemble(np.eye(3000, dtype=complex), np.full(3000, 1 / 3000))
 calls = {
     "measure_ancilla": lambda: rk.measure_ancilla(small, [[1.0]]),
     "steer": lambda: rk.steer(large, [[1.0]], shots=1, seed=0),
     "lemma_unitary": lambda: rk.lemma_unitary(large, large),
+    "lemma_unitary on a large ancilla": lambda: rk.lemma_unitary(wide, wide),
+    "match_purification on a large ancilla": lambda: rk.match_purification(
+        rk.RhoEnsemble([[1.0]], [1.0]), wide
+    ),
+    "ensemble_to_density of 3000 kets": lambda: rk.ensemble_to_density(orthonormal),
     "validate_ensemble": lambda: rk.validate_ensemble(
         rk.RhoEnsemble(np.ones((2**17, 1)), np.full(2**17, 2.0**-17))
     ),
@@ -644,6 +652,9 @@ def test_dense_products_past_the_address_space_limit_are_resource_exhausted():
         "validate_ensemble",
         "ensemble_to_density",
         "densities_match",
+        "lemma_unitary on a large ancilla",
+        "match_purification on a large ancilla",
+        "ensemble_to_density of 3000 kets",
     ]
     outcomes = outcomes_under_the_limit(2**29, names)
     assert outcomes == [f"{name} ResourceExhausted" for name in names]
@@ -653,6 +664,12 @@ def test_dense_products_past_the_address_space_limit_are_resource_exhausted():
 def test_temporaries_after_the_gram_matrix_are_resource_exhausted():
     name = "validate_ensemble after its Gram matrix"
     assert outcomes_under_the_limit(2**26, [name]) == [f"{name} ResourceExhausted"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_temporaries_of_the_element_norms_are_resource_exhausted():
+    name = "ensemble_to_density of 3000 kets"
+    assert outcomes_under_the_limit(2**27, [name]) == [f"{name} ResourceExhausted"]
 
 
 def test_invalid_argument_inside_an_allocation_is_not_resource_exhausted(monkeypatch):

@@ -146,6 +146,19 @@ def test_verify_report_holds_plain_floats(tmp_path, capsys):
     ]
 
 
+def test_collinear_ensemble_is_reported_by_verify_and_taken_by_purify_and_umap(
+    tmp_path,
+):
+    twice = RhoEnsemble(kets=[computational(2, 0)] * 2, weights=[0.5, 0.5])
+    ens = write(tmp_path / "twice.json", docs.ensemble_document(twice))
+    joint, umap = tmp_path / "j.json", tmp_path / "u.json"
+    assert main(["verify", "--ensemble", ens]) == 3
+    assert main(["purify", ens, "--dim-m", "2", "--out", str(joint)]) == 0
+    assert main(["verify", "--joint", str(joint)]) == 0
+    assert main(["umap", ens, ens, "--out", str(umap)]) == 0
+    assert main(["verify", "--umap", str(umap)]) == 0
+
+
 def test_verify_rejects_rank_tol(tmp_path, capsys):
     e = random_ensemble(np.random.default_rng(0), 4, 2)
     ens = write(tmp_path / "e.json", docs.ensemble_document(e))

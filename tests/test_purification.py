@@ -35,7 +35,7 @@ from rhokit import (
     umap_between,
     validate_ensemble,
 )
-from rhokit import purification
+from rhokit import ensembles, purification
 from helpers import (
     bell_joint,
     computational,
@@ -407,13 +407,11 @@ def test_umap_rejects_unequal_dimensions():
 
 def test_umap_mapping_relation_random_pairs():
     # Same-density pairs generated by conditioning one purification on
-    # random bases of different ancilla sizes. Rank-one bases are excluded:
-    # conditioning a product joint on a generic basis splits the single
-    # element into collinear copies, which is no longer a valid ensemble.
+    # random bases of different ancilla sizes.
     for seed in range(15):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 4))
-        base = random_ensemble(rng, dim, int(rng.integers(2, dim + 1)))
+        base = random_ensemble(rng, dim, int(rng.integers(1, dim + 1)))
         dims_m = rng.integers(base.order, base.order + 3, size=2)
         pair = []
         for dim_m in dims_m:
@@ -426,6 +424,27 @@ def test_umap_mapping_relation_random_pairs():
         ) < 1e-9
         assert mapping_residual(umap, pair[0], pair[1]) < 1e-8
         assert check_umap(umap) == []
+
+
+def test_constructions_take_a_repeated_ket_without_the_collinearity_screen(
+    monkeypatch,
+):
+    # The theorem holds for repeated kets: only the weights and the norms are
+    # checked, and no order x order Gram matrix is formed.
+    def screen(kets):
+        raise AssertionError("a construction ran the collinearity screen")
+
+    monkeypatch.setattr(ensembles, "gram_matrix", screen)
+    twice = RhoEnsemble(kets=[computational(2, 0)] * 2, weights=[0.5, 0.5])
+    single = RhoEnsemble(kets=[computational(2, 0)], weights=[1.0])
+    joint, _ = purify(twice, 3)
+    np.testing.assert_allclose(joint.reduced_system(), np.diag([1.0, 0.0]), atol=1e-15)
+    ancilla = match_purification(twice, joint)
+    assert np.abs(reconstruct_joint(twice, ancilla.kets, 3) - joint.vec).max() < 1e-12
+    umap = umap_between(twice, single)
+    assert mapping_residual(umap, twice, single) < 1e-12
+    assert check_umap(umap) == []
+    assert ensemble_to_density(twice).support_rank == 1
 
 
 def test_umap_unique_for_independent_pairs_up_to_labels_and_phases():
