@@ -268,8 +268,11 @@ def ensembles_equal(a: RhoEnsemble, b: RhoEnsemble, tol: float = 1e-8) -> bool:
     _check_instance("b", b, RhoEnsemble)
     if a.order != b.order or a.dim != b.dim:
         return False
-    same_weight = np.abs(a.weights[:, None] - b.weights[None, :]) <= tol
-    admissible = same_weight & (np.abs(np.conj(a.kets) @ b.kets.T) >= 1.0 - tol)
+    try:  # the order x order arrays
+        same_weight = np.abs(a.weights[:, None] - b.weights[None, :]) <= tol
+        admissible = same_weight & (np.abs(np.conj(a.kets) @ b.kets.T) >= 1.0 - tol)
+    except MemoryError as exc:
+        raise _out_of_memory(f"matching two ensembles of {a.order} kets") from exc
     partner_of_a, partner_of_b = np.full(a.order, -1), np.full(b.order, -1)
     for start in range(a.order):
         reached_from = np.full(b.order, -1)  # the a element each b was reached from

@@ -90,6 +90,8 @@ def _convert(value, dtype=complex) -> np.ndarray:
         if dtype is float and np.iscomplexobj(source):
             raise TypeError("complex values where reals are expected")
         return np.asarray(source, dtype)
+    except MemoryError as exc:
+        raise _out_of_memory(f"an array of {np.dtype(dtype)}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         error = DimensionMismatch if "inhomogeneous" in str(exc) else InvalidArgument
         raise error(f"cannot convert to an array of {np.dtype(dtype)}: {exc}") from exc
@@ -99,33 +101,24 @@ def _checked(arr: np.ndarray, ndim: int, noun: str, empty: bool = False) -> np.n
     """``arr`` once it has ``ndim`` axes, entries unless ``empty``, all finite."""
     if arr.ndim != ndim or not (empty or arr.size):
         raise DimensionMismatch(f"expected a {ndim}-D {noun}, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    try:
+        finite = np.isfinite(arr).all()
+    except MemoryError as exc:
+        raise _out_of_memory(f"checking a {noun} of {arr.size} entries") from exc
+    if not finite:
         raise InvalidArgument(f"{noun} contains non-finite entries")
     return arr
 
 
 def _out_of_memory(what: str) -> ResourceExhausted:
-    """The error for an allocation of ``what`` that cannot be made."""
+    """The error for an allocation of ``what`` that cannot be made.
+
+    Every site raises it the same way, around its dense products:
+    ``try: ... except MemoryError as exc: raise _out_of_memory(what) from exc``.
+    Only the sites sized by a caller's integer catch ValueError too, numpy's
+    error for a size it cannot represent, and they pass every RhokitError.
+    """
     return ResourceExhausted(f"{what} needs more memory than is available")
-
-
-class _allocating:
-    """ResourceExhausted for numpy's MemoryError (the host refuses the memory)
-    or ValueError (a size it cannot represent); InvalidArgument passes. A
-    class, not a generator: it guards small products on hot paths."""
-
-    __slots__ = ("what",)
-
-    def __init__(self, what: str):
-        self.what = what
-
-    def __enter__(self):
-        pass
-
-    def __exit__(self, kind, exc, traceback):
-        if isinstance(exc, InvalidArgument) or not isinstance(exc, (MemoryError, ValueError)):
-            return False
-        raise _out_of_memory(self.what) from exc
 
 
 def as_ket(v) -> np.ndarray:
@@ -144,8 +137,10 @@ def as_ket_list(kets, dim: int | None = None) -> np.ndarray:
     if arr.shape == (0,):
         if dim is None:
             raise DimensionMismatch("cannot infer dimension of an empty ket list")
-        with _allocating(f"an empty ket list of dimension {dim}"):
+        try:
             arr = arr.reshape(0, dim)
+        except (MemoryError, ValueError) as exc:
+            raise _out_of_memory(f"an empty ket list of dimension {dim}") from exc
     _checked(arr, 2, "ket list", empty=True)
     if dim is not None and arr.shape[1] != dim:
         raise DimensionMismatch(f"ket list has dimension {arr.shape[1]}, expected {dim}")
@@ -163,7 +158,10 @@ def max_abs(x) -> float:
     A NaN entry (overflow inside a residual) counts as infinite, so every
     ``max_abs(...) > tol`` check fails on it.
     """
-    peak = float(np.abs(x).max(initial=0.0))
+    try:
+        peak = float(np.abs(x).max(initial=0.0))
+    except MemoryError as exc:
+        raise _out_of_memory(f"the magnitudes of {np.size(x)} entries") from exc
     return math.inf if math.isnan(peak) else peak
 
 
@@ -204,7 +202,10 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     """Max-norm symmetry check ||m - m^dag||_max <= tol on a square matrix."""
     _check_tolerances(tol=tol)
     arr = _square(m)
-    return max_abs(arr - dagger(arr)) <= tol
+    try:
+        return max_abs(arr - dagger(arr)) <= tol
+    except MemoryError as exc:
+        raise _out_of_memory(f"the asymmetry of dimension {len(arr)}") from exc
 
 
 def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +263,9 @@ def complete_orthonormal(
 
     Raises NotOrthonormal if the input is not pairwise orthonormal at ``tol``
     and DimensionMismatch if its vectors are not of dimension ``target_dim``
-    or it already has more than ``target_dim`` of them. ResourceExhausted
-    means a ``target_dim``-sized array could not be allocated or represented.
+    or it already has more than ``target_dim`` of them, and ResourceExhausted
+    if a ``target_dim``-sized array cannot be allocated or numpy cannot
+    represent its size.
     """
     _check_tolerances(tol=tol)
     target_dim = _check_integer("target_dim", target_dim, 1)
@@ -281,27 +283,36 @@ def complete_orthonormal(
         )
     if count == target_dim:
         return kets.copy()
-    with _allocating(f"completing {count} kets to dimension {target_dim}"):
+    try:
         # Householder column j depends only on input columns 0..j, so
         # candidates past e_{d-k-1} would never reach Q: leave them out.
         candidates = np.eye(target_dim, target_dim - count)
         q, r = np.linalg.qr(np.concatenate([kets.T, candidates], axis=1))
+    except (MemoryError, ValueError) as exc:
+        raise _out_of_memory(f"completing {count} kets to dimension {target_dim}") from exc
     # Householder QR may flip a column's sign; undo that to match Gram-Schmidt.
     signs = np.where(r.diagonal()[count:].real < 0, -1.0, 1.0)
     return np.concatenate([kets, (q[:, count:] * signs).T])
 
 
 def _svd(m: np.ndarray, **options):
-    """numpy's SVD of ``m`` with ``options``; NumericalFailure if it does not converge."""
+    """numpy's SVD of ``m`` with ``options``; NumericalFailure if it does not
+    converge, ResourceExhausted if its factors or workspace cannot be allocated."""
     try:
         return np.linalg.svd(m, **options)
+    except MemoryError as exc:
+        raise _out_of_memory(f"the SVD of a {m.shape[0]}x{m.shape[1]} matrix") from exc
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD failed: {exc}") from exc
 
 
 def tensor_ket(s, m) -> np.ndarray:
     """System-major tensor product: entry (i*dim_m + k) equals s[i]*m[k]."""
-    return np.kron(as_ket(s), as_ket(m))
+    s, m = as_ket(s), as_ket(m)
+    try:
+        return np.kron(s, m)
+    except MemoryError as exc:
+        raise _out_of_memory(f"a joint ket of dimension {len(s)}*{len(m)}") from exc
 
 
 def partial_trace_m(joint, dim_s: int, dim_m: int) -> np.ndarray:
@@ -320,7 +331,10 @@ def partial_trace_m(joint, dim_s: int, dim_m: int) -> np.ndarray:
                 f"joint ket has length {arr.shape[0]}, expected {dim_s}*{dim_m}={total}"
             )
         a = arr.reshape(dim_s, dim_m)
-        return a @ dagger(a)
+        try:
+            return a @ dagger(a)
+        except MemoryError as exc:
+            raise _out_of_memory(f"a reduced state of dimension {dim_s}") from exc
     if arr.ndim == 2:
         if _checked(arr, 2, "joint operator").shape != (total, total):
             raise DimensionMismatch(
@@ -384,4 +398,7 @@ def schmidt_decompose(
 def schmidt_reconstruct(form: SchmidtForm) -> np.ndarray:
     """Rebuild the joint ket sum_s c_s (p_s (x) a_s) from a SchmidtForm."""
     _check_instance("form", form, SchmidtForm)
-    return ((form.left_kets.T * form.coefficients) @ form.right_kets).reshape(-1)
+    try:
+        return ((form.left_kets.T * form.coefficients) @ form.right_kets).reshape(-1)
+    except MemoryError as exc:
+        raise _out_of_memory(f"a joint ket of rank {len(form.coefficients)}") from exc

@@ -31,12 +31,12 @@ from .errors import (
     NotOrthonormalBasis,
     NotUnitary,
     OrderExceedsAncillaDim,
+    RhokitError,
     TracesDiffer,
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
-    _allocating,
     _check_instance,
     _check_integer,
     _check_tolerances,
@@ -97,8 +97,10 @@ class JointState:
         """Reduced density matrix on the system factor, divided by the ket's
         squared norm (held to 1 only within the construction bound)."""
         m = self.as_matrix()
-        with _allocating(f"a reduced system state of dimension {self.dim_s}"):
+        try:
             return m @ dagger(m) / np.vdot(self.vec, self.vec).real
+        except MemoryError as exc:
+            raise _out_of_memory(f"a reduced system state of dimension {self.dim_s}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,8 +210,11 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
 def _amplitude_block(e: RhoEnsemble, dim_m: int) -> np.ndarray:
     """(dim, dim_m) matrix of ``sum_j sqrt(w_j) phi_j (x) e_j``, zero past the
     order: the transpose of contiguous rows ``sqrt(w_j) phi_j``."""
-    rows = np.zeros((dim_m, e.dim), dtype=complex)
-    np.multiply(np.sqrt(e.weights)[:, None], e.kets, out=rows[: e.order])
+    try:
+        rows = np.zeros((dim_m, e.dim), dtype=complex)
+        np.multiply(np.sqrt(e.weights)[:, None], e.kets, out=rows[: e.order])
+    except MemoryError as exc:
+        raise _out_of_memory(f"a joint ket of dimension {e.dim}*{dim_m}") from exc
     return rows.T
 
 
@@ -272,7 +277,8 @@ def purify(
     whose reduced system state is exactly the ensemble's density matrix.
     Raises OrderExceedsAncillaDim when the ensemble has more elements than
     the ancilla space has dimensions, and ResourceExhausted when the
-    ``dim * dim_m`` joint ket cannot be allocated.
+    ``dim * dim_m`` joint ket cannot be allocated or numpy cannot represent
+    its size.
     """
     _check_tolerances(tol=tol)
     _check_instance("e", e, RhoEnsemble)
@@ -282,11 +288,15 @@ def purify(
         raise OrderExceedsAncillaDim(
             f"ensemble order {e.order} exceeds ancilla dimension {dim_m}"
         )
-    with _allocating(f"a joint ket of dimension {e.dim}*{dim_m}"):
+    try:
         block = _amplitude_block(e, dim_m)
         joint = JointState(dim_s=e.dim, dim_m=dim_m, vec=block.reshape(-1))
         # Canonical kets are exactly orthonormal, and there are at most dim_m.
         canonical = np.eye(e.order, dim_m, dtype=complex)
+    except RhokitError:
+        raise
+    except (MemoryError, ValueError) as exc:
+        raise _out_of_memory(f"a joint ket of dimension {e.dim}*{dim_m}") from exc
     ancilla = _trusted(Ancilla, dim_m=dim_m, kets=canonical)
     return joint, ancilla
 
@@ -382,19 +392,22 @@ def _condition(
     # JointState admits a norm within _CONSTRUCT_TOL of 1; condition on the
     # normalized ket when the weights would miss 1 by more than ``tol``.
     norm_sq = np.vdot(joint.vec, joint.vec).real
-    if abs(norm_sq - 1.0) > tol:
-        matrix = matrix / np.sqrt(norm_sq)
-    conditionals = matrix @ np.conj(kets).T
-    weights = (np.abs(conditionals) ** 2).sum(axis=0)
-    kept = weights > rank_tol
-    members = list(range(joint.dim_m))
-    if not kept.all():  # copy out the members only when some ket drops
-        index = np.flatnonzero(kept)
-        if index.size == 0:
-            raise NotNormalized("joint ket has no weight above the rank cutoff")
-        kets, weights = kets[index], weights[index]
-        conditionals, members = conditionals[:, index], index.tolist()
-    member_kets = (conditionals / np.sqrt(weights)).T
+    try:  # the (dim_s, dim_m) conditionals and what is taken from them
+        if abs(norm_sq - 1.0) > tol:
+            matrix = matrix / np.sqrt(norm_sq)
+        conditionals = matrix @ np.conj(kets).T
+        weights = (np.abs(conditionals) ** 2).sum(axis=0)
+        kept = weights > rank_tol
+        members = list(range(joint.dim_m))
+        if not kept.all():  # copy out the members only when some ket drops
+            index = np.flatnonzero(kept)
+            if index.size == 0:
+                raise NotNormalized("joint ket has no weight above the rank cutoff")
+            kets, weights = kets[index], weights[index]
+            conditionals, members = conditionals[:, index], index.tolist()
+        member_kets = (conditionals / np.sqrt(weights)).T
+    except MemoryError as exc:
+        raise _out_of_memory(f"conditioning a joint ket on {len(kets)} kets") from exc
     # Each weight is finite and above rank_tol >= 0, each member-ket entry is
     # at most 1 in magnitude (|c_i| <= sqrt(w)), and the members' Gram matrix
     # is a principal submatrix of the basis Gram matrix.
@@ -487,10 +500,13 @@ def apply_unitary_umap(
     # rotated basis can miss that bound although basis and unitary both pass.
     to_e, _, to_members = ensemble_from_basis(joint, rotated_kets, rank_tol, tol)
 
-    row_kets = rotated_kets[_members_first(to_members, joint.dim_m)]
-    paired_source = source_kets[_members_first(from_members, joint.dim_m)]
-    coeffs = np.conj(row_kets) @ from_ancilla.kets.T
-    generator = paired_source.T @ np.conj(row_kets)
+    try:  # the members-first row basis and the map taken in it
+        row_kets = rotated_kets[_members_first(to_members, joint.dim_m)]
+        paired_source = source_kets[_members_first(from_members, joint.dim_m)]
+        coeffs = np.conj(row_kets) @ from_ancilla.kets.T
+        generator = paired_source.T @ np.conj(row_kets)
+    except MemoryError as exc:
+        raise _out_of_memory(f"a map of dimension {joint.dim_m}") from exc
     # Products of finite kets whose norms the unitarity and basis checks
     # bound; the row basis has one ket per coefficient row.
     return to_e, _trusted(UMap, coeffs=coeffs, generator=generator, basis=row_kets)
@@ -514,7 +530,8 @@ def ensemble_containing(
     normalized projection onto the kept support, phase included, within
     ``sqrt(2 L)`` of xi, where ``L <= lambda / W`` with ``lambda`` the largest
     dropped ``sigma_s^2``; the other elements are one valid choice among many.
-    A non-unit target raises NotNormalized, a failed SVD NumericalFailure.
+    A non-unit target raises NotNormalized, an SVD that does not converge
+    NumericalFailure, and one that cannot be allocated ResourceExhausted.
     """
     _check_tolerances(rank_tol=rank_tol, tol=tol)
     _check_instance("joint", joint, JointState)
@@ -526,8 +543,7 @@ def ensemble_containing(
     norm = float(np.linalg.norm(target))
     if abs(norm - 1.0) > tol:
         raise NotNormalized(f"target has norm {norm!r}, expected 1 (tol {tol:.3e})")
-    with _allocating(f"the SVD of a {joint.dim_s}x{joint.dim_m} joint matrix"):
-        u, sv, vh = _svd(joint.as_matrix(), full_matrices=joint.dim_s < joint.dim_m)
+    u, sv, vh = _svd(joint.as_matrix(), full_matrices=joint.dim_s < joint.dim_m)
     floor = sv[0] * max(joint.dim_s, joint.dim_m) * np.finfo(float).eps
     cutoff = max(rank_tol, floor)
     overlaps = dagger(u) @ target

@@ -22,7 +22,9 @@ import numpy as np
 
 from .ensembles import _weighted_projector_sum
 from .errors import WeightsNotNormalized
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_integer, _check_tolerances, _convert
+from .linalg import (
+    DEFAULT_RANK_TOL, DEFAULT_TOL, _check_integer, _check_tolerances, _convert, _out_of_memory
+)
 from .purification import JointState, ensemble_from_basis
 
 _INT64_MAX = 2**63 - 1  # multinomial counts are 64-bit integers
@@ -55,7 +57,10 @@ def measure_ancilla(
     """
     ensemble, ancilla, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
     mixture = list(zip(ensemble.weights.tolist(), ensemble.kets, ancilla.kets))
-    pairs = (ensemble.kets[:, :, None] * ancilla.kets[:, None, :]).reshape(ensemble.order, -1)
+    try:
+        pairs = (ensemble.kets[:, :, None] * ancilla.kets[:, None, :]).reshape(ensemble.order, -1)
+    except MemoryError as exc:
+        raise _out_of_memory(f"the joint kets of {ensemble.order} outcomes") from exc
     return mixture, _weighted_projector_sum(pairs, ensemble.weights)
 
 
@@ -75,7 +80,7 @@ def sample_outcomes(
     probs = _convert(weights, float)
     if probs.ndim != 1 or probs.size == 0:
         raise WeightsNotNormalized("weights must be a non-empty 1-D list")
-    if (probs < 0.0).any():
+    if np.fmin.reduce(probs) < 0.0:  # no temporary; NaN is left to the sum check
         raise WeightsNotNormalized("weights must be non-negative")
     total = float(probs.sum())
     if not abs(total - 1.0) <= tol:  # a NaN total fails too
@@ -89,7 +94,10 @@ def _multinomial(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """One seeded multinomial draw of ``shots`` over non-negative ``probs``."""
     shots = _check_integer("shots", shots, 1, _INT64_MAX)
     seed = _check_integer("seed", seed, 0)
-    return np.random.default_rng(seed).multinomial(shots, probs / float(probs.sum()))
+    try:
+        return np.random.default_rng(seed).multinomial(shots, probs / float(probs.sum()))
+    except MemoryError as exc:
+        raise _out_of_memory(f"the counts of {len(probs)} outcomes") from exc
 
 
 def steer(

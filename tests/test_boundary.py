@@ -443,14 +443,17 @@ def catalogue():
     }
 
 
-def test_catalogue_covers_every_public_callable():
-    public = {
+def public_callables():
+    return {
         name
         for name in rhokit.__all__
         if callable(value := getattr(rhokit, name))
         and not (isinstance(value, type) and issubclass(value, Exception))
     }
-    assert public == set(catalogue()) | NO_CHECKED_ARGUMENT
+
+
+def test_catalogue_covers_every_public_callable():
+    assert public_callables() == set(catalogue()) | NO_CHECKED_ARGUMENT
 
 
 @pytest.mark.parametrize("name", sorted(catalogue()))
@@ -571,23 +574,51 @@ def test_sizes_numpy_cannot_represent_are_resource_exhausted(dim):
         assert type(info.value.__cause__) is ValueError
 
 
-# Each call builds a dense product of 64 GiB (measure_ancilla's joint
-# density) or 256 GiB (a system density, the Gram matrix of 2**17 kets, or
-# the lemma's product of two joints on an ancilla of 2**17) from a joint ket
-# or ket list of at most 2 MiB. The call "validate_ensemble after its Gram
-# matrix" builds a Gram matrix of 48 MiB that fits, then its 24 MiB of
-# magnitudes, which do not. "ensemble_to_density of 3000 kets" takes an
+# One child process runs public calls under a lowered address-space limit.
+# Before each call it lowers its own soft RLIMIT_AS to its current size plus
+# a margin, and it restores the limit after the call, so nothing more is
+# asked of the host. Each call must return or raise a RhokitError; anything
+# else is printed with the last rhokit frame it passed through.
+#
+# Given a margin and names, the child runs the named calls of
+# `past_the_limit` at that margin. Each builds a dense product of 64 GiB
+# (measure_ancilla's joint density) or 256 GiB (a system density, the Gram
+# matrix of 2**17 kets, or the lemma's product of two joints on an ancilla
+# of 2**17) from a joint ket or ket list of at most 2 MiB: failure points
+# that no call which succeeds unlimited can reach. "validate_ensemble after
+# its Gram matrix" builds a Gram matrix of 48 MiB that fits, then its 24 MiB
+# of magnitudes, which do not. "ensemble_to_density of 3000 kets" takes an
 # ensemble of 3000 orthonormal kets (144 MiB, built before the limit) and
-# fails at its eigendecomposition with 512 MiB of room, or at the temporaries
-# of the kets' norms with 128 MiB. The child first lowers its own
-# address-space limit to its current size plus the margin its first argument
-# gives (512 MiB unless a test says otherwise), so nothing more is asked of
-# the host.
+# fails at its eigendecomposition with 512 MiB of room, or at the
+# temporaries of the kets' norms with 128 MiB. "measure_ancilla of 256
+# conditioned kets" conditions a joint ket of 2048 x 256 (8 MiB) and fails
+# at the 2 GiB of its outcomes' joint kets.
+#
+# Given "sweep", the child runs the `sweep` cases: one call of each public
+# callable, and of `is_hermitian`, on valid arguments whose dense temporaries
+# take a few MiB to a few tens of MiB. An unlimited call under tracemalloc
+# gives the call's peak P (and maps OpenBLAS's buffers); then the call runs
+# with margins P, P/2, P/4, P/8 and P/16, none under 1 MiB, so that the
+# interpreter can still allocate. Two settings keep the limit on the arrays:
+# - glibc raises its mmap threshold to the largest block freed, which would
+#   leave the unlimited call's arrays in the heap for the limited calls to
+#   reuse. A fixed threshold returns each array of 128 KiB or more to the
+#   system when it is freed.
+# - numpy 2.4.6 allocates a ufunc's buffers after releasing the GIL, and a
+#   failed allocation there crashes the process (SIGSEGV in PyErr_NoMemory)
+#   instead of raising MemoryError. The child keeps those buffers at 1 KiB,
+#   small enough for the heap's free space, so that they do not meet the
+#   limit.
 DENSE_PRODUCTS_PAST_THE_LIMIT = """
 import resource
 import sys
+import traceback
+import tracemalloc
 import numpy as np
 import rhokit as rk
+from rhokit.linalg import is_hermitian
+
+np.setbufsize(64)  # 1 KiB buffers: see above
 
 def joint(dim_s, dim_m=1):
     vec = np.zeros(dim_s * dim_m, dtype=complex)
@@ -597,49 +628,156 @@ def joint(dim_s, dim_m=1):
 def ket(dim):
     return rk.RhoEnsemble(joint(dim).vec[None], [1.0])
 
-small, large, wide = joint(2**16), joint(2**17), joint(1, 2**17)
-orthonormal = rk.RhoEnsemble(np.eye(3000, dtype=complex), np.full(3000, 1 / 3000))
-calls = {
-    "measure_ancilla": lambda: rk.measure_ancilla(small, [[1.0]]),
-    "steer": lambda: rk.steer(large, [[1.0]], shots=1, seed=0),
-    "lemma_unitary": lambda: rk.lemma_unitary(large, large),
-    "lemma_unitary on a large ancilla": lambda: rk.lemma_unitary(wide, wide),
-    "match_purification on a large ancilla": lambda: rk.match_purification(
-        rk.RhoEnsemble([[1.0]], [1.0]), wide
-    ),
-    "ensemble_to_density of 3000 kets": lambda: rk.ensemble_to_density(orthonormal),
-    "validate_ensemble": lambda: rk.validate_ensemble(
-        rk.RhoEnsemble(np.ones((2**17, 1)), np.full(2**17, 2.0**-17))
-    ),
-    "ensemble_to_density": lambda: rk.ensemble_to_density(ket(2**17)),
-    "densities_match": lambda: rk.densities_match(ket(2**17), ket(2**17)),
-    "validate_ensemble after its Gram matrix": lambda: rk.validate_ensemble(
-        rk.RhoEnsemble(np.ones((1774, 1)), np.full(1774, 1 / 1774))
-    ),
-}
-np.ones((2, 2), dtype=complex) @ np.ones((2, 2), dtype=complex)  # BLAS buffers first
-with open("/proc/self/statm") as statm:
-    size = int(statm.read().split()[0]) * resource.getpagesize()
-hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-resource.setrlimit(resource.RLIMIT_AS, (size + int(sys.argv[1]), hard))
-for name in sys.argv[2:]:
+def past_the_limit():
+    small, large, wide = joint(2**16), joint(2**17), joint(1, 2**17)
+    orthonormal = rk.RhoEnsemble(np.eye(3000, dtype=complex), np.full(3000, 1 / 3000))
+    rank_256, _ = rk.purify(rk.RhoEnsemble(np.eye(256, 2048), np.full(256, 1 / 256)), 256)
+    return {
+        "measure_ancilla": lambda: rk.measure_ancilla(small, [[1.0]]),
+        "measure_ancilla of 256 conditioned kets": lambda: rk.measure_ancilla(
+            rank_256, np.eye(256)
+        ),
+        "steer": lambda: rk.steer(large, [[1.0]], shots=1, seed=0),
+        "lemma_unitary": lambda: rk.lemma_unitary(large, large),
+        "lemma_unitary on a large ancilla": lambda: rk.lemma_unitary(wide, wide),
+        "match_purification on a large ancilla": lambda: rk.match_purification(
+            rk.RhoEnsemble([[1.0]], [1.0]), wide
+        ),
+        "ensemble_to_density of 3000 kets": lambda: rk.ensemble_to_density(orthonormal),
+        "validate_ensemble": lambda: rk.validate_ensemble(
+            rk.RhoEnsemble(np.ones((2**17, 1)), np.full(2**17, 2.0**-17))
+        ),
+        "ensemble_to_density": lambda: rk.ensemble_to_density(ket(2**17)),
+        "densities_match": lambda: rk.densities_match(ket(2**17), ket(2**17)),
+        "validate_ensemble after its Gram matrix": lambda: rk.validate_ensemble(
+            rk.RhoEnsemble(np.ones((1774, 1)), np.full(1774, 1 / 1774))
+        ),
+    }
+
+def unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (r.diagonal() / abs(r.diagonal()))
+
+def fan(count):  # count unit kets over a half turn of the plane, no two collinear
+    angles = np.linspace(0.0, np.pi, count, endpoint=False)
+    return np.stack([np.cos(angles), np.sin(angles)], 1)
+
+def sweep():
+    rng = np.random.default_rng(5)
+    n = 256
+    u = unitary(rng, n)
+    w = np.linspace(1.0, 2.0, n) / (1.5 * n)
+    e = rk.RhoEnsemble(u, w)
+    j, _ = rk.purify(e, n)
+    rho = rk.ensemble_to_density(e)
+    form = rk.schmidt_decompose(j.vec, n, n)
+    real_eye = np.eye(n)  # real arguments are converted to complex arrays
+    # Arrays taken as they are: joint kets of 2048 x 1024 and 512 x 512,
+    # 2**22 eigenvalues and 2**20 outcome weights.
+    big = np.full(2**21, 2.0**-10.5, dtype=complex)
+    square = np.full(2**18, 2.0**-9, dtype=complex)
+    spectrum = np.full(2**22, 2.0**-22)
+    outcomes = np.full(2**20, 2.0**-20)
+    # Order x order products built from factors of order x 2. In the map, the
+    # Gram matrix of the 1024 coefficient columns fits at half the peak that
+    # the basis of 1322 kets sets, and its magnitudes do not.
+    plane = rk.RhoEnsemble(fan(1024), np.full(1024, 1 / 1024))
+    wide = rk.UMap(fan(1024).T, np.eye(2), fan(1322))
+    # A joint ket of 1024 x 64: the conditionals outgrow the basis checks.
+    tall, _ = rk.purify(rk.RhoEnsemble(np.eye(64, 1024), np.full(64, 1 / 64)), 64)
+    tall_basis = unitary(rng, 64)
+    small, _ = rk.purify(rk.RhoEnsemble(unitary(rng, 32), np.full(32, 1 / 32)), 32)
+    small_basis = unitary(rng, 32)
+    return {
+        "Ancilla": lambda: rk.Ancilla(n, real_eye),
+        "DensityMatrix": lambda: rk.DensityMatrix(n, rho.matrix, rho.spectrum, rho.eigenkets, n),
+        "JointState": lambda: rk.JointState(2048, 1024, big),
+        "RhoEnsemble": lambda: rk.RhoEnsemble(real_eye, w),
+        "SchmidtForm": lambda: rk.SchmidtForm(
+            form.coefficients, form.left_kets, form.right_kets, form.rank
+        ),
+        "SteeringReport": lambda: rk.SteeringReport(1, [1], w, rho.matrix),
+        "UMap": lambda: rk.UMap(real_eye, real_eye, real_eye),
+        "apply_unitary_umap": lambda: rk.apply_unitary_umap(j, u, u),
+        "check_umap": lambda: rk.check_umap(wide),
+        "complete_orthonormal": lambda: rk.complete_orthonormal(u[: n // 2], n),
+        "densities_match": lambda: rk.densities_match(e, e),
+        "density_from_matrix": lambda: rk.density_from_matrix(rho.matrix),
+        "eig_hermitian": lambda: rk.eig_hermitian(rho.matrix),
+        "eigen_ensemble": lambda: rk.eigen_ensemble(rho),
+        "ensemble_containing": lambda: rk.ensemble_containing(j, u[0]),
+        "ensemble_from_basis": lambda: rk.ensemble_from_basis(tall, tall_basis),
+        "ensemble_to_density": lambda: rk.ensemble_to_density(e),
+        "ensembles_equal": lambda: rk.ensembles_equal(plane, plane),
+        "is_hermitian": lambda: is_hermitian(rho.matrix),
+        "is_linearly_independent": lambda: rk.is_linearly_independent(e),
+        "lemma_unitary": lambda: rk.lemma_unitary(j, j),
+        "match_purification": lambda: rk.match_purification(e, j),
+        "measure_ancilla": lambda: rk.measure_ancilla(small, small_basis),
+        "numerical_rank": lambda: rk.numerical_rank(spectrum),
+        "partial_trace_m": lambda: rk.partial_trace_m(square, 512, 512),
+        "purify": lambda: rk.purify(e, n),
+        "sample_outcomes": lambda: rk.sample_outcomes(outcomes, 10**6, 0),
+        "schmidt_decompose": lambda: rk.schmidt_decompose(j.vec, n, n),
+        "schmidt_reconstruct": lambda: rk.schmidt_reconstruct(form),
+        "steer": lambda: rk.steer(j, u, 10**6, 0),
+        "tensor_ket": lambda: rk.tensor_ket(u[0], np.full(4096, 1 / 64)),
+        "umap_between": lambda: rk.umap_between(e, e),
+        "validate_ensemble": lambda: rk.validate_ensemble(plane),
+    }
+
+def outcome(call, margin):  # "returned", or the error; untyped, with rhokit's last frame
+    with open("/proc/self/statm") as statm:
+        size = int(statm.read().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (size + margin, hard))
     try:
-        calls[name]()
-        print(name, "returned")
-    except MemoryError as exc:
-        print(name, type(exc).__name__)
+        call()
+        return "returned", ""
+    except rk.RhokitError as exc:
+        return type(exc).__name__, str(exc)
+    except Exception as exc:
+        # Without lookup_lines, which would read source files under the limit.
+        tb = traceback.walk_tb(exc.__traceback__)
+        stack = traceback.StackSummary.extract(tb, lookup_lines=False)
+        frames = [f for f in stack if "rhokit" in f.filename]
+        where = f"{frames[-1].filename.rsplit('/', 1)[-1]}:{frames[-1].lineno}" if frames else "?"
+        return f"untyped {type(exc).__name__}", f"at {where}: {exc}"
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+np.ones((2, 2), dtype=complex) @ np.ones((2, 2), dtype=complex)  # BLAS buffers first
+if sys.argv[1] == "sweep":
+    for name, call in sweep().items():
+        tracemalloc.start()
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        for margin in sorted({max(peak >> k, 2**20) for k in range(5)}, reverse=True):
+            print(name, f"{margin / 2**20:.2f}MiB", *outcome(call, margin), flush=True)
+else:
+    calls = past_the_limit()
+    for name in sys.argv[2:]:
+        print(name, outcome(calls[name], int(sys.argv[1]))[0], flush=True)
 """
 
 
-def outcomes_under_the_limit(margin, names):
+def outcomes_under_the_limit(margin, names=()):
+    """The child's lines for ``names`` at ``margin`` bytes, or for the sweep."""
     done = subprocess.run(
-        [sys.executable, "-c", DENSE_PRODUCTS_PAST_THE_LIMIT, str(margin), *names],
+        [sys.executable, "-X", "faulthandler", "-c", DENSE_PRODUCTS_PAST_THE_LIMIT,
+         str(margin), *names],
         capture_output=True,
         text=True,
-        env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+        env={
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1",
+            "MALLOC_MMAP_THRESHOLD_": "131072",
+        },
         timeout=120,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == 0, done.stdout + done.stderr
     return done.stdout.splitlines()
 
 
@@ -655,6 +793,7 @@ def test_dense_products_past_the_address_space_limit_are_resource_exhausted():
         "lemma_unitary on a large ancilla",
         "match_purification on a large ancilla",
         "ensemble_to_density of 3000 kets",
+        "measure_ancilla of 256 conditioned kets",
     ]
     outcomes = outcomes_under_the_limit(2**29, names)
     assert outcomes == [f"{name} ResourceExhausted" for name in names]
@@ -670,6 +809,14 @@ def test_temporaries_after_the_gram_matrix_are_resource_exhausted():
 def test_temporaries_of_the_element_norms_are_resource_exhausted():
     name = "ensemble_to_density of 3000 kets"
     assert outcomes_under_the_limit(2**27, [name]) == [f"{name} ResourceExhausted"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_every_public_call_under_a_falling_address_space_limit_raises_only_typed_errors():
+    lines = outcomes_under_the_limit("sweep")
+    assert {line.split()[0] for line in lines} == public_callables() | {"is_hermitian"}
+    untyped = [line for line in lines if " untyped " in line]
+    assert not untyped, "\n".join(untyped)
 
 
 def test_invalid_argument_inside_an_allocation_is_not_resource_exhausted(monkeypatch):
