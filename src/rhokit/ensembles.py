@@ -143,12 +143,6 @@ def _require_valid(e: RhoEnsemble, tol: float) -> None:
         raise InvalidEnsemble(report)
 
 
-def _valid_projector_sum(e: RhoEnsemble, tol: float) -> np.ndarray:
-    """Weighted projector sum; InvalidEnsemble(report) unless ``_require_valid`` passes."""
-    _require_valid(e, tol)
-    return _weighted_projector_sum(e.kets, e.weights)
-
-
 def ensemble_to_density(
     e: RhoEnsemble,
     tol: float = DEFAULT_TOL,
@@ -162,7 +156,8 @@ def ensemble_to_density(
     """
     _check_tolerances(tol=tol, rank_tol=rank_tol)
     _check_instance("e", e, RhoEnsemble)
-    matrix = _valid_projector_sum(e, tol)
+    _require_valid(e, tol)
+    matrix = _weighted_projector_sum(e.kets, e.weights)
     spectrum, eigenkets = eig_hermitian(matrix, tol)
     return DensityMatrix(
         dim=e.dim,

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import (
-    RhoEnsemble, _require_valid, _valid_projector_sum, _weighted_projector_sum
-)
+from .ensembles import RhoEnsemble, _require_valid
 from .errors import (
     DensitiesDiffer,
     DimensionMismatch,
@@ -94,13 +92,25 @@ class JointState:
         return self.vec.reshape(self.dim_s, self.dim_m)
 
     def reduced_system(self) -> np.ndarray:
-        """Reduced density matrix on the system factor, divided by the ket's
-        squared norm (held to 1 only within the construction bound)."""
-        m = self.as_matrix()
-        try:
-            return m @ dagger(m) / np.vdot(self.vec, self.vec).real
-        except MemoryError as exc:
-            raise _out_of_memory(f"a reduced system state of dimension {self.dim_s}") from exc
+        """Unit-trace reduced density matrix of the normalized ket on the system factor."""
+        return _state(self.as_matrix())
+
+
+def _at_unit_norm(values: np.ndarray, matrix: np.ndarray, degree: int = 1) -> np.ndarray:
+    """The one normalization rule: ``values``, homogeneous of ``degree`` in a
+    coefficient matrix (``as_matrix()`` or ``_amplitude_block``), scaled in
+    place by ``||matrix||_F ** -degree``: the same values of the unit-norm matrix."""
+    flat = matrix.ravel(order="K")  # a view unless the matrix is strided
+    values *= np.vdot(flat, flat).real ** (-degree / 2)
+    return values
+
+
+def _state(matrix: np.ndarray) -> np.ndarray:
+    """The unit-trace state ``m m^dag / ||m||_F^2`` of a coefficient matrix."""
+    try:
+        return _at_unit_norm(matrix @ dagger(matrix), matrix, 2)
+    except MemoryError as exc:
+        raise _out_of_memory(f"a reduced system state of dimension {matrix.shape[0]}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,18 +228,19 @@ def _amplitude_block(e: RhoEnsemble, dim_m: int) -> np.ndarray:
     return rows.T
 
 
-def _lemma(a_from, a_to, difference, tol, error, what) -> np.ndarray:
+def _lemma(a_from, a_to, tol, error, what) -> np.ndarray:
     """The purification lemma: the unitary U with ``a_from U^T = a_to``.
 
     ``a_from``, ``a_to``: (dim_s, dim_m) coefficient matrices of two joint
-    kets (``as_matrix()`` or ``_amplitude_block``); ``difference``: their
-    reduced states' difference, raising ``error`` past ``tol`` (max norm).
-    With ``W S V^dag = svd(a_from^dag a_to)``, ``U^T = W V^dag`` minimizes
-    ``||a_from U^T - a_to||_F`` (orthogonal Procrustes), to zero when the
-    reduced states are equal. One SVD, unitary to working precision.
+    kets (``as_matrix()`` or ``_amplitude_block``), whose ``_state``s must
+    agree within ``tol`` (max norm), else ``error``. With ``W S V^dag =
+    svd(a_from^dag a_to)``, ``U^T = W V^dag`` minimizes ``||a_from U^T - a_to||_F``
+    (orthogonal Procrustes), to zero when the states and norms are equal. No
+    positive scale changes it. One SVD, unitary to working precision.
     """
-    deviation = max_abs(difference)
-    del difference  # free the dim_s x dim_s array before the SVD allocates
+    difference = _state(a_from)
+    deviation = max_abs(np.subtract(difference, _state(a_to), out=difference))
+    del difference  # subtracted in place, and freed before the SVD allocates
     if deviation > tol:
         raise error(f"{what} differ by {deviation:.3e} (tol {tol:.3e})")
     try:  # the dim_m x dim_m product, its SVD and the polar factor
@@ -246,10 +257,10 @@ def lemma_unitary(
 ) -> np.ndarray:
     """Ancilla-side unitary U with ``(1 (x) U) phi = chi``.
 
-    Requires both joint kets to share the same reduced system state within
-    ``tol`` (max norm), else TracesDiffer. U is ``_lemma``'s polar factor of
-    the two kets' (dim_s, dim_m) coefficient matrices: one SVD, unitary to
-    working precision however small the reduced state's weights are.
+    Requires both joint kets to share the same unit-trace reduced system state
+    within ``tol`` (max norm), else TracesDiffer. U is ``_lemma``'s polar
+    factor of the two kets' (dim_s, dim_m) coefficient matrices: one SVD,
+    unitary to working precision however small the reduced state's weights are.
     """
     _check_tolerances(tol=tol)
     _check_instance("chi", chi, JointState)
@@ -259,10 +270,7 @@ def lemma_unitary(
             f"joint states have different factor dimensions: "
             f"({chi.dim_s}, {chi.dim_m}) vs ({phi.dim_s}, {phi.dim_m})"
         )
-    return _lemma(
-        phi.as_matrix(), chi.as_matrix(), chi.reduced_system() - phi.reduced_system(),
-        tol, TracesDiffer, "reduced system states"
-    )
+    return _lemma(phi.as_matrix(), chi.as_matrix(), tol, TracesDiffer, "reduced system states")
 
 
 def purify(
@@ -273,8 +281,9 @@ def purify(
     """Purify an ensemble against the canonical ancilla kets.
 
     Element j of the ensemble is paired with canonical basis vector e_j of
-    the ancilla space, giving the joint ket ``sum_j sqrt(w_j) phi_j (x) e_j``
-    whose reduced system state is exactly the ensemble's density matrix.
+    the ancilla space, giving ``sum_j sqrt(w_j) phi_j (x) e_j`` divided by its
+    norm: a unit joint ket whose reduced system state is the ensemble's
+    density matrix over its trace, the density itself for a weight sum of 1.
     Raises OrderExceedsAncillaDim when the ensemble has more elements than
     the ancilla space has dimensions, and ResourceExhausted when the
     ``dim * dim_m`` joint ket cannot be allocated or numpy cannot represent
@@ -289,8 +298,8 @@ def purify(
             f"ensemble order {e.order} exceeds ancilla dimension {dim_m}"
         )
     try:
-        block = _amplitude_block(e, dim_m)
-        joint = JointState(dim_s=e.dim, dim_m=dim_m, vec=block.reshape(-1))
+        vec = _amplitude_block(e, dim_m).reshape(-1)
+        joint = JointState(dim_s=e.dim, dim_m=dim_m, vec=_at_unit_norm(vec, vec))
         # Canonical kets are exactly orthonormal, and there are at most dim_m.
         canonical = np.eye(e.order, dim_m, dtype=complex)
     except RhokitError:
@@ -309,12 +318,12 @@ def match_purification(
     """Find the ancilla realizing an ensemble inside a given joint state.
 
     The ensemble must have at most ``target.dim_m`` elements (else
-    OrderExceedsAncillaDim), and its density matrix must equal the target's
-    reduced system state within ``tol`` (else TracesDiffer). ``_lemma``'s
-    polar factor U carrying the ensemble's canonical purification onto the
-    target is one SVD; ancilla ket j is ``U e_j``, so that
-    ``target.vec = sum_j sqrt(w_j) phi_j (x) b_j`` up to the rotation
-    residual, with all phases carried by the ancilla kets.
+    OrderExceedsAncillaDim), and its density over its trace (the state of its
+    ``purify``) must equal the target's reduced system state within ``tol``
+    (else TracesDiffer). ``_lemma``'s polar factor U carrying that
+    purification onto the target is one SVD; ancilla ket j is ``U e_j``, so
+    that ``target.vec = sum_j sqrt(w_j) phi_j (x) b_j`` up to the rotation
+    residual and the norms, with all phases carried by the ancilla kets.
     """
     _check_tolerances(tol=tol)
     _check_instance("e", e, RhoEnsemble)
@@ -330,7 +339,6 @@ def match_purification(
         )
     rotation = _lemma(
         _amplitude_block(e, target.dim_m), target.as_matrix(),
-        _weighted_projector_sum(e.kets, e.weights) - target.reduced_system(),
         tol, TracesDiffer, "ensemble density and reduced target state"
     )
     # Rows of an SVD polar factor of a finite product, as in umap_between,
@@ -352,9 +360,8 @@ def ensemble_from_basis(
     basis order), and ``member_indices`` records which basis positions they
     came from. The member basis kets form the returned ancilla, and
     ``sum_k sqrt(w_k) phi_k (x) b_k`` over members reconstructs the joint
-    ket up to the discarded sub-threshold tails. A joint ket whose squared
-    norm misses 1 by more than ``tol`` is normalized first, so the weights
-    sum to 1 up to those tails.
+    ket up to the discarded sub-threshold tails. The weights are those of
+    the normalized joint ket, so they sum to 1 up to those tails.
 
     Raises NotOrthonormalBasis unless the basis has ``dim_m`` kets whose Gram
     matrix is within ``max(tol, 1e-8)`` of the identity. A basis larger than
@@ -374,7 +381,7 @@ def ensemble_from_basis(
         raise NotOrthonormalBasis(
             f"basis deviates from orthonormality by {deviation:.3e}"
         )
-    ensemble, ancilla, members = _condition(joint, kets, rank_tol, tol)
+    ensemble, ancilla, members = _condition(joint, kets, rank_tol)
     if deviation > _CONSTRUCT_TOL:
         # A ``tol`` looser than _CONSTRUCT_TOL admits bases whose member kets the
         # Ancilla check may reject, and bounds the weights only by tol: check both.
@@ -384,18 +391,13 @@ def ensemble_from_basis(
 
 
 def _condition(
-    joint: JointState, kets: np.ndarray, rank_tol: float, tol: float
+    joint: JointState, kets: np.ndarray, rank_tol: float
 ) -> tuple[RhoEnsemble, Ancilla, list[int]]:
     """``ensemble_from_basis`` after its checks, building its outputs unchecked:
     sound for a complete basis ``kets`` within ``_CONSTRUCT_TOL`` of orthonormal."""
     matrix = joint.as_matrix()
-    # JointState admits a norm within _CONSTRUCT_TOL of 1; condition on the
-    # normalized ket when the weights would miss 1 by more than ``tol``.
-    norm_sq = np.vdot(joint.vec, joint.vec).real
     try:  # the (dim_s, dim_m) conditionals and what is taken from them
-        if abs(norm_sq - 1.0) > tol:
-            matrix = matrix / np.sqrt(norm_sq)
-        conditionals = matrix @ np.conj(kets).T
+        conditionals = _at_unit_norm(matrix @ np.conj(kets).T, matrix)
         weights = (np.abs(conditionals) ** 2).sum(axis=0)
         kept = weights > rank_tol
         members = list(range(joint.dim_m))
@@ -424,9 +426,9 @@ def umap_between(
     """Construct a coefficient map carrying one decomposition into another.
 
     Both ensembles must meet the theorem's hypotheses (else InvalidEnsemble;
-    collinear elements are accepted) and decompose the same density matrix
-    within ``tol`` (else DensitiesDiffer). Their amplitude blocks are the
-    coefficient matrices of two purifications on an ancilla of dimension
+    collinear elements are accepted) and their densities over their traces
+    must agree within ``tol`` (else DensitiesDiffer). Their amplitude blocks
+    are the coefficient matrices of two purifications on an ancilla of dimension
     ``max(order_from, order_to)``; ``_lemma``'s polar factor carrying one
     onto the other (one SVD) is returned as the generator, and its first
     ``order_from`` columns are the coefficients. Row j pairs with target
@@ -440,10 +442,11 @@ def umap_between(
         raise DimensionMismatch(
             f"ensembles have different dimensions: {from_e.dim} vs {to_e.dim}"
         )
+    _require_valid(from_e, tol)
+    _require_valid(to_e, tol)
     dim_m = max(from_e.order, to_e.order)
     rotation = _lemma(
         _amplitude_block(from_e, dim_m), _amplitude_block(to_e, dim_m),
-        _valid_projector_sum(from_e, tol) - _valid_projector_sum(to_e, tol),
         tol, DensitiesDiffer, "ensemble densities"
     )
     # SVD factors of a finite product of validated amplitude blocks, and an
@@ -520,7 +523,7 @@ def ensemble_containing(
 ) -> tuple[RhoEnsemble, np.ndarray]:
     """Build a decomposition whose first element is a chosen support vector.
 
-    One SVD ``sum_s sigma_s u_s (x) v_s`` of the joint ket decides and builds.
+    One SVD ``sum_s sigma_s u_s (x) v_s`` of the normalized joint decides and builds.
     The target xi is admitted iff its largest weight in any decomposition,
     ``W = 1 / sum_s |<u_s|xi>|^2 / sigma_s^2`` (sigma_s floored at
     ``floor = sigma_0 * max(dim_s, dim_m) * eps``, and so is xi's component
@@ -544,6 +547,7 @@ def ensemble_containing(
     if abs(norm - 1.0) > tol:
         raise NotNormalized(f"target has norm {norm!r}, expected 1 (tol {tol:.3e})")
     u, sv, vh = _svd(joint.as_matrix(), full_matrices=joint.dim_s < joint.dim_m)
+    sv = _at_unit_norm(sv, sv)  # ||sv|| is the joint's norm
     floor = sv[0] * max(joint.dim_s, joint.dim_m) * np.finfo(float).eps
     cutoff = max(rank_tol, floor)
     overlaps = dagger(u) @ target
@@ -564,5 +568,5 @@ def ensemble_containing(
     rotation[0] = first
     # Unitary to working precision, far inside the bounds both checks apply.
     basis = np.concatenate([rotation @ vh[:rank], vh[rank:]])
-    ensemble, _, _ = _condition(joint, basis, rank_tol, tol)
+    ensemble, _, _ = _condition(joint, basis, rank_tol)
     return ensemble, basis

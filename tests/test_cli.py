@@ -203,6 +203,17 @@ def test_verify_joint_norm_is_held_to_tol(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_purify_of_an_admitted_weight_sum_writes_a_joint_that_verifies(tmp_path, capsys):
+    # Weights summing to 1 + 3e-10 are admitted (tol * order = 4e-10); the
+    # joint ket purify writes is unit, so verify holds it to tol and passes.
+    e = RhoEnsemble(kets=np.eye(4, dtype=complex), weights=[0.25 + 0.75e-10] * 4)
+    ens = write(tmp_path / "e.json", docs.ensemble_document(e))
+    joint = tmp_path / "j.json"
+    assert main(["purify", ens, "--dim-m", "4", "--out", str(joint)]) == 0
+    assert main(["verify", "--joint", str(joint)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"clean": True, "violations": []}
+
+
 def test_verify_rho_of_the_wrong_shape_is_a_violation(tmp_path, capsys):
     ens = write(tmp_path / "e.json", equal_mixture_doc())
     rho = write(tmp_path / "rho.json", docs.matrix_document(np.eye(3) / 3))

@@ -274,9 +274,11 @@ def test_from_basis_product_joint_single_member():
 
 
 def fancy_indexed_conditioning(joint, basis, rank_tol=1e-10):
-    """Reference: every conditional, then the members picked by index arrays."""
+    """Reference: every conditional of the normalized joint, then the members
+    picked by index arrays."""
     kets = np.asarray(basis, dtype=complex)
     conditionals = joint.as_matrix() @ np.conj(kets).T
+    conditionals *= np.vdot(joint.vec, joint.vec).real ** -0.5
     weights = np.sum(np.abs(conditionals) ** 2, axis=0)
     members = np.flatnonzero(weights > rank_tol)
     member_weights = weights[members]
@@ -679,6 +681,37 @@ def test_near_unit_joint_passes_lemma_unitary():
         assert np.max(np.abs(apply_on_ancilla(u, phi).vec - chi.vec)) < 1e-8
 
 
+def long_weight_sum_ensemble():
+    """Four unit kets in dimension 4 whose weights sum to 1 + 3.9e-10: admitted,
+    since the hypotheses hold the sum to 1 only within tol * order = 4e-10."""
+    rng = np.random.default_rng(0)
+    kets = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    weights = rng.random(4)
+    return RhoEnsemble(kets=kets, weights=weights / weights.sum() * (1 + 3.9e-10))
+
+
+def test_an_admitted_weight_sum_matches_its_own_purification():
+    # The raw density differs from the purification's unit-trace state by
+    # 1.2e-10 > tol; both sides are compared as unit-trace states.
+    e = long_weight_sum_ensemble()
+    assert validate_ensemble(e) == []
+    joint, _ = purify(e, 4)
+    ancilla = match_purification(e, joint)
+    assert abs(np.linalg.norm(joint.vec) - 1.0) < 1e-15
+    rebuilt = reconstruct_joint(e, ancilla.kets, 4) / np.sqrt(e.weights.sum())
+    assert np.max(np.abs(rebuilt - joint.vec)) < 1e-12
+
+
+def test_an_admitted_weight_sum_maps_onto_its_normalized_copy():
+    e = long_weight_sum_ensemble()
+    unit = RhoEnsemble(kets=e.kets, weights=e.weights / e.weights.sum())
+    for from_e, to_e in ((e, unit), (unit, e)):
+        umap = umap_between(from_e, to_e)
+        assert check_umap(umap) == []
+        np.testing.assert_allclose(umap.coeffs, np.eye(4), atol=1e-9)
+
+
 def test_containing_covers_random_support_vectors():
     from rhokit import schmidt_decompose
 
@@ -1021,7 +1054,7 @@ PRECONDITIONS = {
         "basis has 1 kets, expected 2",
     ),
     "rank_tol_above_every_weight": (
-        lambda: ensemble_from_basis(bell_joint(), np.eye(2), rank_tol=0.5),
+        lambda: ensemble_from_basis(bell_joint(), np.eye(2), rank_tol=0.75),
         NotNormalized,
         "joint ket has no weight above the rank cutoff",
     ),

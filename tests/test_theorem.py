@@ -27,24 +27,42 @@ every conditioned ensemble must pass. A drawn ensemble whose normalized
 weights reach below ``rank_tol`` is reported collinear too, and purifies.
 Kets, bases and unitaries go in as made, in Fortran order, or as views with
 negative strides.
+
+``TheoremMachine`` runs the same constructions in random order on one joint
+ket, feeding each from a bundle of decompositions of its reduced state ρ. Its
+drawn ensemble's weights sum to anywhere in the band the hypotheses admit,
+``1 ± tol·order``, edges included, so every later comparison is between
+states the constructions normalize by one rule.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    Bundle, RuleBasedStateMachine, initialize, invariant, multiple, rule
+)
 
 from rhokit import (
     DEFAULT_RANK_TOL,
+    DEFAULT_TOL,
     NotInSupport,
     RhoEnsemble,
     apply_unitary_umap,
     check_umap,
+    complete_orthonormal,
+    documents,
     ensemble_containing,
     ensemble_from_basis,
+    ensemble_to_density,
     lemma_unitary,
     match_purification,
+    measure_ancilla,
+    partial_trace_m,
     purify,
+    steer,
     umap_between,
     validate_ensemble,
 )
@@ -208,3 +226,175 @@ def test_a_fixed_seed_slice_of_random_chains_never_refuses_a_valid_ensemble():
         dim_m = int(rng.integers(order, dim + 4))
         end = chain(i, dim, floors[i % 3], order, dim_m)
         assert end in ENDS, (i, dim, order, dim_m, end)
+
+
+def in_band(w, fraction):
+    """``w`` (summing to 1) scaled to sum to ``1 + fraction * tol * order``, for
+    ``fraction`` in [-1, 1]; at an edge, stepped inward by ulps until the float
+    sum is admitted."""
+    band = DEFAULT_TOL * len(w)
+    scale = 1.0 + fraction * band
+    while not abs((w * scale).sum() - 1.0) <= band:
+        scale = np.nextafter(scale, 1.0)
+    return w * scale
+
+
+@dataclass(frozen=True, eq=False)
+class Member:
+    """A decomposition of the joint's ρ with the ancilla kets that realize it.
+    ``collinear_ok``: ``validate_ensemble`` may report collinear pairs."""
+
+    ensemble: RhoEnsemble
+    ancilla: np.ndarray
+    collinear_ok: bool
+
+
+class TheoremMachine(RuleBasedStateMachine):
+    """Random sequences of the constructions on one joint ket.
+
+    Each rule takes members from the bundle and checks its output's defining
+    identity within ``IDENTITY_TOL``. After every step, each member's density
+    is ρ within ``tol * order``, every map passes ``check_umap``, and
+    ``validate_ensemble`` reports at most what ``chain`` allows: collinear
+    pairs in the drawn ensemble, and in a conditioned one only for a thin ρ on
+    a basis past the order. The one error a rule may meet is ``NotInSupport``,
+    for a target of weight below ``sqrt(rank_tol)``; any other fails the run.
+    """
+
+    members = Bundle("members")
+
+    def add(self, ensemble, ancilla, collinear_ok):
+        member = Member(ensemble, np.asarray(ancilla), collinear_ok)
+        self.known.append(member)
+        return member
+
+    def basis_of(self, member):
+        return laid_out(complete_orthonormal(member.ancilla, self.joint.dim_m), self.layout)
+
+    @initialize(
+        target=members,
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 6),
+        floor=st.sampled_from(list(SPECTRA.values())),
+        layout=st.sampled_from(["as made", "fortran", "strided"]),
+        data=st.data(),
+    )
+    def purify_a_drawn_ensemble(self, seed, dim, floor, layout, data):
+        order = data.draw(st.integers(2, dim), label="order")
+        dim_m = data.draw(st.integers(order, dim + 3), label="dim_m")
+        fraction = data.draw(
+            st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)), label="fraction"
+        )
+        rng = np.random.default_rng(seed)
+        kets = rng.normal(size=(order, dim)) + 1j * rng.normal(size=(order, dim))
+        kets /= np.linalg.norm(kets, axis=1)[:, None]
+        e = RhoEnsemble(laid_out(kets, layout), in_band(weights(rng, order, floor), fraction))
+        self.layout, self.known, self.maps = layout, [], []
+        self.joint, ancilla = purify(e, dim_m)
+        self.rho = self.joint.reduced_system()
+        kept = np.linalg.eigvalsh(self.rho)[::-1]
+        kept = kept[kept > DEFAULT_RANK_TOL]
+        self.thin = dim_m > order and kept[-1] < np.sqrt(DEFAULT_RANK_TOL)
+        return self.add(e, ancilla.kets, True)
+
+    @rule(target=members, seed=st.integers(0, 2**32 - 1))
+    def condition_on_a_haar_basis(self, seed):
+        basis = random_basis(np.random.default_rng(seed), self.joint.dim_m)
+        e, ancilla, _ = ensemble_from_basis(self.joint, laid_out(basis, self.layout))
+        return self.add(e, ancilla.kets, self.thin)
+
+    @rule(target=members, member=members, seed=st.integers(0, 2**32 - 1))
+    def rotate_a_basis(self, member, seed):
+        basis = self.basis_of(member)
+        unitary = random_unitary(np.random.default_rng(seed), self.joint.dim_m)
+        rotated, umap = apply_unitary_umap(self.joint, basis, laid_out(unitary, self.layout))
+        source, _, _ = ensemble_from_basis(self.joint, basis)
+        assert mapping_residual(umap, source, rotated) <= IDENTITY_TOL
+        self.maps.append(umap)
+        return self.add(rotated, umap.basis[: rotated.order], self.thin)
+
+    @rule(target=members, member=members, data=st.data())
+    def contain_a_member_or_a_range_vector(self, member, data):
+        if data.draw(st.booleans(), label="a member's element"):
+            k = data.draw(st.integers(0, member.ensemble.order - 1), label="element")
+            target = member.ensemble.kets[k]
+            weight = member.ensemble.weights[k] / member.ensemble.weights.sum()
+        else:  # xi ~ sum_s sigma_s c_s u_s over the kept support: of weight |sigma c|^2
+            u, sv, _ = np.linalg.svd(self.joint.as_matrix())
+            sv = sv[sv**2 > DEFAULT_RANK_TOL]
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+            c = rng.normal(size=len(sv)) + 1j * rng.normal(size=len(sv))
+            amplitudes = sv * c / np.linalg.norm(c)
+            weight = float(np.vdot(amplitudes, amplitudes).real)
+            target = u[:, : len(sv)] @ amplitudes / np.sqrt(weight)
+        try:
+            contained, completed = ensemble_containing(self.joint, laid_out(target, self.layout))
+        except NotInSupport:
+            assert weight < np.sqrt(DEFAULT_RANK_TOL)
+            return multiple()
+        bound = np.sqrt(2.0 * DEFAULT_RANK_TOL / weight) + IDENTITY_TOL
+        assert np.linalg.norm(contained.kets[0] - target) <= bound
+        # Its basis is one ensemble_from_basis admits, and conditions the same.
+        again, ancilla, _ = ensemble_from_basis(self.joint, completed)
+        np.testing.assert_array_equal(again.kets, contained.kets)
+        np.testing.assert_array_equal(again.weights, contained.weights)
+        return self.add(contained, ancilla.kets, False)
+
+    @rule(a=members, b=members)
+    def map_one_member_onto_another(self, a, b):
+        umap = umap_between(a.ensemble, b.ensemble)
+        assert mapping_residual(umap, a.ensemble, b.ensemble) <= IDENTITY_TOL
+        self.maps.append(umap)
+
+    @rule(member=members)
+    def match_a_member_to_the_joint(self, member):
+        found = match_purification(member.ensemble, self.joint)
+        rebuilt = reconstruct_joint(member.ensemble, found.kets, self.joint.dim_m)
+        assert np.abs(rebuilt - self.joint.vec).max() <= IDENTITY_TOL
+
+    @rule(member=members)
+    def rotate_a_members_purification_onto_the_joint(self, member):
+        other, _ = purify(member.ensemble, self.joint.dim_m)
+        rotation = lemma_unitary(self.joint, other)
+        dim_m = self.joint.dim_m
+        assert np.abs(rotation @ np.conj(rotation).T - np.eye(dim_m)).max() <= IDENTITY_TOL
+        rotated = (other.as_matrix() @ rotation.T).reshape(-1)
+        assert np.abs(rotated - self.joint.vec).max() <= IDENTITY_TOL
+
+    @rule(member=members, seed=st.integers(0, 2**32 - 1))
+    def steer_on_a_members_basis(self, member, seed):
+        basis = self.basis_of(member)
+        report = steer(self.joint, basis, 1000, seed)
+        mixture, post = measure_ancilla(self.joint, basis)
+        assert sum(report.counts) == 1000
+        np.testing.assert_array_equal(report.expected_weights, [w for w, _, _ in mixture])
+        reduced = partial_trace_m(post, self.joint.dim_s, self.joint.dim_m)
+        for system in (report.post_density, reduced):
+            assert np.abs(system - self.rho).max() <= IDENTITY_TOL
+
+    @rule(member=members)
+    def round_trip_a_member_through_its_document(self, member):
+        text = documents.dump_document(documents.ensemble_document(member.ensemble))
+        back = documents.to_ensemble(documents.load_document(text))
+        np.testing.assert_array_equal(back.kets, member.ensemble.kets)
+        np.testing.assert_array_equal(back.weights, member.ensemble.weights)
+
+    @invariant()
+    def every_member_decomposes_rho(self):
+        for member in self.known:
+            e = member.ensemble
+            density = ensemble_to_density(e).matrix
+            assert np.abs(density - self.rho).max() <= DEFAULT_TOL * e.order
+            report = validate_ensemble(e)
+            assert only_collinear(report) if member.collinear_ok else report == []
+
+    @invariant()
+    def every_map_is_clean(self):
+        for umap in self.maps:
+            assert check_umap(umap) == []
+
+
+TestRandomSequencesOfConstructions = TheoremMachine.TestCase
+TestRandomSequencesOfConstructions.settings = settings(
+    max_examples=150, stateful_step_count=20, deadline=None, derandomize=True, database=None
+)
