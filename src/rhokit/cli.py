@@ -83,11 +83,11 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_tolerances(parser: argparse.ArgumentParser, rank_tol: bool) -> None:
-    """Add ``--tol``, and ``--rank-tol`` for the commands that read it."""
-    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
-    if rank_tol:
-        parser.add_argument("--rank-tol", type=_tolerance, default=DEFAULT_RANK_TOL)
+def _add_tolerances(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the tolerance ``flags`` a command reads, each at its library default."""
+    defaults = {"--tol": DEFAULT_TOL, "--rank-tol": DEFAULT_RANK_TOL}
+    for flag in flags:
+        parser.add_argument(flag, type=_tolerance, default=defaults[flag])
 
 
 def _cmd_purify(args) -> int:
@@ -102,7 +102,7 @@ def _cmd_purify(args) -> int:
 def _cmd_ensemble_from_basis(args) -> int:
     joint = documents.to_joint(_load(args.joint))
     basis = documents.to_basis(_load(args.basis))
-    ensemble, _, _ = ensemble_from_basis(joint, basis, args.rank_tol, args.tol)
+    ensemble, _, _ = ensemble_from_basis(joint, basis, args.rank_tol)
     _write_document(args.out, documents.ensemble_document(ensemble))
     return EXIT_OK
 
@@ -119,7 +119,7 @@ def _cmd_apply_u(args) -> int:
     joint = documents.to_joint(_load(args.joint))
     basis = documents.to_basis(_load(args.basis))
     unitary = documents.to_matrix(_load(args.unitary))
-    to_e, u = apply_unitary_umap(joint, basis, unitary, args.rank_tol, args.tol)
+    to_e, u = apply_unitary_umap(joint, basis, unitary, args.rank_tol)
     _write_document(args.out, documents.ensemble_document(to_e))
     if args.umap_out is not None:
         _write_document(args.umap_out, documents.umap_document(u))
@@ -137,7 +137,7 @@ def _cmd_contains(args) -> int:
 def _cmd_steer(args) -> int:
     joint = documents.to_joint(_load(args.joint))
     basis = documents.to_basis(_load(args.basis))
-    report = steer(joint, basis, args.shots, args.seed, args.rank_tol, args.tol)
+    report = steer(joint, basis, args.shots, args.seed, args.rank_tol)
     _write_document(args.out, documents.report_document(report))
     return EXIT_OK
 
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim-m", type=int, required=True, help="ancilla dimension")
     p.add_argument("--out", default="-", help="joint document destination")
     p.add_argument("--ancilla-out", default=None, help="ancilla (basis document) destination")
-    _add_tolerances(p, rank_tol=False)
+    _add_tolerances(p, "--tol")
     p.set_defaults(func=_cmd_purify)
 
     p = sub.add_parser(
@@ -236,14 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("joint", help="joint document")
     p.add_argument("basis", help="basis document")
     p.add_argument("--out", default="-")
-    _add_tolerances(p, rank_tol=True)
+    _add_tolerances(p, "--rank-tol")
     p.set_defaults(func=_cmd_ensemble_from_basis)
 
     p = sub.add_parser("umap", help="coefficient map between two same-density ensembles")
     p.add_argument("from_ensemble", metavar="from-ensemble", help="source ensemble document")
     p.add_argument("to_ensemble", metavar="to-ensemble", help="target ensemble document")
     p.add_argument("--out", default="-")
-    _add_tolerances(p, rank_tol=False)
+    _add_tolerances(p, "--tol")
     p.set_defaults(func=_cmd_umap)
 
     p = sub.add_parser(
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("unitary", help="matrix document")
     p.add_argument("--out", default="-", help="ensemble document destination")
     p.add_argument("--umap-out", default=None, help="umap document destination")
-    _add_tolerances(p, rank_tol=True)
+    _add_tolerances(p, "--rank-tol")
     p.set_defaults(func=_cmd_apply_u)
 
     p = sub.add_parser(
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("joint", help="joint document")
     p.add_argument("ket", help="ket document")
     p.add_argument("--out", default="-")
-    _add_tolerances(p, rank_tol=True)
+    _add_tolerances(p, "--tol", "--rank-tol")
     p.set_defaults(func=_cmd_contains)
 
     p = sub.add_parser("steer", help="measure the ancilla and sample outcome counts")
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0, help="PCG64 stream seed")
     p.add_argument("--out", default="-")
-    _add_tolerances(p, rank_tol=True)
+    _add_tolerances(p, "--rank-tol")
     p.set_defaults(func=_cmd_steer)
 
     p = sub.add_parser("verify", help="validate a document; exit 0 iff clean")
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--umap", help="umap document")
     group.add_argument("--joint", help="joint document")
     p.add_argument("--rho", default=None, help="density matrix document to check against")
-    _add_tolerances(p, rank_tol=False)
+    _add_tolerances(p, "--tol")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -49,8 +49,9 @@ from .linalg import (
     orthonormality_deviation,
 )
 
-# Construction-time sanity checks on value types are looser than the
-# per-operation tolerances so that round-tripped values are never rejected.
+# The one admission threshold of rhokit's own value types: joint kets, ancillas,
+# ancilla bases and unitaries, whatever ``tol`` a call takes. It is looser than
+# the per-operation tolerances so that round-tripped values are never rejected.
 _CONSTRUCT_TOL = 1e-8
 
 
@@ -350,7 +351,6 @@ def ensemble_from_basis(
     joint: JointState,
     basis,
     rank_tol: float = DEFAULT_RANK_TOL,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[RhoEnsemble, Ancilla, list[int]]:
     """Condition a joint ket on each ket of an ancilla-side basis.
 
@@ -364,12 +364,13 @@ def ensemble_from_basis(
     the normalized joint ket, so they sum to 1 up to those tails.
 
     Raises NotOrthonormalBasis unless the basis has ``dim_m`` kets whose Gram
-    matrix is within ``max(tol, 1e-8)`` of the identity. A basis larger than
-    the density's rank can condition two elements onto (nearly) one
-    direction; ``validate_ensemble`` reports them as collinear, and every
-    construction takes the ensemble as it is.
+    matrix is within 1e-8 of the identity, the fixed bound of the Ancilla
+    its member kets become. A basis larger than the density's rank can
+    condition two elements onto (nearly) one direction; ``validate_ensemble``
+    reports them as collinear, and every construction takes the ensemble as
+    it is.
     """
-    _check_tolerances(rank_tol=rank_tol, tol=tol)
+    _check_tolerances(rank_tol=rank_tol)
     _check_instance("joint", joint, JointState)
     kets = as_ket_list(basis, dim=joint.dim_m)
     if kets.shape[0] != joint.dim_m:
@@ -377,17 +378,12 @@ def ensemble_from_basis(
             f"basis has {kets.shape[0]} kets, expected {joint.dim_m}"
         )
     deviation = orthonormality_deviation(kets)
-    if deviation > max(tol, _CONSTRUCT_TOL):
+    if deviation > _CONSTRUCT_TOL:
         raise NotOrthonormalBasis(
             f"basis deviates from orthonormality by {deviation:.3e}"
+            f" (tol {_CONSTRUCT_TOL:.3e})"
         )
-    ensemble, ancilla, members = _condition(joint, kets, rank_tol)
-    if deviation > _CONSTRUCT_TOL:
-        # A ``tol`` looser than _CONSTRUCT_TOL admits bases whose member kets the
-        # Ancilla check may reject, and bounds the weights only by tol: check both.
-        ensemble = RhoEnsemble(kets=ensemble.kets, weights=ensemble.weights)
-        ancilla = Ancilla(dim_m=joint.dim_m, kets=ancilla.kets)
-    return ensemble, ancilla, members
+    return _condition(joint, kets, rank_tol)
 
 
 def _condition(
@@ -471,7 +467,6 @@ def apply_unitary_umap(
     basis,
     u,
     rank_tol: float = DEFAULT_RANK_TOL,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[RhoEnsemble, UMap]:
     """Rotate an ancilla basis by a unitary and extract the induced map.
 
@@ -480,9 +475,11 @@ def apply_unitary_umap(
     Both decompose the same reduced system state. The returned coefficients
     are taken in the rotated basis reordered members-first, so row j pairs
     with target element j below the target order and gives zero beyond it;
-    columns run over source elements.
+    columns run over source elements. ``u`` must be within 1e-8 of unitary
+    (else NotUnitary), and the basis and the rotated basis within 1e-8 of
+    orthonormal (else NotOrthonormalBasis).
     """
-    _check_tolerances(rank_tol=rank_tol, tol=tol)
+    _check_tolerances(rank_tol=rank_tol)
     _check_instance("joint", joint, JointState)
     source_kets = as_ket_list(basis, dim=joint.dim_m)
     operator = as_operator(u)
@@ -492,16 +489,16 @@ def apply_unitary_umap(
             f"({joint.dim_m}, {joint.dim_m})"
         )
     unit_dev = orthonormality_deviation(operator.T)
-    if unit_dev > max(tol, _CONSTRUCT_TOL):
-        raise NotUnitary(f"matrix deviates from unitarity by {unit_dev:.3e}")
+    if unit_dev > _CONSTRUCT_TOL:
+        raise NotUnitary(
+            f"matrix deviates from unitarity by {unit_dev:.3e} (tol {_CONSTRUCT_TOL:.3e})"
+        )
     rotated_kets = source_kets @ operator.T
 
-    from_e, from_ancilla, from_members = ensemble_from_basis(
-        joint, source_kets, rank_tol, tol
-    )
-    # Each check admits deviations up to max(tol, _CONSTRUCT_TOL), so the
-    # rotated basis can miss that bound although basis and unitary both pass.
-    to_e, _, to_members = ensemble_from_basis(joint, rotated_kets, rank_tol, tol)
+    from_e, from_ancilla, from_members = ensemble_from_basis(joint, source_kets, rank_tol)
+    # Each check admits deviations up to _CONSTRUCT_TOL, so the rotated
+    # basis can miss that bound although basis and unitary both pass.
+    to_e, _, to_members = ensemble_from_basis(joint, rotated_kets, rank_tol)
 
     try:  # the members-first row basis and the map taken in it
         row_kets = rotated_kets[_members_first(to_members, joint.dim_m)]

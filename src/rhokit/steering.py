@@ -23,7 +23,7 @@ import numpy as np
 from .ensembles import _weighted_projector_sum
 from .errors import WeightsNotNormalized
 from .linalg import (
-    DEFAULT_RANK_TOL, DEFAULT_TOL, _check_integer, _check_tolerances, _convert, _out_of_memory
+    DEFAULT_RANK_TOL, _check_integer, _check_tolerances, _convert, _out_of_memory
 )
 from .purification import JointState, ensemble_from_basis
 
@@ -44,7 +44,6 @@ def measure_ancilla(
     joint: JointState,
     basis,
     rank_tol: float = DEFAULT_RANK_TOL,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[list[tuple[float, np.ndarray, np.ndarray]], np.ndarray]:
     """Mixture produced by measuring the ancilla in the given basis.
 
@@ -53,9 +52,10 @@ def measure_ancilla(
     its ancilla kets -- together with the post-measurement joint density
     matrix ``sum_j w_j |phi_j b_j><phi_j b_j|``. Tracing the ancilla out of
     that matrix returns the same reduced system state as the pure joint ket:
-    the measurement does not disturb the system side.
+    the measurement does not disturb the system side. The basis is admitted
+    as ``ensemble_from_basis`` admits it, within 1e-8 of orthonormal.
     """
-    ensemble, ancilla, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
+    ensemble, ancilla, _ = ensemble_from_basis(joint, basis, rank_tol)
     mixture = list(zip(ensemble.weights.tolist(), ensemble.kets, ancilla.kets))
     try:
         pairs = (ensemble.kets[:, :, None] * ancilla.kets[:, None, :]).reshape(ensemble.order, -1)
@@ -106,7 +106,6 @@ def steer(
     shots: int,
     seed: int,
     rank_tol: float = DEFAULT_RANK_TOL,
-    tol: float = DEFAULT_TOL,
 ) -> SteeringReport:
     """Measure the ancilla, sample outcomes, and report the statistics.
 
@@ -114,9 +113,10 @@ def steer(
     post-measurement mixture, i.e. the weighted projector sum over realized
     system kets, which coincides with the reduced state of the joint ket.
     The conditioned weights are the outcome distribution, so they are
-    sampled as ``ensemble_from_basis`` admitted them, without a second check.
+    sampled as ``ensemble_from_basis`` admitted them, without a second check;
+    it admits the basis within 1e-8 of orthonormal, else NotOrthonormalBasis.
     """
-    ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol, tol)
+    ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol)
     counts = _multinomial(ensemble.weights, shots, seed)
     return SteeringReport(
         shots=int(shots),

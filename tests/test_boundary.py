@@ -25,8 +25,8 @@ from rhokit import (
     DimensionMismatch,
     InvalidArgument,
     JointState,
-    NotOrthonormal,
     NotOrthonormalBasis,
+    NotUnitary,
     ResourceExhausted,
     RhoEnsemble,
     RhokitError,
@@ -58,7 +58,7 @@ from rhokit import (
     umap_between,
     validate_ensemble,
 )
-from rhokit.linalg import as_ket_list, is_hermitian
+from rhokit.linalg import as_ket_list, is_hermitian, orthonormality_deviation
 from helpers import bell_joint, computational, random_ensemble, random_unitary
 
 
@@ -115,14 +115,33 @@ def laid_out(basis, layout):
     dim_m=st.integers(1, 12),
     rank_share=st.floats(0.0, 1.0),
     layout=st.sampled_from(["C", "F", "strided"]),
+    lean_exponent=st.floats(-10.0, -6.0),
 )
 def test_outputs_rebuild_through_checked_constructors(
-    seed, dim_s, dim_m, rank_share, layout
+    seed, dim_s, dim_m, rank_share, layout, lean_exponent
 ):
     rng = np.random.default_rng(seed)
     rank = 1 + int(rank_share * (min(dim_s, dim_m) - 1))
     joint, support = joint_of_rank(rng, dim_s, dim_m, rank)
     basis = laid_out(random_unitary(rng, dim_m), layout)
+
+    # Ket 1 leans on ket 0: each basis-taking call returns iff the basis is
+    # within the fixed 1e-8 of orthonormal. The identity rotates it exactly.
+    leaned = np.array(basis)
+    leaned[1:2] += 10.0**lean_exponent * leaned[0]
+    leaned = laid_out(leaned, layout)
+    admitted = orthonormality_deviation(leaned) <= 1e-8
+    for call in (
+        lambda: ensemble_from_basis(joint, leaned),
+        lambda: steer(joint, leaned, 100, seed),
+        lambda: measure_ancilla(joint, leaned),
+        lambda: apply_unitary_umap(joint, leaned, np.eye(dim_m)),
+    ):
+        if admitted:
+            call()
+        else:
+            with pytest.raises(NotOrthonormalBasis):
+                call()
 
     ensemble, ancilla, _ = ensemble_from_basis(joint, basis)
     assert_rebuilds(ensemble)
@@ -208,26 +227,22 @@ def test_outputs_are_clean_for_spectra_down_to_rank_tol(
     assert_rebuilds(match_purification(conditioned, pair_joint))
 
 
-def skewed_basis(deviation):
-    """A basis of dimension 3 whose kets 0 and 1 overlap by ``deviation``."""
-    basis = random_unitary(np.random.default_rng(39), 3)
-    basis[1] += deviation * basis[0]
-    return basis
-
-
 def test_basis_between_construct_and_given_tol_still_raises():
+    # A lean of 1e-7 sits between the fixed 1e-8 and a looser tol of 1e-6.
+    # No entry point takes a tol to loosen the bound, so the basis is refused.
     joint = JointState(dim_s=3, dim_m=3, vec=np.ones(9, dtype=complex) / 3.0)
-    basis = skewed_basis(1e-7)
-    with pytest.raises(NotOrthonormal):
-        ensemble_from_basis(joint, basis, tol=1e-6)
-    with pytest.raises(NotOrthonormal):
-        measure_ancilla(joint, basis, tol=1e-6)
-    with pytest.raises(NotOrthonormal):
-        steer(joint, basis, 10, 0, tol=1e-6)
-    with pytest.raises(NotOrthonormal):
-        apply_unitary_umap(joint, basis, np.eye(3), tol=1e-6)
-    with pytest.raises(NotOrthonormalBasis):
-        ensemble_from_basis(joint, basis)
+    basis = random_unitary(np.random.default_rng(39), 3)
+    basis[1] += 1e-7 * basis[0]
+    for call in (
+        lambda **kw: ensemble_from_basis(joint, basis, **kw),
+        lambda **kw: measure_ancilla(joint, basis, **kw),
+        lambda **kw: steer(joint, basis, 10, 0, **kw),
+        lambda **kw: apply_unitary_umap(joint, basis, np.eye(3), **kw),
+    ):
+        with pytest.raises(TypeError, match="'tol'"):
+            call(tol=1e-6)
+        with pytest.raises(NotOrthonormalBasis):
+            call()
 
 
 @pytest.fixture
@@ -244,29 +259,48 @@ def checked_builds(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize(
-    "skew, tol, checked",
-    [
-        (0.0, 1e-10, False),
-        (0.5e-8, 1e-10, False),
-        (1e-7, 1e-6, True),
-        (0.9e-6, 1e-6, True),
-    ],
-)
-def test_basis_deviation_past_construct_tol_takes_the_checked_path(
-    checked_builds, skew, tol, checked
-):
-    # Ket 1 leans on ket 0 by ``skew``. The joint is e0 (x) b0, so only ket 0
-    # carries weight (ket 1's is skew**2 <= rank_tol) and the member ancilla
-    # passes its own check; the deviation alone decides the path.
-    basis = random_unitary(np.random.default_rng(41), 3)
-    basis[1] += skew * basis[0]
-    joint = JointState(dim_s=2, dim_m=3, vec=np.kron(computational(2, 0), basis[0]))
-    ensemble, ancilla, members = ensemble_from_basis(joint, basis, tol=tol)
-    assert members == [0]
-    assert checked_builds == (["RhoEnsemble", "Ancilla"] if checked else [])
-    assert_rebuilds(ensemble)
-    assert_rebuilds(ancilla)
+@pytest.mark.parametrize("lean", [0.0, 0.5e-8, 1e-7, 0.9e-6])
+def test_bases_and_unitaries_are_admitted_at_one_fixed_threshold(checked_builds, lean):
+    # Ket 1 of the basis, and row 1 of the unitary, lean on ket 0 by ``lean``;
+    # each is admitted iff that stays within 1e-8. In the joint e0 (x) b0 only
+    # ket 0 carries weight, so a skew confined to zero-weight kets is refused too.
+    clean = random_unitary(np.random.default_rng(41), 3)
+    basis = clean.copy()
+    basis[1] += lean * basis[0]
+    unitary = np.eye(3, dtype=complex)
+    unitary[1] += lean * unitary[0]
+    joints = [
+        JointState(dim_s=3, dim_m=3, vec=np.ones(9, dtype=complex) / 3.0),
+        JointState(dim_s=2, dim_m=3, vec=np.kron(computational(2, 0), clean[0])),
+    ]
+    for joint in joints:
+        calls = [
+            lambda: ensemble_from_basis(joint, basis),
+            lambda: measure_ancilla(joint, basis),
+            lambda: steer(joint, basis, 10, 0),
+            lambda: apply_unitary_umap(joint, basis, np.eye(3)),
+        ]
+        if lean > 1e-8:
+            for call in calls:
+                with pytest.raises(NotOrthonormalBasis, match=r"\(tol 1\.000e-08\)$"):
+                    call()
+            with pytest.raises(NotUnitary, match=r"\(tol 1\.000e-08\)$"):
+                apply_unitary_umap(joint, clean, unitary)
+            continue
+        (ensemble, ancilla, _), (mixture, _), _, (to_e, _) = [call() for call in calls]
+        rotated_e, _ = apply_unitary_umap(joint, clean, unitary)
+        assert checked_builds == []
+        weights, system_kets, ancilla_kets = zip(*mixture)
+        for value in (
+            ensemble,
+            ancilla,
+            to_e,
+            rotated_e,
+            RhoEnsemble(kets=np.array(system_kets), weights=np.array(weights)),
+            Ancilla(dim_m=3, kets=np.array(ancilla_kets)),
+        ):
+            assert_rebuilds(value)
+        checked_builds.clear()
 
 
 def zero_weight_joint():
@@ -308,10 +342,6 @@ def tolerance_calls():
 
 
 RANK_TOL_TAKERS = {
-    "ensemble_from_basis",
-    "measure_ancilla",
-    "steer",
-    "apply_unitary_umap",
     "ensemble_containing",
     "schmidt_decompose",
     "density_from_matrix",
@@ -319,7 +349,15 @@ RANK_TOL_TAKERS = {
 }
 
 
-RANK_TOL_ONLY = {"numerical_rank", "is_linearly_independent"}
+# The basis-taking constructions admit bases and unitaries at the fixed 1e-8.
+RANK_TOL_ONLY = {
+    "numerical_rank",
+    "is_linearly_independent",
+    "ensemble_from_basis",
+    "measure_ancilla",
+    "steer",
+    "apply_unitary_umap",
+}
 
 # numpy orders its complex numbers, so a comparison alone would accept these.
 COMPLEX_TOLERANCES = (
@@ -390,7 +428,7 @@ def catalogue():
         "RhoEnsemble": (RhoEnsemble, {}, {"kets": e.kets, "weights": e.weights}),
         "UMap": (UMap, {}, {"coeffs": eye, "generator": eye, "basis": eye}),
         "apply_unitary_umap": (
-            apply_unitary_umap, {"joint": joint}, {"basis": eye, "u": eye, **tols}
+            apply_unitary_umap, {"joint": joint}, {"basis": eye, "u": eye, "rank_tol": 1e-10}
         ),
         "check_umap": (check_umap, {"u": UMap(eye, eye, eye)}, {"tol": 1e-10}),
         "complete_orthonormal": (
@@ -403,7 +441,7 @@ def catalogue():
             ensemble_containing, {"joint": joint}, {"xi": ket, **tols}
         ),
         "ensemble_from_basis": (
-            ensemble_from_basis, {"joint": joint}, {"basis": eye, **tols}
+            ensemble_from_basis, {"joint": joint}, {"basis": eye, "rank_tol": 1e-10}
         ),
         "eigen_ensemble": (eigen_ensemble, {"rho": ensemble_to_density(e)}, {}),
         "ensemble_to_density": (ensemble_to_density, {"e": e}, dict(tols)),
@@ -415,7 +453,9 @@ def catalogue():
         "match_purification": (
             match_purification, {"e": e, "target": purify(e, 2)[0]}, {"tol": 1e-10}
         ),
-        "measure_ancilla": (measure_ancilla, {"joint": joint}, {"basis": eye, **tols}),
+        "measure_ancilla": (
+            measure_ancilla, {"joint": joint}, {"basis": eye, "rank_tol": 1e-10}
+        ),
         "numerical_rank": (
             numerical_rank, {}, {"eigenvalues": [0.5, 0.5], "rank_tol": 1e-10}
         ),
@@ -435,7 +475,7 @@ def catalogue():
             schmidt_reconstruct, {"form": schmidt_decompose(joint.vec, 2, 2)}, {}
         ),
         "steer": (
-            steer, {"joint": joint}, {"basis": eye, "shots": 10, "seed": 0, **tols}
+            steer, {"joint": joint}, {"basis": eye, "shots": 10, "seed": 0, "rank_tol": 1e-10}
         ),
         "tensor_ket": (tensor_ket, {}, {"s": ket, "m": ket}),
         "umap_between": (umap_between, {"from_e": e, "to_e": e}, {"tol": 1e-10}),

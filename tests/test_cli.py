@@ -429,15 +429,35 @@ def test_stdout_matches_main_in_process(tmp_path, capsys, output):
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("flag", ["--tol", "--rank-tol"])
 def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, flag, value):
+    # contains reads both flags, so each value is refused by the tolerance type.
     joint = write(tmp_path / "j.json", docs.joint_document(bell_joint()))
-    basis = write(tmp_path / "b.json", plus_minus_basis_doc())
+    ket = write(tmp_path / "k.json", docs.ket_document(plus_ket()))
     with pytest.raises(SystemExit) as exit_info:
-        main(["steer", joint, basis, f"{flag}={value}"])
+        main(["contains", joint, ket, f"{flag}={value}"])
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     error = single_json_error(captured.err)
     assert error["error"] == "UsageError" and flag in error["message"]
+
+
+@pytest.mark.parametrize("command", ["ensemble-from-basis", "apply-u", "steer"])
+def test_basis_taking_commands_reject_tol(tmp_path, capsys, command):
+    # Their bases and unitaries are admitted at the fixed 1e-8; only
+    # --rank-tol is read.
+    joint = write(tmp_path / "j.json", docs.joint_document(bell_joint()))
+    basis = write(tmp_path / "b.json", plus_minus_basis_doc())
+    unitary = write(tmp_path / "u.json", docs.matrix_document(np.eye(2)))
+    args = [joint, basis, unitary] if command == "apply-u" else [joint, basis]
+    out = ["--out", str(tmp_path / "out.json")]
+    assert main([command, *args, *out]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *args, *out, "--tol", "1e-6"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = single_json_error(captured.err)
+    assert error["error"] == "UsageError" and "--tol" in error["message"]
 
 
 # Products of these entries overflow to inf, and inf - inf to NaN.

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from rhokit import RhoEnsemble, documents as docs
-from rhokit.cli import main
+from rhokit.cli import build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -38,3 +38,20 @@ def test_worked_pipeline_runs(tmp_path, monkeypatch, capsys):
         assert argv[0] == "rhokit"
         assert main(argv[1:]) == 0, argv
     capsys.readouterr()
+
+
+def test_cli_table_lists_every_flag_of_every_command():
+    section = README.split("\n## CLI reference\n", 1)[1]
+    rows = re.findall(r"^\| `([a-z-]+)([^`]*)` \|", section, re.M)
+    documented = {command: set(re.findall(r"--[a-z-]+", usage)) for command, usage in rows}
+    commands = build_parser()._subparsers._group_actions[0].choices
+    flags = {
+        command: {
+            flag
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        }
+        for command, parser in commands.items()
+    }
+    assert documented == flags

@@ -249,8 +249,6 @@ def admitted_weights_cases():
             np.eye(2, dtype=complex),
             {"rank_tol": 1e-6},
         ),
-        # The implied bound overflows a float; it must not become a rejected inf.
-        "huge_tol": (bell_joint(), np.eye(2, dtype=complex), {"tol": 1e308}),
     }
 
 
