@@ -83,11 +83,10 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _add_tolerances(parser: argparse.ArgumentParser, *flags: str) -> None:
-    """Add the tolerance ``flags`` a command reads, each at its library default."""
-    defaults = {"--tol": DEFAULT_TOL, "--rank-tol": DEFAULT_RANK_TOL}
-    for flag in flags:
-        parser.add_argument(flag, type=_tolerance, default=defaults[flag])
+def _add_tolerance(parser: argparse.ArgumentParser, flag: str) -> None:
+    """Add the one tolerance ``flag`` a command reads, at its library default."""
+    default = DEFAULT_TOL if flag == "--tol" else DEFAULT_RANK_TOL
+    parser.add_argument(flag, type=_tolerance, default=default)
 
 
 def _cmd_purify(args) -> int:
@@ -129,7 +128,7 @@ def _cmd_apply_u(args) -> int:
 def _cmd_contains(args) -> int:
     joint = documents.to_joint(_load(args.joint))
     ket = documents.to_ket(_load(args.ket))
-    ensemble, _ = ensemble_containing(joint, ket, args.rank_tol, args.tol)
+    ensemble, _ = ensemble_containing(joint, ket, args.rank_tol)
     _write_document(args.out, documents.ensemble_document(ensemble))
     return EXIT_OK
 
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim-m", type=int, required=True, help="ancilla dimension")
     p.add_argument("--out", default="-", help="joint document destination")
     p.add_argument("--ancilla-out", default=None, help="ancilla (basis document) destination")
-    _add_tolerances(p, "--tol")
+    _add_tolerance(p, "--tol")
     p.set_defaults(func=_cmd_purify)
 
     p = sub.add_parser(
@@ -236,14 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("joint", help="joint document")
     p.add_argument("basis", help="basis document")
     p.add_argument("--out", default="-")
-    _add_tolerances(p, "--rank-tol")
+    _add_tolerance(p, "--rank-tol")
     p.set_defaults(func=_cmd_ensemble_from_basis)
 
     p = sub.add_parser("umap", help="coefficient map between two same-density ensembles")
     p.add_argument("from_ensemble", metavar="from-ensemble", help="source ensemble document")
     p.add_argument("to_ensemble", metavar="to-ensemble", help="target ensemble document")
     p.add_argument("--out", default="-")
-    _add_tolerances(p, "--tol")
+    _add_tolerance(p, "--tol")
     p.set_defaults(func=_cmd_umap)
 
     p = sub.add_parser(
@@ -255,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("unitary", help="matrix document")
     p.add_argument("--out", default="-", help="ensemble document destination")
     p.add_argument("--umap-out", default=None, help="umap document destination")
-    _add_tolerances(p, "--rank-tol")
+    _add_tolerance(p, "--rank-tol")
     p.set_defaults(func=_cmd_apply_u)
 
     p = sub.add_parser(
@@ -265,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("joint", help="joint document")
     p.add_argument("ket", help="ket document")
     p.add_argument("--out", default="-")
-    _add_tolerances(p, "--tol", "--rank-tol")
+    _add_tolerance(p, "--rank-tol")
     p.set_defaults(func=_cmd_contains)
 
     p = sub.add_parser("steer", help="measure the ancilla and sample outcome counts")
@@ -274,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0, help="PCG64 stream seed")
     p.add_argument("--out", default="-")
-    _add_tolerances(p, "--rank-tol")
+    _add_tolerance(p, "--rank-tol")
     p.set_defaults(func=_cmd_steer)
 
     p = sub.add_parser("verify", help="validate a document; exit 0 iff clean")
@@ -283,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--umap", help="umap document")
     group.add_argument("--joint", help="joint document")
     p.add_argument("--rho", default=None, help="density matrix document to check against")
-    _add_tolerances(p, "--tol")
+    _add_tolerance(p, "--tol")
     p.set_defaults(func=_cmd_verify)
 
     return parser

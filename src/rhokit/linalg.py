@@ -6,8 +6,9 @@ Conventions used throughout the package:
   eigenvector sets) are 2-D arrays with one ket per row.
 * Tensor products are system-major: the flat index of ``s (x) m`` is
   ``i_S * dim_m + k_M``, which is exactly ``numpy.kron(s, m)``.
-* Tolerances default to 1e-10 (symmetry / normalization checks) and 1e-10
-  (rank cutoffs), both overridable per call.
+* A caller's kets, ket lists and probability vectors are admitted at the one
+  fixed ``_CONSTRUCT_TOL``. Tolerances default to 1e-10 (hypotheses, equalities
+  and predicates) and 1e-10 (rank cutoffs), both overridable per call.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ from .errors import (
 
 DEFAULT_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
+
+# The one admission threshold of every ket, ket list and probability vector a
+# caller hands rhokit, whatever tolerances a call takes. It is looser than the
+# per-operation tolerances so that round-tripped values are never rejected.
+_CONSTRUCT_TOL = 1e-8
 
 
 def _check_tolerances(reporting: bool = False, **named) -> None:
@@ -190,6 +196,22 @@ def orthonormality_deviation(kets: np.ndarray) -> float:
     return _identity_deviation(gram_matrix(kets))
 
 
+def _admit_unit_norm(vec: np.ndarray, noun: str) -> float:
+    """``vec``'s norm; NotNormalized unless it is within ``_CONSTRUCT_TOL`` of 1."""
+    norm = float(np.linalg.norm(vec))
+    if abs(norm - 1.0) > _CONSTRUCT_TOL:
+        raise NotNormalized(f"{noun} has norm {norm!r}, expected 1 (tol {_CONSTRUCT_TOL:.3e})")
+    return norm
+
+
+def _admit_orthonormal(kets: np.ndarray, error: type, what: str) -> None:
+    """Raise ``error`` unless the rows of ``kets`` are within ``_CONSTRUCT_TOL``
+    of orthonormal; ``what`` names the deviation in its message."""
+    deviation = orthonormality_deviation(kets)
+    if deviation > _CONSTRUCT_TOL:
+        raise error(f"{what} by {deviation:.3e} (tol {_CONSTRUCT_TOL:.3e})")
+
+
 def _square(m) -> np.ndarray:
     """``as_operator(m)``, raising DimensionMismatch unless it is square."""
     arr = as_operator(m)
@@ -244,9 +266,7 @@ def numerical_rank(eigenvalues, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.sum(spectrum > rank_tol))
 
 
-def complete_orthonormal(
-    partial, target_dim: int, tol: float = DEFAULT_TOL
-) -> np.ndarray:
+def complete_orthonormal(partial, target_dim: int) -> np.ndarray:
     """Extend an orthonormal ket list to a full orthonormal basis.
 
     The first ``k = len(partial)`` rows of the result are the input vectors
@@ -256,18 +276,18 @@ def complete_orthonormal(
     ``[partial^T | e_0..e_{d-k-1}]``: no candidate is skipped, and each
     completion vector overlaps its candidate positively. A full input
     (``k == d``) is returned as a copy without any factorization. The result
-    is deterministic and unitary to working precision; a canonical prefix
+    is deterministic and as orthonormal as its input; a canonical prefix
     ``e_0..e_{k-1}`` (or no input) completes to exactly the identity. A
     candidate (nearly) in the span of the input and the earlier candidates
     gets a direction set by rounding.
 
-    Raises NotOrthonormal if the input is not pairwise orthonormal at ``tol``
-    and DimensionMismatch if its vectors are not of dimension ``target_dim``
-    or it already has more than ``target_dim`` of them, and ResourceExhausted
+    Raises NotOrthonormal unless the input is within 1e-8 of orthonormal, as
+    ``Ancilla`` admits its kets, DimensionMismatch if its vectors are not of
+    dimension ``target_dim`` or it already has more than ``target_dim`` of
+    them, and ResourceExhausted
     if a ``target_dim``-sized array cannot be allocated or numpy cannot
     represent its size.
     """
-    _check_tolerances(tol=tol)
     target_dim = _check_integer("target_dim", target_dim, 1)
     kets = as_ket_list(partial, dim=target_dim)
     count = kets.shape[0]
@@ -275,12 +295,7 @@ def complete_orthonormal(
         raise DimensionMismatch(
             f"{count} vectors cannot be orthonormal in dimension {target_dim}"
         )
-    deviation = orthonormality_deviation(kets)
-    if deviation > tol:
-        raise NotOrthonormal(
-            f"input vectors deviate from orthonormality by {deviation:.3e}"
-            f" (tol {tol:.3e})"
-        )
+    _admit_orthonormal(kets, NotOrthonormal, "input vectors deviate from orthonormality")
     if count == target_dim:
         return kets.copy()
     try:
@@ -346,7 +361,7 @@ def partial_trace_m(joint, dim_s: int, dim_m: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtForm:
-    """Bi-orthogonal expansion of a normalized joint ket.
+    """Bi-orthogonal expansion of a unit joint ket.
 
     ``coefficients`` are strictly positive and sorted descending with
     squared sum 1; ``left_kets`` / ``right_kets`` are orthonormal ket lists
@@ -364,15 +379,15 @@ def schmidt_decompose(
     dim_s: int,
     dim_m: int,
     rank_tol: float = DEFAULT_RANK_TOL,
-    tol: float = DEFAULT_TOL,
 ) -> SchmidtForm:
-    """Schmidt-decompose a normalized joint ket via SVD.
+    """Schmidt-decompose a unit joint ket via SVD.
 
-    Coefficients with squared value at or below ``rank_tol`` are treated as
-    zero and dropped, so the returned rank equals the numerical rank of the
-    squared-coefficient spectrum.
+    The norm is admitted as ``JointState`` admits it (else NotNormalized), and
+    the coefficients are the singular values divided by it. Those with squared
+    value at or below ``rank_tol`` are treated as zero and dropped, so the
+    returned rank equals the numerical rank of the squared-coefficient spectrum.
     """
-    _check_tolerances(rank_tol=rank_tol, tol=tol)
+    _check_tolerances(rank_tol=rank_tol)
     dim_s, dim_m = _check_integer("dim_s", dim_s, 1), _check_integer("dim_m", dim_m, 1)
     vec = as_ket(joint)
     total = dim_s * dim_m
@@ -380,10 +395,9 @@ def schmidt_decompose(
         raise DimensionMismatch(
             f"joint ket has length {vec.shape[0]}, expected {dim_s}*{dim_m}={total}"
         )
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > tol:
-        raise NotNormalized(f"joint ket has norm {norm!r}, expected 1 (tol {tol:.3e})")
+    norm = _admit_unit_norm(vec, "joint ket")
     u, sv, vh = _svd(vec.reshape(dim_s, dim_m), full_matrices=False)
+    sv /= norm
     rank = numerical_rank(sv**2, rank_tol)
     if rank == 0:
         raise NumericalFailure("normalized ket produced an empty Schmidt spectrum")

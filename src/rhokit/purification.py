@@ -23,8 +23,8 @@ from .ensembles import RhoEnsemble, _require_valid
 from .errors import (
     DensitiesDiffer,
     DimensionMismatch,
+    InvalidArgument,
     NotInSupport,
-    NotNormalized,
     NotOrthonormal,
     NotOrthonormalBasis,
     NotUnitary,
@@ -35,6 +35,8 @@ from .errors import (
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
+    _admit_orthonormal,
+    _admit_unit_norm,
     _check_instance,
     _check_integer,
     _check_tolerances,
@@ -48,11 +50,6 @@ from .linalg import (
     max_abs,
     orthonormality_deviation,
 )
-
-# The one admission threshold of rhokit's own value types: joint kets, ancillas,
-# ancilla bases and unitaries, whatever ``tol`` a call takes. It is looser than
-# the per-operation tolerances so that round-tripped values are never rejected.
-_CONSTRUCT_TOL = 1e-8
 
 
 def _trusted(cls, **fields):
@@ -83,9 +80,7 @@ class JointState:
                 f"joint ket has length {vec.shape[0]}, expected "
                 f"{self.dim_s}*{self.dim_m}={self.dim_s * self.dim_m}"
             )
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > _CONSTRUCT_TOL:
-            raise NotNormalized(f"joint ket has norm {norm!r}, expected 1")
+        _admit_unit_norm(vec, "joint ket")
         object.__setattr__(self, "vec", vec)
 
     def as_matrix(self) -> np.ndarray:
@@ -128,11 +123,7 @@ class Ancilla:
             raise DimensionMismatch(
                 f"{kets.shape[0]} ancilla kets cannot fit in dimension {self.dim_m}"
             )
-        deviation = orthonormality_deviation(kets)
-        if deviation > _CONSTRUCT_TOL:
-            raise NotOrthonormal(
-                f"ancilla kets deviate from orthonormality by {deviation:.3e}"
-            )
+        _admit_orthonormal(kets, NotOrthonormal, "ancilla kets deviate from orthonormality")
         object.__setattr__(self, "kets", kets)
 
 
@@ -377,12 +368,7 @@ def ensemble_from_basis(
         raise NotOrthonormalBasis(
             f"basis has {kets.shape[0]} kets, expected {joint.dim_m}"
         )
-    deviation = orthonormality_deviation(kets)
-    if deviation > _CONSTRUCT_TOL:
-        raise NotOrthonormalBasis(
-            f"basis deviates from orthonormality by {deviation:.3e}"
-            f" (tol {_CONSTRUCT_TOL:.3e})"
-        )
+    _admit_orthonormal(kets, NotOrthonormalBasis, "basis deviates from orthonormality")
     return _condition(joint, kets, rank_tol)
 
 
@@ -400,7 +386,10 @@ def _condition(
         if not kept.all():  # copy out the members only when some ket drops
             index = np.flatnonzero(kept)
             if index.size == 0:
-                raise NotNormalized("joint ket has no weight above the rank cutoff")
+                raise InvalidArgument(
+                    f"rank_tol {rank_tol:.3e} is not below the largest"
+                    f" conditional weight {weights.max():.3e}"
+                )
             kets, weights = kets[index], weights[index]
             conditionals, members = conditionals[:, index], index.tolist()
         member_kets = (conditionals / np.sqrt(weights)).T
@@ -488,11 +477,7 @@ def apply_unitary_umap(
             f"unitary has shape {operator.shape}, expected "
             f"({joint.dim_m}, {joint.dim_m})"
         )
-    unit_dev = orthonormality_deviation(operator.T)
-    if unit_dev > _CONSTRUCT_TOL:
-        raise NotUnitary(
-            f"matrix deviates from unitarity by {unit_dev:.3e} (tol {_CONSTRUCT_TOL:.3e})"
-        )
+    _admit_orthonormal(operator.T, NotUnitary, "matrix deviates from unitarity")
     rotated_kets = source_kets @ operator.T
 
     from_e, from_ancilla, from_members = ensemble_from_basis(joint, source_kets, rank_tol)
@@ -516,7 +501,6 @@ def ensemble_containing(
     joint: JointState,
     xi,
     rank_tol: float = DEFAULT_RANK_TOL,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[RhoEnsemble, np.ndarray]:
     """Build a decomposition whose first element is a chosen support vector.
 
@@ -530,19 +514,19 @@ def ensemble_containing(
     normalized projection onto the kept support, phase included, within
     ``sqrt(2 L)`` of xi, where ``L <= lambda / W`` with ``lambda`` the largest
     dropped ``sigma_s^2``; the other elements are one valid choice among many.
-    A non-unit target raises NotNormalized, an SVD that does not converge
-    NumericalFailure, and one that cannot be allocated ResourceExhausted.
+    The target's norm is admitted within 1e-8 of 1 (else NotNormalized), and
+    W and L are those of ``xi / ||xi||``, so the result does not depend on the
+    norm. An SVD that does not converge raises NumericalFailure, and one that
+    cannot be allocated ResourceExhausted.
     """
-    _check_tolerances(rank_tol=rank_tol, tol=tol)
+    _check_tolerances(rank_tol=rank_tol)
     _check_instance("joint", joint, JointState)
     target = as_ket(xi)
     if target.shape[0] != joint.dim_s:
         raise DimensionMismatch(
             f"target has dimension {target.shape[0]}, expected {joint.dim_s}"
         )
-    norm = float(np.linalg.norm(target))
-    if abs(norm - 1.0) > tol:
-        raise NotNormalized(f"target has norm {norm!r}, expected 1 (tol {tol:.3e})")
+    norm = _admit_unit_norm(target, "target")
     u, sv, vh = _svd(joint.as_matrix(), full_matrices=joint.dim_s < joint.dim_m)
     sv = _at_unit_norm(sv, sv)  # ||sv|| is the joint's norm
     floor = sv[0] * max(joint.dim_s, joint.dim_m) * np.finfo(float).eps
@@ -551,7 +535,7 @@ def ensemble_containing(
     ratios = overlaps / np.maximum(sv, floor)
     rank = np.count_nonzero(sv**2 > rank_tol)
     outside = float(np.linalg.norm(target - u @ overlaps))
-    weight = 1.0 / (np.vdot(ratios, ratios).real + (outside / floor) ** 2)
+    weight = norm**2 / (np.vdot(ratios, ratios).real + (outside / floor) ** 2)
     share = 1.0 - np.vdot(overlaps[:rank], overlaps[:rank]).real / norm**2
     if not (weight > cutoff and share <= np.sqrt(cutoff)):
         raise NotInSupport(

@@ -23,7 +23,7 @@ import numpy as np
 from .ensembles import _weighted_projector_sum
 from .errors import WeightsNotNormalized
 from .linalg import (
-    DEFAULT_RANK_TOL, _check_integer, _check_tolerances, _convert, _out_of_memory
+    DEFAULT_RANK_TOL, _CONSTRUCT_TOL, _check_integer, _convert, _out_of_memory
 )
 from .purification import JointState, ensemble_from_basis
 
@@ -64,28 +64,25 @@ def measure_ancilla(
     return mixture, _weighted_projector_sum(pairs, ensemble.weights)
 
 
-def sample_outcomes(
-    weights, shots: int, seed: int, tol: float = 1e-8
-) -> np.ndarray:
+def sample_outcomes(weights, shots: int, seed: int) -> np.ndarray:
     """Draw categorical outcome counts with a deterministic seeded generator.
 
-    ``weights`` must sum to 1 within ``tol`` (else WeightsNotNormalized);
+    ``weights`` must sum to 1 within 1e-8 (else WeightsNotNormalized);
     they are renormalized exactly before sampling. The counts are one
     multinomial draw, so memory is O(outcomes) whatever ``shots`` is;
     ``shots`` must fit in a 64-bit integer. Identical (weights, shots, seed)
     triples give identical counts on every platform because the generator
     algorithm (PCG64) and the seeding path are fixed.
     """
-    _check_tolerances(tol=tol)
     probs = _convert(weights, float)
     if probs.ndim != 1 or probs.size == 0:
         raise WeightsNotNormalized("weights must be a non-empty 1-D list")
     if np.fmin.reduce(probs) < 0.0:  # no temporary; NaN is left to the sum check
         raise WeightsNotNormalized("weights must be non-negative")
     total = float(probs.sum())
-    if not abs(total - 1.0) <= tol:  # a NaN total fails too
+    if not abs(total - 1.0) <= _CONSTRUCT_TOL:  # a NaN total fails too
         raise WeightsNotNormalized(
-            f"weights sum to {total!r}, expected 1 (tol {tol:.3e})"
+            f"weights sum to {total!r}, expected 1 (tol {_CONSTRUCT_TOL:.3e})"
         )
     return _multinomial(probs, shots, seed)
 

@@ -25,12 +25,15 @@ from rhokit import (
     DimensionMismatch,
     InvalidArgument,
     JointState,
+    NotNormalized,
+    NotOrthonormal,
     NotOrthonormalBasis,
     NotUnitary,
     ResourceExhausted,
     RhoEnsemble,
     RhokitError,
     UMap,
+    WeightsNotNormalized,
     apply_unitary_umap,
     check_umap,
     complete_orthonormal,
@@ -303,6 +306,56 @@ def test_bases_and_unitaries_are_admitted_at_one_fixed_threshold(checked_builds,
         checked_builds.clear()
 
 
+def verdict(call):
+    """``call``'s error type, or None when it returns."""
+    try:
+        call()
+    except RhokitError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("deviation", [0.0, 0.5e-8, 1e-7])
+def test_kets_and_probability_vectors_are_admitted_at_one_fixed_threshold(deviation):
+    # A target's norm, a joint's norm, a completion input's lean and a weight
+    # sum each miss 1 by ``deviation``; each is admitted iff that is within
+    # 1e-8, the bound of JointState and Ancilla.
+    rng = np.random.default_rng(42)
+    joint, support = joint_of_rank(rng, 3, 4, 2)
+    target = support @ (rng.normal(size=2) + 1j * rng.normal(size=2))
+    target *= (1.0 + deviation) / np.linalg.norm(target)
+    scaled = joint.vec * (1.0 + deviation)
+    partial = random_unitary(rng, 3)[:2]
+    partial[1] += deviation * partial[0]
+    weights = [0.5, 0.5 + deviation]
+    assert verdict(lambda: JointState(3, 4, scaled)) == verdict(
+        lambda: schmidt_decompose(scaled, 3, 4)
+    )
+    assert verdict(lambda: Ancilla(3, partial)) == verdict(
+        lambda: complete_orthonormal(partial, 3)
+    )
+    if deviation > 1e-8:
+        for call, error in (
+            (lambda: ensemble_containing(joint, target), NotNormalized),
+            (lambda: schmidt_decompose(scaled, 3, 4), NotNormalized),
+            (lambda: complete_orthonormal(partial, 3), NotOrthonormal),
+            (lambda: sample_outcomes(weights, 10, 0), WeightsNotNormalized),
+        ):
+            with pytest.raises(error, match=r"\(tol 1\.000e-08\)$"):
+                call()
+        return
+    ensemble, _ = ensemble_containing(joint, target)
+    assert validate_ensemble(ensemble) == []
+    unit = target / np.linalg.norm(target)
+    assert np.abs(ensemble.kets[0] - unit).max() <= 1e-8
+    form = schmidt_decompose(scaled, 3, 4)
+    assert abs(np.sum(form.coefficients**2) - 1.0) <= 1e-12
+    completed = complete_orthonormal(partial, 3)
+    np.testing.assert_array_equal(completed[:2], partial)
+    assert orthonormality_deviation(completed) <= 2e-8
+    assert sum(sample_outcomes(weights, 10, 0)) == 10
+
+
 def zero_weight_joint():
     """e0 (x) e0: conditioning on the computational basis gives weights 1 and 0."""
     return JointState(dim_s=2, dim_m=2, vec=computational(4, 0))
@@ -326,30 +379,27 @@ def tolerance_calls():
         "match_purification": lambda tol: match_purification(e, purify(e, 2)[0], tol),
         "umap_between": lambda tol: umap_between(e, e, tol),
         "lemma_unitary": lambda tol: lemma_unitary(bell_joint(), bell_joint(), tol),
-        "sample_outcomes": lambda tol: sample_outcomes([1.0], 1, 0, tol),
-        "complete_orthonormal": lambda tol: complete_orthonormal([], 2, tol),
+        "sample_outcomes": lambda **t: sample_outcomes([1.0], 1, 0, **t),
+        "complete_orthonormal": lambda **t: complete_orthonormal([], 2, **t),
         "eig_hermitian": lambda tol: eig_hermitian(rho, tol),
         "density_from_matrix": lambda **t: density_from_matrix(rho, **t),
         "ensemble_to_density": lambda **t: ensemble_to_density(e, **t),
         "is_hermitian": lambda tol: is_hermitian(rho, tol),
-        "numerical_rank": lambda rank_tol: numerical_rank([0.5, 0.5], rank_tol),
+        "numerical_rank": lambda **t: numerical_rank([0.5, 0.5], **t),
         "densities_match": lambda tol: densities_match(e, e, tol),
         "ensembles_equal": lambda tol: ensembles_equal(e, e, tol),
-        "is_linearly_independent": lambda rank_tol: is_linearly_independent(
-            e, rank_tol
-        ),
+        "is_linearly_independent": lambda **t: is_linearly_independent(e, **t),
     }
 
 
 RANK_TOL_TAKERS = {
-    "ensemble_containing",
-    "schmidt_decompose",
     "density_from_matrix",
     "ensemble_to_density",
 }
 
 
-# The basis-taking constructions admit bases and unitaries at the fixed 1e-8.
+# Functions that read only a rank cutoff. A ket, ket list or probability
+# vector is admitted at the fixed 1e-8, so no function that takes one reads tol.
 RANK_TOL_ONLY = {
     "numerical_rank",
     "is_linearly_independent",
@@ -357,7 +407,10 @@ RANK_TOL_ONLY = {
     "measure_ancilla",
     "steer",
     "apply_unitary_umap",
+    "ensemble_containing",
+    "schmidt_decompose",
 }
+NO_TOLERANCE = {"complete_orthonormal", "sample_outcomes"}
 
 # numpy orders its complex numbers, so a comparison alone would accept these.
 COMPLEX_TOLERANCES = (
@@ -371,13 +424,18 @@ COMPLEX_TOLERANCES = (
 @pytest.mark.parametrize("name", sorted(tolerance_calls()))
 def test_bad_tolerances_raise_typed_error_without_warning(name):
     call = tolerance_calls()[name]
-    if name in RANK_TOL_ONLY:
+    if name in NO_TOLERANCE:
+        params = []
+    elif name in RANK_TOL_ONLY:
         params = ["rank_tol"]
     elif name in RANK_TOL_TAKERS:
         params = ["tol", "rank_tol"]
     else:
         params = ["tol"]
-    call(**{params[0]: 1e-10})  # the same call is accepted at a valid tolerance
+    call(**{param: 1e-10 for param in params[:1]})  # accepted at a valid tolerance
+    if "tol" not in params:  # no tol moves the fixed admission threshold
+        with pytest.raises(TypeError, match="'tol'"):
+            call(tol=1e-10)
     for param in params:
         for bad in COMPLEX_TOLERANCES + (np.nan, np.inf, -1.0):
             with warnings.catch_warnings(record=True) as caught:
@@ -432,13 +490,13 @@ def catalogue():
         ),
         "check_umap": (check_umap, {"u": UMap(eye, eye, eye)}, {"tol": 1e-10}),
         "complete_orthonormal": (
-            complete_orthonormal, {}, {"partial": [ket], "target_dim": 2, "tol": 1e-10}
+            complete_orthonormal, {}, {"partial": [ket], "target_dim": 2}
         ),
         "densities_match": (densities_match, {"a": e, "b": e}, {"tol": 1e-10}),
         "density_from_matrix": (density_from_matrix, {}, {"matrix": eye / 2, **tols}),
         "eig_hermitian": (eig_hermitian, {}, {"m": eye / 2, "tol": 1e-10}),
         "ensemble_containing": (
-            ensemble_containing, {"joint": joint}, {"xi": ket, **tols}
+            ensemble_containing, {"joint": joint}, {"xi": ket, "rank_tol": 1e-10}
         ),
         "ensemble_from_basis": (
             ensemble_from_basis, {"joint": joint}, {"basis": eye, "rank_tol": 1e-10}
@@ -466,10 +524,10 @@ def catalogue():
         "sample_outcomes": (
             sample_outcomes,
             {},
-            {"weights": [0.5, 0.5], "shots": 10, "seed": 0, "tol": 1e-8},
+            {"weights": [0.5, 0.5], "shots": 10, "seed": 0},
         ),
         "schmidt_decompose": (
-            schmidt_decompose, {}, {"joint": joint.vec, "dim_s": 2, "dim_m": 2, **tols}
+            schmidt_decompose, {}, {"joint": joint.vec, "dim_s": 2, "dim_m": 2, "rank_tol": 1e-10}
         ),
         "schmidt_reconstruct": (
             schmidt_reconstruct, {"form": schmidt_decompose(joint.vec, 2, 2)}, {}

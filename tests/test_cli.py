@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rhokit import JointState, RhoEnsemble, documents as docs, purification, purify
-from rhokit.cli import main
+from rhokit.cli import build_parser, main
 from helpers import (
     bell_joint,
     computational,
@@ -242,7 +242,7 @@ def test_verify_rho_without_ensemble_is_a_usage_error(tmp_path, capsys, kind):
     assert error["error"] == "UsageError" and "--rho" in error["message"]
 
 
-def test_rank_tol_flag_sets_the_cutoff(tmp_path):
+def test_rank_tol_flag_sets_the_cutoff(tmp_path, capsys):
     vec = np.sqrt(0.9) * np.kron(computational(2, 0), computational(2, 0))
     vec += np.sqrt(0.1) * np.kron(computational(2, 1), computational(2, 1))
     joint = write(tmp_path / "j.json", docs.joint_document(JointState(2, 2, vec)))
@@ -254,6 +254,35 @@ def test_rank_tol_flag_sets_the_cutoff(tmp_path):
         assert main(argv + ["--out", str(out)]) == 0
         orders.append(docs.to_ensemble(docs.load_document(out.read_text())).order)
     assert orders == [2, 1]
+    # A cutoff above every conditional weight is a bad argument, not a bad joint.
+    capsys.readouterr()
+    assert main(["ensemble-from-basis", joint, basis, "--rank-tol", "0.95"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = single_json_error(captured.err)
+    assert error["error"] == "InvalidArgument"
+    assert error["message"] == (
+        "rank_tol 9.500e-01 is not below the largest conditional weight 9.000e-01"
+    )
+
+
+def test_contains_admits_a_ket_as_ensemble_from_basis_admits_a_joint(tmp_path, capsys):
+    # Both documents miss norm 1 by 5e-9, inside the one fixed 1e-8.
+    joint = write(tmp_path / "j.json", docs.joint_document(bell_joint()))
+    long = bell_joint().vec * (1 + 5e-9)
+    long_joint = write(tmp_path / "lj.json", docs.joint_document(JointState(2, 2, long)))
+    ket = write(tmp_path / "k.json", docs.ket_document(plus_ket() * (1 + 5e-9)))
+    basis = write(tmp_path / "b.json", plus_minus_basis_doc())
+    out = str(tmp_path / "e.json")
+    assert main(["ensemble-from-basis", long_joint, basis, "--out", out]) == 0
+    assert main(["contains", joint, ket, "--out", out]) == 0
+    assert main(["verify", "--ensemble", out]) == 0
+    assert capsys.readouterr().err == ""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["contains", joint, ket, "--out", out, "--tol", "1e-6"])
+    assert exit_info.value.code == 2
+    error = single_json_error(capsys.readouterr().err)
+    assert error["error"] == "UsageError" and "--tol" in error["message"]
 
 
 def test_contains_accepts_every_joint_that_steer_accepts(tmp_path, capsys):
@@ -429,11 +458,16 @@ def test_stdout_matches_main_in_process(tmp_path, capsys, output):
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("flag", ["--tol", "--rank-tol"])
 def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, flag, value):
-    # contains reads both flags, so each value is refused by the tolerance type.
+    # purify reads --tol and contains --rank-tol; each value is refused by the
+    # tolerance type.
     joint = write(tmp_path / "j.json", docs.joint_document(bell_joint()))
     ket = write(tmp_path / "k.json", docs.ket_document(plus_ket()))
+    mixture = write(tmp_path / "e.json", equal_mixture_doc())
+    args = (
+        ["purify", mixture, "--dim-m", "2"] if flag == "--tol" else ["contains", joint, ket]
+    )
     with pytest.raises(SystemExit) as exit_info:
-        main(["contains", joint, ket, f"{flag}={value}"])
+        main([*args, f"{flag}={value}"])
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -606,13 +640,21 @@ def test_stdin_stdout_roundtrip(tmp_path):
     np.testing.assert_allclose(ensemble.weights, [0.5, 0.5], atol=1e-12)
 
 
+# Each fuzzed value with its exit code: 2 where argparse rejects it, 3 where
+# the library does, 0 where it is valid.
 FUZZED_FLAGS = {
-    "--tol": ["nan", "inf", "-1", "abc"],
-    "--rank-tol": ["nan", "inf", "-1", "abc"],
-    "--shots": ["-1", "0", "1.5", str(10**20)],
-    "--seed": ["-1", "0", "1.5", str(10**20)],
-    "--dim-m": ["0", "-3", "2.5"],
+    "--tol": {"nan": 2, "inf": 2, "-1": 2, "abc": 2},
+    "--rank-tol": {"nan": 2, "inf": 2, "-1": 2, "abc": 2},
+    "--shots": {"-1": 3, "0": 3, "1.5": 2, str(10**20): 3},
+    "--seed": {"-1": 3, "0": 0, "1.5": 2, str(10**20): 0},
+    "--dim-m": {"0": 3, "-3": 3, "2.5": 2},
 }
+
+
+def command_options(command):
+    """The option strings that ``command``'s subparser defines."""
+    parser = build_parser()._subparsers._group_actions[0].choices[command]
+    return {flag for action in parser._actions for flag in action.option_strings}
 
 
 @pytest.mark.parametrize(
@@ -639,17 +681,26 @@ def test_fuzzed_flags_keep_the_exit_code_contract(tmp_path, capsys, command):
     }[command]
     assert main(base) == 0
     capsys.readouterr()
-    for flag, values in FUZZED_FLAGS.items():
-        for value in values:
+    flags = command_options(command) & set(FUZZED_FLAGS)
+    # Every command reads exactly one tolerance flag.
+    assert len(flags & {"--tol", "--rank-tol"}) == 1
+    for flag in sorted(flags):
+        for value, expected in FUZZED_FLAGS[flag].items():
             argv = base + [f"{flag}={value}"]
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
-            assert code in (0, 2, 3, 4), argv
+            assert code == expected, argv
             stderr = capsys.readouterr().err
-            if stderr:
-                assert "error" in single_json_error(stderr), argv
+            if code == 0:
+                assert stderr == "", argv
+                continue
+            error = single_json_error(stderr)
+            if code == 2:
+                assert error["error"] == "UsageError" and flag in error["message"], argv
+            else:
+                assert error["error"] == "InvalidArgument", argv
 
 
 def test_purify_past_available_memory_exits_4_with_one_json_line(

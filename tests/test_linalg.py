@@ -438,7 +438,7 @@ PRECONDITIONS = {
         "expected a ket or square operator, got ndim=3",
     ),
     "rank_tol_above_every_coefficient": (
-        lambda: schmidt_decompose(bell_joint().vec, 2, 2, rank_tol=0.5),
+        lambda: schmidt_decompose(bell_joint().vec, 2, 2, rank_tol=0.75),
         NumericalFailure,
         "normalized ket produced an empty Schmidt spectrum",
     ),

@@ -1055,8 +1055,8 @@ PRECONDITIONS = {
     ),
     "rank_tol_above_every_weight": (
         lambda: ensemble_from_basis(bell_joint(), np.eye(2), rank_tol=0.75),
-        NotNormalized,
-        "joint ket has no weight above the rank cutoff",
+        InvalidArgument,
+        "rank_tol 7.500e-01 is not below the largest conditional weight 5.000e-01$",
     ),
     "unitary_shape": (
         lambda: apply_unitary_umap(bell_joint(), np.eye(2), np.eye(3)),
@@ -1077,9 +1077,9 @@ PRECONDITIONS = {
         r"target has largest weight \S+ and share 1\.000e\+00 outside",
     ),
     "target_norm": (
-        lambda: ensemble_containing(bell_joint(), computational(2, 0) * (1 + 1e-9)),
+        lambda: ensemble_containing(bell_joint(), computational(2, 0) * (1 + 1e-7)),
         NotNormalized,
-        "target has norm 1.000000001, expected 1",
+        r"target has norm 1.0000001, expected 1 \(tol 1.000e-08\)$",
     ),
 }
 
