@@ -46,7 +46,6 @@ from .linalg import (
     numerical_rank,
     partial_trace_m,
     schmidt_decompose,
-    schmidt_reconstruct,
     tensor_ket,
 )
 from .purification import (
@@ -118,7 +117,6 @@ __all__ = [
     "purify",
     "sample_outcomes",
     "schmidt_decompose",
-    "schmidt_reconstruct",
     "steer",
     "tensor_ket",
     "umap_between",

@@ -28,6 +28,7 @@ from .linalg import (
     _check_instance,
     _check_tolerances,
     _convert,
+    _kept_rank,
     _out_of_memory,
     _svd,
     as_ket_list,
@@ -151,8 +152,8 @@ def ensemble_to_density(
     """Sum the weighted projectors of an ensemble into a DensityMatrix.
 
     Raises InvalidEnsemble (carrying the violation report) unless the weights
-    are positive and sum to 1 and the kets have unit norm; collinear
-    elements are summed like any others. ``rank_tol`` sets ``support_rank``.
+    are positive and sum to 1 and the kets have unit norm; collinear elements are
+    summed like any others. ``rank_tol`` sets ``support_rank``; InvalidArgument if 0.
     """
     _check_tolerances(tol=tol, rank_tol=rank_tol)
     _check_instance("e", e, RhoEnsemble)
@@ -164,7 +165,7 @@ def ensemble_to_density(
         matrix=matrix,
         spectrum=spectrum,
         eigenkets=eigenkets,
-        support_rank=numerical_rank(spectrum, rank_tol),
+        support_rank=_kept_rank(spectrum, rank_tol, "eigenvalue"),
     )
 
 
@@ -175,8 +176,8 @@ def density_from_matrix(
 ) -> DensityMatrix:
     """Validate an explicit matrix as a density matrix and cache eigendata.
 
-    Raises NotHermitian for asymmetric input and InvalidArgument when the
-    spectrum dips below ``-tol`` or the trace is not 1 within ``tol``.
+    Raises NotHermitian for asymmetric input, InvalidArgument when the spectrum
+    dips below ``-tol``, is not of trace 1 within ``tol`` or is all ``<= rank_tol``.
     """
     _check_tolerances(tol=tol, rank_tol=rank_tol)
     arr = as_operator(matrix)
@@ -193,7 +194,7 @@ def density_from_matrix(
         matrix=arr,
         spectrum=spectrum,
         eigenkets=eigenkets,
-        support_rank=numerical_rank(spectrum, rank_tol),
+        support_rank=_kept_rank(spectrum, rank_tol, "eigenvalue"),
     )
 
 

@@ -266,6 +266,16 @@ def numerical_rank(eigenvalues, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     return int(np.sum(spectrum > rank_tol))
 
 
+def _kept_rank(values: np.ndarray, rank_tol: float, what: str) -> int:
+    """The one rank cutoff: the count of ``values`` above ``rank_tol``; InvalidArgument if 0."""
+    rank = int(np.count_nonzero(values > rank_tol))
+    if rank == 0:
+        raise InvalidArgument(
+            f"rank_tol {rank_tol:.3e} is not below the largest {what} {values.max():.3e}"
+        )
+    return rank
+
+
 def complete_orthonormal(partial, target_dim: int) -> np.ndarray:
     """Extend an orthonormal ket list to a full orthonormal basis.
 
@@ -319,6 +329,23 @@ def _svd(m: np.ndarray, **options):
         raise _out_of_memory(f"the SVD of a {m.shape[0]}x{m.shape[1]} matrix") from exc
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD failed: {exc}") from exc
+
+
+def _at_unit_norm(values: np.ndarray, matrix: np.ndarray, degree: int = 1) -> np.ndarray:
+    """The one normalization rule: ``values``, homogeneous of ``degree`` in a
+    coefficient matrix (``as_matrix()`` or ``_amplitude_block``), scaled in
+    place by ``||matrix||_F ** -degree``: the same values of the unit-norm matrix."""
+    flat = matrix.ravel(order="K")  # a view unless the matrix is strided
+    values *= np.vdot(flat, flat).real ** (-degree / 2)
+    return values
+
+
+def _schmidt(matrix: np.ndarray, rank_tol: float):
+    """The one Schmidt step: ``u, sv, vh`` of a coefficient matrix (full where
+    ``dim_s < dim_m``: ``vh`` spans the ancilla), ``sv`` at unit norm, and its rank."""
+    u, sv, vh = _svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
+    sv = _at_unit_norm(sv, sv)  # ||sv|| is the matrix's norm
+    return u, sv, vh, _kept_rank(sv**2, rank_tol, "squared Schmidt coefficient")
 
 
 def tensor_ket(s, m) -> np.ndarray:
@@ -383,9 +410,10 @@ def schmidt_decompose(
     """Schmidt-decompose a unit joint ket via SVD.
 
     The norm is admitted as ``JointState`` admits it (else NotNormalized), and
-    the coefficients are the singular values divided by it. Those with squared
-    value at or below ``rank_tol`` are treated as zero and dropped, so the
-    returned rank equals the numerical rank of the squared-coefficient spectrum.
+    the coefficients are those of the unit-norm joint (``_schmidt``). Those with
+    squared value at or below ``rank_tol`` are dropped, so the returned rank is
+    the numerical rank of the squared-coefficient spectrum, and a cutoff that
+    drops them all raises InvalidArgument.
     """
     _check_tolerances(rank_tol=rank_tol)
     dim_s, dim_m = _check_integer("dim_s", dim_s, 1), _check_integer("dim_m", dim_m, 1)
@@ -395,24 +423,11 @@ def schmidt_decompose(
         raise DimensionMismatch(
             f"joint ket has length {vec.shape[0]}, expected {dim_s}*{dim_m}={total}"
         )
-    norm = _admit_unit_norm(vec, "joint ket")
-    u, sv, vh = _svd(vec.reshape(dim_s, dim_m), full_matrices=False)
-    sv /= norm
-    rank = numerical_rank(sv**2, rank_tol)
-    if rank == 0:
-        raise NumericalFailure("normalized ket produced an empty Schmidt spectrum")
+    _admit_unit_norm(vec, "joint ket")
+    u, sv, vh, rank = _schmidt(vec.reshape(dim_s, dim_m), rank_tol)
     return SchmidtForm(
         coefficients=sv[:rank].astype(float),
         left_kets=u[:, :rank].T.copy(),
         right_kets=vh[:rank].copy(),
         rank=rank,
     )
-
-
-def schmidt_reconstruct(form: SchmidtForm) -> np.ndarray:
-    """Rebuild the joint ket sum_s c_s (p_s (x) a_s) from a SchmidtForm."""
-    _check_instance("form", form, SchmidtForm)
-    try:
-        return ((form.left_kets.T * form.coefficients) @ form.right_kets).reshape(-1)
-    except MemoryError as exc:
-        raise _out_of_memory(f"a joint ket of rank {len(form.coefficients)}") from exc

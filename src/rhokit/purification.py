@@ -23,7 +23,6 @@ from .ensembles import RhoEnsemble, _require_valid
 from .errors import (
     DensitiesDiffer,
     DimensionMismatch,
-    InvalidArgument,
     NotInSupport,
     NotOrthonormal,
     NotOrthonormalBasis,
@@ -37,10 +36,13 @@ from .linalg import (
     DEFAULT_TOL,
     _admit_orthonormal,
     _admit_unit_norm,
+    _at_unit_norm,
     _check_instance,
     _check_integer,
     _check_tolerances,
+    _kept_rank,
     _out_of_memory,
+    _schmidt,
     _svd,
     as_ket,
     as_ket_list,
@@ -90,15 +92,6 @@ class JointState:
     def reduced_system(self) -> np.ndarray:
         """Unit-trace reduced density matrix of the normalized ket on the system factor."""
         return _state(self.as_matrix())
-
-
-def _at_unit_norm(values: np.ndarray, matrix: np.ndarray, degree: int = 1) -> np.ndarray:
-    """The one normalization rule: ``values``, homogeneous of ``degree`` in a
-    coefficient matrix (``as_matrix()`` or ``_amplitude_block``), scaled in
-    place by ``||matrix||_F ** -degree``: the same values of the unit-norm matrix."""
-    flat = matrix.ravel(order="K")  # a view unless the matrix is strided
-    values *= np.vdot(flat, flat).real ** (-degree / 2)
-    return values
 
 
 def _state(matrix: np.ndarray) -> np.ndarray:
@@ -381,15 +374,10 @@ def _condition(
     try:  # the (dim_s, dim_m) conditionals and what is taken from them
         conditionals = _at_unit_norm(matrix @ np.conj(kets).T, matrix)
         weights = (np.abs(conditionals) ** 2).sum(axis=0)
-        kept = weights > rank_tol
+        rank = _kept_rank(weights, rank_tol, "conditional weight")
         members = list(range(joint.dim_m))
-        if not kept.all():  # copy out the members only when some ket drops
-            index = np.flatnonzero(kept)
-            if index.size == 0:
-                raise InvalidArgument(
-                    f"rank_tol {rank_tol:.3e} is not below the largest"
-                    f" conditional weight {weights.max():.3e}"
-                )
+        if rank < joint.dim_m:  # copy out the members only when some ket drops
+            index = np.flatnonzero(weights > rank_tol)
             kets, weights = kets[index], weights[index]
             conditionals, members = conditionals[:, index], index.tolist()
         member_kets = (conditionals / np.sqrt(weights)).T
@@ -516,8 +504,8 @@ def ensemble_containing(
     dropped ``sigma_s^2``; the other elements are one valid choice among many.
     The target's norm is admitted within 1e-8 of 1 (else NotNormalized), and
     W and L are those of ``xi / ||xi||``, so the result does not depend on the
-    norm. An SVD that does not converge raises NumericalFailure, and one that
-    cannot be allocated ResourceExhausted.
+    norm. A cutoff past every ``sigma_s^2`` raises InvalidArgument, an SVD that
+    fails to converge NumericalFailure, one that cannot be allocated ResourceExhausted.
     """
     _check_tolerances(rank_tol=rank_tol)
     _check_instance("joint", joint, JointState)
@@ -527,13 +515,11 @@ def ensemble_containing(
             f"target has dimension {target.shape[0]}, expected {joint.dim_s}"
         )
     norm = _admit_unit_norm(target, "target")
-    u, sv, vh = _svd(joint.as_matrix(), full_matrices=joint.dim_s < joint.dim_m)
-    sv = _at_unit_norm(sv, sv)  # ||sv|| is the joint's norm
+    u, sv, vh, rank = _schmidt(joint.as_matrix(), rank_tol)
     floor = sv[0] * max(joint.dim_s, joint.dim_m) * np.finfo(float).eps
     cutoff = max(rank_tol, floor)
     overlaps = dagger(u) @ target
     ratios = overlaps / np.maximum(sv, floor)
-    rank = np.count_nonzero(sv**2 > rank_tol)
     outside = float(np.linalg.norm(target - u @ overlaps))
     weight = norm**2 / (np.vdot(ratios, ratios).real + (outside / floor) ** 2)
     share = 1.0 - np.vdot(overlaps[:rank], overlaps[:rank]).real / norm**2

@@ -55,7 +55,6 @@ from rhokit import (
     purification,
     sample_outcomes,
     schmidt_decompose,
-    schmidt_reconstruct,
     steer,
     tensor_ket,
     umap_between,
@@ -529,9 +528,6 @@ def catalogue():
         "schmidt_decompose": (
             schmidt_decompose, {}, {"joint": joint.vec, "dim_s": 2, "dim_m": 2, "rank_tol": 1e-10}
         ),
-        "schmidt_reconstruct": (
-            schmidt_reconstruct, {"form": schmidt_decompose(joint.vec, 2, 2)}, {}
-        ),
         "steer": (
             steer, {"joint": joint}, {"basis": eye, "shots": 10, "seed": 0, "rank_tol": 1e-10}
         ),
@@ -817,7 +813,6 @@ def sweep():
         "purify": lambda: rk.purify(e, n),
         "sample_outcomes": lambda: rk.sample_outcomes(outcomes, 10**6, 0),
         "schmidt_decompose": lambda: rk.schmidt_decompose(j.vec, n, n),
-        "schmidt_reconstruct": lambda: rk.schmidt_reconstruct(form),
         "steer": lambda: rk.steer(j, u, 10**6, 0),
         "tensor_ket": lambda: rk.tensor_ket(u[0], np.full(4096, 1 / 64)),
         "umap_between": lambda: rk.umap_between(e, e),

@@ -247,23 +247,27 @@ def test_rank_tol_flag_sets_the_cutoff(tmp_path, capsys):
     vec += np.sqrt(0.1) * np.kron(computational(2, 1), computational(2, 1))
     joint = write(tmp_path / "j.json", docs.joint_document(JointState(2, 2, vec)))
     basis = write(tmp_path / "b.json", docs.basis_document(np.eye(2, dtype=complex)))
-    orders = []
-    for rank_tol in ("1e-10", "0.2"):
-        out = tmp_path / f"e{rank_tol}.json"
-        argv = ["ensemble-from-basis", joint, basis, "--rank-tol", rank_tol]
-        assert main(argv + ["--out", str(out)]) == 0
-        orders.append(docs.to_ensemble(docs.load_document(out.read_text())).order)
-    assert orders == [2, 1]
-    # A cutoff above every conditional weight is a bad argument, not a bad joint.
-    capsys.readouterr()
-    assert main(["ensemble-from-basis", joint, basis, "--rank-tol", "0.95"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    error = single_json_error(captured.err)
-    assert error["error"] == "InvalidArgument"
-    assert error["message"] == (
-        "rank_tol 9.500e-01 is not below the largest conditional weight 9.000e-01"
-    )
+    ket = write(tmp_path / "k.json", docs.ket_document(computational(2, 0)))
+    for command, second, what in (
+        ("ensemble-from-basis", basis, "conditional weight"),
+        ("contains", ket, "squared Schmidt coefficient"),
+    ):
+        orders = []
+        for rank_tol in ("1e-10", "0.2"):
+            out = tmp_path / f"{command}{rank_tol}.json"
+            argv = [command, joint, second, "--rank-tol", rank_tol]
+            assert main(argv + ["--out", str(out)]) == 0
+            orders.append(docs.to_ensemble(docs.load_document(out.read_text())).order)
+        assert orders == [2, 1], command
+        # A cutoff above every weight it cuts is a bad argument, not a bad joint
+        # or a target outside the support.
+        capsys.readouterr()
+        assert main([command, joint, second, "--rank-tol", "0.95"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = single_json_error(captured.err)
+        assert error["error"] == "InvalidArgument"
+        assert error["message"] == f"rank_tol 9.500e-01 is not below the largest {what} 9.000e-01"
 
 
 def test_contains_admits_a_ket_as_ensemble_from_basis_admits_a_joint(tmp_path, capsys):

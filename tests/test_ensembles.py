@@ -169,6 +169,24 @@ def test_messages_render_plain_floats():
     ]
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rank_tol: density_from_matrix(np.eye(2, dtype=complex) / 2, rank_tol=rank_tol),
+        lambda rank_tol: ensemble_to_density(equal_mixture_computational(), rank_tol=rank_tol),
+    ],
+    ids=["density_from_matrix", "ensemble_to_density"],
+)
+def test_rank_tol_at_or_above_every_eigenvalue_is_an_invalid_argument(build):
+    # I/2 keeps its two eigenvalues of 1/2 below the cutoff and none from it up,
+    # so no density reaches eigen_ensemble with a support rank of 0.
+    assert eigen_ensemble(build(0.49)).order == 2
+    for rank_tol in (0.5, 0.75):
+        message = f"^rank_tol {rank_tol:.3e} is not below the largest eigenvalue 5.000e-01$"
+        with pytest.raises(InvalidArgument, match=message):
+            build(rank_tol)
+
+
 def test_eigen_ensemble_decomposes_density():
     rng = np.random.default_rng(21)
     rho = ensemble_to_density(random_ensemble(rng, 3, 4))

@@ -6,6 +6,7 @@ import pytest
 from rhokit import (
     DimensionMismatch,
     InvalidArgument,
+    JointState,
     NotHermitian,
     NotNormalized,
     NotOrthonormal,
@@ -20,10 +21,9 @@ from rhokit import (
     numerical_rank,
     partial_trace_m,
     schmidt_decompose,
-    schmidt_reconstruct,
     tensor_ket,
 )
-from rhokit import linalg
+from rhokit import linalg, purification
 from helpers import bell_joint, computational, random_hermitian, random_ket, random_unitary
 
 
@@ -361,7 +361,8 @@ def test_schmidt_roundtrip_random():
         rng = np.random.default_rng(seed)
         vec = random_ket(rng, 12)
         form = schmidt_decompose(vec, 3, 4)
-        assert np.max(np.abs(schmidt_reconstruct(form) - vec)) < 1e-9
+        rebuilt = (form.left_kets.T * form.coefficients) @ form.right_kets
+        assert np.max(np.abs(rebuilt.reshape(-1) - vec)) < 1e-9
         assert sum(form.coefficients**2) == pytest.approx(1.0, abs=1e-10)
         gram_left = np.conj(form.left_kets) @ form.left_kets.T
         gram_right = np.conj(form.right_kets) @ form.right_kets.T
@@ -377,6 +378,29 @@ def test_schmidt_rejects_unnormalized():
 def test_schmidt_rejects_bad_dims():
     with pytest.raises(DimensionMismatch):
         schmidt_decompose(np.zeros(5, dtype=complex), 2, 2)
+
+
+def test_schmidt_coefficients_are_the_singular_values_ensemble_containing_takes(
+    monkeypatch,
+):
+    # 2000 joints of dims 2-8 whose norms miss 1 by up to 5e-9: one Schmidt
+    # step gives both functions the same unit-norm coefficients, bit for bit.
+    taken = []
+
+    def recorded(matrix, rank_tol):
+        taken.append(linalg._schmidt(matrix, rank_tol))
+        return taken[-1]
+
+    monkeypatch.setattr(purification, "_schmidt", recorded)
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        dim_s, dim_m = (int(d) for d in rng.integers(2, 9, size=2))
+        vec = random_ket(rng, dim_s * dim_m) * (1.0 + rng.uniform(-5e-9, 5e-9))
+        form = schmidt_decompose(vec, dim_s, dim_m)
+        ensemble_containing(JointState(dim_s, dim_m, vec), form.left_kets[0])
+        _, coefficients, _, rank = taken.pop()
+        assert rank == form.rank
+        assert coefficients[:rank].tobytes() == form.coefficients.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +463,8 @@ PRECONDITIONS = {
     ),
     "rank_tol_above_every_coefficient": (
         lambda: schmidt_decompose(bell_joint().vec, 2, 2, rank_tol=0.75),
-        NumericalFailure,
-        "normalized ket produced an empty Schmidt spectrum",
+        InvalidArgument,
+        "rank_tol 7.500e-01 is not below the largest squared Schmidt coefficient 5.000e-01$",
     ),
 }
 

@@ -1076,6 +1076,11 @@ PRECONDITIONS = {
         NotInSupport,
         r"target has largest weight \S+ and share 1\.000e\+00 outside",
     ),
+    "rank_tol_above_every_coefficient": (
+        lambda: ensemble_containing(bell_joint(), computational(2, 0), rank_tol=0.75),
+        InvalidArgument,
+        "rank_tol 7.500e-01 is not below the largest squared Schmidt coefficient 5.000e-01$",
+    ),
     "target_norm": (
         lambda: ensemble_containing(bell_joint(), computational(2, 0) * (1 + 1e-7)),
         NotNormalized,
