@@ -43,7 +43,6 @@ from .linalg import (
     SchmidtForm,
     complete_orthonormal,
     eig_hermitian,
-    numerical_rank,
     partial_trace_m,
     schmidt_decompose,
     tensor_ket,
@@ -112,7 +111,6 @@ __all__ = [
     "lemma_unitary",
     "match_purification",
     "measure_ancilla",
-    "numerical_rank",
     "partial_trace_m",
     "purify",
     "sample_outcomes",

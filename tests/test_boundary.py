@@ -8,6 +8,7 @@ of malformed arguments shows that every public callable answers each of them
 with a result or a typed error.
 """
 
+import inspect
 import os
 import subprocess
 import sys
@@ -49,7 +50,6 @@ from rhokit import (
     lemma_unitary,
     match_purification,
     measure_ancilla,
-    numerical_rank,
     partial_trace_m,
     purify,
     purification,
@@ -60,7 +60,7 @@ from rhokit import (
     umap_between,
     validate_ensemble,
 )
-from rhokit.linalg import as_ket_list, is_hermitian, orthonormality_deviation
+from rhokit.linalg import as_ket_list, orthonormality_deviation
 from helpers import bell_joint, computational, random_ensemble, random_unitary
 
 
@@ -383,11 +383,11 @@ def tolerance_calls():
         "eig_hermitian": lambda tol: eig_hermitian(rho, tol),
         "density_from_matrix": lambda **t: density_from_matrix(rho, **t),
         "ensemble_to_density": lambda **t: ensemble_to_density(e, **t),
-        "is_hermitian": lambda tol: is_hermitian(rho, tol),
-        "numerical_rank": lambda **t: numerical_rank([0.5, 0.5], **t),
         "densities_match": lambda tol: densities_match(e, e, tol),
         "ensembles_equal": lambda tol: ensembles_equal(e, e, tol),
         "is_linearly_independent": lambda **t: is_linearly_independent(e, **t),
+        "validate_ensemble": lambda tol: validate_ensemble(e, tol),
+        "check_umap": lambda tol: check_umap(UMap(coeffs=np.eye(2)), tol),
     }
 
 
@@ -400,7 +400,6 @@ RANK_TOL_TAKERS = {
 # Functions that read only a rank cutoff. A ket, ket list or probability
 # vector is admitted at the fixed 1e-8, so no function that takes one reads tol.
 RANK_TOL_ONLY = {
-    "numerical_rank",
     "is_linearly_independent",
     "ensemble_from_basis",
     "measure_ancilla",
@@ -418,25 +417,42 @@ COMPLEX_TOLERANCES = (
     np.complex64(1e-10),
     np.array(1e-10 + 0j),
 )
+# Bools compare as 0 and 1, an array of one entry as that entry and an int
+# past the float range below inf, so a comparison alone would accept these too.
+BAD_TOLERANCES = COMPLEX_TOLERANCES + (
+    np.nan, np.inf, -np.inf, -1.0, True, np.True_, np.array([1e-10]), 10**400
+)
+
+
+def tolerance_params(name):
+    """The tolerances ``name`` takes, in signature order."""
+    if name in NO_TOLERANCE:
+        return []
+    if name in RANK_TOL_ONLY:
+        return ["rank_tol"]
+    if name in RANK_TOL_TAKERS:
+        return ["tol", "rank_tol"]
+    return ["tol"]
+
+
+def test_every_public_tolerance_is_checked_by_the_one_rule():
+    for name in public_callables():
+        parameters = inspect.signature(getattr(rhokit, name)).parameters
+        taken = [param for param in ("tol", "rank_tol") if param in parameters]
+        if taken:
+            assert name in tolerance_calls() and tolerance_params(name) == taken, name
 
 
 @pytest.mark.parametrize("name", sorted(tolerance_calls()))
 def test_bad_tolerances_raise_typed_error_without_warning(name):
     call = tolerance_calls()[name]
-    if name in NO_TOLERANCE:
-        params = []
-    elif name in RANK_TOL_ONLY:
-        params = ["rank_tol"]
-    elif name in RANK_TOL_TAKERS:
-        params = ["tol", "rank_tol"]
-    else:
-        params = ["tol"]
+    params = tolerance_params(name)
     call(**{param: 1e-10 for param in params[:1]})  # accepted at a valid tolerance
     if "tol" not in params:  # no tol moves the fixed admission threshold
         with pytest.raises(TypeError, match="'tol'"):
             call(tol=1e-10)
     for param in params:
-        for bad in COMPLEX_TOLERANCES + (np.nan, np.inf, -1.0):
+        for bad in BAD_TOLERANCES:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with pytest.raises(InvalidArgument, match=f"^{param} must be"):
@@ -512,9 +528,6 @@ def catalogue():
         ),
         "measure_ancilla": (
             measure_ancilla, {"joint": joint}, {"basis": eye, "rank_tol": 1e-10}
-        ),
-        "numerical_rank": (
-            numerical_rank, {}, {"eigenvalues": [0.5, 0.5], "rank_tol": 1e-10}
         ),
         "partial_trace_m": (
             partial_trace_m, {}, {"joint": joint.vec, "dim_s": 2, "dim_m": 2}
@@ -619,29 +632,6 @@ def test_malformed_ket_list_raises_its_typed_error(kets, error):
         as_ket_list(kets)
 
 
-@pytest.mark.parametrize(
-    "spectrum, error",
-    [
-        (None, DimensionMismatch),
-        (0.5, DimensionMismatch),
-        ([[0.5, 0.5], [0.2, 0.0]], DimensionMismatch),
-        ([np.nan, 1.0], InvalidArgument),
-        ([np.inf], InvalidArgument),
-    ],
-    ids=["none", "scalar", "matrix", "nan", "inf"],
-)
-def test_malformed_spectrum_raises_its_typed_error(spectrum, error):
-    with pytest.raises(error):
-        numerical_rank(spectrum)
-    assert numerical_rank([]) == 0
-
-
-def test_is_hermitian_raises_a_typed_error_for_a_malformed_matrix():
-    for bad in [*MALFORMED, [1, 2], np.ones((2, 3))]:
-        with pytest.raises(RhokitError):
-            is_hermitian(bad)
-
-
 def test_complex_or_string_weights_are_invalid_arguments():
     complex_forms = (
         [0.5 + 1j, 0.5],
@@ -654,8 +644,6 @@ def test_complex_or_string_weights_are_invalid_arguments():
             RhoEnsemble(kets=np.eye(2, dtype=complex), weights=weights)
         with pytest.raises(InvalidArgument):
             sample_outcomes(weights, 10, 0)
-        with pytest.raises(InvalidArgument):
-            numerical_rank(weights)
 
 
 @pytest.mark.parametrize("dim", [2**59, 2**64, 10**30], ids=["2^59", "2^64", "10^30"])
@@ -689,11 +677,11 @@ def test_sizes_numpy_cannot_represent_are_resource_exhausted(dim):
 # at the 2 GiB of its outcomes' joint kets.
 #
 # Given "sweep", the child runs the `sweep` cases: one call of each public
-# callable, and of `is_hermitian`, on valid arguments whose dense temporaries
-# take a few MiB to a few tens of MiB. An unlimited call under tracemalloc
-# gives the call's peak P (and maps OpenBLAS's buffers); then the call runs
-# with margins P, P/2, P/4, P/8 and P/16, none under 1 MiB, so that the
-# interpreter can still allocate. Two settings keep the limit on the arrays:
+# callable on valid arguments whose dense temporaries take a few MiB to a few
+# tens of MiB. An unlimited call under tracemalloc gives the call's peak P
+# (and maps OpenBLAS's buffers); then the call runs with margins P, P/2, P/4,
+# P/8 and P/16, none under 1 MiB, so that the interpreter can still allocate.
+# Two settings keep the limit on the arrays:
 # - glibc raises its mmap threshold to the largest block freed, which would
 #   leave the unlimited call's arrays in the heap for the limited calls to
 #   reuse. A fixed threshold returns each array of 128 KiB or more to the
@@ -710,7 +698,6 @@ import traceback
 import tracemalloc
 import numpy as np
 import rhokit as rk
-from rhokit.linalg import is_hermitian
 
 np.setbufsize(64)  # 1 KiB buffers: see above
 
@@ -766,11 +753,10 @@ def sweep():
     rho = rk.ensemble_to_density(e)
     form = rk.schmidt_decompose(j.vec, n, n)
     real_eye = np.eye(n)  # real arguments are converted to complex arrays
-    # Arrays taken as they are: joint kets of 2048 x 1024 and 512 x 512,
-    # 2**22 eigenvalues and 2**20 outcome weights.
+    # Arrays taken as they are: joint kets of 2048 x 1024 and 512 x 512 and
+    # 2**20 outcome weights.
     big = np.full(2**21, 2.0**-10.5, dtype=complex)
     square = np.full(2**18, 2.0**-9, dtype=complex)
-    spectrum = np.full(2**22, 2.0**-22)
     outcomes = np.full(2**20, 2.0**-20)
     # Order x order products built from factors of order x 2. In the map, the
     # Gram matrix of the 1024 coefficient columns fits at half the peak that
@@ -803,12 +789,10 @@ def sweep():
         "ensemble_from_basis": lambda: rk.ensemble_from_basis(tall, tall_basis),
         "ensemble_to_density": lambda: rk.ensemble_to_density(e),
         "ensembles_equal": lambda: rk.ensembles_equal(plane, plane),
-        "is_hermitian": lambda: is_hermitian(rho.matrix),
         "is_linearly_independent": lambda: rk.is_linearly_independent(e),
         "lemma_unitary": lambda: rk.lemma_unitary(j, j),
         "match_purification": lambda: rk.match_purification(e, j),
         "measure_ancilla": lambda: rk.measure_ancilla(small, small_basis),
-        "numerical_rank": lambda: rk.numerical_rank(spectrum),
         "partial_trace_m": lambda: rk.partial_trace_m(square, 512, 512),
         "purify": lambda: rk.purify(e, n),
         "sample_outcomes": lambda: rk.sample_outcomes(outcomes, 10**6, 0),
@@ -907,7 +891,7 @@ def test_temporaries_of_the_element_norms_are_resource_exhausted():
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
 def test_every_public_call_under_a_falling_address_space_limit_raises_only_typed_errors():
     lines = outcomes_under_the_limit("sweep")
-    assert {line.split()[0] for line in lines} == public_callables() | {"is_hermitian"}
+    assert {line.split()[0] for line in lines} == public_callables()
     untyped = [line for line in lines if " untyped " in line]
     assert not untyped, "\n".join(untyped)
 
@@ -943,22 +927,7 @@ def test_reporters_reject_a_tolerance_that_is_not_a_real_number():
     e = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.5, 0.5])
     u = UMap(coeffs=np.eye(2))
     for tol in ("ab", None, 1j, [1e-10], *COMPLEX_TOLERANCES):
-        with pytest.raises(InvalidArgument, match="^tol must be a real number"):
+        with pytest.raises(InvalidArgument, match="^tol must be a finite non-negative number"):
             validate_ensemble(e, tol)
-        with pytest.raises(InvalidArgument, match="^tol must be a real number"):
+        with pytest.raises(InvalidArgument, match="^tol must be a finite non-negative number"):
             check_umap(u, tol)
-
-
-def test_reporters_report_every_check_a_nan_tolerance_cannot_pass():
-    e = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.5, 0.5])
-    eye = np.eye(2, dtype=complex)
-    assert len(validate_ensemble(e, np.nan)) == 3
-    assert validate_ensemble(e, np.inf) == []
-    assert check_umap(UMap(coeffs=eye, generator=eye, basis=eye), np.nan) == [
-        "coefficient columns deviate from orthonormality by 0.000e+00",
-        "generator deviates from unitarity by 0.000e+00",
-        "row basis deviates from orthonormality by 0.000e+00",
-    ]
-    assert check_umap(UMap(coeffs=2 * eye), -1.0) == [
-        "coefficient columns deviate from orthonormality by 3.000e+00"
-    ]

