@@ -142,12 +142,13 @@ def _cmd_steer(args) -> int:
 
 
 def _load_or_report(path: str, extract, violations: list[str]):
-    """The document's value, or None after recording a violated precondition."""
+    """The document's value, or None after recording a violated precondition:
+    an error that exits 3. Any other error propagates to its own exit code."""
     try:
         return extract(_load(path))
-    except DocumentError:
-        raise
     except RhokitError as exc:
+        if _exit_code(exc) != EXIT_PRECONDITION:
+            raise
         violations.append(str(exc))
         return None
 
@@ -301,11 +302,7 @@ def main(argv=None) -> int:
             return args.func(args)
     except RhokitError as exc:
         _emit_error(type(exc).__name__, str(exc))
-        if isinstance(exc, DocumentError):
-            return EXIT_DOCUMENT
-        if isinstance(exc, (NumericalFailure, ResourceExhausted)):
-            return EXIT_NUMERICAL
-        return EXIT_PRECONDITION
+        return _exit_code(exc)
     except MemoryError as exc:
         _emit_error(ResourceExhausted.__name__, str(exc) or "out of memory")
         return EXIT_NUMERICAL
@@ -335,6 +332,15 @@ def run(argv=None) -> None:
         code = EXIT_DOCUMENT
     sys.stderr.flush()
     os._exit(code)
+
+
+def _exit_code(exc: RhokitError) -> int:
+    """The one mapping of a library error onto the exit-code contract."""
+    if isinstance(exc, DocumentError):
+        return EXIT_DOCUMENT
+    if isinstance(exc, (NumericalFailure, ResourceExhausted)):
+        return EXIT_NUMERICAL
+    return EXIT_PRECONDITION
 
 
 def _emit_error(error: str, message: str) -> None:

@@ -25,11 +25,9 @@ from .errors import DimensionMismatch, InvalidArgument, InvalidEnsemble
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
-    _check_instance,
-    _check_tolerances,
     _convert,
     _kept_rank,
-    _out_of_memory,
+    _public,
     _svd,
     as_ket_list,
     as_operator,
@@ -67,6 +65,7 @@ class RhoEnsemble:
     kets: np.ndarray
     weights: np.ndarray
 
+    @_public
     def __post_init__(self):
         kets = as_ket_list(self.kets)
         weights = _convert(self.weights, float)
@@ -101,10 +100,7 @@ class RhoEnsemble:
 
 def _weighted_projector_sum(kets: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """``sum_j w_j |k_j><k_j|`` for a row-stacked ket list."""
-    try:
-        return kets.T @ (weights[:, None] * np.conj(kets))
-    except MemoryError as exc:
-        raise _out_of_memory(f"a density of dimension {kets.shape[1]}") from exc
+    return kets.T @ (weights[:, None] * np.conj(kets))
 
 
 def _unmet_hypotheses(e: RhoEnsemble, tol: float) -> list[str]:
@@ -113,10 +109,7 @@ def _unmet_hypotheses(e: RhoEnsemble, tol: float) -> list[str]:
     norm within ``tol``. Only O(order * dim) work: no pair of elements is read.
     """
     weight_sum = float(e.weights.sum())
-    try:
-        norms = np.sqrt((e.kets.conj() * e.kets).real.sum(axis=1))
-    except MemoryError as exc:
-        raise _out_of_memory(f"checking the norms of {e.order} kets") from exc
+    norms = np.sqrt((e.kets.conj() * e.kets).real.sum(axis=1))
     unit_norm = np.abs(norms - 1.0) <= tol
     report: list[str] = []
     if abs(weight_sum - 1.0) > tol * e.order:
@@ -142,6 +135,7 @@ def _require_valid(e: RhoEnsemble, tol: float) -> None:
         raise InvalidEnsemble(report)
 
 
+@_public
 def ensemble_to_density(
     e: RhoEnsemble,
     tol: float = DEFAULT_TOL,
@@ -153,8 +147,6 @@ def ensemble_to_density(
     are positive and sum to 1 and the kets have unit norm; collinear elements are
     summed like any others. ``rank_tol`` sets ``support_rank``; InvalidArgument if 0.
     """
-    _check_tolerances(tol=tol, rank_tol=rank_tol)
-    _check_instance("e", e, RhoEnsemble)
     _require_valid(e, tol)
     matrix = _weighted_projector_sum(e.kets, e.weights)
     spectrum, eigenkets = eig_hermitian(matrix, tol)
@@ -167,6 +159,7 @@ def ensemble_to_density(
     )
 
 
+@_public
 def density_from_matrix(
     matrix,
     tol: float = DEFAULT_TOL,
@@ -177,7 +170,6 @@ def density_from_matrix(
     Raises NotHermitian for asymmetric input, InvalidArgument when the spectrum
     dips below ``-tol``, is not of trace 1 within ``tol`` or is all ``<= rank_tol``.
     """
-    _check_tolerances(tol=tol, rank_tol=rank_tol)
     arr = as_operator(matrix)
     spectrum, eigenkets = eig_hermitian(arr, tol)
     if spectrum[-1] < -tol:
@@ -196,13 +188,14 @@ def density_from_matrix(
     )
 
 
+@_public
 def eigen_ensemble(rho: DensityMatrix) -> RhoEnsemble:
     """The spectral decomposition of a density matrix as an ensemble."""
-    _check_instance("rho", rho, DensityMatrix)
     n = rho.support_rank
     return RhoEnsemble(kets=rho.eigenkets[:n], weights=rho.spectrum[:n])
 
 
+@_public
 def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     """Check every ensemble invariant; return a report of violations.
 
@@ -222,35 +215,30 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     non-positive weight takes ``r = 1``, so only near-duplicates of it count.
     Pairs are screened with ``min(r)^2``; ``r_i r_j`` is formed only past it.
     """
-    _check_tolerances(tol=tol)
-    _check_instance("e", e, RhoEnsemble)
     report = _unmet_hypotheses(e, tol)
     c = DEFAULT_RANK_TOL
     pairs = ()
-    try:  # the order x order arrays, the Gram matrix first
-        overlaps = np.abs(gram_matrix(e.kets))
-        collinear = overlaps >= 1.0 - c / max(float(e.weights.min()), c)  # the screen min(r)^2
-        # A diagonal entry pairs a ket with itself; only entries off it are pairs.
-        if np.count_nonzero(collinear) > np.count_nonzero(collinear.diagonal()):
-            r = np.sqrt(np.where(e.weights > 0.0, 1.0 - c / np.maximum(e.weights, c), 1.0))
-            pairs = np.argwhere(np.triu(collinear & (overlaps >= np.outer(r, r)), 1))
-    except MemoryError as exc:
-        raise _out_of_memory(f"the Gram matrix of {e.order} kets") from exc
+    overlaps = np.abs(gram_matrix(e.kets))
+    collinear = overlaps >= 1.0 - c / max(float(e.weights.min()), c)  # the screen min(r)^2
+    # A diagonal entry pairs a ket with itself; only entries off it are pairs.
+    if np.count_nonzero(collinear) > np.count_nonzero(collinear.diagonal()):
+        r = np.sqrt(np.where(e.weights > 0.0, 1.0 - c / np.maximum(e.weights, c), 1.0))
+        pairs = np.argwhere(np.triu(collinear & (overlaps >= np.outer(r, r)), 1))
     for i, j in pairs:
         overlap = float(overlaps[i, j])
         report.append(f"elements ({i}, {j}) are collinear (|overlap| = {overlap!r})")
     return report
 
 
+@_public
 def is_linearly_independent(e: RhoEnsemble, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
     """True iff every squared singular value of the kets is above ``rank_tol``,
     the scale of every rank cutoff; NumericalFailure if the SVD fails."""
-    _check_tolerances(rank_tol=rank_tol)
-    _check_instance("e", e, RhoEnsemble)
     singular_values = _svd(e.kets, compute_uv=False)
     return int(np.count_nonzero(singular_values**2 > rank_tol)) == e.order
 
 
+@_public
 def ensembles_equal(a: RhoEnsemble, b: RhoEnsemble, tol: float = 1e-8) -> bool:
     """Equality up to element permutation and per-element phase.
 
@@ -258,16 +246,10 @@ def ensembles_equal(a: RhoEnsemble, b: RhoEnsemble, tol: float = 1e-8) -> bool:
     fidelity ``|<phi|psi>| >= 1 - tol`` in every pair: an exact bipartite
     matching over those pairs, grown along breadth-first augmenting paths.
     """
-    _check_tolerances(tol=tol)
-    _check_instance("a", a, RhoEnsemble)
-    _check_instance("b", b, RhoEnsemble)
     if a.order != b.order or a.dim != b.dim:
         return False
-    try:  # the order x order arrays
-        same_weight = np.abs(a.weights[:, None] - b.weights[None, :]) <= tol
-        admissible = same_weight & (np.abs(np.conj(a.kets) @ b.kets.T) >= 1.0 - tol)
-    except MemoryError as exc:
-        raise _out_of_memory(f"matching two ensembles of {a.order} kets") from exc
+    same_weight = np.abs(a.weights[:, None] - b.weights[None, :]) <= tol
+    admissible = same_weight & (np.abs(np.conj(a.kets) @ b.kets.T) >= 1.0 - tol)
     partner_of_a, partner_of_b = np.full(a.order, -1), np.full(b.order, -1)
     for start in range(a.order):
         reached_from = np.full(b.order, -1)  # the a element each b was reached from
@@ -288,11 +270,9 @@ def ensembles_equal(a: RhoEnsemble, b: RhoEnsemble, tol: float = 1e-8) -> bool:
     return True
 
 
+@_public
 def densities_match(a: RhoEnsemble, b: RhoEnsemble, tol: float = DEFAULT_TOL) -> bool:
     """True iff both ensembles sum to the same matrix within ``tol`` (max norm)."""
-    _check_tolerances(tol=tol)
-    _check_instance("a", a, RhoEnsemble)
-    _check_instance("b", b, RhoEnsemble)
     if a.dim != b.dim:
         return False
     return max_abs(

@@ -13,10 +13,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -86,6 +87,47 @@ def _check_instance(name: str, value, cls: type) -> None:
         )
 
 
+def _public(fn):
+    """The one boundary of a public callable: ``fn`` with its entry rules applied.
+
+    In this order: every ``tol`` or ``rank_tol`` the caller passed goes through
+    ``_check_tolerances`` (the defaults are valid constants); every parameter
+    annotated with a value class (a dataclass of ``fn``'s module) must hold an
+    instance of it; and a MemoryError raised anywhere in the call becomes
+    ``ResourceExhausted`` naming ``fn``, followed by numpy's text when it has
+    any. A ResourceExhausted from a nested call passes unchanged. The
+    parameters are read once, here, from ``__code__`` and ``__annotations__``.
+    """
+    code = fn.__code__
+    names = code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+    tolerances = [(i, name) for i, name in enumerate(names) if name in ("tol", "rank_tol")]
+    classes = [
+        (i, name, cls)
+        for i, name in enumerate(names)
+        if isinstance(cls := fn.__globals__.get(fn.__annotations__.get(name)), type)
+        and is_dataclass(cls)
+    ]
+    what = fn.__qualname__.removesuffix(".__post_init__")
+
+    @functools.wraps(fn)
+    def public(*args, **kwargs):
+        try:
+            for i, name in tolerances:
+                if i < len(args) or name in kwargs:
+                    _check_tolerances(**{name: args[i] if i < len(args) else kwargs[name]})
+            for i, name, cls in classes:
+                if i < len(args) or name in kwargs:
+                    _check_instance(name, args[i] if i < len(args) else kwargs[name], cls)
+            return fn(*args, **kwargs)
+        except ResourceExhausted:
+            raise
+        except MemoryError as exc:
+            detail = f": {exc}" if str(exc) else ""
+            raise ResourceExhausted(f"{what} needs more memory than is available{detail}") from exc
+
+    return public
+
+
 def _convert(value, dtype=complex) -> np.ndarray:
     """``value`` as an array of ``dtype``, reading an iterator into a list first:
     the one ``np.asarray`` on caller data. Ragged rows raise DimensionMismatch,
@@ -97,8 +139,6 @@ def _convert(value, dtype=complex) -> np.ndarray:
         if dtype is float and np.iscomplexobj(source):
             raise TypeError("complex values where reals are expected")
         return np.asarray(source, dtype)
-    except MemoryError as exc:
-        raise _out_of_memory(f"an array of {np.dtype(dtype)}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         error = DimensionMismatch if "inhomogeneous" in str(exc) else InvalidArgument
         raise error(f"cannot convert to an array of {np.dtype(dtype)}: {exc}") from exc
@@ -108,22 +148,17 @@ def _checked(arr: np.ndarray, ndim: int, noun: str, empty: bool = False) -> np.n
     """``arr`` once it has ``ndim`` axes, entries unless ``empty``, all finite."""
     if arr.ndim != ndim or not (empty or arr.size):
         raise DimensionMismatch(f"expected a {ndim}-D {noun}, got shape {arr.shape}")
-    try:
-        finite = np.isfinite(arr).all()
-    except MemoryError as exc:
-        raise _out_of_memory(f"checking a {noun} of {arr.size} entries") from exc
-    if not finite:
+    if not np.isfinite(arr).all():
         raise InvalidArgument(f"{noun} contains non-finite entries")
     return arr
 
 
 def _out_of_memory(what: str) -> ResourceExhausted:
-    """The error for an allocation of ``what`` that cannot be made.
+    """The error for an allocation of ``what`` whose size numpy cannot represent.
 
-    Every site raises it the same way, around its dense products:
-    ``try: ... except MemoryError as exc: raise _out_of_memory(what) from exc``.
-    Only the sites sized by a caller's integer catch ValueError too, numpy's
-    error for a size it cannot represent, and they pass every RhokitError.
+    Raised only where a caller's integer sizes an array, from numpy's
+    ValueError: ``except ValueError as exc: raise _out_of_memory(what) from exc``.
+    A MemoryError anywhere is ``_public``'s to translate.
     """
     return ResourceExhausted(f"{what} needs more memory than is available")
 
@@ -146,7 +181,7 @@ def as_ket_list(kets, dim: int | None = None) -> np.ndarray:
             raise DimensionMismatch("cannot infer dimension of an empty ket list")
         try:
             arr = arr.reshape(0, dim)
-        except (MemoryError, ValueError) as exc:
+        except ValueError as exc:
             raise _out_of_memory(f"an empty ket list of dimension {dim}") from exc
     _checked(arr, 2, "ket list", empty=True)
     if dim is not None and arr.shape[1] != dim:
@@ -165,36 +200,21 @@ def max_abs(x) -> float:
     A NaN entry (overflow inside a residual) counts as infinite, so every
     ``max_abs(...) > tol`` check fails on it.
     """
-    try:
-        peak = float(np.abs(x).max(initial=0.0))
-    except MemoryError as exc:
-        raise _out_of_memory(f"the magnitudes of {np.size(x)} entries") from exc
+    peak = float(np.abs(x).max(initial=0.0))
     return math.inf if math.isnan(peak) else peak
 
 
 def gram_matrix(kets: np.ndarray) -> np.ndarray:
     """Pairwise inner products G[i, j] = <k_i|k_j> for a row-stacked ket list."""
-    try:
-        return np.conj(kets) @ kets.T
-    except MemoryError as exc:
-        raise _out_of_memory(f"the Gram matrix of {len(kets)} kets") from exc
-
-
-def _identity_deviation(square: np.ndarray) -> float:
-    """Max-norm distance of a square matrix from the identity; may overwrite it.
-
-    ``flat`` lists the entries in memory order when ``square`` is contiguous
-    (a view) and in row order otherwise (a copy); either way the diagonal is
-    every ``n + 1``-th entry, and the maximum is taken over ``flat`` itself.
-    """
-    flat = square.ravel(order="A")
-    flat[:: square.shape[0] + 1] -= 1.0
-    return max_abs(flat)
+    return np.conj(kets) @ kets.T
 
 
 def orthonormality_deviation(kets: np.ndarray) -> float:
     """Max-norm distance of a ket list's Gram matrix from the identity; 0 when empty."""
-    return _identity_deviation(gram_matrix(kets))
+    gram = gram_matrix(kets)
+    flat = gram.reshape(-1)  # a view: matmul returns a fresh C-ordered matrix
+    flat[:: len(gram) + 1] -= 1.0  # the diagonal
+    return max_abs(flat)
 
 
 def _admit_unit_norm(vec: np.ndarray, noun: str) -> float:
@@ -213,6 +233,7 @@ def _admit_orthonormal(kets: np.ndarray, error: type, what: str) -> None:
         raise error(f"{what} by {deviation:.3e} (tol {_CONSTRUCT_TOL:.3e})")
 
 
+@_public
 def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix.
 
@@ -225,23 +246,20 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     NumericalFailure if the eigensolver does not converge, and
     ResourceExhausted if one of its n x n arrays cannot be allocated.
     """
-    _check_tolerances(tol=tol)
     arr = as_operator(m)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"matrix is not square: {arr.shape}")
-    try:  # every n x n array: the asymmetry, the symmetrized copy, eigh's
-        asymmetry = max_abs(arr - dagger(arr))
-        if asymmetry > tol:
-            raise NotHermitian(
-                f"matrix deviates from Hermitian symmetry by {asymmetry:.3e} (tol {tol:.3e})"
-            )
+    asymmetry = max_abs(arr - dagger(arr))
+    if asymmetry > tol:
+        raise NotHermitian(
+            f"matrix deviates from Hermitian symmetry by {asymmetry:.3e} (tol {tol:.3e})"
+        )
+    try:
         w, v = np.linalg.eigh((arr + dagger(arr)) / 2.0)
-        order = np.argsort(-w, kind="stable")
-        return w[order].astype(float), v[:, order].T.copy()
-    except MemoryError as exc:
-        raise _out_of_memory(f"the eigendecomposition of dimension {len(arr)}") from exc
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
+    order = np.argsort(-w, kind="stable")
+    return w[order].astype(float), v[:, order].T.copy()
 
 
 def _kept_rank(values: np.ndarray, rank_tol: float, what: str) -> int:
@@ -254,6 +272,7 @@ def _kept_rank(values: np.ndarray, rank_tol: float, what: str) -> int:
     return rank
 
 
+@_public
 def complete_orthonormal(partial, target_dim: int) -> np.ndarray:
     """Extend an orthonormal ket list to a full orthonormal basis.
 
@@ -291,7 +310,7 @@ def complete_orthonormal(partial, target_dim: int) -> np.ndarray:
         # candidates past e_{d-k-1} would never reach Q: leave them out.
         candidates = np.eye(target_dim, target_dim - count)
         q, r = np.linalg.qr(np.concatenate([kets.T, candidates], axis=1))
-    except (MemoryError, ValueError) as exc:
+    except ValueError as exc:
         raise _out_of_memory(f"completing {count} kets to dimension {target_dim}") from exc
     # Householder QR may flip a column's sign; undo that to match Gram-Schmidt.
     signs = np.where(r.diagonal()[count:].real < 0, -1.0, 1.0)
@@ -299,12 +318,9 @@ def complete_orthonormal(partial, target_dim: int) -> np.ndarray:
 
 
 def _svd(m: np.ndarray, **options):
-    """numpy's SVD of ``m`` with ``options``; NumericalFailure if it does not
-    converge, ResourceExhausted if its factors or workspace cannot be allocated."""
+    """numpy's SVD of ``m`` with ``options``; NumericalFailure if it does not converge."""
     try:
         return np.linalg.svd(m, **options)
-    except MemoryError as exc:
-        raise _out_of_memory(f"the SVD of a {m.shape[0]}x{m.shape[1]} matrix") from exc
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD failed: {exc}") from exc
 
@@ -326,15 +342,29 @@ def _schmidt(matrix: np.ndarray, rank_tol: float):
     return u, sv, vh, _kept_rank(sv**2, rank_tol, "squared Schmidt coefficient")
 
 
+@_public
 def tensor_ket(s, m) -> np.ndarray:
     """System-major tensor product: entry (i*dim_m + k) equals s[i]*m[k]."""
-    s, m = as_ket(s), as_ket(m)
-    try:
-        return np.kron(s, m)
-    except MemoryError as exc:
-        raise _out_of_memory(f"a joint ket of dimension {len(s)}*{len(m)}") from exc
+    return np.kron(as_ket(s), as_ket(m))
 
 
+def _joint_ket(joint, dim_s, dim_m, noun: str = "vector", unit: bool = True):
+    """The one joint-ket gate: ``(vec, dim_s, dim_m)`` once both dimensions are
+    integers >= 1, ``joint`` is a finite 1-D ket (``noun`` in those errors) of
+    length ``dim_s * dim_m`` and, if ``unit``, within 1e-8 of unit norm."""
+    dim_s, dim_m = _check_integer("dim_s", dim_s, 1), _check_integer("dim_m", dim_m, 1)
+    vec = _checked(_convert(joint), 1, noun)
+    total = dim_s * dim_m
+    if vec.shape[0] != total:
+        raise DimensionMismatch(
+            f"joint ket has length {vec.shape[0]}, expected {dim_s}*{dim_m}={total}"
+        )
+    if unit:
+        _admit_unit_norm(vec, "joint ket")
+    return vec, dim_s, dim_m
+
+
+@_public
 def partial_trace_m(joint, dim_s: int, dim_m: int) -> np.ndarray:
     """Trace out the second (ancilla) factor of a joint ket or operator.
 
@@ -344,18 +374,11 @@ def partial_trace_m(joint, dim_s: int, dim_m: int) -> np.ndarray:
     """
     dim_s, dim_m = _check_integer("dim_s", dim_s, 1), _check_integer("dim_m", dim_m, 1)
     arr = _convert(joint)
-    total = dim_s * dim_m
     if arr.ndim == 1:
-        if _checked(arr, 1, "joint ket").shape[0] != total:
-            raise DimensionMismatch(
-                f"joint ket has length {arr.shape[0]}, expected {dim_s}*{dim_m}={total}"
-            )
-        a = arr.reshape(dim_s, dim_m)
-        try:
-            return a @ dagger(a)
-        except MemoryError as exc:
-            raise _out_of_memory(f"a reduced state of dimension {dim_s}") from exc
+        a = _joint_ket(arr, dim_s, dim_m, "joint ket", unit=False)[0].reshape(dim_s, dim_m)
+        return a @ dagger(a)
     if arr.ndim == 2:
+        total = dim_s * dim_m
         if _checked(arr, 2, "joint operator").shape != (total, total):
             raise DimensionMismatch(
                 f"joint operator has shape {arr.shape}, expected ({total}, {total})"
@@ -379,6 +402,7 @@ class SchmidtForm:
     rank: int
 
 
+@_public
 def schmidt_decompose(
     joint,
     dim_s: int,
@@ -393,15 +417,7 @@ def schmidt_decompose(
     the numerical rank of the squared-coefficient spectrum, and a cutoff that
     drops them all raises InvalidArgument.
     """
-    _check_tolerances(rank_tol=rank_tol)
-    dim_s, dim_m = _check_integer("dim_s", dim_s, 1), _check_integer("dim_m", dim_m, 1)
-    vec = as_ket(joint)
-    total = dim_s * dim_m
-    if vec.shape[0] != total:
-        raise DimensionMismatch(
-            f"joint ket has length {vec.shape[0]}, expected {dim_s}*{dim_m}={total}"
-        )
-    _admit_unit_norm(vec, "joint ket")
+    vec, dim_s, dim_m = _joint_ket(joint, dim_s, dim_m)
     u, sv, vh, rank = _schmidt(vec.reshape(dim_s, dim_m), rank_tol)
     return SchmidtForm(
         coefficients=sv[:rank].astype(float),

@@ -37,11 +37,11 @@ from .linalg import (
     _admit_orthonormal,
     _admit_unit_norm,
     _at_unit_norm,
-    _check_instance,
     _check_integer,
-    _check_tolerances,
+    _joint_ket,
     _kept_rank,
     _out_of_memory,
+    _public,
     _schmidt,
     _svd,
     as_ket,
@@ -73,22 +73,18 @@ class JointState:
     dim_m: int
     vec: np.ndarray
 
+    @_public
     def __post_init__(self):
-        vec = as_ket(self.vec)
-        object.__setattr__(self, "dim_s", _check_integer("dim_s", self.dim_s, 1))
-        object.__setattr__(self, "dim_m", _check_integer("dim_m", self.dim_m, 1))
-        if vec.shape[0] != self.dim_s * self.dim_m:
-            raise DimensionMismatch(
-                f"joint ket has length {vec.shape[0]}, expected "
-                f"{self.dim_s}*{self.dim_m}={self.dim_s * self.dim_m}"
-            )
-        _admit_unit_norm(vec, "joint ket")
+        vec, dim_s, dim_m = _joint_ket(self.vec, self.dim_s, self.dim_m)
+        object.__setattr__(self, "dim_s", dim_s)
+        object.__setattr__(self, "dim_m", dim_m)
         object.__setattr__(self, "vec", vec)
 
     def as_matrix(self) -> np.ndarray:
         """The ket reshaped to (dim_s, dim_m); entry [i, k] pairs e_i with m_k."""
         return self.vec.reshape(self.dim_s, self.dim_m)
 
+    @_public
     def reduced_system(self) -> np.ndarray:
         """Unit-trace reduced density matrix of the normalized ket on the system factor."""
         return _state(self.as_matrix())
@@ -96,10 +92,7 @@ class JointState:
 
 def _state(matrix: np.ndarray) -> np.ndarray:
     """The unit-trace state ``m m^dag / ||m||_F^2`` of a coefficient matrix."""
-    try:
-        return _at_unit_norm(matrix @ dagger(matrix), matrix, 2)
-    except MemoryError as exc:
-        raise _out_of_memory(f"a reduced system state of dimension {matrix.shape[0]}") from exc
+    return _at_unit_norm(matrix @ dagger(matrix), matrix, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +102,7 @@ class Ancilla:
     dim_m: int
     kets: np.ndarray
 
+    @_public
     def __post_init__(self):
         object.__setattr__(self, "dim_m", _check_integer("dim_m", self.dim_m, 1))
         kets = as_ket_list(self.kets, dim=self.dim_m)
@@ -136,6 +130,7 @@ class UMap:
     generator: np.ndarray | None = None
     basis: np.ndarray | None = None
 
+    @_public
     def __post_init__(self):
         coeffs = as_operator(self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
@@ -155,6 +150,7 @@ class UMap:
         return int(self.coeffs.shape[1])
 
 
+@_public
 def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
     """Report every violated UMap invariant (empty list when clean).
 
@@ -165,8 +161,6 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
     consistency ``coeffs[j, k] = <b_j|U|b_k>`` whenever both generator and
     basis are recorded.
     """
-    _check_tolerances(tol=tol)
-    _check_instance("u", u, UMap)
     report: list[str] = []
     col_dev = orthonormality_deviation(u.coeffs.T)
     if col_dev > tol:
@@ -204,11 +198,8 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
 def _amplitude_block(e: RhoEnsemble, dim_m: int) -> np.ndarray:
     """(dim, dim_m) matrix of ``sum_j sqrt(w_j) phi_j (x) e_j``, zero past the
     order: the transpose of contiguous rows ``sqrt(w_j) phi_j``."""
-    try:
-        rows = np.zeros((dim_m, e.dim), dtype=complex)
-        np.multiply(np.sqrt(e.weights)[:, None], e.kets, out=rows[: e.order])
-    except MemoryError as exc:
-        raise _out_of_memory(f"a joint ket of dimension {e.dim}*{dim_m}") from exc
+    rows = np.zeros((dim_m, e.dim), dtype=complex)
+    np.multiply(np.sqrt(e.weights)[:, None], e.kets, out=rows[: e.order])
     return rows.T
 
 
@@ -227,13 +218,11 @@ def _lemma(a_from, a_to, tol, error, what) -> np.ndarray:
     del difference  # subtracted in place, and freed before the SVD allocates
     if deviation > tol:
         raise error(f"{what} differ by {deviation:.3e} (tol {tol:.3e})")
-    try:  # the dim_m x dim_m product, its SVD and the polar factor
-        w, _, vh = _svd(dagger(a_from) @ a_to)
-        return (w @ vh).T
-    except MemoryError as exc:
-        raise _out_of_memory(f"a unitary of dimension {a_from.shape[1]}") from exc
+    w, _, vh = _svd(dagger(a_from) @ a_to)
+    return (w @ vh).T
 
 
+@_public
 def lemma_unitary(
     chi: JointState,
     phi: JointState,
@@ -246,9 +235,6 @@ def lemma_unitary(
     factor of the two kets' (dim_s, dim_m) coefficient matrices: one SVD,
     unitary to working precision however small the reduced state's weights are.
     """
-    _check_tolerances(tol=tol)
-    _check_instance("chi", chi, JointState)
-    _check_instance("phi", phi, JointState)
     if (chi.dim_s, chi.dim_m) != (phi.dim_s, phi.dim_m):
         raise DimensionMismatch(
             f"joint states have different factor dimensions: "
@@ -257,6 +243,7 @@ def lemma_unitary(
     return _lemma(phi.as_matrix(), chi.as_matrix(), tol, TracesDiffer, "reduced system states")
 
 
+@_public
 def purify(
     e: RhoEnsemble,
     dim_m: int,
@@ -273,8 +260,6 @@ def purify(
     ``dim * dim_m`` joint ket cannot be allocated or numpy cannot represent
     its size.
     """
-    _check_tolerances(tol=tol)
-    _check_instance("e", e, RhoEnsemble)
     dim_m = _check_integer("dim_m", dim_m, 1)
     _require_valid(e, tol)
     if e.order > dim_m:
@@ -286,14 +271,15 @@ def purify(
         joint = JointState(dim_s=e.dim, dim_m=dim_m, vec=_at_unit_norm(vec, vec))
         # Canonical kets are exactly orthonormal, and there are at most dim_m.
         canonical = np.eye(e.order, dim_m, dtype=complex)
-    except RhokitError:
+    except RhokitError:  # InvalidArgument is a ValueError too
         raise
-    except (MemoryError, ValueError) as exc:
+    except ValueError as exc:
         raise _out_of_memory(f"a joint ket of dimension {e.dim}*{dim_m}") from exc
     ancilla = _trusted(Ancilla, dim_m=dim_m, kets=canonical)
     return joint, ancilla
 
 
+@_public
 def match_purification(
     e: RhoEnsemble,
     target: JointState,
@@ -309,9 +295,6 @@ def match_purification(
     that ``target.vec = sum_j sqrt(w_j) phi_j (x) b_j`` up to the rotation
     residual and the norms, with all phases carried by the ancilla kets.
     """
-    _check_tolerances(tol=tol)
-    _check_instance("e", e, RhoEnsemble)
-    _check_instance("target", target, JointState)
     if e.dim != target.dim_s:
         raise DimensionMismatch(
             f"ensemble has dimension {e.dim}, joint system factor {target.dim_s}"
@@ -330,6 +313,7 @@ def match_purification(
     return _trusted(Ancilla, dim_m=target.dim_m, kets=rotation.T[: e.order])
 
 
+@_public
 def ensemble_from_basis(
     joint: JointState,
     basis,
@@ -353,8 +337,6 @@ def ensemble_from_basis(
     reports them as collinear, and every construction takes the ensemble as
     it is.
     """
-    _check_tolerances(rank_tol=rank_tol)
-    _check_instance("joint", joint, JointState)
     kets = as_ket_list(basis, dim=joint.dim_m)
     if kets.shape[0] != joint.dim_m:
         raise NotOrthonormalBasis(
@@ -370,18 +352,15 @@ def _condition(
     """``ensemble_from_basis`` after its checks, building its outputs unchecked:
     sound for a complete basis ``kets`` within ``_CONSTRUCT_TOL`` of orthonormal."""
     matrix = joint.as_matrix()
-    try:  # the (dim_s, dim_m) conditionals and what is taken from them
-        conditionals = _at_unit_norm(matrix @ np.conj(kets).T, matrix)
-        weights = (np.abs(conditionals) ** 2).sum(axis=0)
-        rank = _kept_rank(weights, rank_tol, "conditional weight")
-        members = list(range(joint.dim_m))
-        if rank < joint.dim_m:  # copy out the members only when some ket drops
-            index = np.flatnonzero(weights > rank_tol)
-            kets, weights = kets[index], weights[index]
-            conditionals, members = conditionals[:, index], index.tolist()
-        member_kets = (conditionals / np.sqrt(weights)).T
-    except MemoryError as exc:
-        raise _out_of_memory(f"conditioning a joint ket on {len(kets)} kets") from exc
+    conditionals = _at_unit_norm(matrix @ np.conj(kets).T, matrix)
+    weights = (np.abs(conditionals) ** 2).sum(axis=0)
+    rank = _kept_rank(weights, rank_tol, "conditional weight")
+    members = list(range(joint.dim_m))
+    if rank < joint.dim_m:  # copy out the members only when some ket drops
+        index = np.flatnonzero(weights > rank_tol)
+        kets, weights = kets[index], weights[index]
+        conditionals, members = conditionals[:, index], index.tolist()
+    member_kets = (conditionals / np.sqrt(weights)).T
     # Each weight is finite and above rank_tol >= 0, each member-ket entry is
     # at most 1 in magnitude (|c_i| <= sqrt(w)), and the members' Gram matrix
     # is a principal submatrix of the basis Gram matrix.
@@ -390,6 +369,7 @@ def _condition(
     return ensemble, ancilla, members
 
 
+@_public
 def umap_between(
     from_e: RhoEnsemble,
     to_e: RhoEnsemble,
@@ -407,9 +387,6 @@ def umap_between(
     element j for ``j < order_to``; for larger j the mapped combination is
     zero.
     """
-    _check_tolerances(tol=tol)
-    _check_instance("from_e", from_e, RhoEnsemble)
-    _check_instance("to_e", to_e, RhoEnsemble)
     if from_e.dim != to_e.dim:
         raise DimensionMismatch(
             f"ensembles have different dimensions: {from_e.dim} vs {to_e.dim}"
@@ -438,6 +415,7 @@ def _members_first(members: list[int], dim: int) -> np.ndarray:
     return np.concatenate([members, np.flatnonzero(rest)])
 
 
+@_public
 def apply_unitary_umap(
     joint: JointState,
     basis,
@@ -455,8 +433,6 @@ def apply_unitary_umap(
     (else NotUnitary), and the basis and the rotated basis within 1e-8 of
     orthonormal (else NotOrthonormalBasis).
     """
-    _check_tolerances(rank_tol=rank_tol)
-    _check_instance("joint", joint, JointState)
     source_kets = as_ket_list(basis, dim=joint.dim_m)
     operator = as_operator(u)
     if operator.shape != (joint.dim_m, joint.dim_m):
@@ -472,18 +448,16 @@ def apply_unitary_umap(
     # basis can miss that bound although basis and unitary both pass.
     to_e, _, to_members = ensemble_from_basis(joint, rotated_kets, rank_tol)
 
-    try:  # the members-first row basis and the map taken in it
-        row_kets = rotated_kets[_members_first(to_members, joint.dim_m)]
-        paired_source = source_kets[_members_first(from_members, joint.dim_m)]
-        coeffs = np.conj(row_kets) @ from_ancilla.kets.T
-        generator = paired_source.T @ np.conj(row_kets)
-    except MemoryError as exc:
-        raise _out_of_memory(f"a map of dimension {joint.dim_m}") from exc
+    row_kets = rotated_kets[_members_first(to_members, joint.dim_m)]
+    paired_source = source_kets[_members_first(from_members, joint.dim_m)]
+    coeffs = np.conj(row_kets) @ from_ancilla.kets.T
+    generator = paired_source.T @ np.conj(row_kets)
     # Products of finite kets whose norms the unitarity and basis checks
     # bound; the row basis has one ket per coefficient row.
     return to_e, _trusted(UMap, coeffs=coeffs, generator=generator, basis=row_kets)
 
 
+@_public
 def ensemble_containing(
     joint: JointState,
     xi,
@@ -506,8 +480,6 @@ def ensemble_containing(
     norm. A cutoff past every ``sigma_s^2`` raises InvalidArgument, an SVD that
     fails to converge NumericalFailure, one that cannot be allocated ResourceExhausted.
     """
-    _check_tolerances(rank_tol=rank_tol)
-    _check_instance("joint", joint, JointState)
     target = as_ket(xi)
     if target.shape[0] != joint.dim_s:
         raise DimensionMismatch(

@@ -22,9 +22,7 @@ import numpy as np
 
 from .ensembles import _weighted_projector_sum
 from .errors import WeightsNotNormalized
-from .linalg import (
-    DEFAULT_RANK_TOL, _CONSTRUCT_TOL, _check_integer, _convert, _out_of_memory
-)
+from .linalg import DEFAULT_RANK_TOL, _CONSTRUCT_TOL, _check_integer, _convert, _public
 from .purification import JointState, ensemble_from_basis
 
 _INT64_MAX = 2**63 - 1  # multinomial counts are 64-bit integers
@@ -40,6 +38,7 @@ class SteeringReport:
     post_density: np.ndarray
 
 
+@_public
 def measure_ancilla(
     joint: JointState,
     basis,
@@ -57,13 +56,11 @@ def measure_ancilla(
     """
     ensemble, ancilla, _ = ensemble_from_basis(joint, basis, rank_tol)
     mixture = list(zip(ensemble.weights.tolist(), ensemble.kets, ancilla.kets))
-    try:
-        pairs = (ensemble.kets[:, :, None] * ancilla.kets[:, None, :]).reshape(ensemble.order, -1)
-    except MemoryError as exc:
-        raise _out_of_memory(f"the joint kets of {ensemble.order} outcomes") from exc
+    pairs = (ensemble.kets[:, :, None] * ancilla.kets[:, None, :]).reshape(ensemble.order, -1)
     return mixture, _weighted_projector_sum(pairs, ensemble.weights)
 
 
+@_public
 def sample_outcomes(weights, shots: int, seed: int) -> np.ndarray:
     """Draw categorical outcome counts with a deterministic seeded generator.
 
@@ -91,12 +88,10 @@ def _multinomial(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """One seeded multinomial draw of ``shots`` over non-negative ``probs``."""
     shots = _check_integer("shots", shots, 1, _INT64_MAX)
     seed = _check_integer("seed", seed, 0)
-    try:
-        return np.random.default_rng(seed).multinomial(shots, probs / float(probs.sum()))
-    except MemoryError as exc:
-        raise _out_of_memory(f"the counts of {len(probs)} outcomes") from exc
+    return np.random.default_rng(seed).multinomial(shots, probs / float(probs.sum()))
 
 
+@_public
 def steer(
     joint: JointState,
     basis,

@@ -60,6 +60,7 @@ from rhokit import (
     umap_between,
     validate_ensemble,
 )
+from rhokit import linalg
 from rhokit.linalg import as_ket_list, orthonormality_deviation
 from helpers import bell_joint, computational, random_ensemble, random_unitary
 
@@ -586,6 +587,33 @@ def test_every_malformed_argument_returns_or_raises_a_typed_error(name):
     assert peak < 4 * 2**20
 
 
+def test_every_public_callable_passes_the_one_boundary():
+    # Every _public wrapper runs one code object; a callable without it skips the rules.
+    boundary = linalg._public(lambda: None).__code__
+    entries = [JointState.reduced_system]
+    for name in public_callables():
+        value = getattr(rhokit, name)
+        if not isinstance(value, type):
+            entries.append(value)
+        elif "__post_init__" in vars(value):
+            entries.append(value.__post_init__)
+    assert len(entries) == 28
+    assert [entry.__qualname__ for entry in entries if entry.__code__ is not boundary] == []
+
+
+def test_a_failed_allocation_past_the_first_gram_matrix_is_resource_exhausted(monkeypatch):
+    # check_umap's last step, <b_j|U|b_k> against the coefficients, runs
+    # after every Gram matrix of the map's checks.
+    def exhausted(x):
+        raise MemoryError("Unable to allocate the generator's residual")
+
+    monkeypatch.setattr(purification, "max_abs", exhausted)
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(ResourceExhausted, match="^check_umap needs more memory") as info:
+        check_umap(UMap(eye, eye, eye))
+    assert type(info.value.__cause__) is MemoryError
+
+
 @pytest.mark.parametrize(
     "name", sorted(name for name, (_, objects, _) in catalogue().items() if objects)
 )
@@ -678,10 +706,13 @@ def test_sizes_numpy_cannot_represent_are_resource_exhausted(dim):
 #
 # Given "sweep", the child runs the `sweep` cases: one call of each public
 # callable on valid arguments whose dense temporaries take a few MiB to a few
-# tens of MiB. An unlimited call under tracemalloc gives the call's peak P
-# (and maps OpenBLAS's buffers); then the call runs with margins P, P/2, P/4,
-# P/8 and P/16, none under 1 MiB, so that the interpreter can still allocate.
-# Two settings keep the limit on the arrays:
+# tens of MiB. A process forked for the case runs the call once unlimited and
+# reports how far it grew the address space: VmPeak, which starts at the
+# size on fork, less that size. That peak P counts what the limit counts,
+# LAPACK's workspaces and every step after the call's first factorization
+# included. Then the call runs once unlimited (mapping what it maps once) and
+# with margins P, P/2, P/4, P/8 and P/16, none under 1 MiB, so that the
+# interpreter can still allocate. Two settings keep the limit on the arrays:
 # - glibc raises its mmap threshold to the largest block freed, which would
 #   leave the unlimited call's arrays in the heap for the limited calls to
 #   reuse. A fixed threshold returns each array of 128 KiB or more to the
@@ -692,10 +723,10 @@ def test_sizes_numpy_cannot_represent_are_resource_exhausted(dim):
 #   small enough for the heap's free space, so that they do not meet the
 #   limit.
 DENSE_PRODUCTS_PAST_THE_LIMIT = """
+import os
 import resource
 import sys
 import traceback
-import tracemalloc
 import numpy as np
 import rhokit as rk
 
@@ -823,13 +854,29 @@ def outcome(call, margin):  # "returned", or the error; untyped, with rhokit's l
     finally:
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
+def vm_peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) << 10 for line in status if line.startswith("VmPeak:"))
+
+def address_space_peak(call):  # the growth of one unlimited call, in a forked process
+    read, write = os.pipe()
+    child = os.fork()
+    if child == 0:
+        start = vm_peak()
+        call()
+        os.write(write, str(vm_peak() - start).encode())
+        os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        peak = int(pipe.read())
+    os.waitpid(child, 0)
+    return peak
+
 np.ones((2, 2), dtype=complex) @ np.ones((2, 2), dtype=complex)  # BLAS buffers first
 if sys.argv[1] == "sweep":
     for name, call in sweep().items():
-        tracemalloc.start()
         call()
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        peak = address_space_peak(call)
         for margin in sorted({max(peak >> k, 2**20) for k in range(5)}, reverse=True):
             print(name, f"{margin / 2**20:.2f}MiB", *outcome(call, margin), flush=True)
 else:

@@ -9,7 +9,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rhokit import JointState, RhoEnsemble, documents as docs, purification, purify
+from rhokit import (
+    JointState,
+    ResourceExhausted,
+    RhoEnsemble,
+    documents as docs,
+    purification,
+    purify,
+)
 from rhokit.cli import build_parser, main
 from helpers import (
     bell_joint,
@@ -722,7 +729,9 @@ def test_purify_past_available_memory_exits_4_with_one_json_line(
     assert code == 4
     error = single_json_error(capsys.readouterr().err)
     assert error["error"] == "ResourceExhausted"
-    assert "2*1000000000000" in error["message"]
+    assert error["message"] == (
+        "purify needs more memory than is available: Unable to allocate 29.1 TiB"
+    )
     assert not out.exists()
 
 
@@ -756,6 +765,20 @@ def test_any_memory_error_exits_4_with_one_json_line(tmp_path, capsys, monkeypat
         "message": "out of memory",
     }
 
+
+def test_verify_exits_4_when_loading_runs_out_of_memory(tmp_path, capsys, monkeypatch):
+    # A value too large to build is not a violation of the document it came from.
+    message = "RhoEnsemble needs more memory than is available"
+
+    def exhausted(doc):
+        raise ResourceExhausted(message)
+
+    monkeypatch.setattr(docs, "to_ensemble", exhausted)
+    ensemble = write(tmp_path / "e.json", equal_mixture_doc())
+    assert main(["verify", "--ensemble", ensemble]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert single_json_error(captured.err) == {"error": "ResourceExhausted", "message": message}
 
 DIMENSION_KEYS = {"dim", "dim_s", "dim_m", "rows", "cols"}
 

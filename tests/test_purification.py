@@ -143,7 +143,11 @@ def test_purify_reports_a_failed_allocation_as_resource_exhausted(monkeypatch):
 
     monkeypatch.setattr(purification, "_amplitude_block", exhausted)
     e = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.5, 0.5])
-    with pytest.raises(ResourceExhausted, match=r"2\*1000000000000 ") as info:
+    expected = (
+        "^purify needs more memory than is available: "
+        "Unable to allocate the block for dim_m 1000000000000$"
+    )
+    with pytest.raises(ResourceExhausted, match=expected) as info:
         purify(e, 10**12)
     assert isinstance(info.value, MemoryError)
 
