@@ -20,7 +20,7 @@ import numpy as np
 
 from .ensembles import RhoEnsemble
 from .errors import DocumentError
-from .linalg import _check_instance, as_ket, as_ket_list, as_operator
+from .linalg import _public, as_ket, as_ket_list, as_operator
 from .purification import Ancilla, JointState, UMap
 from .steering import SteeringReport
 
@@ -108,23 +108,35 @@ def _envelope(kind: str, payload: dict) -> dict:
     return {"kind": kind, "version": VERSION, "payload": payload}
 
 
+@_public
 def dump_document(doc: dict) -> str:
-    """Serialize an envelope deterministically: one compact line, sorted keys, newline."""
-    # json raises ValueError for a non-finite float or a cycle, and TypeError
-    # for a value it has no type for (a numpy scalar) or keys it cannot sort.
+    """Serialize an envelope ``load_document`` opens: one compact line, sorted keys, newline."""
+    # json raises ValueError for a non-finite float or a cycle, TypeError for
+    # a value it has no type for (a numpy scalar) or keys it cannot sort, and
+    # RecursionError for nesting past the interpreter's limit.
+    _admit_envelope(doc)
     try:
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise DocumentError(f"cannot serialize document: {exc}") from exc
     return text + "\n"
 
 
+@_public
 def load_document(text: str) -> dict:
-    """Parse an envelope, checking kind and version; payload stays raw."""
+    """Parse an envelope and pass it through the envelope gate; payload stays raw."""
+    # json raises TypeError for an argument that is not text, ValueError for
+    # text that does not parse, and RecursionError as dump_document's does.
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except ValueError as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
+    return _admit_envelope(doc)
+
+
+def _admit_envelope(doc) -> dict:
+    """The one envelope gate: ``doc`` once it is a JSON object of a known kind,
+    this ``VERSION`` and an object payload; DocumentError otherwise."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     kind = doc.get("kind")
@@ -142,8 +154,8 @@ def _reject_constant(name: str):
 
 
 def _payload(doc: dict, kind: str) -> dict:
-    if doc.get("kind") != kind:
-        raise DocumentError(f"expected a {kind!r} document, got {doc.get('kind')!r}")
+    if _admit_envelope(doc)["kind"] != kind:
+        raise DocumentError(f"expected a {kind!r} document, got {doc['kind']!r}")
     return doc["payload"]
 
 
@@ -151,17 +163,19 @@ def _payload(doc: dict, kind: str) -> dict:
 # builders
 
 
+@_public
 def ket_document(vec) -> dict:
     arr = as_ket(vec)
     return _envelope("ket", {"dim": int(arr.shape[0]), "entries": _complex_payload(arr)})
 
 
+@_public
 def matrix_document(m) -> dict:
     return _envelope("matrix", _matrix_payload(m))
 
 
+@_public
 def ensemble_document(e: RhoEnsemble) -> dict:
-    _check_instance("e", e, RhoEnsemble)
     return _envelope(
         "ensemble",
         {
@@ -174,8 +188,8 @@ def ensemble_document(e: RhoEnsemble) -> dict:
     )
 
 
+@_public
 def joint_document(state: JointState) -> dict:
-    _check_instance("state", state, JointState)
     return _envelope(
         "joint",
         {
@@ -186,13 +200,14 @@ def joint_document(state: JointState) -> dict:
     )
 
 
+@_public
 def basis_document(kets) -> dict:
     arr = as_ket_list(kets)
     return _envelope("basis", {"dim": int(arr.shape[1]), "kets": _complex_payload(arr)})
 
 
+@_public
 def umap_document(u: UMap) -> dict:
-    _check_instance("u", u, UMap)
     payload = {
         "rows": u.rows,
         "cols": u.cols,
@@ -203,8 +218,8 @@ def umap_document(u: UMap) -> dict:
     return _envelope("umap", payload)
 
 
+@_public
 def report_document(report: SteeringReport) -> dict:
-    _check_instance("report", report, SteeringReport)
     return _envelope(
         "report",
         {
@@ -220,16 +235,19 @@ def report_document(report: SteeringReport) -> dict:
 # extractors
 
 
+@_public
 def to_ket(doc: dict) -> np.ndarray:
     payload = _payload(doc, "ket")
     dim = _parse_dim(payload.get("dim"), "ket.dim")
     return _complex_array(payload.get("entries"), (dim,), "ket.entries")
 
 
+@_public
 def to_matrix(doc: dict) -> np.ndarray:
     return _parse_matrix(_payload(doc, "matrix"), "matrix")
 
 
+@_public
 def to_ensemble(doc: dict) -> RhoEnsemble:
     payload = _payload(doc, "ensemble")
     dim = _parse_dim(payload.get("dim"), "ensemble.dim")
@@ -250,6 +268,7 @@ def to_ensemble(doc: dict) -> RhoEnsemble:
     return RhoEnsemble(kets=kets, weights=weights)
 
 
+@_public
 def to_joint(doc: dict) -> JointState:
     payload = _payload(doc, "joint")
     dim_s = _parse_dim(payload.get("dim_s"), "joint.dim_s")
@@ -258,6 +277,7 @@ def to_joint(doc: dict) -> JointState:
     return JointState(dim_s=dim_s, dim_m=dim_m, vec=vec)
 
 
+@_public
 def to_basis(doc: dict) -> np.ndarray:
     payload = _payload(doc, "basis")
     dim = _parse_dim(payload.get("dim"), "basis.dim")
@@ -267,6 +287,7 @@ def to_basis(doc: dict) -> np.ndarray:
     return _complex_array(kets, (len(kets), dim), "basis.kets[{}]")
 
 
+@_public
 def to_umap(doc: dict) -> UMap:
     payload = _payload(doc, "umap")
     rows = _parse_dim(payload.get("rows"), "umap.rows")
@@ -287,6 +308,7 @@ def to_umap(doc: dict) -> UMap:
     return UMap(coeffs=coeffs, generator=generator, basis=basis)
 
 
+@_public
 def to_report(doc: dict) -> SteeringReport:
     payload = _payload(doc, "report")
     shots = _parse_dim(payload.get("shots"), "report.shots")
@@ -317,7 +339,7 @@ def to_report(doc: dict) -> SteeringReport:
     )
 
 
+@_public
 def ancilla_basis_document(ancilla: Ancilla) -> dict:
     """Serialize ancilla kets as a basis document (possibly a partial set)."""
-    _check_instance("ancilla", ancilla, Ancilla)
     return basis_document(ancilla.kets)

@@ -92,8 +92,8 @@ def _public(fn):
 
     In this order: every ``tol`` or ``rank_tol`` the caller passed goes through
     ``_check_tolerances`` (the defaults are valid constants); every parameter
-    annotated with a value class (a dataclass of ``fn``'s module) must hold an
-    instance of it; and a MemoryError raised anywhere in the call becomes
+    annotated with a value class (a dataclass named in ``fn``'s module) must
+    hold an instance of it; and a MemoryError raised anywhere in the call becomes
     ``ResourceExhausted`` naming ``fn``, followed by numpy's text when it has
     any. A ResourceExhausted from a nested call passes unchanged. The
     parameters are read once, here, from ``__code__`` and ``__annotations__``.

@@ -60,7 +60,7 @@ from rhokit import (
     umap_between,
     validate_ensemble,
 )
-from rhokit import linalg
+from rhokit import documents, linalg
 from rhokit.linalg import as_ket_list, orthonormality_deviation
 from helpers import bell_joint, computational, random_ensemble, random_unitary
 
@@ -548,7 +548,36 @@ def catalogue():
         "tensor_ket": (tensor_ket, {}, {"s": ket, "m": ket}),
         "umap_between": (umap_between, {"from_e": e, "to_e": e}, {"tol": 1e-10}),
         "validate_ensemble": (validate_ensemble, {"e": e}, {"tol": 1e-10}),
+        **document_catalogue(e, joint),
     }
+
+
+def document_catalogue(e, joint):
+    """The writers and readers of ``rhokit.documents``, as ``catalogue`` lists them."""
+    eye = np.eye(2, dtype=complex)
+    ket = documents.ket_document(eye[0])
+    report = steer(joint, eye, shots=10, seed=0)
+    writers = {
+        "ket": (documents.ket_document, {}, {"vec": eye[0]}),
+        "matrix": (documents.matrix_document, {}, {"m": eye}),
+        "basis": (documents.basis_document, {}, {"kets": eye}),
+        "ensemble": (documents.ensemble_document, {"e": e}, {}),
+        "joint": (documents.joint_document, {"state": joint}, {}),
+        "umap": (documents.umap_document, {"u": UMap(eye, eye, eye)}, {}),
+        "report": (documents.report_document, {"report": report}, {}),
+    }
+    entries = {
+        "ancilla_basis_document": (
+            documents.ancilla_basis_document, {"ancilla": Ancilla(2, eye)}, {}
+        ),
+        "dump_document": (documents.dump_document, {}, {"doc": ket}),
+        "load_document": (documents.load_document, {}, {"text": documents.dump_document(ket)}),
+    }
+    for kind, (write, objects, valid) in writers.items():
+        entries[f"{kind}_document"] = (write, objects, valid)
+        read = getattr(documents, f"to_{kind}")
+        entries[f"to_{kind}"] = (read, {}, {"doc": write(**objects, **valid)})
+    return entries
 
 
 def public_callables():
@@ -560,8 +589,20 @@ def public_callables():
     }
 
 
+def documents_functions():
+    """The public functions of ``rhokit.documents``: its writers and readers."""
+    return {
+        name: value
+        for name, value in vars(documents).items()
+        if inspect.isfunction(value)
+        and value.__module__ == documents.__name__
+        and not name.startswith("_")
+    }
+
+
 def test_catalogue_covers_every_public_callable():
-    assert public_callables() == set(catalogue()) | NO_CHECKED_ARGUMENT
+    expected = public_callables() | set(documents_functions())
+    assert expected == set(catalogue()) | NO_CHECKED_ARGUMENT
 
 
 @pytest.mark.parametrize("name", sorted(catalogue()))
@@ -601,6 +642,13 @@ def test_every_public_callable_passes_the_one_boundary():
     assert [entry.__qualname__ for entry in entries if entry.__code__ is not boundary] == []
 
 
+def test_every_documents_function_passes_the_one_boundary():
+    boundary = linalg._public(lambda: None).__code__
+    functions = documents_functions()
+    assert len(functions) == 17
+    assert [name for name, f in functions.items() if f.__code__ is not boundary] == []
+
+
 def test_a_failed_allocation_past_the_first_gram_matrix_is_resource_exhausted(monkeypatch):
     # check_umap's last step, <b_j|U|b_k> against the coefficients, runs
     # after every Gram matrix of the map's checks.
@@ -612,6 +660,82 @@ def test_a_failed_allocation_past_the_first_gram_matrix_is_resource_exhausted(mo
     with pytest.raises(ResourceExhausted, match="^check_umap needs more memory") as info:
         check_umap(UMap(eye, eye, eye))
     assert type(info.value.__cause__) is MemoryError
+
+
+def exhausted(*args, **kwargs):
+    raise MemoryError("Unable to allocate 1.00 TiB")
+
+
+class Unallocatable:
+    """A factor whose product with anything needs more memory than is available."""
+
+    def __setitem__(self, index, value):
+        pass
+
+    def __matmul__(self, other):
+        exhausted()
+
+
+def assert_exhausted(name, call):
+    with pytest.raises(ResourceExhausted, match=f"^{name} needs more memory") as info:
+        call()
+    assert type(info.value.__cause__) is MemoryError
+
+
+def test_failed_allocations_after_the_first_factorization_are_resource_exhausted(monkeypatch):
+    # Each step follows the call's first SVD or eigendecomposition, past the
+    # peak at which the address-space sweep makes a call fail.
+    e = random_ensemble(np.random.default_rng(11), 2, 2)
+    joint, _ = purify(e, 2)
+    svd = linalg._svd
+    polar_product = [
+        ("lemma_unitary", lambda: lemma_unitary(joint, joint)),
+        ("match_purification", lambda: match_purification(e, joint)),
+        ("umap_between", lambda: umap_between(e, e)),
+    ]
+    with monkeypatch.context() as patch:  # _lemma's W @ V^dag
+        patch.setattr(purification, "_svd", lambda m, **o: (Unallocatable(), *svd(m, **o)[1:]))
+        for name, call in polar_product:
+            assert_exhausted(name, call)
+    # ensemble_containing's Schmidt SVD runs in linalg; its later steps do not.
+    def containing():
+        return ensemble_containing(joint, computational(2, 0))
+
+    for patched, replacement in [
+        ("_svd", exhausted),  # the rotation completing the target
+        ("_svd", lambda m, **o: (*svd(m, **o)[:2], Unallocatable())),  # rotation @ V^dag
+        ("_at_unit_norm", exhausted),  # the conditioning on the new basis
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(purification, patched, replacement)
+            assert_exhausted("ensemble_containing", containing)
+    with monkeypatch.context() as patch:  # eig_hermitian's reordering, after eigh
+        patch.setattr(np, "argsort", exhausted)
+        assert_exhausted("eig_hermitian", lambda: eig_hermitian(np.diag([0.25, 0.75])))
+
+
+def test_a_failed_allocation_in_any_documents_function_is_resource_exhausted(monkeypatch):
+    # Each function is called as the catalogue calls it, with one helper it
+    # runs replaced: the envelope gate under dump_document, load_document and
+    # the readers, the pair encoder under the writers, and the nested
+    # basis_document under ancilla_basis_document.
+    helpers = {
+        "dump_document": "_admit_envelope",
+        "load_document": "_admit_envelope",
+        "ancilla_basis_document": "basis_document",
+    }
+    entries = document_catalogue(random_ensemble(np.random.default_rng(7), 2, 2), bell_joint())
+    assert set(entries) == set(documents_functions())
+    for name, (call, objects, valid) in entries.items():
+        reader = name.startswith("to_")
+        helper = helpers.get(name, "_admit_envelope" if reader else "_complex_payload")
+        with monkeypatch.context() as patch:
+            patch.setattr(documents, helper, exhausted)
+            assert_exhausted(name, lambda: call(**objects, **valid))
+    # A ResourceExhausted from a nested public call passes through unchanged.
+    call, objects, _ = entries["ancilla_basis_document"]
+    monkeypatch.setattr(documents, "_complex_payload", exhausted)
+    assert_exhausted("basis_document", lambda: call(**objects))
 
 
 @pytest.mark.parametrize(
@@ -705,14 +829,15 @@ def test_sizes_numpy_cannot_represent_are_resource_exhausted(dim):
 # at the 2 GiB of its outcomes' joint kets.
 #
 # Given "sweep", the child runs the `sweep` cases: one call of each public
-# callable on valid arguments whose dense temporaries take a few MiB to a few
-# tens of MiB. A process forked for the case runs the call once unlimited and
-# reports how far it grew the address space: VmPeak, which starts at the
-# size on fork, less that size. That peak P counts what the limit counts,
-# LAPACK's workspaces and every step after the call's first factorization
-# included. Then the call runs once unlimited (mapping what it maps once) and
-# with margins P, P/2, P/4, P/8 and P/16, none under 1 MiB, so that the
-# interpreter can still allocate. Two settings keep the limit on the arrays:
+# callable, and of one writer and one reader of rhokit.documents, on valid
+# arguments whose dense temporaries take a few MiB to a few tens of MiB. A
+# process forked for the case runs the call once unlimited and reports how far
+# it grew the address space: VmPeak, which starts at the size on fork, less
+# that size. That peak P counts what the limit counts, LAPACK's workspaces
+# and every step after the call's first factorization included. Then the
+# call runs once unlimited (mapping what it maps once) and with margins P,
+# P/2, P/4, P/8 and P/16, none under 1 MiB, so that the interpreter can still
+# allocate. Two settings keep the limit on the arrays:
 # - glibc raises its mmap threshold to the largest block freed, which would
 #   leave the unlimited call's arrays in the heap for the limited calls to
 #   reuse. A fixed threshold returns each array of 128 KiB or more to the
@@ -729,6 +854,7 @@ import sys
 import traceback
 import numpy as np
 import rhokit as rk
+from rhokit import documents
 
 np.setbufsize(64)  # 1 KiB buffers: see above
 
@@ -799,6 +925,7 @@ def sweep():
     tall_basis = unitary(rng, 64)
     small, _ = rk.purify(rk.RhoEnsemble(unitary(rng, 32), np.full(32, 1 / 32)), 32)
     small_basis = unitary(rng, 32)
+    written = documents.ensemble_document(e)
     return {
         "Ancilla": lambda: rk.Ancilla(n, real_eye),
         "DensityMatrix": lambda: rk.DensityMatrix(n, rho.matrix, rho.spectrum, rho.eigenkets, n),
@@ -832,6 +959,8 @@ def sweep():
         "tensor_ket": lambda: rk.tensor_ket(u[0], np.full(4096, 1 / 64)),
         "umap_between": lambda: rk.umap_between(e, e),
         "validate_ensemble": lambda: rk.validate_ensemble(plane),
+        "ensemble_document": lambda: documents.ensemble_document(e),
+        "to_ensemble": lambda: documents.to_ensemble(written),
     }
 
 def outcome(call, margin):  # "returned", or the error; untyped, with rhokit's last frame
@@ -938,7 +1067,8 @@ def test_temporaries_of_the_element_norms_are_resource_exhausted():
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
 def test_every_public_call_under_a_falling_address_space_limit_raises_only_typed_errors():
     lines = outcomes_under_the_limit("sweep")
-    assert {line.split()[0] for line in lines} == public_callables()
+    names = public_callables() | {"ensemble_document", "to_ensemble"}
+    assert {line.split()[0] for line in lines} == names
     untyped = [line for line in lines if " untyped " in line]
     assert not untyped, "\n".join(untyped)
 

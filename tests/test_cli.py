@@ -631,6 +631,19 @@ def test_malformed_document_exits_2(tmp_path, capsys):
     assert error["error"] == "DocumentError"
 
 
+def test_document_nested_past_the_recursion_limit_exits_2_with_one_json_line(
+    tmp_path, capsys
+):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10**5)
+    assert main(["verify", "--ensemble", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = single_json_error(captured.err)
+    assert error["error"] == "DocumentError"
+    assert error["message"].startswith("invalid JSON: maximum recursion depth exceeded")
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     rc = main(["verify", "--joint", str(tmp_path / "absent.json")])
     assert rc == 2

@@ -187,6 +187,7 @@ def test_dump_is_deterministic():
     )
 
 
+KET_ENVELOPE = {"kind": "ket", "version": 1}
 WRITER_CATALOGUE = [
     (docs.ket_document, [[1, 2]], DimensionMismatch),
     (docs.ket_document, "ab", InvalidArgument),
@@ -195,6 +196,12 @@ WRITER_CATALOGUE = [
     (docs.dump_document, {"x": math.nan}, DocumentError),
     (docs.dump_document, {"x": np.float32(1)}, DocumentError),
     (docs.dump_document, {1: 2, "a": 3}, DocumentError),
+    # What the envelope gate admits, with a payload JSON cannot hold.
+    (docs.dump_document, {**KET_ENVELOPE, "payload": {"x": math.nan}}, DocumentError),
+    (docs.dump_document, {**KET_ENVELOPE, "payload": {"x": np.float32(1)}}, DocumentError),
+    (docs.dump_document, {**KET_ENVELOPE, "payload": {1: 2, "a": 3}}, DocumentError),
+    # What load_document would refuse to open.
+    (docs.dump_document, [1], DocumentError),
     (docs.ensemble_document, None, InvalidArgument),
     (docs.joint_document, None, InvalidArgument),
     (docs.umap_document, None, InvalidArgument),
@@ -231,6 +238,66 @@ def test_rejects_non_object():
 def test_rejects_invalid_json():
     with pytest.raises(DocumentError):
         docs.load_document("{not json")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [123, None, "[" * 10**5],
+    ids=["int", "none", "nested_past_the_recursion_limit"],
+)
+def test_load_reports_what_json_cannot_parse_as_a_document_error(text):
+    with pytest.raises(DocumentError, match="^invalid JSON: "):
+        docs.load_document(text)
+
+
+def test_dump_reports_nesting_past_the_recursion_limit_as_a_document_error():
+    nested = []
+    for _ in range(10**5):
+        nested = [nested]
+    with pytest.raises(DocumentError, match="^cannot serialize document: "):
+        docs.dump_document({"kind": "ket", "version": 1, "payload": {"x": nested}})
+
+
+def test_dump_writes_only_what_load_opens():
+    with pytest.raises(DocumentError, match="^document must be a JSON object$"):
+        docs.dump_document([1])
+    with pytest.raises(DocumentError, match="^unknown document kind None$"):
+        docs.dump_document({})
+
+
+READERS = [
+    docs.to_ket,
+    docs.to_matrix,
+    docs.to_ensemble,
+    docs.to_joint,
+    docs.to_basis,
+    docs.to_umap,
+    docs.to_report,
+]
+
+
+@pytest.mark.parametrize("read", READERS, ids=lambda read: read.__name__)
+def test_readers_open_a_dict_as_load_document_opens_its_text(read):
+    kind = read.__name__.removeprefix("to_")
+    other = "joint" if kind == "ket" else "ket"
+    malformed = [
+        None,
+        "ab",
+        [1],
+        {},
+        {"kind": kind, "version": 1},
+        {"kind": kind, "version": 1, "payload": []},
+        {"kind": kind, "version": 2, "payload": {}},
+        {"kind": other, "version": 1, "payload": {}},
+    ]
+    for doc in malformed:
+        try:
+            docs.load_document(json.dumps(doc))
+            message = f"expected a {kind!r} document, got {other!r}"
+        except DocumentError as exc:
+            message = str(exc)
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+            read(doc)
 
 
 def test_rejects_dimension_mismatch():
