@@ -20,7 +20,7 @@ import numpy as np
 
 from .ensembles import RhoEnsemble
 from .errors import DocumentError
-from .linalg import _public, as_ket, as_ket_list, as_operator
+from .linalg import _checked, _convert, _public, as_ket, as_operator
 from .purification import Ancilla, JointState, UMap
 from .steering import SteeringReport
 
@@ -46,6 +46,15 @@ def _is_number(x) -> bool:
         return False
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the kind of a value nested past the recursion limit:
+    only a dict built in Python, never parsed text, holds one."""
+    try:
+        return repr(value)
+    except RecursionError:
+        return f"a {type(value).__name__} nested past the recursion limit"
+
+
 def _complex_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
     """The complex array of ``shape`` encoded as ``[re, im]`` pairs, in one array pass.
 
@@ -69,7 +78,7 @@ def _complex_array(value, shape: tuple[int, ...], where: str) -> np.ndarray:
             raise DocumentError(f"{path}: expected {shape[-1]} entries")
         for z in row:
             if not isinstance(z, list) or len(z) != 2 or not all(map(_is_number, z)):
-                raise DocumentError(f"{path}: expected a [re, im] pair, got {z!r}")
+                raise DocumentError(f"{path}: expected a [re, im] pair, got {_shown(z)}")
     # Callers check the row count, so the walk above raises for every rejection.
     raise DocumentError(f"{where}: expected [re, im] pairs of shape {shape}")
 
@@ -96,7 +105,7 @@ def _parse_matrix(value, where: str) -> np.ndarray:
 
 def _parse_dim(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise DocumentError(f"{where}: expected a positive integer, got {value!r}")
+        raise DocumentError(f"{where}: expected a positive integer, got {_shown(value)}")
     return value
 
 
@@ -141,9 +150,9 @@ def _admit_envelope(doc) -> dict:
         raise DocumentError("document must be a JSON object")
     kind = doc.get("kind")
     if kind not in KINDS:
-        raise DocumentError(f"unknown document kind {kind!r}")
+        raise DocumentError(f"unknown document kind {_shown(kind)}")
     if doc.get("version") != VERSION:
-        raise DocumentError(f"unsupported document version {doc.get('version')!r}")
+        raise DocumentError(f"unsupported document version {_shown(doc.get('version'))}")
     if not isinstance(doc.get("payload"), dict):
         raise DocumentError("document payload must be a JSON object")
     return doc
@@ -202,7 +211,7 @@ def joint_document(state: JointState) -> dict:
 
 @_public
 def basis_document(kets) -> dict:
-    arr = as_ket_list(kets)
+    arr = _checked(_convert(kets), 2, "ket list")  # at least one ket, as to_basis reads
     return _envelope("basis", {"dim": int(arr.shape[1]), "kets": _complex_payload(arr)})
 
 

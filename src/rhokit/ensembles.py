@@ -213,18 +213,13 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     eigenvalue is at most c. For unit kets that is exactly
     ``|<phi_i|phi_j>| >= r_i r_j`` with ``r = sqrt(1 - c / max(p, c))``; a
     non-positive weight takes ``r = 1``, so only near-duplicates of it count.
-    Pairs are screened with ``min(r)^2``; ``r_i r_j`` is formed only past it.
     """
     report = _unmet_hypotheses(e, tol)
     c = DEFAULT_RANK_TOL
-    pairs = ()
     overlaps = np.abs(gram_matrix(e.kets))
-    collinear = overlaps >= 1.0 - c / max(float(e.weights.min()), c)  # the screen min(r)^2
-    # A diagonal entry pairs a ket with itself; only entries off it are pairs.
-    if np.count_nonzero(collinear) > np.count_nonzero(collinear.diagonal()):
-        r = np.sqrt(np.where(e.weights > 0.0, 1.0 - c / np.maximum(e.weights, c), 1.0))
-        pairs = np.argwhere(np.triu(collinear & (overlaps >= np.outer(r, r)), 1))
-    for i, j in pairs:
+    r = np.sqrt(np.where(e.weights > 0.0, 1.0 - c / np.maximum(e.weights, c), 1.0))
+    # A diagonal entry pairs a ket with itself; only entries above it are pairs.
+    for i, j in np.argwhere(np.triu(overlaps >= np.outer(r, r), 1)):
         overlap = float(overlaps[i, j])
         report.append(f"elements ({i}, {j}) are collinear (|overlap| = {overlap!r})")
     return report

@@ -174,7 +174,7 @@ def as_operator(m) -> np.ndarray:
 
 
 def as_ket_list(kets, dim: int | None = None) -> np.ndarray:
-    """Coerce a sequence of kets to a (count, dim) array; may be empty."""
+    """Coerce a sequence of kets to a (count, dim) array, ``dim >= 1``; may hold no kets."""
     arr = _convert(kets)
     if arr.shape == (0,):
         if dim is None:
@@ -184,8 +184,10 @@ def as_ket_list(kets, dim: int | None = None) -> np.ndarray:
         except ValueError as exc:
             raise _out_of_memory(f"an empty ket list of dimension {dim}") from exc
     _checked(arr, 2, "ket list", empty=True)
-    if dim is not None and arr.shape[1] != dim:
-        raise DimensionMismatch(f"ket list has dimension {arr.shape[1]}, expected {dim}")
+    if arr.shape[1] == 0 or dim not in (None, arr.shape[1]):
+        raise DimensionMismatch(
+            f"ket list has dimension {arr.shape[1]}, expected {dim or 'at least 1'}"
+        )
     return arr
 
 

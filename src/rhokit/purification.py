@@ -97,7 +97,8 @@ def _state(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Ancilla:
-    """An orthonormal ket list on the ancilla factor, one ket per element."""
+    """An orthonormal ket list on the ancilla factor, one ket per element:
+    at least one and at most ``dim_m``."""
 
     dim_m: int
     kets: np.ndarray
@@ -106,9 +107,10 @@ class Ancilla:
     def __post_init__(self):
         object.__setattr__(self, "dim_m", _check_integer("dim_m", self.dim_m, 1))
         kets = as_ket_list(self.kets, dim=self.dim_m)
-        if kets.shape[0] > self.dim_m:
+        if not 0 < kets.shape[0] <= self.dim_m:
             raise DimensionMismatch(
                 f"{kets.shape[0]} ancilla kets cannot fit in dimension {self.dim_m}"
+                if kets.shape[0] else "an ancilla needs at least one ket"
             )
         _admit_orthonormal(kets, NotOrthonormal, "ancilla kets deviate from orthonormality")
         object.__setattr__(self, "kets", kets)
@@ -124,6 +126,10 @@ class UMap:
     the map was produced by rotating purifications, ``generator`` records the
     ancilla-side unitary and ``basis`` the row ket list in which the
     coefficients were taken, so the three can be cross-checked.
+
+    Construction refuses every shape error with DimensionMismatch: coefficients
+    with more columns than rows, and a generator or basis that is not
+    ``(rows, rows)``. Whether the numbers hold is ``check_umap``'s to report.
     """
 
     coeffs: np.ndarray
@@ -133,13 +139,18 @@ class UMap:
     @_public
     def __post_init__(self):
         coeffs = as_operator(self.coeffs)
+        rows, cols = coeffs.shape
+        if cols > rows:
+            raise DimensionMismatch(f"coefficients have {cols} columns, more than {rows} rows")
         object.__setattr__(self, "coeffs", coeffs)
-        if self.generator is not None:
-            object.__setattr__(self, "generator", as_operator(self.generator))
-        if self.basis is not None:
-            object.__setattr__(
-                self, "basis", as_ket_list(self.basis, dim=coeffs.shape[0])
-            )
+        for name in ("generator", "basis"):
+            if getattr(self, name) is not None:
+                matrix = as_operator(getattr(self, name))
+                if matrix.shape != (rows, rows):
+                    raise DimensionMismatch(
+                        f"{name} has shape {matrix.shape}, expected ({rows}, {rows})"
+                    )
+                object.__setattr__(self, name, matrix)
 
     @property
     def rows(self) -> int:
@@ -154,43 +165,25 @@ class UMap:
 def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
     """Report every violated UMap invariant (empty list when clean).
 
-    Checks column orthonormality of the coefficients and that they have no
-    more columns than rows, unitarity of the generator and its size (one row
-    and column per coefficient row) when present, orthonormality of the
-    recorded row basis when present, and, when every other check passes, the
-    consistency ``coeffs[j, k] = <b_j|U|b_k>`` whenever both generator and
-    basis are recorded.
+    ``UMap`` has refused every shape error, so only numbers are checked, each
+    against ``tol``: the column orthonormality of the coefficients, the
+    unitarity of the generator and the orthonormality of the row basis when
+    recorded, and, when both are recorded and every other check passes, the
+    consistency ``coeffs[j, k] = <b_j|U|b_k>`` (max norm).
     """
     report: list[str] = []
-    col_dev = orthonormality_deviation(u.coeffs.T)
-    if col_dev > tol:
-        report.append(f"coefficient columns deviate from orthonormality by {col_dev:.3e}")
-    if u.cols > u.rows:
-        report.append(f"coefficients have {u.cols} columns, more than their {u.rows} rows")
-    if u.generator is not None:
-        gen = u.generator
-        if gen.shape[0] != gen.shape[1]:
-            report.append(f"generator is not square: {gen.shape}")
-        elif gen.shape[0] != u.rows:
-            report.append(
-                f"generator has dimension {gen.shape[0]} for {u.rows} coefficient rows"
-            )
-        else:
-            unit_dev = orthonormality_deviation(gen.T)
-            if unit_dev > tol:
-                report.append(f"generator deviates from unitarity by {unit_dev:.3e}")
-    if u.basis is not None:
-        basis_dev = orthonormality_deviation(u.basis)
-        if basis_dev > tol:
-            report.append(f"row basis deviates from orthonormality by {basis_dev:.3e}")
-        if u.basis.shape[0] != u.rows:
-            report.append(
-                f"row basis has {u.basis.shape[0]} kets for {u.rows} coefficient rows"
-            )
+    for what, kets in (
+        ("coefficient columns deviate from orthonormality", u.coeffs.T),
+        ("generator deviates from unitarity", None if u.generator is None else u.generator.T),
+        ("row basis deviates from orthonormality", u.basis),
+    ):
+        deviation = 0.0 if kets is None else orthonormality_deviation(kets)
+        if deviation > tol:
+            report.append(f"{what} by {deviation:.3e}")
     if u.generator is not None and u.basis is not None and not report:
         expected = np.conj(u.basis) @ u.generator @ u.basis.T
         gen_dev = max_abs(expected[:, : u.cols] - u.coeffs)
-        if gen_dev > max(10 * tol, 1e-12):
+        if gen_dev > tol:
             report.append(f"coefficients deviate from <b_j|U|b_k> by {gen_dev:.3e}")
     return report
 

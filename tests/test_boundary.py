@@ -915,11 +915,13 @@ def sweep():
     big = np.full(2**21, 2.0**-10.5, dtype=complex)
     square = np.full(2**18, 2.0**-9, dtype=complex)
     outcomes = np.full(2**20, 2.0**-20)
-    # Order x order products built from factors of order x 2. In the map, the
-    # Gram matrix of the 1024 coefficient columns fits at half the peak that
-    # the basis of 1322 kets sets, and its magnitudes do not.
+    # Order x order products built from factors of order x 2.
     plane = rk.RhoEnsemble(fan(1024), np.full(1024, 1 / 1024))
-    wide = rk.UMap(fan(1024).T, np.eye(2), fan(1322))
+    # A map of 1024 rows whose generator is a Householder reflection. The
+    # generator's Gram matrix and its conjugate operand (32 MiB) set the
+    # peak; the Gram matrix of the 512 coefficient columns fits at half of it.
+    reflection = np.eye(1024) - np.full((1024, 1024), 2 / 1024)
+    reflected = rk.UMap(reflection[:, :512], reflection)
     # A joint ket of 1024 x 64: the conditionals outgrow the basis checks.
     tall, _ = rk.purify(rk.RhoEnsemble(np.eye(64, 1024), np.full(64, 1 / 64)), 64)
     tall_basis = unitary(rng, 64)
@@ -937,7 +939,7 @@ def sweep():
         "SteeringReport": lambda: rk.SteeringReport(1, [1], w, rho.matrix),
         "UMap": lambda: rk.UMap(real_eye, real_eye, real_eye),
         "apply_unitary_umap": lambda: rk.apply_unitary_umap(j, u, u),
-        "check_umap": lambda: rk.check_umap(wide),
+        "check_umap": lambda: rk.check_umap(reflected),
         "complete_orthonormal": lambda: rk.complete_orthonormal(u[: n // 2], n),
         "densities_match": lambda: rk.densities_match(e, e),
         "density_from_matrix": lambda: rk.density_from_matrix(rho.matrix),

@@ -124,10 +124,23 @@ def test_verify_ensemble_against_density(tmp_path):
 def test_verify_umap_of_mismatched_shapes_reports_and_exits_3(
     tmp_path, coeffs, generator, tol
 ):
-    doc = docs.umap_document(
-        purification.UMap(coeffs=coeffs, generator=generator, basis=np.eye(2))
-    )
-    result = run_cli("verify", "--umap", write(tmp_path / "u.json", doc), "--tol", tol)
+    # UMap refuses both shapes, so umap_document cannot write them: raw JSON.
+    def pairs(m):
+        return np.stack([m.real, m.imag], -1).tolist()
+
+    def matrix(m):
+        return {"rows": m.shape[0], "cols": m.shape[1], "entries": pairs(m)}
+
+    payload = {
+        "rows": coeffs.shape[0],
+        "cols": coeffs.shape[1],
+        "coeffs": matrix(coeffs),
+        "generator": matrix(generator),
+        "basis": pairs(np.eye(2)),
+    }
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"kind": "umap", "version": 1, "payload": payload}))
+    result = run_cli("verify", "--umap", str(path), "--tol", tol)
     assert result.returncode == 3
     assert result.stderr == ""
     report = json.loads(result.stdout)

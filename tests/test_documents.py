@@ -1,6 +1,7 @@
 """JSON document round-trips and schema rejection."""
 
 import copy
+import itertools
 import json
 import math
 import re
@@ -11,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhokit import (
+    Ancilla,
     DimensionMismatch,
     DocumentError,
     InvalidArgument,
+    InvalidEnsemble,
     JointState,
     RhoEnsemble,
     RhokitError,
@@ -78,6 +81,87 @@ def test_umap_roundtrip_without_optionals():
     doc = docs.load_document(docs.dump_document(docs.umap_document(umap)))
     out = docs.to_umap(doc)
     assert out.generator is None and out.basis is None
+
+
+# Every argument shape up to two axes of at most three entries, the empty and
+# zero-length ones included, and every dimension up to three.
+SHAPES = [(), *((n,) for n in range(4)), *itertools.product(range(4), repeat=2)]
+DIMS = range(4)
+
+
+def entries(shape):
+    """Distinct finite complex entries of ``shape``."""
+    count = math.prod(shape)
+    return ((np.arange(count) + 1j * np.arange(count, 0, -1)) / 3).reshape(shape)
+
+
+def admitted(build, *args):
+    """``build(*args)``, or None where it refuses the shapes of ``args``: every
+    other property the arguments need (positive weights, unit norm,
+    orthonormal kets) holds, so every refusal is one of these three errors."""
+    try:
+        return build(*args)
+    except (DimensionMismatch, InvalidArgument, InvalidEnsemble):
+        return None
+
+
+def written(kind):
+    """``(value, document)`` for every value of ``kind`` whose constructor
+    admits arguments of ``SHAPES`` and ``DIMS``; ``ancilla`` is written as a basis."""
+    if kind in ("ket", "matrix", "basis"):
+        write = getattr(docs, f"{kind}_document")
+        arrays = [entries(shape) for shape in SHAPES]
+        return [(a, doc) for a in arrays if (doc := admitted(write, a)) is not None]
+    if kind == "ancilla":
+        kets = [np.eye(*shape) if len(shape) == 2 else entries(shape) for shape in SHAPES]
+        values = [admitted(Ancilla, dim_m, k) for dim_m in DIMS for k in kets]
+        return [(v.kets, docs.ancilla_basis_document(v)) for v in values if v is not None]
+    if kind == "ensemble":
+        weights = [np.full(shape, 0.5) for shape in SHAPES]
+        values = [admitted(RhoEnsemble, entries(k), w) for k in SHAPES for w in weights]
+    elif kind == "joint":
+        units = [np.zeros(shape, dtype=complex) for shape in SHAPES]
+        for vec in units:
+            vec.flat[:1] = 1.0
+        values = [admitted(JointState, s, m, v) for s in DIMS for m in DIMS for v in units]
+    else:
+        optional = [None, *map(entries, SHAPES)]
+        values = [
+            admitted(UMap, entries(c), g, b) for c in SHAPES for g in optional for b in optional
+        ]
+    write = getattr(docs, f"{kind}_document")
+    return [(v, write(v)) for v in values if v is not None]
+
+
+def bits(value):
+    """What makes up a value, each array as its dtype, shape and bytes."""
+    if value is None:
+        return None
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    if isinstance(value, RhoEnsemble):
+        return bits(value.kets), bits(value.weights)
+    if isinstance(value, JointState):
+        return value.dim_s, value.dim_m, bits(value.vec)
+    return bits(value.coeffs), bits(value.generator), bits(value.basis)
+
+
+@pytest.mark.parametrize(
+    "kind", ["ket", "matrix", "basis", "ancilla", "ensemble", "joint", "umap"]
+)
+def test_every_admitted_value_round_trips_through_its_document(kind):
+    read = docs.to_basis if kind == "ancilla" else getattr(docs, f"to_{kind}")
+    cases = written(kind)
+    failures = []
+    for value, doc in cases:
+        try:
+            back = read(docs.load_document(docs.dump_document(doc)))
+        except RhokitError as exc:
+            failures.append(f"{value!r:.100}: {type(exc).__name__}: {exc}")
+            continue
+        if bits(back) != bits(value):
+            failures.append(f"{value!r:.100}: read back as {back!r:.100}")
+    assert cases and not failures, "\n".join(failures)
 
 
 def test_report_roundtrip_exact():
@@ -193,6 +277,8 @@ WRITER_CATALOGUE = [
     (docs.ket_document, "ab", InvalidArgument),
     (docs.matrix_document, [1, 2], DimensionMismatch),
     (docs.basis_document, [1, 2], DimensionMismatch),
+    (docs.basis_document, np.zeros((0, 2)), DimensionMismatch),
+    (docs.basis_document, np.zeros((2, 0)), DimensionMismatch),
     (docs.dump_document, {"x": math.nan}, DocumentError),
     (docs.dump_document, {"x": np.float32(1)}, DocumentError),
     (docs.dump_document, {1: 2, "a": 3}, DocumentError),
@@ -256,6 +342,40 @@ def test_dump_reports_nesting_past_the_recursion_limit_as_a_document_error():
         nested = [nested]
     with pytest.raises(DocumentError, match="^cannot serialize document: "):
         docs.dump_document({"kind": "ket", "version": 1, "payload": {"x": nested}})
+
+
+def nested_past_the_recursion_limit():
+    value = 0.0
+    for _ in range(5000):
+        value = [value]
+    return value
+
+
+DEEP = nested_past_the_recursion_limit()
+DEEP_SHOWN = "a list nested past the recursion limit"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: docs.to_ket(envelope("ket", {"dim": 1, "entries": [DEEP]})),
+         f"ket.entries: expected a [re, im] pair, got {DEEP_SHOWN}"),
+        (lambda: docs.to_basis(envelope("basis", {"dim": 1, "kets": [[DEEP]]})),
+         f"basis.kets[0]: expected a [re, im] pair, got {DEEP_SHOWN}"),
+        (lambda: docs.to_matrix(envelope("matrix", {"rows": 1, "cols": 1, "entries": [[DEEP]]})),
+         f"matrix.entries[0]: expected a [re, im] pair, got {DEEP_SHOWN}"),
+        (lambda: docs.to_ket(envelope("ket", {"dim": DEEP})),
+         f"ket.dim: expected a positive integer, got {DEEP_SHOWN}"),
+        (lambda: docs.to_ket({"kind": DEEP}), f"unknown document kind {DEEP_SHOWN}"),
+        (lambda: docs.dump_document({"kind": "ket", "version": DEEP}),
+         f"unsupported document version {DEEP_SHOWN}"),
+    ],
+    ids=["pair", "basis_pair", "matrix_pair", "dim", "kind", "version"],
+)
+def test_an_entry_nested_past_the_recursion_limit_is_a_document_error(call, message):
+    # Only a dict built in Python holds one; load_document refuses such text.
+    with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_dump_writes_only_what_load_opens():

@@ -427,6 +427,11 @@ PRECONDITIONS = {
         DimensionMismatch,
         "cannot infer dimension of an empty ket list",
     ),
+    "kets_of_dimension_0": (
+        lambda: RhoEnsemble(kets=np.zeros((1, 0)), weights=[1.0]),
+        DimensionMismatch,
+        "ket list has dimension 0, expected at least 1$",
+    ),
     "too_many_kets_to_complete": (
         lambda: complete_orthonormal(np.ones((3, 2)), 2),
         DimensionMismatch,

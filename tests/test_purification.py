@@ -1085,6 +1085,32 @@ PRECONDITIONS = {
         InvalidArgument,
         "rank_tol 7.500e-01 is not below the largest squared Schmidt coefficient 5.000e-01$",
     ),
+    # UMap refuses every shape error, so check_umap sees only well-shaped maps.
+    "umap_more_columns_than_rows": (
+        lambda: UMap(coeffs=np.eye(2, 3), generator=np.eye(2), basis=np.eye(2)),
+        DimensionMismatch,
+        "coefficients have 3 columns, more than 2 rows$",
+    ),
+    "umap_non_square_generator": (
+        lambda: UMap(coeffs=np.eye(2), generator=np.ones((2, 3))),
+        DimensionMismatch,
+        r"generator has shape \(2, 3\), expected \(2, 2\)$",
+    ),
+    "umap_generator_size": (
+        lambda: UMap(coeffs=np.eye(2), generator=np.eye(3), basis=np.eye(2)),
+        DimensionMismatch,
+        r"generator has shape \(3, 3\), expected \(2, 2\)$",
+    ),
+    "umap_row_basis_count": (
+        lambda: UMap(coeffs=np.eye(2), basis=np.eye(2)[:1]),
+        DimensionMismatch,
+        r"basis has shape \(1, 2\), expected \(2, 2\)$",
+    ),
+    "ancilla_without_kets": (
+        lambda: Ancilla(dim_m=3, kets=np.zeros((0, 3))),
+        DimensionMismatch,
+        "an ancilla needs at least one ket$",
+    ),
     "target_norm": (
         lambda: ensemble_containing(bell_joint(), computational(2, 0) * (1 + 1e-7)),
         NotNormalized,
@@ -1107,35 +1133,17 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
     "umap, expected",
     [
         (
-            UMap(coeffs=np.eye(2), generator=np.ones((2, 3))),
-            ["generator is not square: (2, 3)"],
-        ),
-        (
-            UMap(coeffs=np.eye(2), basis=np.eye(2)[:1]),
-            ["row basis has 1 kets for 2 coefficient rows"],
-        ),
-        (
             UMap(coeffs=np.eye(2), generator=PAULI_X, basis=np.eye(2)),
             ["coefficients deviate from <b_j|U|b_k> by 1.000e+00"],
         ),
+        # A phase of 5e-10 on a unitary generator: the residual is compared
+        # against tol itself, as every other check is.
         (
-            UMap(coeffs=np.eye(2), generator=np.eye(3), basis=np.eye(2)),
-            ["generator has dimension 3 for 2 coefficient rows"],
+            UMap(coeffs=np.eye(2), generator=np.diag([1, np.exp(5e-10j)]), basis=np.eye(2)),
+            ["coefficients deviate from <b_j|U|b_k> by 5.000e-10"],
         ),
     ],
-    ids=[
-        "non_square_generator",
-        "row_basis_count",
-        "generator_mismatch",
-        "generator_size",
-    ],
+    ids=["generator_mismatch", "generator_phase_above_tol"],
 )
 def test_check_umap_reports_each_inconsistency(umap, expected):
     assert check_umap(umap) == expected
-
-
-def test_check_umap_reports_more_columns_than_rows_at_any_tolerance():
-    # At tol 10 the column check passes, so only the count stops the
-    # <b_j|U|b_k> comparison from broadcasting a 2x2 block against 2x3 coeffs.
-    umap = UMap(coeffs=np.eye(2, 3), generator=np.eye(2), basis=np.eye(2))
-    assert check_umap(umap, 10.0) == ["coefficients have 3 columns, more than their 2 rows"]
