@@ -5,9 +5,10 @@ Every command reads and writes the JSON documents defined in
 JSON object on stderr and mapped onto a fixed exit-code contract:
 
 * 0 -- success (for ``verify``: the report is clean)
-* 2 -- usage error, unreadable or malformed input document, or unwritable
-  output
-* 3 -- violated precondition (including a dirty ``verify`` report)
+* 2 -- usage error, unreadable input, malformed document encoding, or
+  unwritable output
+* 3 -- violated precondition: a well-encoded value its constructor refuses,
+  an argument out of range, or a dirty ``verify`` report
 * 4 -- numerical failure, or memory exhausted (``ResourceExhausted``: a
   dimension such as ``--dim-m`` too large to allocate, or any other
   ``MemoryError``)
@@ -290,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
+        parser = build_parser()
         args = parser.parse_args(argv)
         if args.command == "verify" and args.rho is not None and args.ensemble is None:
             parser.error("--rho requires --ensemble")

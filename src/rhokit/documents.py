@@ -4,6 +4,8 @@ Every document is an envelope ``{"kind": ..., "version": 1, "payload": ...}``.
 Complex numbers serialize as two-element ``[re, im]`` arrays, kets as arrays
 of those, matrices as arrays of row arrays. Dimensions are always explicit in
 the payload and checked against the data on parse; they are never inferred.
+A reader checks only this encoding and raises DocumentError; every other rule
+of a value is its constructor's.
 Documents are dumped as one compact line with sorted keys; any JSON layout
 loads, the older indented one included. Floats are emitted with Python's
 shortest round-trip representation, so ``parse(dump(x))`` reproduces ``x``
@@ -20,7 +22,7 @@ import numpy as np
 
 from .ensembles import RhoEnsemble
 from .errors import DocumentError
-from .linalg import _checked, _convert, _public, as_ket, as_operator
+from .linalg import _checked, _convert, _public, as_ket, as_ket_list, as_operator
 from .purification import Ancilla, JointState, UMap
 from .steering import SteeringReport
 
@@ -261,8 +263,8 @@ def to_ensemble(doc: dict) -> RhoEnsemble:
     payload = _payload(doc, "ensemble")
     dim = _parse_dim(payload.get("dim"), "ensemble.dim")
     elements = payload.get("elements")
-    if not isinstance(elements, list) or not elements:
-        raise DocumentError("ensemble.elements: expected a non-empty array")
+    if not isinstance(elements, list):
+        raise DocumentError("ensemble.elements: expected an array")
     # A bad ket is reported before any bad object or weight that follows it.
     ok = [isinstance(e, dict) and _is_number(e.get("weight")) for e in elements]
     n = ok.index(False) if False in ok else len(elements)
@@ -274,7 +276,8 @@ def to_ensemble(doc: dict) -> RhoEnsemble:
             raise DocumentError(f"ensemble.elements[{n}]: expected an object")
         raise DocumentError(f"ensemble.elements[{n}].weight: expected a number")
     weights = np.array([e["weight"] for e in elements], dtype=float)
-    return RhoEnsemble(kets=kets, weights=weights)
+    # No elements read as a (0, dim) ket list, which RhoEnsemble refuses.
+    return RhoEnsemble(kets=kets if n else as_ket_list([], dim), weights=weights)
 
 
 @_public
@@ -298,6 +301,13 @@ def to_basis(doc: dict) -> np.ndarray:
 
 @_public
 def to_umap(doc: dict) -> UMap:
+    """The map a ``umap`` document encodes.
+
+    Only the encoding is checked here (DocumentError): each matrix object,
+    ``coeffs`` against the declared ``rows`` and ``cols``, and ``basis`` as a
+    non-empty array of equal-length, non-empty kets, as a matrix's sizes are
+    positive. The generator's and the basis's shapes are ``UMap``'s to judge.
+    """
     payload = _payload(doc, "umap")
     rows = _parse_dim(payload.get("rows"), "umap.rows")
     cols = _parse_dim(payload.get("cols"), "umap.cols")
@@ -311,41 +321,28 @@ def to_umap(doc: dict) -> UMap:
         generator = _parse_matrix(generator, "umap.generator")
     basis = payload.get("basis")
     if basis is not None:
-        if not isinstance(basis, list) or len(basis) != rows:
-            raise DocumentError(f"umap.basis: expected {rows} kets")
-        basis = _complex_array(basis, (rows, rows), "umap.basis[{}]")
+        if not (isinstance(basis, list) and basis and isinstance(basis[0], list) and basis[0]):
+            raise DocumentError("umap.basis: expected a non-empty array of kets")
+        basis = _complex_array(basis, (len(basis), len(basis[0])), "umap.basis[{}]")
     return UMap(coeffs=coeffs, generator=generator, basis=basis)
 
 
 @_public
 def to_report(doc: dict) -> SteeringReport:
+    """The report a ``report`` document encodes.
+
+    Only the encoding is checked here (DocumentError): ``counts`` is an array,
+    ``expected_weights`` an array of numbers and ``post_density`` a matrix
+    object. Every other rule is ``SteeringReport``'s, whose errors pass as raised.
+    """
     payload = _payload(doc, "report")
-    shots = _parse_dim(payload.get("shots"), "report.shots")
-    counts = payload.get("counts")
-    weights = payload.get("expected_weights")
-    if not isinstance(counts, list) or not all(
-        isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in counts
-    ):
-        raise DocumentError("report.counts: expected an array of non-negative integers")
-    if sum(counts) != shots:
-        raise DocumentError(f"report.counts: sum {sum(counts)} differs from shots {shots}")
-    if (
-        not isinstance(weights, list)
-        or len(weights) != len(counts)
-        or not all(_is_number(w) for w in weights)
-    ):
-        raise DocumentError("report.expected_weights: expected numbers matching counts")
-    if any(w < 0 for w in weights):
-        raise DocumentError("report.expected_weights: expected non-negative weights")
+    counts, weights = payload.get("counts"), payload.get("expected_weights")
+    if not isinstance(counts, list):
+        raise DocumentError("report.counts: expected an array")
+    if not isinstance(weights, list) or not all(map(_is_number, weights)):
+        raise DocumentError("report.expected_weights: expected an array of numbers")
     post_density = _parse_matrix(payload.get("post_density"), "report.post_density")
-    if post_density.shape[0] != post_density.shape[1]:
-        raise DocumentError("report.post_density: expected a square matrix")
-    return SteeringReport(
-        shots=shots,
-        counts=[int(c) for c in counts],
-        expected_weights=np.array([float(w) for w in weights]),
-        post_density=post_density,
-    )
+    return SteeringReport(payload.get("shots"), counts, weights, post_density)
 
 
 @_public

@@ -21,21 +21,62 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import _weighted_projector_sum
-from .errors import WeightsNotNormalized
-from .linalg import DEFAULT_RANK_TOL, _CONSTRUCT_TOL, _check_integer, _convert, _public
-from .purification import JointState, ensemble_from_basis
+from .errors import DimensionMismatch, InvalidArgument, WeightsNotNormalized
+from .linalg import (
+    DEFAULT_RANK_TOL,
+    _CONSTRUCT_TOL,
+    _check_integer,
+    _checked,
+    _convert,
+    _public,
+    as_operator,
+)
+from .purification import JointState, _trusted, ensemble_from_basis
 
 _INT64_MAX = 2**63 - 1  # multinomial counts are 64-bit integers
 
 
 @dataclass(frozen=True, eq=False)
 class SteeringReport:
-    """Shot counts against the exact outcome distribution of one basis choice."""
+    """Shot counts against the exact outcome distribution of one basis choice.
+
+    Construction holds the report's rules: ``shots`` is an integer >= 1
+    (InvalidArgument), ``counts`` are non-negative integers, bools refused,
+    summing to ``shots`` (InvalidArgument), ``expected_weights`` holds one
+    finite non-negative weight per count (DimensionMismatch for the count,
+    InvalidArgument for the values), and ``post_density`` is a finite square
+    matrix (DimensionMismatch, InvalidArgument). The fields are stored as an
+    int, a list of ints, a float array and a complex array.
+    """
 
     shots: int
     counts: list[int]
     expected_weights: np.ndarray
     post_density: np.ndarray
+
+    @_public
+    def __post_init__(self):
+        shots = _check_integer("shots", self.shots, 1)
+        try:
+            items = enumerate(self.counts)
+        except TypeError as exc:  # not iterable
+            raise InvalidArgument(f"counts must be integers, got {self.counts!r}") from exc
+        counts = [_check_integer(f"counts[{i}]", c, 0) for i, c in items]
+        if sum(counts) != shots:
+            raise InvalidArgument(f"counts sum to {sum(counts)}, but shots is {shots}")
+        weights = _convert(self.expected_weights, float)
+        _checked(weights, 1, "weight vector", empty=True)
+        if weights.shape[0] != len(counts):
+            raise DimensionMismatch(f"{len(counts)} counts but {weights.shape[0]} weights")
+        if np.any(weights < 0.0):
+            raise InvalidArgument("expected weights must be non-negative")
+        post_density = as_operator(self.post_density)
+        if post_density.shape[0] != post_density.shape[1]:
+            raise DimensionMismatch(f"post_density has shape {post_density.shape}, not square")
+        object.__setattr__(self, "shots", shots)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "expected_weights", weights)
+        object.__setattr__(self, "post_density", post_density)
 
 
 @_public
@@ -110,7 +151,11 @@ def steer(
     """
     ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol)
     counts = _multinomial(ensemble.weights, shots, seed)
-    return SteeringReport(
+    # _multinomial admitted shots and drew one non-negative count per
+    # conditioned weight, summing to shots; those weights are positive and
+    # finite, and their projector sum is a finite square matrix.
+    return _trusted(
+        SteeringReport,
         shots=int(shots),
         counts=counts.tolist(),
         expected_weights=ensemble.weights,

@@ -33,6 +33,7 @@ from rhokit import (
     ResourceExhausted,
     RhoEnsemble,
     RhokitError,
+    SteeringReport,
     UMap,
     WeightsNotNormalized,
     apply_unitary_umap,
@@ -83,6 +84,10 @@ def assert_rebuilds(value):
     elif isinstance(value, Ancilla):
         rebuilt = Ancilla(dim_m=value.dim_m, kets=value.kets)
         assert_same_fields(value, rebuilt, ["dim_m", "kets"])
+    elif isinstance(value, SteeringReport):
+        names = ["shots", "counts", "expected_weights", "post_density"]
+        rebuilt = SteeringReport(*(getattr(value, name) for name in names))
+        assert_same_fields(value, rebuilt, names)
     else:
         rebuilt = UMap(
             coeffs=value.coeffs, generator=value.generator, basis=value.basis
@@ -151,6 +156,7 @@ def test_outputs_rebuild_through_checked_constructors(
     assert_rebuilds(ancilla)
 
     report = steer(joint, basis, 100, seed)
+    assert_rebuilds(report)
     np.testing.assert_array_equal(report.expected_weights, ensemble.weights)
     kets, weights = ensemble.kets, ensemble.weights
     projector_sum = kets.T @ (weights[:, None] * np.conj(kets))
@@ -486,7 +492,7 @@ MALFORMED = [
 
 # Plain records that store what they are given, and functions whose only
 # parameters are value objects: nothing in them to replace.
-NO_CHECKED_ARGUMENT = {"DensityMatrix", "SchmidtForm", "SteeringReport"}
+NO_CHECKED_ARGUMENT = {"DensityMatrix", "SchmidtForm"}
 
 
 def catalogue():
@@ -500,6 +506,11 @@ def catalogue():
         "Ancilla": (Ancilla, {}, {"dim_m": 2, "kets": eye}),
         "JointState": (JointState, {}, {"dim_s": 2, "dim_m": 2, "vec": joint.vec}),
         "RhoEnsemble": (RhoEnsemble, {}, {"kets": e.kets, "weights": e.weights}),
+        "SteeringReport": (
+            SteeringReport,
+            {},
+            {"shots": 10, "counts": [4, 6], "expected_weights": [0.5, 0.5], "post_density": eye},
+        ),
         "UMap": (UMap, {}, {"coeffs": eye, "generator": eye, "basis": eye}),
         "apply_unitary_umap": (
             apply_unitary_umap, {"joint": joint}, {"basis": eye, "u": eye, "rank_tol": 1e-10}
@@ -638,7 +649,7 @@ def test_every_public_callable_passes_the_one_boundary():
             entries.append(value)
         elif "__post_init__" in vars(value):
             entries.append(value.__post_init__)
-    assert len(entries) == 28
+    assert len(entries) == 29
     assert [entry.__qualname__ for entry in entries if entry.__code__ is not boundary] == []
 
 
@@ -936,7 +947,7 @@ def sweep():
         "SchmidtForm": lambda: rk.SchmidtForm(
             form.coefficients, form.left_kets, form.right_kets, form.rank
         ),
-        "SteeringReport": lambda: rk.SteeringReport(1, [1], w, rho.matrix),
+        "SteeringReport": lambda: rk.SteeringReport(n, [1] * n, w, rho.matrix),
         "UMap": lambda: rk.UMap(real_eye, real_eye, real_eye),
         "apply_unitary_umap": lambda: rk.apply_unitary_umap(j, u, u),
         "check_umap": lambda: rk.check_umap(reflected),

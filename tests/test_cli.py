@@ -1,5 +1,6 @@
 """Command-line contract: pipelines, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -116,28 +117,40 @@ def test_verify_ensemble_against_density(tmp_path):
     assert main(["verify", "--ensemble", ens, "--rho", wrong]) == 3
 
 
-@pytest.mark.parametrize(
-    "coeffs, generator, tol",
-    [(np.eye(2), np.eye(3), "1e-10"), (np.eye(2, 3), np.eye(2), "10")],
-    ids=["generator_size", "more_columns_than_rows"],
-)
-def test_verify_umap_of_mismatched_shapes_reports_and_exits_3(
-    tmp_path, coeffs, generator, tol
-):
-    # UMap refuses both shapes, so umap_document cannot write them: raw JSON.
-    def pairs(m):
-        return np.stack([m.real, m.imag], -1).tolist()
+def pairs(m):
+    return np.stack([m.real, m.imag], -1).tolist()
+
+
+def umap_payload(coeffs, generator, basis):
+    """A umap payload written by hand, as umap_document writes none that UMap refuses."""
 
     def matrix(m):
         return {"rows": m.shape[0], "cols": m.shape[1], "entries": pairs(m)}
 
-    payload = {
+    return {
         "rows": coeffs.shape[0],
         "cols": coeffs.shape[1],
         "coeffs": matrix(coeffs),
         "generator": matrix(generator),
-        "basis": pairs(np.eye(2)),
+        "basis": basis,
     }
+
+
+@pytest.mark.parametrize(
+    "coeffs, generator, basis, tol",
+    [
+        (np.eye(2), np.eye(3), np.eye(2), "1e-10"),
+        (np.eye(2, 3), np.eye(2), np.eye(2), "10"),
+        (np.eye(2), np.eye(2), np.eye(1, 2), "1e-10"),
+        (np.eye(2), np.eye(2), np.eye(2, 3), "1e-10"),
+    ],
+    ids=["generator_size", "more_columns_than_rows", "one_basis_ket", "wide_basis_kets"],
+)
+def test_verify_umap_of_mismatched_shapes_reports_and_exits_3(
+    tmp_path, coeffs, generator, basis, tol
+):
+    # Each document is well encoded; UMap refuses its shape.
+    payload = umap_payload(coeffs, generator, pairs(basis))
     path = tmp_path / "u.json"
     path.write_text(json.dumps({"kind": "umap", "version": 1, "payload": payload}))
     result = run_cli("verify", "--umap", str(path), "--tol", tol)
@@ -145,6 +158,39 @@ def test_verify_umap_of_mismatched_shapes_reports_and_exits_3(
     assert result.stderr == ""
     report = json.loads(result.stdout)
     assert report["clean"] is False and len(report["violations"]) == 1
+
+
+def test_verify_umap_of_a_ragged_basis_exits_2(tmp_path):
+    payload = umap_payload(np.eye(2), np.eye(2), [pairs(np.eye(2)[0]), pairs(np.eye(3)[0])])
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"kind": "umap", "version": 1, "payload": payload}))
+    result = run_cli("verify", "--umap", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert single_json_error(result.stderr) == {
+        "error": "DocumentError",
+        "message": "umap.basis[1]: expected 2 entries",
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--ensemble", "{e}"], ["purify", "{e}", "--dim-m", "2"], ["umap", "{e}", "{e}"]],
+)
+def test_an_ensemble_of_no_elements_is_refused_by_its_constructor(tmp_path, capsys, command):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(
+        {"kind": "ensemble", "version": 1, "payload": {"dim": 2, "elements": []}}
+    ))
+    assert main([arg.format(e=path) for arg in command]) == 3
+    captured = capsys.readouterr()
+    message = "ensemble must contain at least one element"
+    if command[0] == "verify":
+        assert captured.err == ""
+        assert json.loads(captured.out) == {"clean": False, "violations": [message]}
+    else:
+        assert captured.out == ""
+        assert single_json_error(captured.err) == {"error": "InvalidEnsemble", "message": message}
 
 
 def test_verify_dirty_ensemble_reports_and_exits_3(tmp_path, capsys):
@@ -775,6 +821,22 @@ def test_purify_past_what_numpy_can_represent_exits_4_with_one_json_line(
     assert error["error"] == "ResourceExhausted"
     assert f"2*{dim_m} " in error["message"]
     assert not out.exists()
+
+
+def test_a_memory_error_while_building_the_parser_exits_4_with_one_json_line(
+    capsys, monkeypatch
+):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate the subcommand parsers")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", exhausted)
+    assert main(["verify", "--help"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert single_json_error(captured.err) == {
+        "error": "ResourceExhausted",
+        "message": "Unable to allocate the subcommand parsers",
+    }
 
 
 def test_any_memory_error_exits_4_with_one_json_line(tmp_path, capsys, monkeypatch):

@@ -20,6 +20,7 @@ from rhokit import (
     JointState,
     RhoEnsemble,
     RhokitError,
+    SteeringReport,
     UMap,
     steer,
 )
@@ -124,6 +125,13 @@ def written(kind):
         for vec in units:
             vec.flat[:1] = 1.0
         values = [admitted(JointState, s, m, v) for s in DIMS for m in DIMS for v in units]
+    elif kind == "report":
+        counts = [np.ones(shape, dtype=int) for shape in SHAPES]
+        weights = [np.full(shape, 0.5) for shape in SHAPES]
+        values = [
+            admitted(SteeringReport, shots, c, w, entries(p))
+            for shots in DIMS for c in counts for w in weights for p in SHAPES
+        ]
     else:
         optional = [None, *map(entries, SHAPES)]
         values = [
@@ -143,11 +151,14 @@ def bits(value):
         return bits(value.kets), bits(value.weights)
     if isinstance(value, JointState):
         return value.dim_s, value.dim_m, bits(value.vec)
+    if isinstance(value, SteeringReport):
+        counts = [(type(c), c) for c in value.counts]
+        return value.shots, counts, bits(value.expected_weights), bits(value.post_density)
     return bits(value.coeffs), bits(value.generator), bits(value.basis)
 
 
 @pytest.mark.parametrize(
-    "kind", ["ket", "matrix", "basis", "ancilla", "ensemble", "joint", "umap"]
+    "kind", ["ket", "matrix", "basis", "ancilla", "ensemble", "joint", "umap", "report"]
 )
 def test_every_admitted_value_round_trips_through_its_document(kind):
     read = docs.to_basis if kind == "ancilla" else getattr(docs, f"to_{kind}")
@@ -175,28 +186,57 @@ def test_report_roundtrip_exact():
 
 
 @pytest.mark.parametrize(
-    "field, value, path",
+    "field, value, error, message",
     [
-        ("counts", [1, 2], "report.counts"),
-        ("expected_weights", [-3.0, 7.0], "report.expected_weights"),
-        ("counts", [101, -1], "report.counts"),
-        ("expected_weights", [1.0], "report.expected_weights"),
-        ("shots", 0, "report.shots"),
-        ("post_density", "dense", "report.post_density"),
-        ("post_density", {"rows": 10**12, "cols": 2, "entries": []}, "report.post_density"),
-        (
+        pytest.param(
+            "counts", [1, 2], InvalidArgument, "counts sum to 3, but shots is 100",
+            id="counts-value0-report.counts",
+        ),
+        pytest.param(
+            "expected_weights", [-3.0, 7.0], InvalidArgument,
+            "expected weights must be non-negative",
+            id="expected_weights-value1-report.expected_weights",
+        ),
+        pytest.param(
+            "counts", [101, -1], InvalidArgument, "counts[1] must be an integer >= 0, got -1",
+            id="counts-value2-report.counts",
+        ),
+        pytest.param(
+            "expected_weights", [1.0], DimensionMismatch, "2 counts but 1 weights",
+            id="expected_weights-value3-report.expected_weights",
+        ),
+        pytest.param(
+            "shots", 0, InvalidArgument, "shots must be an integer >= 1, got 0",
+            id="shots-0-report.shots",
+        ),
+        pytest.param(
+            "post_density", "dense", DocumentError,
+            "report.post_density: expected a matrix object",
+            id="post_density-dense-report.post_density",
+        ),
+        pytest.param(
+            "post_density", {"rows": 10**12, "cols": 2, "entries": []}, DocumentError,
+            "report.post_density: expected 1000000000000 rows",
+            id="post_density-value6-report.post_density",
+        ),
+        pytest.param(
             "post_density",
             {"rows": 1, "cols": 3, "entries": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]},
-            "report.post_density",
+            DimensionMismatch,
+            "post_density has shape (1, 3), not square",
+            id="post_density-value7-report.post_density",
         ),
     ],
 )
-def test_report_rejects_inconsistent_statistics(field, value, path):
+def test_report_rejects_inconsistent_statistics(field, value, error, message):
+    # The reader refuses a malformed encoding with the path of its field;
+    # every other rule is SteeringReport's, whose typed error passes unchanged.
     report = steer(bell_joint(), np.eye(2, dtype=complex), shots=100, seed=9)
     doc = docs.report_document(report)
     doc["payload"][field] = value
-    with pytest.raises(DocumentError, match=f"^{re.escape(path)}:"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
         docs.to_report(doc)
+    assert type(info.value) is error
 
 
 def _pairs(arr):
@@ -444,26 +484,35 @@ UMAP_PAYLOAD = {
 
 
 @pytest.mark.parametrize(
-    "extract, doc, message",
+    "extract, doc, error, message",
     [
-        (docs.load_document, '{"kind": "ket", "version": 1, "payload": []}',
+        (docs.load_document, '{"kind": "ket", "version": 1, "payload": []}', DocumentError,
          "document payload must be a JSON object"),
-        (docs.to_ensemble, envelope("ensemble", {"dim": 2, "elements": []}),
-         "ensemble.elements: expected a non-empty array"),
-        (docs.to_basis, envelope("basis", {"dim": 2, "kets": []}),
+        (docs.to_ensemble, envelope("ensemble", {"dim": 2, "elements": []}), InvalidEnsemble,
+         "ensemble must contain at least one element"),
+        (docs.to_basis, envelope("basis", {"dim": 2, "kets": []}), DocumentError,
          "basis.kets: expected a non-empty array"),
-        (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "coeffs": [[1.0, 0.0]]}),
+        (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "coeffs": [[1.0, 0.0]]}), DocumentError,
          "umap.coeffs: expected a matrix object"),
-        (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "rows": 3}),
+        (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "rows": 3}), DocumentError,
          re.escape("umap.coeffs has shape (2, 2), envelope says (3, 2)")),
         (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "basis": [[[1.0, 0.0]] * 2]}),
-         "umap.basis: expected 2 kets"),
+         DimensionMismatch, re.escape("basis has shape (1, 2), expected (2, 2)")),
+        (docs.to_umap,
+         envelope("umap", {**UMAP_PAYLOAD, "basis": [[[1.0, 0.0]] * 2, [[1.0, 0.0]]]}),
+         DocumentError, re.escape("umap.basis[1]: expected 2 entries")),
     ],
-    ids=["payload", "elements", "kets", "coeffs", "envelope_shape", "umap_basis"],
+    ids=[
+        "payload", "elements", "kets", "coeffs", "envelope_shape", "umap_basis",
+        "umap_basis_ragged",
+    ],
 )
-def test_rejects_malformed_payload_with_its_path(extract, doc, message):
-    with pytest.raises(DocumentError, match=f"^{message}$"):
+def test_rejects_malformed_payload_with_its_path(extract, doc, error, message):
+    # An empty ensemble and a basis of the wrong shape are well encoded: their
+    # constructors refuse them. A ragged basis is not, and its reader refuses it.
+    with pytest.raises(error, match=f"^{message}$") as info:
         extract(doc)
+    assert type(info.value) is error
 
 
 def test_rejects_non_finite_numbers():

@@ -1,11 +1,15 @@
 """Ancilla measurement, seeded sampling, and steering reports."""
 
+import re
+
 import numpy as np
 import pytest
 
 from rhokit import (
+    DimensionMismatch,
     InvalidArgument,
     JointState,
+    SteeringReport,
     WeightsNotNormalized,
     ensemble_from_basis,
     measure_ancilla,
@@ -281,6 +285,56 @@ def test_steer_post_density_equals_reduced_state():
     joint = random_joint(rng, 3, 2)
     report = steer(joint, random_basis(rng, 2), shots=10, seed=3)
     assert np.max(np.abs(report.post_density - joint.reduced_system())) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# SteeringReport
+
+REPORT = {
+    "shots": 100,
+    "counts": [38, 62],
+    "expected_weights": [0.5, 0.5],
+    "post_density": np.eye(2) / 2,
+}
+
+
+@pytest.mark.parametrize(
+    "field, value, error, message",
+    [
+        ("counts", [1, 2], InvalidArgument, "counts sum to 3, but shots is 100"),
+        ("expected_weights", [-3.0, 7.0], InvalidArgument, "expected weights must be non-negative"),
+        ("counts", [101, -1], InvalidArgument, "counts[1] must be an integer >= 0, got -1"),
+        ("expected_weights", [1.0], DimensionMismatch, "2 counts but 1 weights"),
+        ("shots", 0, InvalidArgument, "shots must be an integer >= 1, got 0"),
+        (
+            "post_density", np.ones((1, 3)), DimensionMismatch,
+            "post_density has shape (1, 3), not square",
+        ),
+        ("counts", [38, True], InvalidArgument, "counts[1] must be an integer >= 0, got True"),
+        (
+            "expected_weights", [0.5, np.inf], InvalidArgument,
+            "weight vector contains non-finite entries",
+        ),
+    ],
+    ids=[
+        "sum", "negative_weight", "negative_count", "weight_count", "shots", "square",
+        "bool_count", "infinite_weight",
+    ],
+)
+def test_report_refuses_each_broken_rule_with_its_message(field, value, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+        SteeringReport(**{**REPORT, field: value})
+    assert type(info.value) is error
+
+
+def test_report_stores_an_int_a_list_of_ints_a_float_array_and_a_complex_array():
+    report = SteeringReport(
+        np.int64(100), np.array([38, 62]), [1, 0], [[0.5, 0], [0, 0.5]]
+    )
+    assert type(report.shots) is int and report.shots == 100
+    assert report.counts == [38, 62] and all(type(c) is int for c in report.counts)
+    assert report.expected_weights.dtype == float
+    assert report.post_density.dtype == complex
 
 
 def test_measure_ancilla_mixture_packages_outcome():
