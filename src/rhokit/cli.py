@@ -44,13 +44,13 @@ EXIT_NUMERICAL = 4
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"cannot read {'stdin' if path == '-' else path}: {exc}") from exc
 
 
 def _write_text(path: str, text: str) -> None:

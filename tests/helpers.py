@@ -2,9 +2,24 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 
 from rhokit import JointState, RhoEnsemble
+
+
+def bits(value):
+    """What makes up a value, to compare two bit for bit: a value class as its
+    type and fields, an array as its dtype, shape and bytes in C order, a list
+    entry by entry, and anything else as its type and value."""
+    if is_dataclass(value):
+        return type(value), [bits(getattr(value, field.name)) for field in fields(value)]
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.shape, value.tobytes()
+    if isinstance(value, list):
+        return [bits(entry) for entry in value]
+    return type(value), value
 
 
 def random_ket(rng, dim):

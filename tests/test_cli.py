@@ -709,6 +709,28 @@ def test_missing_file_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_input_that_is_not_utf8_exits_2_with_one_json_line(tmp_path, source):
+    # Stdin decodes strictly, as it does under any UTF-8 locale but C's.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    name = str(bad) if source == "file" else "-"
+    with bad.open("rb") as stdin:
+        result = subprocess.run(
+            [sys.executable, "-m", "rhokit.cli", "verify", "--ensemble", name],
+            stdin=stdin,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    error = single_json_error(result.stderr)
+    assert error["error"] == "DocumentError"
+    where = str(bad) if source == "file" else "stdin"
+    assert error["message"].startswith(f"cannot read {where}: 'utf-8' codec can't decode")
+
+
 def test_stdin_stdout_roundtrip(tmp_path):
     basis = write(tmp_path / "b.json", docs.basis_document(np.eye(2, dtype=complex)))
     joint_text = docs.dump_document(docs.joint_document(bell_joint()))

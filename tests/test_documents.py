@@ -25,7 +25,7 @@ from rhokit import (
     steer,
 )
 from rhokit import documents as docs
-from helpers import bell_joint, minus_ket, plus_ket, random_ket, random_unitary
+from helpers import bell_joint, bits, minus_ket, plus_ket, random_ket, random_unitary
 
 
 def test_ket_roundtrip_exact():
@@ -139,22 +139,6 @@ def written(kind):
         ]
     write = getattr(docs, f"{kind}_document")
     return [(v, write(v)) for v in values if v is not None]
-
-
-def bits(value):
-    """What makes up a value, each array as its dtype, shape and bytes."""
-    if value is None:
-        return None
-    if isinstance(value, np.ndarray):
-        return value.dtype, value.shape, value.tobytes()
-    if isinstance(value, RhoEnsemble):
-        return bits(value.kets), bits(value.weights)
-    if isinstance(value, JointState):
-        return value.dim_s, value.dim_m, bits(value.vec)
-    if isinstance(value, SteeringReport):
-        counts = [(type(c), c) for c in value.counts]
-        return value.shots, counts, bits(value.expected_weights), bits(value.post_density)
-    return bits(value.coeffs), bits(value.generator), bits(value.basis)
 
 
 @pytest.mark.parametrize(

@@ -31,7 +31,10 @@ Kets, bases and unitaries go in as made, in Fortran order, or as views with
 negative strides.
 
 ``TheoremMachine`` runs the same constructions in random order on one joint
-ket, feeding each from a bundle of decompositions of its reduced state ρ. Its
+ket, feeding each from its list of decompositions of the reduced state ρ.
+``run_sequence`` draws its start and rules from one generator seeded by the
+sequence number alone, so every run makes the same calls, whichever other
+modules are loaded; a failed sequence reruns alone by its test id. The
 drawn ensemble's weights sum to anywhere in the band the hypotheses admit,
 ``1 ± tol·order``, edges included, so every later comparison is between
 states the constructions normalize by one rule. A conditioned member drops
@@ -43,15 +46,13 @@ CLI moves it, must come back bit for bit, and the machine keeps the reloaded
 value, in C order like every loaded array.
 """
 
-from dataclasses import dataclass, fields, is_dataclass
+import os
+import subprocess
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.stateful import (
-    Bundle, RuleBasedStateMachine, initialize, invariant, multiple, rule
-)
 
 from rhokit import (
     DEFAULT_RANK_TOL,
@@ -74,11 +75,17 @@ from rhokit import (
     umap_between,
     validate_ensemble,
 )
-from helpers import mapping_residual, random_basis, random_unitary, reconstruct_joint
+from helpers import bits, mapping_residual, random_basis, random_unitary, reconstruct_joint
 
 IDENTITY_TOL = 1e-8
 # Weights U(0.1, 1), or log-uniform down to the floor; normalized afterwards.
 SPECTRA = {"uniform": None, "floor1e-6": 1e-6, "floor2e-10": 2e-10}
+FLOORS = list(SPECTRA.values())
+SEEDS = range(2**32)
+
+
+def pick(rng, options):
+    return options[int(rng.integers(len(options)))]
 
 
 def weights(rng, dim, floor):
@@ -185,14 +192,10 @@ def test_fixed_seed_chains_at_the_benchmark_dimensions(dim, floor):
     assert set(ends) <= ENDS, ends
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dim=st.integers(2, 8),
-    floor=st.sampled_from(list(SPECTRA.values())),
-)
-def test_random_chains_at_small_dimensions(seed, dim, floor):
-    chain(seed, dim, floor)
+def test_random_chains_at_small_dimensions():
+    rng = np.random.default_rng(1)  # a seed, a dim from 2 to 8 and a spectrum
+    for draw in range(100):
+        assert chain(pick(rng, SEEDS), int(rng.integers(2, 9)), pick(rng, FLOORS)) in ENDS, draw
 
 
 LAYOUTS = ["fortran", "strided"]
@@ -208,18 +211,14 @@ def test_fixed_seed_rank_deficient_chains(dim, layout, floor):
     assert ends == ["complete"] * 4
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dim=st.integers(2, 8),
-    floor=st.sampled_from(list(SPECTRA.values())),
-    layout=st.sampled_from(["as made", *LAYOUTS]),
-    data=st.data(),
-)
-def test_random_rank_deficient_chains(seed, dim, floor, layout, data):
-    order = data.draw(st.integers(2, max(2, dim - 1)), label="order")
-    dim_m = data.draw(st.integers(order, dim + 3), label="dim_m")
-    chain(seed, dim, floor, order, dim_m, layout)
+def test_random_rank_deficient_chains():
+    rng = np.random.default_rng(2)
+    for draw in range(100):
+        dim, floor = int(rng.integers(2, 9)), pick(rng, FLOORS)
+        layout = pick(rng, ["as made", *LAYOUTS])
+        order = int(rng.integers(2, max(2, dim - 1) + 1))
+        dim_m = int(rng.integers(order, dim + 4))
+        assert chain(pick(rng, SEEDS), dim, floor, order, dim_m, layout) in ENDS, draw
 
 
 def test_a_basis_past_the_order_keeps_a_thin_density_valid():
@@ -254,27 +253,12 @@ def in_band(w, fraction):
     return w * scale
 
 
-def assert_same_bits(value, back):
-    """Every field of ``back`` holds the bits of ``value``'s: arrays by dtype,
-    shape and bytes in C order, other fields by equality."""
-    if is_dataclass(value):
-        assert type(back) is type(value)
-        for field in fields(value):
-            assert_same_bits(getattr(value, field.name), getattr(back, field.name))
-    elif value is None or isinstance(value, int):
-        assert back == value
-    else:
-        value, back = np.asarray(value), np.asarray(back)
-        assert (back.dtype, back.shape) == (value.dtype, value.shape)
-        assert back.tobytes() == value.tobytes()
-
-
 def reloaded(kind, value):
     """``value`` written as a ``kind`` document, dumped, loaded and read back
     by the matching ``to_*``, once it has come back bit for bit."""
     text = documents.dump_document(getattr(documents, f"{kind}_document")(value))
     back = getattr(documents, f"to_{kind}")(documents.load_document(text))
-    assert_same_bits(value, back)
+    assert bits(back) == bits(value)
     return back
 
 
@@ -291,10 +275,10 @@ class Member:
     tail: float
 
 
-class TheoremMachine(RuleBasedStateMachine):
+class TheoremMachine:
     """Random sequences of the constructions on one joint ket.
 
-    Each rule takes members from the bundle, passes every value it makes
+    Each rule takes members from ``known``, passes every value it makes
     through its document (``reloaded``) and checks the reloaded value's
     defining identity within ``IDENTITY_TOL`` plus the tails of the members it
     rebuilds the joint from. After every step, each member's density is ρ within
@@ -304,8 +288,6 @@ class TheoremMachine(RuleBasedStateMachine):
     ``thin``. The one error a rule may meet is ``NotInSupport``, for a target
     of weight below ``sqrt(rank_tol)``; any other fails the run.
     """
-
-    members = Bundle("members")
 
     def tail(self, ancilla):
         """The norm of the joint outside the span of the ``ancilla`` kets."""
@@ -321,22 +303,6 @@ class TheoremMachine(RuleBasedStateMachine):
     def basis_of(self, member):
         return laid_out(complete_orthonormal(member.ancilla, self.joint.dim_m), self.layout)
 
-    @initialize(
-        target=members,
-        seed=st.integers(0, 2**32 - 1),
-        dim=st.integers(2, 6),
-        floor=st.sampled_from(list(SPECTRA.values())),
-        layout=st.sampled_from(["as made", "fortran", "strided"]),
-        data=st.data(),
-    )
-    def purify_a_drawn_ensemble(self, seed, dim, floor, layout, data):
-        order = data.draw(st.integers(2, dim), label="order")
-        dim_m = data.draw(st.integers(order, dim + 3), label="dim_m")
-        fraction = data.draw(
-            st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)), label="fraction"
-        )
-        return self.start(seed, dim, floor, layout, order, dim_m, fraction)
-
     def start(self, seed, dim, floor, layout, order, dim_m, fraction):
         rng = np.random.default_rng(seed)
         kets = rng.normal(size=(order, dim)) + 1j * rng.normal(size=(order, dim))
@@ -350,13 +316,11 @@ class TheoremMachine(RuleBasedStateMachine):
         self.thin = thin(kept[kept > DEFAULT_RANK_TOL], dim_m)
         return self.add(e, ancilla.kets, True)
 
-    @rule(target=members, seed=st.integers(0, 2**32 - 1))
     def condition_on_a_haar_basis(self, seed):
         basis = random_basis(np.random.default_rng(seed), self.joint.dim_m)
         e, ancilla, _ = ensemble_from_basis(self.joint, laid_out(basis, self.layout))
         return self.add(e, ancilla.kets, self.thin)
 
-    @rule(target=members, member=members, seed=st.integers(0, 2**32 - 1))
     def rotate_a_basis(self, member, seed):
         basis = self.basis_of(member)
         unitary = random_unitary(np.random.default_rng(seed), self.joint.dim_m)
@@ -368,13 +332,6 @@ class TheoremMachine(RuleBasedStateMachine):
         bound = IDENTITY_TOL + self.tail(ancilla.kets) + added.tail
         assert mapping_residual(umap, source, added.ensemble) <= bound
         return added
-
-    @rule(target=members, member=members, data=st.data())
-    def contain_a_member_or_a_range_vector(self, member, data):
-        if data.draw(st.booleans(), label="a member's element"):
-            k = data.draw(st.integers(0, member.ensemble.order - 1), label="element")
-            return self.contain(member, element=k)
-        return self.contain(member, seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
 
     def contain(self, member, element=None, seed=None):
         if element is not None:
@@ -392,7 +349,7 @@ class TheoremMachine(RuleBasedStateMachine):
             contained, completed = ensemble_containing(self.joint, laid_out(target, self.layout))
         except NotInSupport:
             assert weight < np.sqrt(DEFAULT_RANK_TOL)
-            return multiple()
+            return None
         # Its basis is one ensemble_from_basis admits, and conditions the same.
         again, ancilla, _ = ensemble_from_basis(self.joint, reloaded("basis", completed))
         added = self.add(contained, ancilla.kets, False)
@@ -402,19 +359,16 @@ class TheoremMachine(RuleBasedStateMachine):
         np.testing.assert_array_equal(again.weights, added.ensemble.weights)
         return added
 
-    @rule(a=members, b=members)
     def map_one_member_onto_another(self, a, b):
         umap = reloaded("umap", umap_between(a.ensemble, b.ensemble))
         assert mapping_residual(umap, a.ensemble, b.ensemble) <= IDENTITY_TOL + a.tail + b.tail
         self.maps.append(umap)
 
-    @rule(member=members)
     def match_a_member_to_the_joint(self, member):
         found = reloaded("basis", match_purification(member.ensemble, self.joint).kets)
         rebuilt = reconstruct_joint(member.ensemble, found, self.joint.dim_m)
         assert np.abs(rebuilt - self.joint.vec).max() <= IDENTITY_TOL + member.tail
 
-    @rule(member=members)
     def rotate_a_members_purification_onto_the_joint(self, member):
         other = reloaded("joint", purify(member.ensemble, self.joint.dim_m)[0])
         rotation = reloaded("matrix", lemma_unitary(self.joint, other))
@@ -423,7 +377,6 @@ class TheoremMachine(RuleBasedStateMachine):
         rotated = (other.as_matrix() @ rotation.T).reshape(-1)
         assert np.abs(rotated - self.joint.vec).max() <= IDENTITY_TOL + member.tail
 
-    @rule(member=members, seed=st.integers(0, 2**32 - 1))
     def steer_on_a_members_basis(self, member, seed):
         basis = self.basis_of(member)
         report = reloaded("report", steer(self.joint, basis, 1000, seed))
@@ -435,7 +388,6 @@ class TheoremMachine(RuleBasedStateMachine):
         for system in (report.post_density, reduced):
             assert np.abs(system - self.rho).max() <= IDENTITY_TOL
 
-    @invariant()
     def every_member_decomposes_rho(self):
         for member in self.known:
             e = member.ensemble
@@ -444,16 +396,64 @@ class TheoremMachine(RuleBasedStateMachine):
             report = validate_ensemble(e)
             assert only_collinear(report) if member.collinear_ok else report == []
 
-    @invariant()
     def every_map_is_clean(self):
         for umap in self.maps:
             assert check_umap(umap) == []
 
 
-TestRandomSequencesOfConstructions = TheoremMachine.TestCase
-TestRandomSequencesOfConstructions.settings = settings(
-    max_examples=150, stateful_step_count=20, deadline=None, derandomize=True, database=None
-)
+# Where each rule's arguments are drawn from: the members or the seeds. ``contain``
+# adds one of its member's elements or, half the time, a range vector's seed.
+RULES = {
+    "condition_on_a_haar_basis": [SEEDS],
+    "rotate_a_basis": ["known", SEEDS],
+    "contain": ["known"],
+    "map_one_member_onto_another": ["known", "known"],
+    "match_a_member_to_the_joint": ["known"],
+    "rotate_a_members_purification_onto_the_joint": ["known"],
+    "steer_on_a_members_basis": ["known", SEEDS],
+}
+
+
+def run_sequence(sequence, steps=20):
+    """Start a machine, then run ``steps`` rules drawn uniformly, all from one
+    generator seeded by ``sequence``; return the calls, which a failure lists."""
+    rng, machine, trace = np.random.default_rng(sequence), TheoremMachine(), []
+
+    def call(name, args):
+        shown = (f"known[{machine.known.index(a)}]" if isinstance(a, Member) else repr(a)
+                 for a in args)
+        trace.append(f"{name}({', '.join(shown)})")
+        try:
+            checked(machine, getattr(machine, name)(*args))
+        except Exception as exc:
+            raise AssertionError(f"sequence {sequence} failed:\n" + "\n".join(trace)) from exc
+
+    dim = int(rng.integers(2, 7))
+    order = int(rng.integers(2, dim + 1))
+    fraction = pick(rng, [-1.0, 1.0, float(rng.uniform(-1.0, 1.0))])  # at an edge in 2 of 3
+    call("start", [pick(rng, SEEDS), dim, pick(rng, FLOORS), pick(rng, ["as made", *LAYOUTS]),
+                   order, int(rng.integers(order, dim + 4)), fraction])
+    for name in (pick(rng, list(RULES)) for _ in range(steps)):
+        args = [pick(rng, machine.known if kind == "known" else kind) for kind in RULES[name]]
+        if name == "contain":
+            element = int(rng.integers(args[0].ensemble.order))
+            args += [element] if rng.integers(2) else [None, pick(rng, SEEDS)]
+        call(name, args)
+    return trace
+
+
+@pytest.mark.parametrize("sequence", range(150))
+def test_random_sequences_of_constructions(sequence):
+    assert len(run_sequence(sequence)) == 21
+
+
+def test_the_sequences_do_not_depend_on_the_modules_loaded():
+    # A process that imports this module alone makes the same calls as this
+    # one, into which pytest may have loaded every other test module.
+    script = "import test_theorem as t; print([t.run_sequence(s) for s in range(3)])"
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}, check=True)
+    assert child.stdout == f"{[run_sequence(s) for s in range(3)]}\n"
 
 
 def started_on_a_numerically_rank_one_rho():
