@@ -46,6 +46,8 @@ EXIT_NUMERICAL = 4
 def _read_text(path: str) -> str:
     try:
         if path == "-":
+            if sys.stdin is None:  # its descriptor was closed at start-up
+                raise OSError("stdin is closed")
             return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
@@ -56,6 +58,8 @@ def _read_text(path: str) -> str:
 def _write_text(path: str, text: str) -> None:
     try:
         if path == "-":
+            if sys.stdout is None:  # its descriptor was closed at start-up
+                raise OSError("stdout is closed")
             sys.stdout.write(text)
         else:
             with open(path, "w", encoding="utf-8") as handle:
@@ -316,22 +320,28 @@ def run(argv=None) -> None:
     stderr may still hold buffered text. Both are flushed and ``os._exit``
     ends the process with the exit code, skipping a teardown that has no
     work left to do. A stdout that cannot take the flush exits 2 with one
-    JSON error line, as a failed write in ``main`` does. Exceptions other
-    than ``SystemExit`` propagate.
+    JSON error line, as a failed write in ``main`` does; a closed stdout
+    (``None``) has nothing to flush. Exceptions other than ``SystemExit``
+    propagate.
     """
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse: --help, usage errors
         code = exc.code
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError as exc:
         # Every exit 2 has written its one error line already; after a failed
         # stdout write the text left in the buffer fails here again.
         if code != EXIT_DOCUMENT:
             _emit_error(DocumentError.__name__, f"cannot write stdout: {exc}")
         code = EXIT_DOCUMENT
-    sys.stderr.flush()
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass  # the error line is lost; the exit code still carries it
     os._exit(code)
 
 
@@ -345,7 +355,13 @@ def _exit_code(exc: RhokitError) -> int:
 
 
 def _emit_error(error: str, message: str) -> None:
-    sys.stderr.write(json.dumps({"error": error, "message": message}) + "\n")
+    """Write one JSON error line to stderr. A closed stderr (``None``) or one
+    that cannot take the line drops it; the exit code still carries the error."""
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(json.dumps({"error": error, "message": message}) + "\n")
+    except OSError:
+        pass
 
 
 if __name__ == "__main__":

@@ -22,6 +22,11 @@ def bits(value):
     return type(value), value
 
 
+def pick(rng, options):
+    """One of ``options``, as it is (a plain Python value stays plain)."""
+    return options[int(rng.integers(len(options)))]
+
+
 def random_ket(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)

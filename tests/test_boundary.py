@@ -17,8 +17,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import rhokit
 from rhokit import (
@@ -63,7 +61,7 @@ from rhokit import (
 )
 from rhokit import documents, linalg
 from rhokit.linalg import as_ket_list, orthonormality_deviation
-from helpers import bell_joint, computational, random_ensemble, random_unitary
+from helpers import bell_joint, computational, pick, random_ensemble, random_unitary
 
 
 def assert_same_fields(built, rebuilt, names):
@@ -116,20 +114,24 @@ def laid_out(basis, layout):
     return basis
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dim_s=st.integers(1, 12),
-    dim_m=st.integers(1, 12),
-    rank_share=st.floats(0.0, 1.0),
-    layout=st.sampled_from(["C", "F", "strided"]),
-    lean_exponent=st.floats(-10.0, -6.0),
-)
-def test_outputs_rebuild_through_checked_constructors(
-    seed, dim_s, dim_m, rank_share, layout, lean_exponent
-):
+LAYOUTS = ["C", "F", "strided"]
+OUTPUT_CASES = 120
+
+
+def draw_outputs(case):
+    """Output case ``case``: a seed, the dimensions, a Schmidt rank from 1 to
+    full, a layout and the lean of ket 1 on ket 0, from one generator seeded
+    by ``case``."""
+    rng = np.random.default_rng(case)
+    seed, dim_s, dim_m = int(rng.integers(2**32)), *rng.integers(1, 13, 2).tolist()
+    rank = int(rng.integers(1, min(dim_s, dim_m) + 1))
+    return seed, dim_s, dim_m, rank, pick(rng, LAYOUTS), float(rng.uniform(-10.0, -6.0))
+
+
+@pytest.mark.parametrize("case", range(OUTPUT_CASES))
+def test_outputs_rebuild_through_checked_constructors(case):
+    seed, dim_s, dim_m, rank, layout, lean_exponent = draw_outputs(case)
     rng = np.random.default_rng(seed)
-    rank = 1 + int(rank_share * (min(dim_s, dim_m) - 1))
     joint, support = joint_of_rank(rng, dim_s, dim_m, rank)
     basis = laid_out(random_unitary(rng, dim_m), layout)
 
@@ -196,24 +198,40 @@ def test_outputs_rebuild_through_checked_constructors(
     assert_rebuilds(umap_between(ensemble, to_e))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dim_s=st.integers(2, 7),
-    rank_share=st.floats(0.0, 1.0),
-    extra=st.integers(0, 3),
-    exponent=st.floats(-9.9, -1.0),
-)
-def test_outputs_are_clean_for_spectra_down_to_rank_tol(
-    seed, dim_s, rank_share, extra, exponent
-):
+def test_output_cases_reach_every_category():
+    cases = [draw_outputs(n) for n in range(OUTPUT_CASES)]
+    # Leaned bases both admitted and refused at the fixed 1e-8 (ket 1 leans
+    # on ket 0 by 10**lean_exponent), clear of the threshold.
+    assert {lean < -8 for _, _, dim_m, _, _, lean in cases
+            if dim_m > 1 and abs(lean + 8) > 0.1} == {True, False}
+    assert {layout for *_, layout, _ in cases} == set(LAYOUTS)
+    ranks = {(rank == 1, rank == min(dim_s, dim_m)) for _, dim_s, dim_m, rank, *_ in cases}
+    assert {(True, False), (False, True)} <= ranks  # rank 1 below full, and full above 1
+    assert 1 in {dim_s for _, dim_s, *_ in cases} and 1 in {dim_m for _, _, dim_m, *_ in cases}
+
+
+SPECTRUM_CASES = 100
+
+
+def draw_spectrum(case):
+    """Spectrum case ``case``: a seed, a dimension, a rank from 2 to full, extra
+    ancilla dimensions and the exponent of the smallest weight, at either end
+    of [-9.9, -1.0] in one case of three, from one generator seeded by ``case``."""
+    rng = np.random.default_rng(case)
+    seed, dim_s = int(rng.integers(2**32)), int(rng.integers(2, 8))
+    rank, extra = int(rng.integers(2, dim_s + 1)), int(rng.integers(4))
+    return seed, dim_s, rank, extra, pick(rng, [-9.9, -1.0, *rng.uniform(-9.9, -1.0, 4).tolist()])
+
+
+@pytest.mark.parametrize("case", range(SPECTRUM_CASES))
+def test_outputs_are_clean_for_spectra_down_to_rank_tol(case):
+    seed, dim_s, rank, extra, exponent = draw_spectrum(case)
     # One weight, 10**exponent, reaches down to rank_tol. Every pair
     # density below is the reduced state compressed to directions inside its
     # support, so its smaller eigenvalue is at least that weight: no pair has
     # rank 1 at rank_tol. A two-dimensional ancilla keeps ensemble_from_basis
     # inside the support; past it a basis may give collinear members.
     rng = np.random.default_rng(seed)
-    rank = 2 + int(rank_share * (dim_s - 2))
     smallest = 10.0**exponent
     weights = rng.random(rank) + 0.05
     weights *= (1.0 - smallest) / weights[1:].sum()
@@ -234,6 +252,15 @@ def test_outputs_are_clean_for_spectra_down_to_rank_tol(
         assert check_umap(umap_between(from_e, to_e)) == []
     assert_rebuilds(match_purification(containing, joint))
     assert_rebuilds(match_purification(conditioned, pair_joint))
+
+
+def test_spectrum_cases_reach_every_category():
+    cases = [draw_spectrum(n) for n in range(SPECTRUM_CASES)]
+    # 10**-9.9, about 1.26e-10, is the smallest weight just above rank_tol.
+    assert {-9.9, -1.0} <= {exponent for *_, exponent in cases}
+    assert {0, 3} <= {extra for *_, extra, _ in cases}
+    ranks = {(rank == 2, rank == dim_s) for _, dim_s, rank, *_ in cases}
+    assert {(True, False), (False, True)} <= ranks  # rank 2 below full, and full above 2
 
 
 def test_basis_between_construct_and_given_tol_still_raises():

@@ -465,7 +465,7 @@ def test_help_exits_0_with_the_help_text_on_stdout():
 
 
 @pytest.fixture(params=["closed-pipe", "dev-full"])
-def unwritable_stdout(request):
+def unwritable_file(request):
     """A file object whose every write fails: a pipe without a reader, or a
     device that is always full."""
     if request.param == "dev-full":
@@ -504,14 +504,63 @@ def stdout_args(tmp_path, output):
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("output", STDOUT_OUTPUTS + ["help"])
 def test_unwritable_stdout_exits_2_with_one_json_line(
-    tmp_path, unwritable_stdout, output, buffered
+    tmp_path, unwritable_file, output, buffered
 ):
     args = stdout_args(tmp_path, output)
-    result = run_cli(*args, stdout=unwritable_stdout, env=stdout_env(buffered))
+    result = run_cli(*args, stdout=unwritable_file, env=stdout_env(buffered))
     assert result.returncode == 2
     error = single_json_error(result.stderr)
     assert error["error"] == "DocumentError"
     assert error["message"].startswith("cannot write stdout: ")
+
+
+# A stream whose descriptor is closed when the process starts is None in
+# sys; each command keeps its exit code, and stderr, when open, holds at most
+# the one JSON error line.
+CLOSED_STREAM_CASES = {
+    "stdin-read": (0, ["verify", "--ensemble", "-"], 2),
+    "stdout-help": (1, ["--help"], 2),
+    "stdout-verify": (1, ["verify", "--ensemble", "e.json"], 2),
+    "stdout-unused": (1, ["purify", "e.json", "--dim-m", "2", "--out", "j.json"], 0),
+    "stderr-error": (2, ["verify", "--ensemble", "missing.json"], 2),
+}
+
+
+@pytest.mark.parametrize("case", CLOSED_STREAM_CASES)
+def test_a_closed_stream_keeps_the_exit_code(tmp_path, case):
+    fd, args, code = CLOSED_STREAM_CASES[case]
+    write(tmp_path / "e.json", equal_mixture_doc())
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    result = subprocess.run(
+        [sys.executable, "-m", "rhokit.cli", *args],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: os.close(fd),
+        timeout=120,
+    )
+    assert result.returncode == code, result.stderr
+    if code == 0:
+        assert result.stderr == ""
+        assert "joint" in (tmp_path / "j.json").read_text()
+    elif fd != 2:
+        error = single_json_error(result.stderr)
+        assert error["error"] == "DocumentError"
+        assert error["message"] == ["cannot read stdin: stdin is closed",
+                                    "cannot write stdout: stdout is closed"][fd]
+
+
+def test_a_stderr_that_cannot_take_the_error_line_keeps_the_exit_code(
+    tmp_path, unwritable_file
+):
+    result = subprocess.run(
+        [sys.executable, "-m", "rhokit.cli", "verify", "--ensemble", str(tmp_path / "no.json")],
+        stdout=subprocess.PIPE,
+        stderr=unwritable_file,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("output", STDOUT_OUTPUTS)

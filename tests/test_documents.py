@@ -8,8 +8,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rhokit import (
     Ancilla,
@@ -25,7 +23,7 @@ from rhokit import (
     steer,
 )
 from rhokit import documents as docs
-from helpers import bell_joint, bits, minus_ket, plus_ket, random_ket, random_unitary
+from helpers import bell_joint, bits, minus_ket, pick, plus_ket, random_ket, random_unitary
 
 
 def test_ket_roundtrip_exact():
@@ -586,14 +584,47 @@ BAD_PAIRS = [[1.0], [1.0, 2.0, 3.0], [[1.0, 0.0], 0.0], None, "1", 1.0, {"re": 1
 BAD_ROWS = [None, "row", {"entries": []}, 1.0]
 BAD_WEIGHTS = [10**400, True, None, "1", [0.5]]
 
-mutations = st.one_of(
-    st.tuples(st.just("leaf"), st.sampled_from(BAD_LEAVES + EDGE_LEAVES)),
-    st.tuples(st.just("pair"), st.sampled_from(BAD_PAIRS)),
-    st.tuples(st.just("row"), st.sampled_from(BAD_ROWS)),
-    st.tuples(st.sampled_from(["short_row", "long_row", "drop_row", "extra_row"]), st.none()),
-    st.tuples(st.just("weight"), st.sampled_from(BAD_WEIGHTS)),
-    st.tuples(st.sampled_from(["element", "no_ket"]), st.none()),
-)
+# The six families of mutation step: the operations of each, and the values
+# they put in place.
+MUTATIONS = [
+    (["leaf"], BAD_LEAVES + EDGE_LEAVES),
+    (["pair"], BAD_PAIRS),
+    (["row"], BAD_ROWS),
+    (["short_row", "long_row", "drop_row", "extra_row"], [None]),
+    (["weight"], BAD_WEIGHTS),
+    (["element", "no_ket"], [None]),
+]
+FAMILY = {op: family for family, (ops, _) in enumerate(MUTATIONS) for op in ops}
+GATE_CASES = 400
+
+
+def leaf(rng):
+    """A plain ``int`` or ``float``, the types ``json.loads`` makes (numpy's
+    scalars would take another path through the gate): an edge leaf, an
+    integer within 10**6, or a float from subnormal to near the float maximum."""
+    source = int(rng.integers(3))
+    if source == 0:
+        return pick(rng, EDGE_LEAVES)
+    if source == 1:
+        return int(rng.integers(-(10**6), 10**6 + 1))
+    return pick(rng, [-1.0, 1.0]) * 10.0 ** float(rng.uniform(-323.0, 308.0))
+
+
+def draw(case):
+    """Gate case ``case``: a kind, its shape, its leaves and weights, and one to
+    three mutation steps, from one generator seeded by ``case``."""
+    rng = np.random.default_rng(case)
+    kind = pick(rng, sorted(EXTRACT))
+    rows = 1 if kind == "ket" else int(rng.integers(1, 5))
+    dim = int(rng.integers(1, 5))
+    array = [[[leaf(rng), leaf(rng)] for _ in range(dim)] for _ in range(rows)]
+    weights = [float(rng.uniform(0.01, 1.0)) for _ in range(rows)]
+    steps = []
+    for _ in range(int(rng.integers(1, 4))):
+        ops, values = pick(rng, MUTATIONS)
+        where = rng.integers(100, size=2).tolist() + [int(rng.integers(2))]
+        steps.append(((pick(rng, ops), pick(rng, values)), *where))
+    return kind, rows, dim, array, weights, steps
 
 
 def outcome(extract, doc):
@@ -648,28 +679,8 @@ def test_each_bad_value_alone_matches_oracle(kind):
             assert got == want == ("DocumentError", message)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(
-    kind=st.sampled_from(sorted(EXTRACT)),
-    rows=st.integers(1, 4),
-    dim=st.integers(1, 4),
-    steps=st.lists(
-        st.tuples(mutations, st.integers(0, 99), st.integers(0, 99), st.integers(0, 1)),
-        min_size=1,
-        max_size=3,
-    ),
-    data=st.data(),
-)
-def test_gate_matches_per_entry_oracle(kind, rows, dim, steps, data):
-    if kind == "ket":
-        rows = 1
-    leaf = st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.integers(-(10**6), 10**6),
-        st.sampled_from(EDGE_LEAVES),
-    )
-    array = [[[data.draw(leaf), data.draw(leaf)] for _ in range(dim)] for _ in range(rows)]
-    weights = [data.draw(st.floats(0.01, 1.0)) for _ in range(rows)]
+def mutated(kind, rows, dim, array, weights, steps):
+    """The payload of a gate case: ``array`` and ``weights`` after ``steps``."""
     elements = [{"weight": w, "ket": r} for w, r in zip(weights, array)]
     for (op, value), i, j, k in steps:
         i = i % len(array)
@@ -697,19 +708,35 @@ def test_gate_matches_per_entry_oracle(kind, rows, dim, steps, data):
         elif op == "no_ket" and isinstance(elements[i % len(elements)], dict):
             elements[i % len(elements)] = {"weight": weights[0]}
     if kind == "ket":
-        payload = {"dim": dim, "entries": array[0]}
-    elif kind == "matrix":
-        payload = {"rows": rows, "cols": dim, "entries": array}
-    elif kind == "basis":
-        payload = {"dim": dim, "kets": array}
-    else:
-        elements = [
-            {**e, "weight": w, "ket": r} if isinstance(e, dict) and "ket" in e else e
-            for e, w, r in zip(elements, weights, array)
-        ]
-        payload = {"dim": dim, "elements": elements}
-    got, want = gate_and_oracle(kind, payload)
+        return {"dim": dim, "entries": array[0]}
+    if kind == "matrix":
+        return {"rows": rows, "cols": dim, "entries": array}
+    if kind == "basis":
+        return {"dim": dim, "kets": array}
+    elements = [
+        {**e, "weight": w, "ket": r} if isinstance(e, dict) and "ket" in e else e
+        for e, w, r in zip(elements, weights, array)
+    ]
+    return {"dim": dim, "elements": elements}
+
+
+@pytest.mark.parametrize("case", range(GATE_CASES))
+def test_gate_matches_per_entry_oracle(case):
+    kind, *drawn = draw(case)
+    got, want = gate_and_oracle(kind, mutated(kind, *drawn))
     assert got == want
+
+
+def test_gate_cases_reach_every_family_and_outcome():
+    cases = [draw(n) for n in range(GATE_CASES)]
+    families = {(kind, FAMILY[op]) for kind, *_, steps in cases for (op, _), *_ in steps}
+    assert families == set(itertools.product(EXTRACT, range(len(MUTATIONS))))
+    # The outcomes as the oracle gives them, which the gate must match.
+    outcomes = {
+        (kind, outcome(lambda _: oracle_extract(kind, mutated(kind, *drawn)), None)[0])
+        for kind, *drawn in cases
+    }
+    assert set(itertools.product(EXTRACT, ["ok", "DocumentError"])) <= outcomes
 
 
 # complex(re, im) keeps signed zeros, which re + 1j * im would not.

@@ -5,8 +5,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rhokit import (
     DimensionMismatch,
@@ -24,6 +22,7 @@ from rhokit import (
 from helpers import (
     computational,
     minus_ket,
+    pick,
     plus_ket,
     random_ensemble,
     random_ket,
@@ -389,25 +388,38 @@ def assert_matches_oracle(e):
         assert abs(got - want) <= overlap_tol
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dim=st.integers(1, 8),
-    order=st.integers(1, 10),
-    duplicates=st.lists(
-        st.tuples(st.integers(0, 9), st.integers(0, 9), st.booleans()), max_size=4
-    ),
-    layout=st.sampled_from(["C", "F", "strided"]),
-    smallest_weight=st.sampled_from([None, 1e-4, 1e-7, 1e-10]),
-    norm_error=st.sampled_from([0.0, 1e-2, 5e-10, 5e-11]),
-    flaw=st.sampled_from([None, "weight_sum", "negative_weight", "zero_weight"]),
-)
-def test_validate_matches_pair_loop_oracle(
-    seed, dim, order, duplicates, layout, smallest_weight, norm_error, flaw
-):
-    assert_matches_oracle(
-        oracle_case(seed, dim, order, duplicates, layout, smallest_weight, norm_error, flaw)
-    )
+LAYOUTS = ["C", "F", "strided"]
+SMALLEST_WEIGHTS = [None, 1e-4, 1e-7, 1e-10]
+NORM_ERRORS = [0.0, 1e-2, 5e-10, 5e-11]
+FLAWS = [None, "weight_sum", "negative_weight", "zero_weight"]
+ORACLE_CASES = 300
+
+
+def draw(case):
+    """Oracle case ``case``: the arguments of ``oracle_case``, up to four
+    duplicated kets among them, from one generator seeded by ``case``."""
+    rng = np.random.default_rng(case)
+    seed, dim, order = int(rng.integers(2**32)), int(rng.integers(1, 9)), int(rng.integers(1, 11))
+    duplicates = [
+        (*rng.integers(10, size=2).tolist(), bool(rng.integers(2)))
+        for _ in range(int(rng.integers(5)))
+    ]
+    return (seed, dim, order, duplicates, pick(rng, LAYOUTS), pick(rng, SMALLEST_WEIGHTS),
+            pick(rng, NORM_ERRORS), pick(rng, FLAWS))
+
+
+@pytest.mark.parametrize("case", range(ORACLE_CASES))
+def test_validate_matches_pair_loop_oracle(case):
+    assert_matches_oracle(oracle_case(*draw(case)))
+
+
+def test_oracle_cases_reach_every_category():
+    cases = [draw(n) for n in range(ORACLE_CASES)]
+    for index, values in [(4, LAYOUTS), (5, SMALLEST_WEIGHTS), (6, NORM_ERRORS), (7, FLAWS)]:
+        assert {case[index] for case in cases} == set(values)
+    assert {bool(duplicates) for _, _, _, duplicates, *_ in cases} == {True, False}
+    assert {dim for _, dim, *_ in cases} == set(range(1, 9))
+    assert {order for _, _, order, *_ in cases} == set(range(1, 11))
 
 
 _REPORT_KINDS = {

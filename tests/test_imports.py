@@ -2,9 +2,12 @@
 
 A name listed in the module's ``__all__`` counts as used (a re-export), and
 so does an import whose own line carries ``# noqa: F401`` with its reason.
+A test or benchmark module imports only the standard library, numpy, pytest,
+rhokit and the modules beside it.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +58,35 @@ def test_unused_import_is_found_unless_exported_or_marked():
         ]
     )
     assert unused_imports(source) == ["inf", "loads", "os"]
+
+
+def imported_modules(text):
+    """The top-level packages the module source ``text`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+# What a test or benchmark module may import: the standard library, numpy,
+# pytest, rhokit and the modules beside it.
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "pytest", "rhokit"}
+ALLOWED |= {path.stem for path in TEST_MODULES}
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_test_and_benchmark_modules_import_only_the_declared_packages(path):
+    # Every random case is drawn from a numpy generator seeded by its number,
+    # so each collection of the suite draws the same cases; a property-testing
+    # package would draw by rules of its own.
+    assert imported_modules(path.read_text(encoding="utf-8")) - ALLOWED == set()
+
+
+def test_imported_modules_finds_plain_dotted_and_from_imports():
+    source = "import numpy as np\nimport os.path\nfrom scipy.linalg import qr\nfrom . import x"
+    assert imported_modules(source) == {"numpy", "os", "scipy"}
+    assert imported_modules(source) - ALLOWED == {"scipy"}

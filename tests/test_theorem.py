@@ -75,17 +75,13 @@ from rhokit import (
     umap_between,
     validate_ensemble,
 )
-from helpers import bits, mapping_residual, random_basis, random_unitary, reconstruct_joint
+from helpers import bits, mapping_residual, pick, random_basis, random_unitary, reconstruct_joint
 
 IDENTITY_TOL = 1e-8
 # Weights U(0.1, 1), or log-uniform down to the floor; normalized afterwards.
 SPECTRA = {"uniform": None, "floor1e-6": 1e-6, "floor2e-10": 2e-10}
 FLOORS = list(SPECTRA.values())
 SEEDS = range(2**32)
-
-
-def pick(rng, options):
-    return options[int(rng.integers(len(options)))]
 
 
 def weights(rng, dim, floor):
