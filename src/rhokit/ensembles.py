@@ -149,6 +149,9 @@ def ensemble_to_density(
     """
     _require_valid(e, tol)
     matrix = _weighted_projector_sum(e.kets, e.weights)
+    # Hermitian only up to rounding, the sum is made exactly so: eig_hermitian's
+    # symmetry check then passes at every tol, and its own symmetrization is exact.
+    matrix = (matrix + matrix.conj().T) / 2.0
     spectrum, eigenkets = eig_hermitian(matrix, tol)
     return DensityMatrix(
         dim=e.dim,

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,6 +430,14 @@ def single_json_error(stderr):
     return json.loads(lines[0])
 
 
+def test_the_console_script_runs_what_python_m_runs():
+    # CI runs the installed `rhokit` entry point once; every process test here
+    # runs `python -m rhokit.cli`, whose __main__ calls cli.run. Read as text:
+    # Python 3.10 has no tomllib.
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert '\n[project.scripts]\nrhokit = "rhokit.cli:run"\n' in text
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--shots", "0"), ("--seed", "-1"), ("--shots", str(10**20))],
@@ -611,13 +620,21 @@ def test_basis_taking_commands_reject_tol(tmp_path, capsys, command):
     assert captured.out == ""
     error = single_json_error(captured.err)
     assert error["error"] == "UsageError" and "--tol" in error["message"]
+    # A basis whose ket 1 leans on ket 0 by 1e-7 misses that threshold.
+    lean = write(tmp_path / "lean.json", docs.basis_document(np.array([[1, 0], [1e-7, 1]])))
+    assert main([command, joint, lean, *args[2:], *out]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert single_json_error(captured.err) == {
+        "error": "NotOrthonormalBasis",
+        "message": "basis deviates from orthonormality by 1.000e-07 (tol 1.000e-08)",
+    }
 
 
 # Products of these entries overflow to inf, and inf - inf to NaN.
 HUGE = [[1e308, 1e308], [1e308, 1e308]]
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", ["joint", "umap"])
 def test_verify_overflowing_entries_exits_3_with_empty_stderr(tmp_path, capsys, kind):
     if kind == "joint":
@@ -633,7 +650,6 @@ def test_verify_overflowing_entries_exits_3_with_empty_stderr(tmp_path, capsys, 
     assert json.loads(captured.out)["clean"] is False
 
 
-@pytest.mark.filterwarnings("error")
 def test_purify_overflowing_ket_exits_3_with_one_json_line(tmp_path, capsys):
     payload = {"dim": 2, "elements": [{"weight": 1.0, "ket": HUGE}]}
     path = tmp_path / "e.json"
@@ -728,6 +744,7 @@ def test_apply_u_writes_both_documents(tmp_path):
     ensemble = docs.to_ensemble(docs.load_document(out.read_text()))
     np.testing.assert_allclose(sorted(ensemble.weights), [0.5, 0.5], atol=1e-12)
     assert main(["verify", "--umap", str(umap_out)]) == 0
+    assert main(["verify", "--ensemble", str(out)]) == 0
 
 
 def test_malformed_document_exits_2(tmp_path, capsys):

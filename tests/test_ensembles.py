@@ -19,6 +19,7 @@ from rhokit import (
     is_linearly_independent,
     validate_ensemble,
 )
+from rhokit.ensembles import _unmet_hypotheses
 from helpers import (
     computational,
     minus_ket,
@@ -124,6 +125,18 @@ def test_density_with_zero_rank_tol_accepts_order_below_dim():
     e = random_ensemble(np.random.default_rng(0), 4, 2)
     rho = ensemble_to_density(e, rank_tol=0.0)
     assert np.max(np.abs(rho.matrix - weighted_projector_sum(e))) < 1e-12
+
+
+def test_density_of_an_ensemble_admitted_at_tol_zero():
+    # The projector sum of these kets misses Hermitian symmetry by 1.4e-17 in
+    # rounding; an ensemble admitted at tol 0 still has its density at tol 0.
+    rng = np.random.default_rng(0)
+    z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    e = RhoEnsemble(z / np.linalg.norm(z, axis=1)[:, None], [0.5, 0.25, 0.25])
+    assert _unmet_hypotheses(e, 0.0) == []
+    rho = ensemble_to_density(e, tol=0.0)
+    assert np.array_equal(rho.matrix, rho.matrix.conj().T)
+    assert np.array_equal(rho.spectrum, ensemble_to_density(e).spectrum)
 
 
 def test_density_rejects_invalid_ensemble():
