@@ -3,9 +3,15 @@
 Public constructions check their arguments once and build what they return
 without re-running the value types' own checks. These tests rebuild each
 output through the checked constructors, which must accept it unchanged, and
-show that bad tolerances are rejected before any arithmetic runs. A catalogue
-of malformed arguments shows that every public callable answers each of them
-with a result or a typed error.
+show that bad tolerances are rejected before any arithmetic runs.
+
+``catalogue()`` is the one list of public callables, each with a valid call.
+Every per-name rule is derived from it: the tolerances a name takes, the
+integers it refuses, the malformed arguments it answers with a result or a
+typed error, its value-object parameters and its one boundary. Adding or
+deleting a public name edits its catalogue entry and its entry in the
+address-space sweep (``sweep`` in the child script below); a test checks each
+list against the public API.
 """
 
 import inspect
@@ -389,116 +395,10 @@ def test_kets_and_probability_vectors_are_admitted_at_one_fixed_threshold(deviat
     assert sum(sample_outcomes(weights, 10, 0)) == 10
 
 
-def zero_weight_joint():
-    """e0 (x) e0: conditioning on the computational basis gives weights 1 and 0."""
-    return JointState(dim_s=2, dim_m=2, vec=computational(4, 0))
-
-
-def tolerance_calls():
-    joint = zero_weight_joint()
-    basis = np.eye(2, dtype=complex)
-    e = random_ensemble(np.random.default_rng(40), 2, 2)
-    rho = np.eye(2) / 2
-    return {
-        "ensemble_from_basis": lambda **t: ensemble_from_basis(joint, basis, **t),
-        "measure_ancilla": lambda **t: measure_ancilla(joint, basis, **t),
-        "steer": lambda **t: steer(joint, basis, 10, 0, **t),
-        "apply_unitary_umap": lambda **t: apply_unitary_umap(joint, basis, basis, **t),
-        "ensemble_containing": lambda **t: ensemble_containing(
-            joint, computational(2, 0), **t
-        ),
-        "schmidt_decompose": lambda **t: schmidt_decompose(joint.vec, 2, 2, **t),
-        "purify": lambda tol: purify(e, 2, tol),
-        "match_purification": lambda tol: match_purification(e, purify(e, 2)[0], tol),
-        "umap_between": lambda tol: umap_between(e, e, tol),
-        "lemma_unitary": lambda tol: lemma_unitary(bell_joint(), bell_joint(), tol),
-        "sample_outcomes": lambda **t: sample_outcomes([1.0], 1, 0, **t),
-        "complete_orthonormal": lambda **t: complete_orthonormal([], 2, **t),
-        "eig_hermitian": lambda tol: eig_hermitian(rho, tol),
-        "density_from_matrix": lambda **t: density_from_matrix(rho, **t),
-        "ensemble_to_density": lambda **t: ensemble_to_density(e, **t),
-        "densities_match": lambda tol: densities_match(e, e, tol),
-        "ensembles_equal": lambda tol: ensembles_equal(e, e, tol),
-        "is_linearly_independent": lambda **t: is_linearly_independent(e, **t),
-        "validate_ensemble": lambda tol: validate_ensemble(e, tol),
-        "check_umap": lambda tol: check_umap(UMap(coeffs=np.eye(2)), tol),
-    }
-
-
-RANK_TOL_TAKERS = {
-    "density_from_matrix",
-    "ensemble_to_density",
-}
-
-
-# Functions that read only a rank cutoff. A ket, ket list or probability
-# vector is admitted at the fixed 1e-8, so no function that takes one reads tol.
-RANK_TOL_ONLY = {
-    "is_linearly_independent",
-    "ensemble_from_basis",
-    "measure_ancilla",
-    "steer",
-    "apply_unitary_umap",
-    "ensemble_containing",
-    "schmidt_decompose",
-}
-NO_TOLERANCE = {"complete_orthonormal", "sample_outcomes"}
-
-# numpy orders its complex numbers, so a comparison alone would accept these.
-COMPLEX_TOLERANCES = (
-    1e-10 + 0j,
-    np.complex128(1e-10),
-    np.complex64(1e-10),
-    np.array(1e-10 + 0j),
-)
-# Bools compare as 0 and 1, an array of one entry as that entry and an int
-# past the float range below inf, so a comparison alone would accept these too;
-# the last four are no real number at all.
-BAD_TOLERANCES = COMPLEX_TOLERANCES + (
-    np.nan, np.inf, -np.inf, -1.0, True, np.True_, np.array([1e-10]), 10**400,
-    "ab", None, 1j, [1e-10],
-)
-
-
-def tolerance_params(name):
-    """The tolerances ``name`` takes, in signature order."""
-    if name in NO_TOLERANCE:
-        return []
-    if name in RANK_TOL_ONLY:
-        return ["rank_tol"]
-    if name in RANK_TOL_TAKERS:
-        return ["tol", "rank_tol"]
-    return ["tol"]
-
-
-def test_every_public_tolerance_is_checked_by_the_one_rule():
-    for name in public_callables():
-        parameters = inspect.signature(getattr(rhokit, name)).parameters
-        taken = [param for param in ("tol", "rank_tol") if param in parameters]
-        if taken:
-            assert name in tolerance_calls() and tolerance_params(name) == taken, name
-
-
-@pytest.mark.parametrize("name", sorted(tolerance_calls()))
-def test_bad_tolerances_raise_typed_error_without_warning(name):
-    call = tolerance_calls()[name]
-    params = tolerance_params(name)
-    call(**{param: 1e-10 for param in params[:1]})  # accepted at a valid tolerance
-    if "tol" not in params:  # no tol moves the fixed admission threshold
-        with pytest.raises(TypeError, match="'tol'"):
-            call(tol=1e-10)
-    for param in params:
-        for bad in BAD_TOLERANCES:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with pytest.raises(InvalidArgument, match=f"^{param} must be"):
-                    call(**{param: bad})
-            assert caught == [], (param, bad)
-
-
 # ---------------------------------------------------------------------------
-# The catalogue: every array, number or integer argument of the public API,
-# replaced in turn by each malformed value.
+# The catalogue: the one list of the public callables. Every per-name rule
+# below (tolerances, integers, malformed arguments, value objects, the one
+# boundary) is derived from its entries.
 
 MALFORMED = [
     None,
@@ -519,19 +419,23 @@ MALFORMED = [
     2**62,
 ]
 
-# Plain records that store what they are given, and functions whose only
-# parameters are value objects: nothing in them to replace.
+# Plain records that store what they are given: nothing in them to replace.
 NO_CHECKED_ARGUMENT = {"DensityMatrix", "SchmidtForm"}
 
 
 def catalogue():
-    """Name -> (callable, value-object arguments, replaceable valid arguments)."""
+    """Name -> (callable, value-object arguments, replaceable valid arguments)
+    for every public callable but ``NO_CHECKED_ARGUMENT``: those of
+    ``rhokit.__all__`` and the writers and readers of ``rhokit.documents``.
+    Valid arguments are listed in signature order."""
     e = random_ensemble(np.random.default_rng(7), 2, 2)
     joint = bell_joint()
     eye = np.eye(2, dtype=complex)
     ket = computational(2, 0)
-    tols = {"rank_tol": 1e-10, "tol": 1e-10}
-    return {
+    tols = {"tol": 1e-10, "rank_tol": 1e-10}
+    doc = documents.ket_document(eye[0])
+    report = steer(joint, eye, shots=10, seed=0)
+    entries = {
         "Ancilla": (Ancilla, {}, {"dim_m": 2, "kets": eye}),
         "JointState": (JointState, {}, {"dim_s": 2, "dim_m": 2, "vec": joint.vec}),
         "RhoEnsemble": (RhoEnsemble, {}, {"kets": e.kets, "weights": e.weights}),
@@ -588,15 +492,12 @@ def catalogue():
         "tensor_ket": (tensor_ket, {}, {"s": ket, "m": ket}),
         "umap_between": (umap_between, {"from_e": e, "to_e": e}, {"tol": 1e-10}),
         "validate_ensemble": (validate_ensemble, {"e": e}, {"tol": 1e-10}),
-        **document_catalogue(e, joint),
+        "ancilla_basis_document": (
+            documents.ancilla_basis_document, {"ancilla": Ancilla(2, eye)}, {}
+        ),
+        "dump_document": (documents.dump_document, {}, {"doc": doc}),
+        "load_document": (documents.load_document, {}, {"text": documents.dump_document(doc)}),
     }
-
-
-def document_catalogue(e, joint):
-    """The writers and readers of ``rhokit.documents``, as ``catalogue`` lists them."""
-    eye = np.eye(2, dtype=complex)
-    ket = documents.ket_document(eye[0])
-    report = steer(joint, eye, shots=10, seed=0)
     writers = {
         "ket": (documents.ket_document, {}, {"vec": eye[0]}),
         "matrix": (documents.matrix_document, {}, {"m": eye}),
@@ -605,13 +506,6 @@ def document_catalogue(e, joint):
         "joint": (documents.joint_document, {"state": joint}, {}),
         "umap": (documents.umap_document, {"u": UMap(eye, eye, eye)}, {}),
         "report": (documents.report_document, {"report": report}, {}),
-    }
-    entries = {
-        "ancilla_basis_document": (
-            documents.ancilla_basis_document, {"ancilla": Ancilla(2, eye)}, {}
-        ),
-        "dump_document": (documents.dump_document, {}, {"doc": ket}),
-        "load_document": (documents.load_document, {}, {"text": documents.dump_document(ket)}),
     }
     for kind, (write, objects, valid) in writers.items():
         entries[f"{kind}_document"] = (write, objects, valid)
@@ -640,9 +534,95 @@ def documents_functions():
     }
 
 
+def public_surface():
+    """Every public callable by name, as ``catalogue`` must list it."""
+    return {name: getattr(rhokit, name) for name in public_callables()} | documents_functions()
+
+
 def test_catalogue_covers_every_public_callable():
-    expected = public_callables() | set(documents_functions())
-    assert expected == set(catalogue()) | NO_CHECKED_ARGUMENT
+    public = public_surface()
+    listed = {name: call for name, (call, _, _) in catalogue().items()}
+    assert listed | {name: public.get(name) for name in NO_CHECKED_ARGUMENT} == public
+
+
+def test_every_public_callable_passes_the_one_boundary():
+    # Every _public wrapper runs one code object; a callable without it skips the rules.
+    boundary = linalg._public(lambda: None).__code__
+    entries = [JointState.reduced_system] + [
+        call.__post_init__ if isinstance(call, type) else call
+        for call, _, _ in catalogue().values()
+    ]
+    assert [entry.__qualname__ for entry in entries if entry.__code__ is not boundary] == []
+
+
+def tolerances(valid):
+    """The tolerances a catalogue entry takes: its valid arguments so named."""
+    return [arg for arg in valid if arg in ("tol", "rank_tol")]
+
+
+def test_every_public_tolerance_is_checked_by_the_one_rule():
+    entries = catalogue()
+    for name, value in public_surface().items():
+        taken = tolerances(inspect.signature(value).parameters)
+        assert tolerances(entries[name][2] if name in entries else {}) == taken, name
+
+
+# numpy orders its complex numbers, so a comparison alone would accept these.
+COMPLEX_TOLERANCES = (
+    1e-10 + 0j,
+    np.complex128(1e-10),
+    np.complex64(1e-10),
+    np.array(1e-10 + 0j),
+)
+# Bools compare as 0 and 1, an array of one entry as that entry and an int
+# past the float range below inf, so a comparison alone would accept these too;
+# the last six are no real number at all.
+BAD_TOLERANCES = COMPLEX_TOLERANCES + (
+    np.nan, np.inf, -np.inf, -1.0, True, np.True_, np.array([1e-10]), 10**400,
+    "ab", "1e-3", None, 1j, [1e-10], np.array([1e-3, 1e-3]),
+)
+
+
+@pytest.mark.parametrize("name", sorted(catalogue()))
+def test_bad_tolerances_raise_typed_error_without_warning(name):
+    call, objects, valid = catalogue()[name]
+    call(**objects, **valid)  # accepted at a valid tolerance
+    if "tol" not in valid:  # no tol moves the fixed admission threshold
+        with pytest.raises(TypeError, match="'tol'"):
+            call(**objects, **valid, tol=1e-10)
+    for param in tolerances(valid):
+        for bad in BAD_TOLERANCES:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(
+                    InvalidArgument, match=f"^{param} must be a finite non-negative number"
+                ):
+                    call(**objects, **{**valid, param: bad})
+            assert caught == [], (param, bad)
+
+
+# Floats are refused, not truncated (10.5 shots were once drawn as 10), and
+# so are bools; 0 is refused too, except as a seed.
+BAD_INTEGERS = (None, True, "3", 2.0, 1.5, 2.5, 10.5, -2, -1)
+
+
+@pytest.mark.parametrize(
+    "name, arg",
+    sorted(
+        (name, arg)
+        for name, (_, _, valid) in catalogue().items()
+        for arg, value in valid.items()
+        if type(value) is int
+    ),
+)
+def test_every_integer_argument_is_a_checked_integer(name, arg):
+    call, objects, valid = catalogue()[name]
+    minimum = 0 if arg == "seed" else 1
+    for bad in BAD_INTEGERS + tuple(range(minimum)):  # and 0 below a minimum of 1
+        with pytest.raises(
+            InvalidArgument, match=rf"^{arg} must be an integer (>= |in \[){minimum}\b"
+        ):
+            call(**objects, **{**valid, arg: bad})
 
 
 @pytest.mark.parametrize("name", sorted(catalogue()))
@@ -666,27 +646,6 @@ def test_every_malformed_argument_returns_or_raises_a_typed_error(name):
         tracemalloc.stop()
     assert untyped == []
     assert peak < 4 * 2**20
-
-
-def test_every_public_callable_passes_the_one_boundary():
-    # Every _public wrapper runs one code object; a callable without it skips the rules.
-    boundary = linalg._public(lambda: None).__code__
-    entries = [JointState.reduced_system]
-    for name in public_callables():
-        value = getattr(rhokit, name)
-        if not isinstance(value, type):
-            entries.append(value)
-        elif "__post_init__" in vars(value):
-            entries.append(value.__post_init__)
-    assert len(entries) == 29
-    assert [entry.__qualname__ for entry in entries if entry.__code__ is not boundary] == []
-
-
-def test_every_documents_function_passes_the_one_boundary():
-    boundary = linalg._public(lambda: None).__code__
-    functions = documents_functions()
-    assert len(functions) == 17
-    assert [name for name, f in functions.items() if f.__code__ is not boundary] == []
 
 
 def test_a_failed_allocation_past_the_first_gram_matrix_is_resource_exhausted(monkeypatch):
@@ -764,8 +723,11 @@ def test_a_failed_allocation_in_any_documents_function_is_resource_exhausted(mon
         "load_document": "_admit_envelope",
         "ancilla_basis_document": "basis_document",
     }
-    entries = document_catalogue(random_ensemble(np.random.default_rng(7), 2, 2), bell_joint())
-    assert set(entries) == set(documents_functions())
+    entries = {
+        name: entry
+        for name, entry in catalogue().items()
+        if entry[0].__module__ == documents.__name__
+    }
     for name, (call, objects, valid) in entries.items():
         reader = name.startswith("to_")
         helper = helpers.get(name, "_admit_envelope" if reader else "_complex_payload")
@@ -1123,20 +1085,3 @@ def test_invalid_argument_inside_an_allocation_is_not_resource_exhausted(monkeyp
     e = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.5, 0.5])
     with pytest.raises(InvalidArgument, match="^vector contains"):
         purify(e, 2)
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: schmidt_decompose(np.ones(4) / 2, -2, -2),
-        lambda: schmidt_decompose(np.ones(4) / 2, 2.5, 1.6),
-        lambda: schmidt_decompose(np.ones(4) / 2, True, 4),
-        lambda: partial_trace_m(np.ones(4), -2, -2),
-        lambda: partial_trace_m(np.ones(4), None, 2),
-        lambda: Ancilla(None, np.eye(2)),
-        lambda: Ancilla(0, []),
-    ],
-)
-def test_every_dimension_is_a_checked_integer(call):
-    with pytest.raises(InvalidArgument, match=r"^dim_[sm] must be an integer >= 1"):
-        call()

@@ -1,4 +1,4 @@
-"""Every name a rhokit module or a tool imports is used in that module.
+"""Every name a rhokit module, a tool or a test module imports is used in that module.
 
 A name listed in the module's ``__all__`` counts as used (a re-export), and
 so does an import whose own line carries ``# noqa: F401`` with its reason.
@@ -13,7 +13,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "rhokit").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+MODULES = [
+    path
+    for folder in ("src/rhokit", "tools", "tests")
+    for path in sorted((ROOT / folder).glob("*.py"))
+]
 
 
 def unused_imports(text):

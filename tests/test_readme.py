@@ -1,11 +1,14 @@
-"""README examples run as written: the Python quickstart and the worked CLI pipeline."""
+"""README examples run as written (the Python quickstart and the worked CLI
+pipeline), and its CLI and tolerance tables match the code."""
 
+import inspect
 import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 
+import rhokit
 from rhokit import RhoEnsemble, documents as docs
 from rhokit.cli import build_parser, main
 
@@ -40,12 +43,10 @@ def test_worked_pipeline_runs(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_cli_table_lists_every_flag_of_every_command():
-    section = README.split("\n## CLI reference\n", 1)[1]
-    rows = re.findall(r"^\| `([a-z-]+)([^`]*)` \|", section, re.M)
-    documented = {command: set(re.findall(r"--[a-z-]+", usage)) for command, usage in rows}
+def command_flags():
+    """Each CLI command's flags, ``--help`` aside, from the parser itself."""
     commands = build_parser()._subparsers._group_actions[0].choices
-    flags = {
+    return {
         command: {
             flag
             for action in parser._actions
@@ -54,4 +55,24 @@ def test_cli_table_lists_every_flag_of_every_command():
         }
         for command, parser in commands.items()
     }
-    assert documented == flags
+
+
+def test_cli_table_lists_every_flag_of_every_command():
+    section = README.split("\n## CLI reference\n", 1)[1]
+    rows = re.findall(r"^\| `([a-z-]+)([^`]*)` \|", section, re.M)
+    documented = {command: set(re.findall(r"--[a-z-]+", usage)) for command, usage in rows}
+    assert documented == command_flags()
+
+
+def test_tolerance_table_lists_every_reader_of_each_tolerance():
+    functions = [f for name in rhokit.__all__ if inspect.isfunction(f := getattr(rhokit, name))]
+    for param, flag in (("tol", "--tol"), ("rank_tol", "--rank-tol")):
+        row = re.search(rf"^\| `{param}` \|.*$", README, re.M).group()
+        read_by = row.split(" | ")[3]
+        library, cli = read_by.split(f"CLI `{flag}`:")
+        assert set(re.findall(r"`(\w+)`", library)) == {
+            f.__name__ for f in functions if param in inspect.signature(f).parameters
+        }
+        assert set(re.findall(r"`([a-z-]+)`", cli)) == {
+            command for command, flags in command_flags().items() if flag in flags
+        }

@@ -184,21 +184,6 @@ def test_sample_huge_shots_sum_exactly():
     )
 
 
-def test_sample_rejects_negative_seed_with_typed_error():
-    with pytest.raises(InvalidArgument):
-        sample_outcomes([1.0], shots=1, seed=-1)
-
-
-@pytest.mark.parametrize(
-    "shots, seed, name",
-    [(10.5, 1, "shots"), (True, 1, "shots"), (10, 1.5, "seed"), (10, "3", "seed")],
-)
-def test_steer_rejects_non_integer_shots_and_seed(shots, seed, name):
-    # 10.5 shots used to be truncated to 10 draws and reported as 10.
-    with pytest.raises(InvalidArgument, match=f"^{name} must be an integer"):
-        steer(bell_joint(), np.eye(2, dtype=complex), shots, seed)
-
-
 # ---------------------------------------------------------------------------
 # steer
 
