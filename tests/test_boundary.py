@@ -545,14 +545,23 @@ def test_catalogue_covers_every_public_callable():
     assert listed | {name: public.get(name) for name in NO_CHECKED_ARGUMENT} == public
 
 
-def test_every_public_callable_passes_the_one_boundary():
-    # Every _public wrapper runs one code object; a callable without it skips the rules.
+def off_the_boundary(in_documents):
+    """The catalogue's callables in or out of ``rhokit.documents`` that skip
+    the one ``_public`` wrapper, and with it the rules."""
     boundary = linalg._public(lambda: None).__code__
-    entries = [JointState.reduced_system] + [
-        call.__post_init__ if isinstance(call, type) else call
-        for call, _, _ in catalogue().values()
-    ]
-    assert [entry.__qualname__ for entry in entries if entry.__code__ is not boundary] == []
+    entries = [] if in_documents else [JointState.reduced_system]
+    for call, _, _ in catalogue().values():
+        if (call.__module__ == documents.__name__) == in_documents:
+            entries.append(call.__post_init__ if isinstance(call, type) else call)
+    return [entry.__qualname__ for entry in entries if entry.__code__ is not boundary]
+
+
+def test_every_public_callable_passes_the_one_boundary():
+    assert off_the_boundary(in_documents=False) == []
+
+
+def test_every_documents_function_passes_the_one_boundary():
+    assert off_the_boundary(in_documents=True) == []
 
 
 def tolerances(valid):
@@ -623,6 +632,24 @@ def test_every_integer_argument_is_a_checked_integer(name, arg):
             InvalidArgument, match=rf"^{arg} must be an integer (>= |in \[){minimum}\b"
         ):
             call(**objects, **{**valid, arg: bad})
+
+
+# Both dimensions bad at once: the first one checked is the one reported.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: schmidt_decompose(np.ones(4) / 2, -2, -2),
+        lambda: schmidt_decompose(np.ones(4) / 2, 2.5, 1.6),
+        lambda: schmidt_decompose(np.ones(4) / 2, True, 4),
+        lambda: partial_trace_m(np.ones(4), -2, -2),
+        lambda: partial_trace_m(np.ones(4), None, 2),
+        lambda: Ancilla(None, np.eye(2)),
+        lambda: Ancilla(0, []),
+    ],
+)
+def test_every_dimension_is_a_checked_integer(call):
+    with pytest.raises(InvalidArgument, match=r"^dim_[sm] must be an integer >= 1"):
+        call()
 
 
 @pytest.mark.parametrize("name", sorted(catalogue()))

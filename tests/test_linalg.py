@@ -393,6 +393,14 @@ def test_schmidt_coefficients_are_the_singular_values_ensemble_containing_takes(
 # preconditions: one typed error per violated shape, value or solver
 
 
+@pytest.mark.parametrize("bad", ["1e-3", 1j, np.array([1e-3, 1e-3])])
+def test_non_real_tolerance_is_an_invalid_argument(bad):
+    with pytest.raises(InvalidArgument, match="^tol must be a finite non-negative"):
+        eig_hermitian(np.eye(2), bad)
+    with pytest.raises(InvalidArgument, match="^rank_tol must be a finite non-negative"):
+        schmidt_decompose(bell_joint().vec, 2, 2, rank_tol=bad)
+
+
 PRECONDITIONS = {
     "ket_ndim": (
         lambda: tensor_ket(np.eye(2), computational(2, 0)),

@@ -158,6 +158,19 @@ def test_purify_rejects_small_ancilla():
         purify(random_ensemble(rng, 2, 3), 2)
 
 
+@pytest.mark.parametrize("dim_m", [2.5, True, 0])
+def test_purify_rejects_non_positive_integer_dim_m(dim_m):
+    e = RhoEnsemble(kets=[computational(2, 0)], weights=[1.0])
+    with pytest.raises(InvalidArgument, match=r"^dim_m must be an integer >= 1"):
+        purify(e, dim_m)
+
+
+@pytest.mark.parametrize("dims", [(2.0, 2), (True, 4), (2, 0)])
+def test_joint_state_rejects_non_integer_dimensions(dims):
+    with pytest.raises(InvalidArgument, match=r"^dim_[sm] must be an integer >= 1"):
+        JointState(dim_s=dims[0], dim_m=dims[1], vec=np.ones(4) / 2)
+
+
 def test_purify_soundness_random():
     for seed in range(20):
         rng = np.random.default_rng(seed)

@@ -184,6 +184,16 @@ def test_sample_huge_shots_sum_exactly():
     )
 
 
+@pytest.mark.parametrize(
+    "shots, seed, name",
+    [(10.5, 1, "shots"), (True, 1, "shots"), (10, 1.5, "seed"), (10, "3", "seed")],
+)
+def test_steer_rejects_non_integer_shots_and_seed(shots, seed, name):
+    # 10.5 shots used to be truncated to 10 draws and reported as 10.
+    with pytest.raises(InvalidArgument, match=f"^{name} must be an integer"):
+        steer(bell_joint(), np.eye(2, dtype=complex), shots, seed)
+
+
 # ---------------------------------------------------------------------------
 # steer
 
