@@ -25,6 +25,8 @@ from .errors import DimensionMismatch, InvalidArgument, InvalidEnsemble
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
+    _check_integer,
+    _checked,
     _convert,
     _kept_rank,
     _public,
@@ -127,7 +129,8 @@ def _unmet_hypotheses(e: RhoEnsemble, tol: float) -> list[str]:
 def _require_valid(e: RhoEnsemble, tol: float) -> None:
     """Raise InvalidEnsemble(report) unless ``e`` meets the theorem's hypotheses.
 
-    The one precondition of every construction that takes an ensemble.
+    The one precondition of every construction that takes an ensemble, checked by
+    ``ensemble_to_density`` and by ``purification._amplitude_block`` for the others.
     Collinear elements are accepted: the theorem holds for repeated kets.
     """
     report = _unmet_hypotheses(e, tol)
@@ -193,9 +196,12 @@ def density_from_matrix(
 
 @_public
 def eigen_ensemble(rho: DensityMatrix) -> RhoEnsemble:
-    """The spectral decomposition of a density matrix as an ensemble."""
-    n = rho.support_rank
-    return RhoEnsemble(kets=rho.eigenkets[:n], weights=rho.spectrum[:n])
+    """The spectral decomposition of a density matrix as an ensemble. ``DensityMatrix``
+    is a plain record, so its fields are admitted as they are read: ``spectrum`` and
+    ``eigenkets`` as arrays, ``support_rank`` in ``[1, len(spectrum)]``."""
+    spectrum = _checked(_convert(rho.spectrum, float), 1, "spectrum")
+    n = _check_integer("support_rank", rho.support_rank, 1, len(spectrum))
+    return RhoEnsemble(kets=as_ket_list(rho.eigenkets)[:n], weights=spectrum[:n])
 
 
 @_public

@@ -188,9 +188,13 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
     return report
 
 
-def _amplitude_block(e: RhoEnsemble, dim_m: int) -> np.ndarray:
-    """(dim, dim_m) matrix of ``sum_j sqrt(w_j) phi_j (x) e_j``, zero past the
-    order: the transpose of contiguous rows ``sqrt(w_j) phi_j``."""
+def _amplitude_block(e: RhoEnsemble, dim_m: int, tol: float) -> np.ndarray:
+    """(dim, dim_m) matrix of ``sum_j sqrt(w_j) phi_j (x) e_j``, zero past the order:
+    the transpose of contiguous rows ``sqrt(w_j) phi_j``. The one gate from an ensemble
+    to it: the theorem's hypotheses at ``tol``, then at most ``dim_m`` elements."""
+    _require_valid(e, tol)
+    if e.order > dim_m:
+        raise OrderExceedsAncillaDim(f"ensemble order {e.order} exceeds ancilla dimension {dim_m}")
     rows = np.zeros((dim_m, e.dim), dtype=complex)
     np.multiply(np.sqrt(e.weights)[:, None], e.kets, out=rows[: e.order])
     return rows.T
@@ -254,13 +258,8 @@ def purify(
     its size.
     """
     dim_m = _check_integer("dim_m", dim_m, 1)
-    _require_valid(e, tol)
-    if e.order > dim_m:
-        raise OrderExceedsAncillaDim(
-            f"ensemble order {e.order} exceeds ancilla dimension {dim_m}"
-        )
     try:
-        vec = _amplitude_block(e, dim_m).reshape(-1)
+        vec = _amplitude_block(e, dim_m, tol).reshape(-1)
         joint = JointState(dim_s=e.dim, dim_m=dim_m, vec=_at_unit_norm(vec, vec))
         # Canonical kets are exactly orthonormal, and there are at most dim_m.
         canonical = np.eye(e.order, dim_m, dtype=complex)
@@ -292,17 +291,12 @@ def match_purification(
         raise DimensionMismatch(
             f"ensemble has dimension {e.dim}, joint system factor {target.dim_s}"
         )
-    _require_valid(e, tol)
-    if e.order > target.dim_m:
-        raise OrderExceedsAncillaDim(
-            f"ensemble order {e.order} exceeds ancilla dimension {target.dim_m}"
-        )
     rotation = _lemma(
-        _amplitude_block(e, target.dim_m), target.as_matrix(),
+        _amplitude_block(e, target.dim_m, tol), target.as_matrix(),
         tol, TracesDiffer, "ensemble density and reduced target state"
     )
     # Rows of an SVD polar factor of a finite product, as in umap_between,
-    # and at most dim_m of them (checked above).
+    # and at most dim_m of them (_amplitude_block's order check).
     return _trusted(Ancilla, dim_m=target.dim_m, kets=rotation.T[: e.order])
 
 
@@ -384,11 +378,9 @@ def umap_between(
         raise DimensionMismatch(
             f"ensembles have different dimensions: {from_e.dim} vs {to_e.dim}"
         )
-    _require_valid(from_e, tol)
-    _require_valid(to_e, tol)
     dim_m = max(from_e.order, to_e.order)
     rotation = _lemma(
-        _amplitude_block(from_e, dim_m), _amplitude_block(to_e, dim_m),
+        _amplitude_block(from_e, dim_m, tol), _amplitude_block(to_e, dim_m, tol),
         tol, DensitiesDiffer, "ensemble densities"
     )
     # SVD factors of a finite product of validated amplitude blocks, and an

@@ -1105,7 +1105,7 @@ def test_every_public_call_under_a_falling_address_space_limit_raises_only_typed
 
 
 def test_invalid_argument_inside_an_allocation_is_not_resource_exhausted(monkeypatch):
-    def invalid(e, dim_m):
+    def invalid(e, dim_m, tol):
         raise InvalidArgument("vector contains non-finite entries")
 
     monkeypatch.setattr(purification, "_amplitude_block", invalid)

@@ -879,7 +879,7 @@ def test_purify_past_available_memory_exits_4_with_one_json_line(
 ):
     # Stands in for --dim-m 10**12, whose 29.1 TiB joint ket numpy refuses to
     # allocate; no test asks for that memory.
-    def exhausted(e, dim_m):
+    def exhausted(e, dim_m, tol):
         raise MemoryError("Unable to allocate 29.1 TiB")
 
     monkeypatch.setattr(purification, "_amplitude_block", exhausted)

@@ -1,5 +1,6 @@
 """Ensemble data model: density construction, validation, equality."""
 
+import dataclasses
 import math
 import re
 
@@ -205,6 +206,35 @@ def test_eigen_ensemble_decomposes_density():
     spectral = eigen_ensemble(rho)
     assert spectral.order == rho.support_rank
     assert np.max(np.abs(weighted_projector_sum(spectral) - rho.matrix)) < 1e-10
+
+
+SUPPORT_RANK = r"support_rank must be an integer in \[1, 2\], got "
+
+
+@pytest.mark.parametrize(
+    "field, value, error, message",
+    [
+        ("support_rank", "x", InvalidArgument, SUPPORT_RANK + "'x'$"),
+        ("support_rank", 1.5, InvalidArgument, SUPPORT_RANK + "1.5$"),
+        ("support_rank", -1, InvalidArgument, SUPPORT_RANK + "-1$"),
+        ("support_rank", 0, InvalidArgument, SUPPORT_RANK + "0$"),
+        ("support_rank", True, InvalidArgument, SUPPORT_RANK + "True$"),
+        ("support_rank", 3, InvalidArgument, SUPPORT_RANK + "3$"),
+        ("spectrum", None, DimensionMismatch, r"expected a 1-D spectrum, got shape \(\)$"),
+        ("spectrum", [np.nan, 0.5], InvalidArgument, "spectrum contains non-finite entries$"),
+        ("eigenkets", None, DimensionMismatch, r"expected a 2-D ket list, got shape \(\)$"),
+    ],
+    ids=[
+        "rank_text", "rank_fraction", "rank_negative", "rank_zero", "rank_bool",
+        "rank_past_spectrum", "spectrum_none", "spectrum_nan", "eigenkets_none",
+    ],
+)
+def test_eigen_ensemble_admits_the_fields_of_the_record_it_reads(field, value, error, message):
+    # DensityMatrix is a plain record: a field replaced by hand reaches
+    # eigen_ensemble unchecked unless eigen_ensemble reads it through a gate.
+    rho = dataclasses.replace(density_from_matrix(np.eye(2) / 2), **{field: value})
+    with pytest.raises(error, match=f"^{message}"):
+        eigen_ensemble(rho)
 
 
 # ---------------------------------------------------------------------------

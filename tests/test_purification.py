@@ -8,6 +8,7 @@ from rhokit import (
     DensitiesDiffer,
     DimensionMismatch,
     InvalidArgument,
+    InvalidEnsemble,
     JointState,
     NotInSupport,
     NotNormalized,
@@ -138,7 +139,7 @@ def test_purify_builds_only_the_member_rows_of_a_large_ancilla():
 
 
 def test_purify_reports_a_failed_allocation_as_resource_exhausted(monkeypatch):
-    def exhausted(e, dim_m):
+    def exhausted(e, dim_m, tol):
         raise MemoryError(f"Unable to allocate the block for dim_m {dim_m}")
 
     monkeypatch.setattr(purification, "_amplitude_block", exhausted)
@@ -1117,6 +1118,47 @@ PRECONDITIONS = {
 @pytest.mark.parametrize("case", sorted(PRECONDITIONS))
 def test_violated_precondition_raises_its_typed_error(case):
     call, error, message = PRECONDITIONS[case]
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+
+
+def heavy(kets):
+    """``kets`` at weight 1/2 each: the theorem's hypotheses fail unless there are two."""
+    return RhoEnsemble(kets=kets, weights=[0.5] * len(kets))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # The hypotheses come before the order ...
+        (lambda: purify(heavy(np.eye(3)), 2), InvalidEnsemble, "weights sum to 1.5, expected 1$"),
+        (
+            lambda: match_purification(heavy(trine_ensemble().kets), bell_joint()),
+            InvalidEnsemble,
+            "weights sum to 1.5, expected 1$",
+        ),
+        # ... and before the allocation of a joint ket numpy cannot hold.
+        (
+            lambda: purify(heavy(np.eye(2)[:1]), 10**12),
+            InvalidEnsemble,
+            "weights sum to 0.5, expected 1$",
+        ),
+        # The dimensions come before the hypotheses.
+        (
+            lambda: match_purification(heavy(np.eye(3)), bell_joint()),
+            DimensionMismatch,
+            "ensemble has dimension 3, joint system factor 2$",
+        ),
+        # The source ensemble is admitted before the target.
+        (
+            lambda: umap_between(heavy(np.eye(2)[:1]), RhoEnsemble(kets=[[2, 0]], weights=[1])),
+            InvalidEnsemble,
+            "weights sum to 0.5, expected 1$",
+        ),
+    ],
+    ids=["purify_order", "match_order", "purify_allocation", "match_dimension", "umap_both"],
+)
+def test_two_faults_raise_the_error_of_the_first_check(call, error, message):
     with pytest.raises(error, match=f"^{message}"):
         call()
 
