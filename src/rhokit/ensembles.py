@@ -12,7 +12,9 @@ unit-norm kets, repeated or collinear kets included. Two elements are
 collinear when their pair density ``p_i |phi_i><phi_i| + p_j |phi_j><phi_j|``
 has rank 1 at the default ``rank_tol``, the one cutoff that also decides
 which weights count; that is reported, never refused. The order is never
-below the support rank, as n projectors sum to rank at most n.
+below the support rank, as n projectors sum to rank at most n. A density
+matrix holds its arrays alone: the support rank exists where a cutoff cuts
+its spectrum into an ensemble, in ``eigen_ensemble``.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, InvalidEnsemble
+from .errors import DimensionMismatch, InvalidArgument, InvalidEnsemble, NotOrthonormal
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
-    _check_integer,
+    _admit_orthonormal,
     _checked,
     _convert,
     _kept_rank,
@@ -43,16 +45,17 @@ from .linalg import (
 class DensityMatrix:
     """A positive Hermitian unit-trace operator with cached eigendata.
 
-    ``spectrum`` is sorted descending, ``eigenkets`` holds the matching
-    orthonormal eigenvectors as rows, and ``support_rank`` counts the
-    eigenvalues above the rank cutoff used at construction.
+    ``spectrum`` is sorted descending and ``eigenkets`` holds the matching
+    orthonormal eigenvectors as rows. ``dim`` is read from ``matrix``.
     """
 
-    dim: int
     matrix: np.ndarray
     spectrum: np.ndarray
     eigenkets: np.ndarray
-    support_rank: int
+
+    @property
+    def dim(self) -> int:
+        return int(self.matrix.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,42 +142,27 @@ def _require_valid(e: RhoEnsemble, tol: float) -> None:
 
 
 @_public
-def ensemble_to_density(
-    e: RhoEnsemble,
-    tol: float = DEFAULT_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> DensityMatrix:
+def ensemble_to_density(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Sum the weighted projectors of an ensemble into a DensityMatrix.
 
     Raises InvalidEnsemble (carrying the violation report) unless the weights
     are positive and sum to 1 and the kets have unit norm; collinear elements are
-    summed like any others. ``rank_tol`` sets ``support_rank``; InvalidArgument if 0.
+    summed like any others.
     """
     _require_valid(e, tol)
     matrix = _weighted_projector_sum(e.kets, e.weights)
     # Hermitian only up to rounding, the sum is made exactly so: eig_hermitian's
     # symmetry check then passes at every tol, and its own symmetrization is exact.
     matrix = (matrix + matrix.conj().T) / 2.0
-    spectrum, eigenkets = eig_hermitian(matrix, tol)
-    return DensityMatrix(
-        dim=e.dim,
-        matrix=matrix,
-        spectrum=spectrum,
-        eigenkets=eigenkets,
-        support_rank=_kept_rank(spectrum, rank_tol, "eigenvalue"),
-    )
+    return DensityMatrix(matrix, *eig_hermitian(matrix, tol))
 
 
 @_public
-def density_from_matrix(
-    matrix,
-    tol: float = DEFAULT_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> DensityMatrix:
+def density_from_matrix(matrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Validate an explicit matrix as a density matrix and cache eigendata.
 
     Raises NotHermitian for asymmetric input, InvalidArgument when the spectrum
-    dips below ``-tol``, is not of trace 1 within ``tol`` or is all ``<= rank_tol``.
+    dips below ``-tol`` or is not of trace 1 within ``tol``.
     """
     arr = as_operator(matrix)
     spectrum, eigenkets = eig_hermitian(arr, tol)
@@ -185,23 +173,21 @@ def density_from_matrix(
     trace = float(np.sum(spectrum))
     if abs(trace - 1.0) > tol * len(spectrum):
         raise InvalidArgument(f"matrix has trace {trace!r}, expected 1")
-    return DensityMatrix(
-        dim=arr.shape[0],
-        matrix=arr,
-        spectrum=spectrum,
-        eigenkets=eigenkets,
-        support_rank=_kept_rank(spectrum, rank_tol, "eigenvalue"),
-    )
+    return DensityMatrix(arr, spectrum, eigenkets)
 
 
 @_public
-def eigen_ensemble(rho: DensityMatrix) -> RhoEnsemble:
-    """The spectral decomposition of a density matrix as an ensemble. ``DensityMatrix``
-    is a plain record, so its fields are admitted as they are read: ``spectrum`` and
-    ``eigenkets`` as arrays, ``support_rank`` in ``[1, len(spectrum)]``."""
+def eigen_ensemble(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> RhoEnsemble:
+    """The spectral decomposition of a density matrix as an ensemble: the eigenkets
+    whose eigenvalues lie above ``rank_tol``, InvalidArgument if none does.
+    ``DensityMatrix`` is a plain record, so the fields read are admitted here:
+    ``spectrum`` and ``eigenkets`` as arrays, the eigenkets within 1e-8 of
+    orthonormal (else NotOrthonormal), as an ``Ancilla`` admits its kets."""
     spectrum = _checked(_convert(rho.spectrum, float), 1, "spectrum")
-    n = _check_integer("support_rank", rho.support_rank, 1, len(spectrum))
-    return RhoEnsemble(kets=as_ket_list(rho.eigenkets)[:n], weights=spectrum[:n])
+    kets = as_ket_list(rho.eigenkets)
+    _admit_orthonormal(kets, NotOrthonormal, "eigenkets deviate from orthonormality")
+    n = _kept_rank(spectrum, rank_tol, "eigenvalue")
+    return RhoEnsemble(kets=kets[:n], weights=spectrum[:n])
 
 
 @_public

@@ -401,7 +401,10 @@ class SchmidtForm:
     coefficients: np.ndarray
     left_kets: np.ndarray
     right_kets: np.ndarray
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.coefficients)
 
 
 @_public
@@ -425,5 +428,4 @@ def schmidt_decompose(
         coefficients=sv[:rank].astype(float),
         left_kets=u[:, :rank].T.copy(),
         right_kets=vh[:rank].copy(),
-        rank=rank,
     )

@@ -432,7 +432,6 @@ def catalogue():
     joint = bell_joint()
     eye = np.eye(2, dtype=complex)
     ket = computational(2, 0)
-    tols = {"tol": 1e-10, "rank_tol": 1e-10}
     doc = documents.ket_document(eye[0])
     report = steer(joint, eye, shots=10, seed=0)
     entries = {
@@ -453,7 +452,7 @@ def catalogue():
             complete_orthonormal, {}, {"partial": [ket], "target_dim": 2}
         ),
         "densities_match": (densities_match, {"a": e, "b": e}, {"tol": 1e-10}),
-        "density_from_matrix": (density_from_matrix, {}, {"matrix": eye / 2, **tols}),
+        "density_from_matrix": (density_from_matrix, {}, {"matrix": eye / 2, "tol": 1e-10}),
         "eig_hermitian": (eig_hermitian, {}, {"m": eye / 2, "tol": 1e-10}),
         "ensemble_containing": (
             ensemble_containing, {"joint": joint}, {"xi": ket, "rank_tol": 1e-10}
@@ -461,8 +460,10 @@ def catalogue():
         "ensemble_from_basis": (
             ensemble_from_basis, {"joint": joint}, {"basis": eye, "rank_tol": 1e-10}
         ),
-        "eigen_ensemble": (eigen_ensemble, {"rho": ensemble_to_density(e)}, {}),
-        "ensemble_to_density": (ensemble_to_density, {"e": e}, dict(tols)),
+        "eigen_ensemble": (
+            eigen_ensemble, {"rho": ensemble_to_density(e)}, {"rank_tol": 1e-10}
+        ),
+        "ensemble_to_density": (ensemble_to_density, {"e": e}, {"tol": 1e-10}),
         "ensembles_equal": (ensembles_equal, {"a": e, "b": e}, {"tol": 1e-8}),
         "is_linearly_independent": (
             is_linearly_independent, {"e": e}, {"rank_tol": 1e-10}
@@ -959,12 +960,10 @@ def sweep():
     written = documents.ensemble_document(e)
     return {
         "Ancilla": lambda: rk.Ancilla(n, real_eye),
-        "DensityMatrix": lambda: rk.DensityMatrix(n, rho.matrix, rho.spectrum, rho.eigenkets, n),
+        "DensityMatrix": lambda: rk.DensityMatrix(rho.matrix, rho.spectrum, rho.eigenkets),
         "JointState": lambda: rk.JointState(2048, 1024, big),
         "RhoEnsemble": lambda: rk.RhoEnsemble(real_eye, w),
-        "SchmidtForm": lambda: rk.SchmidtForm(
-            form.coefficients, form.left_kets, form.right_kets, form.rank
-        ),
+        "SchmidtForm": lambda: rk.SchmidtForm(form.coefficients, form.left_kets, form.right_kets),
         "SteeringReport": lambda: rk.SteeringReport(n, [1] * n, w, rho.matrix),
         "UMap": lambda: rk.UMap(real_eye, real_eye, real_eye),
         "apply_unitary_umap": lambda: rk.apply_unitary_umap(j, u, u),

@@ -438,6 +438,20 @@ def test_the_console_script_runs_what_python_m_runs():
     assert '\n[project.scripts]\nrhokit = "rhokit.cli:run"\n' in text
 
 
+def test_importing_the_cli_does_not_load_numpy_random():
+    # Only steer draws, and numpy loads numpy.random at its first use there:
+    # an import at the top would add that time and memory to every command.
+    # A child process asks, since this one loaded numpy.random long ago.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import rhokit.cli, sys; print('numpy.random' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    assert result.stdout == "False\n"
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [("--shots", "0"), ("--seed", "-1"), ("--shots", str(10**20))],

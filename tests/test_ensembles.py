@@ -1,6 +1,7 @@
 """Ensemble data model: density construction, validation, equality."""
 
 import dataclasses
+import functools
 import math
 import re
 
@@ -11,6 +12,7 @@ from rhokit import (
     DimensionMismatch,
     InvalidArgument,
     InvalidEnsemble,
+    NotOrthonormal,
     RhoEnsemble,
     densities_match,
     density_from_matrix,
@@ -18,6 +20,7 @@ from rhokit import (
     ensemble_to_density,
     ensembles_equal,
     is_linearly_independent,
+    schmidt_decompose,
     validate_ensemble,
 )
 from rhokit.ensembles import _unmet_hypotheses
@@ -106,7 +109,7 @@ def test_density_invariants_random():
             "s,si,sj->ij", rho.spectrum, rho.eigenkets, np.conj(rho.eigenkets)
         )
         assert np.max(np.abs(rebuilt - rho.matrix)) < 1e-9
-        assert rho.support_rank <= rho.dim
+        assert eigen_ensemble(rho).order <= rho.dim
 
 
 def test_each_ket_lies_in_support():
@@ -114,7 +117,7 @@ def test_each_ket_lies_in_support():
         rng = np.random.default_rng(seed)
         e = random_ensemble(rng, 3, int(rng.integers(1, 5)))
         rho = ensemble_to_density(e)
-        support = rho.eigenkets[: rho.support_rank]
+        support = rho.eigenkets[: eigen_ensemble(rho).order]
         projector = support.T @ np.conj(support)
         for ket, _ in e.elements():
             assert np.linalg.norm(projector @ ket - ket) < 1e-8
@@ -124,8 +127,10 @@ def test_density_with_zero_rank_tol_accepts_order_below_dim():
     # Round-off leaves the exactly-zero eigenvalues of this rank-2 sum
     # slightly positive; that must not read as a support larger than the order.
     e = random_ensemble(np.random.default_rng(0), 4, 2)
-    rho = ensemble_to_density(e, rank_tol=0.0)
+    rho = ensemble_to_density(e)
     assert np.max(np.abs(rho.matrix - weighted_projector_sum(e))) < 1e-12
+    spectral = eigen_ensemble(rho, rank_tol=0.0)
+    assert np.max(np.abs(weighted_projector_sum(spectral) - rho.matrix)) < 1e-12
 
 
 def test_density_of_an_ensemble_admitted_at_tol_zero():
@@ -150,7 +155,7 @@ def test_density_from_matrix_roundtrip():
     rho = ensemble_to_density(equal_mixture_computational())
     again = density_from_matrix(rho.matrix)
     np.testing.assert_allclose(again.spectrum, rho.spectrum, atol=1e-12)
-    assert again.support_rank == rho.support_rank
+    assert eigen_ensemble(again).order == eigen_ensemble(rho).order
 
 
 def test_density_from_matrix_rejects_bad_trace():
@@ -185,56 +190,85 @@ def test_messages_render_plain_floats():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda rank_tol: density_from_matrix(np.eye(2, dtype=complex) / 2, rank_tol=rank_tol),
-        lambda rank_tol: ensemble_to_density(equal_mixture_computational(), rank_tol=rank_tol),
+        lambda: density_from_matrix(np.eye(2, dtype=complex) / 2),
+        lambda: ensemble_to_density(equal_mixture_computational()),
     ],
     ids=["density_from_matrix", "ensemble_to_density"],
 )
 def test_rank_tol_at_or_above_every_eigenvalue_is_an_invalid_argument(build):
     # I/2 keeps its two eigenvalues of 1/2 below the cutoff and none from it up,
-    # so no density reaches eigen_ensemble with a support rank of 0.
-    assert eigen_ensemble(build(0.49)).order == 2
+    # so eigen_ensemble never returns an ensemble of order 0.
+    rho = build()
+    assert eigen_ensemble(rho, rank_tol=0.49).order == 2
     for rank_tol in (0.5, 0.75):
         message = f"^rank_tol {rank_tol:.3e} is not below the largest eigenvalue 5.000e-01$"
         with pytest.raises(InvalidArgument, match=message):
-            build(rank_tol)
+            eigen_ensemble(rho, rank_tol=rank_tol)
 
 
 def test_eigen_ensemble_decomposes_density():
     rng = np.random.default_rng(21)
     rho = ensemble_to_density(random_ensemble(rng, 3, 4))
     spectral = eigen_ensemble(rho)
-    assert spectral.order == rho.support_rank
+    assert spectral.order == int(np.count_nonzero(rho.spectrum > 1e-10))
     assert np.max(np.abs(weighted_projector_sum(spectral) - rho.matrix)) < 1e-10
 
 
-SUPPORT_RANK = r"support_rank must be an integer in \[1, 2\], got "
+TOLERANCE = "rank_tol must be a finite non-negative number, got "
+CUTOFF = r" is not below the largest eigenvalue 5\.000e-01$"
 
 
 @pytest.mark.parametrize(
     "field, value, error, message",
     [
-        ("support_rank", "x", InvalidArgument, SUPPORT_RANK + "'x'$"),
-        ("support_rank", 1.5, InvalidArgument, SUPPORT_RANK + "1.5$"),
-        ("support_rank", -1, InvalidArgument, SUPPORT_RANK + "-1$"),
-        ("support_rank", 0, InvalidArgument, SUPPORT_RANK + "0$"),
-        ("support_rank", True, InvalidArgument, SUPPORT_RANK + "True$"),
-        ("support_rank", 3, InvalidArgument, SUPPORT_RANK + "3$"),
+        ("rank_tol", "x", InvalidArgument, TOLERANCE + "'x'$"),
+        ("rank_tol", 1.5, InvalidArgument, r"rank_tol 1\.500e\+00" + CUTOFF),
+        ("rank_tol", -1, InvalidArgument, TOLERANCE + "-1$"),
+        ("rank_tol", 0, None, None),
+        ("rank_tol", True, InvalidArgument, TOLERANCE + "True$"),
+        ("rank_tol", 3, InvalidArgument, r"rank_tol 3\.000e\+00" + CUTOFF),
         ("spectrum", None, DimensionMismatch, r"expected a 1-D spectrum, got shape \(\)$"),
         ("spectrum", [np.nan, 0.5], InvalidArgument, "spectrum contains non-finite entries$"),
         ("eigenkets", None, DimensionMismatch, r"expected a 2-D ket list, got shape \(\)$"),
+        (
+            "eigenkets",
+            2 * np.eye(2),
+            NotOrthonormal,
+            r"eigenkets deviate from orthonormality by 3\.000e\+00 \(tol 1\.000e-08\)$",
+        ),
     ],
     ids=[
         "rank_text", "rank_fraction", "rank_negative", "rank_zero", "rank_bool",
         "rank_past_spectrum", "spectrum_none", "spectrum_nan", "eigenkets_none",
+        "eigenkets_not_orthonormal",
     ],
 )
 def test_eigen_ensemble_admits_the_fields_of_the_record_it_reads(field, value, error, message):
     # DensityMatrix is a plain record: a field replaced by hand reaches
     # eigen_ensemble unchecked unless eigen_ensemble reads it through a gate.
-    rho = dataclasses.replace(density_from_matrix(np.eye(2) / 2), **{field: value})
+    # The record holds no rank; the rank_* cases take the cutoff that counts it.
+    rho = density_from_matrix(np.eye(2) / 2)
+    if field == "rank_tol":
+        call = functools.partial(eigen_ensemble, rho, rank_tol=value)
+    else:
+        call = functools.partial(eigen_ensemble, dataclasses.replace(rho, **{field: value}))
+    if error is None:
+        assert call().order == 2
+        return
     with pytest.raises(error, match=f"^{message}"):
-        eigen_ensemble(rho)
+        call()
+
+
+def test_records_follow_their_arrays():
+    # The counts are read from the arrays, so no record can disagree with them.
+    rho = density_from_matrix(np.eye(2) / 2)
+    form = schmidt_decompose(np.array([1, 0, 0, 1]) / math.sqrt(2), 2, 2)
+    assert dataclasses.replace(rho, matrix=np.eye(3) / 3).dim == 3
+    assert dataclasses.replace(form, coefficients=form.coefficients[:1]).rank == 1
+    assert [f.name for f in dataclasses.fields(rho)] == ["matrix", "spectrum", "eigenkets"]
+    assert [f.name for f in dataclasses.fields(form)] == [
+        "coefficients", "left_kets", "right_kets"
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +571,7 @@ def test_independence_collinearity_and_support_rank_cut_on_one_scale():
     assert not is_linearly_independent(e)
     report = validate_ensemble(e)
     assert len(report) == 1 and report[0].startswith("elements (0, 1) are collinear")
-    assert ensemble_to_density(e).support_rank == 1
+    assert eigen_ensemble(ensemble_to_density(e)).order == 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from rhokit import (
     complete_orthonormal,
     density_from_matrix,
     eig_hermitian,
+    eigen_ensemble,
     ensemble_containing,
     is_linearly_independent,
     lemma_unitary,
@@ -80,15 +81,15 @@ def test_eig_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# the rank cutoff: a density's support rank counts eigenvalues above rank_tol
+# the rank cutoff: eigen_ensemble keeps the eigenvalues above rank_tol
 
 
 def test_rank_full():
-    assert density_from_matrix(np.eye(2) / 2, rank_tol=1e-12).support_rank == 2
+    assert eigen_ensemble(density_from_matrix(np.eye(2) / 2), rank_tol=1e-12).order == 2
 
 
 def test_rank_numerically_zero_tail():
-    assert density_from_matrix(np.diag([1.0, 3e-16]), rank_tol=1e-12).support_rank == 1
+    assert eigen_ensemble(density_from_matrix(np.diag([1.0, 3e-16])), rank_tol=1e-12).order == 1
 
 
 def test_rank_of_projector_spectrum():
@@ -96,7 +97,7 @@ def test_rank_of_projector_spectrum():
     rng = np.random.default_rng(11)
     psi = random_ket(rng, 5)
     projector = np.outer(psi, np.conj(psi))
-    assert density_from_matrix(projector, rank_tol=1e-12).support_rank == 1
+    assert eigen_ensemble(density_from_matrix(projector), rank_tol=1e-12).order == 1
 
 
 # ---------------------------------------------------------------------------

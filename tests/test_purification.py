@@ -23,6 +23,7 @@ from rhokit import (
     check_umap,
     complete_orthonormal,
     eig_hermitian,
+    eigen_ensemble,
     ensemble_containing,
     ensemble_from_basis,
     ensemble_to_density,
@@ -446,7 +447,7 @@ def test_constructions_take_a_repeated_ket_without_the_collinearity_screen(
     umap = umap_between(twice, single)
     assert mapping_residual(umap, twice, single) < 1e-12
     assert check_umap(umap) == []
-    assert ensemble_to_density(twice).support_rank == 1
+    assert eigen_ensemble(ensemble_to_density(twice)).order == 1
 
 
 def test_umap_unique_for_independent_pairs_up_to_labels_and_phases():

@@ -76,3 +76,17 @@ def test_tolerance_table_lists_every_reader_of_each_tolerance():
         assert set(re.findall(r"`([a-z-]+)`", cli)) == {
             command for command, flags in command_flags().items() if flag in flags
         }
+
+
+def test_signature_lines_match_the_code():
+    # Each ``name(params) -> type`` line: its parameter names and default
+    # reprs, in order, as inspect.signature reads them.
+    lines = re.findall(r"^(\w+)\((.*)\) -> ", README, re.M)
+    assert {"ensemble_to_density", "density_from_matrix", "eigen_ensemble"} <= dict(lines).keys()
+    for name, params in lines:
+        documented = [tuple(param.split("=")) for param in params.split(", ") if param]
+        code = [
+            (param.name,) if param.default is param.empty else (param.name, repr(param.default))
+            for param in inspect.signature(getattr(rhokit, name)).parameters.values()
+        ]
+        assert documented == code, name
