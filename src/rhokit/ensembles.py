@@ -110,8 +110,8 @@ def _weighted_projector_sum(kets: np.ndarray, weights: np.ndarray) -> np.ndarray
 
 def _unmet_hypotheses(e: RhoEnsemble, tol: float) -> list[str]:
     """The theorem's hypotheses ``e`` fails, one report line each: weights that
-    sum to 1 within ``tol * order``, every weight positive, every ket of unit
-    norm within ``tol``. Only O(order * dim) work: no pair of elements is read.
+    sum to 1 within ``tol * order``, every ket of unit norm within ``tol``.
+    Only O(order * dim) work: no pair of elements is read.
     """
     weight_sum = float(e.weights.sum())
     norms = np.sqrt((e.kets.conj() * e.kets).real.sum(axis=1))
@@ -119,10 +119,7 @@ def _unmet_hypotheses(e: RhoEnsemble, tol: float) -> list[str]:
     report: list[str] = []
     if abs(weight_sum - 1.0) > tol * e.order:
         report.append(f"weights sum to {weight_sum!r}, expected 1")
-    # Each index pass below runs only for a check that fired.
-    if e.weights.min() <= 0.0:
-        for j in np.flatnonzero(e.weights <= 0.0):
-            report.append(f"element {j} has non-positive weight {float(e.weights[j])!r}")
+    # The index pass below runs only when the check fired.
     if not unit_norm.all():
         for j in np.flatnonzero(~unit_norm):
             report.append(f"element {j} has norm {float(norms[j])!r}, expected 1")
@@ -146,8 +143,8 @@ def ensemble_to_density(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> DensityMatr
     """Sum the weighted projectors of an ensemble into a DensityMatrix.
 
     Raises InvalidEnsemble (carrying the violation report) unless the weights
-    are positive and sum to 1 and the kets have unit norm; collinear elements are
-    summed like any others.
+    sum to 1 and the kets have unit norm; collinear elements are summed like
+    any others.
     """
     _require_valid(e, tol)
     matrix = _weighted_projector_sum(e.kets, e.weights)
@@ -181,10 +178,17 @@ def eigen_ensemble(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> Rh
     """The spectral decomposition of a density matrix as an ensemble: the eigenkets
     whose eigenvalues lie above ``rank_tol``, InvalidArgument if none does.
     ``DensityMatrix`` is a plain record, so the fields read are admitted here:
-    ``spectrum`` and ``eigenkets`` as arrays, the eigenkets within 1e-8 of
-    orthonormal (else NotOrthonormal), as an ``Ancilla`` admits its kets."""
+    ``matrix`` as a square n x n operator, ``eigenkets`` as kets of dimension n,
+    one ``spectrum`` entry per eigenket (else DimensionMismatch), the eigenkets
+    within 1e-8 of orthonormal (else NotOrthonormal), as an ``Ancilla`` admits
+    its kets."""
+    matrix = as_operator(rho.matrix)
+    if matrix.shape[0] != matrix.shape[1]:
+        raise DimensionMismatch(f"matrix is not square: {matrix.shape}")
     spectrum = _checked(_convert(rho.spectrum, float), 1, "spectrum")
-    kets = as_ket_list(rho.eigenkets)
+    kets = as_ket_list(rho.eigenkets, dim=matrix.shape[0])
+    if spectrum.shape[0] != kets.shape[0]:
+        raise DimensionMismatch(f"{spectrum.shape[0]} eigenvalues but {kets.shape[0]} eigenkets")
     _admit_orthonormal(kets, NotOrthonormal, "eigenkets deviate from orthonormality")
     n = _kept_rank(spectrum, rank_tol, "eigenvalue")
     return RhoEnsemble(kets=kets[:n], weights=spectrum[:n])
@@ -197,22 +201,21 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     An empty list means the ensemble is valid at the given tolerances.
     Violations are data, not errors: each entry names the failed invariant
     and the offending element indices, pairs in row-major ``(i, j)`` order.
-    The lines for the weight sum, the weights and the norms come first: they
-    are the theorem's hypotheses, the one precondition the constructions
-    raise InvalidEnsemble on. The collinear pairs follow; they are reported,
-    never refused. Order >= support rank is not checked: n projectors sum to
-    rank at most n.
+    The lines for the weight sum and the norms come first: they are the
+    theorem's hypotheses, the one precondition the constructions raise
+    InvalidEnsemble on. The collinear pairs follow; they are reported, never
+    refused. Order >= support rank is not checked: n projectors sum to rank
+    at most n.
 
     A pair (i, j) is collinear when its density ``p_i P_i + p_j P_j``, with
     ``P = |phi><phi|``, has rank 1 at ``c = DEFAULT_RANK_TOL``: its smaller
     eigenvalue is at most c. For unit kets that is exactly
-    ``|<phi_i|phi_j>| >= r_i r_j`` with ``r = sqrt(1 - c / max(p, c))``; a
-    non-positive weight takes ``r = 1``, so only near-duplicates of it count.
+    ``|<phi_i|phi_j>| >= r_i r_j`` with ``r = sqrt(1 - c / max(p, c))``.
     """
     report = _unmet_hypotheses(e, tol)
     c = DEFAULT_RANK_TOL
     overlaps = np.abs(gram_matrix(e.kets))
-    r = np.sqrt(np.where(e.weights > 0.0, 1.0 - c / np.maximum(e.weights, c), 1.0))
+    r = np.sqrt(1.0 - c / np.maximum(e.weights, c))
     # A diagonal entry pairs a ket with itself; only entries above it are pairs.
     for i, j in np.argwhere(np.triu(overlaps >= np.outer(r, r), 1)):
         overlap = float(overlaps[i, j])

@@ -32,6 +32,7 @@ from rhokit import (
 from rhokit.cli import main
 from rhokit.steering import SteeringReport
 from helpers import (
+    bits,
     mapping_residual,
     random_basis,
     random_ensemble,
@@ -353,14 +354,6 @@ def _random_document(rng):
     )
 
 
-def _documents_identical(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(np.asarray(a), np.asarray(b))
-    return a == b
-
-
 def test_criterion_8_cli_pipeline_and_document_fuzz(tmp_path):
     ensemble = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.5, 0.5])
     ensemble_path = tmp_path / "golden_ensemble.json"
@@ -394,43 +387,11 @@ def test_criterion_8_cli_pipeline_and_document_fuzz(tmp_path):
 
     rng = np.random.default_rng(1008)
     roundtrips = 0
-    extract = {
-        "ket": docs.to_ket,
-        "matrix": docs.to_matrix,
-        "ensemble": docs.to_ensemble,
-        "joint": docs.to_joint,
-        "basis": docs.to_basis,
-        "umap": docs.to_umap,
-        "report": docs.to_report,
-    }
     for _ in range(100):
         doc = _random_document(rng)
-        kind = doc["kind"]
+        extract = getattr(docs, f"to_{doc['kind']}")
         reloaded = docs.load_document(docs.dump_document(doc))
-        before = extract[kind](doc)
-        after = extract[kind](reloaded)
-        if kind in ("ket", "matrix", "basis"):
-            same = np.array_equal(before, after)
-        elif kind == "ensemble":
-            same = np.array_equal(before.kets, after.kets) and np.array_equal(
-                before.weights, after.weights
-            )
-        elif kind == "joint":
-            same = (before.dim_s, before.dim_m) == (after.dim_s, after.dim_m)
-            same = same and np.array_equal(before.vec, after.vec)
-        elif kind == "umap":
-            same = (
-                np.array_equal(before.coeffs, after.coeffs)
-                and _documents_identical(before.generator, after.generator)
-                and _documents_identical(before.basis, after.basis)
-            )
-        else:
-            same = (
-                before.shots == after.shots
-                and before.counts == after.counts
-                and np.array_equal(before.expected_weights, after.expected_weights)
-                and np.array_equal(before.post_density, after.post_density)
-            )
+        same = bits(extract(doc)) == bits(extract(reloaded))
         if same and docs.dump_document(doc) == docs.dump_document(reloaded):
             roundtrips += 1
 

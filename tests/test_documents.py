@@ -208,6 +208,15 @@ def test_report_roundtrip_exact():
             "post_density has shape (1, 3), not square",
             id="post_density-value7-report.post_density",
         ),
+        pytest.param(
+            "counts", "many", DocumentError, "report.counts: expected an array",
+            id="counts-many-report.counts",
+        ),
+        pytest.param(
+            "expected_weights", [0.5, "half"], DocumentError,
+            "report.expected_weights: expected an array of numbers",
+            id="expected_weights-value9-report.expected_weights",
+        ),
     ],
 )
 def test_report_rejects_inconsistent_statistics(field, value, error, message):
@@ -472,6 +481,8 @@ UMAP_PAYLOAD = {
          "document payload must be a JSON object"),
         (docs.to_ensemble, envelope("ensemble", {"dim": 2, "elements": []}), InvalidEnsemble,
          "ensemble must contain at least one element"),
+        (docs.to_ensemble, envelope("ensemble", {"dim": 2, "elements": {}}), DocumentError,
+         "ensemble.elements: expected an array"),
         (docs.to_basis, envelope("basis", {"dim": 2, "kets": []}), DocumentError,
          "basis.kets: expected a non-empty array"),
         (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "coeffs": [[1.0, 0.0]]}), DocumentError,
@@ -483,10 +494,12 @@ UMAP_PAYLOAD = {
         (docs.to_umap,
          envelope("umap", {**UMAP_PAYLOAD, "basis": [[[1.0, 0.0]] * 2, [[1.0, 0.0]]]}),
          DocumentError, re.escape("umap.basis[1]: expected 2 entries")),
+        (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "basis": []}), DocumentError,
+         "umap.basis: expected a non-empty array of kets"),
     ],
     ids=[
-        "payload", "elements", "kets", "coeffs", "envelope_shape", "umap_basis",
-        "umap_basis_ragged",
+        "payload", "elements", "elements_object", "kets", "coeffs", "envelope_shape",
+        "umap_basis", "umap_basis_ragged", "umap_basis_empty",
     ],
 )
 def test_rejects_malformed_payload_with_its_path(extract, doc, error, message):

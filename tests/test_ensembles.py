@@ -179,12 +179,6 @@ def test_messages_render_plain_floats():
     with pytest.raises(InvalidArgument) as eigenvalue_error:
         density_from_matrix(np.diag([1.5, -0.5]).astype(complex))
     assert str(eigenvalue_error.value).startswith("matrix has negative eigenvalue -0.5 ")
-    e = RhoEnsemble(kets=[computational(2, 0)] * 2, weights=[0.5, 0.5])
-    object.__setattr__(e, "weights", np.array([1.5, -0.5]))
-    assert validate_ensemble(e) == [
-        "element 1 has non-positive weight -0.5",
-        "elements (0, 1) are collinear (|overlap| = 1.0)",
-    ]
 
 
 @pytest.mark.parametrize(
@@ -236,11 +230,15 @@ CUTOFF = r" is not below the largest eigenvalue 5\.000e-01$"
             NotOrthonormal,
             r"eigenkets deviate from orthonormality by 3\.000e\+00 \(tol 1\.000e-08\)$",
         ),
+        ("matrix", np.ones((2, 3)) / 2, DimensionMismatch, r"matrix is not square: \(2, 3\)$"),
+        ("spectrum", [0.5, 0.5, 0.0], DimensionMismatch, "3 eigenvalues but 2 eigenkets$"),
+        ("eigenkets", np.eye(3)[:2], DimensionMismatch, "ket list has dimension 3, expected 2$"),
     ],
     ids=[
         "rank_text", "rank_fraction", "rank_negative", "rank_zero", "rank_bool",
         "rank_past_spectrum", "spectrum_none", "spectrum_nan", "eigenkets_none",
-        "eigenkets_not_orthonormal",
+        "eigenkets_not_orthonormal", "matrix_not_square", "spectrum_past_eigenkets",
+        "eigenkets_past_matrix",
     ],
 )
 def test_eigen_ensemble_admits_the_fields_of_the_record_it_reads(field, value, error, message):
@@ -375,10 +373,7 @@ _COLLINEAR = re.compile(
 
 def rank_one_bound(weight, rank_tol=1e-10):
     """``r`` with ``|<phi_i|phi_j>| >= r_i r_j`` exactly when the pair density of
-    two unit kets has its smaller eigenvalue at or below ``rank_tol``; 1 for a
-    non-positive weight, whose pairs are flagged only as near-duplicates."""
-    if weight <= 0.0:
-        return 1.0
+    two unit kets has its smaller eigenvalue at or below ``rank_tol``."""
     return math.sqrt(1.0 - rank_tol / max(weight, rank_tol))
 
 
@@ -388,9 +383,6 @@ def pair_loop_report(e, tol=1e-10):
     weight_sum = float(np.sum(e.weights))
     if abs(weight_sum - 1.0) > max(tol, tol * e.order):
         report.append(f"weights sum to {weight_sum!r}, expected 1")
-    for j, w in enumerate(e.weights):
-        if w <= 0.0:
-            report.append(f"element {j} has non-positive weight {float(w)!r}")
     for j, norm in enumerate(np.linalg.norm(e.kets, axis=1)):
         if abs(float(norm) - 1.0) > tol:
             report.append(f"element {j} has norm {float(norm)!r}, expected 1")
@@ -417,7 +409,8 @@ def split_collinear(report):
 
 
 def oracle_case(seed, dim, order, duplicates, layout, smallest_weight, norm_error, flaw):
-    """A random ensemble with the requested flaws, in the requested layout."""
+    """The kets and weights of a random ensemble with the requested flaws, in
+    the requested layout."""
     rng = np.random.default_rng(seed)
     kets = np.stack([random_ket(rng, dim) for _ in range(order)])
     for src, dst, phased in duplicates:
@@ -433,25 +426,19 @@ def oracle_case(seed, dim, order, duplicates, layout, smallest_weight, norm_erro
     if flaw == "weight_sum":
         weights *= 1.1
     kets[rng.integers(order)] *= 1.0 + norm_error
+    if flaw == "negative_weight":
+        weights[rng.integers(order)] *= -1.0
+    elif flaw == "zero_weight" and order > 1:  # moved to a neighbour: the sum holds
+        k = rng.integers(order)
+        weights[(k + 1) % order] += weights[k]
+        weights[k] = 0.0
     if layout == "F":
         kets = np.asfortranarray(kets)
     elif layout == "strided":
         padded = np.zeros((2 * order, 3 * dim), dtype=complex)
         padded[::2, ::3] = kets
         kets = padded[::2, ::3]
-    e = RhoEnsemble(kets=kets, weights=weights)
-    # Construction rejects non-positive weights; reach the check directly.
-    if flaw == "negative_weight":
-        negated = e.weights.copy()
-        negated[rng.integers(order)] *= -1.0
-        object.__setattr__(e, "weights", negated)
-    elif flaw == "zero_weight" and order > 1:  # moved to a neighbour: the sum holds
-        zeroed = e.weights.copy()
-        k = rng.integers(order)
-        zeroed[(k + 1) % order] += zeroed[k]
-        zeroed[k] = 0.0
-        object.__setattr__(e, "weights", zeroed)
-    return e
+    return kets, weights
 
 
 def assert_matches_oracle(e):
@@ -463,6 +450,22 @@ def assert_matches_oracle(e):
     overlap_tol = 8 * e.dim * np.finfo(float).eps
     for (_, _, got), (_, _, want) in zip(pairs, expected_pairs):
         assert abs(got - want) <= overlap_tol
+
+
+def checked_like_the_pair_loop(kets, weights):
+    """The ensemble of ``kets`` and ``weights`` once it validates as the pair loop
+    reports, or None once the constructor has refused its first non-positive
+    weight by name: the sign of a weight is judged there alone."""
+    nonpositive = np.flatnonzero(weights <= 0.0)
+    if nonpositive.size:
+        k = nonpositive[0]
+        message = f"element {k} has non-positive weight {float(weights[k])!r}"
+        with pytest.raises(InvalidEnsemble, match=f"^{re.escape(message)}$"):
+            RhoEnsemble(kets=kets, weights=weights)
+        return None
+    e = RhoEnsemble(kets=kets, weights=weights)
+    assert_matches_oracle(e)
+    return e
 
 
 LAYOUTS = ["C", "F", "strided"]
@@ -487,7 +490,7 @@ def draw(case):
 
 @pytest.mark.parametrize("case", range(ORACLE_CASES))
 def test_validate_matches_pair_loop_oracle(case):
-    assert_matches_oracle(oracle_case(*draw(case)))
+    checked_like_the_pair_loop(*oracle_case(*draw(case)))
 
 
 def test_oracle_cases_reach_every_category():
@@ -501,7 +504,6 @@ def test_oracle_cases_reach_every_category():
 
 _REPORT_KINDS = {
     "weights sum": "weight_sum",
-    "non-positive weight": "nonpositive",
     "has norm": "norm",
     "collinear": "collinear",
 }
@@ -513,22 +515,21 @@ _REPORT_KINDS = {
     [
         (set(), [], 0.0, None),
         ({"weight_sum"}, [], 0.0, "weight_sum"),
-        ({"nonpositive"}, [], 0.0, "zero_weight"),
+        (None, [], 0.0, "zero_weight"),  # None: the constructor refuses the weight
         ({"norm"}, [], 1e-2, None),
         ({"collinear"}, [(0, 2, True), (1, 3, False)], 0.0, None),
-        (
-            {"weight_sum", "nonpositive", "norm", "collinear"},
-            [(0, 2, True), (1, 3, False)],
-            1e-2,
-            "negative_weight",
-        ),
+        ({"weight_sum", "norm", "collinear"}, [(0, 2, True), (1, 3, False)], 1e-2, "weight_sum"),
     ],
-    ids=["none", "weight_sum", "nonpositive", "norm", "collinear", "all_four"],
+    ids=["none", "weight_sum", "nonpositive", "norm", "collinear", "all_three"],
 )
 def test_validate_matches_oracle_when_none_one_or_all_checks_fire(
     fired, duplicates, norm_error, flaw, layout
 ):
-    e = oracle_case(7, 3, 5, duplicates, layout, None, norm_error, flaw)
+    kets, weights = oracle_case(7, 3, 5, duplicates, layout, None, norm_error, flaw)
+    e = checked_like_the_pair_loop(kets, weights)
+    if fired is None:
+        assert e is None
+        return
     kinds = {
         kind
         for line in pair_loop_report(e)
@@ -536,7 +537,6 @@ def test_validate_matches_oracle_when_none_one_or_all_checks_fire(
         if text in line
     }
     assert kinds == fired
-    assert_matches_oracle(e)
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +626,13 @@ def test_equal_finds_a_matching_a_greedy_pass_misses():
     assert ensembles_equal(a, b) and ensembles_equal(b, a)
     c = RhoEnsemble(kets=[r(0.0), r(3e-4)], weights=[0.5, 0.5])
     assert not ensembles_equal(a, c)
+
+
+def test_ensembles_of_different_dimensions_neither_equal_nor_match():
+    qubit = RhoEnsemble(kets=[computational(2, 0)], weights=[1.0])
+    qutrit = RhoEnsemble(kets=[computational(3, 0)], weights=[1.0])
+    assert not ensembles_equal(qubit, qutrit)
+    assert not densities_match(qubit, qutrit)
 
 
 def test_equal_rejects_different_orders():

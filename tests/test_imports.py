@@ -2,8 +2,9 @@
 
 A name listed in the module's ``__all__`` counts as used (a re-export), and
 so does an import whose own line carries ``# noqa: F401`` with its reason.
-A test or benchmark module imports only the standard library, numpy, pytest,
-rhokit and the modules beside it.
+A rhokit module or a tool imports only the standard library and numpy, the
+one runtime dependency; a test or benchmark module also pytest, rhokit and the
+modules beside it.
 """
 
 import ast
@@ -75,11 +76,23 @@ def imported_modules(text):
     return names
 
 
+# What rhokit and its tools may import: the standard library and numpy, the
+# one runtime dependency. Relative imports are the package's own.
+RUNTIME = set(sys.stdlib_module_names) | {"numpy"}
 TEST_MODULES = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-# What a test or benchmark module may import: the standard library, numpy,
-# pytest, rhokit and the modules beside it.
-ALLOWED = set(sys.stdlib_module_names) | {"numpy", "pytest", "rhokit"}
-ALLOWED |= {path.stem for path in TEST_MODULES}
+# What a test or benchmark module may import: that, pytest, rhokit and the
+# modules beside it.
+ALLOWED = RUNTIME | {"pytest", "rhokit"} | {path.stem for path in TEST_MODULES}
+
+
+PACKAGE_MODULES = [path for path in MODULES if path.parent.name != "tests"]
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_package_and_tool_modules_import_only_the_standard_library_and_numpy(path):
+    # A package installed here but not declared (scipy, say) would pass every
+    # other test and still break an install that has numpy alone.
+    assert imported_modules(path.read_text(encoding="utf-8")) - RUNTIME == set()
 
 
 @pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -94,3 +107,4 @@ def test_imported_modules_finds_plain_dotted_and_from_imports():
     source = "import numpy as np\nimport os.path\nfrom scipy.linalg import qr\nfrom . import x"
     assert imported_modules(source) == {"numpy", "os", "scipy"}
     assert imported_modules(source) - ALLOWED == {"scipy"}
+    assert imported_modules(source) - RUNTIME == {"scipy"}
