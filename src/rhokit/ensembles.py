@@ -13,28 +13,27 @@ collinear when their pair density ``p_i |phi_i><phi_i| + p_j |phi_j><phi_j|``
 has rank 1 at the default ``rank_tol``, the one cutoff that also decides
 which weights count; that is reported, never refused. The order is never
 below the support rank, as n projectors sum to rank at most n. A density
-matrix holds its arrays alone: the support rank exists where a cutoff cuts
-its spectrum into an ensemble, in ``eigen_ensemble``.
+matrix is its matrix: its eigendata are derived from it when it is built, and
+the support rank exists where a cutoff cuts its spectrum into an ensemble, in
+``eigen_ensemble``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, InvalidEnsemble, NotOrthonormal
+from .errors import DimensionMismatch, InvalidArgument, InvalidEnsemble
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
-    _admit_orthonormal,
-    _checked,
+    _admit_hermitian,
     _convert,
     _kept_rank,
     _public,
     _svd,
     as_ket_list,
-    as_operator,
     eig_hermitian,
     gram_matrix,
     max_abs,
@@ -43,15 +42,29 @@ from .linalg import (
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A positive Hermitian unit-trace operator with cached eigendata.
+    """A Hermitian matrix and the eigendata derived from it.
 
+    ``DensityMatrix(matrix)`` takes one value, a finite square matrix Hermitian
+    within ``DEFAULT_TOL`` (else InvalidArgument, DimensionMismatch or
+    NotHermitian), and decomposes it with one ``eig_hermitian`` call:
     ``spectrum`` is sorted descending and ``eigenkets`` holds the matching
-    orthonormal eigenvectors as rows. ``dim`` is read from ``matrix``.
+    orthonormal eigenvectors as rows. So ``dataclasses.replace(rho, matrix=m)``
+    derives them again, and no record disagrees with its matrix. Positivity
+    and unit trace are ``density_from_matrix``'s checks. ``dim`` is read from
+    ``matrix``.
     """
 
     matrix: np.ndarray
-    spectrum: np.ndarray
-    eigenkets: np.ndarray
+    spectrum: np.ndarray = field(init=False)
+    eigenkets: np.ndarray = field(init=False)
+
+    @_public
+    def __post_init__(self):
+        matrix = _convert(self.matrix)
+        spectrum, eigenkets = eig_hermitian(matrix)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "eigenkets", eigenkets)
 
     @property
     def dim(self) -> int:
@@ -148,21 +161,23 @@ def ensemble_to_density(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> DensityMatr
     """
     _require_valid(e, tol)
     matrix = _weighted_projector_sum(e.kets, e.weights)
-    # Hermitian only up to rounding, the sum is made exactly so: eig_hermitian's
-    # symmetry check then passes at every tol, and its own symmetrization is exact.
-    matrix = (matrix + matrix.conj().T) / 2.0
-    return DensityMatrix(matrix, *eig_hermitian(matrix, tol))
+    # Hermitian only up to rounding, the sum is made exactly so: the record's
+    # eig_hermitian, at DEFAULT_TOL, then admits the density of an ensemble
+    # admitted at any tol, and its own symmetrization is exact.
+    return DensityMatrix((matrix + matrix.conj().T) / 2.0)
 
 
 @_public
 def density_from_matrix(matrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Validate an explicit matrix as a density matrix and cache eigendata.
+    """Validate an explicit matrix as a density matrix: the record of its
+    Hermitian part ``(m + m^dag) / 2``.
 
-    Raises NotHermitian for asymmetric input, InvalidArgument when the spectrum
-    dips below ``-tol`` or is not of trace 1 within ``tol``.
+    Raises DimensionMismatch for a matrix that is not square, NotHermitian for
+    one asymmetric beyond ``tol``, InvalidArgument when the spectrum dips below
+    ``-tol`` or is not of trace 1 within ``tol``.
     """
-    arr = as_operator(matrix)
-    spectrum, eigenkets = eig_hermitian(arr, tol)
+    rho = DensityMatrix(_admit_hermitian(matrix, tol))
+    spectrum = rho.spectrum
     if spectrum[-1] < -tol:
         raise InvalidArgument(
             f"matrix has negative eigenvalue {float(spectrum[-1])!r} (tol {tol:.3e})"
@@ -170,28 +185,17 @@ def density_from_matrix(matrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
     trace = float(np.sum(spectrum))
     if abs(trace - 1.0) > tol * len(spectrum):
         raise InvalidArgument(f"matrix has trace {trace!r}, expected 1")
-    return DensityMatrix(arr, spectrum, eigenkets)
+    return rho
 
 
 @_public
 def eigen_ensemble(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> RhoEnsemble:
     """The spectral decomposition of a density matrix as an ensemble: the eigenkets
     whose eigenvalues lie above ``rank_tol``, InvalidArgument if none does.
-    ``DensityMatrix`` is a plain record, so the fields read are admitted here:
-    ``matrix`` as a square n x n operator, ``eigenkets`` as kets of dimension n,
-    one ``spectrum`` entry per eigenket (else DimensionMismatch), the eigenkets
-    within 1e-8 of orthonormal (else NotOrthonormal), as an ``Ancilla`` admits
-    its kets."""
-    matrix = as_operator(rho.matrix)
-    if matrix.shape[0] != matrix.shape[1]:
-        raise DimensionMismatch(f"matrix is not square: {matrix.shape}")
-    spectrum = _checked(_convert(rho.spectrum, float), 1, "spectrum")
-    kets = as_ket_list(rho.eigenkets, dim=matrix.shape[0])
-    if spectrum.shape[0] != kets.shape[0]:
-        raise DimensionMismatch(f"{spectrum.shape[0]} eigenvalues but {kets.shape[0]} eigenkets")
-    _admit_orthonormal(kets, NotOrthonormal, "eigenkets deviate from orthonormality")
-    n = _kept_rank(spectrum, rank_tol, "eigenvalue")
-    return RhoEnsemble(kets=kets[:n], weights=spectrum[:n])
+    The record derived its eigendata from its matrix, so they are taken as
+    they are."""
+    n = _kept_rank(rho.spectrum, rank_tol, "eigenvalue")
+    return RhoEnsemble(kets=rho.eigenkets[:n], weights=rho.spectrum[:n])
 
 
 @_public

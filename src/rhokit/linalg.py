@@ -235,6 +235,21 @@ def _admit_orthonormal(kets: np.ndarray, error: type, what: str) -> None:
         raise error(f"{what} by {deviation:.3e} (tol {_CONSTRUCT_TOL:.3e})")
 
 
+def _admit_hermitian(m, tol: float) -> np.ndarray:
+    """The Hermitian part ``(m + m^dag) / 2`` of a finite square matrix ``m``
+    (else InvalidArgument or DimensionMismatch) that is Hermitian within ``tol``
+    (else NotHermitian). The result is Hermitian bit for bit."""
+    arr = as_operator(m)
+    if arr.shape[0] != arr.shape[1]:
+        raise DimensionMismatch(f"matrix is not square: {arr.shape}")
+    asymmetry = max_abs(arr - dagger(arr))
+    if asymmetry > tol:
+        raise NotHermitian(
+            f"matrix deviates from Hermitian symmetry by {asymmetry:.3e} (tol {tol:.3e})"
+        )
+    return (arr + dagger(arr)) / 2.0
+
+
 @_public
 def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix.
@@ -248,16 +263,9 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     NumericalFailure if the eigensolver does not converge, and
     ResourceExhausted if one of its n x n arrays cannot be allocated.
     """
-    arr = as_operator(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"matrix is not square: {arr.shape}")
-    asymmetry = max_abs(arr - dagger(arr))
-    if asymmetry > tol:
-        raise NotHermitian(
-            f"matrix deviates from Hermitian symmetry by {asymmetry:.3e} (tol {tol:.3e})"
-        )
+    hermitian = _admit_hermitian(m, tol)
     try:
-        w, v = np.linalg.eigh((arr + dagger(arr)) / 2.0)
+        w, v = np.linalg.eigh(hermitian)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
     order = np.argsort(-w, kind="stable")

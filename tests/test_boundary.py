@@ -28,6 +28,7 @@ import pytest
 import rhokit
 from rhokit import (
     Ancilla,
+    DensityMatrix,
     DimensionMismatch,
     InvalidArgument,
     JointState,
@@ -394,8 +395,8 @@ MALFORMED = [
     2**62,
 ]
 
-# Plain records that store what they are given: nothing in them to replace.
-NO_CHECKED_ARGUMENT = {"DensityMatrix", "SchmidtForm"}
+# A plain record that stores what it is given: nothing in it to replace.
+NO_CHECKED_ARGUMENT = {"SchmidtForm"}
 
 
 def catalogue():
@@ -411,6 +412,7 @@ def catalogue():
     report = steer(joint, eye, shots=10, seed=0)
     entries = {
         "Ancilla": (Ancilla, {}, {"dim_m": 2, "kets": eye}),
+        "DensityMatrix": (DensityMatrix, {}, {"matrix": eye / 2}),
         "JointState": (JointState, {}, {"dim_s": 2, "dim_m": 2, "vec": joint.vec}),
         "RhoEnsemble": (RhoEnsemble, {}, {"kets": e.kets, "weights": e.weights}),
         "SteeringReport": (
@@ -935,7 +937,7 @@ def sweep():
     written = documents.ensemble_document(e)
     return {
         "Ancilla": lambda: rk.Ancilla(n, real_eye),
-        "DensityMatrix": lambda: rk.DensityMatrix(rho.matrix, rho.spectrum, rho.eigenkets),
+        "DensityMatrix": lambda: rk.DensityMatrix(rho.matrix),
         "JointState": lambda: rk.JointState(2048, 1024, big),
         "RhoEnsemble": lambda: rk.RhoEnsemble(real_eye, w),
         "SchmidtForm": lambda: rk.SchmidtForm(form.coefficients, form.left_kets, form.right_kets),
