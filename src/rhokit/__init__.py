@@ -11,7 +11,6 @@ from .ensembles import (
     DensityMatrix,
     RhoEnsemble,
     densities_match,
-    density_from_matrix,
     eigen_ensemble,
     ensemble_to_density,
     ensembles_equal,
@@ -100,7 +99,6 @@ __all__ = [
     "check_umap",
     "complete_orthonormal",
     "densities_match",
-    "density_from_matrix",
     "eig_hermitian",
     "eigen_ensemble",
     "ensemble_containing",

@@ -13,9 +13,11 @@ collinear when their pair density ``p_i |phi_i><phi_i| + p_j |phi_j><phi_j|``
 has rank 1 at the default ``rank_tol``, the one cutoff that also decides
 which weights count; that is reported, never refused. The order is never
 below the support rank, as n projectors sum to rank at most n. A density
-matrix is its matrix: its eigendata are derived from it when it is built, and
-the support rank exists where a cutoff cuts its spectrum into an ensemble, in
-``eigen_ensemble``.
+matrix is its matrix, and its record is the one judge of a density: Hermitian,
+positive and of unit trace at the fixed ``DEFAULT_TOL``. Its eigendata are
+derived from it when it is built, and the support rank exists where a cutoff
+cuts its spectrum into an ensemble, in ``eigen_ensemble``. An ensemble's
+record, from ``ensemble_to_density``, holds its density over its trace.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidArgument, InvalidEnsemble
+from .errors import DimensionMismatch, InvalidArgument, InvalidEnsemble, OrderExceedsAncillaDim
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
@@ -32,6 +34,7 @@ from .linalg import (
     _convert,
     _kept_rank,
     _public,
+    _state,
     _svd,
     as_ket_list,
     eig_hermitian,
@@ -42,16 +45,18 @@ from .linalg import (
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A Hermitian matrix and the eigendata derived from it.
+    """A density matrix and the eigendata derived from it.
 
-    ``DensityMatrix(matrix)`` takes one value, a finite square matrix Hermitian
-    within ``DEFAULT_TOL`` (else InvalidArgument, DimensionMismatch or
-    NotHermitian), and decomposes it with one ``eig_hermitian`` call:
+    ``DensityMatrix(matrix)`` takes one value and judges it at the fixed
+    ``DEFAULT_TOL``, in this order: a finite square matrix (else InvalidArgument
+    or DimensionMismatch), Hermitian within the tolerance (else NotHermitian),
+    with no eigenvalue below ``-DEFAULT_TOL`` and a trace within
+    ``DEFAULT_TOL * n`` of 1 (else InvalidArgument). It stores the Hermitian
+    part ``(m + m^dag) / 2`` and decomposes it with one ``eig_hermitian`` call:
     ``spectrum`` is sorted descending and ``eigenkets`` holds the matching
     orthonormal eigenvectors as rows. So ``dataclasses.replace(rho, matrix=m)``
-    derives them again, and no record disagrees with its matrix. Positivity
-    and unit trace are ``density_from_matrix``'s checks. ``dim`` is read from
-    ``matrix``.
+    judges and derives them again, and no record disagrees with its matrix.
+    ``dim`` is read from ``matrix``.
     """
 
     matrix: np.ndarray
@@ -60,8 +65,15 @@ class DensityMatrix:
 
     @_public
     def __post_init__(self):
-        matrix = _convert(self.matrix)
+        matrix = _admit_hermitian(self.matrix, DEFAULT_TOL)
         spectrum, eigenkets = eig_hermitian(matrix)
+        if spectrum[-1] < -DEFAULT_TOL:
+            raise InvalidArgument(
+                f"matrix has negative eigenvalue {float(spectrum[-1])!r} (tol {DEFAULT_TOL:.3e})"
+            )
+        trace = float(np.sum(spectrum))
+        if abs(trace - 1.0) > DEFAULT_TOL * len(spectrum):
+            raise InvalidArgument(f"matrix has trace {trace!r}, expected 1")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "eigenkets", eigenkets)
@@ -139,53 +151,33 @@ def _unmet_hypotheses(e: RhoEnsemble, tol: float) -> list[str]:
     return report
 
 
-def _require_valid(e: RhoEnsemble, tol: float) -> None:
-    """Raise InvalidEnsemble(report) unless ``e`` meets the theorem's hypotheses.
-
-    The one precondition of every construction that takes an ensemble, checked by
-    ``ensemble_to_density`` and by ``purification._amplitude_block`` for the others.
-    Collinear elements are accepted: the theorem holds for repeated kets.
-    """
+def _amplitude_block(e: RhoEnsemble, dim_m: int, tol: float) -> np.ndarray:
+    """(dim, dim_m) matrix of ``sum_j sqrt(w_j) phi_j (x) e_j``, zero past the order:
+    the transpose of contiguous rows ``sqrt(w_j) phi_j``. The one gate from an
+    ensemble to it, and so the one precondition of every construction that takes
+    an ensemble: the theorem's hypotheses at ``tol`` (else InvalidEnsemble carrying
+    the report; collinear elements are accepted, as the theorem holds for repeated
+    kets), then at most ``dim_m`` elements (else OrderExceedsAncillaDim)."""
     report = _unmet_hypotheses(e, tol)
     if report:
         raise InvalidEnsemble(report)
+    if e.order > dim_m:
+        raise OrderExceedsAncillaDim(f"ensemble order {e.order} exceeds ancilla dimension {dim_m}")
+    rows = np.zeros((dim_m, e.dim), dtype=complex)
+    np.multiply(np.sqrt(e.weights)[:, None], e.kets, out=rows[: e.order])
+    return rows.T
 
 
 @_public
 def ensemble_to_density(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Sum the weighted projectors of an ensemble into a DensityMatrix.
+    """The density matrix of an ensemble over its trace, the density itself for a
+    weight sum of 1: the reduced state of its ``purify``.
 
     Raises InvalidEnsemble (carrying the violation report) unless the weights
-    sum to 1 and the kets have unit norm; collinear elements are summed like
-    any others.
+    sum to 1 within ``tol * order`` and the kets have unit norm within ``tol``;
+    collinear elements are summed like any others.
     """
-    _require_valid(e, tol)
-    matrix = _weighted_projector_sum(e.kets, e.weights)
-    # Hermitian only up to rounding, the sum is made exactly so: the record's
-    # eig_hermitian, at DEFAULT_TOL, then admits the density of an ensemble
-    # admitted at any tol, and its own symmetrization is exact.
-    return DensityMatrix((matrix + matrix.conj().T) / 2.0)
-
-
-@_public
-def density_from_matrix(matrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Validate an explicit matrix as a density matrix: the record of its
-    Hermitian part ``(m + m^dag) / 2``.
-
-    Raises DimensionMismatch for a matrix that is not square, NotHermitian for
-    one asymmetric beyond ``tol``, InvalidArgument when the spectrum dips below
-    ``-tol`` or is not of trace 1 within ``tol``.
-    """
-    rho = DensityMatrix(_admit_hermitian(matrix, tol))
-    spectrum = rho.spectrum
-    if spectrum[-1] < -tol:
-        raise InvalidArgument(
-            f"matrix has negative eigenvalue {float(spectrum[-1])!r} (tol {tol:.3e})"
-        )
-    trace = float(np.sum(spectrum))
-    if abs(trace - 1.0) > tol * len(spectrum):
-        raise InvalidArgument(f"matrix has trace {trace!r}, expected 1")
-    return rho
+    return DensityMatrix(_state(_amplitude_block(e, e.order, tol)))
 
 
 @_public

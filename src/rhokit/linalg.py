@@ -344,6 +344,11 @@ def _at_unit_norm(values: np.ndarray, matrix: np.ndarray, degree: int = 1) -> np
     return values
 
 
+def _state(matrix: np.ndarray) -> np.ndarray:
+    """The unit-trace state ``m m^dag / ||m||_F^2`` of a coefficient matrix."""
+    return _at_unit_norm(matrix @ dagger(matrix), matrix, 2)
+
+
 def _schmidt(matrix: np.ndarray, rank_tol: float):
     """The one Schmidt step: ``u, sv, vh`` of a coefficient matrix (full where
     ``dim_s < dim_m``: ``vh`` spans the ancilla), ``sv`` at unit norm, and its rank."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import RhoEnsemble, _require_valid
+from .ensembles import RhoEnsemble, _amplitude_block
 from .errors import (
     DensitiesDiffer,
     DimensionMismatch,
@@ -27,7 +27,6 @@ from .errors import (
     NotOrthonormal,
     NotOrthonormalBasis,
     NotUnitary,
-    OrderExceedsAncillaDim,
     RhokitError,
     TracesDiffer,
 )
@@ -43,6 +42,7 @@ from .linalg import (
     _out_of_memory,
     _public,
     _schmidt,
+    _state,
     _svd,
     as_ket,
     as_ket_list,
@@ -88,11 +88,6 @@ class JointState:
     def reduced_system(self) -> np.ndarray:
         """Unit-trace reduced density matrix of the normalized ket on the system factor."""
         return _state(self.as_matrix())
-
-
-def _state(matrix: np.ndarray) -> np.ndarray:
-    """The unit-trace state ``m m^dag / ||m||_F^2`` of a coefficient matrix."""
-    return _at_unit_norm(matrix @ dagger(matrix), matrix, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,18 +181,6 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
         if gen_dev > tol:
             report.append(f"coefficients deviate from <b_j|U|b_k> by {gen_dev:.3e}")
     return report
-
-
-def _amplitude_block(e: RhoEnsemble, dim_m: int, tol: float) -> np.ndarray:
-    """(dim, dim_m) matrix of ``sum_j sqrt(w_j) phi_j (x) e_j``, zero past the order:
-    the transpose of contiguous rows ``sqrt(w_j) phi_j``. The one gate from an ensemble
-    to it: the theorem's hypotheses at ``tol``, then at most ``dim_m`` elements."""
-    _require_valid(e, tol)
-    if e.order > dim_m:
-        raise OrderExceedsAncillaDim(f"ensemble order {e.order} exceeds ancilla dimension {dim_m}")
-    rows = np.zeros((dim_m, e.dim), dtype=complex)
-    np.multiply(np.sqrt(e.weights)[:, None], e.kets, out=rows[: e.order])
-    return rows.T
 
 
 def _lemma(a_from, a_to, tol, error, what) -> np.ndarray:

@@ -46,7 +46,6 @@ from rhokit import (
     check_umap,
     complete_orthonormal,
     densities_match,
-    density_from_matrix,
     eig_hermitian,
     eigen_ensemble,
     ensemble_containing,
@@ -429,7 +428,6 @@ def catalogue():
             complete_orthonormal, {}, {"partial": [ket], "target_dim": 2}
         ),
         "densities_match": (densities_match, {"a": e, "b": e}, {"tol": 1e-10}),
-        "density_from_matrix": (density_from_matrix, {}, {"matrix": eye / 2, "tol": 1e-10}),
         "eig_hermitian": (eig_hermitian, {}, {"m": eye / 2, "tol": 1e-10}),
         "ensemble_containing": (
             ensemble_containing, {"joint": joint}, {"xi": ket, "rank_tol": 1e-10}
@@ -947,7 +945,6 @@ def sweep():
         "check_umap": lambda: rk.check_umap(reflected),
         "complete_orthonormal": lambda: rk.complete_orthonormal(u[: n // 2], n),
         "densities_match": lambda: rk.densities_match(e, e),
-        "density_from_matrix": lambda: rk.density_from_matrix(rho.matrix),
         "eig_hermitian": lambda: rk.eig_hermitian(rho.matrix),
         "eigen_ensemble": lambda: rk.eigen_ensemble(rho),
         "ensemble_containing": lambda: rk.ensemble_containing(j, u[0]),

@@ -17,12 +17,12 @@ from rhokit import (
     NotHermitian,
     RhoEnsemble,
     densities_match,
-    density_from_matrix,
     eig_hermitian,
     eigen_ensemble,
     ensemble_to_density,
     ensembles_equal,
     is_linearly_independent,
+    purify,
     schmidt_decompose,
     validate_ensemble,
 )
@@ -150,6 +150,21 @@ def test_density_of_an_ensemble_admitted_at_tol_zero():
     assert np.array_equal(rho.spectrum, ensemble_to_density(e).spectrum)
 
 
+def test_density_of_an_admitted_weight_sum_is_over_its_trace():
+    # Weights summing to 1 + 0.9 * tol * order pass the hypotheses; their
+    # projector sum has that trace, which at order 6 > dim 4 misses the
+    # record's tol * dim. The density over its trace is purify's reduced state.
+    rng = np.random.default_rng(3)
+    e = random_ensemble(rng, 4, 6)
+    e = RhoEnsemble(e.kets, e.weights / e.weights.sum() * (1 + 0.9e-10 * e.order))
+    assert _unmet_hypotheses(e, 1e-10) == []
+    rho = ensemble_to_density(e)
+    eps = np.finfo(float).eps
+    assert abs(np.trace(rho.matrix).real - 1.0) <= rho.dim * eps
+    reduced = purify(e, e.order)[0].reduced_system()
+    assert np.max(np.abs(rho.matrix - reduced)) <= SPECTRAL_C * rho.dim * eps
+
+
 def test_density_rejects_invalid_ensemble():
     bad = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.6, 0.6])
     with pytest.raises(InvalidEnsemble):
@@ -158,19 +173,19 @@ def test_density_rejects_invalid_ensemble():
 
 def test_density_from_matrix_roundtrip():
     rho = ensemble_to_density(equal_mixture_computational())
-    again = density_from_matrix(rho.matrix)
+    again = DensityMatrix(rho.matrix)
     np.testing.assert_allclose(again.spectrum, rho.spectrum, atol=1e-12)
     assert eigen_ensemble(again).order == eigen_ensemble(rho).order
 
 
 def test_density_from_matrix_rejects_bad_trace():
     with pytest.raises(ValueError):
-        density_from_matrix(np.eye(2, dtype=complex))
+        DensityMatrix(np.eye(2, dtype=complex))
 
 
 def test_bad_values_raise_typed_invalid_argument():
     with pytest.raises(InvalidArgument):
-        density_from_matrix(np.diag([1.5, -0.5]).astype(complex))
+        DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
     with pytest.raises(InvalidArgument):
         RhoEnsemble(kets=[[1.0, np.nan]], weights=[1.0])
     with pytest.raises(InvalidArgument):
@@ -182,14 +197,14 @@ def test_messages_render_plain_floats():
         RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[1.5, -0.5])
     assert str(weight_error.value) == "element 1 has non-positive weight -0.5"
     with pytest.raises(InvalidArgument) as eigenvalue_error:
-        density_from_matrix(np.diag([1.5, -0.5]).astype(complex))
+        DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
     assert str(eigenvalue_error.value).startswith("matrix has negative eigenvalue -0.5 ")
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: density_from_matrix(np.eye(2, dtype=complex) / 2),
+        lambda: DensityMatrix(np.eye(2, dtype=complex) / 2),
         lambda: ensemble_to_density(equal_mixture_computational()),
     ],
     ids=["density_from_matrix", "ensemble_to_density"],
@@ -236,7 +251,7 @@ def test_eigen_ensemble_admits_the_fields_of_the_record_it_reads(field, value, e
     # The record derived its eigendata from its matrix when it was built (see
     # the constructor cases below), so the one value eigen_ensemble admits is
     # the cutoff: the record holds no rank, and rank_tol counts it.
-    rho = density_from_matrix(np.eye(2) / 2)
+    rho = DensityMatrix(np.eye(2) / 2)
     call = functools.partial(eigen_ensemble, rho, rank_tol=value)
     if error is None:
         assert call().order == 2
@@ -256,20 +271,27 @@ def test_eigen_ensemble_admits_the_fields_of_the_record_it_reads(field, value, e
             NotHermitian,
             r"matrix deviates from Hermitian symmetry by 1\.000e\+00 \(tol 1\.000e-10\)$",
         ),
+        (5 * np.eye(2), InvalidArgument, r"matrix has trace 10\.0, expected 1$"),
+        (
+            np.diag([0.7, 0.5, -0.2]),
+            InvalidArgument,
+            r"matrix has negative eigenvalue -0\.2 \(tol 1\.000e-10\)$",
+        ),
     ],
-    ids=["not_square", "none", "not_finite", "not_hermitian"],
+    ids=["not_square", "none", "not_finite", "not_hermitian", "trace", "negative"],
 )
 def test_density_matrix_admits_the_one_value_it_holds(matrix, error, message):
-    # Built or replaced, a record decomposes its matrix, so a malformed matrix
-    # is refused where it is given.
+    # Built or replaced, a record judges its matrix, so a matrix that is not a
+    # density is refused where it is given. The last two are Hermitian: their
+    # spectra would become weights (5, 5) and (0.7, 0.5), summing past 1.
     with pytest.raises(error, match=f"^{message}"):
         DensityMatrix(matrix)
     with pytest.raises(error, match=f"^{message}"):
-        dataclasses.replace(density_from_matrix(np.eye(2) / 2), matrix=matrix)
+        dataclasses.replace(DensityMatrix(np.eye(2) / 2), matrix=matrix)
 
 
 def test_a_record_takes_no_hand_set_eigendata():
-    rho = density_from_matrix(np.eye(2) / 2)
+    rho = DensityMatrix(np.eye(2) / 2)
     assert list(inspect.signature(DensityMatrix).parameters) == ["matrix"]
     with pytest.raises(ValueError, match="^field spectrum is declared with init=False"):
         dataclasses.replace(rho, spectrum=[0.7, 0.7])
@@ -278,7 +300,7 @@ def test_a_record_takes_no_hand_set_eigendata():
 def test_a_replaced_matrix_brings_its_own_spectral_ensemble():
     # Eigendata kept from diag(0.7, 0.3) would give weights (0.7, 0.3): the
     # spectral ensemble of another density.
-    rho = dataclasses.replace(density_from_matrix(np.diag([0.7, 0.3])), matrix=np.diag([0.2, 0.8]))
+    rho = dataclasses.replace(DensityMatrix(np.diag([0.7, 0.3])), matrix=np.diag([0.2, 0.8]))
     spectral = eigen_ensemble(rho)
     np.testing.assert_array_equal(spectral.weights, [0.8, 0.2])
     swapped = RhoEnsemble(kets=[computational(2, 1), computational(2, 0)], weights=[0.8, 0.2])
@@ -286,19 +308,24 @@ def test_a_replaced_matrix_brings_its_own_spectral_ensemble():
 
 
 def test_density_from_matrix_holds_the_hermitian_part_it_decomposes():
+    # Holding the raw matrix, the record would miss its own spectral ensemble
+    # by the 5e-12 of the asymmetry it decomposed away.
     m = np.array([[0.75, 0.25 + 1e-11], [0.25, 0.25]], dtype=complex)
-    rho = density_from_matrix(m)
+    rho = DensityMatrix(m)
     hermitian = (m + m.conj().T) / 2
     assert not np.array_equal(hermitian, m)
     np.testing.assert_array_equal(rho.matrix, hermitian)
     spectrum, eigenkets = eig_hermitian(hermitian)
     np.testing.assert_array_equal(rho.spectrum, spectrum)
     np.testing.assert_array_equal(rho.eigenkets, eigenkets)
+    spectral = eigen_ensemble(rho, rank_tol=0.0)
+    bound = SPECTRAL_C * rho.dim * np.finfo(float).eps
+    assert np.max(np.abs(weighted_projector_sum(spectral) - rho.matrix)) <= bound
 
 
 def test_records_follow_their_arrays():
     # The counts are read from the arrays, so no record can disagree with them.
-    rho = density_from_matrix(np.eye(2) / 2)
+    rho = DensityMatrix(np.eye(2) / 2)
     form = schmidt_decompose(np.array([1, 0, 0, 1]) / math.sqrt(2), 2, 2)
     assert dataclasses.replace(rho, matrix=np.eye(3) / 3).dim == 3
     assert dataclasses.replace(form, coefficients=form.coefficients[:1]).rank == 1
@@ -319,7 +346,7 @@ def test_records_follow_their_arrays():
 SPECTRAL_C = 9.0
 ACCURACY_CASES = 60
 ACCURACY_DIMS = [4, 16, 48, 96, 160]
-BUILDERS = ["ensemble_to_density", "density_from_matrix"]
+BUILDERS = ["ensemble_to_density", "DensityMatrix"]
 
 
 def draw_density(case):
@@ -336,7 +363,7 @@ def draw_density(case):
 
 def drawn_density(seed, builder, dim, rank, extra, exponent):
     """The density of ``rank`` random orthonormal kets whose smallest weight is
-    ``10**exponent``: ``density_from_matrix`` of its matrix as a product (so
+    ``10**exponent``: the ``DensityMatrix`` of its matrix as a product (so
     Hermitian only to rounding), or ``ensemble_to_density`` of ``rank + extra``
     non-orthogonal kets that sum to it, its amplitudes mixed by an isometry."""
     rng = np.random.default_rng(seed)
@@ -345,8 +372,8 @@ def drawn_density(seed, builder, dim, rank, extra, exponent):
     weights *= (1.0 - smallest) / weights[1:].sum()
     weights[0] = smallest
     amplitudes = np.sqrt(weights)[:, None] * random_unitary(rng, dim)[:rank]
-    if builder == "density_from_matrix":
-        return density_from_matrix(amplitudes.T @ amplitudes.conj())
+    if builder == "DensityMatrix":
+        return DensityMatrix(amplitudes.T @ amplitudes.conj())
     mixed = random_unitary(rng, rank + extra)[:, :rank] @ amplitudes
     norms = np.linalg.norm(mixed, axis=1)
     return ensemble_to_density(RhoEnsemble(kets=mixed / norms[:, None], weights=norms**2))
@@ -361,6 +388,7 @@ def test_spectral_ensemble_is_accurate_to_a_few_n_eps(case):
     residual = np.max(np.abs(weighted_projector_sum(spectral) - rho.matrix))
     assert residual <= bound, (drawn, residual / bound)
     assert orthonormality_deviation(spectral.kets) <= bound, drawn
+    assert validate_ensemble(eigen_ensemble(rho)) == [], drawn
 
 
 def test_accuracy_cases_reach_every_category():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rhokit import (
+    DensityMatrix,
     DimensionMismatch,
     InvalidArgument,
     JointState,
@@ -14,7 +15,6 @@ from rhokit import (
     ResourceExhausted,
     RhoEnsemble,
     complete_orthonormal,
-    density_from_matrix,
     eig_hermitian,
     eigen_ensemble,
     ensemble_containing,
@@ -85,11 +85,11 @@ def test_eig_deterministic():
 
 
 def test_rank_full():
-    assert eigen_ensemble(density_from_matrix(np.eye(2) / 2), rank_tol=1e-12).order == 2
+    assert eigen_ensemble(DensityMatrix(np.eye(2) / 2), rank_tol=1e-12).order == 2
 
 
 def test_rank_numerically_zero_tail():
-    assert eigen_ensemble(density_from_matrix(np.diag([1.0, 3e-16])), rank_tol=1e-12).order == 1
+    assert eigen_ensemble(DensityMatrix(np.diag([1.0, 3e-16])), rank_tol=1e-12).order == 1
 
 
 def test_rank_of_projector_spectrum():
@@ -97,7 +97,7 @@ def test_rank_of_projector_spectrum():
     rng = np.random.default_rng(11)
     psi = random_ket(rng, 5)
     projector = np.outer(psi, np.conj(psi))
-    assert eigen_ensemble(density_from_matrix(projector), rank_tol=1e-12).order == 1
+    assert eigen_ensemble(DensityMatrix(projector), rank_tol=1e-12).order == 1
 
 
 # ---------------------------------------------------------------------------

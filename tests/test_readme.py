@@ -82,7 +82,7 @@ def test_signature_lines_match_the_code():
     # Each ``name(params) -> type`` line: its parameter names and default
     # reprs, in order, as inspect.signature reads them.
     lines = re.findall(r"^(\w+)\((.*)\) -> ", README, re.M)
-    assert {"ensemble_to_density", "density_from_matrix", "eigen_ensemble"} <= dict(lines).keys()
+    assert {"ensemble_to_density", "DensityMatrix", "eigen_ensemble"} <= dict(lines).keys()
     for name, params in lines:
         documented = [tuple(param.split("=")) for param in params.split(", ") if param]
         code = [
