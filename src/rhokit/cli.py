@@ -24,9 +24,9 @@ import sys
 import numpy as np
 
 from . import documents
-from .ensembles import _weighted_projector_sum, validate_ensemble
+from .ensembles import _amplitudes, validate_ensemble
 from .errors import DocumentError, NumericalFailure, ResourceExhausted, RhokitError
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_tolerances, max_abs
+from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_tolerances, _state, max_abs
 from .purification import (
     apply_unitary_umap,
     check_umap,
@@ -171,10 +171,8 @@ def _cmd_verify(args) -> int:
                         f"density matrix has shape {rho.shape}, expected "
                         f"({ensemble.dim}, {ensemble.dim})"
                     )
-                else:
-                    deviation = max_abs(
-                        _weighted_projector_sum(ensemble.kets, ensemble.weights) - rho
-                    )
+                else:  # a state out of float range is NaN, an infinite deviation
+                    deviation = max_abs(_state(_amplitudes(ensemble, ensemble.order)) - rho)
                     if deviation > args.tol:
                         violations.append(
                             f"ensemble misses the given density matrix by {deviation:.3e}"

@@ -8,16 +8,13 @@ enforced at construction, so that invalid data can be inspected instead of
 rejected outright. What is built from an ensemble (``ensemble_to_density``,
 and ``purify``, ``match_purification`` and ``umap_between``) requires only
 the Schrödinger-HJW theorem's hypotheses: positive weights summing to 1 and
-unit-norm kets, repeated or collinear kets included. Two elements are
-collinear when their pair density ``p_i |phi_i><phi_i| + p_j |phi_j><phi_j|``
-has rank 1 at the default ``rank_tol``, the one cutoff that also decides
-which weights count; that is reported, never refused. The order is never
-below the support rank, as n projectors sum to rank at most n. A density
-matrix is its matrix, and its record is the one judge of a density: Hermitian,
-positive and of unit trace at the fixed ``DEFAULT_TOL``. Its eigendata are
-derived from it when it is built, and the support rank exists where a cutoff
-cuts its spectrum into an ensemble, in ``eigen_ensemble``. An ensemble's
-record, from ``ensemble_to_density``, holds its density over its trace.
+unit-norm kets, repeated or collinear kets included. ``DensityMatrix`` is the
+one judge of a density, and ``eigen_ensemble`` cuts its spectrum into an
+ensemble. An ensemble's state is its density over its trace, ``_state`` of its
+amplitudes: the record ``ensemble_to_density`` builds, and what
+``densities_match`` and every construction compare. Kept as given are only
+what measures normalization itself (``validate_ensemble``'s weight-sum and
+norm lines, ``rhokit verify --joint``) and ``steering``'s realized mixtures.
 """
 
 from __future__ import annotations
@@ -128,11 +125,6 @@ class RhoEnsemble:
         return zip(self.kets, self.weights)
 
 
-def _weighted_projector_sum(kets: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum_j w_j |k_j><k_j|`` for a row-stacked ket list."""
-    return kets.T @ (weights[:, None] * np.conj(kets))
-
-
 def _unmet_hypotheses(e: RhoEnsemble, tol: float) -> list[str]:
     """The theorem's hypotheses ``e`` fails, one report line each: weights that
     sum to 1 within ``tol * order``, every ket of unit norm within ``tol``.
@@ -151,21 +143,25 @@ def _unmet_hypotheses(e: RhoEnsemble, tol: float) -> list[str]:
     return report
 
 
+def _amplitudes(e: RhoEnsemble, count: int) -> np.ndarray:
+    """(dim, count) matrix of ``sum_j sqrt(w_j) phi_j (x) e_j``, zero past the order,
+    with no hypothesis checked. Its ``_state`` is the ensemble's unit-trace state;
+    zero padding moves the last bits, so compared states are padded alike."""
+    rows = np.zeros((count, e.dim), dtype=complex)
+    np.multiply(np.sqrt(e.weights)[:, None], e.kets, out=rows[: e.order])
+    return rows.T
+
+
 def _amplitude_block(e: RhoEnsemble, dim_m: int, tol: float) -> np.ndarray:
-    """(dim, dim_m) matrix of ``sum_j sqrt(w_j) phi_j (x) e_j``, zero past the order:
-    the transpose of contiguous rows ``sqrt(w_j) phi_j``. The one gate from an
-    ensemble to it, and so the one precondition of every construction that takes
-    an ensemble: the theorem's hypotheses at ``tol`` (else InvalidEnsemble carrying
-    the report; collinear elements are accepted, as the theorem holds for repeated
-    kets), then at most ``dim_m`` elements (else OrderExceedsAncillaDim)."""
+    """``_amplitudes(e, dim_m)`` behind the one precondition of every construction
+    that takes an ensemble: the theorem's hypotheses at ``tol`` (else InvalidEnsemble,
+    carrying the report), then at most ``dim_m`` elements (else OrderExceedsAncillaDim)."""
     report = _unmet_hypotheses(e, tol)
     if report:
         raise InvalidEnsemble(report)
     if e.order > dim_m:
         raise OrderExceedsAncillaDim(f"ensemble order {e.order} exceeds ancilla dimension {dim_m}")
-    rows = np.zeros((dim_m, e.dim), dtype=complex)
-    np.multiply(np.sqrt(e.weights)[:, None], e.kets, out=rows[: e.order])
-    return rows.T
+    return _amplitudes(e, dim_m)
 
 
 @_public
@@ -261,10 +257,12 @@ def ensembles_equal(a: RhoEnsemble, b: RhoEnsemble, tol: float = 1e-8) -> bool:
 
 @_public
 def densities_match(a: RhoEnsemble, b: RhoEnsemble, tol: float = DEFAULT_TOL) -> bool:
-    """True iff both ensembles sum to the same matrix within ``tol`` (max norm)."""
+    """True iff the ensembles' densities over their traces agree within ``tol``
+    (max norm): for admitted ensembles of one dimension, exactly when
+    ``umap_between(a, b, tol)`` raises no DensitiesDiffer. False for different
+    dimensions, and for kets with no such state in float range (all zero, say)."""
     if a.dim != b.dim:
         return False
-    return max_abs(
-        _weighted_projector_sum(a.kets, a.weights)
-        - _weighted_projector_sum(b.kets, b.weights)
-    ) <= tol
+    count = max(a.order, b.order)  # umap_between's padding, and so its bits
+    with np.errstate(all="ignore"):  # a state out of float range is NaN: never a match
+        return max_abs(_state(_amplitudes(a, count)) - _state(_amplitudes(b, count))) <= tol

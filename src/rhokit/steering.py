@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import _weighted_projector_sum
 from .errors import DimensionMismatch, InvalidArgument, WeightsNotNormalized
 from .linalg import (
     DEFAULT_RANK_TOL,
@@ -34,6 +33,11 @@ from .linalg import (
 from .purification import JointState, _trusted, ensemble_from_basis
 
 _INT64_MAX = 2**63 - 1  # multinomial counts are 64-bit integers
+
+
+def _weighted_projector_sum(kets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``sum_j w_j |k_j><k_j|`` of a realized mixture, its sum kept as given."""
+    return kets.T @ (weights[:, None] * np.conj(kets))
 
 
 @dataclass(frozen=True, eq=False)

@@ -135,3 +135,45 @@ def weighted_projector_sum(ensemble):
     return np.einsum(
         "s,si,sj->ij", ensemble.weights, ensemble.kets, np.conj(ensemble.kets)
     )
+
+
+# "Same density" draws: two ensembles of one density, each with its weights
+# summing to 1 + s * tol * order for s in SUM_OFFSETS (all admitted), and the
+# second's state moved by a gap in units of tol.
+SAME_DENSITY_CASES = 60
+SAME_DENSITY_DIMS = [2, 4, 16, 48]
+SUM_OFFSETS = [-0.9, 0.0, 0.9]
+STATE_GAPS = [0.0, 0.5, 2.0]
+
+
+def draw_same_density(case):
+    """Case ``case``: a seed, a dimension, a rank from 2 (at rank 1 every
+    element is collinear), two orders from the rank up, each side's weight-sum
+    offset and the state gap, from one generator seeded by ``case``."""
+    rng = np.random.default_rng(case)
+    seed, dim = int(rng.integers(2**32)), pick(rng, SAME_DENSITY_DIMS)
+    rank = int(rng.integers(2, min(dim, 4) + 1))
+    orders = [rank + int(rng.integers(4)) for _ in range(2)]
+    offsets = [pick(rng, SUM_OFFSETS) for _ in range(2)]
+    return seed, dim, rank, *orders, *offsets, pick(rng, STATE_GAPS)
+
+
+def same_density_pair(seed, dim, rank, order_a, order_b, offset_a, offset_b, gap, tol=1e-10):
+    """Two ensembles whose amplitudes are isometries of one ``rank x dim``
+    amplitude matrix, so one density, with weight sums ``1 + offset * tol *
+    order``; ``b`` then moves weight between its first two elements so that
+    its state changes by ``gap * tol`` in the max norm."""
+    rng = np.random.default_rng(seed)
+    amplitudes = rng.normal(size=(rank, dim)) + 1j * rng.normal(size=(rank, dim))
+    pair = []
+    for order, offset in ((order_a, offset_a), (order_b, offset_b)):
+        rows = random_unitary(rng, order)[:, :rank] @ amplitudes
+        weights = np.sum(np.abs(rows) ** 2, axis=1)
+        weights *= (1.0 + offset * tol * order) / weights.sum()
+        pair.append([rows / np.linalg.norm(rows, axis=1)[:, None], weights])
+    kets, weights = pair[1]
+    moved = np.outer(kets[0], kets[0].conj()) - np.outer(kets[1], kets[1].conj())
+    step = gap * tol * weights.sum() / np.max(np.abs(moved))
+    weights[0] += step
+    weights[1] -= step
+    return tuple(RhoEnsemble(kets=k, weights=w) for k, w in pair)

@@ -16,16 +16,21 @@ from rhokit import (
     ResourceExhausted,
     RhoEnsemble,
     documents as docs,
+    ensemble_to_density,
     purification,
     purify,
 )
 from rhokit.cli import build_parser, main
 from helpers import (
+    SAME_DENSITY_CASES,
     bell_joint,
     computational,
+    draw_same_density,
     minus_ket,
     plus_ket,
     random_ensemble,
+    random_unitary,
+    same_density_pair,
     squeezed_ensemble,
     weighted_projector_sum,
 )
@@ -116,6 +121,31 @@ def test_verify_ensemble_against_density(tmp_path):
     assert main(["verify", "--ensemble", ens, "--rho", rho]) == 0
     wrong = write(tmp_path / "wrong.json", docs.matrix_document(np.diag([0.9, 0.1])))
     assert main(["verify", "--ensemble", ens, "--rho", wrong]) == 3
+
+
+@pytest.mark.parametrize("case", range(SAME_DENSITY_CASES))
+def test_verify_holds_an_admitted_ensemble_to_its_own_density(tmp_path, capsys, case):
+    # The density over the trace, as ensemble_to_density builds it: a weight
+    # sum admitted off 1 by up to tol * order is no miss.
+    for name, e in zip("ab", same_density_pair(*draw_same_density(case))):
+        ens = write(tmp_path / f"{name}.json", docs.ensemble_document(e))
+        density = docs.matrix_document(ensemble_to_density(e).matrix)
+        rho = write(tmp_path / f"{name}_rho.json", density)
+        assert main(["verify", "--ensemble", ens, "--rho", rho]) == 0
+        assert json.loads(capsys.readouterr().out) == {"clean": True, "violations": []}
+
+
+def test_verify_reports_kets_that_are_all_zero_against_a_density(tmp_path, capsys):
+    # Such kets have no unit-trace state, so they miss every density.
+    zero = RhoEnsemble(kets=np.zeros((2, 2)), weights=[0.5, 0.5])
+    ens = write(tmp_path / "e.json", docs.ensemble_document(zero))
+    rho = write(tmp_path / "rho.json", docs.matrix_document(np.eye(2) / 2))
+    assert main(["verify", "--ensemble", ens, "--rho", rho]) == 3
+    assert json.loads(capsys.readouterr().out)["violations"] == [
+        "element 0 has norm 0.0, expected 1",
+        "element 1 has norm 0.0, expected 1",
+        "ensemble misses the given density matrix by inf",
+    ]
 
 
 def pairs(m):
@@ -438,18 +468,53 @@ def test_the_console_script_runs_what_python_m_runs():
     assert '\n[project.scripts]\nrhokit = "rhokit.cli:run"\n' in text
 
 
-def test_importing_the_cli_does_not_load_numpy_random():
-    # Only steer draws, and numpy loads numpy.random at its first use there:
-    # an import at the top would add that time and memory to every command.
-    # A child process asks, since this one loaded numpy.random long ago.
+def child_stdout(probe):
+    """The stdout of a fresh ``python -c probe`` that imports this tree's rhokit."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import rhokit.cli, sys; print('numpy.random' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
     )
-    assert result.stdout == "False\n"
+    return result.stdout
+
+
+def test_importing_the_cli_does_not_load_numpy_random():
+    # Only steer draws, and numpy loads numpy.random at its first use there:
+    # an import at the top would add that time and memory to every command.
+    # A child process asks, since this one loaded numpy.random long ago.
+    probe = "import rhokit.cli, sys; print('numpy.random' in sys.modules)"
+    assert child_stdout(probe) == "False\n"
+
+
+def test_no_command_but_steer_loads_numpy_random(tmp_path):
+    # numpy.random sets a CLI process's peak memory (33.0 MB against 26.7 MB
+    # for numpy alone) and costs it about 15 ms, so only steer may load it.
+    rng = np.random.default_rng(4)
+    e = random_ensemble(rng, 4, 4)
+    f = {name: str(tmp_path / f"{name}.json") for name in "EJBDUWACKR"}
+    write(Path(f["E"]), docs.ensemble_document(e))
+    write(Path(f["B"]), docs.basis_document(random_unitary(rng, 4)))
+    write(Path(f["W"]), docs.matrix_document(random_unitary(rng, 4)))
+    write(Path(f["K"]), docs.ket_document(computational(4, 0)))
+    write(Path(f["R"]), docs.matrix_document(ensemble_to_density(e).matrix))
+    commands = [
+        ["purify", f["E"], "--dim-m", "4", "--out", f["J"]],
+        ["ensemble-from-basis", f["J"], f["B"], "--out", f["D"]],
+        ["umap", f["E"], f["D"], "--out", f["U"]],
+        ["apply-u", f["J"], f["B"], f["W"], "--out", f["A"]],
+        ["contains", f["J"], f["K"], "--out", f["C"]],
+        ["verify", "--ensemble", f["D"], "--rho", f["R"]],
+        ["verify", "--ensemble", f["E"]],
+        ["verify", "--umap", f["U"]],
+        ["verify", "--joint", f["J"]],
+    ]
+    probe = (
+        "import sys; from rhokit.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "print(codes, 'numpy.random' in sys.modules)"
+    )
+    assert child_stdout(probe).splitlines()[-1] == f"{[0] * len(commands)} False"
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rhokit import (
+    DensitiesDiffer,
     DensityMatrix,
     DimensionMismatch,
     InvalidArgument,
@@ -24,18 +25,25 @@ from rhokit import (
     is_linearly_independent,
     purify,
     schmidt_decompose,
+    umap_between,
     validate_ensemble,
 )
 from rhokit.ensembles import _unmet_hypotheses
 from rhokit.linalg import orthonormality_deviation
 from helpers import (
+    SAME_DENSITY_CASES,
+    SAME_DENSITY_DIMS,
+    STATE_GAPS,
+    SUM_OFFSETS,
     computational,
+    draw_same_density,
     minus_ket,
     pick,
     plus_ket,
     random_ensemble,
     random_ket,
     random_unitary,
+    same_density_pair,
     weighted_projector_sum,
 )
 
@@ -761,6 +769,45 @@ def test_equal_finds_a_matching_a_greedy_pass_misses():
     assert ensembles_equal(a, b) and ensembles_equal(b, a)
     c = RhoEnsemble(kets=[r(0.0), r(3e-4)], weights=[0.5, 0.5])
     assert not ensembles_equal(a, c)
+
+
+@pytest.mark.parametrize("case", range(SAME_DENSITY_CASES))
+def test_densities_match_exactly_when_umap_between_admits_the_pair(case):
+    # Both judge the densities over their traces, so an admitted weight sum
+    # off 1 by up to tol * order moves neither verdict; only the gap does.
+    drawn = draw_same_density(case)
+    a, b = same_density_pair(*drawn)
+    assert validate_ensemble(a) == [] and validate_ensemble(b) == [], drawn
+    try:
+        umap_between(a, b)
+        admitted = True
+    except DensitiesDiffer:
+        admitted = False
+    assert densities_match(a, b) == densities_match(b, a) == admitted == (drawn[-1] < 1), drawn
+
+
+def test_same_density_cases_reach_every_category():
+    cases = [draw_same_density(n) for n in range(SAME_DENSITY_CASES)]
+    assert {dim for _, dim, *_ in cases} == set(SAME_DENSITY_DIMS)
+    assert {gap for *_, gap in cases} == set(STATE_GAPS)
+    offsets = {(a, b) for *_, a, b, _ in cases}
+    assert {a for a, _ in offsets} == {b for _, b in offsets} == set(SUM_OFFSETS)
+    # The pair raw projector sums misjudge: one side's sum off 1 by
+    # 0.9 * tol * order at order 6 > dim 4, the other's not, at no gap.
+    assert any(
+        dim == 4 and max(orders) >= 6 and a != b and gap == 0
+        for _, dim, _, *orders, a, b, gap in cases
+    )
+
+
+def test_kets_that_are_all_zero_have_no_state_and_match_nothing():
+    zero = RhoEnsemble(kets=np.zeros((2, 3)), weights=[0.5, 0.5])
+    other = RhoEnsemble(kets=np.eye(3)[:2], weights=[0.5, 0.5])
+    assert not densities_match(zero, zero)
+    assert not densities_match(zero, other) and not densities_match(other, zero)
+    # Nor do kets whose projectors overflow: their state is NaN too, unwarned.
+    huge = RhoEnsemble(kets=other.kets * 1e200, weights=other.weights)
+    assert not densities_match(huge, huge)
 
 
 def test_ensembles_of_different_dimensions_neither_equal_nor_match():

@@ -1,6 +1,8 @@
 """README examples run as written (the Python quickstart and the worked CLI
-pipeline), and its CLI and tolerance tables match the code."""
+pipeline), its CLI and tolerance tables match the code, and its accuracy
+table states the constants the tests read."""
 
+import importlib
 import inspect
 import re
 import shlex
@@ -90,3 +92,16 @@ def test_signature_lines_match_the_code():
             for param in inspect.signature(getattr(rhokit, name)).parameters.values()
         ]
         assert documented == code, name
+
+
+def test_accuracy_table_states_the_constants_the_tests_read():
+    rows = re.findall(r"^\| `(\w+_C)` \| `([^`]+)` \| .* \| `tests/(\w+)\.py` \|$", README, re.M)
+    tests = Path(__file__).resolve().parent
+    defined = {
+        (name, path.stem)
+        for path in tests.glob("test_*.py")
+        for name in re.findall(r"^(\w+_C) = ", path.read_text(encoding="utf-8"), re.M)
+    }
+    assert {(name, module) for name, _, module in rows} == defined
+    for name, value, module in rows:
+        assert float(value) == getattr(importlib.import_module(module), name)

@@ -10,8 +10,12 @@ under ``perfbench/``, ``DIR`` or ``src/`` is changed, and no bytecode is
 written there). Each side builds the workload from the same seed in its own
 temporary work directory, then runs untimed warm-up rounds: three, or one for
 ``cli_pipeline``. Pair ``i`` times round ``i`` of the workload's cycle once
-per side, after ``gc.collect()``, and alternates which side runs first. BLAS
-and OpenMP run single-threaded.
+per side and alternates which side runs first. Before every timed round, of
+either side, runs perfbench's reference kernel for the workload untimed
+(``Reference(wl.reference).ms``, from ``perfbench/reference.py``, read only),
+as ``perfbench/worker.py`` does between its rounds, then ``gc.collect()``: the
+kernel rewrites a buffer far larger than the caches, so each round starts as
+cold as the benchmark's do. BLAS and OpenMP run single-threaded.
 
 ``construct`` and ``steer_sweep`` call each side's library in this process.
 ``cli_pipeline`` starts each command as ``python -m rhokit.cli`` with the
@@ -56,6 +60,15 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 WORKLOADS = ("construct", "steer_sweep", "cli_pipeline")
 WARMUP_ROUNDS = 3  # one for a workload of CLI processes
+
+
+def load_reference():
+    """``perfbench/reference.py``'s ``Reference`` class, loaded from its file."""
+    path = ROOT / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Reference
 
 
 def load_side(name: str, src: Path):
@@ -187,8 +200,11 @@ def main(argv=None) -> int:
             for _ in range(0 if wl.processes else WARMUP_ROUNDS - 1):
                 run_round(workloads, wl, 0, hashes[side])
 
+        reference = load_reference()(built["change"].reference)  # the workload's own kernel
+        ms = 0.0
         for i in range(args.pairs):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                reference.ms(ms)  # untimed, as after the round that ran last
                 ms, _ = run_round(sides[side], built[side], i, hashes[side])
                 built[side].clean()
                 times[side].append(ms)
