@@ -179,11 +179,11 @@ def ensemble_to_density(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> DensityMatr
 @_public
 def eigen_ensemble(rho: DensityMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> RhoEnsemble:
     """The spectral decomposition of a density matrix as an ensemble: the eigenkets
-    whose eigenvalues lie above ``rank_tol``, InvalidArgument if none does.
-    The record derived its eigendata from its matrix, so they are taken as
-    they are."""
+    whose eigenvalues lie above ``rank_tol`` (InvalidArgument if none does), weighted
+    by those eigenvalues over their sum, so the weights sum to 1 whatever the cut and
+    the record's admitted trace. The eigendata are the record's, taken as they are."""
     n = _kept_rank(rho.spectrum, rank_tol, "eigenvalue")
-    return RhoEnsemble(kets=rho.eigenkets[:n], weights=rho.spectrum[:n])
+    return RhoEnsemble(kets=rho.eigenkets[:n], weights=rho.spectrum[:n] / rho.spectrum[:n].sum())
 
 
 @_public

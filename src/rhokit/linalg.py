@@ -406,9 +406,9 @@ def partial_trace_m(joint, dim_s: int, dim_m: int) -> np.ndarray:
 class SchmidtForm:
     """Bi-orthogonal expansion of a unit joint ket.
 
-    ``coefficients`` are strictly positive and sorted descending with
-    squared sum 1; ``left_kets`` / ``right_kets`` are orthonormal ket lists
-    (rows) on the system / ancilla factors; ``rank`` is their common count.
+    ``coefficients`` are strictly positive, sorted descending, with squared sum 1
+    whatever the cutoff dropped; ``left_kets`` / ``right_kets`` are orthonormal ket
+    lists (rows) on the system / ancilla factors; ``rank`` is their common count.
     """
 
     coefficients: np.ndarray
@@ -431,14 +431,14 @@ def schmidt_decompose(
 
     The norm is admitted as ``JointState`` admits it (else NotNormalized), and
     the coefficients are those of the unit-norm joint (``_schmidt``). Those with
-    squared value at or below ``rank_tol`` are dropped, so the returned rank is
-    the numerical rank of the squared-coefficient spectrum, and a cutoff that
-    drops them all raises InvalidArgument.
+    squared value at or below ``rank_tol`` are dropped (InvalidArgument if all
+    are), so the rank is the squared spectrum's numerical rank, and the kept
+    ones are returned over the root of 1 less the dropped squares.
     """
     vec, dim_s, dim_m = _joint_ket(joint, dim_s, dim_m)
     u, sv, vh, rank = _schmidt(vec.reshape(dim_s, dim_m), rank_tol)
     return SchmidtForm(
-        coefficients=sv[:rank].astype(float),
+        coefficients=sv[:rank] / np.sqrt(1.0 - np.vdot(sv[rank:], sv[rank:])),
         left_kets=u[:, :rank].T.copy(),
         right_kets=vh[:rank].copy(),
     )

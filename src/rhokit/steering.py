@@ -42,7 +42,8 @@ def _weighted_projector_sum(kets: np.ndarray, weights: np.ndarray) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class SteeringReport:
-    """Shot counts against the exact outcome distribution of one basis choice.
+    """Shot counts against the exact outcome distribution of one basis choice;
+    ``steer``'s ``expected_weights`` sum to 1.
 
     Construction holds the report's rules: ``shots`` is an integer >= 1
     (InvalidArgument), ``counts`` are non-negative integers, bools refused,
@@ -93,8 +94,8 @@ def measure_ancilla(
 
     Returns the list of ``(weight, system ket, ancilla ket)`` outcomes --
     exactly the basis-conditioned decomposition of the joint ket paired with
-    its ancilla kets -- together with the post-measurement joint density
-    matrix ``sum_j w_j |phi_j b_j><phi_j b_j|``. Tracing the ancilla out of
+    its ancilla kets, whose weights sum to 1 -- together with the post-measurement
+    joint density ``sum_j w_j |phi_j b_j><phi_j b_j|``. Tracing the ancilla out of
     that matrix returns the same reduced system state as the pure joint ket:
     the measurement does not disturb the system side. The basis is admitted
     as ``ensemble_from_basis`` admits it, within 1e-8 of orthonormal.
@@ -149,8 +150,8 @@ def steer(
     ``post_density`` is the system-side state of the exact (non-sampled)
     post-measurement mixture, i.e. the weighted projector sum over realized
     system kets, which coincides with the reduced state of the joint ket.
-    The conditioned weights are the outcome distribution, so they are
-    sampled as ``ensemble_from_basis`` admitted them, without a second check;
+    The conditioned weights, ``expected_weights``, sum to 1 and are the outcome
+    distribution, sampled as ``ensemble_from_basis`` returned them, unchecked;
     it admits the basis within 1e-8 of orthonormal, else NotOrthonormalBasis.
     """
     ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol)

@@ -106,6 +106,28 @@ def test_full_pipeline_purify_from_basis_verify(tmp_path):
     assert main(["verify", "--ensemble", str(derived)]) == 0
 
 
+def test_pipeline_that_cuts_weight_below_rank_tol_stays_clean(tmp_path, capsys):
+    # Three weights of 9e-11 purify into conditional weights below rank_tol,
+    # which ensemble-from-basis drops; the members are returned over their
+    # total, so the conditioned ensemble verifies, purifies and steers.
+    weights = [0.6, 0.4 - 2.7e-10, 9e-11, 9e-11, 9e-11]
+    e = RhoEnsemble(kets=np.eye(5, dtype=complex), weights=weights)
+    ens = write(tmp_path / "e.json", docs.ensemble_document(e))
+    joint, anc = str(tmp_path / "j.json"), str(tmp_path / "anc.json")
+    derived, report = str(tmp_path / "derived.json"), tmp_path / "r.json"
+    for argv in (
+        ["purify", ens, "--dim-m", "5", "--out", joint, "--ancilla-out", anc],
+        ["ensemble-from-basis", joint, anc, "--out", derived],
+        ["verify", "--ensemble", derived],
+        ["purify", derived, "--dim-m", "5", "--out", str(tmp_path / "j2.json")],
+        ["steer", joint, anc, "--out", str(report)],
+    ):
+        assert main(argv) == 0, (argv, capsys.readouterr())
+    assert docs.to_ensemble(docs.load_document(Path(derived).read_text())).order == 2
+    expected = docs.to_report(docs.load_document(report.read_text())).expected_weights
+    assert abs(expected.sum() - 1.0) <= 5 * np.finfo(float).eps
+
+
 def test_verify_umap_output_is_clean(tmp_path):
     first = write(tmp_path / "a.json", equal_mixture_doc())
     pm = RhoEnsemble(kets=[plus_ket(), minus_ket()], weights=[0.5, 0.5])

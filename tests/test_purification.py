@@ -865,7 +865,7 @@ def test_containing_bounds_the_distance_of_element_0_from_the_target():
     e, _ = ensemble_containing(joint, xi)
     assert validate_ensemble(e) == []
     np.testing.assert_allclose(e.kets[0], computational(3, 0), atol=1e-15)
-    assert e.weights[0] == pytest.approx(0.5, rel=1e-12)
+    assert e.weights[0] == pytest.approx(0.5 / (1.0 - lam), rel=1e-12)  # over the kept total
     weight = 1.0 / (2.0 * (1.0 - share) + share / lam)
     distance = np.linalg.norm(e.kets[0] - xi)
     assert distance <= np.sqrt(2.0 * share)
