@@ -12,9 +12,9 @@ unit-norm kets, repeated or collinear kets included. ``DensityMatrix`` is the
 one judge of a density, and ``eigen_ensemble`` cuts its spectrum into an
 ensemble. An ensemble's state is its density over its trace, ``_state`` of its
 amplitudes: the record ``ensemble_to_density`` builds, and what
-``densities_match`` and every construction compare. Kept as given are only
+``densities_match`` and every construction compare. Kept as given is only
 what measures normalization itself (``validate_ensemble``'s weight-sum and
-norm lines, ``rhokit verify --joint``) and ``steering``'s realized mixtures.
+norm lines, ``rhokit verify --joint``).
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ DEFAULT_RANK_TOL = 1e-10
 # caller hands rhokit, whatever tolerances a call takes. It is looser than the
 # per-operation tolerances so that round-tripped values are never rejected.
 _CONSTRUCT_TOL = 1e-8
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _check_tolerances(**named) -> None:
@@ -345,7 +346,14 @@ def _at_unit_norm(values: np.ndarray, matrix: np.ndarray, degree: int = 1) -> np
 
 
 def _state(matrix: np.ndarray) -> np.ndarray:
-    """The unit-trace state ``m m^dag / ||m||_F^2`` of a coefficient matrix."""
+    """The unit-trace state ``m m^dag / ||m||_F^2`` of a coefficient matrix. A
+    finite matrix whose squared norm is not a finite normal float is first
+    scaled exactly, by the power of two of its largest entry; a zero one has none."""
+    flat = matrix.ravel(order="K")
+    if not _TINY <= np.vdot(flat, flat).real < math.inf:
+        largest = max_abs(matrix)
+        if 0.0 < largest < math.inf:  # 2**1024 overflows; 2**1023 lifts any subnormal
+            matrix = matrix * np.ldexp(1.0, min(-np.frexp(largest)[1], 1023))
     return _at_unit_norm(matrix @ dagger(matrix), matrix, 2)
 
 

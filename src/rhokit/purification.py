@@ -296,9 +296,9 @@ def ensemble_from_basis(
     with weight above ``rank_tol`` become ensemble elements (normalized, in
     basis order), and ``member_indices`` records which basis positions they
     came from. The member basis kets form the returned ancilla. The weights
-    are those of the normalized joint ket over their total, 1 less the dropped
-    weights, so they sum to 1; ``sum_k sqrt(w_k) phi_k (x) b_k`` over members
-    is the joint ket without its sub-threshold tails, over that total's root.
+    are returned over their own total, so they sum to 1 for every admitted
+    basis; ``sum_k sqrt(w_k) phi_k (x) b_k`` over members is the normalized
+    joint ket without its sub-threshold tails, over that total's root.
 
     Raises NotOrthonormalBasis unless the basis has ``dim_m`` kets whose Gram
     matrix is within 1e-8 of the identity, the fixed bound of the Ancilla
@@ -319,24 +319,23 @@ def ensemble_from_basis(
 def _condition(
     joint: JointState, kets: np.ndarray, rank_tol: float
 ) -> tuple[RhoEnsemble, Ancilla, list[int]]:
-    """``ensemble_from_basis`` after its checks, building its outputs unchecked:
-    sound for a complete basis ``kets`` within ``_CONSTRUCT_TOL`` of orthonormal."""
+    """``ensemble_from_basis`` after its checks, kept weights over their own sum,
+    outputs built unchecked: sound for a complete basis ``kets`` within
+    ``_CONSTRUCT_TOL`` of orthonormal."""
     matrix = joint.as_matrix()
     conditionals = _at_unit_norm(matrix @ np.conj(kets).T, matrix)
     weights = (np.abs(conditionals) ** 2).sum(axis=0)
     rank = _kept_rank(weights, rank_tol, "conditional weight")
     members = list(range(joint.dim_m))
-    kept = 1.0  # the joint is at unit norm: the members' total is 1 less what drops
     if rank < joint.dim_m:  # copy out the members only when some ket drops
-        kept -= weights[weights <= rank_tol].sum()
         index = np.flatnonzero(weights > rank_tol)
         kets, weights = kets[index], weights[index]
         conditionals, members = conditionals[:, index], index.tolist()
     member_kets = (conditionals / np.sqrt(weights)).T
-    # Each weight is finite and above rank_tol >= 0, also over kept in (0, 1],
+    # Each weight is finite and above rank_tol >= 0, also over their total,
     # each member-ket entry is at most 1 in magnitude (|c_i| <= sqrt(w)), and
     # the members' Gram matrix is a principal submatrix of the basis Gram matrix.
-    ensemble = _trusted(RhoEnsemble, kets=member_kets, weights=weights / kept)
+    ensemble = _trusted(RhoEnsemble, kets=member_kets, weights=weights / weights.sum())
     ancilla = _trusted(Ancilla, dim_m=joint.dim_m, kets=kets)
     return ensemble, ancilla, members
 

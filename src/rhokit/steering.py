@@ -24,26 +24,24 @@ from .errors import DimensionMismatch, InvalidArgument, WeightsNotNormalized
 from .linalg import (
     DEFAULT_RANK_TOL,
     _CONSTRUCT_TOL,
+    _at_unit_norm,
     _check_integer,
     _checked,
     _convert,
     _public,
+    _state,
     as_operator,
+    dagger,
 )
 from .purification import JointState, _trusted, ensemble_from_basis
 
 _INT64_MAX = 2**63 - 1  # multinomial counts are 64-bit integers
 
 
-def _weighted_projector_sum(kets: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum_j w_j |k_j><k_j|`` of a realized mixture, its sum kept as given."""
-    return kets.T @ (weights[:, None] * np.conj(kets))
-
-
 @dataclass(frozen=True, eq=False)
 class SteeringReport:
     """Shot counts against the exact outcome distribution of one basis choice;
-    ``steer``'s ``expected_weights`` sum to 1.
+    ``steer``'s ``expected_weights`` sum to 1 and its ``post_density`` has trace 1.
 
     Construction holds the report's rules: ``shots`` is an integer >= 1
     (InvalidArgument), ``counts`` are non-negative integers, bools refused,
@@ -95,15 +93,17 @@ def measure_ancilla(
     Returns the list of ``(weight, system ket, ancilla ket)`` outcomes --
     exactly the basis-conditioned decomposition of the joint ket paired with
     its ancilla kets, whose weights sum to 1 -- together with the post-measurement
-    joint density ``sum_j w_j |phi_j b_j><phi_j b_j|``. Tracing the ancilla out of
-    that matrix returns the same reduced system state as the pure joint ket:
-    the measurement does not disturb the system side. The basis is admitted
-    as ``ensemble_from_basis`` admits it, within 1e-8 of orthonormal.
+    joint density, the unit-trace state of the pairs ``sqrt(w_j) phi_j (x) b_j``.
+    Tracing the ancilla out of it returns the reduced system state of the pure
+    joint ket: the measurement does not disturb the system side. The basis is
+    admitted as ``ensemble_from_basis`` admits it, within 1e-8 of orthonormal.
     """
     ensemble, ancilla, _ = ensemble_from_basis(joint, basis, rank_tol)
     mixture = list(zip(ensemble.weights.tolist(), ensemble.kets, ancilla.kets))
-    pairs = (ensemble.kets[:, :, None] * ancilla.kets[:, None, :]).reshape(ensemble.order, -1)
-    return mixture, _weighted_projector_sum(pairs, ensemble.weights)
+    amplitudes = np.sqrt(ensemble.weights)[:, None] * ensemble.kets
+    pairs = (amplitudes[:, :, None] * ancilla.kets[:, None, :]).reshape(ensemble.order, -1).T
+    _at_unit_norm(pairs, pairs)  # the factor, not the dim**4 product
+    return mixture, pairs @ dagger(pairs)
 
 
 @_public
@@ -148,8 +148,8 @@ def steer(
     """Measure the ancilla, sample outcomes, and report the statistics.
 
     ``post_density`` is the system-side state of the exact (non-sampled)
-    post-measurement mixture, i.e. the weighted projector sum over realized
-    system kets, which coincides with the reduced state of the joint ket.
+    post-measurement mixture, the unit-trace state of the conditioned
+    ensemble's amplitudes, which coincides with the reduced state of the joint ket.
     The conditioned weights, ``expected_weights``, sum to 1 and are the outcome
     distribution, sampled as ``ensemble_from_basis`` returned them, unchecked;
     it admits the basis within 1e-8 of orthonormal, else NotOrthonormalBasis.
@@ -158,11 +158,11 @@ def steer(
     counts = _multinomial(ensemble.weights, shots, seed)
     # _multinomial admitted shots and drew one non-negative count per
     # conditioned weight, summing to shots; those weights are positive and
-    # finite, and their projector sum is a finite square matrix.
+    # finite, and their state is a finite square matrix.
     return _trusted(
         SteeringReport,
         shots=int(shots),
         counts=counts.tolist(),
         expected_weights=ensemble.weights,
-        post_density=_weighted_projector_sum(ensemble.kets, ensemble.weights),
+        post_density=_state(ensemble.kets.T * np.sqrt(ensemble.weights)),
     )

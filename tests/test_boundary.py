@@ -145,9 +145,11 @@ def test_outputs_rebuild_through_checked_constructors(case):
     report = steer(joint, basis, 100, seed)
     assert_rebuilds(report)
     np.testing.assert_array_equal(report.expected_weights, ensemble.weights)
-    kets, weights = ensemble.kets, ensemble.weights
-    projector_sum = kets.T @ (weights[:, None] * np.conj(kets))
-    np.testing.assert_array_equal(report.post_density, projector_sum)
+    # The unit-trace state of the conditioned ensemble's amplitudes.
+    amplitudes = ensemble.kets.T * np.sqrt(ensemble.weights)
+    flat = amplitudes.ravel(order="K")
+    state = amplitudes @ np.conj(amplitudes).T * np.vdot(flat, flat).real ** -1.0
+    np.testing.assert_array_equal(report.post_density, state)
 
     mixture, _ = measure_ancilla(joint, basis)
     weights, system_kets, ancilla_kets = zip(*mixture)

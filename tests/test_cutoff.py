@@ -8,12 +8,8 @@ or share a total just under ``tol * kept`` (a sum that ``validate_ensemble``
 would admit unnormalized), or are ``0.99 * rank_tol`` each, up to ``dim *
 rank_tol`` in all. Every ensemble cut from them must meet the theorem's
 hypotheses, so that ``purify`` takes it, and the squared Schmidt coefficients
-must sum to 1 within ``n * eps``, ``n = dim``. The outcome distributions of a
-basis sum to 1 only as far as the basis is orthonormal, so they are held to
-``n * eps`` plus the basis's own deviation (max norm of its Gram matrix less the
-identity), which reaches 1.6 ``n * eps`` for these bases at ``n = 4``: over
-draws 0 to 9999 ``steer``'s weights missed 1 by at most 2.1 ``n * eps``, and by
-at most 0.86 of that sum.
+and every outcome distribution must sum to 1 within ``n * eps``, ``n = dim``:
+over draws 0 to 2999 the distributions missed 1 by at most 0.25 ``n * eps``.
 """
 
 import numpy as np
@@ -114,12 +110,11 @@ def test_every_cut_distribution_sums_to_1(case):
     coefficients = schmidt_decompose(joint.vec, dim, dim).coefficients
     assert len(coefficients) == kept, drawn
     assert abs(np.sum(coefficients**2) - 1.0) <= dim * EPS, drawn
-    bound = dim * EPS + np.max(np.abs(basis.conj() @ basis.T - np.eye(dim)))
     expected = steer(joint, basis, 100, case).expected_weights
-    assert len(expected) == kept and abs(expected.sum() - 1.0) <= bound, drawn
+    assert len(expected) == kept and abs(expected.sum() - 1.0) <= dim * EPS, drawn
     if dim in MEASURE_DIMS:
         mixture, _ = measure_ancilla(joint, basis)
-        assert abs(sum(weight for weight, _, _ in mixture) - 1.0) <= bound, drawn
+        assert abs(sum(weight for weight, _, _ in mixture) - 1.0) <= dim * EPS, drawn
 
 
 @pytest.mark.parametrize(

@@ -805,9 +805,14 @@ def test_kets_that_are_all_zero_have_no_state_and_match_nothing():
     other = RhoEnsemble(kets=np.eye(3)[:2], weights=[0.5, 0.5])
     assert not densities_match(zero, zero)
     assert not densities_match(zero, other) and not densities_match(other, zero)
-    # Nor do kets whose projectors overflow: their state is NaN too, unwarned.
-    huge = RhoEnsemble(kets=other.kets * 1e200, weights=other.weights)
-    assert not densities_match(huge, huge)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_kets_whose_squares_leave_float_range_keep_their_state(scale):
+    unit = RhoEnsemble(kets=np.eye(3)[:2], weights=[0.5, 0.5])
+    scaled = RhoEnsemble(kets=unit.kets * scale, weights=unit.weights)
+    assert densities_match(scaled, scaled)
+    assert densities_match(scaled, unit) and densities_match(unit, scaled)
 
 
 def test_ensembles_of_different_dimensions_neither_equal_nor_match():

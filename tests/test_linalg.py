@@ -25,7 +25,7 @@ from rhokit import (
     tensor_ket,
 )
 from rhokit import linalg, purification
-from helpers import bell_joint, computational, random_hermitian, random_ket, random_unitary
+from helpers import bell_joint, bits, computational, random_hermitian, random_ket, random_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +313,25 @@ def test_trace_rejects_bad_dims():
         partial_trace_m(np.zeros(5, dtype=complex), 2, 2)
     with pytest.raises(DimensionMismatch):
         partial_trace_m(np.zeros((3, 4), dtype=complex), 2, 2)
+
+
+@pytest.mark.parametrize("exponent", [-1000, -700, 700, 1000])
+def test_state_of_a_matrix_scaled_out_of_float_range_keeps_its_bits(exponent):
+    # A power-of-two scale changes no bit of a state; squares of these leave
+    # the normal float range, so the state is taken after an exact rescale.
+    rng = np.random.default_rng(41)
+    matrix = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    matrix /= np.max(np.abs(matrix))
+    state = linalg._state(matrix)
+    scaled = matrix * np.ldexp(1.0, exponent // 2) * np.ldexp(1.0, exponent - exponent // 2)
+    assert np.isfinite(scaled).all() and np.any(scaled != 0)
+    assert bits(linalg._state(scaled)) == bits(state)
+
+
+def test_state_of_subnormal_kets_and_of_zero():
+    np.testing.assert_array_equal(linalg._state(np.eye(2, dtype=complex) * 5e-324), np.eye(2) / 2)
+    with np.errstate(all="ignore"):  # zero over zero
+        assert np.isnan(linalg._state(np.zeros((2, 2), dtype=complex))).all()
 
 
 # ---------------------------------------------------------------------------

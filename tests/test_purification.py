@@ -276,7 +276,7 @@ def test_from_basis_product_joint_single_member():
 
 def fancy_indexed_conditioning(joint, basis, rank_tol=1e-10):
     """Reference: every conditional of the normalized joint, then the members
-    picked by index arrays."""
+    picked by index arrays, their weights over their total."""
     kets = np.asarray(basis, dtype=complex)
     conditionals = joint.as_matrix() @ np.conj(kets).T
     conditionals *= np.vdot(joint.vec, joint.vec).real ** -0.5
@@ -284,6 +284,7 @@ def fancy_indexed_conditioning(joint, basis, rank_tol=1e-10):
     members = np.flatnonzero(weights > rank_tol)
     member_weights = weights[members]
     member_kets = (conditionals[:, members] / np.sqrt(member_weights)).T
+    member_weights = member_weights / member_weights.sum()
     return member_kets, member_weights, kets[members], members.tolist()
 
 

@@ -14,6 +14,7 @@ from rhokit import (
     ensemble_from_basis,
     measure_ancilla,
     partial_trace_m,
+    purify,
     sample_outcomes,
     steer,
     tensor_ket,
@@ -231,7 +232,8 @@ def admitted_weights_cases():
     tail = np.sqrt(5e-7)
     tail_joint = np.sqrt(1 - tail**2) * computational(4, 0) + tail * computational(4, 3)
     return {
-        # Basis deviation 9.8e-9 <= 1e-8: the weights sum to 1 + 1.96e-8.
+        # Basis deviation 9.8e-9 <= 1e-8: the conditional weights sum to
+        # 1 + 1.96e-8 and are returned over that total, so they sum to 1.
         "skewed_basis": (
             JointState(dim_s=3, dim_m=3, vec=tensor_ket(computational(3, 0), uniform)),
             skewed_basis,
@@ -262,8 +264,11 @@ def test_steer_samples_every_ensemble_its_checks_admit(case):
     assert sum(report.counts) == 1000
     assert len(report.counts) == ensemble.order
     assert bits(report.expected_weights) == bits(ensemble.weights)
-    if case != "skewed_basis":  # a leaning basis conditions weights off 1 by its lean
-        assert not [line for line in validate_ensemble(ensemble) if "weights sum" in line]
+    assert [line for line in validate_ensemble(ensemble) if "collinear" not in line] == []
+    purify(ensemble, ensemble.order)
+    bound = max(joint.dim_s, joint.dim_m) * np.finfo(float).eps
+    assert abs(report.expected_weights.sum() - 1.0) <= bound
+    assert abs(np.trace(report.post_density) - 1.0) <= bound
 
 
 @pytest.mark.parametrize(

@@ -27,9 +27,9 @@ directory, so both sides start from a cold cache and warm it alike.
 Prints one JSON line: each side's median round time, the parent's
 interquartile range, the ratio of the medians (change over parent), the
 share of pairs the change won, each side's failed operations in its first
-warm-up round, and ``changed_outputs``. Timing both sides in one process
-removes the spread between worker processes that ``perfbench/run.py``
-carries; it is not the benchmark's metric and changes none.
+warm-up round, ``changed_outputs`` and ``largest_change``. Timing both sides
+in one process removes the spread between worker processes that
+``perfbench/run.py`` carries; it is not the benchmark's metric and changes none.
 
 ``changed_outputs`` lists, in round order, the case classes (an operation
 name's part before ``/``: ``purify``, ``steer``, ``cli``, ...) whose outputs
@@ -38,6 +38,10 @@ in any round run, errors included, differ bit for bit between the two sides.
 documents its commands write). ``[]`` means the change computes the same
 numbers; ``--pairs 2`` checks just that. A ``cli_pipeline`` cycle is five
 rounds, one per error case, so ``--pairs 5`` covers all of them.
+``largest_change`` maps each changed class to the largest entrywise
+``|change - parent|`` over its outputs' arrays and numbers in the first
+warm-up round; it is ``null`` for ``cli`` and ``files`` and wherever the two
+outputs differ in type, shape or text.
 """
 
 from __future__ import annotations
@@ -125,6 +129,32 @@ def feed(h, value) -> None:
         raise TypeError(f"no digest encoding for {type(value).__name__}")
 
 
+def largest_change(parent, change) -> float | None:
+    """Largest entrywise ``|change - parent|`` over the arrays and numbers of
+    two outputs; None where their types, shapes or other values differ. Types
+    are compared by name, since each side has its own copy of rhokit's classes."""
+    import numpy as np
+
+    if type(parent).__qualname__ != type(change).__qualname__:
+        return None
+    if isinstance(parent, (np.ndarray, np.generic, int, float, complex)):
+        parent, change = np.asarray(parent), np.asarray(change)
+        if parent.shape != change.shape or parent.dtype != change.dtype:
+            return None
+        if parent.dtype.kind not in "iufc":  # bools
+            return 0.0 if np.array_equal(parent, change) else None
+        return float(np.abs(change - parent).max(initial=0.0))
+    if isinstance(parent, (tuple, list)) and len(parent) == len(change):
+        pairs = zip(parent, change)
+    elif dataclasses.is_dataclass(parent):
+        names = [f.name for f in dataclasses.fields(parent)]
+        pairs = [(getattr(parent, name), getattr(change, name)) for name in names]
+    else:  # text, None, a raised error, lists of two lengths
+        return 0.0 if repr(parent) == repr(change) else None
+    changes = [largest_change(p, c) for p, c in pairs]
+    return None if None in changes else max(changes, default=0.0)
+
+
 def cli_runner(workloads, src: Path, workdir: Path):
     """``runner(argv)`` for ``workloads.build``: one CLI command as a process
     of the rhokit under ``src``."""
@@ -184,7 +214,7 @@ def main(argv=None) -> int:
     sides = {side: load_side(f"workloads_{side}", src) for side, src in srcs.items()}
     hashes = {side: {} for side in sides}
     times = {side: [] for side in sides}
-    failed = {}
+    failed, first = {}, {}
     with tempfile.TemporaryDirectory(prefix="ab_interleaved-") as tmp:
         built = {}
         for side, workloads in sides.items():
@@ -195,6 +225,7 @@ def main(argv=None) -> int:
         for side, workloads in sides.items():
             wl = built[side]
             _, outs = run_round(workloads, wl, 0, hashes[side])
+            first[side] = outs
             failed[side] = sum(workloads.judge(op, out) is not None for op, out in zip(wl.ops(0), outs))
             wl.clean()
             for _ in range(0 if wl.processes else WARMUP_ROUNDS - 1):
@@ -209,6 +240,19 @@ def main(argv=None) -> int:
                 built[side].clean()
                 times[side].append(ms)
 
+    changed = [
+        cls for cls, h in hashes["change"].items() if hashes["parent"][cls].digest() != h.digest()
+    ]
+    classes = [op.cls.split("/")[0] for op in built["change"].ops(0)]
+
+    def outputs(side, cls):
+        return [out for c, out in zip(classes, first[side]) if c == cls]
+
+    largest = {  # a CLI process's outputs are text
+        cls: None if built["change"].processes
+        else largest_change(outputs("parent", cls), outputs("change", cls))
+        for cls in changed
+    }
     median = {side: statistics.median(t) for side, t in times.items()}
     q1, _, q3 = statistics.quantiles(times["parent"], n=4)
     wins = sum(c < p for p, c in zip(times["parent"], times["change"]))
@@ -224,10 +268,8 @@ def main(argv=None) -> int:
                 "ratio": round(median["change"] / median["parent"], 4),
                 "change_faster_share": round(wins / args.pairs, 4),
                 "failed": failed,
-                "changed_outputs": [
-                    cls for cls, h in hashes["change"].items()
-                    if hashes["parent"][cls].digest() != h.digest()
-                ],
+                "changed_outputs": changed,
+                "largest_change": largest,
             }
         )
     )
