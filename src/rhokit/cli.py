@@ -96,7 +96,7 @@ def _add_tolerance(parser: argparse.ArgumentParser, flag: str) -> None:
 
 def _cmd_purify(args) -> int:
     ensemble = documents.to_ensemble(_load(args.ensemble))
-    joint, ancilla = purify(ensemble, args.dim_m, args.tol)
+    joint, ancilla = purify(ensemble, args.dim_m)
     _write_document(args.out, documents.joint_document(joint))
     if args.ancilla_out is not None:
         _write_document(args.ancilla_out, documents.ancilla_basis_document(ancilla))
@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim-m", type=int, required=True, help="ancilla dimension")
     p.add_argument("--out", default="-", help="joint document destination")
     p.add_argument("--ancilla-out", default=None, help="ancilla (basis document) destination")
-    _add_tolerance(p, "--tol")
     p.set_defaults(func=_cmd_purify)
 
     p = sub.add_parser(

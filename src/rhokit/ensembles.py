@@ -7,14 +7,14 @@ pairwise noncollinearity) are *reported* by ``validate_ensemble`` rather than
 enforced at construction, so that invalid data can be inspected instead of
 rejected outright. What is built from an ensemble (``ensemble_to_density``,
 and ``purify``, ``match_purification`` and ``umap_between``) requires only
-the Schrödinger-HJW theorem's hypotheses: positive weights summing to 1 and
-unit-norm kets, repeated or collinear kets included. ``DensityMatrix`` is the
-one judge of a density, and ``eigen_ensemble`` cuts its spectrum into an
-ensemble. An ensemble's state is its density over its trace, ``_state`` of its
-amplitudes: the record ``ensemble_to_density`` builds, and what
-``densities_match`` and every construction compare. Kept as given is only
-what measures normalization itself (``validate_ensemble``'s weight-sum and
-norm lines, ``rhokit verify --joint``).
+the Schrödinger-HJW theorem's hypotheses, admitted at the fixed 1e-8: positive
+weights summing to 1 and unit-norm kets, repeated or collinear kets included.
+``DensityMatrix`` is the one judge of a density, at the same 1e-8, and
+``eigen_ensemble`` cuts its spectrum into an ensemble. An ensemble's state is
+its density over its trace, ``_state`` of its amplitudes: the record
+``ensemble_to_density`` builds, and what ``densities_match`` and every
+construction compare. Kept as given is only what measures normalization
+itself: ``validate_ensemble``'s weight-sum and norm lines, ``rhokit verify --joint``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .errors import DimensionMismatch, InvalidArgument, InvalidEnsemble, OrderEx
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
+    _CONSTRUCT_TOL,
     _admit_hermitian,
     _convert,
     _kept_rank,
@@ -44,11 +45,11 @@ from .linalg import (
 class DensityMatrix:
     """A density matrix and the eigendata derived from it.
 
-    ``DensityMatrix(matrix)`` takes one value and judges it at the fixed
-    ``DEFAULT_TOL``, in this order: a finite square matrix (else InvalidArgument
-    or DimensionMismatch), Hermitian within the tolerance (else NotHermitian),
-    with no eigenvalue below ``-DEFAULT_TOL`` and a trace within
-    ``DEFAULT_TOL * n`` of 1 (else InvalidArgument). It stores the Hermitian
+    ``DensityMatrix(matrix)`` takes one value and judges it at the fixed 1e-8
+    of every value a caller hands in, in this order: a finite square matrix
+    (else InvalidArgument or DimensionMismatch), Hermitian within 1e-8 (else
+    NotHermitian), with no eigenvalue below -1e-8 and a trace within
+    ``1e-8 * n`` of 1 (else InvalidArgument). It stores the Hermitian
     part ``(m + m^dag) / 2`` and decomposes it with one ``eig_hermitian`` call:
     ``spectrum`` is sorted descending and ``eigenkets`` holds the matching
     orthonormal eigenvectors as rows. So ``dataclasses.replace(rho, matrix=m)``
@@ -62,14 +63,15 @@ class DensityMatrix:
 
     @_public
     def __post_init__(self):
-        matrix = _admit_hermitian(self.matrix, DEFAULT_TOL)
+        matrix = _admit_hermitian(self.matrix)
         spectrum, eigenkets = eig_hermitian(matrix)
-        if spectrum[-1] < -DEFAULT_TOL:
+        if spectrum[-1] < -_CONSTRUCT_TOL:
             raise InvalidArgument(
-                f"matrix has negative eigenvalue {float(spectrum[-1])!r} (tol {DEFAULT_TOL:.3e})"
+                f"matrix has negative eigenvalue {float(spectrum[-1])!r}"
+                f" (tol {_CONSTRUCT_TOL:.3e})"
             )
         trace = float(np.sum(spectrum))
-        if abs(trace - 1.0) > DEFAULT_TOL * len(spectrum):
+        if abs(trace - 1.0) > _CONSTRUCT_TOL * len(spectrum):
             raise InvalidArgument(f"matrix has trace {trace!r}, expected 1")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "spectrum", spectrum)
@@ -152,11 +154,11 @@ def _amplitudes(e: RhoEnsemble, count: int) -> np.ndarray:
     return rows.T
 
 
-def _amplitude_block(e: RhoEnsemble, dim_m: int, tol: float) -> np.ndarray:
+def _amplitude_block(e: RhoEnsemble, dim_m: int) -> np.ndarray:
     """``_amplitudes(e, dim_m)`` behind the one precondition of every construction
-    that takes an ensemble: the theorem's hypotheses at ``tol`` (else InvalidEnsemble,
+    that takes an ensemble: the theorem's hypotheses at 1e-8 (else InvalidEnsemble,
     carrying the report), then at most ``dim_m`` elements (else OrderExceedsAncillaDim)."""
-    report = _unmet_hypotheses(e, tol)
+    report = _unmet_hypotheses(e, _CONSTRUCT_TOL)
     if report:
         raise InvalidEnsemble(report)
     if e.order > dim_m:
@@ -165,15 +167,15 @@ def _amplitude_block(e: RhoEnsemble, dim_m: int, tol: float) -> np.ndarray:
 
 
 @_public
-def ensemble_to_density(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> DensityMatrix:
+def ensemble_to_density(e: RhoEnsemble) -> DensityMatrix:
     """The density matrix of an ensemble over its trace, the density itself for a
     weight sum of 1: the reduced state of its ``purify``.
 
     Raises InvalidEnsemble (carrying the violation report) unless the weights
-    sum to 1 within ``tol * order`` and the kets have unit norm within ``tol``;
+    sum to 1 within ``1e-8 * order`` and the kets have unit norm within 1e-8;
     collinear elements are summed like any others.
     """
-    return DensityMatrix(_state(_amplitude_block(e, e.order, tol)))
+    return DensityMatrix(_state(_amplitude_block(e, e.order)))
 
 
 @_public
@@ -193,11 +195,11 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     An empty list means the ensemble is valid at the given tolerances.
     Violations are data, not errors: each entry names the failed invariant
     and the offending element indices, pairs in row-major ``(i, j)`` order.
-    The lines for the weight sum and the norms come first: they are the
-    theorem's hypotheses, the one precondition the constructions raise
-    InvalidEnsemble on. The collinear pairs follow; they are reported, never
-    refused. Order >= support rank is not checked: n projectors sum to rank
-    at most n.
+    The lines for the weight sum and the norms come first, at ``tol``: they
+    are the theorem's hypotheses, which the constructions admit at the fixed
+    1e-8 and raise InvalidEnsemble on. The collinear pairs follow; they are
+    reported, never refused. Order >= support rank is not checked: n
+    projectors sum to rank at most n.
 
     A pair (i, j) is collinear when its density ``p_i P_i + p_j P_j``, with
     ``P = |phi><phi|``, has rank 1 at ``c = DEFAULT_RANK_TOL``: its smaller
@@ -224,7 +226,7 @@ def is_linearly_independent(e: RhoEnsemble, rank_tol: float = DEFAULT_RANK_TOL) 
 
 
 @_public
-def ensembles_equal(a: RhoEnsemble, b: RhoEnsemble, tol: float = 1e-8) -> bool:
+def ensembles_equal(a: RhoEnsemble, b: RhoEnsemble, tol: float = DEFAULT_TOL) -> bool:
     """Equality up to element permutation and per-element phase.
 
     True iff the elements pair up one-to-one with weights within ``tol`` and

@@ -6,9 +6,10 @@ Conventions used throughout the package:
   eigenvector sets) are 2-D arrays with one ket per row.
 * Tensor products are system-major: the flat index of ``s (x) m`` is
   ``i_S * dim_m + k_M``, which is exactly ``numpy.kron(s, m)``.
-* A caller's kets, ket lists and probability vectors are admitted at the one
-  fixed ``_CONSTRUCT_TOL``. Tolerances default to 1e-10 (hypotheses, equalities
-  and predicates) and 1e-10 (rank cutoffs), both overridable per call.
+* Every value a caller hands in (a ket, ket list, probability vector,
+  ensemble or matrix) is admitted at the one fixed ``_CONSTRUCT_TOL``. A ``tol``
+  only judges agreement (gates, reporters and predicates) and a ``rank_tol``
+  only cuts a spectrum; both default to 1e-10 and are overridable per call.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from .errors import (
 DEFAULT_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
 
-# The one admission threshold of every ket, ket list and probability vector a
-# caller hands rhokit, whatever tolerances a call takes. It is looser than the
-# per-operation tolerances so that round-tripped values are never rejected.
+# The one admission threshold of every value a caller hands rhokit, whatever
+# tolerances a call takes. It is looser than the per-operation tolerances so
+# that round-tripped values are never rejected.
 _CONSTRUCT_TOL = 1e-8
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
@@ -236,23 +237,24 @@ def _admit_orthonormal(kets: np.ndarray, error: type, what: str) -> None:
         raise error(f"{what} by {deviation:.3e} (tol {_CONSTRUCT_TOL:.3e})")
 
 
-def _admit_hermitian(m, tol: float) -> np.ndarray:
+def _admit_hermitian(m) -> np.ndarray:
     """The Hermitian part ``(m + m^dag) / 2`` of a finite square matrix ``m``
-    (else InvalidArgument or DimensionMismatch) that is Hermitian within ``tol``
-    (else NotHermitian). The result is Hermitian bit for bit."""
+    (else InvalidArgument or DimensionMismatch) that is Hermitian within
+    ``_CONSTRUCT_TOL`` (else NotHermitian). The result is Hermitian bit for bit."""
     arr = as_operator(m)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"matrix is not square: {arr.shape}")
     asymmetry = max_abs(arr - dagger(arr))
-    if asymmetry > tol:
+    if asymmetry > _CONSTRUCT_TOL:
         raise NotHermitian(
-            f"matrix deviates from Hermitian symmetry by {asymmetry:.3e} (tol {tol:.3e})"
+            f"matrix deviates from Hermitian symmetry by {asymmetry:.3e}"
+            f" (tol {_CONSTRUCT_TOL:.3e})"
         )
     return (arr + dagger(arr)) / 2.0
 
 
 @_public
-def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix.
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues sorted
@@ -260,11 +262,12 @@ def eig_hermitian(m, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     ``m = sum_s w[s] |v_s><v_s|``. Ties keep the solver's deterministic
     ordering; vectors within a degenerate eigenspace are basis-arbitrary.
 
-    Raises NotHermitian if the symmetry check fails at ``tol``,
+    The matrix is admitted within 1e-8 of Hermitian, as every value a caller
+    hands in (else NotHermitian), and its Hermitian part is decomposed. Raises
     NumericalFailure if the eigensolver does not converge, and
     ResourceExhausted if one of its n x n arrays cannot be allocated.
     """
-    hermitian = _admit_hermitian(m, tol)
+    hermitian = _admit_hermitian(m)
     try:
         w, v = np.linalg.eigh(hermitian)
     except np.linalg.LinAlgError as exc:
@@ -292,8 +295,7 @@ def complete_orthonormal(partial, target_dim: int) -> np.ndarray:
     ``e_0..e_{d-k-1}`` (``d = target_dim``), in index order, against the
     input, computed as one Householder QR of the square matrix
     ``[partial^T | e_0..e_{d-k-1}]``: no candidate is skipped, and each
-    completion vector overlaps its candidate positively. A full input
-    (``k == d``) is returned as a copy without any factorization. The result
+    completion vector overlaps its candidate positively. The result
     is deterministic and as orthonormal as its input; a canonical prefix
     ``e_0..e_{k-1}`` (or no input) completes to exactly the identity. A
     candidate (nearly) in the span of the input and the earlier candidates
@@ -314,8 +316,6 @@ def complete_orthonormal(partial, target_dim: int) -> np.ndarray:
             f"{count} vectors cannot be orthonormal in dimension {target_dim}"
         )
     _admit_orthonormal(kets, NotOrthonormal, "input vectors deviate from orthonormality")
-    if count == target_dim:
-        return kets.copy()
     try:
         # Householder column j depends only on input columns 0..j, so
         # candidates past e_{d-k-1} would never reach Q: leave them out.

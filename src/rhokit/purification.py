@@ -224,25 +224,21 @@ def lemma_unitary(
 
 
 @_public
-def purify(
-    e: RhoEnsemble,
-    dim_m: int,
-    tol: float = DEFAULT_TOL,
-) -> tuple[JointState, Ancilla]:
+def purify(e: RhoEnsemble, dim_m: int) -> tuple[JointState, Ancilla]:
     """Purify an ensemble against the canonical ancilla kets.
 
     Element j of the ensemble is paired with canonical basis vector e_j of
     the ancilla space, giving ``sum_j sqrt(w_j) phi_j (x) e_j`` divided by its
     norm: a unit joint ket whose reduced system state is the ensemble's
     density matrix over its trace, the density itself for a weight sum of 1.
-    Raises OrderExceedsAncillaDim when the ensemble has more elements than
-    the ancilla space has dimensions, and ResourceExhausted when the
-    ``dim * dim_m`` joint ket cannot be allocated or numpy cannot represent
-    its size.
+    Raises InvalidEnsemble unless the theorem's hypotheses hold within 1e-8,
+    OrderExceedsAncillaDim when the ensemble has more elements than the ancilla
+    space has dimensions, and ResourceExhausted when the ``dim * dim_m`` joint
+    ket cannot be allocated or numpy cannot represent its size.
     """
     dim_m = _check_integer("dim_m", dim_m, 1)
     try:
-        vec = _amplitude_block(e, dim_m, tol).reshape(-1)
+        vec = _amplitude_block(e, dim_m).reshape(-1)
         joint = JointState(dim_s=e.dim, dim_m=dim_m, vec=_at_unit_norm(vec, vec))
         # Canonical kets are exactly orthonormal, and there are at most dim_m.
         canonical = np.eye(e.order, dim_m, dtype=complex)
@@ -262,20 +258,20 @@ def match_purification(
 ) -> Ancilla:
     """Find the ancilla realizing an ensemble inside a given joint state.
 
-    The ensemble must have at most ``target.dim_m`` elements (else
+    The ensemble is admitted as ``purify`` admits it (else InvalidEnsemble or
     OrderExceedsAncillaDim), and its density over its trace (the state of its
     ``purify``) must equal the target's reduced system state within ``tol``
-    (else TracesDiffer). ``_lemma``'s polar factor U carrying that
-    purification onto the target is one SVD; ancilla ket j is ``U e_j``, so
-    that ``target.vec = sum_j sqrt(w_j) phi_j (x) b_j`` up to the rotation
-    residual and the norms, with all phases carried by the ancilla kets.
+    (else TracesDiffer), all that ``tol`` judges. ``_lemma``'s polar factor U
+    carrying that purification onto the target is one SVD; ancilla ket j is
+    ``U e_j``, so that ``target.vec = sum_j sqrt(w_j) phi_j (x) b_j`` up to the
+    rotation residual and the norms, with all phases carried by the ancilla kets.
     """
     if e.dim != target.dim_s:
         raise DimensionMismatch(
             f"ensemble has dimension {e.dim}, joint system factor {target.dim_s}"
         )
     rotation = _lemma(
-        _amplitude_block(e, target.dim_m, tol), target.as_matrix(),
+        _amplitude_block(e, target.dim_m), target.as_matrix(),
         tol, TracesDiffer, "ensemble density and reduced target state"
     )
     # Rows of an SVD polar factor of a finite product, as in umap_between,
@@ -348,9 +344,10 @@ def umap_between(
 ) -> UMap:
     """Construct a coefficient map carrying one decomposition into another.
 
-    Both ensembles must meet the theorem's hypotheses (else InvalidEnsemble;
-    collinear elements are accepted) and their densities over their traces
-    must agree within ``tol`` (else DensitiesDiffer). Their amplitude blocks
+    Both ensembles must meet the theorem's hypotheses within 1e-8 (else
+    InvalidEnsemble; collinear elements are accepted) and their densities over
+    their traces must agree within ``tol``, all that ``tol`` judges (else
+    DensitiesDiffer). Their amplitude blocks
     are the coefficient matrices of two purifications on an ancilla of dimension
     ``max(order_from, order_to)``; ``_lemma``'s polar factor carrying one
     onto the other (one SVD) is returned as the generator, and its first
@@ -364,7 +361,7 @@ def umap_between(
         )
     dim_m = max(from_e.order, to_e.order)
     rotation = _lemma(
-        _amplitude_block(from_e, dim_m, tol), _amplitude_block(to_e, dim_m, tol),
+        _amplitude_block(from_e, dim_m), _amplitude_block(to_e, dim_m),
         tol, DensitiesDiffer, "ensemble densities"
     )
     # SVD factors of a finite product of validated amplitude blocks, and an

@@ -27,11 +27,15 @@ import pytest
 
 import rhokit
 from rhokit import (
+    DEFAULT_RANK_TOL,
+    DEFAULT_TOL,
     Ancilla,
     DensityMatrix,
     DimensionMismatch,
     InvalidArgument,
+    InvalidEnsemble,
     JointState,
+    NotHermitian,
     NotNormalized,
     NotOrthonormal,
     NotOrthonormalBasis,
@@ -372,6 +376,66 @@ def test_kets_and_probability_vectors_are_admitted_at_one_fixed_threshold(deviat
     assert sum(sample_outcomes(weights, 10, 0)) == 10
 
 
+@pytest.mark.parametrize("deviation", [0.0, 0.5e-8, 1e-7])
+def test_ensembles_and_matrices_are_admitted_at_one_fixed_threshold(deviation):
+    # An ensemble's weights miss 1 by deviation * order and its kets miss unit
+    # norm by deviation; a matrix misses Hermitian symmetry by deviation, and a
+    # density its trace by deviation * n or its lowest eigenvalue by it. Each is
+    # admitted iff that is within 1e-8, the bound of a ket, whatever tol a
+    # call takes, and what is built from it passes the checkers at their defaults.
+    for dim in (4, 16, 48, 96):
+        rng = np.random.default_rng(dim)
+        clean = random_ensemble(rng, dim, dim)
+        e = RhoEnsemble(clean.kets * (1.0 + deviation), clean.weights * (1.0 + deviation * dim))
+        target, _ = purify(clean, dim)
+        clean_record = ensemble_to_density(clean)
+        rho = clean_record.matrix
+        skewed = rho.copy()
+        skewed[0, 1] += deviation
+        spectrum = np.full(dim, (1.0 + deviation) / (dim - 1))
+        spectrum[-1] = -deviation
+        unitary = random_unitary(rng, dim)
+        negative = (unitary * spectrum) @ unitary.conj().T
+        densities = [skewed, rho * (1.0 + deviation * dim), negative]
+        if deviation > 1e-8:
+            for call in (
+                lambda: purify(e, dim),
+                lambda: ensemble_to_density(e),
+                lambda: match_purification(e, target),
+                lambda: umap_between(e, clean),
+            ):
+                with pytest.raises(InvalidEnsemble):
+                    call()
+            for call in (lambda: eig_hermitian(skewed), lambda: DensityMatrix(skewed)):
+                with pytest.raises(NotHermitian, match=r"\(tol 1\.000e-08\)$"):
+                    call()
+            for matrix, what in zip(densities[1:], ("trace", "negative eigenvalue")):
+                with pytest.raises(InvalidArgument, match=f"^matrix has {what}"):
+                    DensityMatrix(matrix)
+            continue
+        joint, _ = purify(e, dim)
+        assert abs(np.linalg.norm(joint.vec) - 1.0) <= DEFAULT_TOL
+        assert orthonormality_deviation(match_purification(e, joint).kets) <= DEFAULT_TOL
+        assert check_umap(umap_between(e, eigen_ensemble(clean_record))) == []
+        eig_hermitian(skewed)
+        for record in [ensemble_to_density(e)] + [DensityMatrix(m) for m in densities]:
+            assert validate_ensemble(eigen_ensemble(record)) == []
+
+
+def test_values_between_the_default_tol_and_the_fixed_threshold_are_admitted():
+    # Each misses by more than DEFAULT_TOL and less than 1e-8: k's norm misses
+    # 1 by 2.6e-10, as a JointState and as an ensemble's ket alike.
+    k = np.array([0.707106781, 0.707106781])
+    assert verdict(lambda: JointState(2, 1, k)) is None
+    joint, _ = purify(RhoEnsemble([k], [1.0]), 1)
+    assert abs(np.linalg.norm(joint.vec) - 1.0) <= 1e-15
+    eig_hermitian([[0.5, 1e-9], [0, 0.5]])
+    record = DensityMatrix(np.diag([0.5, 0.499999999]))
+    np.testing.assert_allclose(eigen_ensemble(record).weights, [0.5, 0.5], atol=1e-9)
+    with pytest.raises(InvalidEnsemble, match="element 0 has norm"):
+        purify(RhoEnsemble([k * (1 + 2e-8)], [1.0]), 1)
+
+
 # ---------------------------------------------------------------------------
 # The catalogue: the one list of the public callables. Every per-name rule
 # below (tolerances, integers, malformed arguments, value objects, the one
@@ -430,7 +494,7 @@ def catalogue():
             complete_orthonormal, {}, {"partial": [ket], "target_dim": 2}
         ),
         "densities_match": (densities_match, {"a": e, "b": e}, {"tol": 1e-10}),
-        "eig_hermitian": (eig_hermitian, {}, {"m": eye / 2, "tol": 1e-10}),
+        "eig_hermitian": (eig_hermitian, {}, {"m": eye / 2}),
         "ensemble_containing": (
             ensemble_containing, {"joint": joint}, {"xi": ket, "rank_tol": 1e-10}
         ),
@@ -440,7 +504,7 @@ def catalogue():
         "eigen_ensemble": (
             eigen_ensemble, {"rho": ensemble_to_density(e)}, {"rank_tol": 1e-10}
         ),
-        "ensemble_to_density": (ensemble_to_density, {"e": e}, {"tol": 1e-10}),
+        "ensemble_to_density": (ensemble_to_density, {"e": e}, {}),
         "ensembles_equal": (ensembles_equal, {"a": e, "b": e}, {"tol": 1e-8}),
         "is_linearly_independent": (
             is_linearly_independent, {"e": e}, {"rank_tol": 1e-10}
@@ -455,7 +519,7 @@ def catalogue():
         "partial_trace_m": (
             partial_trace_m, {}, {"joint": joint.vec, "dim_s": 2, "dim_m": 2}
         ),
-        "purify": (purify, {"e": e}, {"dim_m": 2, "tol": 1e-10}),
+        "purify": (purify, {"e": e}, {"dim_m": 2}),
         "sample_outcomes": (
             sample_outcomes,
             {},
@@ -552,6 +616,21 @@ def test_every_public_tolerance_is_checked_by_the_one_rule():
     for name, value in public_surface().items():
         taken = tolerances(inspect.signature(value).parameters)
         assert tolerances(entries[name][2] if name in entries else {}) == taken, name
+
+
+def test_every_public_tolerance_defaults_to_its_one_constant():
+    # A tol judges only agreement: at a gate, in a reporter or in a predicate.
+    defaults = {"tol": DEFAULT_TOL, "rank_tol": DEFAULT_RANK_TOL}
+    signatures = {
+        name: inspect.signature(getattr(rhokit, name)).parameters for name in public_callables()
+    }
+    for name, params in signatures.items():
+        for arg in tolerances(params):
+            assert params[arg].default is defaults[arg], (name, arg)
+    assert {name for name, params in signatures.items() if "tol" in params} == {
+        "match_purification", "umap_between", "lemma_unitary", "validate_ensemble",
+        "check_umap", "densities_match", "ensembles_equal",
+    }
 
 
 # numpy orders its complex numbers, so a comparison alone would accept these.
@@ -1080,7 +1159,7 @@ def test_every_public_call_under_a_falling_address_space_limit_raises_only_typed
 
 
 def test_invalid_argument_inside_an_allocation_is_not_resource_exhausted(monkeypatch):
-    def invalid(e, dim_m, tol):
+    def invalid(e, dim_m):
         raise InvalidArgument("vector contains non-finite entries")
 
     monkeypatch.setattr(purification, "_amplitude_block", invalid)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -389,6 +390,29 @@ def test_rank_tol_flag_sets_the_cutoff(tmp_path, capsys):
         assert error["message"] == f"rank_tol 9.500e-01 is not below the largest {what} 9.000e-01"
 
 
+def test_purify_admits_an_ensemble_as_joint_state_admits_a_joint(tmp_path, capsys):
+    # The ket's norm misses 1 by 2.6e-10: inside the one fixed 1e-8 that
+    # purify admits it at, outside the --tol 1e-10 that verify reports at.
+    k = np.array([0.707106781, 0.707106781])
+    ensemble = write(tmp_path / "e.json", docs.ensemble_document(RhoEnsemble([k], [1.0])))
+    out = str(tmp_path / "j.json")
+    assert main(["purify", ensemble, "--dim-m", "1", "--out", out]) == 0
+    assert main(["verify", "--joint", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["verify", "--ensemble", ensemble]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    [violation] = json.loads(captured.out)["violations"]
+    assert re.fullmatch(r"element 0 has norm 0\.99999999973\d*, expected 1", violation)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["purify", ensemble, "--dim-m", "2", "--tol", "1e-6"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = single_json_error(captured.err)
+    assert error["error"] == "UsageError" and "--tol" in error["message"]
+
+
 def test_contains_admits_a_ket_as_ensemble_from_basis_admits_a_joint(tmp_path, capsys):
     # Both documents miss norm 1 by 5e-9, inside the one fixed 1e-8.
     joint = write(tmp_path / "j.json", docs.joint_document(bell_joint()))
@@ -687,14 +711,13 @@ def test_stdout_matches_main_in_process(tmp_path, capsys, output):
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("flag", ["--tol", "--rank-tol"])
 def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, flag, value):
-    # purify reads --tol and contains --rank-tol; each value is refused by the
+    # umap reads --tol and contains --rank-tol; each value is refused by the
     # tolerance type.
     joint = write(tmp_path / "j.json", docs.joint_document(bell_joint()))
     ket = write(tmp_path / "k.json", docs.ket_document(plus_ket()))
     mixture = write(tmp_path / "e.json", equal_mixture_doc())
-    args = (
-        ["purify", mixture, "--dim-m", "2"] if flag == "--tol" else ["contains", joint, ket]
-    )
+    other = write(tmp_path / "pm.json", plus_minus_mixture_doc())
+    args = ["umap", mixture, other] if flag == "--tol" else ["contains", joint, ket]
     with pytest.raises(SystemExit) as exit_info:
         main([*args, f"{flag}={value}"])
     assert exit_info.value.code == 2
@@ -954,8 +977,8 @@ def test_fuzzed_flags_keep_the_exit_code_contract(tmp_path, capsys, command):
     assert main(base) == 0
     capsys.readouterr()
     flags = command_options(command) & set(FUZZED_FLAGS)
-    # Every command reads exactly one tolerance flag.
-    assert len(flags & {"--tol", "--rank-tol"}) == 1
+    # purify reads no tolerance flag, and every other command exactly one.
+    assert len(flags & {"--tol", "--rank-tol"}) == (command != "purify")
     for flag in sorted(flags):
         for value, expected in FUZZED_FLAGS[flag].items():
             argv = base + [f"{flag}={value}"]
@@ -980,7 +1003,7 @@ def test_purify_past_available_memory_exits_4_with_one_json_line(
 ):
     # Stands in for --dim-m 10**12, whose 29.1 TiB joint ket numpy refuses to
     # allocate; no test asks for that memory.
-    def exhausted(e, dim_m, tol):
+    def exhausted(e, dim_m):
         raise MemoryError("Unable to allocate 29.1 TiB")
 
     monkeypatch.setattr(purification, "_amplitude_block", exhausted)

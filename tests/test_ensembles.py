@@ -148,14 +148,15 @@ def test_density_with_zero_rank_tol_accepts_order_below_dim():
 
 def test_density_of_an_ensemble_admitted_at_tol_zero():
     # The projector sum of these kets misses Hermitian symmetry by 1.4e-17 in
-    # rounding; an ensemble admitted at tol 0 still has its density at tol 0.
+    # rounding; an ensemble that meets the hypotheses at tol 0 still has a
+    # density Hermitian bit for bit, which its record rebuilds unchanged.
     rng = np.random.default_rng(0)
     z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     e = RhoEnsemble(z / np.linalg.norm(z, axis=1)[:, None], [0.5, 0.25, 0.25])
     assert _unmet_hypotheses(e, 0.0) == []
-    rho = ensemble_to_density(e, tol=0.0)
+    rho = ensemble_to_density(e)
     assert np.array_equal(rho.matrix, rho.matrix.conj().T)
-    assert np.array_equal(rho.spectrum, ensemble_to_density(e).spectrum)
+    assert np.array_equal(rho.spectrum, DensityMatrix(rho.matrix).spectrum)
 
 
 def test_density_of_an_admitted_weight_sum_is_over_its_trace():
@@ -277,13 +278,13 @@ def test_eigen_ensemble_admits_the_fields_of_the_record_it_reads(field, value, e
         (
             [[0.5, 1.0], [0.0, 0.5]],
             NotHermitian,
-            r"matrix deviates from Hermitian symmetry by 1\.000e\+00 \(tol 1\.000e-10\)$",
+            r"matrix deviates from Hermitian symmetry by 1\.000e\+00 \(tol 1\.000e-08\)$",
         ),
         (5 * np.eye(2), InvalidArgument, r"matrix has trace 10\.0, expected 1$"),
         (
             np.diag([0.7, 0.5, -0.2]),
             InvalidArgument,
-            r"matrix has negative eigenvalue -0\.2 \(tol 1\.000e-10\)$",
+            r"matrix has negative eigenvalue -0\.2 \(tol 1\.000e-08\)$",
         ),
     ],
     ids=["not_square", "none", "not_finite", "not_hermitian", "trace", "negative"],
@@ -760,15 +761,15 @@ def test_equal_reflexive_symmetric_random():
 def test_equal_finds_a_matching_a_greedy_pass_misses():
     # Fidelity |cos(s - t)| between r(s) and r(t) is at least 1 - 1e-8 for
     # |s - t| <= 1.4e-4. a0 is nearest b0, but a1 matches only b0, so the one
-    # matching within tol pairs a0 with b1 and a1 with b0.
+    # matching within tol 1e-8 pairs a0 with b1 and a1 with b0.
     def r(t):
         return [np.cos(t), np.sin(t)]
 
     a = RhoEnsemble(kets=[r(4e-5), r(-1e-4)], weights=[0.5, 0.5])
     b = RhoEnsemble(kets=[r(0.0), r(1e-4)], weights=[0.5, 0.5])
-    assert ensembles_equal(a, b) and ensembles_equal(b, a)
+    assert ensembles_equal(a, b, tol=1e-8) and ensembles_equal(b, a, tol=1e-8)
     c = RhoEnsemble(kets=[r(0.0), r(3e-4)], weights=[0.5, 0.5])
-    assert not ensembles_equal(a, c)
+    assert not ensembles_equal(a, c, tol=1e-8)
 
 
 @pytest.mark.parametrize("case", range(SAME_DENSITY_CASES))

@@ -140,7 +140,7 @@ def test_purify_builds_only_the_member_rows_of_a_large_ancilla():
 
 
 def test_purify_reports_a_failed_allocation_as_resource_exhausted(monkeypatch):
-    def exhausted(e, dim_m, tol):
+    def exhausted(e, dim_m):
         raise MemoryError(f"Unable to allocate the block for dim_m {dim_m}")
 
     monkeypatch.setattr(purification, "_amplitude_block", exhausted)
