@@ -220,11 +220,9 @@ def basis_document(kets) -> dict:
 @_public
 def umap_document(u: UMap) -> dict:
     payload = {
-        "rows": u.rows,
         "cols": u.cols,
-        "coeffs": _matrix_payload(u.coeffs),
-        "generator": None if u.generator is None else _matrix_payload(u.generator),
-        "basis": None if u.basis is None else _complex_payload(u.basis),
+        "generator": _matrix_payload(u.generator),
+        "basis": _complex_payload(u.basis),
     }
     return _envelope("umap", payload)
 
@@ -303,28 +301,25 @@ def to_basis(doc: dict) -> np.ndarray:
 def to_umap(doc: dict) -> UMap:
     """The map a ``umap`` document encodes.
 
-    Only the encoding is checked here (DocumentError): each matrix object,
-    ``coeffs`` against the declared ``rows`` and ``cols``, and ``basis`` as a
+    Only the encoding is checked here (DocumentError): ``generator`` as a
+    matrix object, ``cols`` as a count of its columns, and ``basis`` as a
     non-empty array of equal-length, non-empty kets, as a matrix's sizes are
-    positive. The generator's and the basis's shapes are ``UMap``'s to judge.
+    positive. Other keys, such as the ``rows`` and ``coeffs`` of documents
+    written before a map was its generator, are ignored. The generator's and
+    the basis's shapes are ``UMap``'s to judge.
     """
     payload = _payload(doc, "umap")
-    rows = _parse_dim(payload.get("rows"), "umap.rows")
     cols = _parse_dim(payload.get("cols"), "umap.cols")
-    coeffs = _parse_matrix(payload.get("coeffs"), "umap.coeffs")
-    if coeffs.shape != (rows, cols):
+    generator = _parse_matrix(payload.get("generator"), "umap.generator")
+    if cols > generator.shape[1]:
         raise DocumentError(
-            f"umap.coeffs has shape {coeffs.shape}, envelope says ({rows}, {cols})"
+            f"umap.cols is {cols}, more than the generator's {generator.shape[1]} columns"
         )
-    generator = payload.get("generator")
-    if generator is not None:
-        generator = _parse_matrix(generator, "umap.generator")
     basis = payload.get("basis")
-    if basis is not None:
-        if not (isinstance(basis, list) and basis and isinstance(basis[0], list) and basis[0]):
-            raise DocumentError("umap.basis: expected a non-empty array of kets")
-        basis = _complex_array(basis, (len(basis), len(basis[0])), "umap.basis[{}]")
-    return UMap(coeffs=coeffs, generator=generator, basis=basis)
+    if not (isinstance(basis, list) and basis and isinstance(basis[0], list) and basis[0]):
+        raise DocumentError("umap.basis: expected a non-empty array of kets")
+    basis = _complex_array(basis, (len(basis), len(basis[0])), "umap.basis[{}]")
+    return UMap(generator=generator, basis=basis, cols=cols)
 
 
 @_public

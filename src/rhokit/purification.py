@@ -113,47 +113,47 @@ class Ancilla:
 
 @dataclass(frozen=True, eq=False)
 class UMap:
-    """Coefficients relating one ensemble's amplitude-weighted kets to another's.
+    """A map between two decompositions in the theorem's ancilla form: the
+    ancilla unitary ``generator``, the row ``basis`` whose kets ``b_j`` it is
+    read in, and ``cols``, the source order.
 
-    ``coeffs`` has orthonormal columns; column k belongs to source element k,
+    The coefficients are read from the unitary, never stored:
+    ``coeffs = (conj(basis) @ generator @ basis.T)[:, :cols]``, that is
+    ``coeffs[j, k] = <b_j|U|b_k>``. Column k belongs to source element k,
     while row j pairs with target element j for j below the target order and
-    with a padding direction (where the relation gives zero) beyond it. When
-    the map was produced by rotating purifications, ``generator`` records the
-    ancilla-side unitary and ``basis`` the row ket list in which the
-    coefficients were taken, so the three can be cross-checked.
+    with a padding direction (where the relation gives zero) beyond it.
 
-    Construction refuses every shape error with DimensionMismatch: coefficients
-    with more columns than rows, and a generator or basis that is not
-    ``(rows, rows)``. Whether the numbers hold is ``check_umap``'s to report.
+    Construction refuses every shape error with DimensionMismatch: a
+    generator that is not square and a basis not of the generator's
+    ``(rows, rows)`` shape. ``cols`` must be an integer in ``[1, rows]``
+    (else InvalidArgument). Whether the numbers hold is ``check_umap``'s to
+    report.
     """
 
-    coeffs: np.ndarray
-    generator: np.ndarray | None = None
-    basis: np.ndarray | None = None
+    generator: np.ndarray
+    basis: np.ndarray
+    cols: int
 
     @_public
     def __post_init__(self):
-        coeffs = as_operator(self.coeffs)
-        rows, cols = coeffs.shape
-        if cols > rows:
-            raise DimensionMismatch(f"coefficients have {cols} columns, more than {rows} rows")
-        object.__setattr__(self, "coeffs", coeffs)
-        for name in ("generator", "basis"):
-            if getattr(self, name) is not None:
-                matrix = as_operator(getattr(self, name))
-                if matrix.shape != (rows, rows):
-                    raise DimensionMismatch(
-                        f"{name} has shape {matrix.shape}, expected ({rows}, {rows})"
-                    )
-                object.__setattr__(self, name, matrix)
+        generator, basis = as_operator(self.generator), as_operator(self.basis)
+        rows = generator.shape[0]
+        for name, matrix in (("generator", generator), ("basis", basis)):
+            if matrix.shape != (rows, rows):
+                raise DimensionMismatch(
+                    f"{name} has shape {matrix.shape}, expected ({rows}, {rows})"
+                )
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "cols", _check_integer("cols", self.cols, 1, rows))
 
     @property
     def rows(self) -> int:
-        return int(self.coeffs.shape[0])
+        return int(self.generator.shape[0])
 
     @property
-    def cols(self) -> int:
-        return int(self.coeffs.shape[1])
+    def coeffs(self) -> np.ndarray:
+        return (np.conj(self.basis) @ self.generator @ self.basis.T)[:, : self.cols]
 
 
 @_public
@@ -162,24 +162,17 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
 
     ``UMap`` has refused every shape error, so only numbers are checked, each
     against ``tol``: the column orthonormality of the coefficients, the
-    unitarity of the generator and the orthonormality of the row basis when
-    recorded, and, when both are recorded and every other check passes, the
-    consistency ``coeffs[j, k] = <b_j|U|b_k>`` (max norm).
+    unitarity of the generator and the orthonormality of the row basis.
     """
     report: list[str] = []
     for what, kets in (
         ("coefficient columns deviate from orthonormality", u.coeffs.T),
-        ("generator deviates from unitarity", None if u.generator is None else u.generator.T),
+        ("generator deviates from unitarity", u.generator.T),
         ("row basis deviates from orthonormality", u.basis),
     ):
-        deviation = 0.0 if kets is None else orthonormality_deviation(kets)
+        deviation = orthonormality_deviation(kets)
         if deviation > tol:
             report.append(f"{what} by {deviation:.3e}")
-    if u.generator is not None and u.basis is not None and not report:
-        expected = np.conj(u.basis) @ u.generator @ u.basis.T
-        gen_dev = max_abs(expected[:, : u.cols] - u.coeffs)
-        if gen_dev > tol:
-            report.append(f"coefficients deviate from <b_j|U|b_k> by {gen_dev:.3e}")
     return report
 
 
@@ -342,7 +335,7 @@ def umap_between(
     to_e: RhoEnsemble,
     tol: float = DEFAULT_TOL,
 ) -> UMap:
-    """Construct a coefficient map carrying one decomposition into another.
+    """Construct the map carrying one decomposition into another.
 
     Both ensembles must meet the theorem's hypotheses within 1e-8 (else
     InvalidEnsemble; collinear elements are accepted) and their densities over
@@ -350,10 +343,9 @@ def umap_between(
     DensitiesDiffer). Their amplitude blocks
     are the coefficient matrices of two purifications on an ancilla of dimension
     ``max(order_from, order_to)``; ``_lemma``'s polar factor carrying one
-    onto the other (one SVD) is returned as the generator, and its first
-    ``order_from`` columns are the coefficients. Row j pairs with target
-    element j for ``j < order_to``; for larger j the mapped combination is
-    zero.
+    onto the other (one SVD) is the generator, read in the identity basis
+    with ``cols = order_from``, so the coefficients are its first
+    ``order_from`` columns.
     """
     if from_e.dim != to_e.dim:
         raise DimensionMismatch(
@@ -364,13 +356,10 @@ def umap_between(
         _amplitude_block(from_e, dim_m), _amplitude_block(to_e, dim_m),
         tol, DensitiesDiffer, "ensemble densities"
     )
-    # SVD factors of a finite product of validated amplitude blocks, and an
-    # identity basis with one ket per coefficient row.
+    # SVD factors of a finite product of validated amplitude blocks, an
+    # identity basis of their size, and 1 <= order_from <= dim_m.
     return _trusted(
-        UMap,
-        coeffs=rotation[:, : from_e.order],
-        generator=rotation,
-        basis=np.eye(dim_m, dtype=complex),
+        UMap, generator=rotation, basis=np.eye(dim_m, dtype=complex), cols=from_e.order
     )
 
 
@@ -392,8 +381,9 @@ def apply_unitary_umap(
 
     ``basis`` implies a source ensemble (its basis-conditioned decomposition
     of ``joint``); the rotated kets ``u b_k`` imply the target ensemble.
-    Both decompose the same reduced system state. The returned coefficients
-    are taken in the rotated basis reordered members-first, so row j pairs
+    Both decompose the same reduced system state. The returned map's row
+    basis is the rotated basis reordered members-first, and its generator
+    carries row ket j to source ket j, source members first, so row j pairs
     with target element j below the target order and gives zero beyond it;
     columns run over source elements. ``u`` must be within 1e-8 of unitary
     (else NotUnitary), and the basis and the rotated basis within 1e-8 of
@@ -409,18 +399,17 @@ def apply_unitary_umap(
     _admit_orthonormal(operator.T, NotUnitary, "matrix deviates from unitarity")
     rotated_kets = source_kets @ operator.T
 
-    from_e, from_ancilla, from_members = ensemble_from_basis(joint, source_kets, rank_tol)
+    _, _, from_members = ensemble_from_basis(joint, source_kets, rank_tol)
     # Each check admits deviations up to _CONSTRUCT_TOL, so the rotated
     # basis can miss that bound although basis and unitary both pass.
     to_e, _, to_members = ensemble_from_basis(joint, rotated_kets, rank_tol)
 
     row_kets = rotated_kets[_members_first(to_members, joint.dim_m)]
     paired_source = source_kets[_members_first(from_members, joint.dim_m)]
-    coeffs = np.conj(row_kets) @ from_ancilla.kets.T
     generator = paired_source.T @ np.conj(row_kets)
-    # Products of finite kets whose norms the unitarity and basis checks
-    # bound; the row basis has one ket per coefficient row.
-    return to_e, _trusted(UMap, coeffs=coeffs, generator=generator, basis=row_kets)
+    # A product of finite kets whose norms the unitarity and basis checks
+    # bound, square as the row basis, and 1 <= source order <= dim_m.
+    return to_e, _trusted(UMap, generator=generator, basis=row_kets, cols=len(from_members))
 
 
 @_public

@@ -40,6 +40,13 @@ def random_unitary(rng, dim):
     return q * phases[None, :]
 
 
+def forged_isometry():
+    """A 3 x 2 matrix with orthonormal columns and no ancilla unitary behind
+    it: the Q factor of a seeded complex draw."""
+    rng = np.random.default_rng(3)
+    return np.linalg.qr(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))[0]
+
+
 def random_basis(rng, dim):
     """Orthonormal ket list (rows) spanning the whole space."""
     return random_unitary(rng, dim)

@@ -337,9 +337,7 @@ def _random_document(rng):
         dim = int(rng.integers(2, 5))
         u = random_unitary(rng, dim)
         cols = int(rng.integers(1, dim + 1))
-        return docs.umap_document(
-            UMap(coeffs=u[:, :cols], generator=u, basis=np.eye(dim, dtype=complex))
-        )
+        return docs.umap_document(UMap(generator=u, basis=np.eye(dim, dtype=complex), cols=cols))
     counts = [int(c) for c in rng.integers(0, 50, size=3)]
     weights = rng.random(3)
     weights = weights / weights.sum()

@@ -28,6 +28,15 @@ drawn ensemble's ket 1. Over draws 0 to 9999 the worst deviations of the Gram
 matrix from the identity were 2.25, 3.50 and 2.00 ``n * eps``, all at ``n = 4``
 (at ``n = 96``: 0.11, 0.16 and 0.20). A ket leaning 1e-11 toward another
 misses each bound by 33 times or more, at every ``n`` here.
+
+A map's coefficients are read from its generator. ``umap_between``'s are the
+generator's first columns bit for bit, since its row basis is the identity.
+``apply_unitary_umap``'s, for the joint in a random basis rotated by a random
+unitary, are compared with the row kets' overlaps with the source ancilla
+kets, the product they equal when the unitary and the basis are exact. Over
+draws 0 to 9999 the worst difference was 1.77 ``n * eps``, at ``n = 4`` (at
+``n = 96``: 0.05). A generator rotated by 1e-11 in one plane misses the bound
+by 3.5 times or more, at every ``n`` here.
 """
 
 import numpy as np
@@ -35,13 +44,15 @@ import pytest
 
 from rhokit import (
     RhoEnsemble,
+    apply_unitary_umap,
+    documents,
     ensemble_containing,
     ensemble_from_basis,
     match_purification,
     purify,
     umap_between,
 )
-from helpers import pick, random_unitary, reconstruct_joint, weighted_projector_sum
+from helpers import bits, pick, random_unitary, reconstruct_joint, weighted_projector_sum
 
 PURIFY_C = 4.0
 RECONSTRUCTION_C = 6.5
@@ -49,6 +60,7 @@ NORM_C = 1.6
 MATCH_C = 9.0
 UMAP_C = 14.0
 CONTAINING_C = 8.0
+APPLY_C = 7.5
 ACCURACY_CASES = 80
 ACCURACY_DIMS = [4, 16, 48, 96]
 EPS = np.finfo(float).eps
@@ -139,6 +151,40 @@ def test_containing_basis_is_orthonormal_within_a_few_n_eps(case):
     n = max(joint.dim_s, joint.dim_m)
     _, basis = ensemble_containing(joint, e.kets[1])
     assert gram_deviation(basis) <= CONTAINING_C * n * EPS, drawn
+
+
+def matrix(m):
+    """A matrix object of a document, as the writers encode it."""
+    entries = np.stack([m.real, m.imag], -1).tolist()
+    return {"rows": m.shape[0], "cols": m.shape[1], "entries": entries}
+
+
+@pytest.mark.parametrize("case", range(ACCURACY_CASES))
+def test_maps_read_their_coefficients_from_their_generators(case):
+    drawn = draw(case)
+    e, joint, conditioned, _ = chain(*drawn)
+    n = max(joint.dim_s, joint.dim_m)
+    between = umap_between(e, conditioned)
+    np.testing.assert_array_equal(between.coeffs, between.generator[:, : between.cols])
+    rng = np.random.default_rng(drawn[0])
+    basis = random_unitary(rng, joint.dim_m)
+    _, applied = apply_unitary_umap(joint, basis, random_unitary(rng, joint.dim_m))
+    _, source, _ = ensemble_from_basis(joint, basis)
+    overlaps = np.conj(applied.basis) @ source.kets.T
+    assert np.max(np.abs(applied.coeffs - overlaps)) <= APPLY_C * n * EPS, drawn
+    for umap in (between, applied):
+        # Documents once stored rows and the coefficients beside the generator.
+        older = {
+            "rows": umap.rows,
+            "cols": umap.cols,
+            "coeffs": matrix(umap.coeffs),
+            "generator": matrix(umap.generator),
+            "basis": matrix(umap.basis)["entries"],
+        }
+        for doc in ({"kind": "umap", "version": 1, "payload": older},
+                    documents.umap_document(umap)):
+            text = documents.dump_document(doc)
+            assert bits(documents.to_umap(documents.load_document(text))) == bits(umap), drawn
 
 
 def test_accuracy_cases_reach_every_category():

@@ -485,11 +485,11 @@ def catalogue():
             {},
             {"shots": 10, "counts": [4, 6], "expected_weights": [0.5, 0.5], "post_density": eye},
         ),
-        "UMap": (UMap, {}, {"coeffs": eye, "generator": eye, "basis": eye}),
+        "UMap": (UMap, {}, {"generator": eye, "basis": eye, "cols": 2}),
         "apply_unitary_umap": (
             apply_unitary_umap, {"joint": joint}, {"basis": eye, "u": eye, "rank_tol": 1e-10}
         ),
-        "check_umap": (check_umap, {"u": UMap(eye, eye, eye)}, {"tol": 1e-10}),
+        "check_umap": (check_umap, {"u": UMap(eye, eye, 2)}, {"tol": 1e-10}),
         "complete_orthonormal": (
             complete_orthonormal, {}, {"partial": [ket], "target_dim": 2}
         ),
@@ -546,7 +546,7 @@ def catalogue():
         "basis": (documents.basis_document, {}, {"kets": eye}),
         "ensemble": (documents.ensemble_document, {"e": e}, {}),
         "joint": (documents.joint_document, {"state": joint}, {}),
-        "umap": (documents.umap_document, {"u": UMap(eye, eye, eye)}, {}),
+        "umap": (documents.umap_document, {"u": UMap(eye, eye, 2)}, {}),
         "report": (documents.report_document, {"report": report}, {}),
     }
     for kind, (write, objects, valid) in writers.items():
@@ -733,15 +733,20 @@ def test_every_malformed_argument_returns_or_raises_a_typed_error(name):
 
 
 def test_a_failed_allocation_past_the_first_gram_matrix_is_resource_exhausted(monkeypatch):
-    # check_umap's last step, <b_j|U|b_k> against the coefficients, runs
-    # after every Gram matrix of the map's checks.
-    def exhausted(x):
-        raise MemoryError("Unable to allocate the generator's residual")
+    # check_umap's last step, the row basis's Gram matrix, runs after the
+    # Gram matrices of the coefficients and the generator.
+    calls = []
 
-    monkeypatch.setattr(purification, "max_abs", exhausted)
+    def exhausted(kets):
+        calls.append(kets)
+        if len(calls) == 3:
+            raise MemoryError("Unable to allocate the row basis's Gram matrix")
+        return orthonormality_deviation(kets)
+
+    monkeypatch.setattr(purification, "orthonormality_deviation", exhausted)
     eye = np.eye(2, dtype=complex)
     with pytest.raises(ResourceExhausted, match="^check_umap needs more memory") as info:
-        check_umap(UMap(eye, eye, eye))
+        check_umap(UMap(eye, eye, 2))
     assert type(info.value.__cause__) is MemoryError
 
 
@@ -1003,11 +1008,11 @@ def sweep():
     outcomes = np.full(2**20, 2.0**-20)
     # Order x order products built from factors of order x 2.
     plane = rk.RhoEnsemble(fan(1024), np.full(1024, 1 / 1024))
-    # A map of 1024 rows whose generator is a Householder reflection. The
-    # generator's Gram matrix and its conjugate operand (32 MiB) set the
-    # peak; the Gram matrix of the 512 coefficient columns fits at half of it.
+    # A map of 1024 rows whose generator is a Householder reflection, read
+    # in the identity basis over 512 columns. Each 1024 x 1024 product or
+    # Gram matrix and its conjugate operand (32 MiB) set the peak.
     reflection = np.eye(1024) - np.full((1024, 1024), 2 / 1024)
-    reflected = rk.UMap(reflection[:, :512], reflection)
+    reflected = rk.UMap(reflection, np.eye(1024), 512)
     # A joint ket of 1024 x 64: the conditionals outgrow the basis checks.
     tall, _ = rk.purify(rk.RhoEnsemble(np.eye(64, 1024), np.full(64, 1 / 64)), 64)
     tall_basis = unitary(rng, 64)
@@ -1021,7 +1026,7 @@ def sweep():
         "RhoEnsemble": lambda: rk.RhoEnsemble(real_eye, w),
         "SchmidtForm": lambda: rk.SchmidtForm(form.coefficients, form.left_kets, form.right_kets),
         "SteeringReport": lambda: rk.SteeringReport(n, [1] * n, w, rho.matrix),
-        "UMap": lambda: rk.UMap(real_eye, real_eye, real_eye),
+        "UMap": lambda: rk.UMap(real_eye, real_eye, n),
         "apply_unitary_umap": lambda: rk.apply_unitary_umap(j, u, u),
         "check_umap": lambda: rk.check_umap(reflected),
         "complete_orthonormal": lambda: rk.complete_orthonormal(u[: n // 2], n),

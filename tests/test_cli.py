@@ -27,6 +27,7 @@ from helpers import (
     bell_joint,
     computational,
     draw_same_density,
+    forged_isometry,
     minus_ket,
     plus_ket,
     random_ensemble,
@@ -175,36 +176,30 @@ def pairs(m):
     return np.stack([m.real, m.imag], -1).tolist()
 
 
-def umap_payload(coeffs, generator, basis):
+def matrix_payload(m):
+    return {"rows": m.shape[0], "cols": m.shape[1], "entries": pairs(m)}
+
+
+def umap_payload(generator, basis, cols):
     """A umap payload written by hand, as umap_document writes none that UMap refuses."""
-
-    def matrix(m):
-        return {"rows": m.shape[0], "cols": m.shape[1], "entries": pairs(m)}
-
-    return {
-        "rows": coeffs.shape[0],
-        "cols": coeffs.shape[1],
-        "coeffs": matrix(coeffs),
-        "generator": matrix(generator),
-        "basis": basis,
-    }
+    return {"cols": cols, "generator": matrix_payload(generator), "basis": basis}
 
 
 @pytest.mark.parametrize(
-    "coeffs, generator, basis, tol",
+    "generator, basis, cols, tol",
     [
-        (np.eye(2), np.eye(3), np.eye(2), "1e-10"),
-        (np.eye(2, 3), np.eye(2), np.eye(2), "10"),
-        (np.eye(2), np.eye(2), np.eye(1, 2), "1e-10"),
-        (np.eye(2), np.eye(2), np.eye(2, 3), "1e-10"),
+        (np.eye(3), np.eye(2), 2, "1e-10"),
+        (np.eye(2, 3), np.eye(2), 3, "10"),
+        (np.eye(2), np.eye(1, 2), 2, "1e-10"),
+        (np.eye(2), np.eye(2, 3), 2, "1e-10"),
     ],
     ids=["generator_size", "more_columns_than_rows", "one_basis_ket", "wide_basis_kets"],
 )
 def test_verify_umap_of_mismatched_shapes_reports_and_exits_3(
-    tmp_path, coeffs, generator, basis, tol
+    tmp_path, generator, basis, cols, tol
 ):
     # Each document is well encoded; UMap refuses its shape.
-    payload = umap_payload(coeffs, generator, pairs(basis))
+    payload = umap_payload(generator, pairs(basis), cols)
     path = tmp_path / "u.json"
     path.write_text(json.dumps({"kind": "umap", "version": 1, "payload": payload}))
     result = run_cli("verify", "--umap", str(path), "--tol", tol)
@@ -214,8 +209,41 @@ def test_verify_umap_of_mismatched_shapes_reports_and_exits_3(
     assert report["clean"] is False and len(report["violations"]) == 1
 
 
+def test_verify_umap_of_coefficients_alone_exits_2(tmp_path):
+    # An isometry with no ancilla unitary behind it, in the coefficient-only
+    # form documents once allowed, is no map: the document is malformed.
+    isometry = forged_isometry()
+    payload = {"rows": 3, "cols": 2, "coeffs": matrix_payload(isometry)}
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"kind": "umap", "version": 1, "payload": payload}))
+    result = run_cli("verify", "--umap", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert single_json_error(result.stderr) == {
+        "error": "DocumentError",
+        "message": "umap.generator: expected a matrix object",
+    }
+
+
+def test_verify_umap_of_an_isometry_padded_to_a_generator_exits_3(tmp_path):
+    # Its coefficients are the isometry's orthonormal columns, but the zero
+    # column leaves the generator short of unitary.
+    generator = np.zeros((3, 3), dtype=complex)
+    generator[:, :2] = forged_isometry()
+    payload = umap_payload(generator, pairs(np.eye(3)), 2)
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"kind": "umap", "version": 1, "payload": payload}))
+    result = run_cli("verify", "--umap", str(path))
+    assert result.returncode == 3
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == {
+        "clean": False,
+        "violations": ["generator deviates from unitarity by 1.000e+00"],
+    }
+
+
 def test_verify_umap_of_a_ragged_basis_exits_2(tmp_path):
-    payload = umap_payload(np.eye(2), np.eye(2), [pairs(np.eye(2)[0]), pairs(np.eye(3)[0])])
+    payload = umap_payload(np.eye(2), [pairs(np.eye(2)[0]), pairs(np.eye(3)[0])], 2)
     path = tmp_path / "u.json"
     path.write_text(json.dumps({"kind": "umap", "version": 1, "payload": payload}))
     result = run_cli("verify", "--umap", str(path))
@@ -764,8 +792,8 @@ def test_verify_overflowing_entries_exits_3_with_empty_stderr(tmp_path, capsys, 
     if kind == "joint":
         payload = {"dim_s": 1, "dim_m": 2, "vec": HUGE}
     else:
-        coeffs = {"rows": 2, "cols": 2, "entries": [HUGE, HUGE]}
-        payload = {"rows": 2, "cols": 2, "coeffs": coeffs, "generator": None, "basis": None}
+        generator = {"rows": 2, "cols": 2, "entries": [HUGE, HUGE]}
+        payload = {"cols": 2, "generator": generator, "basis": pairs(np.eye(2))}
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"kind": kind, "version": 1, "payload": payload}))
     assert main(["verify", f"--{kind}", str(path)]) == 3

@@ -23,7 +23,16 @@ from rhokit import (
     steer,
 )
 from rhokit import documents as docs
-from helpers import bell_joint, bits, minus_ket, pick, plus_ket, random_ket, random_unitary
+from helpers import (
+    bell_joint,
+    bits,
+    forged_isometry,
+    minus_ket,
+    pick,
+    plus_ket,
+    random_ket,
+    random_unitary,
+)
 
 
 def test_ket_roundtrip_exact():
@@ -66,20 +75,22 @@ def test_basis_roundtrip_exact():
 def test_umap_roundtrip_exact():
     rng = np.random.default_rng(4)
     u = random_unitary(rng, 3)
-    umap = UMap(coeffs=u[:, :2], generator=u, basis=np.eye(3, dtype=complex))
+    umap = UMap(generator=u, basis=np.eye(3, dtype=complex), cols=2)
     doc = docs.load_document(docs.dump_document(docs.umap_document(umap)))
     out = docs.to_umap(doc)
-    np.testing.assert_array_equal(out.coeffs, umap.coeffs)
     np.testing.assert_array_equal(out.generator, umap.generator)
     np.testing.assert_array_equal(out.basis, umap.basis)
+    assert out.cols == umap.cols
+    np.testing.assert_array_equal(out.coeffs, umap.coeffs)
 
 
-def test_umap_roundtrip_without_optionals():
-    rng = np.random.default_rng(5)
-    umap = UMap(coeffs=random_unitary(rng, 2))
-    doc = docs.load_document(docs.dump_document(docs.umap_document(umap)))
-    out = docs.to_umap(doc)
-    assert out.generator is None and out.basis is None
+def test_umap_document_of_coefficients_alone_is_malformed():
+    # An isometry with no ancilla unitary behind it, as documents once held it.
+    isometry = forged_isometry()
+    matrix = {"rows": 3, "cols": 2, "entries": _pairs(isometry)}
+    doc = envelope("umap", {"rows": 3, "cols": 2, "coeffs": matrix})
+    with pytest.raises(DocumentError, match="^umap.generator: expected a matrix object$"):
+        docs.to_umap(docs.load_document(json.dumps(doc)))
 
 
 # Every argument shape up to two axes of at most three entries, the empty and
@@ -131,10 +142,8 @@ def written(kind):
             for shots in DIMS for c in counts for w in weights for p in SHAPES
         ]
     else:
-        optional = [None, *map(entries, SHAPES)]
-        values = [
-            admitted(UMap, entries(c), g, b) for c in SHAPES for g in optional for b in optional
-        ]
+        matrices = [entries(shape) for shape in SHAPES]
+        values = [admitted(UMap, g, b, cols) for g in matrices for b in matrices for cols in DIMS]
     write = getattr(docs, f"{kind}_document")
     return [(v, write(v)) for v in values if v is not None]
 
@@ -246,7 +255,7 @@ def test_dumps_match_a_per_entry_oracle_on_extreme_values():
     square = edge.reshape(3, 3)
     weights = [0.25, 0.5, 0.25]
     joint_vec = np.array([1.0, -0.0, 5e-324, -0.0], dtype=complex)
-    umap = UMap(coeffs=square[:, :2], generator=square, basis=square.T)
+    umap = UMap(generator=square, basis=square.T, cols=2)
 
     def envelope(kind, payload):
         return {"kind": kind, "version": 1, "payload": payload}
@@ -281,13 +290,7 @@ def test_dumps_match_a_per_entry_oracle_on_extreme_values():
             docs.umap_document(umap),
             envelope(
                 "umap",
-                {
-                    "rows": 3,
-                    "cols": 2,
-                    "coeffs": matrix(square[:, :2]),
-                    "generator": matrix(square),
-                    "basis": _pairs(square.T),
-                },
+                {"cols": 2, "generator": matrix(square), "basis": _pairs(square.T)},
             ),
         ),
     ]
@@ -465,12 +468,11 @@ def envelope(kind, payload):
     return {"kind": kind, "version": 1, "payload": payload}
 
 
+IDENTITY_PAIRS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 UMAP_PAYLOAD = {
-    "rows": 2,
     "cols": 2,
-    "coeffs": {"rows": 2, "cols": 2, "entries": [[[1.0, 0.0], [0.0, 0.0]]] * 2},
-    "generator": None,
-    "basis": None,
+    "generator": {"rows": 2, "cols": 2, "entries": IDENTITY_PAIRS},
+    "basis": IDENTITY_PAIRS,
 }
 
 
@@ -485,10 +487,11 @@ UMAP_PAYLOAD = {
          "ensemble.elements: expected an array"),
         (docs.to_basis, envelope("basis", {"dim": 2, "kets": []}), DocumentError,
          "basis.kets: expected a non-empty array"),
-        (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "coeffs": [[1.0, 0.0]]}), DocumentError,
-         "umap.coeffs: expected a matrix object"),
-        (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "rows": 3}), DocumentError,
-         re.escape("umap.coeffs has shape (2, 2), envelope says (3, 2)")),
+        (docs.to_umap,
+         envelope("umap", {"rows": 2, "cols": 2, "coeffs": UMAP_PAYLOAD["generator"]}),
+         DocumentError, "umap.generator: expected a matrix object"),
+        (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "cols": 3}), DocumentError,
+         re.escape("umap.cols is 3, more than the generator's 2 columns")),
         (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "basis": [[[1.0, 0.0]] * 2]}),
          DimensionMismatch, re.escape("basis has shape (1, 2), expected (2, 2)")),
         (docs.to_umap,
@@ -496,10 +499,12 @@ UMAP_PAYLOAD = {
          DocumentError, re.escape("umap.basis[1]: expected 2 entries")),
         (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "basis": []}), DocumentError,
          "umap.basis: expected a non-empty array of kets"),
+        (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "basis": None}), DocumentError,
+         "umap.basis: expected a non-empty array of kets"),
     ],
     ids=[
         "payload", "elements", "elements_object", "kets", "coeffs", "envelope_shape",
-        "umap_basis", "umap_basis_ragged", "umap_basis_empty",
+        "umap_basis", "umap_basis_ragged", "umap_basis_empty", "umap_basis_missing",
     ],
 )
 def test_rejects_malformed_payload_with_its_path(extract, doc, error, message):
