@@ -213,6 +213,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``rhokit`` parser: one subcommand per command, each with the one
+    tolerance flag it reads, if any, and usage errors on the JSON stderr contract."""
     parser = _Parser(
         prog="rhokit",
         description=(
@@ -292,6 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command in the calling process and return its exit code.
+
+    ``argv`` defaults to ``sys.argv[1:]``. A library error is written to stderr
+    as one JSON line and mapped onto the exit-code contract above. A usage
+    error or ``--help`` raises SystemExit, as argparse does; ``run`` turns it
+    into the exit code.
+    """
     try:
         parser = build_parser()
         args = parser.parse_args(argv)

@@ -1,15 +1,54 @@
 """Versioned JSON interchange documents for every value the CLI moves around.
 
-Every document is an envelope ``{"kind": ..., "version": 1, "payload": ...}``.
-Complex numbers serialize as two-element ``[re, im]`` arrays, kets as arrays
-of those, matrices as arrays of row arrays. Dimensions are always explicit in
-the payload and checked against the data on parse; they are never inferred.
-A reader checks only this encoding and raises DocumentError; every other rule
-of a value is its constructor's.
-Documents are dumped as one compact line with sorted keys; any JSON layout
-loads, the older indented one included. Floats are emitted with Python's
-shortest round-trip representation, so ``parse(dump(x))`` reproduces ``x``
-bit-for-bit and equal inputs produce byte-identical documents.
+This docstring is the reference for the encoding and for what the readers
+and writers check; each writer and reader names its payload's keys.
+
+Encoding. Every document is an envelope ``{"kind": ..., "version": 1,
+"payload": ...}`` with kind one of ``KINDS``. Complex numbers serialize as
+two-element ``[re, im]`` arrays, kets as arrays of those, and matrices as
+``{"rows", "cols", "entries"}`` objects whose entries are arrays of row
+arrays. Dimensions are explicit in the payload and checked against the data
+on parse, except a umap's ``basis``, whose shape is read from its kets.
+Documents are dumped as one compact line (separators ``,`` and ``:``) with
+sorted keys and a trailing newline; any JSON layout loads, the older indented
+one included. Floats are emitted with Python's shortest round-trip
+representation, so ``parse(dump(x))`` reproduces ``x`` bit-for-bit, and equal
+inputs produce byte-identical documents at one BLAS thread count. A different
+count can change the last bits of a value that goes through BLAS-threaded
+products: a dim-96 ``umap`` document differed between
+``OPENBLAS_NUM_THREADS=1`` and ``2``, while the conditioned ensemble it maps
+onto did not.
+
+Readers. ``load_document`` and every ``to_*`` reader open a document through
+one envelope gate, ``_admit_envelope``: a JSON object of a known kind,
+version 1 and an object payload. A reader checks only the encoding (the
+envelope, the JSON types, the ``[re, im]`` pairs and each declared size
+against the array it describes) and raises DocumentError, with the path of
+the first malformed entry; non-finite numbers, booleans, strings and
+integers beyond the float range are malformed. Every other rule of a value
+is its constructor's, whose typed error the reader passes on unchanged. A
+reader handed a malformed dict raises the DocumentError ``load_document``
+raises for the same text, one handed a document of another kind raises
+DocumentError too, and an entry nested past the interpreter's recursion
+limit is named as nested rather than printed. ``load_document`` raises
+DocumentError for an argument that is not text, and for text that does not
+parse or nests past the recursion limit.
+
+Writers. A writer's array arguments pass the library's array gate
+(DimensionMismatch for a wrong shape, InvalidArgument for an entry that is
+not a finite number), and a value-object argument of another class raises
+InvalidArgument. ``dump_document`` writes only what ``load_document`` opens:
+it raises DocumentError for a document that fails the envelope gate and for
+a value JSON cannot hold. Every reader and writer passes ``_public``, so it
+fails only with a RhokitError and follows the memory rule of
+``rhokit.linalg``.
+
+Round trip. Every value a constructor admits round-trips: its writer writes a
+document that its reader reads back to an equal value, bit for bit. That
+holds for all seven kinds (kets, matrices, bases and ``Ancilla``, written as
+a basis, ``RhoEnsemble``, ``JointState``, ``UMap`` and ``SteeringReport``),
+degenerate shapes included, because each constructor, and ``basis_document``,
+which refuses a list of no kets, refuses every value its reader would refuse.
 """
 
 from __future__ import annotations
@@ -176,17 +215,21 @@ def _payload(doc: dict, kind: str) -> dict:
 
 @_public
 def ket_document(vec) -> dict:
+    """A ``ket`` document: ``dim``, ``entries`` (``dim`` pairs)."""
     arr = as_ket(vec)
     return _envelope("ket", {"dim": int(arr.shape[0]), "entries": _complex_payload(arr)})
 
 
 @_public
 def matrix_document(m) -> dict:
+    """A ``matrix`` document: ``rows``, ``cols``, ``entries`` (``rows`` rows of
+    ``cols`` pairs)."""
     return _envelope("matrix", _matrix_payload(m))
 
 
 @_public
 def ensemble_document(e: RhoEnsemble) -> dict:
+    """An ``ensemble`` document: ``dim``, ``elements[{weight, ket}]`` in element order."""
     return _envelope(
         "ensemble",
         {
@@ -201,6 +244,8 @@ def ensemble_document(e: RhoEnsemble) -> dict:
 
 @_public
 def joint_document(state: JointState) -> dict:
+    """A ``joint`` document: ``dim_s``, ``dim_m``, ``vec`` (``dim_s * dim_m`` pairs,
+    system-major)."""
     return _envelope(
         "joint",
         {
@@ -213,12 +258,15 @@ def joint_document(state: JointState) -> dict:
 
 @_public
 def basis_document(kets) -> dict:
+    """A ``basis`` document: ``dim``, ``kets`` (rows of ``dim`` pairs, at least one)."""
     arr = _checked(_convert(kets), 2, "ket list")  # at least one ket, as to_basis reads
     return _envelope("basis", {"dim": int(arr.shape[1]), "kets": _complex_payload(arr)})
 
 
 @_public
 def umap_document(u: UMap) -> dict:
+    """A ``umap`` document: ``cols``, ``generator`` (a matrix object), ``basis``
+    (rows of pairs); never the coefficients, which ``UMap`` derives."""
     payload = {
         "cols": u.cols,
         "generator": _matrix_payload(u.generator),
@@ -229,6 +277,8 @@ def umap_document(u: UMap) -> dict:
 
 @_public
 def report_document(report: SteeringReport) -> dict:
+    """A ``report`` document: ``shots``, ``counts``, ``expected_weights``,
+    ``post_density`` (a matrix object)."""
     return _envelope(
         "report",
         {
@@ -246,6 +296,7 @@ def report_document(report: SteeringReport) -> dict:
 
 @_public
 def to_ket(doc: dict) -> np.ndarray:
+    """The ket a ``ket`` document encodes: ``dim``, ``entries``."""
     payload = _payload(doc, "ket")
     dim = _parse_dim(payload.get("dim"), "ket.dim")
     return _complex_array(payload.get("entries"), (dim,), "ket.entries")
@@ -253,11 +304,14 @@ def to_ket(doc: dict) -> np.ndarray:
 
 @_public
 def to_matrix(doc: dict) -> np.ndarray:
+    """The matrix a ``matrix`` document encodes: ``rows``, ``cols``, ``entries``."""
     return _parse_matrix(_payload(doc, "matrix"), "matrix")
 
 
 @_public
 def to_ensemble(doc: dict) -> RhoEnsemble:
+    """The ensemble an ``ensemble`` document encodes: ``dim``, ``elements[{weight, ket}]``.
+    No elements is well encoded, and ``RhoEnsemble`` refuses it (InvalidEnsemble)."""
     payload = _payload(doc, "ensemble")
     dim = _parse_dim(payload.get("dim"), "ensemble.dim")
     elements = payload.get("elements")
@@ -280,6 +334,7 @@ def to_ensemble(doc: dict) -> RhoEnsemble:
 
 @_public
 def to_joint(doc: dict) -> JointState:
+    """The joint state a ``joint`` document encodes: ``dim_s``, ``dim_m``, ``vec``."""
     payload = _payload(doc, "joint")
     dim_s = _parse_dim(payload.get("dim_s"), "joint.dim_s")
     dim_m = _parse_dim(payload.get("dim_m"), "joint.dim_m")
@@ -289,6 +344,7 @@ def to_joint(doc: dict) -> JointState:
 
 @_public
 def to_basis(doc: dict) -> np.ndarray:
+    """The ket list a ``basis`` document encodes: ``dim``, ``kets`` (non-empty)."""
     payload = _payload(doc, "basis")
     dim = _parse_dim(payload.get("dim"), "basis.dim")
     kets = payload.get("kets")
@@ -299,7 +355,7 @@ def to_basis(doc: dict) -> np.ndarray:
 
 @_public
 def to_umap(doc: dict) -> UMap:
-    """The map a ``umap`` document encodes.
+    """The map a ``umap`` document encodes: ``cols``, ``generator``, ``basis``.
 
     Only the encoding is checked here (DocumentError): ``generator`` as a
     matrix object, ``cols`` as a count of its columns, and ``basis`` as a
@@ -324,7 +380,8 @@ def to_umap(doc: dict) -> UMap:
 
 @_public
 def to_report(doc: dict) -> SteeringReport:
-    """The report a ``report`` document encodes.
+    """The report a ``report`` document encodes: ``shots``, ``counts``,
+    ``expected_weights``, ``post_density``.
 
     Only the encoding is checked here (DocumentError): ``counts`` is an array,
     ``expected_weights`` an array of numbers and ``post_density`` a matrix

@@ -1,20 +1,52 @@
 """Weighted-ket decompositions of density matrices and their validation.
 
 A decomposition is a finite list of (normalized ket, positive weight) pairs
-whose weighted projector sum reproduces a density matrix. Structural
-requirements beyond positive weights (weight normalization, unit norms,
-pairwise noncollinearity) are *reported* by ``validate_ensemble`` rather than
-enforced at construction, so that invalid data can be inspected instead of
-rejected outright. What is built from an ensemble (``ensemble_to_density``,
-and ``purify``, ``match_purification`` and ``umap_between``) requires only
-the Schrödinger-HJW theorem's hypotheses, admitted at the fixed 1e-8: positive
-weights summing to 1 and unit-norm kets, repeated or collinear kets included.
-``DensityMatrix`` is the one judge of a density, at the same 1e-8, and
-``eigen_ensemble`` cuts its spectrum into an ensemble. An ensemble's state is
-its density over its trace, ``_state`` of its amplitudes: the record
-``ensemble_to_density`` builds, and what ``densities_match`` and every
-construction compare. Kept as given is only what measures normalization
-itself: ``validate_ensemble``'s weight-sum and norm lines, ``rhokit verify --joint``.
+whose weighted projector sum reproduces a density matrix. This docstring is
+the reference for the theorem's hypotheses, collinearity and the judge of a
+density; the thresholds they are read at are ``rhokit.linalg``'s.
+
+Hypotheses. What is built from an ensemble (``ensemble_to_density``,
+``purify``, ``match_purification``, ``umap_between``) requires only the
+Schrödinger-HJW theorem's hypotheses: weights that sum to 1 within ``order``
+times the admission, and kets of unit norm within the admission. Each raises
+InvalidEnsemble on those alone, carrying their report lines, and no ``tol``
+moves them; ``validate_ensemble`` reports the same two lines at ``tol``. The
+weights are positive by construction, so no reporter checks their sign.
+``_amplitude_block`` is this one precondition: it checks the hypotheses, then
+the order against the ancilla dimension (OrderExceedsAncillaDim), before
+anything is allocated.
+
+Reported, not refused. ``RhoEnsemble`` refuses only shape errors, an ensemble
+with no elements and weights that are not positive and finite. Everything
+else is *reported* by ``validate_ensemble``, so that invalid data can be
+inspected. Validation reads no rank: n projectors sum to rank at most n, so
+an ensemble's order never falls below its density's rank, and the functions
+that only validate take no ``rank_tol``.
+
+Collinearity. Two elements are collinear when their pair density
+``p_i P_i + p_j P_j``, with ``P = |phi><phi|``, has rank 1 at
+``c = DEFAULT_RANK_TOL``: its smaller eigenvalue is at most ``c``. For unit
+kets that is exactly ``|<phi_i|phi_j>| >= r_i r_j`` with
+``r = sqrt(1 - c / max(p, c))``, so the overlap that counts depends on the
+weights: two elements of weight 1/2 overlapping by ``1 - 2 eps`` are distinct
+for any ``eps`` above ``c``, while an element of weight at most ``c`` is
+collinear with every other one. The theorem holds for repeated kets, so
+collinearity is reported, never refused: an ensemble that
+``ensemble_from_basis`` returns is taken by every construction, even where
+``validate_ensemble`` reports two of its elements as collinear. No
+construction forms an order x order Gram matrix.
+
+Densities. ``DensityMatrix`` is the one judge of a density (its docstring
+states the rules), and ``eigen_ensemble`` cuts its spectrum into an ensemble.
+An ensemble's state is its density over its trace, ``_state`` of its
+amplitudes: the record ``ensemble_to_density`` builds, the reduced state of
+its ``purify``, and what ``densities_match``, the gates of the constructions
+and ``rhokit verify --ensemble E --rho R`` compare, so
+``R = ensemble_to_density(E).matrix`` verifies clean. Kets that are all zero
+have no state: they match no ensemble, and ``verify --rho`` reports them as
+missing R by ``inf``. Kept as given is only what measures normalization
+itself: ``validate_ensemble``'s weight-sum and norm lines, and
+``rhokit verify --joint``.
 """
 
 from __future__ import annotations
@@ -45,16 +77,20 @@ from .linalg import (
 class DensityMatrix:
     """A density matrix and the eigendata derived from it.
 
-    ``DensityMatrix(matrix)`` takes one value and judges it at the fixed 1e-8
-    of every value a caller hands in, in this order: a finite square matrix
-    (else InvalidArgument or DimensionMismatch), Hermitian within 1e-8 (else
-    NotHermitian), with no eigenvalue below -1e-8 and a trace within
-    ``1e-8 * n`` of 1 (else InvalidArgument). It stores the Hermitian
-    part ``(m + m^dag) / 2`` and decomposes it with one ``eig_hermitian`` call:
-    ``spectrum`` is sorted descending and ``eigenkets`` holds the matching
-    orthonormal eigenvectors as rows. So ``dataclasses.replace(rho, matrix=m)``
-    judges and derives them again, and no record disagrees with its matrix.
-    ``dim`` is read from ``matrix``.
+    ``DensityMatrix(matrix)`` takes one value and judges it at the admission,
+    in this order: a finite square matrix (else InvalidArgument or
+    DimensionMismatch), Hermitian (else NotHermitian), with no eigenvalue
+    below minus the admission and a trace within ``n`` times the admission of
+    1 (else InvalidArgument). So ``DensityMatrix(5 * np.eye(2))`` and
+    ``DensityMatrix(np.diag([0.7, 0.5, -0.2]))`` are refused, and a matrix
+    further off Hermitian than the admission is symmetrized by its caller
+    first. It stores the Hermitian part ``(m + m^dag) / 2`` and decomposes it
+    with one ``eig_hermitian`` call: ``spectrum`` is sorted descending and
+    ``eigenkets`` holds the matching orthonormal eigenvectors as rows. So
+    ``dataclasses.replace(rho, matrix=m)`` judges and derives them again,
+    ``dataclasses.replace`` refuses a ``spectrum`` or ``eigenkets``
+    (ValueError), and no record disagrees with its matrix. ``dim`` is read
+    from ``matrix``.
     """
 
     matrix: np.ndarray
@@ -156,8 +192,9 @@ def _amplitudes(e: RhoEnsemble, count: int) -> np.ndarray:
 
 def _amplitude_block(e: RhoEnsemble, dim_m: int) -> np.ndarray:
     """``_amplitudes(e, dim_m)`` behind the one precondition of every construction
-    that takes an ensemble: the theorem's hypotheses at 1e-8 (else InvalidEnsemble,
-    carrying the report), then at most ``dim_m`` elements (else OrderExceedsAncillaDim)."""
+    that takes an ensemble: the theorem's hypotheses at the admission (else
+    InvalidEnsemble, carrying the report), then at most ``dim_m`` elements (else
+    OrderExceedsAncillaDim)."""
     report = _unmet_hypotheses(e, _CONSTRUCT_TOL)
     if report:
         raise InvalidEnsemble(report)
@@ -171,9 +208,8 @@ def ensemble_to_density(e: RhoEnsemble) -> DensityMatrix:
     """The density matrix of an ensemble over its trace, the density itself for a
     weight sum of 1: the reduced state of its ``purify``.
 
-    Raises InvalidEnsemble (carrying the violation report) unless the weights
-    sum to 1 within ``1e-8 * order`` and the kets have unit norm within 1e-8;
-    collinear elements are summed like any others.
+    Raises InvalidEnsemble (carrying the violation report) unless the
+    theorem's hypotheses hold; collinear elements are summed like any others.
     """
     return DensityMatrix(_state(_amplitude_block(e, e.order)))
 
@@ -196,15 +232,9 @@ def validate_ensemble(e: RhoEnsemble, tol: float = DEFAULT_TOL) -> list[str]:
     Violations are data, not errors: each entry names the failed invariant
     and the offending element indices, pairs in row-major ``(i, j)`` order.
     The lines for the weight sum and the norms come first, at ``tol``: they
-    are the theorem's hypotheses, which the constructions admit at the fixed
-    1e-8 and raise InvalidEnsemble on. The collinear pairs follow; they are
-    reported, never refused. Order >= support rank is not checked: n
-    projectors sum to rank at most n.
-
-    A pair (i, j) is collinear when its density ``p_i P_i + p_j P_j``, with
-    ``P = |phi><phi|``, has rank 1 at ``c = DEFAULT_RANK_TOL``: its smaller
-    eigenvalue is at most c. For unit kets that is exactly
-    ``|<phi_i|phi_j>| >= r_i r_j`` with ``r = sqrt(1 - c / max(p, c))``.
+    are the theorem's hypotheses, which the constructions admit and raise
+    InvalidEnsemble on. The collinear pairs follow, by the module docstring's
+    definition; they are reported, never refused. No rank is read.
     """
     report = _unmet_hypotheses(e, tol)
     c = DEFAULT_RANK_TOL

@@ -1,4 +1,8 @@
-"""Dense complex linear algebra primitives.
+"""Dense complex linear algebra primitives, and the rules every module applies.
+
+This docstring is the reference for the thresholds, the rank cutoff, the
+normalization rule and the boundary; every other docstring names the rule it
+applies without restating it.
 
 Conventions used throughout the package:
 
@@ -6,10 +10,102 @@ Conventions used throughout the package:
   eigenvector sets) are 2-D arrays with one ket per row.
 * Tensor products are system-major: the flat index of ``s (x) m`` is
   ``i_S * dim_m + k_M``, which is exactly ``numpy.kron(s, m)``.
-* Every value a caller hands in (a ket, ket list, probability vector,
-  ensemble or matrix) is admitted at the one fixed ``_CONSTRUCT_TOL``. A ``tol``
-  only judges agreement (gates, reporters and predicates) and a ``rank_tol``
-  only cuts a spectrum; both default to 1e-10 and are overridable per call.
+
+Thresholds. Three decide every check, each by one rule, and a function takes
+only the tolerances it uses.
+
+* The admission: every value a caller hands in is admitted at the one fixed
+  ``_CONSTRUCT_TOL = 1e-8``, which no argument moves. It is looser than the
+  per-call tolerances, so that round-tripped values are never refused. A ket
+  is admitted at unit norm within it (a joint ket, ``ensemble_containing``'s
+  target: NotNormalized); a ket list at orthonormal rows within it (an
+  ``Ancilla``, ``complete_orthonormal``'s input: NotOrthonormal; an ancilla
+  basis: NotOrthonormalBasis); a unitary at orthonormal columns within it
+  (NotUnitary); a probability vector at a sum of 1 within it
+  (WeightsNotNormalized); and a matrix at Hermitian symmetry within it
+  (NotHermitian). Each of these messages ends ``(tol 1.000e-08)``. An
+  ensemble's admission is the theorem's hypotheses, and a density's is
+  ``DensityMatrix``'s, both stated in ``rhokit.ensembles`` as multiples of it.
+* ``tol``, default ``DEFAULT_TOL``, judges agreement only: of two states at a
+  gate (max norm), a map's orthonormality and unitarity, the theorem's
+  hypotheses as a reporter reads them, and the pairs ``ensembles_equal`` matches.
+* ``rank_tol``, default ``DEFAULT_RANK_TOL``, cuts a spectrum of squared
+  values: conditional weights, squared Schmidt coefficients, eigenvalues and
+  squared singular values of a ket list.
+
+Every ``tol`` and ``rank_tol`` must be a finite non-negative real number, by
+one rule (``_check_tolerances``) in every function that takes one, reporters
+and predicates included. NaN, +-inf, a negative value, a complex value in any
+form (a Python complex number, a numpy complex scalar or array, even with a
+zero imaginary part) and a bool raise InvalidArgument ("tol must be a finite
+non-negative number, got ..."); from the CLI such a flag is a usage error.
+
+The rank cutoff. One private cutoff, ``_kept_rank``, keeps the values above
+``rank_tol``: ``int(np.count_nonzero(values > rank_tol))`` of them. When it
+keeps nothing it raises InvalidArgument ("rank_tol ... is not below the
+largest ..."), naming what it cut: a conditional weight, a squared Schmidt
+coefficient or an eigenvalue. The joint is a unit ket and a density has
+trace 1, so such a cutoff leaves no element, no Schmidt term and no support.
+``is_linearly_independent`` reads the same count and returns False instead.
+
+Normalization. Every state, ket, weight and singular value a construction
+takes from a coefficient matrix (a joint ket as a ``dim_s x dim_m`` matrix, or
+an ensemble's rows ``sqrt(w_j) phi_j``) is taken from that matrix over its
+Frobenius norm (``_at_unit_norm``), and every state a construction returns is
+the unit-trace state ``_state`` of its amplitudes. The rule has no exception:
+every cut is returned over its own total. A conditioned joint's weights and a
+record's eigenvalues go over their kept sum, which also absorbs the trace a
+``DensityMatrix`` admits and the sum that a basis admitted off orthonormal
+conditions; a Schmidt spectrum, at unit norm by construction, goes over the
+root of 1 less its dropped squares. So the weights of every ensemble a
+construction returns, and the squares of every Schmidt spectrum, sum to 1 to
+rounding for every admitted input. Kets whose squares leave the float range
+keep their state: ``_state`` first scales their matrix by the power of two of
+its largest entry, which changes no bit of the state. Kets that are all zero
+have no state. What is kept as given is listed in ``rhokit.ensembles``.
+
+The boundary. Every public callable passes through one decorator,
+``_public``, whose docstring gives its three entry rules in order: each
+function in ``rhokit.__all__``, each reader and writer of
+``rhokit.documents``, the constructors of ``RhoEnsemble``, ``DensityMatrix``,
+``JointState``, ``Ancilla``, ``UMap`` and ``SteeringReport``, and
+``JointState.reduced_system``. A parameter annotated with a value class
+refuses anything else, ``None`` included, with InvalidArgument naming the
+parameter and the class. The body then checks its own arrays and integers
+once, on entry, and returns values that satisfy their class invariants, so
+they pass on unchecked; ``rhokit.purification`` lists where a value is built
+without its constructor's checks.
+
+* Arrays: each array argument (a ket, a matrix, a ket list or weights) is
+  converted once, by ``_convert``. What numpy cannot convert (a string, an
+  object entry) and complex values where reals are expected, in any form,
+  raise InvalidArgument, since numpy would drop the imaginary part with only
+  a warning; rows of unequal length, and any array of the wrong shape, raise
+  DimensionMismatch. InvalidArgument is a ValueError, so code that catches
+  ValueError keeps working. A ket list may be an ``ndarray`` in any memory
+  layout, a list or tuple of kets, or a generator of kets.
+* Integers: ``shots`` in [1, 2^63 - 1], a ``seed`` >= 0 and every dimension
+  >= 1 go through ``_check_integer``, so floats such as ``10.5`` and bools
+  are refused, not truncated (InvalidArgument).
+* Memory: an allocation inside any public call that the host refuses raises
+  ResourceExhausted, a RhokitError and a MemoryError. Its message names the
+  innermost public callable, followed by numpy's own text when it has any:
+  "purify needs more memory than is available: Unable to allocate 29.1 TiB
+  ...". A ResourceExhausted from a nested public call passes unchanged. An
+  allocation sized by a caller's integer whose size numpy cannot represent at
+  all (numpy refuses ``2**59`` complex entries and any axis past ``2**63``)
+  raises it too, naming the array (``_out_of_memory``): ``purify``'s joint
+  ket, ``complete_orthonormal``'s completion and an empty ket list of a given
+  dimension. ``tests/test_boundary.py`` checks the rule: a child process
+  calls every public callable under a soft address-space limit lowered from
+  the call's peak (measured in a forked process, so LAPACK's workspaces
+  count) to a sixteenth of it, and each call must return or raise a
+  RhokitError. One failure lies outside the rule: numpy 2.4.6 allocates a
+  ufunc's buffers after releasing the GIL, and when that allocation fails
+  the process crashes instead of raising.
+* Solvers: every SVD goes through ``_svd`` and every eigendecomposition is one
+  ``eig_hermitian`` call; one that does not converge raises NumericalFailure
+  ("SVD failed: ..." or "eigensolver failed: ...").
 """
 
 from __future__ import annotations
@@ -35,9 +131,7 @@ from .errors import (
 DEFAULT_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-10
 
-# The one admission threshold of every value a caller hands rhokit, whatever
-# tolerances a call takes. It is looser than the per-operation tolerances so
-# that round-tripped values are never rejected.
+# The admission threshold (see the module docstring).
 _CONSTRUCT_TOL = 1e-8
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
@@ -262,10 +356,10 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     ``m = sum_s w[s] |v_s><v_s|``. Ties keep the solver's deterministic
     ordering; vectors within a degenerate eigenspace are basis-arbitrary.
 
-    The matrix is admitted within 1e-8 of Hermitian, as every value a caller
-    hands in (else NotHermitian), and its Hermitian part is decomposed. Raises
-    NumericalFailure if the eigensolver does not converge, and
-    ResourceExhausted if one of its n x n arrays cannot be allocated.
+    The matrix is admitted Hermitian (the admission; else NotHermitian), and
+    its Hermitian part is decomposed. Raises NumericalFailure if the
+    eigensolver does not converge, and ResourceExhausted if one of its n x n
+    arrays cannot be allocated.
     """
     hermitian = _admit_hermitian(m)
     try:
@@ -301,12 +395,11 @@ def complete_orthonormal(partial, target_dim: int) -> np.ndarray:
     candidate (nearly) in the span of the input and the earlier candidates
     gets a direction set by rounding.
 
-    Raises NotOrthonormal unless the input is within 1e-8 of orthonormal, as
-    ``Ancilla`` admits its kets, DimensionMismatch if its vectors are not of
+    The input is admitted orthonormal, as ``Ancilla`` admits its kets (else
+    NotOrthonormal). Raises DimensionMismatch if its vectors are not of
     dimension ``target_dim`` or it already has more than ``target_dim`` of
-    them, and ResourceExhausted
-    if a ``target_dim``-sized array cannot be allocated or numpy cannot
-    represent its size.
+    them, and ResourceExhausted if a ``target_dim``-sized array cannot be
+    allocated or numpy cannot represent its size.
     """
     target_dim = _check_integer("target_dim", target_dim, 1)
     kets = as_ket_list(partial, dim=target_dim)
@@ -374,7 +467,7 @@ def tensor_ket(s, m) -> np.ndarray:
 def _joint_ket(joint, dim_s, dim_m, noun: str = "vector", unit: bool = True):
     """The one joint-ket gate: ``(vec, dim_s, dim_m)`` once both dimensions are
     integers >= 1, ``joint`` is a finite 1-D ket (``noun`` in those errors) of
-    length ``dim_s * dim_m`` and, if ``unit``, within 1e-8 of unit norm."""
+    length ``dim_s * dim_m`` and, if ``unit``, admitted at unit norm."""
     dim_s, dim_m = _check_integer("dim_s", dim_s, 1), _check_integer("dim_m", dim_m, 1)
     vec = _checked(_convert(joint), 1, noun)
     total = dim_s * dim_m
@@ -438,10 +531,9 @@ def schmidt_decompose(
     """Schmidt-decompose a unit joint ket via SVD.
 
     The norm is admitted as ``JointState`` admits it (else NotNormalized), and
-    the coefficients are those of the unit-norm joint (``_schmidt``). Those with
-    squared value at or below ``rank_tol`` are dropped (InvalidArgument if all
-    are), so the rank is the squared spectrum's numerical rank, and the kept
-    ones are returned over the root of 1 less the dropped squares.
+    the coefficients are those of the unit-norm joint (``_schmidt``), cut by the
+    rank cutoff on their squares and normalized as the module docstring says,
+    so their squares sum to 1 whatever the cutoff drops.
     """
     vec, dim_s, dim_m = _joint_ket(joint, dim_s, dim_m)
     u, sv, vh, rank = _schmidt(vec.reshape(dim_s, dim_m), rank_tol)

@@ -11,6 +11,45 @@ ancilla factor alone.
 
 Phase convention: ensemble amplitudes are always the real positive square
 roots of the weights; complex phases are absorbed into the ancilla kets.
+
+This docstring is the reference for conditioning, the purification lemma and
+the values built without their constructor's checks.
+
+Conditioning. ``ensemble_from_basis`` is the one gate that admits an ancilla
+basis: its ket count (``dim_m``) and its Gram matrix are checked there, at
+the admission, and nowhere else (NotOrthonormalBasis). Basis ket ``b_k``
+conditions the normalized joint into ``(1 (x) <b_k|) joint``, whose squared
+norm is the element's weight; the rank cutoff keeps the weights above
+``rank_tol``, normalized by the rule of ``rhokit.linalg``. ``measure_ancilla``,
+``steer`` and ``apply_unitary_umap`` condition through the gate;
+``apply_unitary_umap`` passes both its basis and the rotated basis, since each
+check admits a deviation up to the admission and their product can exceed it.
+``ensemble_containing`` conditions on a basis it builds unitary to working
+precision, without the Gram check. A basis larger than the density's rank
+can condition two elements onto (nearly) one direction; ``validate_ensemble``
+reports them as collinear, and every construction takes the ensemble as it is.
+
+The lemma. ``lemma_unitary``, ``match_purification`` and ``umap_between`` are
+one step, ``_lemma``: two purifications of the same state differ by a unitary
+on the ancilla. It checks that the two unit-trace reduced states agree within
+``tol`` and returns the orthogonal-Procrustes polar factor of the cross block
+of the two ``(dim_s, dim_m)`` coefficient matrices: one SVD. An ensemble's
+coefficient matrix is that of its canonical purification
+(``_amplitude_block``), so its precondition comes first:
+``match_purification`` checks the dimension, then the hypotheses, then the
+order against ``dim_m``, and last the states (TracesDiffer); ``purify`` makes
+the same checks before it allocates its joint ket, and ``umap_between``
+checks ``from_e`` before ``to_e``.
+
+Built unchecked. ``_trusted`` builds a value without its constructor's checks
+where checks that already passed, or the way the value was built, imply
+them; the comment at each call site names which. It builds ``purify``'s
+``Ancilla``, the ``RhoEnsemble`` and ``Ancilla`` of ``_condition`` (for
+``ensemble_from_basis`` and ``ensemble_containing``), ``match_purification``'s
+``Ancilla``, the ``UMap`` of ``umap_between`` and of ``apply_unitary_umap``,
+and ``steer``'s ``SteeringReport``. The seeded tests in
+``tests/test_boundary.py`` rebuild every such output through the checked
+constructors.
 """
 
 from __future__ import annotations
@@ -57,8 +96,8 @@ from .linalg import (
 def _trusted(cls, **fields):
     """An instance of a frozen dataclass built without running ``__post_init__``.
 
-    Only for values whose invariants already follow from checks that passed
-    on the inputs they were built from; each call site says which.
+    Only where the module docstring's "Built unchecked" allows; each call
+    site says which checks imply the invariants.
     """
     value = object.__new__(cls)
     value.__dict__.update(fields)
@@ -67,7 +106,8 @@ def _trusted(cls, **fields):
 
 @dataclass(frozen=True, eq=False)
 class JointState:
-    """A normalized ket on the system-major product of two factors."""
+    """A normalized ket on the system-major product of two factors, admitted at
+    unit norm (else NotNormalized), of length ``dim_s * dim_m``."""
 
     dim_s: int
     dim_m: int
@@ -93,7 +133,8 @@ class JointState:
 @dataclass(frozen=True, eq=False)
 class Ancilla:
     """An orthonormal ket list on the ancilla factor, one ket per element:
-    at least one and at most ``dim_m``."""
+    at least one and at most ``dim_m`` (else DimensionMismatch), admitted
+    orthonormal (else NotOrthonormal)."""
 
     dim_m: int
     kets: np.ndarray
@@ -224,7 +265,7 @@ def purify(e: RhoEnsemble, dim_m: int) -> tuple[JointState, Ancilla]:
     the ancilla space, giving ``sum_j sqrt(w_j) phi_j (x) e_j`` divided by its
     norm: a unit joint ket whose reduced system state is the ensemble's
     density matrix over its trace, the density itself for a weight sum of 1.
-    Raises InvalidEnsemble unless the theorem's hypotheses hold within 1e-8,
+    Raises InvalidEnsemble unless the theorem's hypotheses hold,
     OrderExceedsAncillaDim when the ensemble has more elements than the ancilla
     space has dimensions, and ResourceExhausted when the ``dim * dim_m`` joint
     ket cannot be allocated or numpy cannot represent its size.
@@ -285,16 +326,13 @@ def ensemble_from_basis(
     with weight above ``rank_tol`` become ensemble elements (normalized, in
     basis order), and ``member_indices`` records which basis positions they
     came from. The member basis kets form the returned ancilla. The weights
-    are returned over their own total, so they sum to 1 for every admitted
+    follow the normalization rule, so they sum to 1 for every admitted
     basis; ``sum_k sqrt(w_k) phi_k (x) b_k`` over members is the normalized
     joint ket without its sub-threshold tails, over that total's root.
 
-    Raises NotOrthonormalBasis unless the basis has ``dim_m`` kets whose Gram
-    matrix is within 1e-8 of the identity, the fixed bound of the Ancilla
-    its member kets become. A basis larger than the density's rank can
-    condition two elements onto (nearly) one direction; ``validate_ensemble``
-    reports them as collinear, and every construction takes the ensemble as
-    it is.
+    The basis is admitted as the module docstring's conditioning says: ``dim_m``
+    kets, orthonormal as the Ancilla its member kets become (else
+    NotOrthonormalBasis).
     """
     kets = as_ket_list(basis, dim=joint.dim_m)
     if kets.shape[0] != joint.dim_m:
@@ -337,8 +375,8 @@ def umap_between(
 ) -> UMap:
     """Construct the map carrying one decomposition into another.
 
-    Both ensembles must meet the theorem's hypotheses within 1e-8 (else
-    InvalidEnsemble; collinear elements are accepted) and their densities over
+    Both ensembles must meet the theorem's hypotheses (else InvalidEnsemble;
+    collinear elements are accepted), ``from_e`` first, and their densities over
     their traces must agree within ``tol``, all that ``tol`` judges (else
     DensitiesDiffer). Their amplitude blocks
     are the coefficient matrices of two purifications on an ancilla of dimension
@@ -385,9 +423,9 @@ def apply_unitary_umap(
     basis is the rotated basis reordered members-first, and its generator
     carries row ket j to source ket j, source members first, so row j pairs
     with target element j below the target order and gives zero beyond it;
-    columns run over source elements. ``u`` must be within 1e-8 of unitary
-    (else NotUnitary), and the basis and the rotated basis within 1e-8 of
-    orthonormal (else NotOrthonormalBasis).
+    columns run over source elements. ``u`` is admitted unitary (else
+    NotUnitary), and the basis and the rotated basis are admitted as
+    ``ensemble_from_basis`` admits a basis (else NotOrthonormalBasis).
     """
     source_kets = as_ket_list(basis, dim=joint.dim_m)
     operator = as_operator(u)
@@ -430,10 +468,19 @@ def ensemble_containing(
     normalized projection onto the kept support, phase included, within
     ``sqrt(2 L)`` of xi, where ``L <= lambda / W`` with ``lambda`` the largest
     dropped ``sigma_s^2``; the other elements are one valid choice among many.
-    The target's norm is admitted within 1e-8 of 1 (else NotNormalized), and
-    W and L are those of ``xi / ||xi||``, so the result does not depend on the
-    norm. A cutoff past every ``sigma_s^2`` raises InvalidArgument, an SVD that
-    fails to converge NumericalFailure, one that cannot be allocated ResourceExhausted.
+    A member of weight ``p >= sqrt(t)`` of a decomposition has ``W >= p`` and
+    ``L <= lambda / p <= sqrt(t)``, so it is admitted even when the density has
+    eigenvalues below ``rank_tol``; at ``rank_tol = 0`` the cutoff is the floor,
+    so a weight at the rounding level never admits a target. The SVD is full
+    only where ``dim_s < dim_m``, so that it spans the ancilla. The first
+    ancilla ket lies in the span of the kept right kets: the right factor of
+    its own SVD, its first row rephased to the ket, completes it there, and the
+    joint SVD's other right kets complete the ancilla space. The target is
+    admitted at unit norm (else NotNormalized), and W and L are those of
+    ``xi / ||xi||``, so the result does not depend on the norm. A cutoff past
+    every ``sigma_s^2`` raises InvalidArgument before the target's support is
+    judged, an SVD that fails to converge NumericalFailure, one that cannot be
+    allocated ResourceExhausted.
     """
     target = as_ket(xi)
     if target.shape[0] != joint.dim_s:

@@ -96,7 +96,7 @@ def measure_ancilla(
     joint density, the unit-trace state of the pairs ``sqrt(w_j) phi_j (x) b_j``.
     Tracing the ancilla out of it returns the reduced system state of the pure
     joint ket: the measurement does not disturb the system side. The basis is
-    admitted as ``ensemble_from_basis`` admits it, within 1e-8 of orthonormal.
+    admitted as ``ensemble_from_basis`` admits it.
     """
     ensemble, ancilla, _ = ensemble_from_basis(joint, basis, rank_tol)
     mixture = list(zip(ensemble.weights.tolist(), ensemble.kets, ancilla.kets))
@@ -110,10 +110,10 @@ def measure_ancilla(
 def sample_outcomes(weights, shots: int, seed: int) -> np.ndarray:
     """Draw categorical outcome counts with a deterministic seeded generator.
 
-    ``weights`` must sum to 1 within 1e-8 (else WeightsNotNormalized);
-    they are renormalized exactly before sampling. The counts are one
-    multinomial draw, so memory is O(outcomes) whatever ``shots`` is;
-    ``shots`` must fit in a 64-bit integer. Identical (weights, shots, seed)
+    ``weights`` must be non-negative and are admitted at a sum of 1 (else
+    WeightsNotNormalized); they are renormalized exactly before sampling. The
+    counts are one multinomial draw, so memory is O(outcomes) whatever
+    ``shots`` is; ``shots`` must fit in a 64-bit integer. Identical (weights, shots, seed)
     triples give identical counts on every platform because the generator
     algorithm (PCG64) and the seeding path are fixed.
     """
@@ -152,7 +152,7 @@ def steer(
     ensemble's amplitudes, which coincides with the reduced state of the joint ket.
     The conditioned weights, ``expected_weights``, sum to 1 and are the outcome
     distribution, sampled as ``ensemble_from_basis`` returned them, unchecked;
-    it admits the basis within 1e-8 of orthonormal, else NotOrthonormalBasis.
+    it admits the basis (else NotOrthonormalBasis).
     """
     ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol)
     counts = _multinomial(ensemble.weights, shots, seed)
