@@ -39,6 +39,8 @@ from .errors import (
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
+    Ancilla,
+    JointState,
     SchmidtForm,
     complete_orthonormal,
     eig_hermitian,
@@ -47,8 +49,6 @@ from .linalg import (
     tensor_ket,
 )
 from .purification import (
-    Ancilla,
-    JointState,
     UMap,
     apply_unitary_umap,
     check_umap,

@@ -297,9 +297,8 @@ def main(argv=None) -> int:
     """Run one command in the calling process and return its exit code.
 
     ``argv`` defaults to ``sys.argv[1:]``. A library error is written to stderr
-    as one JSON line and mapped onto the exit-code contract above. A usage
-    error or ``--help`` raises SystemExit, as argparse does; ``run`` turns it
-    into the exit code.
+    as one JSON line and mapped onto the exit-code contract above; a usage
+    error (exit 2) and ``--help`` (exit 0) return their code too.
     """
     try:
         parser = build_parser()
@@ -311,6 +310,8 @@ def main(argv=None) -> int:
         # it leaves still fails the checks that follow.
         with np.errstate(all="ignore"):
             return args.func(args)
+    except SystemExit as exc:  # argparse: --help, and _Parser.error's usage errors
+        return exc.code
     except RhokitError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return _exit_code(exc)
@@ -327,13 +328,10 @@ def run(argv=None) -> None:
     ends the process with the exit code, skipping a teardown that has no
     work left to do. A stdout that cannot take the flush exits 2 with one
     JSON error line, as a failed write in ``main`` does; a closed stdout
-    (``None``) has nothing to flush. Exceptions other than ``SystemExit``
+    (``None``) has nothing to flush. Exceptions that ``main`` does not map
     propagate.
     """
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse: --help, usage errors
-        code = exc.code
+    code = main(argv)
     try:
         if sys.stdout is not None:
             sys.stdout.flush()

@@ -8,7 +8,7 @@ Encoding. Every document is an envelope ``{"kind": ..., "version": 1,
 two-element ``[re, im]`` arrays, kets as arrays of those, and matrices as
 ``{"rows", "cols", "entries"}`` objects whose entries are arrays of row
 arrays. Dimensions are explicit in the payload and checked against the data
-on parse, except a umap's ``basis``, whose shape is read from its kets.
+on parse; a umap's ``basis`` is read at its generator's declared rows.
 Documents are dumped as one compact line (separators ``,`` and ``:``) with
 sorted keys and a trailing newline; any JSON layout loads, the older indented
 one included. Floats are emitted with Python's shortest round-trip
@@ -61,8 +61,17 @@ import numpy as np
 
 from .ensembles import RhoEnsemble
 from .errors import DocumentError
-from .linalg import _checked, _convert, _public, as_ket, as_ket_list, as_operator
-from .purification import Ancilla, JointState, UMap
+from .linalg import (
+    Ancilla,
+    JointState,
+    _checked,
+    _convert,
+    _public,
+    as_ket,
+    as_ket_list,
+    as_operator,
+)
+from .purification import UMap
 from .steering import SteeringReport
 
 VERSION = 1
@@ -358,11 +367,11 @@ def to_umap(doc: dict) -> UMap:
     """The map a ``umap`` document encodes: ``cols``, ``generator``, ``basis``.
 
     Only the encoding is checked here (DocumentError): ``generator`` as a
-    matrix object, ``cols`` as a count of its columns, and ``basis`` as a
-    non-empty array of equal-length, non-empty kets, as a matrix's sizes are
-    positive. Other keys, such as the ``rows`` and ``coeffs`` of documents
-    written before a map was its generator, are ignored. The generator's and
-    the basis's shapes are ``UMap``'s to judge.
+    matrix object, ``cols`` as a count of its columns, and ``basis`` as
+    ``rows`` kets of ``rows`` entries, ``rows`` being the generator's declared
+    rows. Other keys, such as the ``rows`` and ``coeffs`` of documents
+    written before a map was its generator, are ignored. A generator that is
+    not square is ``UMap``'s to refuse.
     """
     payload = _payload(doc, "umap")
     cols = _parse_dim(payload.get("cols"), "umap.cols")
@@ -371,10 +380,10 @@ def to_umap(doc: dict) -> UMap:
         raise DocumentError(
             f"umap.cols is {cols}, more than the generator's {generator.shape[1]} columns"
         )
-    basis = payload.get("basis")
-    if not (isinstance(basis, list) and basis and isinstance(basis[0], list) and basis[0]):
-        raise DocumentError("umap.basis: expected a non-empty array of kets")
-    basis = _complex_array(basis, (len(basis), len(basis[0])), "umap.basis[{}]")
+    rows, basis = generator.shape[0], payload.get("basis")
+    if not isinstance(basis, list) or len(basis) != rows:
+        raise DocumentError(f"umap.basis: expected {rows} kets")
+    basis = _complex_array(basis, (rows, rows), "umap.basis[{}]")
     return UMap(generator=generator, basis=basis, cols=cols)
 
 

@@ -10,6 +10,10 @@ Conventions used throughout the package:
   eigenvector sets) are 2-D arrays with one ket per row.
 * Tensor products are system-major: the flat index of ``s (x) m`` is
   ``i_S * dim_m + k_M``, which is exactly ``numpy.kron(s, m)``.
+* Two records hold that layout with its invariants: ``JointState``, a unit
+  joint ket with both dimensions, and ``Ancilla``, orthonormal kets on the
+  ``dim_m`` factor. ``schmidt_decompose`` and ``complete_orthonormal`` take
+  them and admit nothing more.
 
 Thresholds. Three decide every check, each by one rule, and a function takes
 only the tolerances it uses.
@@ -17,10 +21,10 @@ only the tolerances it uses.
 * The admission: every value a caller hands in is admitted at the one fixed
   ``_CONSTRUCT_TOL = 1e-8``, which no argument moves. It is looser than the
   per-call tolerances, so that round-tripped values are never refused. A ket
-  is admitted at unit norm within it (a joint ket, ``ensemble_containing``'s
-  target: NotNormalized); a ket list at orthonormal rows within it (an
-  ``Ancilla``, ``complete_orthonormal``'s input: NotOrthonormal; an ancilla
-  basis: NotOrthonormalBasis); a unitary at orthonormal columns within it
+  is admitted at unit norm within it (a ``JointState``,
+  ``ensemble_containing``'s target: NotNormalized); a ket list at orthonormal
+  rows within it (an ``Ancilla``: NotOrthonormal; an ancilla basis:
+  NotOrthonormalBasis); a unitary at orthonormal columns within it
   (NotUnitary); a probability vector at a sum of 1 within it
   (WeightsNotNormalized); and a matrix at Hermitian symmetry within it
   (NotHermitian). Each of these messages ends ``(tol 1.000e-08)``. An
@@ -380,47 +384,6 @@ def _kept_rank(values: np.ndarray, rank_tol: float, what: str) -> int:
     return rank
 
 
-@_public
-def complete_orthonormal(partial, target_dim: int) -> np.ndarray:
-    """Extend an orthonormal ket list to a full orthonormal basis.
-
-    The first ``k = len(partial)`` rows of the result are the input vectors
-    verbatim. The rest are Gram-Schmidt of the canonical basis vectors
-    ``e_0..e_{d-k-1}`` (``d = target_dim``), in index order, against the
-    input, computed as one Householder QR of the square matrix
-    ``[partial^T | e_0..e_{d-k-1}]``: no candidate is skipped, and each
-    completion vector overlaps its candidate positively. The result
-    is deterministic and as orthonormal as its input; a canonical prefix
-    ``e_0..e_{k-1}`` (or no input) completes to exactly the identity. A
-    candidate (nearly) in the span of the input and the earlier candidates
-    gets a direction set by rounding.
-
-    The input is admitted orthonormal, as ``Ancilla`` admits its kets (else
-    NotOrthonormal). Raises DimensionMismatch if its vectors are not of
-    dimension ``target_dim`` or it already has more than ``target_dim`` of
-    them, and ResourceExhausted if a ``target_dim``-sized array cannot be
-    allocated or numpy cannot represent its size.
-    """
-    target_dim = _check_integer("target_dim", target_dim, 1)
-    kets = as_ket_list(partial, dim=target_dim)
-    count = kets.shape[0]
-    if count > target_dim:
-        raise DimensionMismatch(
-            f"{count} vectors cannot be orthonormal in dimension {target_dim}"
-        )
-    _admit_orthonormal(kets, NotOrthonormal, "input vectors deviate from orthonormality")
-    try:
-        # Householder column j depends only on input columns 0..j, so
-        # candidates past e_{d-k-1} would never reach Q: leave them out.
-        candidates = np.eye(target_dim, target_dim - count)
-        q, r = np.linalg.qr(np.concatenate([kets.T, candidates], axis=1))
-    except ValueError as exc:
-        raise _out_of_memory(f"completing {count} kets to dimension {target_dim}") from exc
-    # Householder QR may flip a column's sign; undo that to match Gram-Schmidt.
-    signs = np.where(r.diagonal()[count:].real < 0, -1.0, 1.0)
-    return np.concatenate([kets, (q[:, count:] * signs).T])
-
-
 def _svd(m: np.ndarray, **options):
     """numpy's SVD of ``m`` with ``options``; NumericalFailure if it does not converge."""
     try:
@@ -464,43 +427,60 @@ def tensor_ket(s, m) -> np.ndarray:
     return np.kron(as_ket(s), as_ket(m))
 
 
-def _joint_ket(joint, dim_s, dim_m, noun: str = "vector", unit: bool = True):
-    """The one joint-ket gate: ``(vec, dim_s, dim_m)`` once both dimensions are
-    integers >= 1, ``joint`` is a finite 1-D ket (``noun`` in those errors) of
-    length ``dim_s * dim_m`` and, if ``unit``, admitted at unit norm."""
-    dim_s, dim_m = _check_integer("dim_s", dim_s, 1), _check_integer("dim_m", dim_m, 1)
-    vec = _checked(_convert(joint), 1, noun)
-    total = dim_s * dim_m
-    if vec.shape[0] != total:
-        raise DimensionMismatch(
-            f"joint ket has length {vec.shape[0]}, expected {dim_s}*{dim_m}={total}"
-        )
-    if unit:
-        _admit_unit_norm(vec, "joint ket")
-    return vec, dim_s, dim_m
+@dataclass(frozen=True, eq=False)
+class JointState:
+    """A normalized ket on the system-major product of two factors, of length
+    ``dim_s * dim_m`` (else DimensionMismatch), admitted at unit norm (else
+    NotNormalized)."""
 
+    dim_s: int
+    dim_m: int
+    vec: np.ndarray
 
-@_public
-def partial_trace_m(joint, dim_s: int, dim_m: int) -> np.ndarray:
-    """Trace out the second (ancilla) factor of a joint ket or operator.
-
-    Accepts either a joint ket of length ``dim_s * dim_m`` or a square
-    operator on the product space; returns the ``dim_s x dim_s`` reduced
-    operator. For a ket input this is the reduced state of ``|v><v|``.
-    """
-    dim_s, dim_m = _check_integer("dim_s", dim_s, 1), _check_integer("dim_m", dim_m, 1)
-    arr = _convert(joint)
-    if arr.ndim == 1:
-        a = _joint_ket(arr, dim_s, dim_m, "joint ket", unit=False)[0].reshape(dim_s, dim_m)
-        return a @ dagger(a)
-    if arr.ndim == 2:
-        total = dim_s * dim_m
-        if _checked(arr, 2, "joint operator").shape != (total, total):
+    @_public
+    def __post_init__(self):
+        dim_s = _check_integer("dim_s", self.dim_s, 1)
+        dim_m = _check_integer("dim_m", self.dim_m, 1)
+        vec = _checked(_convert(self.vec), 1, "vector")
+        if vec.shape[0] != dim_s * dim_m:
             raise DimensionMismatch(
-                f"joint operator has shape {arr.shape}, expected ({total}, {total})"
+                f"joint ket has length {vec.shape[0]}, expected {dim_s}*{dim_m}={dim_s * dim_m}"
             )
-        return np.einsum("ikjk->ij", arr.reshape(dim_s, dim_m, dim_s, dim_m))
-    raise DimensionMismatch(f"expected a ket or square operator, got ndim={arr.ndim}")
+        _admit_unit_norm(vec, "joint ket")
+        object.__setattr__(self, "dim_s", dim_s)
+        object.__setattr__(self, "dim_m", dim_m)
+        object.__setattr__(self, "vec", vec)
+
+    def as_matrix(self) -> np.ndarray:
+        """The ket reshaped to (dim_s, dim_m); entry [i, k] pairs e_i with m_k."""
+        return self.vec.reshape(self.dim_s, self.dim_m)
+
+    @_public
+    def reduced_system(self) -> np.ndarray:
+        """Unit-trace reduced density matrix of the normalized ket on the system factor."""
+        return _state(self.as_matrix())
+
+
+@dataclass(frozen=True, eq=False)
+class Ancilla:
+    """An orthonormal ket list on the ancilla factor, one ket per element:
+    at least one and at most ``dim_m`` (else DimensionMismatch), admitted
+    orthonormal (else NotOrthonormal)."""
+
+    dim_m: int
+    kets: np.ndarray
+
+    @_public
+    def __post_init__(self):
+        object.__setattr__(self, "dim_m", _check_integer("dim_m", self.dim_m, 1))
+        kets = as_ket_list(self.kets, dim=self.dim_m)
+        if not 0 < kets.shape[0] <= self.dim_m:
+            raise DimensionMismatch(
+                f"{kets.shape[0]} ancilla kets cannot fit in dimension {self.dim_m}"
+                if kets.shape[0] else "an ancilla needs at least one ket"
+            )
+        _admit_orthonormal(kets, NotOrthonormal, "ancilla kets deviate from orthonormality")
+        object.__setattr__(self, "kets", kets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -522,23 +502,65 @@ class SchmidtForm:
 
 
 @_public
-def schmidt_decompose(
-    joint,
-    dim_s: int,
-    dim_m: int,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> SchmidtForm:
-    """Schmidt-decompose a unit joint ket via SVD.
+def schmidt_decompose(joint: JointState, rank_tol: float = DEFAULT_RANK_TOL) -> SchmidtForm:
+    """Schmidt-decompose a joint state via SVD.
 
-    The norm is admitted as ``JointState`` admits it (else NotNormalized), and
-    the coefficients are those of the unit-norm joint (``_schmidt``), cut by the
+    The coefficients are those of the unit-norm joint (``_schmidt``), cut by the
     rank cutoff on their squares and normalized as the module docstring says,
     so their squares sum to 1 whatever the cutoff drops.
     """
-    vec, dim_s, dim_m = _joint_ket(joint, dim_s, dim_m)
-    u, sv, vh, rank = _schmidt(vec.reshape(dim_s, dim_m), rank_tol)
+    u, sv, vh, rank = _schmidt(joint.as_matrix(), rank_tol)
     return SchmidtForm(
         coefficients=sv[:rank] / np.sqrt(1.0 - np.vdot(sv[rank:], sv[rank:])),
         left_kets=u[:, :rank].T.copy(),
         right_kets=vh[:rank].copy(),
     )
+
+
+@_public
+def complete_orthonormal(ancilla: Ancilla) -> np.ndarray:
+    """Extend an ancilla's kets to an orthonormal basis of its factor.
+
+    The first ``k = len(ancilla.kets)`` rows of the result are the ancilla
+    kets verbatim. The rest are Gram-Schmidt of the canonical basis vectors
+    ``e_0..e_{d-k-1}`` (``d = ancilla.dim_m``), in index order, against the
+    kets, computed as one Householder QR of the square matrix
+    ``[kets^T | e_0..e_{d-k-1}]``: no candidate is skipped, and each
+    completion vector overlaps its candidate positively. The result
+    is deterministic and as orthonormal as the kets; a canonical prefix
+    ``e_0..e_{k-1}`` completes to exactly the identity. A candidate (nearly)
+    in the span of the kets and the earlier candidates gets a direction set
+    by rounding. Raises ResourceExhausted if a ``d x d`` array cannot be
+    allocated or numpy cannot represent its size.
+    """
+    kets, dim = ancilla.kets, ancilla.dim_m
+    count = kets.shape[0]
+    try:
+        # Householder column j depends only on input columns 0..j, so
+        # candidates past e_{d-k-1} would never reach Q: leave them out.
+        candidates = np.eye(dim, dim - count)
+        q, r = np.linalg.qr(np.concatenate([kets.T, candidates], axis=1))
+    except ValueError as exc:
+        raise _out_of_memory(f"completing {count} kets to dimension {dim}") from exc
+    # Householder QR may flip a column's sign; undo that to match Gram-Schmidt.
+    signs = np.where(r.diagonal()[count:].real < 0, -1.0, 1.0)
+    return np.concatenate([kets, (q[:, count:] * signs).T])
+
+
+@_public
+def partial_trace_m(joint, dim_s: int, dim_m: int) -> np.ndarray:
+    """Trace out the second (ancilla) factor of an operator on the joint space.
+
+    ``joint`` is a square operator on the system-major product of a ``dim_s``
+    and a ``dim_m`` factor (else DimensionMismatch, a ket included); returns
+    the ``dim_s x dim_s`` reduced operator, with the trace of ``joint``. A
+    joint ket's reduced state is ``JointState.reduced_system()``.
+    """
+    dim_s, dim_m = _check_integer("dim_s", dim_s, 1), _check_integer("dim_m", dim_m, 1)
+    arr = _checked(_convert(joint), 2, "joint operator")
+    total = dim_s * dim_m
+    if arr.shape != (total, total):
+        raise DimensionMismatch(
+            f"joint operator has shape {arr.shape}, expected ({total}, {total})"
+        )
+    return np.einsum("ikjk->ij", arr.reshape(dim_s, dim_m, dim_s, dim_m))

@@ -5,9 +5,10 @@ Everything here operates on a bipartite picture: a system space of dimension
 ``dim_m``. A normalized joint ket whose reduced system state equals a given
 density matrix is a *purification* of it; an orthonormal ket list on the
 ancilla side correlated one-to-one with ensemble elements is that ensemble's
-*ancilla*. The functions below construct these objects explicitly and convert
-between any two ensembles of the same density matrix via unitaries on the
-ancilla factor alone.
+*ancilla*. Their records, ``JointState`` and ``Ancilla``, are defined in
+``rhokit.linalg`` beside the layout they hold. The functions below construct
+these objects explicitly and convert between any two ensembles of the same
+density matrix via unitaries on the ancilla factor alone.
 
 Phase convention: ensemble amplitudes are always the real positive square
 roots of the weights; complex phases are absorbed into the ancilla kets.
@@ -63,7 +64,6 @@ from .errors import (
     DensitiesDiffer,
     DimensionMismatch,
     NotInSupport,
-    NotOrthonormal,
     NotOrthonormalBasis,
     NotUnitary,
     RhokitError,
@@ -72,11 +72,12 @@ from .errors import (
 from .linalg import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
+    Ancilla,
+    JointState,
     _admit_orthonormal,
     _admit_unit_norm,
     _at_unit_norm,
     _check_integer,
-    _joint_ket,
     _kept_rank,
     _out_of_memory,
     _public,
@@ -102,54 +103,6 @@ def _trusted(cls, **fields):
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value
-
-
-@dataclass(frozen=True, eq=False)
-class JointState:
-    """A normalized ket on the system-major product of two factors, admitted at
-    unit norm (else NotNormalized), of length ``dim_s * dim_m``."""
-
-    dim_s: int
-    dim_m: int
-    vec: np.ndarray
-
-    @_public
-    def __post_init__(self):
-        vec, dim_s, dim_m = _joint_ket(self.vec, self.dim_s, self.dim_m)
-        object.__setattr__(self, "dim_s", dim_s)
-        object.__setattr__(self, "dim_m", dim_m)
-        object.__setattr__(self, "vec", vec)
-
-    def as_matrix(self) -> np.ndarray:
-        """The ket reshaped to (dim_s, dim_m); entry [i, k] pairs e_i with m_k."""
-        return self.vec.reshape(self.dim_s, self.dim_m)
-
-    @_public
-    def reduced_system(self) -> np.ndarray:
-        """Unit-trace reduced density matrix of the normalized ket on the system factor."""
-        return _state(self.as_matrix())
-
-
-@dataclass(frozen=True, eq=False)
-class Ancilla:
-    """An orthonormal ket list on the ancilla factor, one ket per element:
-    at least one and at most ``dim_m`` (else DimensionMismatch), admitted
-    orthonormal (else NotOrthonormal)."""
-
-    dim_m: int
-    kets: np.ndarray
-
-    @_public
-    def __post_init__(self):
-        object.__setattr__(self, "dim_m", _check_integer("dim_m", self.dim_m, 1))
-        kets = as_ket_list(self.kets, dim=self.dim_m)
-        if not 0 < kets.shape[0] <= self.dim_m:
-            raise DimensionMismatch(
-                f"{kets.shape[0]} ancilla kets cannot fit in dimension {self.dim_m}"
-                if kets.shape[0] else "an ancilla needs at least one ket"
-            )
-        _admit_orthonormal(kets, NotOrthonormal, "ancilla kets deviate from orthonormality")
-        object.__setattr__(self, "kets", kets)
 
 
 @dataclass(frozen=True, eq=False)

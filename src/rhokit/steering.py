@@ -24,6 +24,7 @@ from .errors import DimensionMismatch, InvalidArgument, WeightsNotNormalized
 from .linalg import (
     DEFAULT_RANK_TOL,
     _CONSTRUCT_TOL,
+    JointState,
     _at_unit_norm,
     _check_integer,
     _checked,
@@ -33,7 +34,7 @@ from .linalg import (
     as_operator,
     dagger,
 )
-from .purification import JointState, _trusted, ensemble_from_basis
+from .purification import _trusted, ensemble_from_basis
 
 _INT64_MAX = 2**63 - 1  # multinomial counts are 64-bit integers
 
@@ -127,14 +128,9 @@ def sample_outcomes(weights, shots: int, seed: int) -> np.ndarray:
         raise WeightsNotNormalized(
             f"weights sum to {total!r}, expected 1 (tol {_CONSTRUCT_TOL:.3e})"
         )
-    return _multinomial(probs, shots, seed)
-
-
-def _multinomial(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """One seeded multinomial draw of ``shots`` over non-negative ``probs``."""
     shots = _check_integer("shots", shots, 1, _INT64_MAX)
     seed = _check_integer("seed", seed, 0)
-    return np.random.default_rng(seed).multinomial(shots, probs / float(probs.sum()))
+    return np.random.default_rng(seed).multinomial(shots, probs / total)
 
 
 @_public
@@ -151,12 +147,12 @@ def steer(
     post-measurement mixture, the unit-trace state of the conditioned
     ensemble's amplitudes, which coincides with the reduced state of the joint ket.
     The conditioned weights, ``expected_weights``, sum to 1 and are the outcome
-    distribution, sampled as ``ensemble_from_basis`` returned them, unchecked;
-    it admits the basis (else NotOrthonormalBasis).
+    distribution ``sample_outcomes`` draws from; ``ensemble_from_basis`` admits
+    the basis (else NotOrthonormalBasis).
     """
     ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol)
-    counts = _multinomial(ensemble.weights, shots, seed)
-    # _multinomial admitted shots and drew one non-negative count per
+    counts = sample_outcomes(ensemble.weights, shots, seed)
+    # sample_outcomes admitted shots and drew one non-negative count per
     # conditioned weight, summing to shots; those weights are positive and
     # finite, and their state is a finite square matrix.
     return _trusted(

@@ -129,7 +129,7 @@ def test_criterion_3_basis_roundtrip():
         order = int(rng.integers(1, dim_m + 1))
         e = random_ensemble(rng, dim_s, order)
         joint, ancilla = purify(e, dim_m)
-        basis = complete_orthonormal(ancilla.kets, dim_m)
+        basis = complete_orthonormal(ancilla)
         derived, derived_ancilla, _ = ensemble_from_basis(joint, basis)
         if ensembles_equal(derived, e):
             matches += 1

@@ -173,7 +173,7 @@ def test_outputs_rebuild_through_checked_constructors(case):
     # The basis skipped both checks inside; the checked functions accept it and
     # compute the same values from it.
     np.testing.assert_array_equal(
-        complete_orthonormal(containing_basis, dim_m), containing_basis
+        complete_orthonormal(Ancilla(dim_m, containing_basis)), containing_basis
     )
     assert bits(ensemble_from_basis(joint, containing_basis)[0]) == bits(containing)
 
@@ -337,9 +337,10 @@ def verdict(call):
 
 @pytest.mark.parametrize("deviation", [0.0, 0.5e-8, 1e-7])
 def test_kets_and_probability_vectors_are_admitted_at_one_fixed_threshold(deviation):
-    # A target's norm, a joint's norm, a completion input's lean and a weight
-    # sum each miss 1 by ``deviation``; each is admitted iff that is within
-    # 1e-8, the bound of JointState and Ancilla.
+    # A target's norm, a joint's norm, an ancilla's lean and a weight sum each
+    # miss 1 by ``deviation``; each is admitted iff that is within 1e-8, the
+    # bound of JointState and Ancilla, which schmidt_decompose and
+    # complete_orthonormal take.
     rng = np.random.default_rng(42)
     joint, support = joint_of_rank(rng, 3, 4, 2)
     target = support @ (rng.normal(size=2) + 1j * rng.normal(size=2))
@@ -348,17 +349,11 @@ def test_kets_and_probability_vectors_are_admitted_at_one_fixed_threshold(deviat
     partial = random_unitary(rng, 3)[:2]
     partial[1] += deviation * partial[0]
     weights = [0.5, 0.5 + deviation]
-    assert verdict(lambda: JointState(3, 4, scaled)) == verdict(
-        lambda: schmidt_decompose(scaled, 3, 4)
-    )
-    assert verdict(lambda: Ancilla(3, partial)) == verdict(
-        lambda: complete_orthonormal(partial, 3)
-    )
     if deviation > 1e-8:
         for call, error in (
             (lambda: ensemble_containing(joint, target), NotNormalized),
-            (lambda: schmidt_decompose(scaled, 3, 4), NotNormalized),
-            (lambda: complete_orthonormal(partial, 3), NotOrthonormal),
+            (lambda: JointState(3, 4, scaled), NotNormalized),
+            (lambda: Ancilla(3, partial), NotOrthonormal),
             (lambda: sample_outcomes(weights, 10, 0), WeightsNotNormalized),
         ):
             with pytest.raises(error, match=r"\(tol 1\.000e-08\)$"):
@@ -368,9 +363,9 @@ def test_kets_and_probability_vectors_are_admitted_at_one_fixed_threshold(deviat
     assert validate_ensemble(ensemble) == []
     unit = target / np.linalg.norm(target)
     assert np.abs(ensemble.kets[0] - unit).max() <= 1e-8
-    form = schmidt_decompose(scaled, 3, 4)
+    form = schmidt_decompose(JointState(3, 4, scaled))
     assert abs(np.sum(form.coefficients**2) - 1.0) <= 1e-12
-    completed = complete_orthonormal(partial, 3)
+    completed = complete_orthonormal(Ancilla(3, partial))
     np.testing.assert_array_equal(completed[:2], partial)
     assert orthonormality_deviation(completed) <= 2e-8
     assert sum(sample_outcomes(weights, 10, 0)) == 10
@@ -490,9 +485,7 @@ def catalogue():
             apply_unitary_umap, {"joint": joint}, {"basis": eye, "u": eye, "rank_tol": 1e-10}
         ),
         "check_umap": (check_umap, {"u": UMap(eye, eye, 2)}, {"tol": 1e-10}),
-        "complete_orthonormal": (
-            complete_orthonormal, {}, {"partial": [ket], "target_dim": 2}
-        ),
+        "complete_orthonormal": (complete_orthonormal, {"ancilla": Ancilla(2, [ket])}, {}),
         "densities_match": (densities_match, {"a": e, "b": e}, {"tol": 1e-10}),
         "eig_hermitian": (eig_hermitian, {}, {"m": eye / 2}),
         "ensemble_containing": (
@@ -517,7 +510,7 @@ def catalogue():
             measure_ancilla, {"joint": joint}, {"basis": eye, "rank_tol": 1e-10}
         ),
         "partial_trace_m": (
-            partial_trace_m, {}, {"joint": joint.vec, "dim_s": 2, "dim_m": 2}
+            partial_trace_m, {}, {"joint": np.outer(joint.vec, joint.vec), "dim_s": 2, "dim_m": 2}
         ),
         "purify": (purify, {"e": e}, {"dim_m": 2}),
         "sample_outcomes": (
@@ -525,9 +518,7 @@ def catalogue():
             {},
             {"weights": [0.5, 0.5], "shots": 10, "seed": 0},
         ),
-        "schmidt_decompose": (
-            schmidt_decompose, {}, {"joint": joint.vec, "dim_s": 2, "dim_m": 2, "rank_tol": 1e-10}
-        ),
+        "schmidt_decompose": (schmidt_decompose, {"joint": joint}, {"rank_tol": 1e-10}),
         "steer": (
             steer, {"joint": joint}, {"basis": eye, "shots": 10, "seed": 0, "rank_tol": 1e-10}
         ),
@@ -695,9 +686,9 @@ def test_every_integer_argument_is_a_checked_integer(name, arg):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: schmidt_decompose(np.ones(4) / 2, -2, -2),
-        lambda: schmidt_decompose(np.ones(4) / 2, 2.5, 1.6),
-        lambda: schmidt_decompose(np.ones(4) / 2, True, 4),
+        lambda: JointState(-2, -2, np.ones(4) / 2),
+        lambda: JointState(2.5, 1.6, np.ones(4) / 2),
+        lambda: JointState(True, 4, np.ones(4) / 2),
         lambda: partial_trace_m(np.ones(4), -2, -2),
         lambda: partial_trace_m(np.ones(4), None, 2),
         lambda: Ancilla(None, np.eye(2)),
@@ -892,11 +883,22 @@ def test_complex_or_string_weights_are_invalid_arguments():
 @pytest.mark.parametrize("dim", [2**59, 2**64, 10**30], ids=["2^59", "2^64", "10^30"])
 def test_sizes_numpy_cannot_represent_are_resource_exhausted(dim):
     e = RhoEnsemble(kets=np.eye(2, dtype=complex), weights=[0.5, 0.5])
-    for call in (lambda: purify(e, dim), lambda: complete_orthonormal([], dim)):
-        with pytest.raises(ResourceExhausted, match=f"[ *]{dim} needs more memory") as info:
-            call()
-        assert isinstance(info.value, MemoryError)
-        assert type(info.value.__cause__) is ValueError
+    with pytest.raises(ResourceExhausted, match=f"[*]{dim} needs more memory") as info:
+        purify(e, dim)
+    assert isinstance(info.value, MemoryError)
+    assert type(info.value.__cause__) is ValueError
+
+
+def test_a_completion_numpy_cannot_represent_is_resource_exhausted():
+    # An ancilla's ket of 2**40 entries, held as a view of one entry, is
+    # representable; its 2**40 x 2**40 completion is not.
+    dim = 2**40
+    ket = np.lib.stride_tricks.as_strided(np.ones(1, dtype=complex), (1, dim), (0, 0))
+    ancilla = purification._trusted(Ancilla, dim_m=dim, kets=ket)
+    with pytest.raises(ResourceExhausted, match=f" {dim} needs more memory") as info:
+        complete_orthonormal(ancilla)
+    assert isinstance(info.value, MemoryError)
+    assert type(info.value.__cause__) is ValueError
 
 
 # One child process runs public calls under a lowered address-space limit.
@@ -999,12 +1001,13 @@ def sweep():
     e = rk.RhoEnsemble(u, w)
     j, _ = rk.purify(e, n)
     rho = rk.ensemble_to_density(e)
-    form = rk.schmidt_decompose(j.vec, n, n)
+    form = rk.schmidt_decompose(j)
+    half = rk.Ancilla(n, u[: n // 2])
     real_eye = np.eye(n)  # real arguments are converted to complex arrays
-    # Arrays taken as they are: joint kets of 2048 x 1024 and 512 x 512 and
-    # 2**20 outcome weights.
+    # Arrays taken as they are: a joint ket of 2048 x 1024, a joint operator
+    # on 32 x 32 and 2**20 outcome weights.
     big = np.full(2**21, 2.0**-10.5, dtype=complex)
-    square = np.full(2**18, 2.0**-9, dtype=complex)
+    square = np.full((1024, 1024), 2.0**-10, dtype=complex)
     outcomes = np.full(2**20, 2.0**-20)
     # Order x order products built from factors of order x 2.
     plane = rk.RhoEnsemble(fan(1024), np.full(1024, 1 / 1024))
@@ -1029,7 +1032,7 @@ def sweep():
         "UMap": lambda: rk.UMap(real_eye, real_eye, n),
         "apply_unitary_umap": lambda: rk.apply_unitary_umap(j, u, u),
         "check_umap": lambda: rk.check_umap(reflected),
-        "complete_orthonormal": lambda: rk.complete_orthonormal(u[: n // 2], n),
+        "complete_orthonormal": lambda: rk.complete_orthonormal(half),
         "densities_match": lambda: rk.densities_match(e, e),
         "eig_hermitian": lambda: rk.eig_hermitian(rho.matrix),
         "eigen_ensemble": lambda: rk.eigen_ensemble(rho),
@@ -1041,10 +1044,10 @@ def sweep():
         "lemma_unitary": lambda: rk.lemma_unitary(j, j),
         "match_purification": lambda: rk.match_purification(e, j),
         "measure_ancilla": lambda: rk.measure_ancilla(small, small_basis),
-        "partial_trace_m": lambda: rk.partial_trace_m(square, 512, 512),
+        "partial_trace_m": lambda: rk.partial_trace_m(square, 32, 32),
         "purify": lambda: rk.purify(e, n),
         "sample_outcomes": lambda: rk.sample_outcomes(outcomes, 10**6, 0),
-        "schmidt_decompose": lambda: rk.schmidt_decompose(j.vec, n, n),
+        "schmidt_decompose": lambda: rk.schmidt_decompose(j),
         "steer": lambda: rk.steer(j, u, 10**6, 0),
         "tensor_ket": lambda: rk.tensor_ket(u[0], np.full(4096, 1 / 64)),
         "umap_between": lambda: rk.umap_between(e, e),

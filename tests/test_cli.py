@@ -186,23 +186,31 @@ def umap_payload(generator, basis, cols):
 
 
 @pytest.mark.parametrize(
-    "generator, basis, cols, tol",
+    "generator, basis, cols, tol, malformed",
     [
-        (np.eye(3), np.eye(2), 2, "1e-10"),
-        (np.eye(2, 3), np.eye(2), 3, "10"),
-        (np.eye(2), np.eye(1, 2), 2, "1e-10"),
-        (np.eye(2), np.eye(2, 3), 2, "1e-10"),
+        (np.eye(3, 2), np.eye(3), 2, "1e-10", None),
+        (np.eye(2, 3), np.eye(2), 3, "10", None),
+        (np.eye(2), np.eye(1, 2), 2, "1e-10", "umap.basis: expected 2 kets"),
+        (np.eye(2), np.eye(2, 3), 2, "1e-10", "umap.basis[0]: expected 2 entries"),
     ],
     ids=["generator_size", "more_columns_than_rows", "one_basis_ket", "wide_basis_kets"],
 )
 def test_verify_umap_of_mismatched_shapes_reports_and_exits_3(
-    tmp_path, generator, basis, cols, tol
+    tmp_path, generator, basis, cols, tol, malformed
 ):
-    # Each document is well encoded; UMap refuses its shape.
+    # A generator that is not square is well encoded, and UMap refuses it:
+    # verify reports it and exits 3. The basis is read at the generator's
+    # declared rows, so a basis of another shape is malformed encoding: one
+    # DocumentError line, exit 2, as for every other declared size.
     payload = umap_payload(generator, pairs(basis), cols)
     path = tmp_path / "u.json"
     path.write_text(json.dumps({"kind": "umap", "version": 1, "payload": payload}))
     result = run_cli("verify", "--umap", str(path), "--tol", tol)
+    if malformed:
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert single_json_error(result.stderr) == {"error": "DocumentError", "message": malformed}
+        return
     assert result.returncode == 3
     assert result.stderr == ""
     report = json.loads(result.stdout)
@@ -312,9 +320,7 @@ def test_verify_rejects_rank_tol(tmp_path, capsys):
     ens = write(tmp_path / "e.json", docs.ensemble_document(e))
     assert main(["verify", "--ensemble", ens]) == 0
     assert json.loads(capsys.readouterr().out) == {"clean": True, "violations": []}
-    with pytest.raises(SystemExit) as exit_info:
-        main(["verify", "--ensemble", ens, "--rank-tol", "0"])
-    assert exit_info.value.code == 2
+    assert main(["verify", "--ensemble", ens, "--rank-tol", "0"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "UsageError"
 
@@ -381,9 +387,7 @@ def test_verify_rho_without_ensemble_is_a_usage_error(tmp_path, capsys, kind):
         assert main(["umap", mixture, mixture, "--out", doc]) == 0
     assert main(["verify", f"--{kind}", doc]) == 0
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exit_info:
-        main(["verify", f"--{kind}", doc, "--rho", str(tmp_path / "absent.json")])
-    assert exit_info.value.code == 2
+    assert main(["verify", f"--{kind}", doc, "--rho", str(tmp_path / "absent.json")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     error = single_json_error(captured.err)
@@ -432,9 +436,7 @@ def test_purify_admits_an_ensemble_as_joint_state_admits_a_joint(tmp_path, capsy
     assert captured.err == ""
     [violation] = json.loads(captured.out)["violations"]
     assert re.fullmatch(r"element 0 has norm 0\.99999999973\d*, expected 1", violation)
-    with pytest.raises(SystemExit) as exit_info:
-        main(["purify", ensemble, "--dim-m", "2", "--tol", "1e-6"])
-    assert exit_info.value.code == 2
+    assert main(["purify", ensemble, "--dim-m", "2", "--tol", "1e-6"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     error = single_json_error(captured.err)
@@ -453,9 +455,7 @@ def test_contains_admits_a_ket_as_ensemble_from_basis_admits_a_joint(tmp_path, c
     assert main(["contains", joint, ket, "--out", out]) == 0
     assert main(["verify", "--ensemble", out]) == 0
     assert capsys.readouterr().err == ""
-    with pytest.raises(SystemExit) as exit_info:
-        main(["contains", joint, ket, "--out", out, "--tol", "1e-6"])
-    assert exit_info.value.code == 2
+    assert main(["contains", joint, ket, "--out", out, "--tol", "1e-6"]) == 2
     error = single_json_error(capsys.readouterr().err)
     assert error["error"] == "UsageError" and "--tol" in error["message"]
 
@@ -618,6 +618,17 @@ def test_usage_errors_exit_2_with_one_json_line(args):
     assert error["message"]
 
 
+def test_main_returns_the_code_of_a_usage_error_and_of_help(capsys):
+    # In process as in a process: argparse's exits become return values.
+    assert main(["bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert single_json_error(captured.err)["error"] == "UsageError"
+    assert main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("usage: rhokit")
+
+
 def test_help_exits_0_with_the_help_text_on_stdout():
     result = run_cli("--help", env=stdout_env(buffered=True))
     assert result.returncode == 0
@@ -746,9 +757,7 @@ def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, flag, value):
     mixture = write(tmp_path / "e.json", equal_mixture_doc())
     other = write(tmp_path / "pm.json", plus_minus_mixture_doc())
     args = ["umap", mixture, other] if flag == "--tol" else ["contains", joint, ket]
-    with pytest.raises(SystemExit) as exit_info:
-        main([*args, f"{flag}={value}"])
-    assert exit_info.value.code == 2
+    assert main([*args, f"{flag}={value}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     error = single_json_error(captured.err)
@@ -765,9 +774,7 @@ def test_basis_taking_commands_reject_tol(tmp_path, capsys, command):
     args = [joint, basis, unitary] if command == "apply-u" else [joint, basis]
     out = ["--out", str(tmp_path / "out.json")]
     assert main([command, *args, *out]) == 0
-    with pytest.raises(SystemExit) as exit_info:
-        main([command, *args, *out, "--tol", "1e-6"])
-    assert exit_info.value.code == 2
+    assert main([command, *args, *out, "--tol", "1e-6"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     error = single_json_error(captured.err)
@@ -1010,10 +1017,7 @@ def test_fuzzed_flags_keep_the_exit_code_contract(tmp_path, capsys, command):
     for flag in sorted(flags):
         for value, expected in FUZZED_FLAGS[flag].items():
             argv = base + [f"{flag}={value}"]
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
+            code = main(argv)
             assert code == expected, argv
             stderr = capsys.readouterr().err
             if code == 0:

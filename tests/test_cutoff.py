@@ -107,7 +107,7 @@ def test_every_cut_distribution_sums_to_1(case):
     drawn = draw(case)
     joint, basis, _, _, _ = cut(*drawn)
     dim, kept = drawn[1], drawn[2]
-    coefficients = schmidt_decompose(joint.vec, dim, dim).coefficients
+    coefficients = schmidt_decompose(joint).coefficients
     assert len(coefficients) == kept, drawn
     assert abs(np.sum(coefficients**2) - 1.0) <= dim * EPS, drawn
     expected = steer(joint, basis, 100, case).expected_weights

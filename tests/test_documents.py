@@ -493,23 +493,27 @@ UMAP_PAYLOAD = {
         (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "cols": 3}), DocumentError,
          re.escape("umap.cols is 3, more than the generator's 2 columns")),
         (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "basis": [[[1.0, 0.0]] * 2]}),
-         DimensionMismatch, re.escape("basis has shape (1, 2), expected (2, 2)")),
+         DocumentError, "umap.basis: expected 2 kets"),
         (docs.to_umap,
          envelope("umap", {**UMAP_PAYLOAD, "basis": [[[1.0, 0.0]] * 2, [[1.0, 0.0]]]}),
          DocumentError, re.escape("umap.basis[1]: expected 2 entries")),
+        (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "basis": [[[1.0, 0.0]] * 3] * 2}),
+         DocumentError, re.escape("umap.basis[0]: expected 2 entries")),
         (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "basis": []}), DocumentError,
-         "umap.basis: expected a non-empty array of kets"),
+         "umap.basis: expected 2 kets"),
         (docs.to_umap, envelope("umap", {**UMAP_PAYLOAD, "basis": None}), DocumentError,
-         "umap.basis: expected a non-empty array of kets"),
+         "umap.basis: expected 2 kets"),
     ],
     ids=[
         "payload", "elements", "elements_object", "kets", "coeffs", "envelope_shape",
-        "umap_basis", "umap_basis_ragged", "umap_basis_empty", "umap_basis_missing",
+        "umap_basis", "umap_basis_ragged", "umap_basis_wide", "umap_basis_empty",
+        "umap_basis_missing",
     ],
 )
 def test_rejects_malformed_payload_with_its_path(extract, doc, error, message):
-    # An empty ensemble and a basis of the wrong shape are well encoded: their
-    # constructors refuse them. A ragged basis is not, and its reader refuses it.
+    # An empty ensemble is well encoded: its constructor refuses it. A umap
+    # basis is read at its generator's declared rows, so one of another shape
+    # is not, and its reader refuses it.
     with pytest.raises(error, match=f"^{message}$") as info:
         extract(doc)
     assert type(info.value) is error

@@ -15,6 +15,7 @@ from rhokit import (
     DimensionMismatch,
     InvalidArgument,
     InvalidEnsemble,
+    JointState,
     NotHermitian,
     RhoEnsemble,
     densities_match,
@@ -335,7 +336,7 @@ def test_density_from_matrix_holds_the_hermitian_part_it_decomposes():
 def test_records_follow_their_arrays():
     # The counts are read from the arrays, so no record can disagree with them.
     rho = DensityMatrix(np.eye(2) / 2)
-    form = schmidt_decompose(np.array([1, 0, 0, 1]) / math.sqrt(2), 2, 2)
+    form = schmidt_decompose(JointState(2, 2, np.array([1, 0, 0, 1]) / math.sqrt(2)))
     assert dataclasses.replace(rho, matrix=np.eye(3) / 3).dim == 3
     assert dataclasses.replace(form, coefficients=form.coefficients[:1]).rank == 1
     assert [f.name for f in dataclasses.fields(rho)] == ["matrix", "spectrum", "eigenkets"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rhokit import (
+    Ancilla,
     DensityMatrix,
     DimensionMismatch,
     InvalidArgument,
@@ -105,28 +106,23 @@ def test_rank_of_projector_spectrum():
 
 
 def test_complete_from_first_canonical():
-    basis = complete_orthonormal([computational(2, 0)], 2)
+    basis = complete_orthonormal(Ancilla(2, [computational(2, 0)]))
     np.testing.assert_allclose(basis, np.eye(2), atol=1e-12)
 
 
 def test_complete_from_superposition():
     start = (computational(2, 0) + computational(2, 1)) / np.sqrt(2)
-    basis = complete_orthonormal([start], 2)
+    basis = complete_orthonormal(Ancilla(2, [start]))
     np.testing.assert_array_equal(basis[0], start)
     gram = np.conj(basis) @ basis.T
     np.testing.assert_allclose(gram, np.eye(2), atol=1e-10)
-
-
-def test_complete_empty_gives_canonical():
-    basis = complete_orthonormal([], 3)
-    np.testing.assert_allclose(basis, np.eye(3), atol=1e-12)
 
 
 def test_complete_prefix_and_gram_random():
     for seed in range(40):
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 97))
-        count = int(rng.integers(0, dim + 1))
+        count = int(rng.integers(1, dim + 1))
         unitary = random_unitary(rng, dim)
         padded = np.zeros((dim, 2 * dim), dtype=complex)
         padded[:, ::2] = unitary
@@ -136,7 +132,7 @@ def test_complete_prefix_and_gram_random():
             padded[:count, ::2],
         ]
         for partial in layouts:
-            basis = complete_orthonormal(partial, dim)
+            basis = complete_orthonormal(Ancilla(dim, partial))
             assert basis.shape == (dim, dim)
             np.testing.assert_array_equal(basis[:count], partial)
             gram = np.conj(basis) @ basis.T
@@ -144,9 +140,9 @@ def test_complete_prefix_and_gram_random():
     # Every canonical prefix completes to exactly the identity.
     for dim in (1, 2, 3, 7, 16, 48, 96):
         identity = np.eye(dim, dtype=complex)
-        for count in range(dim + 1):
+        for count in range(1, dim + 1):
             np.testing.assert_array_equal(
-                complete_orthonormal(identity[:count], dim), identity
+                complete_orthonormal(Ancilla(dim, identity[:count])), identity
             )
 
 
@@ -156,7 +152,7 @@ def test_complete_full_set_is_a_copy_of_its_rows():
     padded[::2, ::2] = unitary
     for full in (unitary.copy(), np.asfortranarray(unitary), padded[::2, ::2]):
         before = full.copy()
-        basis = complete_orthonormal(full, 5)
+        basis = complete_orthonormal(Ancilla(5, full))
         np.testing.assert_array_equal(basis, before)
         basis[0, 0] = 7.0
         np.testing.assert_array_equal(full, before)
@@ -178,12 +174,12 @@ def test_complete_matches_wide_qr_reference():
     rng = np.random.default_rng(11)
     for _ in range(150):
         dim = int(rng.integers(1, 97))
-        count = int(rng.integers(0, dim + 1))
+        count = int(rng.integers(1, dim + 1))
         partial = random_unitary(rng, dim)[:count]
         square = np.concatenate([partial.T, np.eye(dim)[:, : dim - count]], axis=1)
         atol = 1e-14 * np.linalg.cond(square)
         np.testing.assert_allclose(
-            complete_orthonormal(partial, dim), wide_qr_completion(partial, dim),
+            complete_orthonormal(Ancilla(dim, partial)), wide_qr_completion(partial, dim),
             rtol=0, atol=atol,
         )
 
@@ -192,37 +188,45 @@ def test_complete_equals_the_sliced_identity_square_qr_bit_for_bit():
     # The candidates are built as a d x (d - k) identity block, not as a slice
     # of a d x d one; the factored matrix, and so every output bit, is the same.
     rng = np.random.default_rng(12)
-    for dim, count in [(1, 0), (2, 1), (7, 0), (7, 3), (16, 15), (40, 9)]:
+    for dim, count in [(1, 1), (2, 1), (7, 1), (7, 3), (16, 15), (40, 9)]:
         partial = random_unitary(rng, dim)[:count]
         square = np.concatenate([partial.T, np.eye(dim)[:, : dim - count]], axis=1)
         q, r = np.linalg.qr(square)
         signs = np.where(np.diag(r)[count:].real < 0, -1.0, 1.0)
         expected = np.concatenate([partial, (q[:, count:] * signs).T])
-        np.testing.assert_array_equal(complete_orthonormal(partial, dim), expected)
+        np.testing.assert_array_equal(complete_orthonormal(Ancilla(dim, partial)), expected)
 
 
 def test_complete_reports_a_failed_allocation_as_resource_exhausted(monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 39.1 KiB")
 
+    ancilla = Ancilla(50, [computational(50, 0)])
     monkeypatch.setattr(np, "eye", exhausted)
     expected = (
         "^complete_orthonormal needs more memory than is available: Unable to allocate 39.1 KiB$"
     )
     with pytest.raises(ResourceExhausted, match=expected) as info:
-        complete_orthonormal([], 50)
+        complete_orthonormal(ancilla)
     assert isinstance(info.value, MemoryError)
     assert isinstance(info.value.__cause__, MemoryError)
 
 
+# complete_orthonormal takes only an Ancilla, which admits its kets.
+
+
 def test_complete_rejects_overfull():
-    with pytest.raises(DimensionMismatch):
-        complete_orthonormal(np.eye(3, dtype=complex), 2)
+    with pytest.raises(DimensionMismatch, match="^3 ancilla kets cannot fit in dimension 2$"):
+        complete_orthonormal(Ancilla(2, np.eye(3, 2, dtype=complex)))
+    with pytest.raises(InvalidArgument, match="^ancilla must be a Ancilla, got ndarray$"):
+        complete_orthonormal(np.eye(3, 2, dtype=complex))
 
 
 def test_complete_rejects_non_orthonormal():
     with pytest.raises(NotOrthonormal):
-        complete_orthonormal([computational(2, 0), computational(2, 0)], 2)
+        complete_orthonormal(Ancilla(2, [computational(2, 0), computational(2, 0)]))
+    with pytest.raises(InvalidArgument, match="^ancilla must be a Ancilla, got list$"):
+        complete_orthonormal([computational(2, 0), computational(2, 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +261,7 @@ def test_tensor_matches_index_formula():
 
 
 def test_trace_bell_is_maximally_mixed():
-    reduced = partial_trace_m(bell_joint().vec, 2, 2)
+    reduced = bell_joint().reduced_system()
     np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
 
@@ -265,7 +269,7 @@ def test_trace_product_recovers_projector():
     rng = np.random.default_rng(2)
     s = random_ket(rng, 3)
     m = random_ket(rng, 2)
-    reduced = partial_trace_m(tensor_ket(s, m), 3, 2)
+    reduced = JointState(3, 2, tensor_ket(s, m)).reduced_system()
     np.testing.assert_allclose(reduced, np.outer(s, np.conj(s)), atol=1e-12)
 
 
@@ -273,7 +277,7 @@ def test_trace_matches_elementwise_sum():
     # Oracle: direct summation rho[i, j] = sum_k Psi[i, k] conj(Psi[j, k]).
     rng = np.random.default_rng(9)
     vec = random_ket(rng, 6)
-    reduced = partial_trace_m(vec, 3, 2)
+    reduced = JointState(3, 2, vec).reduced_system()
     psi = vec.reshape(3, 2)
     for i in range(3):
         for j in range(3):
@@ -285,7 +289,7 @@ def test_trace_is_hermitian_psd_unit_trace():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         vec = random_ket(rng, 12)
-        reduced = partial_trace_m(vec, 4, 3)
+        reduced = JointState(4, 3, vec).reduced_system()
         assert np.max(np.abs(reduced - np.conj(reduced).T)) < 1e-10
         assert np.min(np.linalg.eigvalsh(reduced)) > -1e-10
         assert abs(np.trace(reduced).real - 1.0) < 1e-10
@@ -294,7 +298,7 @@ def test_trace_is_hermitian_psd_unit_trace():
 def test_trace_operator_input_matches_ket_input():
     rng = np.random.default_rng(4)
     vec = random_ket(rng, 6)
-    from_ket = partial_trace_m(vec, 2, 3)
+    from_ket = JointState(2, 3, vec).reduced_system()
     from_op = partial_trace_m(np.outer(vec, np.conj(vec)), 2, 3)
     np.testing.assert_allclose(from_ket, from_op, atol=1e-12)
 
@@ -303,14 +307,17 @@ def test_tensor_then_trace_recovers_scaled_projector():
     rng = np.random.default_rng(6)
     s = random_ket(rng, 2)
     m = 0.5 * random_ket(rng, 3)  # deliberately unnormalized
-    reduced = partial_trace_m(tensor_ket(s, m), 2, 3)
+    vec = tensor_ket(s, m)
+    reduced = partial_trace_m(np.outer(vec, np.conj(vec)), 2, 3)
     expected = np.outer(s, np.conj(s)) * float(np.linalg.norm(m)) ** 2
     assert np.max(np.abs(reduced - expected)) < 1e-12
 
 
 def test_trace_rejects_bad_dims():
-    with pytest.raises(DimensionMismatch):
-        partial_trace_m(np.zeros(5, dtype=complex), 2, 2)
+    # A ket is no operator, even of the joint length.
+    for ket in (np.zeros(5, dtype=complex), bell_joint().vec):
+        with pytest.raises(DimensionMismatch, match="^expected a 2-D joint operator"):
+            partial_trace_m(ket, 2, 2)
     with pytest.raises(DimensionMismatch):
         partial_trace_m(np.zeros((3, 4), dtype=complex), 2, 2)
 
@@ -339,7 +346,7 @@ def test_state_of_subnormal_kets_and_of_zero():
 
 
 def test_schmidt_bell():
-    form = schmidt_decompose(bell_joint().vec, 2, 2)
+    form = schmidt_decompose(bell_joint())
     np.testing.assert_allclose(form.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12)
     assert form.rank == 2
 
@@ -347,7 +354,7 @@ def test_schmidt_bell():
 def test_schmidt_product():
     rng = np.random.default_rng(8)
     vec = tensor_ket(random_ket(rng, 2), random_ket(rng, 3))
-    form = schmidt_decompose(vec, 2, 3)
+    form = schmidt_decompose(JointState(2, 3, vec))
     assert form.rank == 1
     assert form.coefficients[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -356,7 +363,7 @@ def test_schmidt_known_coefficients():
     # Construct with coefficients (sqrt(0.9), sqrt(0.1)), then decompose.
     vec = np.sqrt(0.9) * tensor_ket(computational(2, 0), computational(2, 0))
     vec += np.sqrt(0.1) * tensor_ket(computational(2, 1), computational(2, 1))
-    form = schmidt_decompose(vec, 2, 2)
+    form = schmidt_decompose(JointState(2, 2, vec))
     np.testing.assert_allclose(
         form.coefficients, [np.sqrt(0.9), np.sqrt(0.1)], atol=1e-12
     )
@@ -366,7 +373,7 @@ def test_schmidt_roundtrip_random():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         vec = random_ket(rng, 12)
-        form = schmidt_decompose(vec, 3, 4)
+        form = schmidt_decompose(JointState(3, 4, vec))
         rebuilt = (form.left_kets.T * form.coefficients) @ form.right_kets
         assert np.max(np.abs(rebuilt.reshape(-1) - vec)) < 1e-9
         assert sum(form.coefficients**2) == pytest.approx(1.0, abs=1e-10)
@@ -376,14 +383,21 @@ def test_schmidt_roundtrip_random():
         assert np.max(np.abs(gram_right - np.eye(form.rank))) < 1e-10
 
 
+# schmidt_decompose takes only a JointState, which admits its ket.
+
+
 def test_schmidt_rejects_unnormalized():
     with pytest.raises(NotNormalized):
-        schmidt_decompose(np.ones(4, dtype=complex), 2, 2)
+        schmidt_decompose(JointState(2, 2, np.ones(4, dtype=complex)))
+    with pytest.raises(InvalidArgument, match="^joint must be a JointState, got ndarray$"):
+        schmidt_decompose(np.ones(4, dtype=complex))
 
 
 def test_schmidt_rejects_bad_dims():
     with pytest.raises(DimensionMismatch):
-        schmidt_decompose(np.zeros(5, dtype=complex), 2, 2)
+        schmidt_decompose(JointState(2, 2, np.zeros(5, dtype=complex)))
+    with pytest.raises(InvalidArgument, match="^joint must be a JointState, got ndarray$"):
+        schmidt_decompose(bell_joint().vec, 2, 2)
 
 
 def test_schmidt_coefficients_are_the_singular_values_ensemble_containing_takes(
@@ -402,8 +416,9 @@ def test_schmidt_coefficients_are_the_singular_values_ensemble_containing_takes(
     for _ in range(2000):
         dim_s, dim_m = (int(d) for d in rng.integers(2, 9, size=2))
         vec = random_ket(rng, dim_s * dim_m) * (1.0 + rng.uniform(-5e-9, 5e-9))
-        form = schmidt_decompose(vec, dim_s, dim_m)
-        ensemble_containing(JointState(dim_s, dim_m, vec), form.left_kets[0])
+        joint = JointState(dim_s, dim_m, vec)
+        form = schmidt_decompose(joint)
+        ensemble_containing(joint, form.left_kets[0])
         _, coefficients, _, rank = taken.pop()
         assert rank == form.rank
         assert coefficients[:rank].tobytes() == form.coefficients.tobytes()
@@ -418,7 +433,7 @@ def test_non_real_tolerance_is_an_invalid_argument(bad):
     with pytest.raises(InvalidArgument, match="^tol must be a finite non-negative"):
         lemma_unitary(bell_joint(), bell_joint(), bad)
     with pytest.raises(InvalidArgument, match="^rank_tol must be a finite non-negative"):
-        schmidt_decompose(bell_joint().vec, 2, 2, rank_tol=bad)
+        schmidt_decompose(bell_joint(), rank_tol=bad)
 
 
 PRECONDITIONS = {
@@ -438,7 +453,7 @@ PRECONDITIONS = {
         "matrix contains non-finite entries",
     ),
     "ket_list_non_finite": (
-        lambda: complete_orthonormal(np.array([[np.inf, 0.0]]), 2),
+        lambda: Ancilla(2, np.array([[np.inf, 0.0]])),
         InvalidArgument,
         "ket list contains non-finite entries",
     ),
@@ -453,14 +468,14 @@ PRECONDITIONS = {
         "ket list has dimension 0, expected at least 1$",
     ),
     "too_many_kets_to_complete": (
-        lambda: complete_orthonormal(np.ones((3, 2)), 2),
+        lambda: Ancilla(2, np.ones((3, 2))),
         DimensionMismatch,
-        "3 vectors cannot be orthonormal in dimension 2",
+        "3 ancilla kets cannot fit in dimension 2",
     ),
-    "partial_trace_non_finite_ket": (
+    "partial_trace_non_finite_ket": (  # a ket, finite or not, is no operator
         lambda: partial_trace_m([np.nan, 0, 0, 1], 2, 2),
-        InvalidArgument,
-        "joint ket contains non-finite entries",
+        DimensionMismatch,
+        r"expected a 2-D joint operator, got shape \(4,\)",
     ),
     "partial_trace_non_finite_operator": (
         lambda: partial_trace_m(np.full((4, 4), np.inf), 2, 2),
@@ -470,10 +485,10 @@ PRECONDITIONS = {
     "partial_trace_ndim": (
         lambda: partial_trace_m(np.zeros((2, 2, 2)), 2, 2),
         DimensionMismatch,
-        "expected a ket or square operator, got ndim=3",
+        r"expected a 2-D joint operator, got shape \(2, 2, 2\)",
     ),
     "rank_tol_above_every_coefficient": (
-        lambda: schmidt_decompose(bell_joint().vec, 2, 2, rank_tol=0.75),
+        lambda: schmidt_decompose(bell_joint(), rank_tol=0.75),
         InvalidArgument,
         "rank_tol 7.500e-01 is not below the largest squared Schmidt coefficient 5.000e-01$",
     ),
@@ -491,7 +506,7 @@ def test_violated_precondition_raises_its_typed_error(case):
     "solver, call, message",
     [
         ("eigh", lambda: eig_hermitian(np.eye(2)), "eigensolver failed"),
-        ("svd", lambda: schmidt_decompose(bell_joint().vec, 2, 2), "SVD failed"),
+        ("svd", lambda: schmidt_decompose(bell_joint()), "SVD failed"),
         ("svd", lambda: lemma_unitary(bell_joint(), bell_joint()), "SVD failed"),
         ("svd", lambda: ensemble_containing(bell_joint(), computational(2, 0)), "SVD failed"),
         (

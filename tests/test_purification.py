@@ -326,7 +326,7 @@ def test_from_basis_roundtrips_purification():
         order = int(rng.integers(1, dim_m + 1))
         e = random_ensemble(rng, dim, order)
         joint, ancilla = purify(e, dim_m)
-        basis = complete_orthonormal(ancilla.kets, dim_m)
+        basis = complete_orthonormal(ancilla)
         out, out_ancilla, members = ensemble_from_basis(joint, basis)
         assert members == list(range(order))
         assert ensembles_equal(out, e)
@@ -351,7 +351,7 @@ def test_from_basis_member_set_is_unique():
     rng = np.random.default_rng(20)
     e = random_ensemble(rng, 3, 2)
     joint, ancilla = purify(e, 3)
-    basis = complete_orthonormal(ancilla.kets, 3)
+    basis = complete_orthonormal(ancilla)
     out, out_ancilla, members = ensemble_from_basis(joint, basis)
     for drop in range(out.order):
         keep = [j for j in range(out.order) if j != drop]
@@ -727,7 +727,7 @@ def test_containing_covers_random_support_vectors():
         dim_s = int(rng.integers(2, 5))
         dim_m = int(rng.integers(2, 5))
         joint = random_joint(rng, dim_s, dim_m)
-        form = schmidt_decompose(joint.vec, dim_s, dim_m)
+        form = schmidt_decompose(joint)
         mix = rng.normal(size=form.rank) + 1j * rng.normal(size=form.rank)
         target = form.left_kets.T @ mix
         target = target / np.linalg.norm(target)

@@ -57,6 +57,7 @@ import pytest
 from rhokit import (
     DEFAULT_RANK_TOL,
     DEFAULT_TOL,
+    Ancilla,
     NotInSupport,
     RhoEnsemble,
     apply_unitary_umap,
@@ -287,7 +288,7 @@ class TheoremMachine:
 
     def tail(self, ancilla):
         """The norm of the joint outside the span of the ``ancilla`` kets."""
-        rest = complete_orthonormal(ancilla, self.joint.dim_m)[len(ancilla):]
+        rest = complete_orthonormal(Ancilla(self.joint.dim_m, ancilla))[len(ancilla):]
         return float(np.linalg.norm(self.joint.as_matrix() @ np.conj(rest).T))
 
     def add(self, ensemble, ancilla, collinear_ok):
@@ -297,7 +298,9 @@ class TheoremMachine:
         return member
 
     def basis_of(self, member):
-        return laid_out(complete_orthonormal(member.ancilla, self.joint.dim_m), self.layout)
+        return laid_out(
+            complete_orthonormal(Ancilla(self.joint.dim_m, member.ancilla)), self.layout
+        )
 
     def start(self, seed, dim, floor, layout, order, dim_m, fraction):
         rng = np.random.default_rng(seed)
