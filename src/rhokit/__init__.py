@@ -1,10 +1,9 @@
 """Toolkit for the unitary freedom in density-matrix decompositions.
 
-Builds purifications of weighted-ket ensembles, extracts the ensemble hiding
-in any ancilla basis, converts between decompositions of one density matrix
-with ancilla-side unitaries, constructs a decomposition around any chosen
-support vector, and simulates the measurement that makes one decomposition
-operationally visible without disturbing the system state.
+The Schrödinger-HJW theorem in its ancilla form, made executable. README's
+table "The theorem in one place" states each clause once, with the functions
+that construct it, the checker of their output, the bound that tests it and
+the tests; each rule is stated in the docstring of the module that owns it.
 """
 
 from .ensembles import (

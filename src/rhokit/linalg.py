@@ -183,7 +183,7 @@ def _check_instance(name: str, value, cls: type) -> None:
     """Raise InvalidArgument unless ``value`` is an instance of ``cls``."""
     if not isinstance(value, cls):
         raise InvalidArgument(
-            f"{name} must be a {cls.__name__}, got {type(value).__name__}"
+            f"{name} must be of type {cls.__name__}, got {type(value).__name__}"
         )
 
 

@@ -7,8 +7,7 @@ density matrix is a *purification* of it; an orthonormal ket list on the
 ancilla side correlated one-to-one with ensemble elements is that ensemble's
 *ancilla*. Their records, ``JointState`` and ``Ancilla``, are defined in
 ``rhokit.linalg`` beside the layout they hold. The functions below construct
-these objects explicitly and convert between any two ensembles of the same
-density matrix via unitaries on the ancilla factor alone.
+clauses 1 to 4 of README's table "The theorem in one place".
 
 Phase convention: ensemble amplitudes are always the real positive square
 roots of the weights; complex phases are absorbed into the ancilla kets.
@@ -31,10 +30,10 @@ can condition two elements onto (nearly) one direction; ``validate_ensemble``
 reports them as collinear, and every construction takes the ensemble as it is.
 
 The lemma. ``lemma_unitary``, ``match_purification`` and ``umap_between`` are
-one step, ``_lemma``: two purifications of the same state differ by a unitary
-on the ancilla. It checks that the two unit-trace reduced states agree within
-``tol`` and returns the orthogonal-Procrustes polar factor of the cross block
-of the two ``(dim_s, dim_m)`` coefficient matrices: one SVD. An ensemble's
+one step, ``_lemma``, clause 1 of README's table. It checks that the two
+unit-trace reduced states agree within ``tol`` and returns the
+orthogonal-Procrustes polar factor of the cross block of the two
+``(dim_s, dim_m)`` coefficient matrices: one SVD. An ensemble's
 coefficient matrix is that of its canonical purification
 (``_amplitude_block``), so its precondition comes first:
 ``match_purification`` checks the dimension, then the hypotheses, then the
@@ -44,13 +43,19 @@ checks ``from_e`` before ``to_e``.
 
 Built unchecked. ``_trusted`` builds a value without its constructor's checks
 where checks that already passed, or the way the value was built, imply
-them; the comment at each call site names which. It builds ``purify``'s
-``Ancilla``, the ``RhoEnsemble`` and ``Ancilla`` of ``_condition`` (for
-``ensemble_from_basis`` and ``ensemble_containing``), ``match_purification``'s
-``Ancilla``, the ``UMap`` of ``umap_between`` and of ``apply_unitary_umap``,
-and ``steer``'s ``SteeringReport``. The seeded tests in
-``tests/test_boundary.py`` rebuild every such output through the checked
-constructors.
+them; the comment at each call site names which. The call sites, each with
+what it builds:
+
+- ``purify``: its ``Ancilla``;
+- ``match_purification``: its ``Ancilla``;
+- ``_condition``: the ``RhoEnsemble`` and ``Ancilla`` of
+  ``ensemble_from_basis`` and ``ensemble_containing``;
+- ``umap_between`` and ``apply_unitary_umap``: their ``UMap``;
+- ``steer``: its ``SteeringReport``.
+
+The seeded tests in ``tests/test_boundary.py`` rebuild every such output
+through the checked constructors, and ``tests/test_gate.py`` checks this list
+against the call sites.
 """
 
 from __future__ import annotations

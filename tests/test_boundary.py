@@ -826,7 +826,7 @@ def test_a_failed_allocation_in_any_documents_function_is_resource_exhausted(mon
 def test_every_value_object_parameter_rejects_none(name):
     call, objects, valid = catalogue()[name]
     for arg, value in objects.items():
-        expected = f"^{arg} must be a {type(value).__name__}, got NoneType$"
+        expected = f"^{arg} must be of type {type(value).__name__}, got NoneType$"
         with pytest.raises(InvalidArgument, match=expected):
             call(**{**objects, arg: None}, **valid)
 

@@ -218,14 +218,14 @@ def test_complete_reports_a_failed_allocation_as_resource_exhausted(monkeypatch)
 def test_complete_rejects_overfull():
     with pytest.raises(DimensionMismatch, match="^3 ancilla kets cannot fit in dimension 2$"):
         complete_orthonormal(Ancilla(2, np.eye(3, 2, dtype=complex)))
-    with pytest.raises(InvalidArgument, match="^ancilla must be a Ancilla, got ndarray$"):
+    with pytest.raises(InvalidArgument, match="^ancilla must be of type Ancilla, got ndarray$"):
         complete_orthonormal(np.eye(3, 2, dtype=complex))
 
 
 def test_complete_rejects_non_orthonormal():
     with pytest.raises(NotOrthonormal):
         complete_orthonormal(Ancilla(2, [computational(2, 0), computational(2, 0)]))
-    with pytest.raises(InvalidArgument, match="^ancilla must be a Ancilla, got list$"):
+    with pytest.raises(InvalidArgument, match="^ancilla must be of type Ancilla, got list$"):
         complete_orthonormal([computational(2, 0), computational(2, 0)])
 
 
@@ -389,14 +389,14 @@ def test_schmidt_roundtrip_random():
 def test_schmidt_rejects_unnormalized():
     with pytest.raises(NotNormalized):
         schmidt_decompose(JointState(2, 2, np.ones(4, dtype=complex)))
-    with pytest.raises(InvalidArgument, match="^joint must be a JointState, got ndarray$"):
+    with pytest.raises(InvalidArgument, match="^joint must be of type JointState, got ndarray$"):
         schmidt_decompose(np.ones(4, dtype=complex))
 
 
 def test_schmidt_rejects_bad_dims():
     with pytest.raises(DimensionMismatch):
         schmidt_decompose(JointState(2, 2, np.zeros(5, dtype=complex)))
-    with pytest.raises(InvalidArgument, match="^joint must be a JointState, got ndarray$"):
+    with pytest.raises(InvalidArgument, match="^joint must be of type JointState, got ndarray$"):
         schmidt_decompose(bell_joint().vec, 2, 2)
 
 

@@ -96,6 +96,8 @@ def test_lemma_output_is_unitary():
     chi = apply_on_ancilla(random_unitary(rng, 4), phi)
     u = lemma_unitary(chi, phi)
     assert np.max(np.abs(np.conj(u).T @ u - np.eye(4))) < 1e-9
+    # The clause table's checker: the unitary as a map in the identity basis.
+    assert check_umap(UMap(u, np.eye(4), 4)) == []
 
 
 def test_lemma_rejects_different_traces():
