@@ -32,7 +32,6 @@ from .errors import (
     OrderExceedsAncillaDim,
     ResourceExhausted,
     RhokitError,
-    TracesDiffer,
     WeightsNotNormalized,
 )
 from .linalg import (
@@ -91,7 +90,6 @@ __all__ = [
     "RhokitError",
     "SchmidtForm",
     "SteeringReport",
-    "TracesDiffer",
     "UMap",
     "WeightsNotNormalized",
     "apply_unitary_umap",

@@ -1,8 +1,8 @@
 """Command-line front-end.
 
-Every command reads and writes the JSON documents defined in
-``rhokit.documents``; ``-`` stands for stdin/stdout. Errors are reported as a
-JSON object on stderr and mapped onto a fixed exit-code contract:
+Every command reads and writes the JSON documents of ``rhokit.documents``,
+``-`` standing for stdin/stdout (for one input at most). Errors are reported
+as a JSON object on stderr and mapped onto a fixed exit-code contract:
 
 * 0 -- success (for ``verify``: the report is clean)
 * 2 -- usage error, unreadable input, malformed document encoding, or
@@ -26,7 +26,7 @@ import numpy as np
 from . import documents
 from .ensembles import _amplitudes, validate_ensemble
 from .errors import DocumentError, NumericalFailure, ResourceExhausted, RhokitError
-from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_tolerances, _state, max_abs
+from .linalg import DEFAULT_RANK_TOL, DEFAULT_TOL, _check_tolerances, _state_gap
 from .purification import (
     apply_unitary_umap,
     check_umap,
@@ -172,7 +172,7 @@ def _cmd_verify(args) -> int:
                         f"({ensemble.dim}, {ensemble.dim})"
                     )
                 else:  # a state out of float range is NaN, an infinite deviation
-                    deviation = max_abs(_state(_amplitudes(ensemble, ensemble.order)) - rho)
+                    deviation = _state_gap(_amplitudes(ensemble, ensemble.order), rho)
                     if deviation > args.tol:
                         violations.append(
                             f"ensemble misses the given density matrix by {deviation:.3e}"
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim-m", type=int, required=True, help="ancilla dimension")
     p.add_argument("--out", default="-", help="joint document destination")
     p.add_argument("--ancilla-out", default=None, help="ancilla (basis document) destination")
-    p.set_defaults(func=_cmd_purify)
+    p.set_defaults(func=_cmd_purify, inputs=("ensemble",))
 
     p = sub.add_parser(
         "ensemble-from-basis",
@@ -241,14 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("basis", help="basis document")
     p.add_argument("--out", default="-")
     _add_tolerance(p, "--rank-tol")
-    p.set_defaults(func=_cmd_ensemble_from_basis)
+    p.set_defaults(func=_cmd_ensemble_from_basis, inputs=("joint", "basis"))
 
     p = sub.add_parser("umap", help="coefficient map between two same-density ensembles")
     p.add_argument("from_ensemble", metavar="from-ensemble", help="source ensemble document")
     p.add_argument("to_ensemble", metavar="to-ensemble", help="target ensemble document")
     p.add_argument("--out", default="-")
     _add_tolerance(p, "--tol")
-    p.set_defaults(func=_cmd_umap)
+    p.set_defaults(func=_cmd_umap, inputs=("from_ensemble", "to_ensemble"))
 
     p = sub.add_parser(
         "apply-u",
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="ensemble document destination")
     p.add_argument("--umap-out", default=None, help="umap document destination")
     _add_tolerance(p, "--rank-tol")
-    p.set_defaults(func=_cmd_apply_u)
+    p.set_defaults(func=_cmd_apply_u, inputs=("joint", "basis", "unitary"))
 
     p = sub.add_parser(
         "contains",
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ket", help="ket document")
     p.add_argument("--out", default="-")
     _add_tolerance(p, "--rank-tol")
-    p.set_defaults(func=_cmd_contains)
+    p.set_defaults(func=_cmd_contains, inputs=("joint", "ket"))
 
     p = sub.add_parser("steer", help="measure the ancilla and sample outcome counts")
     p.add_argument("joint", help="joint document")
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="PCG64 stream seed")
     p.add_argument("--out", default="-")
     _add_tolerance(p, "--rank-tol")
-    p.set_defaults(func=_cmd_steer)
+    p.set_defaults(func=_cmd_steer, inputs=("joint", "basis"))
 
     p = sub.add_parser("verify", help="validate a document; exit 0 iff clean")
     group = p.add_mutually_exclusive_group(required=True)
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--joint", help="joint document")
     p.add_argument("--rho", default=None, help="density matrix document to check against")
     _add_tolerance(p, "--tol")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, inputs=("ensemble", "umap", "joint", "rho"))
 
     return parser
 
@@ -305,6 +305,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "verify" and args.rho is not None and args.ensemble is None:
             parser.error("--rho requires --ensemble")
+        stdin = [name.replace("_", "-") for name in args.inputs if getattr(args, name) == "-"]
+        if len(stdin) > 1:  # the first would drain stdin and leave the next none
+            parser.error(f"inputs {', '.join(stdin)} all read stdin ('-'); only one can")
         # numpy warns on overflow from finite entries near the float limit;
         # that would break the one-line stderr contract, and the inf or NaN
         # it leaves still fails the checks that follow.

@@ -286,12 +286,11 @@ def umap_document(u: UMap) -> dict:
 
 @_public
 def report_document(report: SteeringReport) -> dict:
-    """A ``report`` document: ``shots``, ``counts``, ``expected_weights``,
-    ``post_density`` (a matrix object)."""
+    """A ``report`` document: ``counts``, ``expected_weights``, ``post_density``
+    (a matrix object); never ``shots``, which ``SteeringReport`` derives."""
     return _envelope(
         "report",
         {
-            "shots": report.shots,
             "counts": [int(c) for c in report.counts],
             "expected_weights": [float(w) for w in report.expected_weights],
             "post_density": _matrix_payload(report.post_density),
@@ -389,12 +388,13 @@ def to_umap(doc: dict) -> UMap:
 
 @_public
 def to_report(doc: dict) -> SteeringReport:
-    """The report a ``report`` document encodes: ``shots``, ``counts``,
-    ``expected_weights``, ``post_density``.
+    """The report a ``report`` document encodes: ``counts``, ``expected_weights``,
+    ``post_density``.
 
     Only the encoding is checked here (DocumentError): ``counts`` is an array,
     ``expected_weights`` an array of numbers and ``post_density`` a matrix
-    object. Every other rule is ``SteeringReport``'s, whose errors pass as raised.
+    object; other keys, such as the ``shots`` of older documents, are ignored.
+    Every other rule is ``SteeringReport``'s, whose errors pass as raised.
     """
     payload = _payload(doc, "report")
     counts, weights = payload.get("counts"), payload.get("expected_weights")
@@ -403,7 +403,7 @@ def to_report(doc: dict) -> SteeringReport:
     if not isinstance(weights, list) or not all(map(_is_number, weights)):
         raise DocumentError("report.expected_weights: expected an array of numbers")
     post_density = _parse_matrix(payload.get("post_density"), "report.post_density")
-    return SteeringReport(payload.get("shots"), counts, weights, post_density)
+    return SteeringReport(counts, weights, post_density)
 
 
 @_public

@@ -41,8 +41,8 @@ states the rules), and ``eigen_ensemble`` cuts its spectrum into an ensemble.
 An ensemble's state is its density over its trace, ``_state`` of its
 amplitudes: the record ``ensemble_to_density`` builds, the reduced state of
 its ``purify``, and what ``densities_match``, the gates of the constructions
-and ``rhokit verify --ensemble E --rho R`` compare, so
-``R = ensemble_to_density(E).matrix`` verifies clean. Kets that are all zero
+and ``rhokit verify --ensemble E --rho R`` compare by one judge, ``_state_gap``,
+so ``R = ensemble_to_density(E).matrix`` verifies clean. Kets that are all zero
 have no state: they match no ensemble, and ``verify --rho`` reports them as
 missing R by ``inf``. Kept as given is only what measures normalization
 itself: ``validate_ensemble``'s weight-sum and norm lines, and
@@ -65,11 +65,11 @@ from .linalg import (
     _kept_rank,
     _public,
     _state,
+    _state_gap,
     _svd,
     as_ket_list,
     eig_hermitian,
     gram_matrix,
-    max_abs,
 )
 
 
@@ -297,4 +297,4 @@ def densities_match(a: RhoEnsemble, b: RhoEnsemble, tol: float = DEFAULT_TOL) ->
         return False
     count = max(a.order, b.order)  # umap_between's padding, and so its bits
     with np.errstate(all="ignore"):  # a state out of float range is NaN: never a match
-        return max_abs(_state(_amplitudes(a, count)) - _state(_amplitudes(b, count))) <= tol
+        return _state_gap(_amplitudes(a, count), _state(_amplitudes(b, count))) <= tol

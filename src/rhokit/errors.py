@@ -62,12 +62,8 @@ class InvalidEnsemble(RhokitError):
         super().__init__("; ".join(self.violations))
 
 
-class TracesDiffer(RhokitError):
-    """Two joint states do not share the same reduced state on the system side."""
-
-
 class DensitiesDiffer(RhokitError):
-    """Two ensembles do not decompose the same density matrix."""
+    """Two ensembles or joint states do not share one state on the system side."""
 
 
 class OrderExceedsAncillaDim(RhokitError):

@@ -413,6 +413,13 @@ def _state(matrix: np.ndarray) -> np.ndarray:
     return _at_unit_norm(matrix @ dagger(matrix), matrix, 2)
 
 
+def _state_gap(matrix: np.ndarray, state: np.ndarray) -> float:
+    """The one judge of "same state": the max-norm gap of a coefficient matrix's
+    ``_state`` from ``state``, subtracted in place and freed on return."""
+    difference = _state(matrix)
+    return max_abs(np.subtract(difference, state, out=difference))
+
+
 def _schmidt(matrix: np.ndarray, rank_tol: float):
     """The one Schmidt step: ``u, sv, vh`` of a coefficient matrix (full where
     ``dim_s < dim_m``: ``vh`` spans the ancilla), ``sv`` at unit norm, and its rank."""

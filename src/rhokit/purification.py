@@ -31,15 +31,15 @@ reports them as collinear, and every construction takes the ensemble as it is.
 
 The lemma. ``lemma_unitary``, ``match_purification`` and ``umap_between`` are
 one step, ``_lemma``, clause 1 of README's table. It checks that the two
-unit-trace reduced states agree within ``tol`` and returns the
-orthogonal-Procrustes polar factor of the cross block of the two
-``(dim_s, dim_m)`` coefficient matrices: one SVD. An ensemble's
-coefficient matrix is that of its canonical purification
-(``_amplitude_block``), so its precondition comes first:
+unit-trace reduced states agree within ``tol`` (``_state_gap``, which
+``densities_match`` reads too) and returns the orthogonal-Procrustes polar
+factor of the cross block of the two ``(dim_s, dim_m)`` coefficient matrices:
+one SVD. An ensemble's coefficient matrix is that of its canonical
+purification (``_amplitude_block``), so its precondition comes first:
 ``match_purification`` checks the dimension, then the hypotheses, then the
-order against ``dim_m``, and last the states (TracesDiffer); ``purify`` makes
-the same checks before it allocates its joint ket, and ``umap_between``
-checks ``from_e`` before ``to_e``.
+order against ``dim_m``, and last the states (DensitiesDiffer, for all three);
+``purify`` makes the same checks before it allocates its joint ket, and
+``umap_between`` checks ``from_e`` before ``to_e``.
 
 Built unchecked. ``_trusted`` builds a value without its constructor's checks
 where checks that already passed, or the way the value was built, imply
@@ -72,7 +72,6 @@ from .errors import (
     NotOrthonormalBasis,
     NotUnitary,
     RhokitError,
-    TracesDiffer,
 )
 from .linalg import (
     DEFAULT_RANK_TOL,
@@ -88,13 +87,13 @@ from .linalg import (
     _public,
     _schmidt,
     _state,
+    _state_gap,
     _svd,
     as_ket,
     as_ket_list,
     as_operator,
     dagger,
     eig_hermitian,  # noqa: F401 -- perfbench's alias-rebinding test reads it here
-    max_abs,
     orthonormality_deviation,
 )
 
@@ -175,21 +174,19 @@ def check_umap(u: UMap, tol: float = DEFAULT_TOL) -> list[str]:
     return report
 
 
-def _lemma(a_from, a_to, tol, error, what) -> np.ndarray:
+def _lemma(a_from, a_to, tol, what) -> np.ndarray:
     """The purification lemma: the unitary U with ``a_from U^T = a_to``.
 
     ``a_from``, ``a_to``: (dim_s, dim_m) coefficient matrices of two joint
     kets (``as_matrix()`` or ``_amplitude_block``), whose ``_state``s must
-    agree within ``tol`` (max norm), else ``error``. With ``W S V^dag =
-    svd(a_from^dag a_to)``, ``U^T = W V^dag`` minimizes ``||a_from U^T - a_to||_F``
-    (orthogonal Procrustes), to zero when the states and norms are equal. No
-    positive scale changes it. One SVD, unitary to working precision.
+    agree within ``tol`` (``_state_gap``), else DensitiesDiffer on ``what``.
+    ``U^T = W V^dag``, with ``W S V^dag = svd(a_from^dag a_to)``, minimizes
+    ``||a_from U^T - a_to||_F`` (orthogonal Procrustes), zero for equal states
+    and norms, whatever their scale. One SVD, unitary to working precision.
     """
-    difference = _state(a_from)
-    deviation = max_abs(np.subtract(difference, _state(a_to), out=difference))
-    del difference  # subtracted in place, and freed before the SVD allocates
+    deviation = _state_gap(a_from, _state(a_to))  # both states freed before the SVD
     if deviation > tol:
-        raise error(f"{what} differ by {deviation:.3e} (tol {tol:.3e})")
+        raise DensitiesDiffer(f"{what} differ by {deviation:.3e} (tol {tol:.3e})")
     w, _, vh = _svd(dagger(a_from) @ a_to)
     return (w @ vh).T
 
@@ -203,7 +200,7 @@ def lemma_unitary(
     """Ancilla-side unitary U with ``(1 (x) U) phi = chi``.
 
     Requires both joint kets to share the same unit-trace reduced system state
-    within ``tol`` (max norm), else TracesDiffer. U is ``_lemma``'s polar
+    within ``tol`` (max norm), else DensitiesDiffer. U is ``_lemma``'s polar
     factor of the two kets' (dim_s, dim_m) coefficient matrices: one SVD,
     unitary to working precision however small the reduced state's weights are.
     """
@@ -212,7 +209,7 @@ def lemma_unitary(
             f"joint states have different factor dimensions: "
             f"({chi.dim_s}, {chi.dim_m}) vs ({phi.dim_s}, {phi.dim_m})"
         )
-    return _lemma(phi.as_matrix(), chi.as_matrix(), tol, TracesDiffer, "reduced system states")
+    return _lemma(phi.as_matrix(), chi.as_matrix(), tol, "reduced system states")
 
 
 @_public
@@ -253,7 +250,7 @@ def match_purification(
     The ensemble is admitted as ``purify`` admits it (else InvalidEnsemble or
     OrderExceedsAncillaDim), and its density over its trace (the state of its
     ``purify``) must equal the target's reduced system state within ``tol``
-    (else TracesDiffer), all that ``tol`` judges. ``_lemma``'s polar factor U
+    (else DensitiesDiffer), all that ``tol`` judges. ``_lemma``'s polar factor U
     carrying that purification onto the target is one SVD; ancilla ket j is
     ``U e_j``, so that ``target.vec = sum_j sqrt(w_j) phi_j (x) b_j`` up to the
     rotation residual and the norms, with all phases carried by the ancilla kets.
@@ -264,7 +261,7 @@ def match_purification(
         )
     rotation = _lemma(
         _amplitude_block(e, target.dim_m), target.as_matrix(),
-        tol, TracesDiffer, "ensemble density and reduced target state"
+        tol, "ensemble density and reduced target state"
     )
     # Rows of an SVD polar factor of a finite product, as in umap_between,
     # and at most dim_m of them (_amplitude_block's order check).
@@ -349,8 +346,7 @@ def umap_between(
         )
     dim_m = max(from_e.order, to_e.order)
     rotation = _lemma(
-        _amplitude_block(from_e, dim_m), _amplitude_block(to_e, dim_m),
-        tol, DensitiesDiffer, "ensemble densities"
+        _amplitude_block(from_e, dim_m), _amplitude_block(to_e, dim_m), tol, "ensemble densities"
     )
     # SVD factors of a finite product of validated amplitude blocks, an
     # identity basis of their size, and 1 <= order_from <= dim_m.

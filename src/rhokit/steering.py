@@ -41,30 +41,27 @@ class SteeringReport:
     """Shot counts against the exact outcome distribution of one basis choice;
     ``steer``'s ``expected_weights`` sum to 1 and its ``post_density`` has trace 1.
 
-    Construction holds the report's rules: ``shots`` is an integer >= 1
-    (InvalidArgument), ``counts`` are non-negative integers, bools refused,
-    summing to ``shots`` (InvalidArgument), ``expected_weights`` holds one
-    finite non-negative weight per count (DimensionMismatch for the count,
-    InvalidArgument for the values), and ``post_density`` is a finite square
-    matrix (DimensionMismatch, InvalidArgument). The fields are stored as an
-    int, a list of ints, a float array and a complex array.
+    Construction holds the report's rules: ``counts`` are non-negative integers,
+    bools refused, summing to at least 1 (InvalidArgument), ``expected_weights``
+    holds one finite non-negative weight per count (DimensionMismatch for the
+    count, InvalidArgument for the values), and ``post_density`` is a finite
+    square matrix (DimensionMismatch, InvalidArgument). They are stored as a list
+    of ints, a float array and a complex array; ``shots`` is the counts' sum.
     """
 
-    shots: int
     counts: list[int]
     expected_weights: np.ndarray
     post_density: np.ndarray
 
     @_public
     def __post_init__(self):
-        shots = _check_integer("shots", self.shots, 1)
         try:
             items = enumerate(self.counts)
         except TypeError as exc:  # not iterable
             raise InvalidArgument(f"counts must be integers, got {self.counts!r}") from exc
         counts = [_check_integer(f"counts[{i}]", c, 0) for i, c in items]
-        if sum(counts) != shots:
-            raise InvalidArgument(f"counts sum to {sum(counts)}, but shots is {shots}")
+        if sum(counts) < 1:
+            raise InvalidArgument(f"counts sum to {sum(counts)}, expected at least 1")
         weights = _convert(self.expected_weights, float)
         _checked(weights, 1, "weight vector", empty=True)
         if weights.shape[0] != len(counts):
@@ -74,10 +71,13 @@ class SteeringReport:
         post_density = as_operator(self.post_density)
         if post_density.shape[0] != post_density.shape[1]:
             raise DimensionMismatch(f"post_density has shape {post_density.shape}, not square")
-        object.__setattr__(self, "shots", shots)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "expected_weights", weights)
         object.__setattr__(self, "post_density", post_density)
+
+    @property
+    def shots(self) -> int:
+        return sum(self.counts)
 
 
 @_public
@@ -152,12 +152,10 @@ def steer(
     """
     ensemble, _, _ = ensemble_from_basis(joint, basis, rank_tol)
     counts = sample_outcomes(ensemble.weights, shots, seed)
-    # sample_outcomes admitted shots and drew one non-negative count per
-    # conditioned weight, summing to shots; those weights are positive and
-    # finite, and their state is a finite square matrix.
+    # sample_outcomes drew one count >= 0 per conditioned weight, shots >= 1 in
+    # all; the weights are positive and finite, their state finite and square.
     return _trusted(
         SteeringReport,
-        shots=int(shots),
         counts=counts.tolist(),
         expected_weights=ensemble.weights,
         post_density=_state(ensemble.kets.T * np.sqrt(ensemble.weights)),

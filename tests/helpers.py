@@ -96,6 +96,12 @@ def random_joint(rng, dim_s, dim_m):
     return JointState(dim_s=dim_s, dim_m=dim_m, vec=random_ket(rng, dim_s * dim_m))
 
 
+def schmidt_joint(left, coefficients, right):
+    """Joint ket ``sum_s c_s left_s (x) right_s`` from orthonormal ket rows."""
+    vec = ((left.T * coefficients) @ right).reshape(-1)
+    return JointState(dim_s=left.shape[1], dim_m=right.shape[1], vec=vec)
+
+
 def computational(dim, index):
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0

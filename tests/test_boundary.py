@@ -478,7 +478,7 @@ def catalogue():
         "SteeringReport": (
             SteeringReport,
             {},
-            {"shots": 10, "counts": [4, 6], "expected_weights": [0.5, 0.5], "post_density": eye},
+            {"counts": [4, 6], "expected_weights": [0.5, 0.5], "post_density": eye},
         ),
         "UMap": (UMap, {}, {"generator": eye, "basis": eye, "cols": 2}),
         "apply_unitary_umap": (
@@ -1028,7 +1028,7 @@ def sweep():
         "JointState": lambda: rk.JointState(2048, 1024, big),
         "RhoEnsemble": lambda: rk.RhoEnsemble(real_eye, w),
         "SchmidtForm": lambda: rk.SchmidtForm(form.coefficients, form.left_kets, form.right_kets),
-        "SteeringReport": lambda: rk.SteeringReport(n, [1] * n, w, rho.matrix),
+        "SteeringReport": lambda: rk.SteeringReport([1] * n, w, rho.matrix),
         "UMap": lambda: rk.UMap(real_eye, real_eye, n),
         "apply_unitary_umap": lambda: rk.apply_unitary_umap(j, u, u),
         "check_umap": lambda: rk.check_umap(reflected),

@@ -970,6 +970,45 @@ def test_stdin_stdout_roundtrip(tmp_path):
     np.testing.assert_allclose(ensemble.weights, [0.5, 0.5], atol=1e-12)
 
 
+class _UnreadableStdin:
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+
+# One case per command that takes two inputs or more, each with the inputs named.
+SECOND_STDIN_INPUT = {
+    "ensemble-from-basis": (["-", "-"], "joint, basis"),
+    "umap": (["-", "-"], "from-ensemble, to-ensemble"),
+    "apply-u": (["absent.json", "-", "-"], "basis, unitary"),
+    "contains": (["-", "-"], "joint, ket"),
+    "steer": (["-", "-"], "joint, basis"),
+    "verify": (["--ensemble", "-", "--rho", "-"], "ensemble, rho"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SECOND_STDIN_INPUT))
+def test_a_second_stdin_input_is_a_usage_error_before_any_input_is_read(
+    capsys, monkeypatch, command
+):
+    # The first '-' input would drain stdin and leave the second an empty text.
+    args, names = SECOND_STDIN_INPUT[command]
+    monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+    assert main([command, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "UsageError",
+        "message": f"inputs {names} all read stdin ('-'); only one can",
+    }
+
+
+def test_every_command_of_two_inputs_or_more_refuses_a_second_stdin_input():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert sorted(SECOND_STDIN_INPUT) == sorted(
+        name for name, parser in commands.items() if len(parser.get_default("inputs")) > 1
+    )
+
+
 # Each fuzzed value with its exit code: 2 where argparse rejects it, 3 where
 # the library does, 0 where it is valid.
 FUZZED_FLAGS = {

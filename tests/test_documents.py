@@ -138,8 +138,8 @@ def written(kind):
         counts = [np.ones(shape, dtype=int) for shape in SHAPES]
         weights = [np.full(shape, 0.5) for shape in SHAPES]
         values = [
-            admitted(SteeringReport, shots, c, w, entries(p))
-            for shots in DIMS for c in counts for w in weights for p in SHAPES
+            admitted(SteeringReport, c, w, entries(p))
+            for c in counts for w in weights for p in SHAPES
         ]
     else:
         matrices = [entries(shape) for shape in SHAPES]
@@ -176,11 +176,29 @@ def test_report_roundtrip_exact():
     np.testing.assert_array_equal(out.post_density, report.post_density)
 
 
+# The report of test_report_roundtrip_exact as written while a report still
+# stored its shots beside its counts.
+OLDER_REPORT = (
+    '{"kind":"report","payload":{"counts":[38,62],"expected_weights":[0.5,0.5],'
+    '"post_density":{"cols":2,"entries":[[[0.5,0.0],[0.0,0.0]],[[0.0,0.0],[0.5,0.0]]],'
+    '"rows":2},"shots":100},"version":1}\n'
+)
+
+
+def test_a_report_document_holds_its_counts_and_no_shots():
+    report = steer(bell_joint(), np.eye(2, dtype=complex), shots=100, seed=9)
+    doc = docs.report_document(report)
+    assert "shots" not in doc["payload"]
+    older = docs.to_report(docs.load_document(OLDER_REPORT))
+    assert bits(older) == bits(report) and older.shots == 100
+    assert docs.dump_document(docs.report_document(older)) == docs.dump_document(doc)
+
+
 @pytest.mark.parametrize(
     "field, value, error, message",
     [
         pytest.param(
-            "counts", [1, 2], InvalidArgument, "counts sum to 3, but shots is 100",
+            "counts", [], InvalidArgument, "counts sum to 0, expected at least 1",
             id="counts-value0-report.counts",
         ),
         pytest.param(
@@ -197,8 +215,8 @@ def test_report_roundtrip_exact():
             id="expected_weights-value3-report.expected_weights",
         ),
         pytest.param(
-            "shots", 0, InvalidArgument, "shots must be an integer >= 1, got 0",
-            id="shots-0-report.shots",
+            "counts", [0, 0], InvalidArgument, "counts sum to 0, expected at least 1",
+            id="counts-zeros-report.counts",
         ),
         pytest.param(
             "post_density", "dense", DocumentError,

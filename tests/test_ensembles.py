@@ -24,6 +24,8 @@ from rhokit import (
     ensemble_to_density,
     ensembles_equal,
     is_linearly_independent,
+    lemma_unitary,
+    match_purification,
     purify,
     schmidt_decompose,
     umap_between,
@@ -775,17 +777,33 @@ def test_equal_finds_a_matching_a_greedy_pass_misses():
 
 @pytest.mark.parametrize("case", range(SAME_DENSITY_CASES))
 def test_densities_match_exactly_when_umap_between_admits_the_pair(case):
-    # Both judge the densities over their traces, so an admitted weight sum
-    # off 1 by up to tol * order moves neither verdict; only the gap does.
+    # The lemma's three gates and densities_match judge the states over their
+    # traces by one judge, so an admitted weight sum off 1 by up to tol * order
+    # moves no verdict; only the gap does, and every refusal is DensitiesDiffer.
     drawn = draw_same_density(case)
     a, b = same_density_pair(*drawn)
     assert validate_ensemble(a) == [] and validate_ensemble(b) == [], drawn
-    try:
-        umap_between(a, b)
-        admitted = True
-    except DensitiesDiffer:
-        admitted = False
-    assert densities_match(a, b) == densities_match(b, a) == admitted == (drawn[-1] < 1), drawn
+    gap = np.max(np.abs(weighted_projector_sum(a) / a.weights.sum()
+                        - weighted_projector_sum(b) / b.weights.sum()))
+    assert abs(gap / 1e-10 - 1.0) >= 0.01, (drawn, gap)  # 1% or more from tol
+    dim_m = max(a.order, b.order)
+    (joint_a, _), (joint_b, _) = purify(a, dim_m), purify(b, dim_m)
+    gates = {
+        "umap_between": lambda: umap_between(a, b),
+        "match_purification": lambda: match_purification(a, joint_b),
+        "lemma_unitary": lambda: lemma_unitary(joint_a, joint_b),
+    }
+    admitted = {}
+    for name, gate in gates.items():
+        try:
+            gate()
+            admitted[name] = True
+        except DensitiesDiffer as exc:
+            assert type(exc) is DensitiesDiffer, (drawn, name)
+            admitted[name] = False
+    match = densities_match(a, b)
+    assert densities_match(b, a) == match == (drawn[-1] < 1), drawn
+    assert admitted == dict.fromkeys(gates, match), (drawn, admitted)
 
 
 def test_same_density_cases_reach_every_category():

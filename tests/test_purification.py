@@ -17,7 +17,6 @@ from rhokit import (
     OrderExceedsAncillaDim,
     ResourceExhausted,
     RhoEnsemble,
-    TracesDiffer,
     UMap,
     apply_unitary_umap,
     check_umap,
@@ -38,6 +37,7 @@ from rhokit import (
     validate_ensemble,
 )
 from rhokit import ensembles, purification
+from test_accuracy import WEIGHT_C
 from helpers import (
     bell_joint,
     computational,
@@ -51,6 +51,7 @@ from helpers import (
     random_ket,
     random_unitary,
     reconstruct_joint,
+    schmidt_joint,
     squeezed_ensemble,
     weighted_projector_sum,
 )
@@ -102,8 +103,9 @@ def test_lemma_output_is_unitary():
 
 def test_lemma_rejects_different_traces():
     rng = np.random.default_rng(13)
-    with pytest.raises(TracesDiffer):
+    with pytest.raises(DensitiesDiffer, match="^reduced system states differ by ") as info:
         lemma_unitary(random_joint(rng, 2, 2), random_joint(rng, 2, 2))
+    assert type(info.value) is DensitiesDiffer
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +236,11 @@ def test_match_ancilla_unique_for_independent_ensembles():
 
 def test_match_rejects_wrong_density():
     e = RhoEnsemble(kets=[computational(2, 0)], weights=[1.0])
-    with pytest.raises(TracesDiffer):
+    with pytest.raises(
+        DensitiesDiffer, match="^ensemble density and reduced target state differ by "
+    ) as info:
         match_purification(e, bell_joint())
+    assert type(info.value) is DensitiesDiffer
 
 
 # ---------------------------------------------------------------------------
@@ -780,12 +785,6 @@ def test_containing_rank_deficient_joint_is_clean(dim_s, dim_m, rank, smallest):
         assert e.order == rank and np.max(overlaps) < 1e-6
 
 
-def _schmidt_joint(left, coefficients, right):
-    """Joint ket ``sum_s c_s left_s (x) right_s`` from orthonormal ket rows."""
-    vec = ((left.T * coefficients) @ right).reshape(-1)
-    return JointState(dim_s=left.shape[1], dim_m=right.shape[1], vec=vec)
-
-
 @pytest.mark.parametrize("epsilon", [1e-7, 1e-8, 1e-9, 2.7e-10, 1.5e-10, 1.01e-10])
 def test_containing_is_clean_down_to_the_rank_cutoff(epsilon):
     # A rank-2 joint whose smaller squared Schmidt coefficient is epsilon, and
@@ -795,7 +794,7 @@ def test_containing_is_clean_down_to_the_rank_cutoff(epsilon):
     rng = np.random.default_rng(5)
     coefficients = np.sqrt([1.0 - epsilon, epsilon])
     left = random_unitary(rng, 7)[:2]
-    joint = _schmidt_joint(left, coefficients, random_unitary(rng, 27)[:2])
+    joint = schmidt_joint(left, coefficients, random_unitary(rng, 27)[:2])
     e, _ = ensemble_containing(joint, coefficients @ left)
     np.testing.assert_allclose(e.weights, [0.5, 0.5], rtol=1e-9)
     overlap = abs(np.vdot(e.kets[0], e.kets[1]))
@@ -835,7 +834,7 @@ def test_containing_decides_membership_of_a_wide_joint_by_its_range():
     # the kept left kets; the floored cutoff still refuses it.
     rng = np.random.default_rng(31)
     left = random_unitary(rng, 4)
-    joint = _schmidt_joint(left[:2], np.sqrt([0.7, 0.3]), random_unitary(rng, 2))
+    joint = schmidt_joint(left[:2], np.sqrt([0.7, 0.3]), random_unitary(rng, 2))
     inside = left[:2].T @ np.array([0.6, 0.8j])
     for rank_tol in (1e-10, 0.0):
         e, _ = ensemble_containing(joint, inside, rank_tol=rank_tol)
@@ -852,7 +851,7 @@ def test_containing_refuses_a_rounding_level_direction_at_rank_tol_0():
     # squared floor, is below the cutoff, which is then the floor itself.
     rng = np.random.default_rng(5)
     left = random_unitary(rng, 3)
-    joint = _schmidt_joint(left, np.sqrt([0.5, 0.5, 0.0]), random_unitary(rng, 3))
+    joint = schmidt_joint(left, np.sqrt([0.5, 0.5, 0.0]), random_unitary(rng, 3))
     assert 0.0 < np.linalg.svd(joint.as_matrix(), compute_uv=False)[2] < 1e-15
     with pytest.raises(NotInSupport, match="^target has largest weight"):
         ensemble_containing(joint, left[2], rank_tol=0.0)
@@ -866,7 +865,7 @@ def test_containing_bounds_the_distance_of_element_0_from_the_target():
     # With 95% along that direction W = 1.04e-10 still exceeds rank_tol, but
     # the share exceeds sqrt(rank_tol): refused, as is the direction itself.
     lam = 0.99e-10
-    joint = _schmidt_joint(np.eye(3), np.sqrt([0.5, 0.5 - lam, lam]), np.eye(3))
+    joint = schmidt_joint(np.eye(3), np.sqrt([0.5, 0.5 - lam, lam]), np.eye(3))
     share = 1e-6
     xi = np.sqrt([1.0 - share, 0.0, share]).astype(complex)
     e, _ = ensemble_containing(joint, xi)
@@ -888,7 +887,8 @@ def _assert_contains(joint, target, left, coefficients):
     e, basis = ensemble_containing(joint, target)
     assert np.max(np.abs(e.kets[0] - target)) < 1e-9
     forced = 1.0 / np.sum(np.abs((np.conj(left) @ target) / coefficients) ** 2)
-    assert e.weights[0] == pytest.approx(forced, rel=1e-9)
+    n = max(joint.dim_s, joint.dim_m)
+    assert e.weights[0] == pytest.approx(forced, rel=WEIGHT_C * n * np.finfo(float).eps, abs=0)
     assert validate_ensemble(e) == []
     assert np.max(np.abs(np.conj(basis) @ basis.T - np.eye(joint.dim_m))) < 1e-12
 
@@ -914,7 +914,7 @@ def test_containing_pins_target_weight_and_basis(dim_s, dim_m, rank, smallest):
     for seed in range(4):
         rng = np.random.default_rng(seed)
         left = random_unitary(rng, dim_s)[:rank]
-        joint = _schmidt_joint(left, coefficients, random_unitary(rng, dim_m)[:rank])
+        joint = schmidt_joint(left, coefficients, random_unitary(rng, dim_m)[:rank])
         phases = np.exp(2j * np.pi * rng.random(rank))
         targets = [left.T @ (rng.normal(size=rank) + 1j * rng.normal(size=rank))]
         targets += [phases[s] * left[s] for s in range(rank)]
@@ -929,7 +929,7 @@ def test_containing_exact_ties_and_axis_targets():
     # magnitude; each canonical ket puts the first ancilla ket on one axis.
     _assert_contains(bell_joint(), plus_ket(), np.eye(2), np.full(2, np.sqrt(0.5)))
     coefficients = np.full(4, 0.5)
-    joint = _schmidt_joint(np.eye(4), coefficients, np.eye(4, 6))
+    joint = schmidt_joint(np.eye(4), coefficients, np.eye(4, 6))
     _assert_contains(joint, np.array([1, 1j, -1, -1j]) / 2.0, np.eye(4), coefficients)
     for s in range(4):
         _assert_contains(joint, computational(4, s), np.eye(4), coefficients)

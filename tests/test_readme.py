@@ -1,6 +1,6 @@
 """README examples run as written (the Python quickstart and the worked CLI
-pipeline), its CLI and tolerance tables match the code, and its accuracy
-table states the constants the tests read."""
+pipeline), its CLI and tolerance tables match the code, and its clause
+table states the accuracy constants the tests read."""
 
 import importlib
 import inspect
@@ -95,13 +95,16 @@ def test_signature_lines_match_the_code():
 
 
 def test_accuracy_table_states_the_constants_the_tests_read():
-    rows = re.findall(r"^\| `(\w+_C)` \| `([^`]+)` \| .* \| `tests/(\w+)\.py` \|$", README, re.M)
+    # The clause table states each c·n·eps constant once, its c beside it.
+    section = README.split("\n## The theorem in one place\n", 1)[1].split("\n## ", 1)[0]
+    cited = re.findall(r"`(test_\w+)\.(\w+_C)` \(c = `([^`]+)`", section)
     tests = Path(__file__).resolve().parent
     defined = {
-        (name, path.stem)
+        (path.stem, name)
         for path in tests.glob("test_*.py")
         for name in re.findall(r"^(\w+_C) = ", path.read_text(encoding="utf-8"), re.M)
     }
-    assert {(name, module) for name, _, module in rows} == defined
-    for name, value, module in rows:
+    # A list against a set: every constant, each cited once.
+    assert sorted((module, name) for module, name, _ in cited) == sorted(defined)
+    for module, name, value in cited:
         assert float(value) == getattr(importlib.import_module(module), name)

@@ -1,5 +1,6 @@
 """Ancilla measurement, seeded sampling, and steering reports."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -20,6 +21,7 @@ from rhokit import (
     tensor_ket,
     validate_ensemble,
 )
+from test_accuracy import NO_DISTURBANCE_C
 from helpers import (
     bell_joint,
     bits,
@@ -76,7 +78,8 @@ def test_no_disturbance_random():
         _, post = measure_ancilla(joint, random_basis(rng, dim_m))
         before = joint.reduced_system()
         after = partial_trace_m(post, dim_s, dim_m)
-        assert np.max(np.abs(after - before)) < 1e-9
+        bound = NO_DISTURBANCE_C * max(dim_s, dim_m) * np.finfo(float).eps * np.max(np.abs(before))
+        assert np.max(np.abs(after - before)) <= bound
 
 
 def test_mixture_is_exactly_the_basis_ensemble():
@@ -289,14 +292,16 @@ def test_steer_post_density_equals_reduced_state():
     rng = np.random.default_rng(34)
     joint = random_joint(rng, 3, 2)
     report = steer(joint, random_basis(rng, 2), shots=10, seed=3)
-    assert np.max(np.abs(report.post_density - joint.reduced_system())) < 1e-9
+    rho = joint.reduced_system()
+    n = max(joint.dim_s, joint.dim_m)
+    bound = NO_DISTURBANCE_C * n * np.finfo(float).eps * np.max(np.abs(rho))
+    assert np.max(np.abs(report.post_density - rho)) <= bound
 
 
 # ---------------------------------------------------------------------------
 # SteeringReport
 
 REPORT = {
-    "shots": 100,
     "counts": [38, 62],
     "expected_weights": [0.5, 0.5],
     "post_density": np.eye(2) / 2,
@@ -306,11 +311,11 @@ REPORT = {
 @pytest.mark.parametrize(
     "field, value, error, message",
     [
-        ("counts", [1, 2], InvalidArgument, "counts sum to 3, but shots is 100"),
+        ("counts", [], InvalidArgument, "counts sum to 0, expected at least 1"),
         ("expected_weights", [-3.0, 7.0], InvalidArgument, "expected weights must be non-negative"),
         ("counts", [101, -1], InvalidArgument, "counts[1] must be an integer >= 0, got -1"),
         ("expected_weights", [1.0], DimensionMismatch, "2 counts but 1 weights"),
-        ("shots", 0, InvalidArgument, "shots must be an integer >= 1, got 0"),
+        ("counts", [0, 0], InvalidArgument, "counts sum to 0, expected at least 1"),
         (
             "post_density", np.ones((1, 3)), DimensionMismatch,
             "post_density has shape (1, 3), not square",
@@ -333,13 +338,24 @@ def test_report_refuses_each_broken_rule_with_its_message(field, value, error, m
 
 
 def test_report_stores_an_int_a_list_of_ints_a_float_array_and_a_complex_array():
-    report = SteeringReport(
-        np.int64(100), np.array([38, 62]), [1, 0], [[0.5, 0], [0, 0.5]]
-    )
+    report = SteeringReport(np.array([38, 62]), [1, 0], [[0.5, 0], [0, 0.5]])
     assert type(report.shots) is int and report.shots == 100
     assert report.counts == [38, 62] and all(type(c) is int for c in report.counts)
     assert report.expected_weights.dtype == float
     assert report.post_density.dtype == complex
+
+
+def test_a_report_is_its_counts():
+    # shots is read from the counts, never stored or passed beside them.
+    report = SteeringReport(**REPORT)
+    assert [field.name for field in dataclasses.fields(report)] == [
+        "counts", "expected_weights", "post_density",
+    ]
+    assert report.shots == sum(report.counts) == 100
+    with pytest.raises(AttributeError):
+        report.shots = 7
+    with pytest.raises(TypeError, match="shots"):
+        SteeringReport(**REPORT, shots=100)
 
 
 def test_measure_ancilla_mixture_packages_outcome():
